@@ -5,6 +5,10 @@ export CARGO_NET_OFFLINE=true
 cargo build --release --workspace --all-targets
 cargo test -q --workspace
 cargo test -q --workspace --features dmasan-strict
+# The standalone benchmark package binds to this workspace's public items
+# by name (benchmark/README.md, "What the benchmark binds to"); its tests
+# fail here, not in the pipeline, when a refactor breaks one. Read-only.
+cargo test --offline -q --manifest-path benchmark/Cargo.toml
 # Lint, split like the workflow: the fast style pass first (cheap,
 # pre-commit-friendly), then the full pass (interprocedural protocol
 # typestate checker, device-taint, lock-order, unsafe audit, dead-waiver)

@@ -2,7 +2,10 @@
 //! single global list+lock vs ATC'15's per-core lists — measured as raw
 //! map/unmap throughput on 16 cores.
 
-use dma_api::{DmaBuf, DmaDirection, DmaEngine, FlushScope, IdentityDma};
+use dma_api::{
+    DeferPolicy, DeferredFlusher, DmaBuf, DmaDirection, DmaEngine, FlushScope, InvalPolicy,
+    IovaPolicy, MappedDma,
+};
 use iommu::{DeviceId, Iommu};
 use memsim::{NumaTopology, PhysMemory};
 use simcore::{CoreCtx, CoreTask, CostModel, Cycles, MultiCoreSim, Phase, StepOutcome};
@@ -15,7 +18,22 @@ const CORES: usize = 16;
 fn run(scope: FlushScope) -> (f64, f64, u64) {
     let mem = Arc::new(PhysMemory::new(NumaTopology::dual_socket_haswell()));
     let mmu = Arc::new(Iommu::new());
-    let engine = IdentityDma::deferred_with_scope(mem.clone(), mmu.clone(), DEV, CORES, scope);
+    // Not an engine of the figures: identity placement over either
+    // batching scope is just another policy pair.
+    let flusher = DeferredFlusher::with_obs(
+        DeferPolicy::linux_default(),
+        scope,
+        CORES,
+        mmu.obs().clone(),
+    );
+    let engine = MappedDma::new(
+        "identity-",
+        mem.clone(),
+        mmu.clone(),
+        DEV,
+        IovaPolicy::identity(),
+        InvalPolicy::Deferred(flusher),
+    );
     let cost = Arc::new(CostModel::haswell_2_4ghz());
     let mut sim = MultiCoreSim::new(cost.clone(), CORES);
     for ctx in sim.ctxs_mut() {
@@ -59,8 +77,8 @@ fn run(scope: FlushScope) -> (f64, f64, u64) {
         .map(|c| c.breakdown.get(Phase::Spinlock).to_micros(2.4))
         .sum::<f64>()
         / (OPS * CORES as u64) as f64;
-    let pending = engine.flusher().map(|f| f.deferred_total()).unwrap_or(0);
-    (mops, spin_us, pending)
+    let deferred = mmu.obs().counter("flush", "deferred_total", None).get();
+    (mops, spin_us, deferred)
 }
 
 fn main() {

@@ -1,10 +1,10 @@
 //! §5.5 ablation: huge DMA buffers — the hybrid head/tail-copy design vs
 //! strict zero-copy mapping vs (modeled) full copying.
 
-use dma_api::{DmaBuf, DmaDirection, DmaEngine, IdentityDma};
+use dma_api::{DmaBuf, DmaDirection, DmaEngine};
 use iommu::{DeviceId, Iommu};
 use memsim::{NumaTopology, PhysMemory, PAGE_SIZE};
-use shadow_core::{PoolConfig, ShadowDma};
+use shadow_core::{build_engine, EngineKind, PoolConfig};
 use simcore::{CoreCtx, CoreId, CostModel, Cycles};
 use std::sync::Arc;
 
@@ -31,8 +31,19 @@ fn main() {
     for size in [128 * 1024usize, 512 * 1024, 2 * 1024 * 1024] {
         let mem = Arc::new(PhysMemory::new(NumaTopology::dual_socket_haswell()));
         let mmu = Arc::new(Iommu::new());
-        let shadow = ShadowDma::new(mem.clone(), mmu.clone(), DEV, PoolConfig::default());
-        let identity = IdentityDma::strict(mem.clone(), mmu.clone(), DEV);
+        let engine = |kind| {
+            build_engine(
+                kind,
+                mem.clone(),
+                mmu.clone(),
+                DEV,
+                1,
+                false,
+                PoolConfig::default(),
+            )
+        };
+        let shadow = engine(EngineKind::Copy);
+        let identity = engine(EngineKind::IdentityPlus);
         let mut ctx = CoreCtx::new(CoreId(0), cost.clone());
         ctx.seek(Cycles(1));
         let pfn = mem
@@ -41,8 +52,8 @@ fn main() {
         // Unaligned start so the hybrid path actually shadows head+tail.
         let buf = DmaBuf::new(pfn.base().add(100), size);
 
-        let hybrid = run_cycle(&shadow, &mut ctx, buf, 50);
-        let ident = run_cycle(&identity, &mut ctx, buf, 50);
+        let hybrid = run_cycle(shadow.as_ref(), &mut ctx, buf, 50);
+        let ident = run_cycle(identity.as_ref(), &mut ctx, buf, 50);
         // Full copy (what naive shadowing would do): two memcpys of the
         // whole buffer plus pool bookkeeping.
         let full = (cost.memcpy(size, false) * 2 + cost.shadow_pool_op * 2)

@@ -9,33 +9,34 @@
 //! the same IOMMU. Reported: the victim's map/unmap throughput alone vs
 //! with the noisy neighbor.
 
-use dma_api::{DmaBuf, DmaDirection, DmaEngine, IdentityDma, LinuxDma, NoIommu};
+use dma_api::{DmaBuf, DmaDirection, DmaEngine};
 use iommu::{DeviceId, Iommu};
 use memsim::{NumaTopology, PhysMemory};
-use shadow_core::{PoolConfig, ShadowDma};
+use shadow_core::{build_engine, EngineKind, PoolConfig};
 use simcore::{CoreCtx, CoreId, CoreTask, CostModel, Cycles, MultiCoreSim, StepOutcome};
 use std::sync::Arc;
 
 const OPS: u64 = 20_000;
 
-fn victim_engine(name: &str, mem: Arc<PhysMemory>, mmu: Arc<Iommu>) -> Box<dyn DmaEngine> {
-    let dev = DeviceId(0);
-    match name {
-        "no iommu" => Box::new(NoIommu::new(mem, dev)),
-        "copy" => Box::new(ShadowDma::new(mem, mmu, dev, PoolConfig::default())),
-        "identity-" => Box::new(IdentityDma::deferred(mem, mmu, dev, 8)),
-        "identity+" => Box::new(IdentityDma::strict(mem, mmu, dev)),
-        _ => Box::new(LinuxDma::strict(mem, mmu, dev)),
-    }
-}
-
 /// Runs 8 victim cores (+ optionally 8 noisy identity+ cores on a second
 /// device); returns the victim's aggregate map/unmap ops per second.
-fn run(victim: &str, with_neighbor: bool) -> f64 {
+fn run(victim: EngineKind, with_neighbor: bool) -> f64 {
     let mem = Arc::new(PhysMemory::new(NumaTopology::dual_socket_haswell()));
     let mmu = Arc::new(Iommu::new());
-    let v_eng = victim_engine(victim, mem.clone(), mmu.clone());
-    let n_eng = IdentityDma::strict(mem.clone(), mmu.clone(), DeviceId(1));
+    // Each NIC is driven by 8 cores; neither config shards per core.
+    let engine = |kind, dev| {
+        build_engine(
+            kind,
+            mem.clone(),
+            mmu.clone(),
+            DeviceId(dev),
+            8,
+            false,
+            PoolConfig::default(),
+        )
+    };
+    let v_eng = engine(victim, 0);
+    let n_eng = engine(EngineKind::IdentityPlus, 1);
     let cores = if with_neighbor { 16 } else { 8 };
     let cost = Arc::new(CostModel::haswell_2_4ghz());
     let mut sim = MultiCoreSim::new(cost, cores);
@@ -59,7 +60,7 @@ fn run(victim: &str, with_neighbor: bool) -> f64 {
                 let mut count = 0u64;
                 let ends = &ends;
                 Box::new(move |ctx: &mut CoreCtx| {
-                    let engine: &dyn DmaEngine = if i < 8 { v.as_ref() } else { n };
+                    let engine: &dyn DmaEngine = if i < 8 { v.as_ref() } else { n.as_ref() };
                     let m = engine.map(ctx, buf, DmaDirection::FromDevice).expect("map");
                     engine.unmap(ctx, m).expect("unmap");
                     count += 1;
@@ -88,12 +89,16 @@ fn main() {
     );
     // no-iommu is omitted: its map/unmap are no-ops, so the metric is
     // meaningless (and trivially interference-free).
-    for victim in ["copy", "identity-", "identity+"] {
+    for victim in [
+        EngineKind::Copy,
+        EngineKind::IdentityMinus,
+        EngineKind::IdentityPlus,
+    ] {
         let alone = run(victim, false) / 1e6;
         let noisy = run(victim, true) / 1e6;
         println!(
             "{:<12} {:>16.2} {:>18.2} {:>9.2}x",
-            victim,
+            victim.name(),
             alone,
             noisy,
             alone / noisy

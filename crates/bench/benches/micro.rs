@@ -3,10 +3,10 @@
 //! table, and full map/unmap cycles per engine. Self-contained timing
 //! harness (the workspace builds offline, so no criterion).
 
-use dma_api::{DmaBuf, DmaDirection, DmaEngine, IdentityDma, LinuxDma, NoIommu};
+use dma_api::{DmaBuf, DmaDirection, DmaEngine};
 use iommu::{DeviceId, IoPageTable, Iommu, Iotlb, IovaPage, Perms, PtEntry};
 use memsim::{NumaDomain, NumaTopology, Pfn, PhysMemory};
-use shadow_core::{IovaCodec, PoolConfig, ShadowDma, ShadowPool};
+use shadow_core::{build_engine, EngineKind, IovaCodec, PoolConfig, ShadowPool};
 use simcore::{CoreCtx, CoreId, CostModel, Cycles};
 use std::sync::Arc;
 use std::time::Instant;
@@ -112,22 +112,14 @@ fn bench_pagetable() {
 }
 
 fn bench_engines() {
-    type EngineCtor = fn(Arc<PhysMemory>, Arc<Iommu>) -> Box<dyn DmaEngine>;
-    let engines: [(&str, EngineCtor); 4] = [
-        ("no_iommu", |mem, _| Box::new(NoIommu::new(mem, DEV))),
-        ("copy", |mem, mmu| {
-            Box::new(ShadowDma::new(mem, mmu, DEV, PoolConfig::default()))
-        }),
-        ("identity_strict", |mem, mmu| {
-            Box::new(IdentityDma::strict(mem, mmu, DEV))
-        }),
-        ("linux_strict", |mem, mmu| {
-            Box::new(LinuxDma::strict(mem, mmu, DEV))
-        }),
-    ];
-    for (name, make) in engines {
+    for (name, kind) in [
+        ("no_iommu", EngineKind::NoIommu),
+        ("copy", EngineKind::Copy),
+        ("identity_strict", EngineKind::IdentityPlus),
+        ("linux_strict", EngineKind::LinuxStrict),
+    ] {
         let (mem, mmu) = rig();
-        let engine = make(mem.clone(), mmu);
+        let engine = build_engine(kind, mem.clone(), mmu, DEV, 1, false, PoolConfig::default());
         let pfn = mem.alloc_frames(NumaDomain(0), 1).unwrap();
         let buf = DmaBuf::new(pfn.base(), 1500);
         let mut cx = ctx();

@@ -24,6 +24,9 @@
 //!   figures), including copying hints (§5.4) and the hybrid huge-buffer
 //!   path that copies only sub-page head/tails and zero-copy-maps the
 //!   aligned middle (§5.5).
+//! - [`EngineKind`] / [`build_engine`] — the table of every engine the
+//!   paper compares (this crate is the lowest that can see them all) and
+//!   the one function that builds one by name.
 //!
 //! The pool is safe for real multi-threaded use (its free lists use
 //! atomics and a tail lock exactly as §5.3 describes) *and* is driven in
@@ -33,6 +36,7 @@
 
 mod enc;
 mod engine;
+mod engines;
 mod freelist;
 mod huge;
 mod pool;
@@ -40,6 +44,7 @@ mod slot;
 
 pub use enc::{DecodedIova, IovaCodec};
 pub use engine::{CopyHint, ShadowDma};
+pub use engines::{build_engine, build_shadow, EngineKind};
 pub use freelist::FreeList;
 pub use huge::{HugeMapper, HugeStats};
 pub use pool::{

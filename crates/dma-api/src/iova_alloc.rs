@@ -3,8 +3,8 @@
 //! Stock Linux allocates IOVAs from a global red-black tree protected by a
 //! single lock; the long tree walks and the lock are the bottleneck EiovaR
 //! (FAST'15 \[38\]) identified. Peleg et al. (ATC'15 \[42\]) replaced it with
-//! per-core magazine caches. Both are modeled here, sharing the run-based
-//! interval bookkeeping.
+//! per-core magazine caches. All three are modeled here, sharing the
+//! run-based interval bookkeeping.
 
 use crate::DmaError;
 use iommu::IovaPage;
@@ -109,41 +109,65 @@ impl Runs {
     }
 }
 
-/// The stock Linux IOVA allocator: one interval tree, one global lock.
+/// The global-lock IOVA allocator: one interval tree, one lock — stock
+/// Linux, or EiovaR (FAST'15 \[38\]) when built with the free-range cache.
 ///
-/// Every `alloc_iova`/`free_iova` takes the lock and pays a tree-walk cost;
-/// at 16 cores the lock serializes and throughput collapses (Figure 1's
-/// *strict*/*defer* curves).
+/// Every `alloc_iova`/`free_iova` takes the lock; at 16 cores it
+/// serializes and throughput collapses (Figure 1's *strict*/*defer*
+/// curves). Stock Linux also pays a long tree walk under it each time.
+/// EiovaR's cache exploits the ring-buffer allocation pattern of NIC
+/// drivers — repeated same-size alloc/free cycles hit the cache and skip
+/// the walk — but the single lock remains, so multi-core contention
+/// persists (which is why \[42\] went per-core).
 #[derive(Debug)]
 pub struct GlobalTreeIovaAllocator {
     lock: SimLock,
     runs: Mutex<Runs>,
+    /// EiovaR only: size (pages) -> cached range starts, shared by all
+    /// cores.
+    cache: Option<Mutex<BTreeMap<u64, Vec<u64>>>>,
     obs: Obs,
     allocs: Counter,
     frees: Counter,
 }
 
 impl GlobalTreeIovaAllocator {
-    /// Creates the allocator over the full zero-copy IOVA range.
+    /// Creates the stock allocator over the full zero-copy IOVA range.
     pub fn new() -> Self {
         Self::with_obs(Obs::isolated())
     }
 
-    /// Creates the allocator reporting into `obs` (`iova.tree_*` metrics,
-    /// `LockContention` events on contended lock acquisitions).
+    /// Creates the stock allocator reporting into `obs` (`iova.tree_*`
+    /// metrics, `LockContention` events on contended lock acquisitions).
     pub fn with_obs(obs: Obs) -> Self {
-        GlobalTreeIovaAllocator {
-            lock: SimLock::new("linux-iova-rbtree"),
-            runs: Mutex::new(Runs::full()),
-            allocs: obs.counter("iova", "tree_allocs", None),
-            frees: obs.counter("iova", "tree_frees", None),
-            obs,
-        }
+        // `let lock = SimLock::new("…")`: the shape the lint's static lock
+        // inventory reads a lock's name and binder from.
+        let lock = SimLock::new("linux-iova-rbtree");
+        Self::build(lock, None, ["tree_allocs", "tree_frees"], obs)
     }
 
-    /// The allocator's global lock (for contention stats).
-    pub fn lock(&self) -> &SimLock {
-        &self.lock
+    /// Creates EiovaR's allocator — the same tree behind a free-range
+    /// cache — reporting into `obs` (`iova.cached_*`).
+    pub fn cached_with_obs(obs: Obs) -> Self {
+        let lock = SimLock::new("eiovar-iova-cache");
+        let cache = Some(Mutex::default());
+        Self::build(lock, cache, ["cached_allocs", "cached_frees"], obs)
+    }
+
+    fn build(
+        lock: SimLock,
+        cache: Option<Mutex<BTreeMap<u64, Vec<u64>>>>,
+        [allocs, frees]: [&'static str; 2],
+        obs: Obs,
+    ) -> Self {
+        GlobalTreeIovaAllocator {
+            lock,
+            runs: Mutex::new(Runs::full()),
+            cache,
+            allocs: obs.counter("iova", allocs, None),
+            frees: obs.counter("iova", frees, None),
+            obs,
+        }
     }
 }
 
@@ -157,6 +181,15 @@ impl IovaAllocator for GlobalTreeIovaAllocator {
     fn alloc(&self, ctx: &mut CoreCtx, n: u64) -> Result<IovaPage, DmaError> {
         assert!(n > 0);
         let (r, spin) = self.lock.with_spin(ctx, |ctx| {
+            let hit = self
+                .cache
+                .as_ref()
+                .and_then(|c| c.lock().get_mut(&n).and_then(|v| v.pop()));
+            if let Some(start) = hit {
+                // Cache hit: cheap, like a magazine op.
+                ctx.charge(Phase::IommuPageTableMgmt, ctx.cost.iova_magazine_alloc);
+                return Ok(IovaPage(start));
+            }
             ctx.charge(Phase::IommuPageTableMgmt, ctx.cost.iova_tree_alloc);
             self.runs
                 .lock()
@@ -170,9 +203,17 @@ impl IovaAllocator for GlobalTreeIovaAllocator {
     }
 
     fn free(&self, ctx: &mut CoreCtx, page: IovaPage, n: u64) {
-        let ((), spin) = self.lock.with_spin(ctx, |ctx| {
-            ctx.charge(Phase::IommuPageTableMgmt, ctx.cost.iova_tree_free);
-            self.runs.lock().free(page.0, n);
+        let ((), spin) = self.lock.with_spin(ctx, |ctx| match &self.cache {
+            // Frees go to the cache, matching EiovaR's observation that the
+            // ring pattern re-allocates the same sizes immediately.
+            Some(cache) => {
+                ctx.charge(Phase::IommuPageTableMgmt, ctx.cost.iova_magazine_free);
+                cache.lock().entry(n).or_default().push(page.0);
+            }
+            None => {
+                ctx.charge(Phase::IommuPageTableMgmt, ctx.cost.iova_tree_free);
+                self.runs.lock().free(page.0, n);
+            }
         });
         self.frees.inc();
         trace_contention(&self.obs, ctx, &self.lock, spin);
@@ -225,11 +266,6 @@ impl PerCoreIovaAllocator {
             spills: obs.counter("iova", "magazine_spills", None),
             obs,
         }
-    }
-
-    /// The shared-pool lock (for contention stats; should stay cold).
-    pub fn shared_lock(&self) -> &SimLock {
-        &self.shared_lock
     }
 
     fn magazine(&self, ctx: &CoreCtx) -> &Mutex<BTreeMap<u64, Vec<u64>>> {
@@ -371,125 +407,6 @@ impl IovaAllocator for PerCoreIovaAllocator {
     }
 }
 
-/// EiovaR's allocator (FAST'15 \[38\]): the stock global tree *plus a
-/// free-range cache* exploiting the ring-buffer allocation pattern of NIC
-/// drivers — repeated same-size alloc/free cycles hit the cache and skip
-/// the long tree walk. The single lock remains, so multi-core contention
-/// persists (which is why \[42\] went per-core).
-#[derive(Debug)]
-pub struct GlobalCachedIovaAllocator {
-    lock: SimLock,
-    runs: Mutex<Runs>,
-    /// size (pages) -> cached range starts, shared by all cores.
-    cache: Mutex<BTreeMap<u64, Vec<u64>>>,
-    obs: Obs,
-    allocs: Counter,
-    frees: Counter,
-}
-
-impl GlobalCachedIovaAllocator {
-    /// Creates the allocator.
-    pub fn new() -> Self {
-        Self::with_obs(Obs::isolated())
-    }
-
-    /// Creates the allocator reporting into `obs` (`iova.cached_*`).
-    pub fn with_obs(obs: Obs) -> Self {
-        GlobalCachedIovaAllocator {
-            lock: SimLock::new("eiovar-iova-cache"),
-            runs: Mutex::new(Runs::full()),
-            cache: Mutex::new(BTreeMap::new()),
-            allocs: obs.counter("iova", "cached_allocs", None),
-            frees: obs.counter("iova", "cached_frees", None),
-            obs,
-        }
-    }
-
-    /// The allocator's global lock (for contention stats).
-    pub fn lock(&self) -> &SimLock {
-        &self.lock
-    }
-}
-
-impl Default for GlobalCachedIovaAllocator {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl IovaAllocator for GlobalCachedIovaAllocator {
-    fn alloc(&self, ctx: &mut CoreCtx, n: u64) -> Result<IovaPage, DmaError> {
-        assert!(n > 0);
-        let (r, spin) = self.lock.with_spin(ctx, |ctx| {
-            if let Some(start) = self.cache.lock().get_mut(&n).and_then(|v| v.pop()) {
-                // Cache hit: cheap, like a magazine op.
-                ctx.charge(Phase::IommuPageTableMgmt, ctx.cost.iova_magazine_alloc);
-                return Ok(IovaPage(start));
-            }
-            ctx.charge(Phase::IommuPageTableMgmt, ctx.cost.iova_tree_alloc);
-            self.runs
-                .lock()
-                .alloc(n)
-                .map(IovaPage)
-                .ok_or(DmaError::IovaExhausted)
-        });
-        self.allocs.inc();
-        trace_contention(&self.obs, ctx, &self.lock, spin);
-        r
-    }
-
-    fn free(&self, ctx: &mut CoreCtx, page: IovaPage, n: u64) {
-        let ((), spin) = self.lock.with_spin(ctx, |ctx| {
-            // Frees go to the cache, matching EiovaR's observation that the
-            // ring pattern re-allocates the same sizes immediately.
-            ctx.charge(Phase::IommuPageTableMgmt, ctx.cost.iova_magazine_free);
-            self.cache.lock().entry(n).or_default().push(page.0);
-        });
-        self.frees.inc();
-        trace_contention(&self.obs, ctx, &self.lock, spin);
-    }
-
-    fn lock_stats(&self) -> Option<(&'static str, simcore::LockStats)> {
-        Some((self.lock.name(), self.lock.stats()))
-    }
-}
-
-/// A trivial bump allocator over the zero-copy range with no reuse; used by
-/// tests that need unique IOVAs without allocator costs.
-#[derive(Debug)]
-pub struct BumpIova {
-    next: Mutex<u64>,
-}
-
-impl BumpIova {
-    /// Creates the bump allocator.
-    pub fn new() -> Self {
-        BumpIova {
-            next: Mutex::new(IOVA_PAGE_LO),
-        }
-    }
-}
-
-impl Default for BumpIova {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl IovaAllocator for BumpIova {
-    fn alloc(&self, _ctx: &mut CoreCtx, n: u64) -> Result<IovaPage, DmaError> {
-        let mut next = self.next.lock();
-        let start = *next;
-        if start + n > IOVA_PAGE_HI {
-            return Err(DmaError::IovaExhausted);
-        }
-        *next = start + n;
-        Ok(IovaPage(start))
-    }
-
-    fn free(&self, _ctx: &mut CoreCtx, _page: IovaPage, _n: u64) {}
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -544,7 +461,7 @@ mod tests {
         let mut c = ctx(0);
         a.alloc(&mut c, 1).unwrap();
         assert!(c.breakdown.get(Phase::IommuPageTableMgmt) >= c.cost.iova_tree_alloc);
-        assert_eq!(a.lock().stats().acquisitions, 1);
+        assert_eq!(a.lock.stats().acquisitions, 1);
     }
 
     #[test]
@@ -563,14 +480,14 @@ mod tests {
         let mut c = ctx(0);
         // First alloc refills the magazine (1 shared-lock hit)...
         let p = a.alloc(&mut c, 1).unwrap();
-        let before = a.shared_lock().stats().acquisitions;
+        let before = a.shared_lock.stats().acquisitions;
         // ...then free/alloc cycles run entirely core-locally.
         for _ in 0..100 {
             a.free(&mut c, p, 1);
             let q = a.alloc(&mut c, 1).unwrap();
             assert_eq!(q, p);
         }
-        assert_eq!(a.shared_lock().stats().acquisitions, before);
+        assert_eq!(a.shared_lock.stats().acquisitions, before);
     }
 
     #[test]
@@ -643,9 +560,9 @@ mod tests {
 
         // Core 0 holds the allocator lock for cycles [0, 10_000).
         let mut c0 = zero_ctx(0);
-        a.lock().lock(&mut c0);
+        a.lock.lock(&mut c0);
         c0.charge(Phase::Other, Cycles(10_000));
-        a.lock().unlock(&mut c0);
+        a.lock.unlock(&mut c0);
 
         // Core 1 arrives at t=0 and spins the full 10_000 cycles.
         let mut c1 = zero_ctx(1);
@@ -678,9 +595,9 @@ mod tests {
         let drained = a.drain_magazine(&mut c);
         assert_eq!(drained, MAGAZINE_REFILL, "refill batch went home");
         // An empty magazine drains to nothing (and takes no shared lock).
-        let before = a.shared_lock().stats().acquisitions;
+        let before = a.shared_lock.stats().acquisitions;
         assert_eq!(a.drain_magazine(&mut c), 0);
-        assert_eq!(a.shared_lock().stats().acquisitions, before);
+        assert_eq!(a.shared_lock.stats().acquisitions, before);
         // After a full drain the shared pool is whole again: a fresh
         // same-size alloc starts from the lowest page, as on a new
         // allocator.
@@ -690,14 +607,5 @@ mod tests {
             a.alloc(&mut c, 1).unwrap(),
             fresh.alloc(&mut cf, 1).unwrap()
         );
-    }
-
-    #[test]
-    fn bump_is_monotone() {
-        let b = BumpIova::new();
-        let mut c = ctx(0);
-        let p1 = b.alloc(&mut c, 5).unwrap();
-        let p2 = b.alloc(&mut c, 1).unwrap();
-        assert_eq!(p2.0, p1.0 + 5);
     }
 }

@@ -111,25 +111,6 @@ pub struct CoherentBuffer {
     pub pages: u64,
 }
 
-/// Strict vs deferred IOTLB invalidation (§2.2.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Strictness {
-    /// Invalidate on every `dma_unmap`. Secure, slow.
-    Strict,
-    /// Batch invalidations (250 unmaps or 10 ms). Fast, leaves a
-    /// vulnerability window.
-    Deferred,
-}
-
-impl fmt::Display for Strictness {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Strictness::Strict => f.write_str("strict"),
-            Strictness::Deferred => f.write_str("deferred"),
-        }
-    }
-}
-
 /// The qualitative security/performance properties of an engine — the rows
 /// of the paper's Table 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

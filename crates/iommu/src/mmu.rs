@@ -238,7 +238,8 @@ impl Iommu {
 
     /// Hardware-initiated invalidation of one page: models IOTLB entries
     /// that self-destruct (Basu et al. \[10\]) — no queue interaction, no
-    /// CPU cost. Only the `SelfInvalidatingDma` ablation engine uses this.
+    /// CPU cost. Only the `Hardware` invalidation policy of `dma_api::MappedDma`
+    /// (the *self-inval hw* ablation engine) uses this.
     pub fn invalidate_page_hw(&self, dev: DeviceId, page: IovaPage) {
         self.iotlb.lock().invalidate_page(dev, page);
     }

@@ -13,14 +13,13 @@
 use crate::exec::Executor;
 use crate::oracle::{self, AccessRecord, Board, WinState, BUF_LEN, TAIL_OFF};
 use dma_api::{
-    Bus, BusObserver, DmaBuf, DmaDirection, DmaEngine, DmaObserver, IdentityDma, LinuxDma, NoIommu,
-    ProtectionProfile, SelfInvalidatingDma, TracedDma,
+    Bus, BusObserver, DmaBuf, DmaDirection, DmaEngine, DmaObserver, ProtectionProfile, TracedDma,
 };
 use dmasan::DmaSan;
 use iommu::{DeviceId, Iommu};
 use memsim::{NumaTopology, PhysMemory};
 use obs::Obs;
-use shadow_core::{MagazineConfig, PoolConfig, ShadowDma};
+use shadow_core::{build_engine, EngineKind, PoolConfig};
 use simcore::{CoreCtx, CoreId, CostModel, Cycles};
 use std::fmt;
 use std::sync::Arc;
@@ -89,6 +88,22 @@ impl Strategy {
             Strategy::EiovarStrict => "eiovar-strict",
             Strategy::EiovarDeferred => "eiovar-deferred",
             Strategy::SelfInval => "selfinval",
+        }
+    }
+
+    /// The engine this strategy checks (the names differ only because
+    /// fixtures and the CLI predate the paper-legend names).
+    pub fn kind(self) -> EngineKind {
+        match self {
+            Strategy::NoProtection => EngineKind::NoIommu,
+            Strategy::Copy => EngineKind::Copy,
+            Strategy::IdentityStrict => EngineKind::IdentityPlus,
+            Strategy::IdentityDeferred => EngineKind::IdentityMinus,
+            Strategy::LinuxStrict => EngineKind::LinuxStrict,
+            Strategy::LinuxDeferred => EngineKind::LinuxDefer,
+            Strategy::EiovarStrict => EngineKind::EiovarStrict,
+            Strategy::EiovarDeferred => EngineKind::EiovarDefer,
+            Strategy::SelfInval => EngineKind::SelfInvalHw,
         }
     }
 
@@ -167,8 +182,8 @@ impl Rig {
     /// allocator, and the IOMMU per-core pending-invalidation rings
     /// (batch threshold [`MC_PERCORE_BATCH`]). Batching parks synchronous
     /// page invalidations, so strict engines that stake their no-window
-    /// claim on them reopen a *bounded* §2.2.1 window — the rig records
-    /// that in the expected profile, and the explorer proves it exists.
+    /// claim on them reopen a *bounded* §2.2.1 window — the engine's own
+    /// profile declares it, and the explorer proves it exists.
     pub fn build(strategy: Strategy, mappers: usize, with_san: bool, percore: bool) -> Rig {
         assert!(mappers >= 1, "need at least one mapper");
         let obs = Obs::with_trace_capacity(4096);
@@ -183,52 +198,15 @@ impl Rig {
         } else {
             Arc::new(Iommu::with_obs(obs.clone()))
         };
-        let engine: Box<dyn DmaEngine> = match strategy {
-            Strategy::NoProtection => Box::new(NoIommu::new(mem.clone(), MC_DEV)),
-            Strategy::Copy => Box::new(ShadowDma::new(
-                mem.clone(),
-                mmu.clone(),
-                MC_DEV,
-                PoolConfig {
-                    magazines: percore.then(MagazineConfig::default),
-                    ..PoolConfig::default()
-                },
-            )),
-            Strategy::IdentityStrict => {
-                Box::new(IdentityDma::strict(mem.clone(), mmu.clone(), MC_DEV))
-            }
-            Strategy::IdentityDeferred => Box::new(IdentityDma::deferred(
-                mem.clone(),
-                mmu.clone(),
-                MC_DEV,
-                mappers,
-            )),
-            Strategy::LinuxStrict if percore => Box::new(LinuxDma::percore_strict(
-                mem.clone(),
-                mmu.clone(),
-                MC_DEV,
-                mappers,
-            )),
-            Strategy::LinuxStrict => Box::new(LinuxDma::strict(mem.clone(), mmu.clone(), MC_DEV)),
-            Strategy::LinuxDeferred if percore => Box::new(LinuxDma::percore_deferred(
-                mem.clone(),
-                mmu.clone(),
-                MC_DEV,
-                mappers,
-            )),
-            Strategy::LinuxDeferred => {
-                Box::new(LinuxDma::deferred(mem.clone(), mmu.clone(), MC_DEV))
-            }
-            Strategy::EiovarStrict => {
-                Box::new(LinuxDma::eiovar_strict(mem.clone(), mmu.clone(), MC_DEV))
-            }
-            Strategy::EiovarDeferred => {
-                Box::new(LinuxDma::eiovar_deferred(mem.clone(), mmu.clone(), MC_DEV))
-            }
-            Strategy::SelfInval => {
-                Box::new(SelfInvalidatingDma::new(mem.clone(), mmu.clone(), MC_DEV))
-            }
-        };
+        let engine = build_engine(
+            strategy.kind(),
+            mem.clone(),
+            mmu.clone(),
+            MC_DEV,
+            mappers,
+            percore,
+            PoolConfig::default(),
+        );
         // Always wrap in TracedDma so counterexample traces show the
         // map/unmap lifecycle; attach the sanitizer when cross-checking.
         let san = with_san.then(|| Arc::new(DmaSan::lenient(obs.clone())));
@@ -240,23 +218,7 @@ impl Rig {
             )) as Box<dyn DmaEngine>),
             None => Arc::from(Box::new(TracedDma::new(engine, obs.clone())) as Box<dyn DmaEngine>),
         };
-        let mut profile = engine.profile();
-        // Per-core batching parks page invalidations in the calling core's
-        // pending ring until the batch threshold, so a strict engine whose
-        // no-window claim rests on *synchronous* page invalidation opens a
-        // bounded window under it. Expect that window, so the explorer
-        // reports it as found (not as a checker failure). Copy (permanent
-        // shadow mappings, no unmap invalidations) and the self-
-        // invalidating ablation (hardware path, no queue) keep their
-        // claims.
-        if percore
-            && matches!(
-                strategy,
-                Strategy::IdentityStrict | Strategy::LinuxStrict | Strategy::EiovarStrict
-            )
-        {
-            profile.no_vulnerability_window = false;
-        }
+        let profile = engine.profile();
         let bus = match strategy {
             Strategy::NoProtection => Bus::Direct(mem.clone()),
             _ => Bus::Iommu {

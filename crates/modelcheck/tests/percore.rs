@@ -12,7 +12,7 @@
 //!   for engines whose no-window claim rests on synchronous page
 //!   invalidation, and the checker exhibits it as a concrete schedule.
 
-use modelcheck::{explore, Config, Strategy};
+use modelcheck::{explore, Config, Rig, Strategy};
 
 fn percore_cfg(strategy: Strategy) -> Config {
     let mut cfg = Config::new(strategy);
@@ -65,4 +65,40 @@ fn global_strict_remains_window_free_under_the_same_bounds() {
     assert!(r.exhausted, "bounded space not fully explored");
     assert!(!r.found_window, "global strict must stay window-free");
     assert!(r.unexpected.is_none(), "{:?}", r.unexpected);
+}
+
+#[test]
+fn declared_profile_accounts_for_batching_on_every_strategy() {
+    // What the rig expects is the engine's own declaration. It must say
+    // what the rig used to patch in by hand: a no-window claim resting on
+    // synchronous page invalidation is withdrawn under a batched queue;
+    // copy (no unmap invalidations) and self-inval (no queue) keep theirs.
+    for strategy in Strategy::ALL {
+        for percore in [false, true] {
+            let claims_no_window = matches!(
+                strategy,
+                Strategy::Copy
+                    | Strategy::SelfInval
+                    | Strategy::IdentityStrict
+                    | Strategy::LinuxStrict
+                    | Strategy::EiovarStrict
+            );
+            let rests_on_sync_invalidation = matches!(
+                strategy,
+                Strategy::IdentityStrict | Strategy::LinuxStrict | Strategy::EiovarStrict
+            );
+            let profile = Rig::build(strategy, 2, false, percore).profile;
+            assert_eq!(
+                profile.no_vulnerability_window,
+                claims_no_window && !(percore && rests_on_sync_invalidation),
+                "{strategy} percore={percore}"
+            );
+            assert_eq!(profile.sub_page, strategy == Strategy::Copy, "{strategy}");
+            assert_eq!(
+                profile.uses_iommu,
+                strategy != Strategy::NoProtection,
+                "{strategy}"
+            );
+        }
+    }
 }

@@ -3,86 +3,16 @@
 // lint: allow(panic) — machine construction panics on impossible configurations, documented under # Panics
 
 use devices::{Nic, NicConfig, DESC_BYTES};
-use dma_api::{
-    Bus, BusObserver, CoherentBuffer, DmaEngine, DmaObserver, IdentityDma, LinuxDma, NoIommu,
-    SelfInvalidatingDma, TracedDma,
-};
+use dma_api::{Bus, BusObserver, CoherentBuffer, DmaEngine, DmaObserver, TracedDma};
 use dmasan::DmaSan;
 use iommu::{DeviceId, Iommu};
 use memsim::{Kmalloc, NumaTopology, PhysMemory};
 use obs::{Counter, Obs};
-use shadow_core::ShadowDma;
+pub use shadow_core::EngineKind;
+use shadow_core::{build_engine, build_shadow};
 use simcore::{CoreCtx, CoreId, CostModel, Cycles, SimRng, Wire};
 use std::fmt;
 use std::sync::Arc;
-
-/// The DMA protection engines the paper compares (Table 1), plus the
-/// self-invalidating-hardware ablation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EngineKind {
-    /// IOMMU disabled (*no iommu*).
-    NoIommu,
-    /// DMA shadowing (*copy*) — the paper's contribution.
-    Copy,
-    /// Strict identity mappings (*identity+*, ATC'15 \[42\]).
-    IdentityPlus,
-    /// Deferred identity mappings (*identity−*, ATC'15 \[42\]).
-    IdentityMinus,
-    /// Stock Linux, strict protection (*strict*).
-    LinuxStrict,
-    /// Stock Linux, deferred protection (*defer*).
-    LinuxDefer,
-    /// EiovaR (FAST'15 \[38\]): stock Linux + IOVA-range caching, strict.
-    EiovarStrict,
-    /// EiovaR (FAST'15 \[38\]), deferred.
-    EiovarDefer,
-    /// Self-invalidating IOMMU hardware (Basu et al. \[10\], §7) — an
-    /// ablation engine, not part of the paper's comparison set.
-    SelfInvalHw,
-}
-
-impl EngineKind {
-    /// All engines of the paper's Table 1, in legend order.
-    pub const ALL: [EngineKind; 8] = [
-        EngineKind::NoIommu,
-        EngineKind::Copy,
-        EngineKind::IdentityMinus,
-        EngineKind::IdentityPlus,
-        EngineKind::EiovarDefer,
-        EngineKind::EiovarStrict,
-        EngineKind::LinuxDefer,
-        EngineKind::LinuxStrict,
-    ];
-
-    /// The four engines shown in Figures 3–11.
-    pub const FIGURE_SET: [EngineKind; 4] = [
-        EngineKind::NoIommu,
-        EngineKind::Copy,
-        EngineKind::IdentityMinus,
-        EngineKind::IdentityPlus,
-    ];
-
-    /// The engine's name as used in the paper's figures.
-    pub fn name(self) -> &'static str {
-        match self {
-            EngineKind::NoIommu => "no iommu",
-            EngineKind::Copy => "copy",
-            EngineKind::IdentityPlus => "identity+",
-            EngineKind::IdentityMinus => "identity-",
-            EngineKind::LinuxStrict => "strict",
-            EngineKind::LinuxDefer => "defer",
-            EngineKind::EiovarStrict => "eiovar+",
-            EngineKind::EiovarDefer => "eiovar-",
-            EngineKind::SelfInvalHw => "self-inval hw",
-        }
-    }
-}
-
-impl fmt::Display for EngineKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// Experiment parameters (defaults follow the paper's setup).
 #[derive(Debug, Clone)]
@@ -124,11 +54,12 @@ pub struct ExpConfig {
     pub trace_sample: u64,
     /// Shard hot allocation state per core: per-core shadow-pool magazines
     /// for the copy engine, the magazine-backed per-core IOVA allocator for
-    /// the stock-Linux engines, and per-core invalidation batching in the
-    /// IOMMU's queue. Engine names and protection profiles are unchanged so
-    /// scaling curves compare like for like; batched invalidation keeps the
-    /// §2.2.1 deferred-window semantics (entries invalidate at batch
-    /// boundaries, not per unmap).
+    /// the stock-Linux engines (both substituted by
+    /// `shadow_core::build_engine`), and per-core invalidation batching in
+    /// the IOMMU's queue. Engine names are unchanged so scaling curves
+    /// compare like for like; batched invalidation has the §2.2.1
+    /// deferred-window semantics (entries invalidate at batch boundaries,
+    /// not per unmap), which strict engines' profiles then declare.
     pub percore: bool,
 }
 
@@ -290,66 +221,35 @@ impl SimStack {
             Arc::new(Iommu::with_obs(obs.clone()))
         };
         let cost = Arc::new(cfg.cost.clone());
-        let engine: Box<dyn DmaEngine> = match kind {
-            EngineKind::NoIommu => Box::new(NoIommu::new(mem.clone(), NIC_DEV)),
-            EngineKind::Copy => {
-                let mut pool_cfg = cfg.pool_config.clone().unwrap_or_default();
-                // Widen the IOVA core field when the sweep exceeds the
-                // paper's 7-bit layout (a no-op at ≤128 cores, so default
-                // runs keep byte-identical IOVAs).
-                pool_cfg.codec = pool_cfg.codec.with_min_cores(cores);
-                if cfg.percore && pool_cfg.magazines.is_none() {
-                    pool_cfg.magazines = Some(shadow_core::MagazineConfig::default());
+        let pool_cfg = cfg.pool_config.clone().unwrap_or_default();
+        let engine: Box<dyn DmaEngine> = if kind == EngineKind::Copy && cfg.use_copy_hint {
+            let shadow = build_shadow(
+                mem.clone(),
+                mmu.clone(),
+                NIC_DEV,
+                cores,
+                cfg.percore,
+                pool_cfg,
+            );
+            // The prototype's hint: the wire length sits in the packet's
+            // first two (untrusted) bytes.
+            shadow.set_copy_hint(Arc::new(|data: &[u8]| {
+                if data.len() < 2 {
+                    return data.len();
                 }
-                let shadow = ShadowDma::new(mem.clone(), mmu.clone(), NIC_DEV, pool_cfg);
-                if cfg.use_copy_hint {
-                    // The prototype's hint: the wire length sits in the
-                    // packet's first two (untrusted) bytes.
-                    shadow.set_copy_hint(std::sync::Arc::new(|data: &[u8]| {
-                        if data.len() < 2 {
-                            return data.len();
-                        }
-                        u16::from_be_bytes([data[0], data[1]]) as usize
-                    }));
-                }
-                Box::new(shadow)
-            }
-            EngineKind::IdentityPlus => {
-                Box::new(IdentityDma::strict(mem.clone(), mmu.clone(), NIC_DEV))
-            }
-            EngineKind::IdentityMinus => Box::new(IdentityDma::deferred(
+                u16::from_be_bytes([data[0], data[1]]) as usize
+            }));
+            Box::new(shadow)
+        } else {
+            build_engine(
+                kind,
                 mem.clone(),
                 mmu.clone(),
                 NIC_DEV,
                 cores,
-            )),
-            EngineKind::LinuxStrict if cfg.percore => Box::new(LinuxDma::percore_strict(
-                mem.clone(),
-                mmu.clone(),
-                NIC_DEV,
-                cores,
-            )),
-            EngineKind::LinuxStrict => {
-                Box::new(LinuxDma::strict(mem.clone(), mmu.clone(), NIC_DEV))
-            }
-            EngineKind::LinuxDefer if cfg.percore => Box::new(LinuxDma::percore_deferred(
-                mem.clone(),
-                mmu.clone(),
-                NIC_DEV,
-                cores,
-            )),
-            EngineKind::LinuxDefer => {
-                Box::new(LinuxDma::deferred(mem.clone(), mmu.clone(), NIC_DEV))
-            }
-            EngineKind::EiovarStrict => {
-                Box::new(LinuxDma::eiovar_strict(mem.clone(), mmu.clone(), NIC_DEV))
-            }
-            EngineKind::EiovarDefer => {
-                Box::new(LinuxDma::eiovar_deferred(mem.clone(), mmu.clone(), NIC_DEV))
-            }
-            EngineKind::SelfInvalHw => {
-                Box::new(SelfInvalidatingDma::new(mem.clone(), mmu.clone(), NIC_DEV))
-            }
+                cfg.percore,
+                pool_cfg,
+            )
         };
         // Wrap the engine so every dma_map/dma_unmap is counted and traced
         // (unmap-induced invalidations chain to their DmaUnmap event) and
@@ -464,24 +364,6 @@ impl SimStack {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn engine_kinds_have_paper_names() {
-        let names: Vec<&str> = EngineKind::ALL.iter().map(|k| k.name()).collect();
-        assert_eq!(
-            names,
-            [
-                "no iommu",
-                "copy",
-                "identity-",
-                "identity+",
-                "eiovar-",
-                "eiovar+",
-                "defer",
-                "strict"
-            ]
-        );
-    }
 
     #[test]
     fn stack_builds_for_every_engine() {
