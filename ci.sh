@@ -39,5 +39,5 @@ cargo bench -p bench --bench scaling
 # historical best. Pure file read — runs before the measuring gate.
 cargo bench -p bench --bench host -- --trend target/bench_trend.txt
 # Host-time regression gate: fail if any hot-path workload runs >25%
-# slower than the pinned `post-wheel` baseline in BENCH_HOST.json.
-cargo bench -p bench --bench host -- --check post-wheel
+# slower than the pinned `post-unshard` baseline in BENCH_HOST.json.
+cargo bench -p bench --bench host -- --check post-unshard

@@ -254,12 +254,19 @@ impl Nic {
 
     /// Like [`Nic::transmit`], but gathers the wire payload into a
     /// caller-owned buffer so per-packet loops can reuse one allocation.
-    /// The buffer is cleared and resized to the payload length.
+    /// The buffer is resized to the payload length and every byte of it
+    /// overwritten; on any error it is left empty, so a reused buffer
+    /// never shows a previous packet's bytes.
     pub fn transmit_into(
         &self,
         ring_id: usize,
         payload: &mut Vec<u8>,
     ) -> Result<TxCompletion, NicError> {
+        self.tx_into(ring_id, payload)
+            .inspect_err(|_| payload.clear())
+    }
+
+    fn tx_into(&self, ring_id: usize, payload: &mut Vec<u8>) -> Result<TxCompletion, NicError> {
         let mut ring = self
             .tx
             .get(ring_id)
@@ -277,7 +284,8 @@ impl Nic {
         if len > self.cfg.tso_max {
             return Err(NicError::OversizedTx(len));
         }
-        payload.clear();
+        // Resized, not cleared: the DMA read overwrites all `len` bytes,
+        // and clearing a reused buffer first would zero-fill them again.
         payload.resize(len, 0);
         self.bus.read(self.dev, addr, payload)?;
         self.write_back(&ring, slot, len as u32)?;
@@ -303,8 +311,20 @@ impl Nic {
     }
 
     /// Like [`Nic::transmit_gather`], but gathers into a caller-owned
-    /// buffer (cleared first) so hot loops can reuse one allocation.
+    /// buffer so hot loops can reuse one allocation. As with
+    /// [`Nic::transmit_into`], the buffer ends up holding exactly the
+    /// gathered payload, or nothing on any error.
     pub fn transmit_gather_into(
+        &self,
+        ring_id: usize,
+        n: usize,
+        payload: &mut Vec<u8>,
+    ) -> Result<TxCompletion, NicError> {
+        self.tx_gather_into(ring_id, n, payload)
+            .inspect_err(|_| payload.clear())
+    }
+
+    fn tx_gather_into(
         &self,
         ring_id: usize,
         n: usize,
@@ -317,7 +337,9 @@ impl Nic {
             .ok_or(NicError::BadRing(ring_id))?
             .borrow_mut();
         let first_slot = ring.next;
-        payload.clear();
+        // Bytes gathered so far. The buffer keeps its old length until the
+        // end, so growing it zero-fills only what it never held.
+        let mut gathered = 0usize;
         for k in 0..n {
             let slot = (first_slot + k) % ring.entries;
             let (addr, len, status) = self.fetch_descriptor(&ring, slot)?;
@@ -327,21 +349,23 @@ impl Nic {
                     slot,
                 });
             }
-            let len = len as usize;
-            if payload.len() + len > self.cfg.tso_max {
-                return Err(NicError::OversizedTx(payload.len() + len));
+            let end = gathered + len as usize;
+            if end > self.cfg.tso_max {
+                return Err(NicError::OversizedTx(end));
             }
-            let start = payload.len();
-            payload.resize(start + len, 0);
-            self.bus.read(self.dev, addr, &mut payload[start..])?;
-            self.write_back(&ring, slot, len as u32)?;
+            if payload.len() < end {
+                payload.resize(end, 0);
+            }
+            self.bus.read(self.dev, addr, &mut payload[gathered..end])?;
+            self.write_back(&ring, slot, len)?;
+            gathered = end;
         }
+        payload.truncate(gathered);
         ring.next = (first_slot + n) % ring.entries;
-        let len = payload.len();
-        let frames = len.div_ceil(MTU).max(1);
+        let frames = gathered.div_ceil(MTU).max(1);
         Ok(TxCompletion {
             slot: first_slot,
-            len,
+            len: gathered,
             frames,
         })
     }
@@ -503,6 +527,64 @@ mod tests {
             r.nic.transmit(ring_id).unwrap_err(),
             NicError::OversizedTx(65 * 1024)
         );
+    }
+
+    #[test]
+    fn failed_tx_leaves_a_reused_buffer_empty() {
+        use iommu::{Iommu, IovaPage, Perms};
+        use memsim::PAGE_SIZE;
+        let mem = Arc::new(PhysMemory::new(NumaTopology::tiny(16)));
+        let mmu = Arc::new(Iommu::new());
+        let mut ctx = CoreCtx::new(CoreId(0), Arc::new(CostModel::zero()));
+        let ring_pfn = mem.alloc_frame(NumaDomain(0)).unwrap();
+        let ring_page = IovaPage(0x10);
+        mmu.map_page(&mut ctx, DEV, ring_page, ring_pfn, Perms::ReadWrite)
+            .unwrap();
+        let ring = CoherentBuffer {
+            iova: ring_page.base(),
+            pa: ring_pfn.base(),
+            len: PAGE_SIZE,
+            pages: 1,
+        };
+        let bus = Bus::Iommu {
+            mmu: mmu.clone(),
+            mem: mem.clone(),
+        };
+        let mut nic = Nic::new(DEV, bus, NicConfig::default());
+        let ring_id = nic.attach_tx_ring(&ring);
+        let post = |slot: usize, iova: u64, len: usize| {
+            let d = Nic::encode_descriptor(iova, len as u32);
+            mem.write(ring.pa.add((slot * DESC_BYTES) as u64), &d)
+                .unwrap();
+        };
+
+        // A two-page TX buffer, fully mapped: the transmit fills `wire`.
+        let buf = mem.alloc_frames(NumaDomain(0), 2).unwrap();
+        mem.fill(buf.base(), 0x5a, 2 * PAGE_SIZE).unwrap();
+        let page = IovaPage(0x20);
+        mmu.map_range(&mut ctx, DEV, page, buf, 2, Perms::Read)
+            .unwrap();
+        let mut wire = Vec::new();
+        post(0, page.base().get(), 2 * PAGE_SIZE);
+        nic.transmit_into(ring_id, &mut wire).unwrap();
+        assert_eq!(wire, vec![0x5a; 2 * PAGE_SIZE]);
+
+        // Now only its first page is mapped: the fetch faults part-way,
+        // and the previous packet's bytes must not survive in `wire`.
+        mmu.unmap_page_nosync(&mut ctx, DEV, page.add(1)).unwrap();
+        mmu.invalidate_page_sync(&mut ctx, DEV, page.add(1));
+        post(1, page.base().get(), 2 * PAGE_SIZE);
+        let err = nic.transmit_into(ring_id, &mut wire).unwrap_err();
+        assert!(matches!(err, NicError::Dma(_)), "{err:?}");
+        assert!(wire.is_empty());
+
+        // Same for a gather chain that breaks after its first fragment.
+        wire.resize(100, 0xff);
+        post(1, page.base().get(), PAGE_SIZE);
+        post(2, page.add(1).base().get(), PAGE_SIZE);
+        let err = nic.transmit_gather_into(ring_id, 2, &mut wire).unwrap_err();
+        assert!(matches!(err, NicError::Dma(_)), "{err:?}");
+        assert!(wire.is_empty());
     }
 
     #[test]

@@ -259,8 +259,18 @@ impl Iommu {
         iova: Iova,
         access: Access,
     ) -> Result<PhysAddr, DmaFault> {
+        self.translate_locked(&mut self.iotlb.lock(), dev, iova, access)
+    }
+
+    /// [`Iommu::translate`] under an IOTLB hold the caller already has.
+    fn translate_locked(
+        &self,
+        iotlb: &mut Iotlb,
+        dev: DeviceId,
+        iova: Iova,
+        access: Access,
+    ) -> Result<PhysAddr, DmaFault> {
         let page = iova.page();
-        let mut iotlb = self.iotlb.lock();
         let entry = match iotlb.lookup(dev, page) {
             Some(e) => {
                 self.iotlb_hits.inc();
@@ -316,6 +326,11 @@ impl Iommu {
         })
     }
 
+    /// Walks one DMA under a single IOTLB hold: every page is translated
+    /// on its own (hit/miss counters and the fault log see each page),
+    /// but physically contiguous pages reach memory as one `op` call, so
+    /// a DMA through a contiguous buffer is one memory operation. On a
+    /// fault the pages before it have been transferred.
     fn dma_access(
         &self,
         dev: DeviceId,
@@ -324,18 +339,41 @@ impl Iommu {
         access: Access,
         mut op: impl FnMut(PhysAddr, usize, usize) -> Result<(), MemError>,
     ) -> Result<(), DmaFault> {
-        let mut off = 0usize;
-        while off < len {
-            let cur = iova.add(off as u64);
-            let pa = self.translate(dev, cur, access)?;
-            let in_page = cur.page_offset();
-            let take = (PAGE_SIZE - in_page).min(len - off);
-            op(pa, off, take).unwrap_or_else(|e| {
-                panic!("IOMMU-mapped page must be backed by allocated memory: {e}")
-            });
-            off += take;
+        let mut transfer = |(pa, off, len): (PhysAddr, usize, usize)| {
+            if len > 0 {
+                op(pa, off, len).unwrap_or_else(|e| {
+                    panic!("IOMMU-mapped page must be backed by allocated memory: {e}")
+                });
+            }
+        };
+        // The pending run: physical start, offset into the DMA, length.
+        let mut run = (PhysAddr(0), 0usize, 0usize);
+        let mut fault = None;
+        {
+            let mut iotlb = self.iotlb.lock();
+            let mut off = 0usize;
+            while off < len {
+                let cur = iova.add(off as u64);
+                let take = (PAGE_SIZE - cur.page_offset()).min(len - off);
+                match self.translate_locked(&mut iotlb, dev, cur, access) {
+                    Ok(pa) if run.2 > 0 && run.0.add(run.2 as u64) == pa => run.2 += take,
+                    Ok(pa) => {
+                        // First page, or a physical discontinuity (rare:
+                        // skbs and shadow buffers are contiguous) — the
+                        // run so far goes to memory under the hold.
+                        transfer(run);
+                        run = (pa, off, take);
+                    }
+                    Err(f) => {
+                        fault = Some(f);
+                        break;
+                    }
+                }
+                off += take;
+            }
         }
-        Ok(())
+        transfer(run);
+        fault.map_or(Ok(()), Err)
     }
 
     // ---------------------------------------------------------------
@@ -563,6 +601,89 @@ mod tests {
             mem.read_vec(pfn.base(), PAGE_SIZE).unwrap(),
             vec![0xaa; PAGE_SIZE]
         );
+    }
+
+    #[test]
+    fn scattered_frames_split_runs_at_every_discontinuity() {
+        let (mmu, mem, mut ctx) = setup();
+        let base = mem.alloc_frames(NumaDomain(0), 8).unwrap();
+        // IOVA pages 0x70.. map to frames +3 +4 +5 | +0 | +7 | +6: one
+        // ascending run of three, then three single-page runs (descending
+        // neighbours are not contiguous).
+        let order = [3, 4, 5, 0, 7, 6];
+        let page = IovaPage(0x70);
+        for (i, f) in order.into_iter().enumerate() {
+            mmu.map_page(
+                &mut ctx,
+                DEV,
+                page.add(i as u64),
+                base.add(f),
+                Perms::ReadWrite,
+            )
+            .unwrap();
+        }
+        let start = page.base().add(100);
+        let len = 6 * PAGE_SIZE - 300;
+        let mut runs = Vec::new();
+        mmu.dma_access(DEV, start, len, Access::Write, |pa, off, len| {
+            runs.push((pa, off, len));
+            Ok(())
+        })
+        .unwrap();
+        let first = 3 * PAGE_SIZE - 100;
+        assert_eq!(
+            runs,
+            [
+                (base.add(3).base().add(100), 0, first),
+                (base.base(), first, PAGE_SIZE),
+                (base.add(7).base(), first + PAGE_SIZE, PAGE_SIZE),
+                (base.add(6).base(), first + 2 * PAGE_SIZE, PAGE_SIZE - 200),
+            ]
+        );
+        // Translation stayed per page: six walks, then six hits.
+        let stats = mmu.iotlb_stats();
+        assert_eq!((stats.hits, stats.misses), (0, 6));
+
+        // The bytes land where page-by-page translation puts them.
+        let data: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+        mmu.dma_write(&mem, DEV, start, &data).unwrap();
+        let mut off = 0;
+        for (i, f) in order.into_iter().enumerate() {
+            let at = if i == 0 { 100 } else { 0 };
+            let take = (PAGE_SIZE - at).min(len - off);
+            let got = mem
+                .read_vec(base.add(f).base().add(at as u64), take)
+                .unwrap();
+            assert_eq!(got, data[off..off + take], "page {i}");
+            off += take;
+        }
+        let mut back = vec![0u8; len];
+        mmu.dma_read(&mem, DEV, start, &mut back).unwrap();
+        assert_eq!(back, data);
+        let stats = mmu.iotlb_stats();
+        assert_eq!((stats.hits, stats.misses), (12, 6));
+    }
+
+    #[test]
+    fn fault_at_page_k_transfers_the_pages_before_it() {
+        let (mmu, mem, mut ctx) = setup();
+        let (k, n) = (3usize, 5usize);
+        let pfn = mem.alloc_frames(NumaDomain(0), n as u64).unwrap();
+        let page = IovaPage(0x90);
+        mmu.map_range(&mut ctx, DEV, page, pfn, k as u64, Perms::Write)
+            .unwrap();
+        let data = vec![0x77u8; n * PAGE_SIZE];
+        let err = mmu.dma_write(&mem, DEV, page.base(), &data).unwrap_err();
+        assert_eq!(err.iova, page.add(k as u64).base());
+        assert_eq!(err.reason, FaultReason::NotMapped);
+        // Exactly one fault, raised by page k: the walk stops there.
+        assert_eq!(mmu.faults(), [err]);
+        let stats = mmu.iotlb_stats();
+        assert_eq!((stats.hits, stats.misses), (0, k as u64 + 1));
+        // Pages before the fault were written, pages from it on were not.
+        let got = mem.read_vec(pfn.base(), n * PAGE_SIZE).unwrap();
+        assert_eq!(got[..k * PAGE_SIZE], data[..k * PAGE_SIZE]);
+        assert_eq!(got[k * PAGE_SIZE..], vec![0u8; (n - k) * PAGE_SIZE]);
     }
 
     #[test]

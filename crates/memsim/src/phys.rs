@@ -132,6 +132,12 @@ impl Frame {
         self.data[..self.dirty].fill(0);
         self.dirty = 0;
     }
+
+    /// The `len` bytes at `at`, for overwriting: raises the dirty mark.
+    fn dirty_mut(&mut self, at: usize, len: usize) -> &mut [u8] {
+        self.dirty = self.dirty.max(at + len);
+        &mut self.data[at..at + len]
+    }
 }
 
 /// Backing store for allocated frames: a two-level dense table (chunks
@@ -145,13 +151,12 @@ struct FrameTable {
 }
 
 impl FrameTable {
-    fn get(&self, pfn: u64) -> Option<&[u8]> {
+    fn get(&self, pfn: u64) -> Option<&Frame> {
         self.chunks
             .get((pfn >> CHUNK_BITS) as usize)?
             .as_ref()?
             .get(pfn as usize & (CHUNK - 1))?
             .as_ref()
-            .map(|f| &*f.data)
     }
 
     fn get_mut(&mut self, pfn: u64) -> Option<&mut Frame> {
@@ -189,46 +194,74 @@ impl FrameTable {
 /// reused frames are re-zeroed, preserving "frames start zeroed".
 const RECYCLE_CAP: usize = 256;
 
-/// Frame-store shards. Byte accesses lock only the shard owning the
-/// touched frame, so concurrently streaming cores (which touch disjoint
-/// skb and shadow frames) never serialize on one global lock. The low
-/// pfn bits pick the shard — adjacent frames spread across shards — and
-/// each shard's table is indexed by `pfn >> SHARD_BITS`, keeping its
-/// two-level chunks dense.
-const SHARD_BITS: u32 = 6;
-const SHARDS: usize = 1 << SHARD_BITS;
-
-fn shard_key(pfn: u64) -> (usize, u64) {
-    ((pfn & (SHARDS as u64 - 1)) as usize, pfn >> SHARD_BITS)
-}
-
+/// All mutable state, behind [`PhysMemory`]'s one lock.
 #[derive(Debug)]
-struct AllocInner {
+struct Inner {
+    /// Size of the physical address space, in frames.
+    total_frames: u64,
+    frames: FrameTable,
     /// Freed frames awaiting reuse (contents stale; re-zeroed on alloc).
     recycled: Vec<Frame>,
     domains: Vec<DomainAllocator>,
     stats: MemStats,
 }
 
+impl Inner {
+    fn check_bounds(&self, pa: PhysAddr) -> Result<(), MemError> {
+        if pa.pfn().0 >= self.total_frames {
+            Err(MemError::OutOfBounds(pa))
+        } else {
+            Ok(())
+        }
+    }
+
+    fn frame(&self, pa: PhysAddr) -> Result<&Frame, MemError> {
+        self.check_bounds(pa)?;
+        let pfn = pa.pfn();
+        self.frames.get(pfn.0).ok_or(MemError::Unallocated(pfn))
+    }
+
+    fn frame_mut(&mut self, pa: PhysAddr) -> Result<&mut Frame, MemError> {
+        self.check_bounds(pa)?;
+        let pfn = pa.pfn();
+        self.frames.get_mut(pfn.0).ok_or(MemError::Unallocated(pfn))
+    }
+}
+
+/// Splits the `len` bytes at `pa` at frame boundaries: each piece's
+/// address, its offset from `pa`, and its length.
+fn pieces(pa: PhysAddr, len: usize) -> impl Iterator<Item = (PhysAddr, usize, usize)> {
+    let mut off = 0usize;
+    std::iter::from_fn(move || {
+        (off < len).then(|| {
+            let cur = pa.add(off as u64);
+            let take = (PAGE_SIZE - cur.page_offset()).min(len - off);
+            off += take;
+            (cur, off - take, take)
+        })
+    })
+}
+
 /// The machine's physical memory.
 ///
-/// Thread-safe — allocator state sits behind one lock, frame contents
-/// behind per-shard locks — so it can be shared between the OS side and
-/// device models, and used from real threads in stress tests. All byte
-/// accesses require the touched frames to be allocated; devices probing
-/// unallocated memory get [`MemError::Unallocated`].
+/// Thread-safe — the frame table, the allocator and the statistics sit
+/// behind one lock that every operation takes exactly once, however many
+/// frames it spans — so it can be shared between the OS side and device
+/// models, and used from real threads in stress tests. All byte accesses
+/// require the touched frames to be allocated; devices probing
+/// unallocated memory get [`MemError::Unallocated`]. An access that fails
+/// part-way has already transferred the frames before the failing one.
 pub struct PhysMemory {
     topology: NumaTopology,
-    shards: Vec<Mutex<FrameTable>>,
-    alloc: Mutex<AllocInner>,
+    inner: Mutex<Inner>,
 }
 
 impl fmt::Debug for PhysMemory {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let inner = self.alloc.lock();
+        let allocated_frames = self.inner.lock().stats.allocated_frames;
         f.debug_struct("PhysMemory")
             .field("topology", &self.topology)
-            .field("allocated_frames", &inner.stats.allocated_frames)
+            .field("allocated_frames", &allocated_frames)
             .finish()
     }
 }
@@ -243,15 +276,14 @@ impl PhysMemory {
             })
             .collect();
         PhysMemory {
-            topology,
-            shards: (0..SHARDS)
-                .map(|_| Mutex::new(FrameTable::default()))
-                .collect(),
-            alloc: Mutex::new(AllocInner {
+            inner: Mutex::new(Inner {
+                total_frames: topology.total_frames(),
+                frames: FrameTable::default(),
                 recycled: Vec::new(),
                 domains,
                 stats: MemStats::default(),
             }),
+            topology,
         }
     }
 
@@ -269,156 +301,78 @@ impl PhysMemory {
     /// returning the first.
     pub fn alloc_frames(&self, domain: NumaDomain, n: u64) -> Result<Pfn, MemError> {
         assert!(n > 0, "zero-frame allocation");
-        if n == 1 {
-            // Per-packet fast path: reuse one recycled frame box without
-            // the `split_off` heap allocation of the general path.
-            let (pfn, recycled) = {
-                let mut inner = self.alloc.lock();
-                let alloc = inner
-                    .domains
-                    .get_mut(domain.index())
-                    .unwrap_or_else(|| panic!("no such domain {domain}"))
-                    .alloc(1);
-                let pfn = alloc.ok_or(MemError::OutOfMemory { domain, frames: 1 })?;
-                let recycled = inner.recycled.pop();
-                inner.stats.allocs += 1;
-                inner.stats.allocated_frames += 1;
-                inner.stats.peak_frames = inner.stats.peak_frames.max(inner.stats.allocated_frames);
-                (pfn, recycled)
-            };
-            let frame = match recycled {
-                Some(mut f) => {
-                    f.rezero();
-                    f
-                }
-                None => Frame::zeroed(),
-            };
-            let (s, key) = shard_key(pfn.0);
-            let prev = self.shards[s].lock().insert(key, frame);
-            debug_assert!(prev.is_none(), "frame double-allocated");
-            return Ok(pfn);
-        }
-        let (pfn, mut pool) = {
-            let mut inner = self.alloc.lock();
-            let alloc = inner
-                .domains
-                .get_mut(domain.index())
-                .unwrap_or_else(|| panic!("no such domain {domain}"))
-                .alloc(n);
-            let pfn = alloc.ok_or(MemError::OutOfMemory { domain, frames: n })?;
-            let keep = inner.recycled.len().saturating_sub(n as usize);
-            let pool = inner.recycled.split_off(keep);
-            inner.stats.allocs += 1;
-            inner.stats.allocated_frames += n;
-            inner.stats.peak_frames = inner.stats.peak_frames.max(inner.stats.allocated_frames);
-            (pfn, pool)
-        };
-        // The allocated run is exclusively ours now; install the frames
-        // without holding the allocator lock.
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        let pfn = inner
+            .domains
+            .get_mut(domain.index())
+            .unwrap_or_else(|| panic!("no such domain {domain}"))
+            .alloc(n)
+            .ok_or(MemError::OutOfMemory { domain, frames: n })?;
         for i in 0..n {
-            let frame = match pool.pop() {
+            let frame = match inner.recycled.pop() {
                 Some(mut f) => {
                     f.rezero();
                     f
                 }
                 None => Frame::zeroed(),
             };
-            let (s, key) = shard_key(pfn.0 + i);
-            let prev = self.shards[s].lock().insert(key, frame);
+            let prev = inner.frames.insert(pfn.0 + i, frame);
             debug_assert!(prev.is_none(), "frame double-allocated");
         }
+        inner.stats.allocs += 1;
+        inner.stats.allocated_frames += n;
+        inner.stats.peak_frames = inner.stats.peak_frames.max(inner.stats.allocated_frames);
         Ok(pfn)
     }
 
-    /// Frees `n` contiguous frames starting at `pfn`.
+    /// Frees `n` contiguous frames starting at `pfn`. A bad free of a
+    /// partially-allocated run reports the first unallocated frame and
+    /// frees nothing at all.
     pub fn free_frames(&self, pfn: Pfn, n: u64) -> Result<(), MemError> {
         assert!(n > 0, "zero-frame free");
-        if n == 1 {
-            // Per-packet fast path: no pre-pass, no staging vector.
-            let (s, key) = shard_key(pfn.0);
-            let frame = self.shards[s]
-                .lock()
-                .remove(key)
-                .ok_or(MemError::BadFree(pfn))?;
-            let domain = self.topology.domain_of_pfn(pfn);
-            let mut inner = self.alloc.lock();
-            inner.domains[domain.index()].free(pfn, 1);
-            inner.stats.frees += 1;
-            inner.stats.allocated_frames -= 1;
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        let run = pfn.0..pfn.0 + n;
+        if let Some(bad) = run.clone().find(|&p| !inner.frames.contains(p)) {
+            return Err(MemError::BadFree(Pfn(bad)));
+        }
+        for p in run {
+            let frame = inner.frames.remove(p);
             if inner.recycled.len() < RECYCLE_CAP {
-                inner.recycled.push(frame);
-            }
-            return Ok(());
-        }
-        {
-            // Pre-check so a bad free of a partially-allocated run frees
-            // nothing at all.
-            for i in 0..n {
-                let (s, key) = shard_key(pfn.0 + i);
-                if !self.shards[s].lock().contains(key) {
-                    return Err(MemError::BadFree(Pfn(pfn.0 + i)));
-                }
-            }
-        }
-        let mut freed = Vec::with_capacity(n.min(RECYCLE_CAP as u64) as usize);
-        for i in 0..n {
-            let (s, key) = shard_key(pfn.0 + i);
-            match self.shards[s].lock().remove(key) {
-                Some(f) => {
-                    if freed.len() < RECYCLE_CAP {
-                        freed.push(f);
-                    }
-                }
-                None => return Err(MemError::BadFree(Pfn(pfn.0 + i))),
+                inner.recycled.extend(frame);
             }
         }
         let domain = self.topology.domain_of_pfn(pfn);
-        let mut inner = self.alloc.lock();
         inner.domains[domain.index()].free(pfn, n);
         inner.stats.frees += 1;
         inner.stats.allocated_frames -= n;
-        let room = RECYCLE_CAP.saturating_sub(inner.recycled.len());
-        inner.recycled.extend(freed.into_iter().take(room));
         Ok(())
     }
 
     /// Whether a frame is currently allocated.
     pub fn is_allocated(&self, pfn: Pfn) -> bool {
-        let (s, key) = shard_key(pfn.0);
-        self.shards[s].lock().contains(key)
+        self.inner.lock().frames.contains(pfn.0)
     }
 
     /// Reads `buf.len()` bytes starting at `pa` (may cross frames).
     pub fn read(&self, pa: PhysAddr, buf: &mut [u8]) -> Result<(), MemError> {
-        let mut off = 0usize;
-        while off < buf.len() {
-            let cur = pa.add(off as u64);
-            self.check_bounds(cur)?;
-            let (s, key) = shard_key(cur.pfn().0);
-            let shard = self.shards[s].lock();
-            let frame = shard.get(key).ok_or(MemError::Unallocated(cur.pfn()))?;
-            let in_page = cur.page_offset();
-            let take = (PAGE_SIZE - in_page).min(buf.len() - off);
-            buf[off..off + take].copy_from_slice(&frame[in_page..in_page + take]);
-            off += take;
+        let inner = self.inner.lock();
+        for (cur, off, take) in pieces(pa, buf.len()) {
+            let at = cur.page_offset();
+            buf[off..off + take].copy_from_slice(&inner.frame(cur)?.data[at..at + take]);
         }
         Ok(())
     }
 
     /// Writes `data` starting at `pa` (may cross frames).
     pub fn write(&self, pa: PhysAddr, data: &[u8]) -> Result<(), MemError> {
-        let mut off = 0usize;
-        while off < data.len() {
-            let cur = pa.add(off as u64);
-            self.check_bounds(cur)?;
-            let (s, key) = shard_key(cur.pfn().0);
-            let mut shard = self.shards[s].lock();
-            let frame = shard.get_mut(key).ok_or(MemError::Unallocated(cur.pfn()))?;
-            let in_page = cur.page_offset();
-            let take = (PAGE_SIZE - in_page).min(data.len() - off);
-            frame.data[in_page..in_page + take].copy_from_slice(&data[off..off + take]);
-            frame.dirty = frame.dirty.max(in_page + take);
-            off += take;
+        let mut inner = self.inner.lock();
+        for (cur, off, take) in pieces(pa, data.len()) {
+            inner
+                .frame_mut(cur)?
+                .dirty_mut(cur.page_offset(), take)
+                .copy_from_slice(&data[off..off + take]);
         }
         Ok(())
     }
@@ -426,66 +380,53 @@ impl PhysMemory {
     /// Compares the bytes at `pa` with `data` without copying them out —
     /// the allocation-free verify used on per-packet paths.
     pub fn equals(&self, pa: PhysAddr, data: &[u8]) -> Result<bool, MemError> {
-        let mut off = 0usize;
-        while off < data.len() {
-            let cur = pa.add(off as u64);
-            self.check_bounds(cur)?;
-            let (s, key) = shard_key(cur.pfn().0);
-            let shard = self.shards[s].lock();
-            let frame = shard.get(key).ok_or(MemError::Unallocated(cur.pfn()))?;
-            let in_page = cur.page_offset();
-            let take = (PAGE_SIZE - in_page).min(data.len() - off);
-            if frame[in_page..in_page + take] != data[off..off + take] {
+        let inner = self.inner.lock();
+        for (cur, off, take) in pieces(pa, data.len()) {
+            let at = cur.page_offset();
+            if inner.frame(cur)?.data[at..at + take] != data[off..off + take] {
                 return Ok(false);
             }
-            off += take;
         }
         Ok(true)
     }
 
     /// Copies `len` bytes from `src` to `dst` within physical memory (the
     /// real data movement behind every shadow-buffer copy). Works
-    /// frame-pair by frame-pair, locking the source and destination shards
-    /// together (in shard-index order, so concurrent copies cannot
-    /// deadlock) and moving each contiguous run with one `memcpy` — no
-    /// scratch staging, no second pass over the bytes.
+    /// frame-pair by frame-pair, moving each contiguous run with one
+    /// `memcpy` — no scratch staging, no second pass over the bytes.
+    /// Overlapping ranges copy in ascending address order.
     pub fn copy(&self, src: PhysAddr, dst: PhysAddr, len: usize) -> Result<(), MemError> {
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
         let mut off = 0usize;
         while off < len {
             let s_pa = src.add(off as u64);
             let d_pa = dst.add(off as u64);
-            self.check_bounds(s_pa)?;
-            self.check_bounds(d_pa)?;
+            inner.check_bounds(s_pa)?;
+            inner.check_bounds(d_pa)?;
+            let (s_pfn, d_pfn) = (s_pa.pfn(), d_pa.pfn());
             let si = s_pa.page_offset();
             let di = d_pa.page_offset();
             let take = (PAGE_SIZE - si).min(PAGE_SIZE - di).min(len - off);
-            let (ss, sk) = shard_key(s_pa.pfn().0);
-            let (ds, dk) = shard_key(d_pa.pfn().0);
-            if ss == ds {
-                // Both frames live in one shard (or are the same frame):
-                // stage this run through the stack so we never need two
-                // borrows of one table. Rare — shards interleave by pfn.
-                let mut tmp = [0u8; PAGE_SIZE];
-                let mut shard = self.shards[ss].lock();
-                let sf = shard.get(sk).ok_or(MemError::Unallocated(s_pa.pfn()))?;
-                tmp[..take].copy_from_slice(&sf[si..si + take]);
-                let df = shard.get_mut(dk).ok_or(MemError::Unallocated(d_pa.pfn()))?;
-                df.data[di..di + take].copy_from_slice(&tmp[..take]);
-                df.dirty = df.dirty.max(di + take);
+            if s_pfn == d_pfn {
+                let frame = inner.frame_mut(s_pa)?;
+                frame.data.copy_within(si..si + take, di);
+                frame.dirty = frame.dirty.max(di + take);
             } else {
-                let mut g_lo = self.shards[ss.min(ds)].lock();
-                let mut g_hi = self.shards[ss.max(ds)].lock();
-                let (src_table, dst_table) = if ss < ds {
-                    (&*g_lo, &mut *g_hi)
-                } else {
-                    (&*g_hi, &mut *g_lo)
-                };
-                let sf = src_table.get(sk).ok_or(MemError::Unallocated(s_pa.pfn()))?;
-                let df = dst_table
-                    .get_mut(dk)
-                    .ok_or(MemError::Unallocated(d_pa.pfn()))?;
-                df.data[di..di + take].copy_from_slice(&sf[si..si + take]);
-                df.dirty = df.dirty.max(di + take);
+                if !inner.frames.contains(s_pfn.0) {
+                    return Err(MemError::Unallocated(s_pfn));
+                }
+                // Two frames of one table: lift the destination out (a
+                // pointer move) so both can be borrowed, then put it back.
+                let mut df = inner
+                    .frames
+                    .remove(d_pfn.0)
+                    .ok_or(MemError::Unallocated(d_pfn))?;
+                if let Some(sf) = inner.frames.get(s_pfn.0) {
+                    df.dirty_mut(di, take)
+                        .copy_from_slice(&sf.data[si..si + take]);
+                }
+                inner.frames.insert(d_pfn.0, df);
             }
             off += take;
         }
@@ -494,12 +435,12 @@ impl PhysMemory {
 
     /// Fills `len` bytes at `pa` with `byte`.
     pub fn fill(&self, pa: PhysAddr, byte: u8, len: usize) -> Result<(), MemError> {
-        let chunk = [byte; PAGE_SIZE];
-        let mut off = 0usize;
-        while off < len {
-            let take = PAGE_SIZE.min(len - off);
-            self.write(pa.add(off as u64), &chunk[..take])?;
-            off += take;
+        let mut inner = self.inner.lock();
+        for (cur, _, take) in pieces(pa, len) {
+            inner
+                .frame_mut(cur)?
+                .dirty_mut(cur.page_offset(), take)
+                .fill(byte);
         }
         Ok(())
     }
@@ -513,15 +454,7 @@ impl PhysMemory {
 
     /// Allocation statistics snapshot.
     pub fn stats(&self) -> MemStats {
-        self.alloc.lock().stats
-    }
-
-    fn check_bounds(&self, pa: PhysAddr) -> Result<(), MemError> {
-        if pa.pfn().0 >= self.topology.total_frames() {
-            Err(MemError::OutOfBounds(pa))
-        } else {
-            Ok(())
-        }
+        self.inner.lock().stats
     }
 }
 
@@ -673,5 +606,240 @@ mod tests {
         m.fill(a.base().add(10), 0xee, 100).unwrap();
         assert_eq!(m.read_vec(a.base().add(10), 100).unwrap(), vec![0xee; 100]);
         assert_eq!(m.read_vec(a.base(), 10).unwrap(), vec![0u8; 10]);
+    }
+
+    #[test]
+    fn bad_free_of_a_partial_run_frees_nothing() {
+        let m = mem(8);
+        let a = m.alloc_frames(NumaDomain(0), 4).unwrap();
+        for i in 0..4 {
+            m.write(a.add(i).base().add(7), &[i as u8 + 1; 9]).unwrap();
+        }
+        let third = a.add(2);
+        m.free_frames(third, 1).unwrap();
+        let before = m.stats();
+        assert_eq!(m.free_frames(a, 4).unwrap_err(), MemError::BadFree(third));
+        assert_eq!(m.stats(), before);
+        for i in [0, 1, 3] {
+            assert!(m.is_allocated(a.add(i)));
+            assert_eq!(
+                m.read_vec(a.add(i).base().add(7), 9).unwrap(),
+                [i as u8 + 1; 9]
+            );
+        }
+        assert!(!m.is_allocated(third));
+    }
+
+    /// The naive reference [`PhysMemory`] is checked against: whole pages
+    /// in a `BTreeMap`, one byte at a time, no recycling, no fast paths.
+    struct Model {
+        total: u64,
+        pages: std::collections::BTreeMap<u64, [u8; PAGE_SIZE]>,
+        stats: MemStats,
+    }
+
+    impl Model {
+        /// The page holding `addr`, or the error an access there gets.
+        fn page(&mut self, addr: u64) -> Result<&mut [u8; PAGE_SIZE], MemError> {
+            let pfn = addr >> crate::PAGE_SHIFT;
+            if pfn >= self.total {
+                return Err(MemError::OutOfBounds(PhysAddr(addr)));
+            }
+            self.pages
+                .get_mut(&pfn)
+                .ok_or(MemError::Unallocated(Pfn(pfn)))
+        }
+
+        fn byte(&mut self, addr: u64) -> Result<&mut u8, MemError> {
+            Ok(&mut self.page(addr)?[addr as usize % PAGE_SIZE])
+        }
+
+        fn has_free_run(&self, n: u64) -> bool {
+            let mut free = 0;
+            (0..self.total).any(|p| {
+                free = if self.pages.contains_key(&p) {
+                    0
+                } else {
+                    free + 1
+                };
+                free >= n
+            })
+        }
+
+        fn alloc(&mut self, pfn: u64, n: u64) {
+            for p in pfn..pfn + n {
+                assert!(p < self.total, "allocated frame {p} out of range");
+                assert!(
+                    self.pages.insert(p, [0; PAGE_SIZE]).is_none(),
+                    "frame {p} handed out twice"
+                );
+            }
+            self.stats.allocs += 1;
+            self.stats.allocated_frames += n;
+            self.stats.peak_frames = self.stats.peak_frames.max(self.stats.allocated_frames);
+        }
+
+        fn free(&mut self, pfn: u64, n: u64) -> Result<(), MemError> {
+            if let Some(bad) = (pfn..pfn + n).find(|p| !self.pages.contains_key(p)) {
+                return Err(MemError::BadFree(Pfn(bad)));
+            }
+            for p in pfn..pfn + n {
+                self.pages.remove(&p);
+            }
+            self.stats.frees += 1;
+            self.stats.allocated_frames -= n;
+            Ok(())
+        }
+
+        fn read(&mut self, pa: u64, buf: &mut [u8]) -> Result<(), MemError> {
+            for (i, b) in buf.iter_mut().enumerate() {
+                *b = *self.byte(pa + i as u64)?;
+            }
+            Ok(())
+        }
+
+        fn write(&mut self, pa: u64, data: &[u8]) -> Result<(), MemError> {
+            for (i, b) in data.iter().enumerate() {
+                *self.byte(pa + i as u64)? = *b;
+            }
+            Ok(())
+        }
+
+        fn equals(&mut self, pa: u64, data: &[u8]) -> Result<bool, MemError> {
+            for (i, b) in data.iter().enumerate() {
+                if *self.byte(pa + i as u64)? != *b {
+                    return Ok(false);
+                }
+            }
+            Ok(true)
+        }
+
+        /// Piece by piece like the real one (that is the documented
+        /// overlap order), each piece staged through a temporary.
+        fn copy(&mut self, src: u64, dst: u64, len: usize) -> Result<(), MemError> {
+            let mut off = 0;
+            while off < len {
+                let (s, d) = (src + off as u64, dst + off as u64);
+                let (si, di) = (s as usize % PAGE_SIZE, d as usize % PAGE_SIZE);
+                let take = (PAGE_SIZE - si).min(PAGE_SIZE - di).min(len - off);
+                for addr in [s, d] {
+                    if addr >> crate::PAGE_SHIFT >= self.total {
+                        return Err(MemError::OutOfBounds(PhysAddr(addr)));
+                    }
+                }
+                let tmp = self.page(s)?[si..si + take].to_vec();
+                self.page(d)?[di..di + take].copy_from_slice(&tmp);
+                off += take;
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn random_operations_match_the_naive_model() {
+        use simcore::SimRng;
+        const FRAMES: u64 = 40;
+        for seed in 0..6u64 {
+            let mut rng = SimRng::seed(0x9e37_79b9 ^ seed);
+            let real = mem(FRAMES);
+            let mut model = Model {
+                total: FRAMES,
+                pages: Default::default(),
+                stats: MemStats::default(),
+            };
+            // Addresses reach two frames past the end; a third of them sit
+            // just below a frame boundary so ranges cross it.
+            let addr = |rng: &mut SimRng| {
+                let pfn = rng.below(FRAMES + 2);
+                let at = if rng.chance(0.33) {
+                    PAGE_SIZE as u64 - 1 - rng.below(64)
+                } else {
+                    rng.below(PAGE_SIZE as u64)
+                };
+                pfn * PAGE_SIZE as u64 + at
+            };
+            let length = |rng: &mut SimRng| match rng.below(4) {
+                0 => rng.below(16) as usize,
+                1 => rng.below(3 * PAGE_SIZE as u64) as usize,
+                _ => rng.below(300) as usize,
+            };
+            for step in 0..4000 {
+                match rng.below(10) {
+                    0 | 1 => {
+                        let n = rng.range(1, 6);
+                        match real.alloc_frames(NumaDomain(0), n) {
+                            Ok(pfn) => {
+                                model.alloc(pfn.0, n);
+                                // Recycled or fresh, frames start zeroed.
+                                let got = real.read_vec(pfn.base(), n as usize * PAGE_SIZE);
+                                assert_eq!(got.unwrap(), vec![0; n as usize * PAGE_SIZE]);
+                            }
+                            Err(e) => {
+                                let domain = NumaDomain(0);
+                                assert_eq!(e, MemError::OutOfMemory { domain, frames: n });
+                                assert!(!model.has_free_run(n), "spurious OOM for {n}");
+                            }
+                        }
+                    }
+                    2 | 3 => {
+                        let (pfn, n) = (rng.below(FRAMES + 1), rng.range(1, 5));
+                        assert_eq!(real.free_frames(Pfn(pfn), n), model.free(pfn, n));
+                    }
+                    4 => {
+                        let (pa, len) = (addr(&mut rng), length(&mut rng));
+                        // Pre-filled alike, so a failed read's untouched
+                        // tail compares equal too.
+                        let (mut a, mut b) = (vec![0xa5; len], vec![0xa5; len]);
+                        assert_eq!(real.read(PhysAddr(pa), &mut a), model.read(pa, &mut b));
+                        assert_eq!(a, b);
+                    }
+                    5 | 6 => {
+                        let (pa, len) = (addr(&mut rng), length(&mut rng));
+                        let data = rng.bytes(len);
+                        assert_eq!(real.write(PhysAddr(pa), &data), model.write(pa, &data));
+                    }
+                    7 => {
+                        // Half the time compare against what is there.
+                        let (pa, len) = (addr(&mut rng), length(&mut rng));
+                        let mut data = rng.bytes(len);
+                        if rng.chance(0.5) {
+                            let _ = model.read(pa, &mut data);
+                        }
+                        assert_eq!(real.equals(PhysAddr(pa), &data), model.equals(pa, &data));
+                    }
+                    8 => {
+                        // A quarter of the copies overlap their source.
+                        let (src, len) = (addr(&mut rng), length(&mut rng));
+                        let dst = if rng.chance(0.25) {
+                            (src + rng.below(128)).saturating_sub(64)
+                        } else {
+                            addr(&mut rng)
+                        };
+                        assert_eq!(
+                            real.copy(PhysAddr(src), PhysAddr(dst), len),
+                            model.copy(src, dst, len)
+                        );
+                    }
+                    _ => {
+                        let (pa, len, byte) = (addr(&mut rng), length(&mut rng), step as u8);
+                        assert_eq!(
+                            real.fill(PhysAddr(pa), byte, len),
+                            model.write(pa, &vec![byte; len])
+                        );
+                    }
+                }
+                assert_eq!(real.stats(), model.stats, "seed {seed} step {step}");
+                if step % 50 == 49 {
+                    for p in 0..FRAMES + 2 {
+                        match model.pages.get(&p) {
+                            Some(page) => {
+                                assert!(real.equals(Pfn(p).base(), page).unwrap(), "frame {p}")
+                            }
+                            None => assert!(!real.is_allocated(Pfn(p)), "frame {p}"),
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -168,9 +168,15 @@ impl Obs {
         self.tracer.set_sample_period(period);
     }
 
-    /// Advances the shared virtual-time hint (monotonic).
+    /// Advances the shared virtual-time hint (monotonic on the one
+    /// simulation thread). A load and a conditional store, not
+    /// `fetch_max`: that is a CAS loop on x86 and this runs several times
+    /// per packet. Host threads racing here can leave the hint briefly
+    /// behind the latest report — it is a hint; nothing orders on it.
     pub fn set_now_hint(&self, at: Cycles) {
-        self.now_hint.fetch_max(at.0, Ordering::Relaxed);
+        if at.0 > self.now_hint.load(Ordering::Relaxed) {
+            self.now_hint.store(at.0, Ordering::Relaxed);
+        }
     }
 
     /// Latest virtual time reported via [`Obs::set_now_hint`].
