@@ -4,7 +4,6 @@ set -eux
 export CARGO_NET_OFFLINE=true
 cargo build --release --workspace --all-targets
 cargo test -q --workspace
-cargo test -q --workspace --features dmasan-strict
 # The standalone benchmark package binds to this workspace's public items
 # by name (benchmark/README.md, "What the benchmark binds to"); its tests
 # fail here, not in the pipeline, when a refactor breaks one. Read-only.

@@ -58,8 +58,8 @@ fn rig(kind: EngineKind) -> (SimStack, CoreCtx) {
 /// NIC's own requester id over the same bus. It shares the victim stack's
 /// sanitizer, so every probe gets an [`AccessVerdict`] against the stack's
 /// live-mapping registry (the verdict API is pure classification — the
-/// attacker's probes are never *recorded* as violations, which keeps the
-/// `dmasan-strict` CI pass green while still proving what the hardware
+/// attacker's probes are never *recorded* as violations, so the stack's
+/// panicking sanitizer stays quiet while still proving what the hardware
 /// let through).
 fn attacker(stack: &SimStack) -> MaliciousDevice {
     let bus = match stack.kind {

@@ -3,7 +3,7 @@
 //! table, and full map/unmap cycles per engine. Self-contained timing
 //! harness (the workspace builds offline, so no criterion).
 
-use dma_api::{DmaBuf, DmaDirection, DmaEngine};
+use dma_api::{DmaBuf, DmaDirection};
 use iommu::{DeviceId, IoPageTable, Iommu, Iotlb, IovaPage, Perms, PtEntry};
 use memsim::{NumaDomain, NumaTopology, Pfn, PhysMemory};
 use shadow_core::{build_engine, EngineKind, IovaCodec, PoolConfig, ShadowPool};

@@ -137,11 +137,6 @@ impl ShadowDma {
         *self.hint.lock() = Some(hint);
     }
 
-    /// Removes the copying hint.
-    pub fn clear_copy_hint(&self) {
-        *self.hint.lock() = None;
-    }
-
     /// The number of bytes to copy back for a device-written buffer,
     /// consulting the hint if registered.
     fn copy_back_len(&self, shadow_bytes: &[u8], mapped_len: usize) -> usize {

@@ -309,34 +309,6 @@ impl ShadowPool {
         &self.obs
     }
 
-    /// Emits a detail-gated lockset triple — acquire, shared access,
-    /// release — around a mutex-guarded pool access. The host mutexes are
-    /// instantaneous in virtual time, so the triple brackets the access
-    /// exactly; `find_shadow` (which has no `CoreCtx`) is deliberately
-    /// uninstrumented.
-    /// `var` is a closure so the common detail-off path never pays for
-    /// building the label string.
-    fn lockset_guarded(&self, ctx: &CoreCtx, lock: &'static str, var: impl FnOnce() -> String) {
-        if !self.obs.detail_enabled() {
-            return;
-        }
-        let var = var();
-        let (at, core) = (ctx.now(), ctx.core.0);
-        self.obs
-            .trace(at, core, None, EventKind::LockAcquire { lock: lock.into() });
-        self.obs.trace(
-            at,
-            core,
-            None,
-            EventKind::SharedAccess {
-                var: var.into(),
-                write: true,
-            },
-        );
-        self.obs
-            .trace(at, core, None, EventKind::LockRelease { lock: lock.into() });
-    }
-
     /// The IOVA codec in use.
     pub fn codec(&self) -> &IovaCodec {
         &self.codec
@@ -399,7 +371,8 @@ impl ShadowPool {
             // NOTE: bind the cache pop to a statement so its lock guard
             // drops here — `grow` re-locks the same cache when splitting a
             // page.
-            self.lockset_guarded(ctx, POOL_CACHE_LOCK, || format!("pool.cache[{li}]"));
+            self.obs
+                .guarded(ctx, POOL_CACHE_LOCK, format_args!("pool.cache[{li}]"));
             let cached = self.caches[li].lock().pop();
             if let Some(i) = cached {
                 i
@@ -422,7 +395,8 @@ impl ShadowPool {
     /// magazines disabled, or on a miss).
     fn magazine_pop(&self, ctx: &mut CoreCtx, li: usize) -> Option<u64> {
         self.mag?;
-        self.lockset_guarded(ctx, POOL_MAGAZINE_LOCK, || format!("pool.magazine[{li}]"));
+        self.obs
+            .guarded(ctx, POOL_MAGAZINE_LOCK, format_args!("pool.magazine[{li}]"));
         let i = self.magazines[li].lock().pop();
         if i.is_some() {
             self.magazine_hits.inc();
@@ -441,7 +415,8 @@ impl ShadowPool {
         let (&first, rest) = got.split_first()?;
         if !rest.is_empty() {
             self.magazine_refills.inc();
-            self.lockset_guarded(ctx, POOL_MAGAZINE_LOCK, || format!("pool.magazine[{li}]"));
+            self.obs
+                .guarded(ctx, POOL_MAGAZINE_LOCK, format_args!("pool.magazine[{li}]"));
             self.magazines[li].lock().extend_from_slice(rest);
         }
         Some(first)
@@ -454,7 +429,8 @@ impl ShadowPool {
         let Some(mc) = self.mag else {
             return false;
         };
-        self.lockset_guarded(ctx, POOL_MAGAZINE_LOCK, || format!("pool.magazine[{li}]"));
+        self.obs
+            .guarded(ctx, POOL_MAGAZINE_LOCK, format_args!("pool.magazine[{li}]"));
         let mut mag = self.magazines[li].lock();
         if mag.len() >= mc.capacity.max(1) {
             return false;
@@ -474,7 +450,8 @@ impl ShadowPool {
         if self.mag.is_none() || self.magazines[li].lock().is_empty() {
             return 0;
         }
-        self.lockset_guarded(ctx, POOL_MAGAZINE_LOCK, || format!("pool.magazine[{li}]"));
+        self.obs
+            .guarded(ctx, POOL_MAGAZINE_LOCK, format_args!("pool.magazine[{li}]"));
         let slots = std::mem::take(&mut *self.magazines[li].lock());
         for &index in &slots {
             self.lists[li].push(array, index);
@@ -579,7 +556,8 @@ impl ShadowPool {
                 "aligned run must start an IOVA page"
             );
             self.mmu.map_page(ctx, self.dev, iova_page, pfn, rights)?;
-            self.lockset_guarded(ctx, POOL_CACHE_LOCK, || format!("pool.cache[{li}]"));
+            self.obs
+                .guarded(ctx, POOL_CACHE_LOCK, format_args!("pool.cache[{li}]"));
             self.caches[li].lock().extend((start + 1..start + k).rev());
             self.add_shadow_bytes(PAGE_SIZE as u64);
             self.trace_grow(ctx, class, PAGE_SIZE as u64);
@@ -603,7 +581,8 @@ impl ShadowPool {
         self.mmu
             .map_range(ctx, self.dev, iova_page, pfn, pages, rights)?;
         let iova = iova_page.base();
-        self.lockset_guarded(ctx, POOL_FALLBACK_LOCK, || "pool.fallback_table".into());
+        self.obs
+            .guarded(ctx, POOL_FALLBACK_LOCK, format_args!("pool.fallback_table"));
         self.fallback.lock().insert(
             iova.get(),
             FallbackEntry {
@@ -635,7 +614,8 @@ impl ShadowPool {
     /// decoded straight out of the IOVA.
     ///
     /// `iova` may point anywhere inside the shadow buffer; the lookup
-    /// resolves to the containing buffer.
+    /// resolves to the containing buffer. Takes no `CoreCtx`, so unlike
+    /// the pool's other accessors it is deliberately not a lockset site.
     pub fn find_shadow(&self, iova: Iova) -> Option<ShadowRef> {
         match self.codec.decode(iova) {
             Some(d) => {
@@ -712,7 +692,8 @@ impl ShadowPool {
                 }
             }
             None => {
-                self.lockset_guarded(ctx, POOL_FALLBACK_LOCK, || "pool.fallback_table".into());
+                self.obs
+                    .guarded(ctx, POOL_FALLBACK_LOCK, format_args!("pool.fallback_table"));
                 let entry = self
                     .fallback
                     .lock()

@@ -69,12 +69,15 @@ pub trait DmaEngine: Send + Sync {
         Ok(out)
     }
 
-    /// `dma_unmap_sg`: unmaps a scatter/gather list.
+    /// `dma_unmap_sg`: unmaps a scatter/gather list. Every element is
+    /// unmapped even when one fails — an early return would leave the rest
+    /// of the list mapped — and the first error is returned.
     fn unmap_sg(&self, ctx: &mut CoreCtx, mappings: Vec<DmaMapping>) -> Result<(), DmaError> {
+        let mut first_err = Ok(());
         for m in mappings {
-            self.unmap(ctx, m)?;
+            first_err = first_err.and(self.unmap(ctx, m));
         }
-        Ok(())
+        first_err
     }
 
     /// `dma_alloc_coherent`: allocates page-quantity memory permanently
@@ -108,69 +111,5 @@ pub trait DmaEngine: Send + Sync {
     /// allocator, separately from the invalidation-queue lock.
     fn iova_lock_stats(&self) -> Option<(&'static str, simcore::LockStats)> {
         None
-    }
-}
-
-impl<T: DmaEngine + ?Sized> DmaEngine for Box<T> {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-
-    fn device(&self) -> DeviceId {
-        (**self).device()
-    }
-
-    fn profile(&self) -> ProtectionProfile {
-        (**self).profile()
-    }
-
-    fn map(
-        &self,
-        ctx: &mut CoreCtx,
-        buf: DmaBuf,
-        dir: DmaDirection,
-    ) -> Result<DmaMapping, DmaError> {
-        (**self).map(ctx, buf, dir)
-    }
-
-    fn unmap(&self, ctx: &mut CoreCtx, mapping: DmaMapping) -> Result<(), DmaError> {
-        (**self).unmap(ctx, mapping)
-    }
-
-    fn map_sg(
-        &self,
-        ctx: &mut CoreCtx,
-        bufs: &[DmaBuf],
-        dir: DmaDirection,
-    ) -> Result<Vec<DmaMapping>, DmaError> {
-        (**self).map_sg(ctx, bufs, dir)
-    }
-
-    fn unmap_sg(&self, ctx: &mut CoreCtx, mappings: Vec<DmaMapping>) -> Result<(), DmaError> {
-        (**self).unmap_sg(ctx, mappings)
-    }
-
-    fn alloc_coherent(&self, ctx: &mut CoreCtx, len: usize) -> Result<CoherentBuffer, DmaError> {
-        (**self).alloc_coherent(ctx, len)
-    }
-
-    fn free_coherent(&self, ctx: &mut CoreCtx, buf: CoherentBuffer) -> Result<(), DmaError> {
-        (**self).free_coherent(ctx, buf)
-    }
-
-    fn sync_for_cpu(&self, ctx: &mut CoreCtx, mapping: &DmaMapping) {
-        (**self).sync_for_cpu(ctx, mapping)
-    }
-
-    fn sync_for_device(&self, ctx: &mut CoreCtx, mapping: &DmaMapping) {
-        (**self).sync_for_device(ctx, mapping)
-    }
-
-    fn flush_deferred(&self, ctx: &mut CoreCtx) {
-        (**self).flush_deferred(ctx)
-    }
-
-    fn iova_lock_stats(&self) -> Option<(&'static str, simcore::LockStats)> {
-        (**self).iova_lock_stats()
     }
 }

@@ -9,10 +9,9 @@
 //! scalability. Both variants are modeled ([`FlushScope`]).
 
 use iommu::IovaPage;
-use obs::{Counter, EventKind, Gauge, Obs};
+use obs::{Counter, Gauge, Obs};
 use simcore::sync::Mutex;
 use simcore::{ChargeBatch, CoreCtx, Cycles, Phase, SimLock};
-use std::borrow::Cow;
 
 /// One deferred unmap: an IOVA range whose IOTLB entries are still live.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,6 +78,11 @@ pub struct DeferredFlusher {
 /// Lock name reported in lockset events for the global pending list.
 pub const FLUSH_LOCK: &str = "deferred-flush-list";
 
+/// Lockset label of the one list [`FlushScope::Global`] keeps; per-core
+/// lists are labelled by index the same way, so the detector sees each as
+/// its own variable.
+const GLOBAL_LIST: &str = "flush.pending_list[0]";
+
 impl DeferredFlusher {
     /// Creates a flusher; `cores` sizes the per-core lists (ignored for
     /// [`FlushScope::Global`], which uses a single list).
@@ -103,26 +107,6 @@ impl DeferredFlusher {
             peak_pending: obs.gauge("flush", "peak_pending", None),
             obs,
         }
-    }
-
-    /// Emits a detail-gated lockset event (no-op unless
-    /// [`Obs::set_detail_enabled`] is on).
-    fn lockset(&self, ctx: &CoreCtx, kind: EventKind) {
-        if self.obs.detail_enabled() {
-            self.obs.trace(ctx.now(), ctx.core.0, None, kind);
-        }
-    }
-
-    /// Records that this core touched pending list `idx` (a shared-state
-    /// access the Eraser-style detector checks against the held lockset).
-    fn lockset_access(&self, ctx: &CoreCtx, idx: usize) {
-        self.lockset(
-            ctx,
-            EventKind::SharedAccess {
-                var: Cow::Owned(format!("flush.pending_list[{idx}]")),
-                write: true,
-            },
-        );
     }
 
     /// The global list's lock (contended only in [`FlushScope::Global`]).
@@ -194,28 +178,16 @@ impl DeferredFlusher {
         };
         let batch = ctx.burst(|ctx, acc| match self.scope {
             FlushScope::Global => {
-                self.lockset(
-                    ctx,
-                    EventKind::LockAcquire {
-                        lock: Cow::Borrowed(FLUSH_LOCK),
-                    },
-                );
-                let b = self.global_lock.with(ctx, |ctx| {
-                    self.lockset_access(ctx, 0);
+                let (b, _) = self.obs.locked(ctx, &self.global_lock, GLOBAL_LIST, |ctx| {
                     append(ctx, acc, &self.lists[0])
                 });
-                self.lockset(
-                    ctx,
-                    EventKind::LockRelease {
-                        lock: Cow::Borrowed(FLUSH_LOCK),
-                    },
-                );
                 b
             }
             FlushScope::PerCore => {
                 // Deliberately lock-free: each core owns its own list, so
                 // the lockset detector must see per-index variable names.
-                self.lockset_access(ctx, idx);
+                self.obs
+                    .shared_access(ctx, format_args!("flush.pending_list[{idx}]"));
                 append(ctx, acc, &self.lists[idx])
             }
         });
@@ -236,28 +208,16 @@ impl DeferredFlusher {
         for (idx, list) in self.lists.iter().enumerate() {
             let batch = match self.scope {
                 FlushScope::Global => {
-                    self.lockset(
-                        ctx,
-                        EventKind::LockAcquire {
-                            lock: Cow::Borrowed(FLUSH_LOCK),
-                        },
-                    );
-                    let b = self.global_lock.with(ctx, |ctx| {
-                        self.lockset_access(ctx, 0);
+                    let (b, _) = self.obs.locked(ctx, &self.global_lock, GLOBAL_LIST, |_| {
                         let mut l = list.lock();
                         l.oldest = None;
                         std::mem::take(&mut l.entries)
                     });
-                    self.lockset(
-                        ctx,
-                        EventKind::LockRelease {
-                            lock: Cow::Borrowed(FLUSH_LOCK),
-                        },
-                    );
                     b
                 }
                 FlushScope::PerCore => {
-                    self.lockset_access(ctx, idx);
+                    self.obs
+                        .shared_access(ctx, format_args!("flush.pending_list[{idx}]"));
                     let mut l = list.lock();
                     l.oldest = None;
                     std::mem::take(&mut l.entries)

@@ -8,32 +8,10 @@
 
 use crate::DmaError;
 use iommu::IovaPage;
-use obs::{Counter, EventKind, Obs};
+use obs::{Counter, Obs};
 use simcore::sync::Mutex;
-use simcore::{CoreCtx, Cycles, Phase, SimLock};
+use simcore::{CoreCtx, Phase, SimLock};
 use std::collections::BTreeMap;
-
-/// Emits a `LockContention` trace event for an acquisition that spun.
-///
-/// `spin` must be the acquisition's *own* spin, as reported by
-/// [`SimLock::lock`] / [`SimLock::with_spin`]. Diffing the lock's global
-/// `total_spin` counter around an acquisition is wrong: that counter also
-/// accumulates other cores' concurrent spins, so an uncontended
-/// acquisition could be blamed for a neighbor's wait.
-fn trace_contention(obs: &Obs, ctx: &CoreCtx, lock: &SimLock, spin: Cycles) {
-    if spin > Cycles::ZERO {
-        obs.set_now_hint(ctx.now());
-        obs.trace(
-            ctx.now(),
-            ctx.core.0,
-            None,
-            EventKind::LockContention {
-                lock: lock.name().into(),
-                spin_cycles: spin.get(),
-            },
-        );
-    }
-}
 
 /// The page range allocators hand out from: `[1, 2^35)` IOVA pages — the
 /// half of the 48-bit IOVA space with the MSB clear. The MSB-set half is
@@ -198,7 +176,7 @@ impl IovaAllocator for GlobalTreeIovaAllocator {
                 .ok_or(DmaError::IovaExhausted)
         });
         self.allocs.inc();
-        trace_contention(&self.obs, ctx, &self.lock, spin);
+        self.obs.trace_contention(ctx, None, &self.lock, spin);
         r
     }
 
@@ -216,7 +194,7 @@ impl IovaAllocator for GlobalTreeIovaAllocator {
             }
         });
         self.frees.inc();
-        trace_contention(&self.obs, ctx, &self.lock, spin);
+        self.obs.trace_contention(ctx, None, &self.lock, spin);
     }
 
     fn lock_stats(&self) -> Option<(&'static str, simcore::LockStats)> {
@@ -228,6 +206,9 @@ impl IovaAllocator for GlobalTreeIovaAllocator {
 /// to the shared tree, and how many it grabs on refill.
 const MAGAZINE_CAP: usize = 128;
 const MAGAZINE_REFILL: usize = 32;
+
+/// Lockset label of the shared tree the magazines refill from.
+const SHARED_POOL: &str = "iova.shared_pool";
 
 /// The scalable per-core ("magazine") IOVA allocator of ATC'15 \[42\]:
 /// each core caches freed ranges locally and only touches the shared tree
@@ -272,50 +253,6 @@ impl PerCoreIovaAllocator {
         &self.magazines[ctx.core.index() % self.magazines.len()]
     }
 
-    /// Runs `f` under the shared-pool lock with dmasan lockset
-    /// instrumentation (detail-gated `LockAcquire` / `SharedAccess` /
-    /// `LockRelease`, the same triple every other instrumented lock site
-    /// emits) and per-acquisition contention tracing.
-    fn with_shared<R>(&self, ctx: &mut CoreCtx, f: impl FnOnce(&mut CoreCtx) -> R) -> R {
-        let detail = self.obs.detail_enabled();
-        if detail {
-            self.obs.trace(
-                ctx.now(),
-                ctx.core.0,
-                None,
-                EventKind::LockAcquire {
-                    lock: self.shared_lock.name().into(),
-                },
-            );
-        }
-        let (r, spin) = self.shared_lock.with_spin(ctx, |ctx| {
-            if detail {
-                self.obs.trace(
-                    ctx.now(),
-                    ctx.core.0,
-                    None,
-                    EventKind::SharedAccess {
-                        var: "iova.shared_pool".into(),
-                        write: true,
-                    },
-                );
-            }
-            f(ctx)
-        });
-        if detail {
-            self.obs.trace(
-                ctx.now(),
-                ctx.core.0,
-                None,
-                EventKind::LockRelease {
-                    lock: self.shared_lock.name().into(),
-                },
-            );
-        }
-        trace_contention(&self.obs, ctx, &self.shared_lock, spin);
-        r
-    }
-
     /// Returns every range cached in the calling core's magazine to the
     /// shared pool (one batched shared-lock hold). The teardown drain
     /// path: cached ranges must go home before the allocator's owner is
@@ -329,7 +266,7 @@ impl PerCoreIovaAllocator {
         if drained == 0 {
             return 0;
         }
-        self.with_shared(ctx, |ctx| {
+        let ((), spin) = self.obs.locked(ctx, &self.shared_lock, SHARED_POOL, |ctx| {
             ctx.charge(Phase::IommuPageTableMgmt, ctx.cost.iova_tree_free);
             let mut shared = self.shared.lock();
             for (n, starts) in cached {
@@ -338,6 +275,8 @@ impl PerCoreIovaAllocator {
                 }
             }
         });
+        self.obs
+            .trace_contention(ctx, None, &self.shared_lock, spin);
         drained
     }
 }
@@ -352,7 +291,7 @@ impl IovaAllocator for PerCoreIovaAllocator {
         }
         self.refills.inc();
         // Refill from the shared tree.
-        let refill = self.with_shared(ctx, |ctx| {
+        let (refill, spin) = self.obs.locked(ctx, &self.shared_lock, SHARED_POOL, |ctx| {
             ctx.charge(Phase::IommuPageTableMgmt, ctx.cost.iova_tree_alloc);
             let mut shared = self.shared.lock();
             let mut got = Vec::with_capacity(MAGAZINE_REFILL);
@@ -364,6 +303,8 @@ impl IovaAllocator for PerCoreIovaAllocator {
             }
             got
         });
+        self.obs
+            .trace_contention(ctx, None, &self.shared_lock, spin);
         if refill.is_empty() {
             return Err(DmaError::IovaExhausted);
         }
@@ -388,13 +329,15 @@ impl IovaAllocator for PerCoreIovaAllocator {
         };
         if let Some(spill) = spill {
             self.spills.inc();
-            self.with_shared(ctx, |ctx| {
+            let ((), spin) = self.obs.locked(ctx, &self.shared_lock, SHARED_POOL, |ctx| {
                 ctx.charge(Phase::IommuPageTableMgmt, ctx.cost.iova_tree_free);
                 let mut shared = self.shared.lock();
                 for s in spill {
                     shared.free(s, n);
                 }
             });
+            self.obs
+                .trace_contention(ctx, None, &self.shared_lock, spin);
         }
     }
 
@@ -410,7 +353,8 @@ impl IovaAllocator for PerCoreIovaAllocator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simcore::{CoreId, CostModel};
+    use obs::EventKind;
+    use simcore::{CoreId, CostModel, Cycles};
     use std::sync::Arc;
 
     fn ctx(core: u16) -> CoreCtx {

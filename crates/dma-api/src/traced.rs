@@ -39,7 +39,8 @@ fn dir_str(dir: DmaDirection) -> Cow<'static, str> {
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mem = Arc::new(PhysMemory::new(NumaTopology::tiny(16)));
 /// let obs = Obs::isolated();
-/// let eng = TracedDma::new(NoIommu::new(mem.clone(), iommu::DeviceId(0)), obs.clone());
+/// let inner = Box::new(NoIommu::new(mem.clone(), iommu::DeviceId(0)));
+/// let eng = TracedDma::new(inner, obs.clone(), None);
 /// let mut ctx = CoreCtx::new(CoreId(0), Arc::new(CostModel::zero()));
 /// let buf = DmaBuf::new(mem.alloc_frame(NumaDomain(0))?.base(), 1500);
 /// let m = eng.map(&mut ctx, buf, DmaDirection::FromDevice)?;
@@ -49,8 +50,8 @@ fn dir_str(dir: DmaDirection) -> Cow<'static, str> {
 /// # Ok(())
 /// # }
 /// ```
-pub struct TracedDma<E> {
-    inner: E,
+pub struct TracedDma {
+    inner: Box<dyn DmaEngine>,
     obs: Obs,
     observer: Option<Arc<dyn DmaObserver>>,
     maps: Counter,
@@ -58,9 +59,14 @@ pub struct TracedDma<E> {
     map_bytes: Histogram,
 }
 
-impl<E: DmaEngine> TracedDma<E> {
-    /// Wraps `inner`, reporting into `obs`.
-    pub fn new(inner: E, obs: Obs) -> Self {
+impl TracedDma {
+    /// Wraps `inner`, reporting into `obs` and notifying `observer` (the
+    /// DMA sanitizer), if any, of every lifecycle event.
+    pub fn new(
+        inner: Box<dyn DmaEngine>,
+        obs: Obs,
+        observer: Option<Arc<dyn DmaObserver>>,
+    ) -> Self {
         let d = Some(inner.device().0);
         TracedDma {
             maps: obs.counter("dma", "maps", d),
@@ -68,30 +74,12 @@ impl<E: DmaEngine> TracedDma<E> {
             map_bytes: obs.histogram("dma", "map_bytes", d),
             inner,
             obs,
-            observer: None,
+            observer,
         }
-    }
-
-    /// Wraps `inner`, reporting into `obs` and notifying `observer` (the
-    /// DMA sanitizer) of every lifecycle event.
-    pub fn with_observer(inner: E, obs: Obs, observer: Arc<dyn DmaObserver>) -> Self {
-        let mut t = TracedDma::new(inner, obs);
-        t.observer = Some(observer);
-        t
-    }
-
-    /// The wrapped engine.
-    pub fn inner(&self) -> &E {
-        &self.inner
-    }
-
-    /// The telemetry handle events are recorded into.
-    pub fn obs(&self) -> &Obs {
-        &self.obs
     }
 }
 
-impl<E: DmaEngine> DmaEngine for TracedDma<E> {
+impl DmaEngine for TracedDma {
     fn name(&self) -> &'static str {
         self.inner.name()
     }
@@ -200,10 +188,11 @@ mod tests {
     use simcore::{CoreId, CostModel, Cycles};
     use std::sync::Arc;
 
-    fn rig() -> (Arc<PhysMemory>, Obs, TracedDma<NoIommu>, CoreCtx) {
+    fn rig() -> (Arc<PhysMemory>, Obs, TracedDma, CoreCtx) {
         let mem = Arc::new(PhysMemory::new(NumaTopology::tiny(32)));
         let obs = Obs::isolated();
-        let eng = TracedDma::new(NoIommu::new(mem.clone(), DeviceId(3)), obs.clone());
+        let inner = Box::new(NoIommu::new(mem.clone(), DeviceId(3)));
+        let eng = TracedDma::new(inner, obs.clone(), None);
         let ctx = CoreCtx::new(CoreId(1), Arc::new(CostModel::zero()));
         (mem, obs, eng, ctx)
     }

@@ -286,14 +286,14 @@ impl CoherentCache {
 
 /// The DMA-API sanitizer.
 ///
-/// Wire it into a stack with [`dma_api::TracedDma::with_observer`] (the
-/// OS side) and [`dma_api::Bus::observed`] (the device side); at the end
-/// of a run call [`DmaSan::check_teardown`] / [`DmaSan::assert_teardown_clean`].
+/// Wire it into a stack with [`dma_api::TracedDma::new`] (the OS side)
+/// and [`dma_api::Bus::observed`] (the device side); at the end of a run
+/// call [`DmaSan::check_teardown`].
 ///
-/// In *strict* mode the first violation panics with its detail string —
-/// the `dmasan-strict` CI pass runs the whole suite that way. Tests that
-/// deliberately provoke violations construct the checker with
-/// [`DmaSan::lenient`].
+/// There is one mode per purpose: [`DmaSan::new`] panics on the first
+/// violation with its detail string, so every run of a stack is also a
+/// sanitizer run; tests that deliberately provoke violations construct
+/// the checker with [`DmaSan::lenient`], which only records them.
 #[derive(Debug)]
 pub struct DmaSan {
     obs: Obs,
@@ -306,23 +306,18 @@ pub struct DmaSan {
 }
 
 impl DmaSan {
-    /// A checker in the build's default mode: strict when the `strict`
-    /// feature (workspace flag `dmasan-strict`) is enabled or
-    /// `DMASAN_STRICT=1` is set, else recording.
+    /// A checker that panics on the first violation.
     pub fn new(obs: Obs) -> Self {
-        let strict =
-            cfg!(feature = "strict") || std::env::var("DMASAN_STRICT").is_ok_and(|v| v == "1");
-        Self::with_strict(obs, strict)
+        Self::build(obs, true)
     }
 
     /// A checker that only records violations, never panics — for tests
     /// that deliberately provoke them.
     pub fn lenient(obs: Obs) -> Self {
-        Self::with_strict(obs, false)
+        Self::build(obs, false)
     }
 
-    /// A checker with an explicit strictness.
-    pub fn with_strict(obs: Obs, strict: bool) -> Self {
+    fn build(obs: Obs, strict: bool) -> Self {
         DmaSan {
             violations_total: obs.counter("dmasan", "violations", None),
             inner: Mutex::new(Inner::default()),
@@ -331,11 +326,6 @@ impl DmaSan {
             coherent_gen: AtomicU64::new(0),
             coherent_cache: CoherentCache::default(),
         }
-    }
-
-    /// Whether this checker panics on the first violation.
-    pub fn strict(&self) -> bool {
-        self.strict
     }
 
     /// All violations recorded so far.
@@ -409,19 +399,6 @@ impl DmaSan {
             );
         }
         n
-    }
-
-    /// Panics (even in lenient mode — this is an explicit assertion)
-    /// unless teardown left no live mappings and no prior violations.
-    pub fn assert_teardown_clean(&self) {
-        let leaked = self.check_teardown();
-        let v = self.violations();
-        assert!(
-            leaked == 0 && v.is_empty(),
-            "dmasan: teardown not clean — {leaked} leaks, {} total violations: {:?}",
-            v.len(),
-            v
-        );
     }
 
     /// Classifies a device access without recording anything — the
@@ -891,8 +868,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "dmasan[double_unmap]")]
     fn strict_mode_panics_on_violation() {
-        let obs = Obs::isolated();
-        let san = DmaSan::with_strict(obs, true);
+        let san = DmaSan::new(Obs::isolated());
         let c = ctx();
         let m = mapping(0x1000, 64, DmaDirection::ToDevice, 0x2000);
         san.on_unmap(&c, DEV, &m, 1);
@@ -900,9 +876,8 @@ mod tests {
 
     #[test]
     fn dmabuf_roundtrip_is_clean_under_strict() {
-        // The happy path must never trip strict mode.
-        let obs = Obs::isolated();
-        let san = DmaSan::with_strict(obs, true);
+        // The happy path must never trip the panicking default.
+        let san = DmaSan::new(Obs::isolated());
         let c = ctx();
         for i in 0..32u64 {
             let m = mapping(

@@ -22,9 +22,10 @@
 //!   shared-state accesses whose candidate lockset goes empty (Eraser,
 //!   SOSP'97).
 //!
-//! With the `strict` feature (workspace flag `dmasan-strict`) or
-//! `DMASAN_STRICT=1` in the environment, [`DmaSan::new`] panics on the
-//! first violation, turning every existing test into a sanitizer test.
+//! [`DmaSan::new`] panics on the first violation, which makes every test
+//! and workload that builds a stack a sanitizer test; code that provokes
+//! violations on purpose (the malicious-device tests, the model checker,
+//! the crosscheck replays) asks for [`DmaSan::lenient`] by name.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 

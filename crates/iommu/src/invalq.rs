@@ -10,7 +10,7 @@
 //!    serialize (§2.2.1) — modeled with a [`SimLock`].
 
 use crate::{DeviceId, Iotlb, IovaPage, PendingRing};
-use obs::{Counter, EventKind, MetricKey, Obs};
+use obs::{Counter, EventKind, Obs};
 use simcore::sync::Mutex;
 use simcore::{CoreCtx, Cycles, Phase, SimLock};
 
@@ -110,75 +110,9 @@ impl InvalQueue {
             .map_or(0, |b| b.rings.iter().map(PendingRing::len).sum())
     }
 
-    /// The calling core's pending ring, if batching is enabled (exposed
-    /// for contention statistics and tests).
-    pub fn pending_ring(&self, ctx: &CoreCtx) -> Option<&PendingRing> {
-        self.batch.as_ref().map(|b| b.ring(ctx))
-    }
-
-    /// Re-registers this queue's counters into `obs`'s registry and routes
-    /// future events to its tracer. Counts made so far stay visible.
-    pub fn rehome(&mut self, obs: Obs) {
-        let r = obs.registry();
-        r.adopt_counter(
-            MetricKey::new("invalq", "page_commands", None),
-            &self.page_commands,
-        );
-        r.adopt_counter(
-            MetricKey::new("invalq", "flush_commands", None),
-            &self.flush_commands,
-        );
-        r.adopt_counter(MetricKey::new("invalq", "waits", None), &self.waits);
-        if let Some(b) = &self.batch {
-            r.adopt_counter(
-                MetricKey::new("invalq", "pending_appended", None),
-                &b.pending_appended,
-            );
-            r.adopt_counter(MetricKey::new("invalq", "batch_drains", None), &b.drains);
-        }
-        self.obs = obs;
-    }
-
     /// The queue's lock (exposed for contention statistics).
     pub fn lock(&self) -> &SimLock {
         &self.lock
-    }
-
-    /// Emits a detail-gated lockset event (no-op unless
-    /// [`Obs::set_detail_enabled`] is on).
-    fn lockset(&self, ctx: &CoreCtx, kind: EventKind) {
-        if self.obs.detail_enabled() {
-            self.obs.trace(ctx.now(), ctx.core.0, None, kind);
-        }
-    }
-
-    /// Runs `f` under the queue lock, bracketing it with lockset events
-    /// and recording the shared queue access the Eraser-style detector
-    /// checks against the held lockset.
-    fn with_lockset<R>(&self, ctx: &mut CoreCtx, f: impl FnOnce(&mut CoreCtx) -> R) -> R {
-        self.lockset(
-            ctx,
-            EventKind::LockAcquire {
-                lock: INVALQ_LOCK.into(),
-            },
-        );
-        let r = self.lock.with(ctx, |ctx| {
-            self.lockset(
-                ctx,
-                EventKind::SharedAccess {
-                    var: "invalq.queue".into(),
-                    write: true,
-                },
-            );
-            f(ctx)
-        });
-        self.lockset(
-            ctx,
-            EventKind::LockRelease {
-                lock: INVALQ_LOCK.into(),
-            },
-        );
-        r
     }
 
     /// Synchronously invalidates one IOVA page: takes the queue lock, posts
@@ -225,7 +159,7 @@ impl InvalQueue {
             return;
         }
         obs::profile::scope(ctx, "invalq_drain", |ctx| {
-            self.invalidate_pages_sync_inner(ctx, iotlb, dev, pages)
+            self.invalidate_pages_inner(ctx, iotlb, dev, pages, false)
         });
     }
 
@@ -273,16 +207,6 @@ impl InvalQueue {
         }
     }
 
-    fn invalidate_pages_sync_inner(
-        &self,
-        ctx: &mut CoreCtx,
-        iotlb: &Mutex<Iotlb>,
-        dev: DeviceId,
-        pages: &[IovaPage],
-    ) {
-        self.invalidate_pages_inner(ctx, iotlb, dev, pages, false);
-    }
-
     /// Posts `pages` as range commands under the queue lock. With
     /// `amortized_wait` (the batched-drain path) the busy-wait on the wait
     /// descriptor is charged once for the whole batch — the §2.2.1
@@ -297,9 +221,8 @@ impl InvalQueue {
         amortized_wait: bool,
     ) {
         let active = ctx.active_cores;
-        let spin_before = self.lock.stats().total_spin;
         let wait_start = ctx.breakdown.get(Phase::InvalidateIotlb);
-        self.with_lockset(ctx, |ctx| {
+        let ((), spin) = self.obs.locked(ctx, &self.lock, "invalq.queue", |ctx| {
             let mut iotlb = iotlb.lock();
             let mut i = 0;
             while i < pages.len() {
@@ -325,7 +248,7 @@ impl InvalQueue {
             // operation, regardless of how many range commands it posted.
             self.waits.inc();
         });
-        self.trace_op(ctx, dev, pages.len() as u64, wait_start, spin_before);
+        self.trace_op(ctx, dev, pages.len() as u64, wait_start, spin);
     }
 
     /// Emits the `IotlbInvalidate` (and, if the queue lock spun, the
@@ -336,7 +259,7 @@ impl InvalQueue {
         dev: DeviceId,
         pages: u64,
         wait_start: Cycles,
-        spin_before: Cycles,
+        spin: Cycles,
     ) {
         self.obs.set_now_hint(ctx.now());
         let wait_cycles = ctx
@@ -352,18 +275,8 @@ impl InvalQueue {
                 wait_cycles: wait_cycles.0,
             },
         );
-        let spun = self.lock.stats().total_spin.saturating_sub(spin_before);
-        if spun > Cycles::ZERO {
-            self.obs.trace(
-                ctx.now(),
-                ctx.core.0,
-                Some(dev.0),
-                EventKind::LockContention {
-                    lock: "invalq".into(),
-                    spin_cycles: spun.0,
-                },
-            );
-        }
+        self.obs
+            .trace_contention(ctx, Some(dev.0), &self.lock, spin);
     }
 
     /// Synchronously flushes every cached translation of `dev` with a
@@ -380,9 +293,8 @@ impl InvalQueue {
             }
         }
         obs::profile::scope(ctx, "invalq_flush", |ctx| {
-            let spin_before = self.lock.stats().total_spin;
             let wait_start = ctx.breakdown.get(Phase::InvalidateIotlb);
-            self.with_lockset(ctx, |ctx| {
+            let ((), spin) = self.obs.locked(ctx, &self.lock, "invalq.queue", |ctx| {
                 ctx.charge(Phase::InvalidateIotlb, ctx.cost.inval_queue_post);
                 iotlb.lock().invalidate_device(dev);
                 self.flush_commands.inc();
@@ -390,7 +302,7 @@ impl InvalQueue {
                 self.waits.inc();
             });
             // pages = 0 marks a full device flush.
-            self.trace_op(ctx, dev, 0, wait_start, spin_before);
+            self.trace_op(ctx, dev, 0, wait_start, spin);
         });
     }
 
@@ -579,6 +491,33 @@ mod tests {
             snap.counter("invalq", "page_commands", None),
             Some(q.stats().page_commands)
         );
+    }
+
+    #[test]
+    fn contention_event_is_named_after_the_lock_and_carries_its_own_spin() {
+        let shared = Obs::isolated();
+        let q = InvalQueue::with_obs(shared.clone());
+        let tlb = Mutex::new(Iotlb::new(8));
+        // Core 0 holds the queue from t=0; core 1 arrives at t=0 too and
+        // spins for exactly core 0's hold time.
+        let mut c0 = ctx();
+        q.invalidate_page_sync(&mut c0, &tlb, DEV, IovaPage(1));
+        let mut c1 = CoreCtx::new(CoreId(1), Arc::new(CostModel::haswell_2_4ghz()));
+        q.invalidate_page_sync(&mut c1, &tlb, DEV, IovaPage(2));
+        let contention: Vec<_> = shared
+            .tracer()
+            .events()
+            .into_iter()
+            .filter_map(|e| match e.kind {
+                EventKind::LockContention { lock, spin_cycles } => {
+                    Some((e.core, lock.into_owned(), spin_cycles))
+                }
+                _ => None,
+            })
+            .collect();
+        let spin = q.lock().stats().total_spin.get();
+        assert!(spin > 0);
+        assert_eq!(contention, [(1, q.lock().name().to_string(), spin)]);
     }
 
     #[test]

@@ -126,14 +126,6 @@ impl Iommu {
         }
     }
 
-    /// Creates an IOMMU with a custom IOTLB capacity (for tests).
-    pub fn with_iotlb_capacity(capacity: usize) -> Self {
-        Iommu {
-            iotlb: Mutex::new(Iotlb::new(capacity)),
-            ..Self::new()
-        }
-    }
-
     /// The telemetry handle this IOMMU reports into.
     pub fn obs(&self) -> &Obs {
         &self.obs
@@ -393,11 +385,6 @@ impl Iommu {
     /// Number of recorded faults.
     pub fn fault_count(&self) -> usize {
         self.faults.lock().len()
-    }
-
-    /// Clears the fault log.
-    pub fn clear_faults(&self) {
-        self.faults.lock().clear();
     }
 
     /// IOTLB statistics snapshot.

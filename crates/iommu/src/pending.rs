@@ -12,7 +12,7 @@
 //! [`InvalQueue::with_obs_batched`]: crate::InvalQueue::with_obs_batched
 
 use crate::{DeviceId, IovaPage};
-use obs::{EventKind, Obs};
+use obs::Obs;
 use simcore::sync::Mutex;
 use simcore::{CoreCtx, SimLock};
 
@@ -45,55 +45,15 @@ impl PendingRing {
         }
     }
 
-    /// Emits a detail-gated lockset event (no-op unless
-    /// [`Obs::set_detail_enabled`] is on).
-    fn lockset(obs: &Obs, ctx: &CoreCtx, kind: EventKind) {
-        if obs.detail_enabled() {
-            obs.trace(ctx.now(), ctx.core.0, None, kind);
-        }
-    }
-
-    /// Runs `f` under the ring lock, bracketing it with lockset events and
-    /// recording the shared ring access. The `LockAcquire` fires *before*
-    /// the lock is taken (it is a model-checker preemption point and must
-    /// not park inside a critical section).
-    fn with_ring<R>(&self, ctx: &mut CoreCtx, obs: &Obs, f: impl FnOnce(&mut CoreCtx) -> R) -> R {
-        Self::lockset(
-            obs,
-            ctx,
-            EventKind::LockAcquire {
-                lock: INVALQ_PENDING_LOCK.into(),
-            },
-        );
-        let r = self.lock.with(ctx, |ctx| {
-            Self::lockset(
-                obs,
-                ctx,
-                EventKind::SharedAccess {
-                    var: "invalq.pending".into(),
-                    write: true,
-                },
-            );
-            f(ctx)
-        });
-        Self::lockset(
-            obs,
-            ctx,
-            EventKind::LockRelease {
-                lock: INVALQ_PENDING_LOCK.into(),
-            },
-        );
-        r
-    }
-
     /// Appends `pages` for `dev` in order; returns the ring length after
     /// the append (the caller drains at the batch threshold).
     pub fn append(&self, ctx: &mut CoreCtx, obs: &Obs, dev: DeviceId, pages: &[IovaPage]) -> usize {
-        self.with_ring(ctx, obs, |_| {
+        let (len, _) = obs.locked(ctx, &self.lock, "invalq.pending", |_| {
             let mut e = self.entries.lock();
             e.extend(pages.iter().map(|&p| (dev, p)));
             e.len()
-        })
+        });
+        len
     }
 
     /// Takes every pending entry out, in append order. Empty rings return
@@ -102,7 +62,10 @@ impl PendingRing {
         if self.entries.lock().is_empty() {
             return Vec::new();
         }
-        self.with_ring(ctx, obs, |_| std::mem::take(&mut *self.entries.lock()))
+        obs.locked(ctx, &self.lock, "invalq.pending", |_| {
+            std::mem::take(&mut *self.entries.lock())
+        })
+        .0
     }
 
     /// Removes `dev`'s entries (superseded by a domain-selective flush);
@@ -111,12 +74,13 @@ impl PendingRing {
         if self.entries.lock().iter().all(|&(d, _)| d != dev) {
             return 0;
         }
-        self.with_ring(ctx, obs, |_| {
+        let (purged, _) = obs.locked(ctx, &self.lock, "invalq.pending", |_| {
             let mut e = self.entries.lock();
             let before = e.len();
             e.retain(|&(d, _)| d != dev);
             before - e.len()
-        })
+        });
+        purged
     }
 
     /// Number of pending entries.
@@ -138,6 +102,7 @@ impl PendingRing {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use obs::EventKind;
     use simcore::{CoreId, CostModel};
     use std::sync::Arc;
 

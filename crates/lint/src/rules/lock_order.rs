@@ -1,11 +1,13 @@
 // lint: allow(ambient-io) — the lock-order pass must read member crates' sources
 //! Lock-order static analysis.
 //!
-//! Extracts every instrumented lock site (`SimLock::new`, `.with(ctx, …)`,
-//! `.with_spin(ctx, …)`, `lockset_guarded`, `with_lockset`) from the
-//! member crates, resolves the
-//! lock-name constants, builds the nested-acquisition graph by paren
-//! matching the critical-section closures, and flags any cycle as a
+//! Extracts every lock site from the member crates — the `SimLock::new`
+//! declarations and three acquisition shapes: a bare `lock.with(ctx, …)` /
+//! `lock.with_spin(ctx, …)`, and the two forms of the `obs` lock-site
+//! primitive, `obs.locked(ctx, &lock, …)` and `obs.guarded(ctx, NAME, …)`
+//! — resolves the lock-name constants, builds the nested-acquisition
+//! graph by paren matching the critical-section closures, and flags any
+//! cycle as a
 //! `lock-order` violation. The site inventory is exported
 //! ([`lock_order_analysis`]) and fed to the bounded model checker's
 //! `known_locks` check, so a lock the checker schedules around can never
@@ -25,11 +27,11 @@ pub struct LockSite {
     pub file: String,
     /// 1-indexed line.
     pub line: usize,
-    /// Resolved lock name — the string handed to `SimLock::new` or the
-    /// dmasan lockset helpers, after constant resolution.
+    /// Resolved lock name — the string handed to `SimLock::new` or to
+    /// `Obs::guarded`, after constant resolution.
     pub lock: String,
-    /// `true` for acquisition sites (`.with(ctx, …)`, `lockset_guarded`,
-    /// `with_lockset`); `false` for the `SimLock::new` declaration.
+    /// `true` for acquisition sites; `false` for the `SimLock::new`
+    /// declaration.
     pub acquisition: bool,
 }
 
@@ -204,6 +206,20 @@ fn match_paren(blank: &[u8], open: usize) -> Option<usize> {
     None
 }
 
+/// Byte offset of a call's second argument, given the offset right after
+/// its first (`ctx`): skips the separating comma and surrounding
+/// whitespace.
+fn second_arg(blank: &[u8], mut k: usize) -> Option<usize> {
+    let skip_ws = |mut k: usize| {
+        while k < blank.len() && (blank[k] == b' ' || blank[k] == b'\n') {
+            k += 1;
+        }
+        k
+    };
+    k = skip_ws(k);
+    (blank.get(k) == Some(&b',')).then(|| skip_ws(k + 1))
+}
+
 /// An acquisition occurrence with the byte span of its critical-section
 /// argument list (nested occurrences starting inside the span become
 /// lock-order edges).
@@ -259,15 +275,6 @@ pub(crate) fn scan_lock_file(
         });
     }
 
-    let unique_lock: Option<String> = {
-        let all: BTreeSet<&String> = fields.values().flatten().collect();
-        if all.len() == 1 {
-            all.iter().next().map(|s| (*s).clone())
-        } else {
-            None
-        }
-    };
-
     let mut acqs: Vec<Acq> = Vec::new();
     let mut record = |names: Vec<String>, open: usize, pos: usize, acqs: &mut Vec<Acq>| {
         let line = prep.line_of(pos);
@@ -293,42 +300,43 @@ pub(crate) fn scan_lock_file(
         });
     };
 
-    // `receiver.with(ctx, |ctx| …)` — receiver must be a known SimLock
+    let held_by = |binder: &str| -> Vec<String> {
+        fields
+            .get(binder)
+            .map(|s| s.iter().cloned().collect())
+            .unwrap_or_default()
+    };
+    // `receiver.with(ctx, |ctx| …)` / `receiver.with_spin(ctx, |ctx| …)` —
+    // a bare SimLock acquisition. The receiver must be a known SimLock
     // binder (this is what keeps `CURRENT.with(|…|)` thread-locals out).
-    for (pos, _) in prep.blank.match_indices(".with(") {
-        let names: Vec<String> = fields
-            .get(ident_before(&prep.blank, pos))
-            .map(|s| s.iter().cloned().collect())
-            .unwrap_or_default();
-        record(names, pos + ".with".len(), pos, &mut acqs);
-    }
-    // `receiver.with_spin(ctx, |ctx| …)` — same acquisition shape as
-    // `.with(`, but also returns the acquisition's own spin so callers
-    // can attribute contention per-site.
-    for (pos, _) in prep.blank.match_indices(".with_spin(") {
-        let names: Vec<String> = fields
-            .get(ident_before(&prep.blank, pos))
-            .map(|s| s.iter().cloned().collect())
-            .unwrap_or_default();
-        record(names, pos + ".with_spin".len(), pos, &mut acqs);
-    }
-    // `lockset_guarded(ctx, NAME, …)` — dmasan lockset regions.
-    for (pos, _) in prep.blank.match_indices("lockset_guarded(ctx") {
-        let mut k = pos + "lockset_guarded(ctx".len();
-        while k < bb.len() && (bb[k] == b' ' || bb[k] == b'\n') {
-            k += 1;
+    for method in [".with", ".with_spin"] {
+        for (pos, _) in prep.blank.match_indices(&format!("{method}(")) {
+            let names = held_by(ident_before(&prep.blank, pos));
+            record(names, pos + method.len(), pos, &mut acqs);
         }
-        if k >= bb.len() || bb[k] != b',' {
+    }
+    // `obs.locked(ctx, &self.lock, var, |ctx| …)` — the lock-site primitive
+    // over a SimLock: the second argument's last path segment is the
+    // binder, resolved like a `.with(` receiver.
+    for (pos, _) in prep.blank.match_indices(".locked(ctx") {
+        let Some(arg) = second_arg(bb, pos + ".locked(ctx".len()) else {
             continue;
+        };
+        let mut end = arg;
+        while end < bb.len() && (bb[end].is_ascii_alphanumeric() || b"&_.".contains(&bb[end])) {
+            end += 1;
         }
-        let names = read_lock_arg(prep, k + 1, consts).into_iter().collect();
-        record(names, pos + "lockset_guarded".len(), pos, &mut acqs);
+        let names = held_by(ident_before(&prep.blank, end));
+        record(names, pos + ".locked".len(), pos, &mut acqs);
     }
-    // `self.with_lockset(ctx, |ctx| …)` — resolves to the file's single
-    // declared lock (the helper wraps `self.lock.with` internally).
-    for (pos, _) in prep.blank.match_indices(".with_lockset(ctx") {
-        let names = unique_lock.clone().into_iter().collect();
-        record(names, pos + ".with_lockset".len(), pos, &mut acqs);
+    // `obs.guarded(ctx, NAME, var)` — the primitive's name-only form for
+    // host-mutex regions.
+    for (pos, _) in prep.blank.match_indices(".guarded(ctx") {
+        let Some(arg) = second_arg(bb, pos + ".guarded(ctx".len()) else {
+            continue;
+        };
+        let names = read_lock_arg(prep, arg, consts).into_iter().collect();
+        record(names, pos + ".guarded".len(), pos, &mut acqs);
     }
 
     for outer in &acqs {
@@ -446,7 +454,7 @@ mod tests {
             "impl S {\n",
             "    fn build() -> Self { Self { a: SimLock::new(A_LOCK), b: SimLock::new(\"lock-b\") } }\n",
             "    fn nest(&self, ctx: &mut CoreCtx) {\n",
-            "        self.a.with(ctx, |ctx| {\n",
+            "        let (_, _spin) = self.a.with_spin(ctx, |ctx| {\n",
             "            self.b.with(ctx, |_ctx| {});\n",
             "        });\n",
             "    }\n",
@@ -482,31 +490,39 @@ mod tests {
     }
 
     #[test]
-    fn with_spin_sites_are_acquisitions_and_nest() {
+    fn primitive_sites_are_acquisitions_and_nest() {
         let src = concat!(
-            "struct S { a: SimLock, b: SimLock }\n",
+            "const B_LOCK: &str = \"lock-b\";\n",
+            "struct S { obs: Obs, a: SimLock }\n",
             "impl S {\n",
-            "    fn build() -> Self { Self { a: SimLock::new(\"lock-a\"), b: SimLock::new(\"lock-b\") } }\n",
+            "    fn build() -> Self { Self { obs: Obs::isolated(), a: SimLock::new(\"lock-a\") } }\n",
             "    fn nest(&self, ctx: &mut CoreCtx) {\n",
-            "        let (_, _spin) = self.a.with_spin(ctx, |ctx| {\n",
-            "            self.b.with(ctx, |_ctx| {});\n",
+            "        self.obs.locked(ctx,\n            &self.a, \"s.var\", |ctx| {\n",
+            "            self.obs.guarded(ctx, B_LOCK, format_args!(\"s.b[{}]\", 1));\n",
             "        });\n",
+            "        obs.locked(ctx, &unknown, \"x\", |_| {});\n",
             "    }\n",
             "}\n",
         );
         let p = prep("x.rs", src);
+        let mut consts = BTreeMap::new();
+        scan_lock_consts(&p, &mut consts);
         let (mut sites, mut edges) = (Vec::new(), Vec::new());
-        scan_lock_file(&p, &BTreeMap::new(), &mut sites, &mut edges);
-        assert!(
-            sites
-                .iter()
-                .any(|s| s.lock == "lock-a" && s.acquisition && s.line == 5),
-            "with_spin must register as an acquisition site: {sites:?}"
-        );
+        scan_lock_file(&p, &consts, &mut sites, &mut edges);
+        let acqs: Vec<(&str, usize)> = sites
+            .iter()
+            .filter(|s| s.acquisition)
+            .map(|s| (s.lock.as_str(), s.line))
+            .collect();
+        assert_eq!(acqs, [("lock-a", 6), ("lock-b", 8)], "{sites:?}");
         assert_eq!(edges.len(), 1, "{edges:?}");
         assert_eq!(
-            (edges[0].outer.as_str(), edges[0].inner.as_str()),
-            ("lock-a", "lock-b")
+            (
+                edges[0].outer.as_str(),
+                edges[0].inner.as_str(),
+                edges[0].line
+            ),
+            ("lock-a", "lock-b", 8)
         );
     }
 

@@ -2,17 +2,17 @@
 //!
 //! Worker threads (mappers, the device) hand control back to the explorer
 //! at *yield points*: explicit operation boundaries in their scripts, and
-//! every instrumented `LockAcquire` event (delivered through the [`obs`]
-//! yield hook). Because all instrumented lock sites emit `LockAcquire`
-//! *before* taking the underlying lock — and nothing in the stack yields
-//! while holding a host lock — a parked worker never blocks another
-//! worker, so the handoff can never deadlock.
+//! every instrumented lock site (delivered through the [`obs`] yield
+//! hook). Because the lock-site primitive fires the hook *before* taking
+//! the underlying lock — and nothing in the stack yields while holding a
+//! host lock — a parked worker never blocks another worker, so the handoff
+//! can never deadlock.
 //!
 //! The executor is rebuilt for every run: bounded model checking here is
 //! *stateless* (loom/Shuttle style) — each schedule is replayed against a
 //! fresh stack, so no state snapshotting is needed.
 
-use obs::{EventKind, Obs};
+use obs::Obs;
 use std::cell::RefCell;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
@@ -99,18 +99,13 @@ impl Executor {
     }
 
     /// Installs the schedule-interception hook on `obs`: every instrumented
-    /// `LockAcquire` recorded from a registered worker thread becomes a
+    /// lock site reached from a registered worker thread becomes a
     /// preemption point. Also enables detail events, which gate the lockset
     /// instrumentation the hook feeds on.
     pub fn install_hook(obs: &Obs) {
         obs.set_detail_enabled(true);
-        obs.set_yield_hook(Some(Arc::new(|kind: &EventKind| {
-            if let EventKind::LockAcquire { lock } = kind {
-                let cur = CURRENT.with(|c| c.borrow().clone());
-                if let Some((exec, tid)) = cur {
-                    exec.yield_now(tid, YieldInfo::Lock(lock.to_string()));
-                }
-            }
+        obs.set_yield_hook(Some(Arc::new(|lock: &str| {
+            Self::yield_current(YieldInfo::Lock(lock.to_string()));
         })));
     }
 
@@ -137,9 +132,14 @@ impl Executor {
     /// Worker-side explicit operation-boundary yield (between script ops).
     /// A no-op when called from a thread that is not a registered worker.
     pub fn op_yield(label: &str) {
+        Self::yield_current(YieldInfo::Op(label.to_string()));
+    }
+
+    /// Parks the calling thread at `info` if it is a registered worker.
+    fn yield_current(info: YieldInfo) {
         let cur = CURRENT.with(|c| c.borrow().clone());
         if let Some((exec, tid)) = cur {
-            exec.yield_now(tid, YieldInfo::Op(label.to_string()));
+            exec.yield_now(tid, info);
         }
     }
 

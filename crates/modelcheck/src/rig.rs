@@ -210,14 +210,8 @@ impl Rig {
         // Always wrap in TracedDma so counterexample traces show the
         // map/unmap lifecycle; attach the sanitizer when cross-checking.
         let san = with_san.then(|| Arc::new(DmaSan::lenient(obs.clone())));
-        let engine: Arc<dyn DmaEngine> = match &san {
-            Some(san) => Arc::from(Box::new(TracedDma::with_observer(
-                engine,
-                obs.clone(),
-                san.clone() as Arc<dyn DmaObserver>,
-            )) as Box<dyn DmaEngine>),
-            None => Arc::from(Box::new(TracedDma::new(engine, obs.clone())) as Box<dyn DmaEngine>),
-        };
+        let observer = san.clone().map(|san| san as Arc<dyn DmaObserver>);
+        let engine: Arc<dyn DmaEngine> = Arc::new(TracedDma::new(engine, obs.clone(), observer));
         let profile = engine.profile();
         let bus = match strategy {
             Strategy::NoProtection => Bus::Direct(mem.clone()),

@@ -5,9 +5,8 @@
 use crate::driver::{CoreDriver, HEADER_BYTES};
 use crate::report::ExpResult;
 use crate::setup::{EngineKind, ExpConfig, SimStack};
-use simcore::{
-    Breakdown, CoreCtx, CoreId, CoreTask, Cycles, MultiCoreSim, Phase, SimRng, StepOutcome,
-};
+use crate::stream::{collect, run_tasks, Meas};
+use simcore::{CoreCtx, CoreId, CoreTask, Cycles, Phase, SimRng, StepOutcome};
 
 /// memslap default key size.
 const KEY_BYTES: usize = 64;
@@ -32,10 +31,7 @@ struct KvTask<'a> {
     /// scheduler steps lets other cores' DMA operations interleave between
     /// this core's two unmaps, as they would on real hardware.
     pending: Option<(bool, usize)>,
-    meas_items: u64,
-    meas_bytes: u64,
-    meas_start: Cycles,
-    meas_end: Cycles,
+    meas: Meas,
 }
 
 impl<'a> KvTask<'a> {
@@ -58,10 +54,7 @@ impl<'a> KvTask<'a> {
             set_buf,
             resp_buf,
             pending: None,
-            meas_items: 0,
-            meas_bytes: 0,
-            meas_start: Cycles::ZERO,
-            meas_end: Cycles::ZERO,
+            meas: Meas::default(),
         }
     }
 }
@@ -83,13 +76,13 @@ impl CoreTask for KvTask<'_> {
 
             if self.count == self.warmup {
                 ctx.reset_stats();
-                self.meas_start = ctx.now();
+                self.meas.start = ctx.now();
             } else if self.count > self.warmup {
-                self.meas_items += 1;
-                self.meas_bytes += (req_len + resp_len) as u64;
+                self.meas.items += 1;
+                self.meas.bytes += (req_len + resp_len) as u64;
             }
             if self.count >= self.total {
-                self.meas_end = ctx.now();
+                self.meas.end = ctx.now();
                 return StepOutcome::Done;
             }
             return StepOutcome::Continue;
@@ -140,60 +133,18 @@ pub fn memcached(kind: EngineKind, cfg: &ExpConfig) -> ExpResult {
     let mut tasks: Vec<KvTask> = (0..cfg.cores)
         .map(|c| KvTask::new(&stack, cfg, c, value_bytes))
         .collect();
-    let mut sim = MultiCoreSim::new(stack.cost.clone(), cfg.cores);
-    for ctx in sim.ctxs_mut() {
-        ctx.seek(Cycles(1));
-    }
-    {
-        let mut boxed: Vec<Box<dyn CoreTask + '_>> = tasks
-            .iter_mut()
-            .map(|t| Box::new(move |ctx: &mut CoreCtx| t.step(ctx)) as Box<dyn CoreTask + '_>)
-            .collect();
-        sim.run(&mut boxed, Cycles::MAX);
-    }
-    let mut tctx = CoreCtx::new(CoreId(0), stack.cost.clone());
-    tctx.seek(
-        sim.ctxs()
-            .iter()
-            .map(|c| c.now())
-            .max()
-            .unwrap_or(Cycles(1)),
-    );
-    stack.engine.flush_deferred(&mut tctx);
-    stack.mmu.drain_pending(&mut tctx);
-
-    let clock = cfg.cost.clock_ghz;
-    let mut tps = 0.0;
-    let mut gbps = 0.0;
-    let mut items = 0;
-    let mut bytes = 0;
-    for t in &tasks {
-        let window = t.meas_end.saturating_sub(t.meas_start);
-        if window > Cycles::ZERO {
-            tps += t.meas_items as f64 / window.to_secs(clock);
-            gbps += t.meas_bytes as f64 * 8.0 / window.to_secs(clock) / 1e9;
-        }
-        items += t.meas_items;
-        bytes += t.meas_bytes;
-    }
-    let cpu = sim.ctxs().iter().map(|c| c.utilization()).sum::<f64>() / cfg.cores as f64;
-    let total: Breakdown = sim.ctxs().iter().map(|c| c.breakdown).sum::<Breakdown>();
-    let dev = Some(crate::setup::NIC_DEV.0);
-    obs::breakdown::record_breakdown(stack.obs.registry(), dev, &total);
-    let per_item = obs::breakdown::breakdown_view(stack.obs.registry(), dev);
+    let sim = run_tasks(cfg, &mut tasks, &stack);
+    let meas: Vec<Meas> = tasks.iter().map(|t| t.meas).collect();
+    let tps = meas
+        .iter()
+        .filter(|m| m.end > m.start)
+        .map(|m| m.items as f64 / (m.end - m.start).to_secs(cfg.cost.clock_ghz))
+        .sum();
     ExpResult {
-        engine: kind.name(),
-        cores: cfg.cores,
         msg_size: value_bytes,
-        gbps,
-        cpu,
-        items,
-        bytes,
-        per_item: per_item.per_item(items),
-        clock_ghz: clock,
-        latency_us: None,
         transactions_per_sec: Some(tps),
         shadow_bytes_peak: None,
+        ..collect(kind.name(), cfg, &sim, &meas, &stack)
     }
 }
 

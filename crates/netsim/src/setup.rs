@@ -132,8 +132,8 @@ pub struct SimStack {
     pub obs: Obs,
     /// The DMA-API sanitizer auditing every map/unmap (via the engine's
     /// observer hook) and every device access (via the observed [`Bus`]).
-    /// Lenient by default; strict under the `dmasan-strict` workspace
-    /// feature or `DMASAN_STRICT=1`.
+    /// Strict: the first violation panics with its detail string, so every
+    /// run of the stack is also a sanitizer run.
     pub san: Arc<DmaSan>,
     /// Driver traffic counters (views over `net.*` registry entries).
     pub net: NetCounters,
@@ -257,11 +257,9 @@ impl SimStack {
         // also sees every device-side access. The wrap happens *before*
         // ring allocation so coherent windows are registered too.
         let san = Arc::new(DmaSan::new(obs.clone()));
-        let engine: Box<dyn DmaEngine> = Box::new(TracedDma::with_observer(
-            engine,
-            obs.clone(),
-            san.clone() as Arc<dyn DmaObserver>,
-        ));
+        let observer = san.clone() as Arc<dyn DmaObserver>;
+        let engine: Box<dyn DmaEngine> =
+            Box::new(TracedDma::new(engine, obs.clone(), Some(observer)));
         let bus = match kind {
             EngineKind::NoIommu => Bus::Direct(mem.clone()),
             _ => Bus::Iommu {

@@ -12,11 +12,11 @@ use simcore::{
 
 /// Per-core measurement window.
 #[derive(Debug, Clone, Copy, Default)]
-struct Meas {
-    items: u64,
-    bytes: u64,
-    start: Cycles,
-    end: Cycles,
+pub(crate) struct Meas {
+    pub(crate) items: u64,
+    pub(crate) bytes: u64,
+    pub(crate) start: Cycles,
+    pub(crate) end: Cycles,
 }
 
 /// Modeled cycles the *sender machine* spends producing one MTU's worth of
@@ -186,7 +186,7 @@ impl CoreTask for TxTask<'_> {
     }
 }
 
-fn collect(
+pub(crate) fn collect(
     engine: &'static str,
     cfg: &ExpConfig,
     sim: &MultiCoreSim,
@@ -262,7 +262,7 @@ pub fn tcp_stream_rx(kind: EngineKind, cfg: &ExpConfig) -> ExpResult {
 /// registry.
 pub fn tcp_stream_rx_on(stack: &SimStack, cfg: &ExpConfig) -> ExpResult {
     let mut tasks: Vec<RxTask> = (0..cfg.cores).map(|c| RxTask::new(stack, cfg, c)).collect();
-    let (sim, _) = run_tasks(cfg, &mut tasks, stack);
+    let sim = run_tasks(cfg, &mut tasks, stack);
     let meas: Vec<Meas> = tasks.iter().map(|t| t.meas).collect();
     collect(stack.kind.name(), cfg, &sim, &meas, stack)
 }
@@ -277,12 +277,14 @@ pub fn tcp_stream_tx(kind: EngineKind, cfg: &ExpConfig) -> ExpResult {
 /// [`tcp_stream_rx_on`]).
 pub fn tcp_stream_tx_on(stack: &SimStack, cfg: &ExpConfig) -> ExpResult {
     let mut tasks: Vec<TxTask> = (0..cfg.cores).map(|c| TxTask::new(stack, cfg, c)).collect();
-    let (sim, _) = run_tasks(cfg, &mut tasks, stack);
+    let sim = run_tasks(cfg, &mut tasks, stack);
     let meas: Vec<Meas> = tasks.iter().map(|t| t.meas).collect();
     collect(stack.kind.name(), cfg, &sim, &meas, stack)
 }
 
-fn run_tasks<T>(cfg: &ExpConfig, tasks: &mut [T], stack: &SimStack) -> (MultiCoreSim, ())
+/// Runs one task per core to completion, then drains every deferred
+/// invalidation on a teardown context placed at the latest core's time.
+pub(crate) fn run_tasks<T>(cfg: &ExpConfig, tasks: &mut [T], stack: &SimStack) -> MultiCoreSim
 where
     T: CoreTask,
 {
@@ -307,7 +309,7 @@ where
     );
     stack.engine.flush_deferred(&mut tctx);
     stack.mmu.drain_pending(&mut tctx);
-    (sim, ())
+    sim
 }
 
 #[cfg(test)]

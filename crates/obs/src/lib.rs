@@ -12,6 +12,9 @@
 //!   (`DmaMap`/`DmaUnmap`, `IotlbInvalidate`, `PoolGrow`/`PoolShrink`,
 //!   `FallbackAcquire`, `AttackBlocked`, lock-contention spins) with
 //!   cause-chain spans.
+//! - [`Obs::locked`] / [`Obs::guarded`] / [`Obs::shared_access`] — the one
+//!   lock-site primitive: every instrumented lock emits its lockset events
+//!   (and reaches the model checker's yield hook) through these.
 //! - [`sink`] — a pretty-table text reporter and a JSON-lines exporter
 //!   (`BENCH_*.json` trajectory format) with a lossless importer.
 //! - [`breakdown`] — bridges [`simcore::Breakdown`] phase accounting onto
@@ -31,7 +34,7 @@
 //! ## Threading model
 //!
 //! An [`Obs`] handle bundles one registry + one tracer and clones cheaply
-//! (two `Arc`s). A simulation stack creates one `Obs` and hands clones to
+//! (one `Arc`). A simulation stack creates one `Obs` and hands clones to
 //! every component; components created standalone (unit tests) default to
 //! [`Obs::isolated`] so their numbers never bleed across tests.
 #![forbid(unsafe_code)]
@@ -40,6 +43,7 @@
 pub mod breakdown;
 pub mod flight;
 pub mod json;
+mod lock_site;
 pub mod metrics;
 pub mod profile;
 pub mod sink;
@@ -52,19 +56,18 @@ pub use metrics::{
     Registry, RegistrySnapshot, HIST_BUCKETS,
 };
 pub use profile::{ProfileNode, ProfileSnapshot, Profiler, SpanEvent};
-pub use trace::{
-    current_cause, span, Event, EventKind, SpanGuard, TraceStats, Tracer, DEFAULT_TRACE_CAPACITY,
-};
+pub use trace::{span, Event, EventKind, SpanGuard, TraceStats, Tracer, DEFAULT_TRACE_CAPACITY};
 
 use simcore::sync::RwLock;
 use simcore::Cycles;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// A schedule-interception hook: called with every detail-gated event kind
-/// recorded while detail events are enabled. The `modelcheck` crate installs
-/// one to turn instrumented lock sites into preemption points.
-pub type YieldHook = Arc<dyn Fn(&EventKind) + Send + Sync>;
+/// A schedule-interception hook: called with the lock's name at every
+/// instrumented lock site ([`Obs::locked`], [`Obs::guarded`]) reached while
+/// detail events are enabled. The `modelcheck` crate installs one to turn
+/// those sites into preemption points.
+pub type YieldHook = Arc<dyn Fn(&str) + Send + Sync>;
 
 #[derive(Default)]
 struct YieldHookCell(RwLock<Option<YieldHook>>);
@@ -80,25 +83,25 @@ impl std::fmt::Debug for YieldHookCell {
 /// A cheaply clonable handle bundling the metric [`Registry`] and the
 /// event [`Tracer`] for one simulation stack.
 #[derive(Debug, Clone)]
-pub struct Obs {
-    registry: Arc<Registry>,
-    tracer: Arc<Tracer>,
+pub struct Obs(Arc<Inner>);
+
+#[derive(Debug)]
+struct Inner {
+    registry: Registry,
+    tracer: Tracer,
     /// Latest virtual time any instrumented OS-side operation reported;
     /// device-side events (which carry no `CoreCtx`) are stamped with it.
-    now_hint: Arc<AtomicU64>,
+    now_hint: AtomicU64,
     /// Gates high-volume detail events (lockset `LockAcquire` /
     /// `LockRelease` / `SharedAccess`); off by default so benchmarks and
     /// ordinary runs never pay for or overflow the ring with them.
-    detail: Arc<AtomicBool>,
-    /// Fast flag mirroring `yield_hook.is_some()`, checked before the
-    /// `RwLock` so ordinary runs pay one relaxed load.
-    has_yield_hook: Arc<AtomicBool>,
+    detail: AtomicBool,
     /// The installed schedule-interception hook, if any.
-    yield_hook: Arc<YieldHookCell>,
+    yield_hook: YieldHookCell,
     /// The hierarchical virtual-time profiler (disabled by default).
     profiler: Arc<Profiler>,
     /// The flight recorder (disarmed by default).
-    flight: Arc<FlightRecorder>,
+    flight: FlightRecorder,
 }
 
 impl Default for Obs {
@@ -118,54 +121,44 @@ impl Obs {
 
     /// A fresh handle whose tracer retains at most `capacity` events.
     pub fn with_trace_capacity(capacity: usize) -> Self {
-        Obs {
-            registry: Arc::new(Registry::new()),
-            tracer: Arc::new(Tracer::with_capacity(capacity)),
-            now_hint: Arc::new(AtomicU64::new(0)),
-            detail: Arc::new(AtomicBool::new(false)),
-            has_yield_hook: Arc::new(AtomicBool::new(false)),
-            yield_hook: Arc::new(YieldHookCell::default()),
+        Obs(Arc::new(Inner {
+            registry: Registry::new(),
+            tracer: Tracer::with_capacity(capacity),
+            now_hint: AtomicU64::new(0),
+            detail: AtomicBool::new(false),
+            yield_hook: YieldHookCell::default(),
             profiler: Arc::new(Profiler::new()),
-            flight: Arc::new(FlightRecorder::default()),
-        }
+            flight: FlightRecorder::default(),
+        }))
     }
 
     /// Installs (or, with `None`, removes) the schedule-interception hook.
     ///
     /// While a hook is installed and detail events are enabled, every
-    /// detail-gated `trace` call invokes it with the event kind *after*
-    /// recording — the `modelcheck` executor uses this to hand control to
-    /// its scheduler at instrumented lock-acquisition points.
+    /// instrumented lock site invokes it with the lock's name right after
+    /// recording `LockAcquire` and *before* taking the lock — the
+    /// `modelcheck` executor uses this to hand control to its scheduler at
+    /// lock-acquisition points.
     pub fn set_yield_hook(&self, hook: Option<YieldHook>) {
-        self.has_yield_hook.store(hook.is_some(), Ordering::SeqCst);
-        *self.yield_hook.0.write() = hook;
-    }
-
-    fn fire_yield_hook(&self, kind: &EventKind) {
-        if self.has_yield_hook.load(Ordering::SeqCst) {
-            let hook = self.yield_hook.0.read().clone();
-            if let Some(hook) = hook {
-                hook(kind);
-            }
-        }
+        *self.0.yield_hook.0.write() = hook;
     }
 
     /// Enables or disables high-volume detail events (lockset
     /// instrumentation). Disabled by default.
     pub fn set_detail_enabled(&self, on: bool) {
-        self.detail.store(on, Ordering::Relaxed);
+        self.0.detail.store(on, Ordering::Relaxed);
     }
 
     /// True when detail events (lockset instrumentation) are enabled.
     pub fn detail_enabled(&self) -> bool {
-        self.detail.load(Ordering::Relaxed)
+        self.0.detail.load(Ordering::Relaxed)
     }
 
     /// Keeps 1 in `period` trace cause chains (see [`trace`] module docs);
     /// `0`/`1` mean "record everything". Metrics and security events are
     /// never sampled.
     pub fn set_trace_sampling(&self, period: u64) {
-        self.tracer.set_sample_period(period);
+        self.0.tracer.set_sample_period(period);
     }
 
     /// Advances the shared virtual-time hint (monotonic on the one
@@ -174,34 +167,34 @@ impl Obs {
     /// per packet. Host threads racing here can leave the hint briefly
     /// behind the latest report — it is a hint; nothing orders on it.
     pub fn set_now_hint(&self, at: Cycles) {
-        if at.0 > self.now_hint.load(Ordering::Relaxed) {
-            self.now_hint.store(at.0, Ordering::Relaxed);
+        if at.0 > self.0.now_hint.load(Ordering::Relaxed) {
+            self.0.now_hint.store(at.0, Ordering::Relaxed);
         }
     }
 
     /// Latest virtual time reported via [`Obs::set_now_hint`].
     pub fn now_hint(&self) -> Cycles {
-        Cycles(self.now_hint.load(Ordering::Relaxed))
+        Cycles(self.0.now_hint.load(Ordering::Relaxed))
     }
 
     /// The metric registry.
     pub fn registry(&self) -> &Registry {
-        &self.registry
+        &self.0.registry
     }
 
     /// The event tracer.
     pub fn tracer(&self) -> &Tracer {
-        &self.tracer
+        &self.0.tracer
     }
 
     /// The hierarchical profiler (see [`profile::task_scope`]).
     pub fn profiler(&self) -> &Arc<Profiler> {
-        &self.profiler
+        &self.0.profiler
     }
 
     /// The flight recorder (see [`flight::dump_now`]).
     pub fn flight(&self) -> &FlightRecorder {
-        &self.flight
+        &self.0.flight
     }
 
     /// Shorthand: get-or-create a counter.
@@ -211,13 +204,16 @@ impl Obs {
         name: &'static str,
         device: Option<u16>,
     ) -> Counter {
-        self.registry
+        self.0
+            .registry
             .counter(MetricKey::new(subsystem, name, device))
     }
 
     /// Shorthand: get-or-create a gauge.
     pub fn gauge(&self, subsystem: &'static str, name: &'static str, device: Option<u16>) -> Gauge {
-        self.registry.gauge(MetricKey::new(subsystem, name, device))
+        self.0
+            .registry
+            .gauge(MetricKey::new(subsystem, name, device))
     }
 
     /// Shorthand: get-or-create a histogram.
@@ -227,32 +223,18 @@ impl Obs {
         name: &'static str,
         device: Option<u16>,
     ) -> Histogram {
-        self.registry
+        self.0
+            .registry
             .histogram(MetricKey::new(subsystem, name, device))
     }
 
     /// Shorthand: record a trace event, returning its sequence number.
-    ///
-    /// If a [yield hook](Obs::set_yield_hook) is installed, it fires after
-    /// recording a `LockAcquire` event. All instrumented lock sites emit
-    /// `LockAcquire` *before* taking the underlying lock, so a hook that
-    /// blocks here never holds a host lock — the property the model
-    /// checker's schedule-controlled executor relies on.
     #[inline]
     pub fn trace(&self, at: Cycles, core: u16, device: Option<u16>, kind: EventKind) -> u64 {
         let security = kind.is_security();
         let name = kind.name();
-        // Only lock-acquire events need `kind` after recording (for the
-        // yield hook) — every other event moves it straight into the
-        // tracer without a clone.
-        let seq = if matches!(kind, EventKind::LockAcquire { .. }) {
-            let seq = self.tracer.record(at, core, device, kind.clone());
-            self.fire_yield_hook(&kind);
-            seq
-        } else {
-            self.tracer.record(at, core, device, kind)
-        };
-        if security && self.flight.armed() {
+        let seq = self.0.tracer.record(at, core, device, kind);
+        if security && self.0.flight.armed() {
             flight::dump_now(self, name);
         }
         seq
@@ -269,16 +251,16 @@ impl Obs {
     ) -> u64 {
         let security = kind.is_security();
         let name = kind.name();
-        let seq = self.tracer.record_caused(at, core, device, cause, kind);
-        if security && self.flight.armed() {
+        let seq = self.0.tracer.record_caused(at, core, device, cause, kind);
+        if security && self.0.flight.armed() {
             flight::dump_now(self, name);
         }
         seq
     }
 
-    /// True when `other` shares this handle's registry and tracer.
+    /// True when `other` is a clone of this handle.
     pub fn same_as(&self, other: &Obs) -> bool {
-        Arc::ptr_eq(&self.registry, &other.registry) && Arc::ptr_eq(&self.tracer, &other.tracer)
+        Arc::ptr_eq(&self.0, &other.0)
     }
 }
 
@@ -294,34 +276,6 @@ mod tests {
         assert_eq!(b.registry().snapshot().counter("x", "y", None), Some(1));
         assert!(a.same_as(&b));
         assert!(!a.same_as(&Obs::isolated()));
-    }
-
-    #[test]
-    fn cached_handles_survive_registry_adoption() {
-        // The hot-path pattern: components resolve handles once at
-        // construction, then a stack re-homes them onto a shared registry
-        // via adopt_*. The cached handle must keep feeding the shared view.
-        let private = Obs::isolated();
-        let cached_ctr = private.counter("pool", "acquires", Some(0));
-        let cached_gauge = private.gauge("pool", "in_flight", Some(0));
-        cached_ctr.add(3);
-        cached_gauge.add(2);
-
-        let shared = Obs::isolated();
-        shared
-            .registry()
-            .adopt_counter(MetricKey::new("pool", "acquires", Some(0)), &cached_ctr);
-        shared
-            .registry()
-            .adopt_gauge(MetricKey::new("pool", "in_flight", Some(0)), &cached_gauge);
-
-        // Updates through the ORIGINAL cached handles land in the shared
-        // registry — no re-resolution on the hot path.
-        cached_ctr.inc();
-        cached_gauge.set_max(9);
-        let snap = shared.registry().snapshot();
-        assert_eq!(snap.counter("pool", "acquires", Some(0)), Some(4));
-        assert_eq!(snap.gauge("pool", "in_flight", Some(0)), Some(9));
     }
 
     #[test]

@@ -384,24 +384,6 @@ impl Registry {
             .clone()
     }
 
-    /// Registers an existing counter handle under `key`, sharing its cell.
-    ///
-    /// Used when a component is re-homed onto a shared registry after
-    /// construction: increments made through the old handle stay visible.
-    pub fn adopt_counter(&self, key: MetricKey, c: &Counter) {
-        self.tables.write().counters.insert(key, c.clone());
-    }
-
-    /// Registers an existing gauge handle under `key`.
-    pub fn adopt_gauge(&self, key: MetricKey, g: &Gauge) {
-        self.tables.write().gauges.insert(key, g.clone());
-    }
-
-    /// Registers an existing histogram handle under `key`.
-    pub fn adopt_histogram(&self, key: MetricKey, h: &Histogram) {
-        self.tables.write().histograms.insert(key, h.clone());
-    }
-
     /// Takes a snapshot of every metric, sorted by key for deterministic
     /// rendering.
     pub fn snapshot(&self) -> RegistrySnapshot {
@@ -478,21 +460,6 @@ mod tests {
         c1.add(2);
         c2.inc();
         assert_eq!(r.snapshot().counter("a", "b", None), Some(3));
-    }
-
-    #[test]
-    fn adopt_preserves_counts() {
-        let old = Registry::new();
-        let k = MetricKey::new("pool", "acquires", Some(0));
-        let c = old.counter(k);
-        c.add(7);
-        let shared = Registry::new();
-        shared.adopt_counter(k, &c);
-        c.inc();
-        assert_eq!(
-            shared.snapshot().counter("pool", "acquires", Some(0)),
-            Some(8)
-        );
     }
 
     #[test]

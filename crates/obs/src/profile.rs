@@ -247,11 +247,6 @@ impl Profiler {
         self.spans_enabled.store(on, Ordering::Relaxed);
     }
 
-    /// True when the span log is recording.
-    pub fn span_log(&self) -> bool {
-        self.spans_enabled.load(Ordering::Relaxed)
-    }
-
     /// Caps retained span-log entries. When the cap is hit, further span
     /// *begins* are dropped (and counted); ends of already-logged spans
     /// are always retained so B/E pairs stay matched.
@@ -545,15 +540,6 @@ impl ProfileNode {
     /// Total cycles (self + descendants) summed over all phases.
     pub fn total(&self) -> u64 {
         self.total_cycles().iter().sum()
-    }
-
-    /// This node's self cycles as a [`Breakdown`].
-    pub fn self_breakdown(&self) -> Breakdown {
-        let mut b = Breakdown::new();
-        for (i, p) in Phase::ALL.iter().enumerate() {
-            b.record(*p, Cycles(self.self_cycles[i]));
-        }
-        b
     }
 
     /// Child with the given label, if present.

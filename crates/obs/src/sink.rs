@@ -329,21 +329,6 @@ pub fn render_table(snap: &RegistrySnapshot, trace: Option<&TraceStats>) -> Stri
     out
 }
 
-/// Renders recent events (up to `limit`, newest last) as indented lines,
-/// marking cause chains.
-pub fn render_events(events: &[Event], limit: usize) -> String {
-    let start = events.len().saturating_sub(limit);
-    let mut out = String::new();
-    for e in &events[start..] {
-        let dev = match e.device {
-            Some(d) => format!(" dev{d}"),
-            None => String::new(),
-        };
-        let _ = writeln!(out, "  #{:<6} {}{} {:?}", e.seq, e, dev, e.kind);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

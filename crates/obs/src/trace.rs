@@ -278,11 +278,6 @@ pub fn span(seq: u64) -> SpanGuard {
     SpanGuard { _priv: () }
 }
 
-/// The innermost open span's event seq, if any.
-pub fn current_cause() -> Option<u64> {
-    SPAN_TLS.with(|t| t.current_cause_entry().map(|(seq, _)| seq))
-}
-
 #[derive(Debug, Default)]
 struct Ring {
     events: VecDeque<Event>,

@@ -41,8 +41,7 @@ fn ctx() -> CoreCtx {
 }
 
 fn san() -> (DmaSan, CoreCtx) {
-    // Lenient so the crosscheck also runs under `--features dmasan-strict`
-    // (the violations here are the point, not a test failure).
+    // Lenient: the violations here are the point, not a test failure.
     (DmaSan::lenient(Obs::isolated()), ctx())
 }
 

@@ -182,3 +182,59 @@ fn scatter_gather_stream_matches_contiguous_bytes() {
     // Fragmented mapping costs at least as much management work.
     assert!(b.us_per_item() >= a.us_per_item() * 0.99);
 }
+
+#[test]
+fn unmap_sg_unmaps_every_element_after_a_failure() {
+    // A bogus middle element must not strand the mappings after it: every
+    // element is unmapped, and the first error is still reported.
+    use dma_shadowing::dma_api::{
+        DmaBuf, DmaDirection, DmaEngine, DmaError, DmaMapping, DmaObserver, TracedDma,
+    };
+    use dma_shadowing::dmasan::DmaSan;
+    use dma_shadowing::iommu::{DeviceId, Iommu, Iova};
+    use dma_shadowing::memsim::{NumaDomain, NumaTopology, PhysMemory};
+    use dma_shadowing::obs::Obs;
+    use dma_shadowing::shadow_core::{build_engine, PoolConfig};
+
+    let dev = DeviceId(0);
+    let obs = Obs::isolated();
+    let mem = Arc::new(PhysMemory::new(NumaTopology::tiny(64)));
+    let mmu = Arc::new(Iommu::with_obs(obs.clone()));
+    let inner = build_engine(
+        EngineKind::LinuxStrict,
+        mem.clone(),
+        mmu.clone(),
+        dev,
+        1,
+        false,
+        PoolConfig::default(),
+    );
+    // Lenient: the bogus unmap is a (recorded) violation by design.
+    let san = Arc::new(DmaSan::lenient(obs.clone()));
+    let engine = TracedDma::new(inner, obs, Some(san.clone() as Arc<dyn DmaObserver>));
+
+    let mut c = ctx();
+    let bufs: Vec<DmaBuf> = (0..3)
+        .map(|_| DmaBuf::new(mem.alloc_frame(NumaDomain(0)).unwrap().base(), 2048))
+        .collect();
+    let good = engine
+        .map_sg(&mut c, &bufs, DmaDirection::FromDevice)
+        .unwrap();
+    let bogus = DmaMapping {
+        iova: Iova(0x7fff_0000),
+        ..good[1]
+    };
+    let list = vec![good[0], bogus, good[1], good[2]];
+    assert_eq!(
+        engine.unmap_sg(&mut c, list),
+        Err(DmaError::BadUnmap(bogus.iova))
+    );
+    for m in &good {
+        assert!(
+            !mmu.is_mapped(dev, m.iova.page()),
+            "{:?} still mapped",
+            m.iova
+        );
+    }
+    assert_eq!(san.check_teardown(), 0, "no mapping leaked");
+}
