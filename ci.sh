@@ -7,7 +7,14 @@ cargo test -q --workspace
 # The standalone benchmark package binds to this workspace's public items
 # by name (benchmark/README.md, "What the benchmark binds to"); its tests
 # fail here, not in the pipeline, when a refactor breaks one. Read-only.
-cargo test --offline -q --manifest-path benchmark/Cargo.toml
+# One test is skipped: `known_broken_engines_are_counted_not_skipped` expects
+# `eiovar+` to corrupt payloads on rx_64k_256c_percore, and since PR 18
+# (per-core invalidation queues) it delivers every one — the signal
+# benchmark/README.md "Known program bug" says to expect. The follow-up is a
+# benchmark-only PR: empty `KNOWN_BROKEN`, move `sim_gbps.eiovar_plus` back
+# among the end-to-end metrics, and drop this skip.
+cargo test --offline -q --manifest-path benchmark/Cargo.toml -- \
+    --skip known_broken_engines_are_counted_not_skipped
 # Lint, split like the workflow: the fast style pass first (cheap,
 # pre-commit-friendly), then the full pass (interprocedural protocol
 # typestate checker, device-taint, lock-order, unsafe audit, dead-waiver)
@@ -31,7 +38,9 @@ cargo run -q --release --example telemetry_report
 cargo run -q --release --bin profile_report
 # Scaling sweep: Figures 6-8 extended along the core-count axis
 # (16/64/128/256 virtual cores, global vs per-core allocation state);
-# writes the curve artifacts to target/scaling_curves.{csv,jsonl}.
+# writes the curve artifacts to target/scaling_curves.{csv,jsonl} and
+# fails if percore strict / identity+ degrade from 64 to 256 cores or fall
+# more than 2x behind copy at 64 (ROADMAP item 4's target).
 cargo bench -p bench --bench scaling
 # Perf-trajectory trend report: per-label deltas across the whole
 # BENCH_HOST.json history, flagging any workload slower than its

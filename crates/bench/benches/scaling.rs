@@ -63,7 +63,7 @@ fn measure(kind: EngineKind, cores: usize, percore: bool) -> Point {
         .engine
         .iova_lock_stats()
         .map_or(("none", 0), |(name, s)| (name, s.total_spin.get()));
-    let invalq = stack.mmu.invalq().lock().stats();
+    let invalq = stack.mmu.invalq().lock_stats();
     Point {
         engine: kind.name(),
         cores,
@@ -179,6 +179,32 @@ fn main() {
         csv_path.display(),
         jsonl_path.display()
     );
-    println!("(per-core magazines shard the IOVA allocator and batch invalidation");
-    println!(" queue postings; the global config reproduces Figures 6-8's collapse)");
+    println!("(per-core magazines shard the IOVA allocator and give every core its own");
+    println!(" invalidation queue; the global config reproduces Figures 6-8's collapse)");
+    check_roadmap_target(&points);
+}
+
+/// ROADMAP item 4's target as a failing check: with the queue lock shed,
+/// the percore strict engines keep scaling from 64 to 256 cores and stay
+/// within 2x of *copy* at 64.
+fn check_roadmap_target(points: &[Point]) {
+    let gbps = |kind: EngineKind, cores: usize| {
+        points
+            .iter()
+            .find(|p| p.percore && p.engine == kind.name() && p.cores == cores)
+            .expect("swept point")
+            .gbps
+    };
+    let copy = gbps(EngineKind::Copy, 64);
+    for kind in [EngineKind::LinuxStrict, EngineKind::IdentityPlus] {
+        let (at64, at128, at256) = (gbps(kind, 64), gbps(kind, 128), gbps(kind, 256));
+        assert!(
+            at64 <= at128 && at128 <= at256,
+            "percore {kind} degrades past 64 cores: {at64:.2} / {at128:.2} / {at256:.2} Gb/s"
+        );
+        assert!(
+            at64 * 2.0 >= copy,
+            "percore {kind} at 64 cores is {at64:.2} Gb/s, more than 2x behind copy's {copy:.2}"
+        );
+    }
 }

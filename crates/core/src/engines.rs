@@ -125,8 +125,9 @@ pub fn build_shadow(
 ///
 /// `percore` shards hot allocation state per core: here that is the IOVA
 /// allocator of the stock-Linux pair and the shadow pool's magazines
-/// ([`build_shadow`]); the caller pairs it with a batched invalidation
-/// queue in `mmu`. `pool_cfg` is used by *copy* only.
+/// ([`build_shadow`]); the caller pairs it with one invalidation queue
+/// per core in `mmu` (`Iommu::with_queues`), which changes where a strict
+/// unmap waits, not what it guarantees. `pool_cfg` is used by *copy* only.
 pub fn build_engine(
     kind: EngineKind,
     mem: Arc<PhysMemory>,
@@ -310,20 +311,32 @@ mod tests {
     }
 
     #[test]
-    fn strict_over_a_batched_queue_declares_the_bounded_window() {
-        // Per-core pending rings park "synchronous" page invalidations, so
-        // only the hardware path keeps a no-window claim.
-        for r in ROWS {
-            let batched = Rig::on(
-                Iommu::with_obs_batched(obs::Obs::isolated(), 1, 4),
-                |mem, mmu| build_engine(r.kind, mem, mmu, DEV, 1, true, PoolConfig::default()),
-            );
+    fn strict_over_per_core_queues_declares_and_leaves_no_window() {
+        // Per-core queues change where a strict unmap waits, not when the
+        // IOTLB entry dies: the declaration is the unsharded one, and a
+        // warmed translation is dead the moment unmap returns.
+        for row in ROWS {
+            let mut r = Rig::on(Iommu::with_queues(obs::Obs::isolated(), 4), |mem, mmu| {
+                build_engine(row.kind, mem, mmu, DEV, 4, true, PoolConfig::default())
+            });
             assert_eq!(
-                batched.eng.profile().no_vulnerability_window,
-                r.inval == Inval::Hardware,
+                r.eng.profile().no_vulnerability_window,
+                row.inval != Inval::Deferred,
                 "{}",
-                r.kind
+                row.kind
             );
+            if row.inval == Inval::Strict {
+                r.ctx = CoreCtx::new(CoreId(3), r.ctx.cost.clone());
+                let buf = DmaBuf::new(r.frames(1).base(), 100);
+                let m = r.map(buf, DmaDirection::FromDevice);
+                r.bus.write(DEV, m.iova.get(), b"warm").unwrap();
+                r.unmap(m);
+                assert!(
+                    r.bus.write(DEV, m.iova.get(), b"late").is_err(),
+                    "{}",
+                    row.kind
+                );
+            }
         }
     }
 

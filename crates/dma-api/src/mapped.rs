@@ -218,11 +218,8 @@ impl DmaEngine for MappedDma {
             uses_iommu: true,
             sub_page: false,
             no_vulnerability_window: match self.inval {
-                // A batched queue parks "synchronous" page invalidations in
-                // per-core rings, reopening a bounded §2.2.1 window.
-                InvalPolicy::Strict => !self.mmu.invalq().batching(),
+                InvalPolicy::Strict | InvalPolicy::Hardware => true,
                 InvalPolicy::Deferred(_) => false,
-                InvalPolicy::Hardware => true,
             },
         }
     }

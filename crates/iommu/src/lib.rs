@@ -13,7 +13,9 @@
 //! - [`InvalQueue`] — the cyclic invalidation queue. Posting an
 //!   invalidation and busy-waiting on its wait descriptor costs ≈2000
 //!   cycles and is serialized by a single lock, the scalability bottleneck
-//!   of strict zero-copy protection (§2.2.1, Figure 8).
+//!   of strict zero-copy protection (§2.2.1, Figure 8). Built with one
+//!   queue per core ([`Iommu::with_queues`]) the lock is shed; the
+//!   hardware wait is not.
 //! - [`Iommu`] — ties the above together: OS-side map/unmap/invalidate
 //!   operations (charged to a [`simcore::CoreCtx`]) and device-side DMA
 //!   translation (uncharged — devices are not CPUs).
@@ -27,12 +29,10 @@ mod invalq;
 mod iotlb;
 mod mmu;
 mod pagetable;
-mod pending;
 mod types;
 
 pub use invalq::{InvalQueue, InvalQueueStats, INVALQ_LOCK};
 pub use iotlb::{Iotlb, IotlbStats};
 pub use mmu::{Iommu, IommuError, DEVICE_SIDE_CORE};
 pub use pagetable::{IoPageTable, PtEntry, PtError};
-pub use pending::{PendingRing, INVALQ_PENDING_LOCK};
 pub use types::{Access, DeviceId, DmaFault, FaultReason, Iova, IovaPage, Perms};

@@ -100,10 +100,17 @@ impl Iommu {
 
     /// Creates an IOMMU reporting into a shared telemetry handle.
     pub fn with_obs(obs: Obs) -> Self {
+        Iommu::with_queues(obs, 1)
+    }
+
+    /// Creates an IOMMU with `queues` hardware invalidation queues (see
+    /// [`InvalQueue::with_queues`]): one is the paper's machine, one per
+    /// core lets a strict unmap wait only on its own queue.
+    pub fn with_queues(obs: Obs, queues: usize) -> Self {
         Iommu {
             tables: RwLock::new(FxHashMap::default()),
             iotlb: Mutex::new(Iotlb::default_hw()),
-            invalq: InvalQueue::with_obs(obs.clone()),
+            invalq: InvalQueue::with_queues(obs.clone(), queues),
             faults: Mutex::new(Vec::new()),
             iotlb_hits: obs.counter("iotlb", "hits", None),
             iotlb_misses: obs.counter("iotlb", "misses", None),
@@ -111,18 +118,6 @@ impl Iommu {
             unmap_ops: obs.counter("mmu", "unmap_pages", None),
             fault_ctr: obs.counter("mmu", "faults", None),
             obs,
-        }
-    }
-
-    /// Creates an IOMMU whose invalidation queue batches page
-    /// invalidations in per-core pending rings, drained into the global
-    /// queue every `batch` entries per core (see
-    /// [`InvalQueue::with_obs_batched`]). Callers must close the final
-    /// windows with [`Iommu::drain_pending`] before teardown.
-    pub fn with_obs_batched(obs: Obs, cores: usize, batch: usize) -> Self {
-        Iommu {
-            invalq: InvalQueue::with_obs_batched(obs.clone(), cores, batch),
-            ..Self::with_obs(obs)
         }
     }
 
@@ -198,7 +193,7 @@ impl Iommu {
     }
 
     /// Synchronously invalidates one IOVA page of `dev` in the IOTLB
-    /// (queue lock + posted command + completion wait).
+    /// (the calling core's queue lock + posted command + completion wait).
     pub fn invalidate_page_sync(&self, ctx: &mut CoreCtx, dev: DeviceId, page: IovaPage) {
         self.invalq
             .invalidate_page_sync(ctx, &self.iotlb, dev, page);
@@ -214,18 +209,6 @@ impl Iommu {
     /// domain-selective command (the deferred batch drain).
     pub fn flush_device_sync(&self, ctx: &mut CoreCtx, dev: DeviceId) {
         self.invalq.flush_device_sync(ctx, &self.iotlb, dev);
-    }
-
-    /// Drains every core's pending invalidation ring into the global
-    /// queue (no-op without batching). The teardown path: after this no
-    /// deferred window opened by batching remains.
-    pub fn drain_pending(&self, ctx: &mut CoreCtx) {
-        self.invalq.drain_pending_all(ctx, &self.iotlb);
-    }
-
-    /// Drains only the calling core's pending invalidation ring.
-    pub fn drain_pending_local(&self, ctx: &mut CoreCtx) {
-        self.invalq.drain_pending_local(ctx, &self.iotlb);
     }
 
     /// Hardware-initiated invalidation of one page: models IOTLB entries

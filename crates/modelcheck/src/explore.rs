@@ -50,7 +50,7 @@ pub struct Config {
     /// [`Report::unknown_locks`]. `None` disables the check.
     pub known_locks: Option<Vec<String>>,
     /// Build every rig with per-core allocation state (pool magazines,
-    /// per-core IOVA allocator, batched invalidation rings) — the
+    /// per-core IOVA allocator, one invalidation queue per mapper) — the
     /// `netsim` `percore` configuration, under the checker.
     pub percore: bool,
 }

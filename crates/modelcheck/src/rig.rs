@@ -32,12 +32,6 @@ pub const MC_DEV: DeviceId = DeviceId(7);
 /// the sub-page and the stale-window exposure.
 pub const PROBE_READ_LEN: usize = TAIL_OFF + 16;
 
-/// Pending-ring batch threshold for per-core rigs. Deliberately larger
-/// than the page count any bounded script posts (one page per mapper), so
-/// nothing drains mid-schedule and the bounded §2.2.1 window that per-core
-/// batching opens stays visible to the probing device.
-pub const MC_PERCORE_BATCH: usize = 4;
-
 /// The protection strategies the checker explores — the paper's Table 1
 /// set plus the no-IOMMU baseline and the self-invalidating ablation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -160,8 +154,8 @@ pub struct Rig {
     /// Strategy this rig was built for.
     pub strategy: Strategy,
     /// Whether the rig was built with per-core allocation state (shadow
-    /// pool magazines, per-core IOVA allocator, batched invalidation
-    /// rings).
+    /// pool magazines, per-core IOVA allocator, one invalidation queue per
+    /// mapper).
     pub percore: bool,
 }
 
@@ -179,25 +173,17 @@ impl Rig {
     /// With `percore`, the hot allocation state is sharded per simulated
     /// core the way `netsim`'s `percore` configs shard it: the shadow pool
     /// gets per-core magazines, the Linux engines the per-core IOVA
-    /// allocator, and the IOMMU per-core pending-invalidation rings
-    /// (batch threshold [`MC_PERCORE_BATCH`]). Batching parks synchronous
-    /// page invalidations, so strict engines that stake their no-window
-    /// claim on them reopen a *bounded* §2.2.1 window — the engine's own
-    /// profile declares it, and the explorer proves it exists.
+    /// allocator, and the IOMMU one invalidation queue per mapper. A
+    /// strict unmap then waits only on its own queue and still returns
+    /// with the IOTLB entry gone, so every engine declares what it
+    /// declares unsharded — and the explorer proves it.
     pub fn build(strategy: Strategy, mappers: usize, with_san: bool, percore: bool) -> Rig {
         assert!(mappers >= 1, "need at least one mapper");
         let obs = Obs::with_trace_capacity(4096);
         obs.set_trace_sampling(1);
         let mem = Arc::new(PhysMemory::new(NumaTopology::tiny(256)));
-        let mmu = if percore {
-            Arc::new(Iommu::with_obs_batched(
-                obs.clone(),
-                mappers,
-                MC_PERCORE_BATCH,
-            ))
-        } else {
-            Arc::new(Iommu::with_obs(obs.clone()))
-        };
+        let queues = if percore { mappers } else { 1 };
+        let mmu = Arc::new(Iommu::with_queues(obs.clone(), queues));
         let engine = build_engine(
             strategy.kind(),
             mem.clone(),

@@ -84,7 +84,6 @@ pub fn tcp_rr(kind: EngineKind, cfg: &ExpConfig) -> ExpResult {
         }
     }
     stack.engine.flush_deferred(&mut ctx);
-    stack.mmu.drain_pending(&mut ctx);
 
     let window = ctx.now().saturating_sub(meas_start);
     let gbps = if window > Cycles::ZERO {

@@ -55,11 +55,12 @@ pub struct ExpConfig {
     /// Shard hot allocation state per core: per-core shadow-pool magazines
     /// for the copy engine, the magazine-backed per-core IOVA allocator for
     /// the stock-Linux engines (both substituted by
-    /// `shadow_core::build_engine`), and per-core invalidation batching in
-    /// the IOMMU's queue. Engine names are unchanged so scaling curves
-    /// compare like for like; batched invalidation has the §2.2.1
-    /// deferred-window semantics (entries invalidate at batch boundaries,
-    /// not per unmap), which strict engines' profiles then declare.
+    /// `shadow_core::build_engine`), and one IOMMU invalidation queue per
+    /// core (`Iommu::with_queues`). Engine names are unchanged so scaling
+    /// curves compare like for like, and so are their protection profiles:
+    /// a strict unmap still returns with its IOTLB entry gone, it only
+    /// stops waiting behind other cores' invalidations. Domain-selective
+    /// flushes (the deferred engines' drain) stay on queue 0.
     pub percore: bool,
 }
 
@@ -151,12 +152,6 @@ impl fmt::Debug for SimStack {
 /// The NIC's requester id in every experiment.
 pub const NIC_DEV: DeviceId = DeviceId(0);
 
-/// Per-core pending-invalidation ring threshold used by percore stacks:
-/// a ring reaching this many entries is drained into the global
-/// invalidation queue in one lock hold (cf. Linux's 250-entry deferred
-/// flush list; the ring batches the *queue postings* themselves).
-pub const PERCORE_INVALQ_BATCH: usize = 32;
-
 /// Driver-level traffic counters (`net.*` on the NIC device), shared by
 /// all cores and incremented by [`crate::CoreDriver`]'s fast paths.
 #[derive(Debug, Clone)]
@@ -211,15 +206,8 @@ impl SimStack {
             )
         };
         let mem = Arc::new(PhysMemory::new(topo));
-        let mmu = if cfg.percore {
-            Arc::new(Iommu::with_obs_batched(
-                obs.clone(),
-                cores,
-                PERCORE_INVALQ_BATCH,
-            ))
-        } else {
-            Arc::new(Iommu::with_obs(obs.clone()))
-        };
+        let queues = if cfg.percore { cores } else { 1 };
+        let mmu = Arc::new(Iommu::with_queues(obs.clone(), queues));
         let cost = Arc::new(cfg.cost.clone());
         let pool_cfg = cfg.pool_config.clone().unwrap_or_default();
         let engine: Box<dyn DmaEngine> = if kind == EngineKind::Copy && cfg.use_copy_hint {
@@ -322,9 +310,6 @@ impl SimStack {
                 .expect("tx ring free_coherent");
         }
         self.engine.flush_deferred(ctx);
-        // Percore stacks park invalidations in per-core rings; drain them
-        // so no translation outlives the driver.
-        self.mmu.drain_pending(ctx);
     }
 
     /// Convenience single-packet loopback used by docs and smoke tests:
@@ -400,10 +385,9 @@ mod tests {
 
     #[test]
     fn percore_stack_tears_down_leak_free() {
-        // The per-core machinery (pool magazines, IOVA magazines, pending
-        // invalidation rings) parks state outside the shared structures;
-        // teardown must return all of it — the sanitizer sees no leaked
-        // mappings and the IOMMU holds no pending invalidations.
+        // The per-core machinery (pool magazines, IOVA magazines) parks
+        // state outside the shared structures; teardown must return all of
+        // it — the sanitizer sees no leaked mappings.
         for kind in EngineKind::ALL {
             let cfg = ExpConfig {
                 percore: true,
@@ -418,11 +402,37 @@ mod tests {
             stack.teardown(&mut ctx);
             assert_eq!(stack.san.check_teardown(), 0, "engine {kind} leaks");
             assert_eq!(stack.san.violation_count(), 0, "engine {kind} violations");
-            assert_eq!(
-                stack.mmu.invalq().pending_len(),
-                0,
-                "engine {kind} leaves pending invalidations"
-            );
+        }
+    }
+
+    #[test]
+    fn percore_delivers_intact_payloads_on_every_engine() {
+        // A per-core IOVA cache hands a just-freed range straight back to
+        // the same core; that is only safe if the unmap's invalidation is
+        // complete when it returns. `verify_data` panics on a corrupted
+        // delivery and the stack's sanitizer on the first violation, so
+        // reaching the end is the assertion.
+        for kind in EngineKind::ALL {
+            let cfg = ExpConfig {
+                cores: 16,
+                msg_size: devices::MTU,
+                items_per_core: 500,
+                warmup_per_core: 50,
+                percore: true,
+                ..ExpConfig::quick()
+            };
+            assert!(cfg.verify_data);
+            let stack = SimStack::new(kind, &cfg);
+            let r = crate::tcp_stream_rx_on(&stack, &cfg);
+            assert_eq!(r.items, 16 * 500, "engine {kind} RX");
+            assert_eq!(stack.san.violation_count(), 0, "engine {kind} RX");
+            // RR alternates TX and RX maps on one core, the tightest reuse.
+            let cfg = ExpConfig {
+                cores: 1,
+                msg_size: 64,
+                ..cfg
+            };
+            assert_eq!(crate::tcp_rr(kind, &cfg).items, 500, "engine {kind} RR");
         }
     }
 

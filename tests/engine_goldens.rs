@@ -42,27 +42,12 @@ const RR: Workload = Workload {
     msg_size: 64,
 };
 
-/// Percore runs that abort on delivery today and so cannot be pinned:
-/// the allocator (EiovaR's cache, or *strict*'s per-core magazine on RR,
-/// where one core alternates TX and RX on the same range) recycles an IOVA
-/// whose invalidation is still parked in a per-core pending ring, and the
-/// NIC goes through the stale IOTLB entry — ROADMAP item 4. Every other
-/// (workload, engine, percore) combination is pinned.
-const PERCORE_BROKEN: [(&str, EngineKind); 3] = [
-    ("rx_mtu_16c", EngineKind::EiovarStrict),
-    ("rr_64b_1c", EngineKind::EiovarStrict),
-    ("rr_64b_1c", EngineKind::LinuxStrict),
-];
-
 /// One fixture line per (workload, percore, engine), in the fixture's order.
 fn actual_rows(w: &Workload) -> Vec<String> {
     let engines = EngineKind::ALL.into_iter().chain([EngineKind::SelfInvalHw]);
     let mut rows = Vec::new();
     for percore in [false, true] {
         for kind in engines.clone() {
-            if percore && PERCORE_BROKEN.contains(&(w.name, kind)) {
-                continue;
-            }
             let cfg = ExpConfig {
                 cores: w.cores,
                 msg_size: w.msg_size,

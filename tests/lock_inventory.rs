@@ -16,11 +16,7 @@ fn static_inventory_covers_model_checker_runtime_locks() {
     assert!(!names.is_empty(), "static lock inventory came back empty");
     // The per-core configuration's locks must be in the static map before
     // any percore run is checked against it.
-    for percore_lock in [
-        "pool-magazine",
-        "invalq-pending-ring",
-        "scalable-iova-shared",
-    ] {
+    for percore_lock in ["pool-magazine", "scalable-iova-shared"] {
         assert!(
             names.iter().any(|n| n == percore_lock),
             "static inventory {names:?} is missing `{percore_lock}`"
@@ -28,8 +24,8 @@ fn static_inventory_covers_model_checker_runtime_locks() {
     }
     // Copy exercises the pool locks; linux-deferred exercises the IOVA
     // allocator, the deferred flush list, and the invalidation queue. The
-    // percore variants add the magazine, pending-ring, and shared-pool
-    // locks to the runtime set.
+    // percore variants add the magazine and shared-pool locks to the
+    // runtime set, and take the invalidation-queue lock once per core.
     for (strategy, percore) in [
         (Strategy::Copy, false),
         (Strategy::LinuxDeferred, false),
