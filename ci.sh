@@ -15,14 +15,11 @@ cargo test -q --workspace
 # among the end-to-end metrics, and drop this skip.
 cargo test --offline -q --manifest-path benchmark/Cargo.toml -- \
     --skip known_broken_engines_are_counted_not_skipped
-# Lint, split like the workflow: the fast style pass first (cheap,
-# pre-commit-friendly), then the full pass (interprocedural protocol
-# typestate checker, device-taint, lock-order, unsafe audit, dead-waiver)
-# with the machine-readable report artifact. The full pass carries a
-# wall-clock budget: if the summary/taint machinery ever makes the lint
-# slow enough to discourage running it, that is a CI failure, not a
-# shrug.
-cargo run -q --bin lint -- --fast
+# Lint: one pass (style, the DMA protocol rules the handle types cannot
+# state, device-taint, lock-order, unsafe audit, dead-waiver) with the
+# machine-readable report artifact. It takes about a second and carries a
+# wall-clock budget: if it ever gets slow enough to discourage running it,
+# that is a CI failure, not a shrug.
 cargo run -q --bin lint -- --json target/lint_report.json --budget-ms 60000
 # Bounded model checking: prove the strict strategies hold the protection
 # invariant within bounds and replay the committed deferred-invalidation

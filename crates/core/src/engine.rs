@@ -3,6 +3,7 @@
 
 // lint: allow(panic) — pool-reclaim invariants are bugs if violated, not runtime errors
 
+use crate::pool::ShadowRef;
 use crate::{HugeMapper, PoolConfig, ShadowPool};
 use dma_api::{
     CoherentBuffer, CoherentHelper, DmaBuf, DmaDirection, DmaEngine, DmaError, DmaMapping,
@@ -137,13 +138,25 @@ impl ShadowDma {
         *self.hint.lock() = Some(hint);
     }
 
-    /// The number of bytes to copy back for a device-written buffer,
-    /// consulting the hint if registered.
-    fn copy_back_len(&self, shadow_bytes: &[u8], mapped_len: usize) -> usize {
-        match &*self.hint.lock() {
-            Some(h) => h(shadow_bytes).min(mapped_len),
+    /// `dma_unmap`'s half of the shadowing: moves the device-written
+    /// bytes from the shadow into the OS buffer — all `mapped_len` of
+    /// them, or as many as the copying hint (if registered) asks for
+    /// after looking at them.
+    fn copy_back(
+        &self,
+        ctx: &mut CoreCtx,
+        sref: &ShadowRef,
+        mapped_len: usize,
+    ) -> Result<(), DmaError> {
+        let n = match &*self.hint.lock() {
+            Some(h) => h(&self.mem.read_vec(sref.shadow_pa, mapped_len)?).min(mapped_len),
             None => mapped_len,
-        }
+        };
+        obs::profile::scope(ctx, "copy_back", |ctx| {
+            self.mem.copy(sref.shadow_pa, sref.os_pa, n)?;
+            self.charge_copy(ctx, n, self.is_cross_numa(sref.shadow_pa, sref.os_pa));
+            Ok(())
+        })
     }
 
     fn charge_copy(&self, ctx: &mut CoreCtx, len: usize, cross_numa: bool) {
@@ -229,24 +242,18 @@ impl DmaEngine for ShadowDma {
             .find_shadow(mapping.iova)
             .ok_or(DmaError::BadUnmap(mapping.iova))?;
         debug_assert_eq!(sref.os_pa, mapping.os_pa, "find_shadow is consistent");
-        if mapping.dir.device_writes() {
-            // Consult the copying hint (if any) on the DMAed bytes; without
-            // a hint the whole mapped length is copied back.
-            let n = if self.hint.lock().is_some() {
-                let shadow_bytes = self.mem.read_vec(sref.shadow_pa, mapping.len)?;
-                self.copy_back_len(&shadow_bytes, mapping.len)
-            } else {
-                mapping.len
-            };
-            obs::profile::scope(ctx, "copy_back", |ctx| {
-                self.mem.copy(sref.shadow_pa, sref.os_pa, n)?;
-                self.charge_copy(ctx, n, self.is_cross_numa(sref.shadow_pa, sref.os_pa));
-                Ok::<(), DmaError>(())
-            })?;
-        }
-        obs::profile::scope(ctx, "pool_release", |ctx| {
+        let copied = if mapping.dir.device_writes() {
+            self.copy_back(ctx, &sref, mapping.len)
+        } else {
+            Ok(())
+        };
+        // `mapping` is consumed, so the caller cannot retry: a failed
+        // copy-back must not strand the slot in flight. Release on every
+        // path and report the first error.
+        let released = obs::profile::scope(ctx, "pool_release", |ctx| {
             self.pool.release_shadow(ctx, mapping.iova)
-        })
+        });
+        copied.and(released)
     }
 
     fn alloc_coherent(&self, ctx: &mut CoreCtx, len: usize) -> Result<CoherentBuffer, DmaError> {
@@ -383,11 +390,12 @@ mod tests {
             .eng
             .map(&mut r.ctx, buf, DmaDirection::FromDevice)
             .unwrap();
-        r.bus.write(DEV, m.iova.get(), &vec![1u8; 1500]).unwrap();
+        let stale = m.iova;
+        r.bus.write(DEV, stale.get(), &vec![1u8; 1500]).unwrap();
         r.eng.unmap(&mut r.ctx, m).unwrap();
         let os_after = r.mem.read_vec(buf.pa, 1500).unwrap();
         // Late device write to the (still-mapped) shadow succeeds...
-        r.bus.write(DEV, m.iova.get(), &vec![9u8; 1500]).unwrap();
+        r.bus.write(DEV, stale.get(), &vec![9u8; 1500]).unwrap();
         // ...but the OS buffer is unaffected.
         assert_eq!(r.mem.read_vec(buf.pa, 1500).unwrap(), os_after);
     }
@@ -506,8 +514,9 @@ mod tests {
         let c = r.eng.alloc_coherent(&mut r.ctx, 4096 * 3).unwrap();
         r.bus.write(DEV, c.iova.get(), b"descriptor ring").unwrap();
         assert_eq!(r.mem.read_vec(c.pa, 15).unwrap(), b"descriptor ring");
+        let stale = c.iova;
         r.eng.free_coherent(&mut r.ctx, c).unwrap();
-        assert!(r.bus.write(DEV, c.iova.get(), b"x").is_err());
+        assert!(r.bus.write(DEV, stale.get(), b"x").is_err());
     }
 
     #[test]
@@ -536,6 +545,24 @@ mod tests {
         let p = r.eng.profile();
         assert!(p.uses_iommu && p.sub_page && p.no_vulnerability_window);
         assert_eq!(r.eng.name(), "copy");
+    }
+
+    #[test]
+    fn failed_copy_back_still_releases_the_slot() {
+        // `unmap` consumes the handle, so it cannot leave the revocation
+        // half done for a retry that can never come.
+        let mut r = rig();
+        let buf = os_buf(&r, 1500);
+        let m = r
+            .eng
+            .map(&mut r.ctx, buf, DmaDirection::FromDevice)
+            .unwrap();
+        r.mem.free_frames(buf.pa.pfn(), 1).unwrap();
+        assert!(matches!(
+            r.eng.unmap(&mut r.ctx, m),
+            Err(DmaError::Mem(memsim::MemError::Unallocated(_)))
+        ));
+        assert_eq!(r.eng.pool().stats().in_flight, 0);
     }
 
     #[test]

@@ -329,10 +329,11 @@ mod tests {
                 r.ctx = CoreCtx::new(CoreId(3), r.ctx.cost.clone());
                 let buf = DmaBuf::new(r.frames(1).base(), 100);
                 let m = r.map(buf, DmaDirection::FromDevice);
-                r.bus.write(DEV, m.iova.get(), b"warm").unwrap();
+                let stale = m.iova;
+                r.bus.write(DEV, stale.get(), b"warm").unwrap();
                 r.unmap(m);
                 assert!(
-                    r.bus.write(DEV, m.iova.get(), b"late").is_err(),
+                    r.bus.write(DEV, stale.get(), b"late").is_err(),
                     "{}",
                     row.kind
                 );
@@ -393,7 +394,8 @@ mod tests {
             assert_eq!(m.iova.page_offset(), 128, "{}", row.kind);
             assert_eq!(m.iova.get() == buf.pa.get(), row.identity, "{}", row.kind);
 
-            r.bus.write(DEV, m.iova.get(), &vec![0xabu8; 1500]).unwrap();
+            let stale = m.iova;
+            r.bus.write(DEV, stale.get(), &vec![0xabu8; 1500]).unwrap();
             r.unmap(m);
             assert_eq!(r.mem.read_vec(buf.pa, 1500).unwrap(), vec![0xab; 1500]);
 
@@ -401,7 +403,7 @@ mod tests {
                 // VULNERABILITY WINDOW: the stale IOTLB entry still works
                 // until the deferred flush.
                 assert!(
-                    r.bus.write(DEV, m.iova.get(), b"attack").is_ok(),
+                    r.bus.write(DEV, stale.get(), b"attack").is_ok(),
                     "{}",
                     row.kind
                 );
@@ -410,7 +412,7 @@ mod tests {
                 assert_eq!(r.pending(), 0, "{}", row.kind);
             }
             assert!(
-                r.bus.write(DEV, m.iova.get(), b"late").is_err(),
+                r.bus.write(DEV, stale.get(), b"late").is_err(),
                 "{}",
                 row.kind
             );
@@ -556,16 +558,18 @@ mod tests {
             let mut r = rig(row.kind);
             let pfn = r.frames(2);
             let m1 = r.map(DmaBuf::new(pfn.base(), 64), DmaDirection::ToDevice);
+            let page1 = m1.iova.page();
             r.unmap(m1);
             // The next map must NOT reuse the pending IOVA.
             let m2 = r.map(DmaBuf::new(pfn.add(1).base(), 64), DmaDirection::ToDevice);
-            assert_ne!(m2.iova.page(), m1.iova.page(), "{}", row.kind);
+            let page2 = m2.iova.page();
+            assert_ne!(page2, page1, "{}", row.kind);
             r.unmap(m2);
             r.flush();
             // After the flush both ranges are reusable.
             let m3 = r.map(DmaBuf::new(pfn.base(), 64), DmaDirection::ToDevice);
             assert!(
-                [m1.iova.page(), m2.iova.page()].contains(&m3.iova.page()),
+                [page1, page2].contains(&m3.iova.page()),
                 "{}: IOVA recycled only after flush",
                 row.kind
             );
@@ -599,14 +603,11 @@ mod tests {
             let c = r.eng.alloc_coherent(&mut r.ctx, 16384).unwrap();
             assert_eq!(c.pages, 4);
             assert_eq!(c.iova.get() == c.pa.get(), row.identity, "{}", row.kind);
-            r.bus.write(DEV, c.iova.get(), b"ring entry").unwrap();
+            let stale = c.iova;
+            r.bus.write(DEV, stale.get(), b"ring entry").unwrap();
             r.eng.free_coherent(&mut r.ctx, c).unwrap();
             // Even under a deferred engine, coherent free is strict.
-            assert!(
-                r.bus.write(DEV, c.iova.get(), b"x").is_err(),
-                "{}",
-                row.kind
-            );
+            assert!(r.bus.write(DEV, stale.get(), b"x").is_err(), "{}", row.kind);
         }
     }
 
@@ -673,10 +674,11 @@ mod tests {
         // Learn where the engine places this buffer (a strict engine hands
         // the same range out again after unmap).
         let probe = r.map(buf, DmaDirection::FromDevice);
+        let placed = probe.iova;
         r.unmap(probe);
         assert_eq!(r.mmu.mapped_pages(DEV), 0);
 
-        let taken = probe.iova.page().add(K);
+        let taken = placed.page().add(K);
         let elsewhere = r.frames(1);
         r.mmu
             .map_page(&mut r.ctx, DEV, taken, elsewhere, Perms::ReadWrite)
@@ -695,7 +697,7 @@ mod tests {
         let m = r.map(buf, DmaDirection::FromDevice);
         // A leaked IOVA range would move the mapping; a leaked refcount
         // would leave page K without a PTE.
-        assert_eq!(m.iova, probe.iova, "{kind}: allocator state as before");
+        assert_eq!(m.iova, placed, "{kind}: allocator state as before");
         assert_eq!(r.mmu.mapped_pages(DEV), N, "{kind}: refcounts as before");
         r.bus
             .write(DEV, m.iova.get(), &vec![7u8; (N * 4096) as usize])
@@ -753,13 +755,14 @@ mod tests {
         let m = r.map(buf, DmaDirection::FromDevice);
         assert_eq!(m.iova.page_offset(), 64);
         assert_ne!(m.iova.get(), buf.pa.get());
-        r.bus.write(DEV, m.iova.get(), b"warm").unwrap();
+        let stale = m.iova;
+        r.bus.write(DEV, stale.get(), b"warm").unwrap();
         r.unmap(m);
-        assert!(r.bus.write(DEV, m.iova.get(), b"late").is_err());
+        assert!(r.bus.write(DEV, stale.get(), b"late").is_err());
         assert_eq!(r.mmu.invalq().stats().page_commands, 0);
         assert!(r.eng.profile().no_vulnerability_window);
         let again = r.map(buf, DmaDirection::FromDevice);
-        assert_eq!(again.iova, m.iova, "range freed at unmap");
+        assert_eq!(again.iova, stale, "range freed at unmap");
         r.unmap(again);
     }
 }

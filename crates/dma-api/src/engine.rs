@@ -15,6 +15,17 @@ use simcore::CoreCtx;
 /// 3. `unmap` revokes device access and returns buffer ownership to the
 ///    OS.
 ///
+/// The protocol is an ownership protocol and the handles carry it:
+/// [`DmaMapping`] and [`CoherentBuffer`] are move-only, `unmap` /
+/// `unmap_sg` / `free_coherent` consume them, and every observer borrows.
+/// A consumed handle cannot be retried, so an `unmap` that returns `Err`
+/// has still finished the revocation as far as it can. There is no
+/// `dma_sync_*`: under DMA shadowing the device's bytes reach the OS
+/// buffer only in `unmap`'s copy, so "sync, then read while mapped" has no
+/// engine-independent meaning — a driver reads a device-written buffer
+/// after `unmap`, and the lint's `cpu-read-while-mapped` rule holds it to
+/// that.
+///
 /// All operations charge their modeled cost to `ctx`. Simulated multi-core
 /// contention is expressed in virtual time via `ctx.core`; engines are
 /// additionally `Send + Sync` so the `modelcheck` bounded model checker can
@@ -88,18 +99,6 @@ pub trait DmaEngine: Send + Sync {
     /// `dma_free_coherent`: releases a coherent buffer, strictly
     /// invalidating its translations.
     fn free_coherent(&self, ctx: &mut CoreCtx, buf: CoherentBuffer) -> Result<(), DmaError>;
-
-    /// `dma_sync_single_for_cpu`: hands a streaming mapping back to the
-    /// CPU for inspection without unmapping it (§2.2). The simulated
-    /// memory system is cache-coherent, so the default is a no-op; the
-    /// method exists so drivers express the CPU handoff explicitly and
-    /// the static protocol checker / dmasan can audit it.
-    fn sync_for_cpu(&self, _ctx: &mut CoreCtx, _mapping: &DmaMapping) {}
-
-    /// `dma_sync_single_for_device`: returns a CPU-synced streaming
-    /// mapping to the device. No-op for the same reason as
-    /// [`DmaEngine::sync_for_cpu`].
-    fn sync_for_device(&self, _ctx: &mut CoreCtx, _mapping: &DmaMapping) {}
 
     /// Drains any deferred invalidations (the 10 ms timer / teardown
     /// path). No-op for strict engines.

@@ -126,8 +126,9 @@ mod tests {
         assert_eq!(c.pages, 2);
         assert_eq!(c.iova.get(), c.pa.get());
         mem.write(c.pa, b"ring").unwrap();
+        let pfn = c.pa.pfn();
         eng.free_coherent(&mut ctx, c).unwrap();
-        assert!(!mem.is_allocated(c.pa.pfn()));
+        assert!(!mem.is_allocated(pfn));
     }
 
     #[test]

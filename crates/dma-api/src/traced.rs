@@ -163,14 +163,6 @@ impl DmaEngine for TracedDma {
         })
     }
 
-    fn sync_for_cpu(&self, ctx: &mut CoreCtx, mapping: &DmaMapping) {
-        self.inner.sync_for_cpu(ctx, mapping);
-    }
-
-    fn sync_for_device(&self, ctx: &mut CoreCtx, mapping: &DmaMapping) {
-        self.inner.sync_for_device(ctx, mapping);
-    }
-
     fn flush_deferred(&self, ctx: &mut CoreCtx) {
         self.inner.flush_deferred(ctx);
     }
@@ -202,24 +194,19 @@ mod tests {
         let (mem, obs, eng, mut ctx) = rig();
         let buf = DmaBuf::new(mem.alloc_frame(NumaDomain(0)).unwrap().base(), 999);
         let m = eng.map(&mut ctx, buf, DmaDirection::ToDevice).unwrap();
+        let iova = m.iova.get();
         eng.unmap(&mut ctx, m).unwrap();
         let evs = obs.tracer().events();
         assert_eq!(evs.len(), 2);
         assert_eq!(
             evs[0].kind,
             EventKind::DmaMap {
-                iova: m.iova.get(),
+                iova,
                 len: 999,
                 dir: "to_device".into(),
             }
         );
-        assert_eq!(
-            evs[1].kind,
-            EventKind::DmaUnmap {
-                iova: m.iova.get(),
-                len: 999,
-            }
-        );
+        assert_eq!(evs[1].kind, EventKind::DmaUnmap { iova, len: 999 });
         assert_eq!(evs[1].device, Some(3));
         let snap = obs.registry().snapshot();
         assert_eq!(snap.counter("dma", "maps", Some(3)), Some(1));

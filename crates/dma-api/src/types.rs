@@ -84,7 +84,79 @@ impl DmaBuf {
 /// Mirrors the information a Linux driver passes to `dma_unmap_single`
 /// (IOVA, size, direction); `os_pa` additionally records the OS buffer so
 /// engines can verify their reverse lookup.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+///
+/// The handle is **linear**: it is neither `Clone` nor `Copy`,
+/// [`crate::DmaEngine::map`] is what issues one, and `unmap` consumes it by
+/// value. Unmapping twice, or touching the handle after its unmap, is
+/// therefore a use of a moved value — rustc error E0382, through aliases,
+/// helpers and closures alike — not a rule some later checker has to
+/// re-derive. What a *device* may keep past the unmap is the raw [`Iova`]
+/// (`let stale = m.iova;` before the unmap), which is how tests and the
+/// attack scenarios replay a stale address. The fields stay public, so a
+/// handle the engine never issued can still be written out as a struct
+/// literal — forging is explicit, never an accident — and such handles are
+/// what dmasan and each engine's [`DmaError::BadUnmap`] exist to catch.
+/// Nothing runs on drop (`unmap` needs a `CoreCtx` to charge): a handle
+/// dropped while mapped is a leak, reported by dmasan at teardown.
+///
+/// ```
+/// use dma_api::{DmaBuf, DmaDirection, DmaEngine, NoIommu};
+/// # use memsim::{NumaDomain, NumaTopology, PhysMemory};
+/// # use simcore::{CoreCtx, CoreId, CostModel};
+/// # use std::sync::Arc;
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// # let mem = Arc::new(PhysMemory::new(NumaTopology::tiny(16)));
+/// # let eng = NoIommu::new(mem.clone(), iommu::DeviceId(0));
+/// # let mut ctx = CoreCtx::new(CoreId(0), Arc::new(CostModel::zero()));
+/// # let buf = DmaBuf::new(mem.alloc_frame(NumaDomain(0))?.base(), 1500);
+/// let m = eng.map(&mut ctx, buf, DmaDirection::FromDevice)?;
+/// let stale = m.iova; // the address outlives the handle; the handle does not
+/// eng.unmap(&mut ctx, m)?;
+/// # let _ = stale;
+/// # Ok(())
+/// # }
+/// ```
+///
+/// The same code unmapping twice does not compile:
+///
+/// ```compile_fail,E0382
+/// use dma_api::{DmaBuf, DmaDirection, DmaEngine, NoIommu};
+/// # use memsim::{NumaDomain, NumaTopology, PhysMemory};
+/// # use simcore::{CoreCtx, CoreId, CostModel};
+/// # use std::sync::Arc;
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// # let mem = Arc::new(PhysMemory::new(NumaTopology::tiny(16)));
+/// # let eng = NoIommu::new(mem.clone(), iommu::DeviceId(0));
+/// # let mut ctx = CoreCtx::new(CoreId(0), Arc::new(CostModel::zero()));
+/// # let buf = DmaBuf::new(mem.alloc_frame(NumaDomain(0))?.base(), 1500);
+/// let m = eng.map(&mut ctx, buf, DmaDirection::FromDevice)?;
+/// eng.unmap(&mut ctx, m)?;
+/// eng.unmap(&mut ctx, m)?; // error[E0382]: use of moved value: `m`
+/// # Ok(())
+/// # }
+/// ```
+///
+/// Nor does reading the handle after its unmap:
+///
+/// ```compile_fail,E0382
+/// use dma_api::{DmaBuf, DmaDirection, DmaEngine, NoIommu};
+/// # use memsim::{NumaDomain, NumaTopology, PhysMemory};
+/// # use simcore::{CoreCtx, CoreId, CostModel};
+/// # use std::sync::Arc;
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// # let mem = Arc::new(PhysMemory::new(NumaTopology::tiny(16)));
+/// # let eng = NoIommu::new(mem.clone(), iommu::DeviceId(0));
+/// # let mut ctx = CoreCtx::new(CoreId(0), Arc::new(CostModel::zero()));
+/// # let buf = DmaBuf::new(mem.alloc_frame(NumaDomain(0))?.base(), 1500);
+/// let m = eng.map(&mut ctx, buf, DmaDirection::FromDevice)?;
+/// eng.unmap(&mut ctx, m)?;
+/// let stale = m.iova; // error[E0382]: use of moved value: `m`
+/// # let _ = stale;
+/// # Ok(())
+/// # }
+/// ```
+#[must_use = "a mapping dropped without `unmap` stays device-reachable"]
+#[derive(Debug, PartialEq, Eq)]
 pub struct DmaMapping {
     /// The device-visible address of the buffer.
     pub iova: Iova,
@@ -99,7 +171,42 @@ pub struct DmaMapping {
 /// A buffer allocated with `dma_alloc_coherent` (§2.2): permanently mapped,
 /// page-quantity memory shared between driver and device (descriptor rings,
 /// mailboxes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+///
+/// Linear like [`DmaMapping`]: `free_coherent` consumes the handle, so a
+/// second free (or a ring access through a freed handle) is E0382.
+///
+/// ```
+/// use dma_api::{DmaEngine, NoIommu};
+/// # use memsim::{NumaTopology, PhysMemory};
+/// # use simcore::{CoreCtx, CoreId, CostModel};
+/// # use std::sync::Arc;
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// # let mem = Arc::new(PhysMemory::new(NumaTopology::tiny(16)));
+/// # let eng = NoIommu::new(mem.clone(), iommu::DeviceId(0));
+/// # let mut ctx = CoreCtx::new(CoreId(0), Arc::new(CostModel::zero()));
+/// let ring = eng.alloc_coherent(&mut ctx, 4096)?;
+/// eng.free_coherent(&mut ctx, ring)?;
+/// # Ok(())
+/// # }
+/// ```
+///
+/// ```compile_fail,E0382
+/// use dma_api::{DmaEngine, NoIommu};
+/// # use memsim::{NumaTopology, PhysMemory};
+/// # use simcore::{CoreCtx, CoreId, CostModel};
+/// # use std::sync::Arc;
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// # let mem = Arc::new(PhysMemory::new(NumaTopology::tiny(16)));
+/// # let eng = NoIommu::new(mem.clone(), iommu::DeviceId(0));
+/// # let mut ctx = CoreCtx::new(CoreId(0), Arc::new(CostModel::zero()));
+/// let ring = eng.alloc_coherent(&mut ctx, 4096)?;
+/// eng.free_coherent(&mut ctx, ring)?;
+/// eng.free_coherent(&mut ctx, ring)?; // error[E0382]: use of moved value: `ring`
+/// # Ok(())
+/// # }
+/// ```
+#[must_use = "a coherent buffer dropped without `free_coherent` stays mapped"]
+#[derive(Debug, PartialEq, Eq)]
 pub struct CoherentBuffer {
     /// Device-visible address.
     pub iova: Iova,

@@ -64,17 +64,15 @@ struct CallSite {
     argc: usize,
 }
 
-/// Names treated as DMA-API intrinsics by the typestate pass; their
+/// Names treated as DMA-API intrinsics by the protocol pass; their
 /// protocol effect is primitive, so call sites are not graph edges.
-pub(crate) const INTRINSICS: [&str; 8] = [
+pub(crate) const INTRINSICS: [&str; 6] = [
     "map",
     "map_sg",
     "alloc_coherent",
     "unmap",
     "unmap_sg",
     "free_coherent",
-    "sync_for_cpu",
-    "sync_for_device",
 ];
 
 /// Keywords that look like `ident (…)` call syntax but are not calls.
@@ -224,7 +222,6 @@ fn collect_closures(trees: &[Tree], out: &mut Vec<(usize, Vec<Param>, Vec<Tree>)
                 .filter_map(|t| match t {
                     Tree::Tok(tok) if tok.is_ident && tok.text != "mut" => Some(Param {
                         name: tok.text.clone(),
-                        by_ref: false,
                     }),
                     _ => None,
                 })

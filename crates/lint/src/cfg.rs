@@ -113,8 +113,6 @@ pub struct Param {
     /// The binding name (`self` for receivers; pattern parameters take
     /// their first identifier).
     pub name: String,
-    /// The parameter is taken by reference (`&T`, `&mut T`, `&self`).
-    pub by_ref: bool,
 }
 
 /// One extracted function body.
@@ -132,8 +130,7 @@ pub struct Function {
 
 /// Parses a signature group's children into parameters. Each parameter is
 /// `pat: Type` (or a bare receiver); the binding name is the first
-/// identifier after any `&`/`mut` prefix, and `by_ref` records whether the
-/// *type* side starts with `&` (receivers: whether the receiver does).
+/// identifier after any `&`/`mut` prefix.
 fn parse_params(children: &[Tree]) -> Vec<Param> {
     let mut out = Vec::new();
     for arg in split_top_level_commas(children) {
@@ -141,13 +138,7 @@ fn parse_params(children: &[Tree]) -> Vec<Param> {
             continue;
         }
         // Receiver forms: `self`, `&self`, `&mut self`, `mut self`.
-        let colon = arg.iter().position(|t| t.is_punct(":"));
-        let by_ref = match colon {
-            // `&'a mut Type` — a reference type after the colon.
-            Some(c) => arg.get(c + 1).is_some_and(|t| t.is_punct("&")),
-            None => arg.first().is_some_and(|t| t.is_punct("&")),
-        };
-        let pat = match colon {
+        let pat = match arg.iter().position(|t| t.is_punct(":")) {
             Some(c) => &arg[..c],
             None => arg,
         };
@@ -160,7 +151,7 @@ fn parse_params(children: &[Tree]) -> Vec<Param> {
             .next()
             .unwrap_or_default();
         if !name.is_empty() {
-            out.push(Param { name, by_ref });
+            out.push(Param { name });
         }
     }
     out
@@ -663,7 +654,7 @@ mod tests {
     }
 
     #[test]
-    fn signatures_yield_named_params_with_ref_flags() {
+    fn signatures_yield_named_params() {
         let src = "impl S {\n    fn m(&self, ctx: &mut C, m: M, n: usize) -> R { x }\n}\nfn free(mut a: A, b: &B) {}\n";
         let p = prep("x.rs", src);
         let trees = build_trees(&tokenize(&p.blank));
@@ -671,13 +662,9 @@ mod tests {
         let m = fns.iter().find(|f| f.name == "m").expect("method");
         let names: Vec<&str> = m.params.iter().map(|p| p.name.as_str()).collect();
         assert_eq!(names, ["self", "ctx", "m", "n"]);
-        let refs: Vec<bool> = m.params.iter().map(|p| p.by_ref).collect();
-        assert_eq!(refs, [true, true, false, false]);
         let free = fns.iter().find(|f| f.name == "free").expect("free fn");
         assert_eq!(free.params[0].name, "a");
-        assert!(!free.params[0].by_ref);
         assert_eq!(free.params[1].name, "b");
-        assert!(free.params[1].by_ref);
     }
 
     #[test]

@@ -16,16 +16,18 @@
 //!    instrumented lock site, builds the nested-acquisition graph, and
 //!    flags cycles; the site inventory feeds the model checker's
 //!    `known_locks`.
-//! 3. **DMA-API protocol, interprocedural** ([`rules::protocol`],
-//!    [`typestate`], [`callgraph`], [`summary`]) — a typestate dataflow
-//!    over each function's CFG tracking DMA handles
-//!    (`Unmapped → Mapped → SyncedForCpu → Unmapped`): use-after-unmap,
-//!    leak-on-exit, double-unmap, sync-before-cpu-read — the static
-//!    mirror of dmasan's runtime rules. A workspace call graph feeds
-//!    bottom-up per-function effect summaries (computed over SCCs with a
-//!    fixpoint for recursion), so handles passed to, returned from, or
-//!    unmapped inside helpers are checked at call sites; handles the
-//!    lattice genuinely loses become structured escape notes.
+//! 3. **DMA-API protocol** ([`rules::protocol`], [`typestate`],
+//!    [`callgraph`], [`summary`]) — what the move-only handle types
+//!    cannot say. Unmap-once and no-use-after-unmap are rustc's (E0382);
+//!    a dataflow over each function's CFG checks the two obligations
+//!    ownership does not express: leak-on-exit (a mapping still owned at
+//!    a `return`/`?`/exit edge — the static cross-check of dmasan's
+//!    teardown leak rule) and cpu-read-while-mapped (a CPU read of a
+//!    device-writable buffer before its unmap). Moves and borrows are
+//!    read off the call site; the workspace call graph feeds bottom-up
+//!    summaries (computed over SCCs with a fixpoint for recursion) of the
+//!    one thing a call site cannot show — whether a callee returns a
+//!    fresh mapping.
 //! 4. **Device taint** ([`taint`]) — values read off device-writable
 //!    mapped buffers flowing into an index, loop bound, accessor length,
 //!    or `PhysAddr` arithmetic without a bounds check.
@@ -37,9 +39,9 @@
 //! reason mandatory) — and waivers are themselves audited: a reasoned
 //! waiver whose rule no longer finds anything unfiltered is a
 //! `dead-waiver` finding. The runner exits 0 (clean) / 1 (findings) /
-//! 2 (scan failure) as before. Run via `cargo run --bin lint`
-//! (`--fast` for style-only, `--json <path>` for the machine-readable
-//! report, `--budget-ms <n>` to fail on blown wall clock).
+//! 2 (scan failure). Run via `cargo run --bin lint` (`--json <path>` for
+//! the machine-readable report, `--budget-ms <n>` to fail on blown wall
+//! clock).
 #![forbid(unsafe_code)]
 
 use std::fs;
@@ -58,29 +60,27 @@ pub use callgraph::{build_workspace_graph, CallGraph, FnNode};
 pub use lexer::{aligned_views, strip_code, test_region_mask, Prep};
 pub use report::{json_report, rule_summary, LintViolation};
 pub use rules::lock_order::{lock_order_analysis, LockEdge, LockOrderReport, LockSite};
-pub use rules::protocol::{EscapeExport, ProtocolAnalysis};
+pub use rules::protocol::ProtocolAnalysis;
 pub use rules::style::{lint_manifest, lint_source, FileContext};
 pub use rules::unsafe_audit::{unsafe_audit_analysis, UnsafeReport, UnsafeSite};
 pub use rules::{has_rule_waiver, IO_WAIVER, PANIC_WAIVER, RELAXED_WAIVER};
-pub use summary::{FnSummary, ParamEffect, RetEffect};
+pub use summary::{FnSummary, RetEffect};
 pub use taint::TaintStats;
-pub use typestate::{EscapeKind, EscapeNote, Finding, InterCtx};
+pub use typestate::{Finding, InterCtx};
 
 /// Every rule the workspace lint can emit, for the per-rule summary.
-pub const ALL_RULES: [&str; 13] = [
+pub const ALL_RULES: [&str; 11] = [
     "ambient-io",
+    "cpu-read-while-mapped",
     "dead-waiver",
     "device-taint",
-    "double-unmap",
     "external-dep",
     "leak-on-exit",
     "lock-order",
     "panic",
     "phys-addr-arith",
     "relaxed-atomic",
-    "sync-before-cpu-read",
     "unsafe-no-safety",
-    "use-after-unmap",
 ];
 
 /// The sorted member crate directories under `root/crates`.
@@ -106,25 +106,15 @@ pub(crate) fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<
     Ok(())
 }
 
-/// Which rule passes a workspace scan runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Pass {
-    /// Style + manifest rules only (`lint --fast`).
-    Fast,
-    /// Everything: style, lock-order, protocol, unsafe audit.
-    #[default]
-    Full,
-}
-
-/// A full workspace scan: the violations the build gates on, plus (for
-/// `Pass::Full`) the interprocedural analysis product the JSON report
-/// exports next to the lock-order and unsafe inventories.
+/// A workspace scan: the violations the build gates on, plus the
+/// interprocedural analysis product the JSON report exports next to the
+/// lock-order and unsafe inventories.
 #[derive(Debug, Default)]
 pub struct WorkspaceReport {
     /// Waiver-filtered violations across every file and manifest.
     pub violations: Vec<LintViolation>,
-    /// Call graph, summaries, escapes, and taint stats (`Pass::Full` only).
-    pub protocol: Option<ProtocolAnalysis>,
+    /// Call graph, summaries, and taint stats.
+    pub protocol: ProtocolAnalysis,
 }
 
 /// Tallies unfiltered findings per rule for dead-waiver detection.
@@ -142,10 +132,9 @@ fn raw_rule_counts<'a>(
 }
 
 /// Lints the whole workspace rooted at `root`: every member crate's
-/// sources and manifest, plus the root manifest. `Pass::Full` adds the
-/// lock-order, interprocedural protocol, device-taint, unsafe, and
-/// dead-waiver passes.
-pub fn lint_workspace_report(root: &Path, pass: Pass) -> std::io::Result<WorkspaceReport> {
+/// sources and manifest, plus the root manifest, through the style,
+/// lock-order, protocol, device-taint, unsafe, and dead-waiver passes.
+pub fn lint_workspace_report(root: &Path) -> std::io::Result<WorkspaceReport> {
     let mut out = Vec::new();
     let label = |p: &Path| {
         p.strip_prefix(root)
@@ -156,18 +145,7 @@ pub fn lint_workspace_report(root: &Path, pass: Pass) -> std::io::Result<Workspa
     };
     // The interprocedural context is built once over the whole workspace
     // so per-file protocol checks can resolve cross-file helper calls.
-    let mut analysis = if pass == Pass::Full {
-        let graph = build_workspace_graph(root)?;
-        let summaries = summary::compute(&graph);
-        Some(ProtocolAnalysis {
-            graph,
-            summaries,
-            escapes: Vec::new(),
-            taint: TaintStats::default(),
-        })
-    } else {
-        None
-    };
+    let mut analysis = ProtocolAnalysis::from_graph(build_workspace_graph(root)?);
     for member in member_crates(root)? {
         let crate_name = member
             .file_name()
@@ -194,40 +172,26 @@ pub fn lint_workspace_report(root: &Path, pass: Pass) -> std::io::Result<Workspa
             };
             let p = lexer::prep(&rel, &src);
             out.extend(rules::style::check_prepped(&p, &src, ctx));
-            if pass == Pass::Full {
-                let ic = analysis.as_ref().map(|a| InterCtx {
-                    graph: &a.graph,
-                    summaries: &a.summaries,
-                });
-                let fp = rules::protocol::check_file(&p, &src, ctx, ic.as_ref());
-                let sites = rules::unsafe_audit::scan_file(&p, &src);
-                out.extend(rules::unsafe_audit::violations(&sites, &src));
-                // Dead waivers: compare the file's waivers against what the
-                // *unfiltered* passes found (waivers read from the `src`
-                // argument, so an empty one disables filtering).
-                let mut raw: Vec<&str> = rules::style::check_prepped(&p, "", ctx)
-                    .iter()
-                    .map(|v| v.rule)
-                    .chain(fp.raw.iter().map(|f| f.rule))
-                    .chain(
-                        rules::unsafe_audit::violations(&sites, "")
-                            .iter()
-                            .map(|v| v.rule),
-                    )
-                    .collect();
-                raw.sort_unstable();
-                out.extend(rules::dead_waivers(&rel, &src, ctx, &raw_rule_counts(raw)));
-                if let Some(a) = analysis.as_mut() {
-                    a.escapes.extend(fp.escapes.into_iter().map(|note| {
-                        rules::protocol::EscapeExport {
-                            file: rel.clone(),
-                            note,
-                        }
-                    }));
-                    a.taint.absorb(fp.taint);
-                }
-                out.extend(fp.violations);
-            }
+            let fp = rules::protocol::check_file(&p, &src, ctx, &analysis.inter());
+            let sites = rules::unsafe_audit::scan_file(&p, &src);
+            out.extend(rules::unsafe_audit::violations(&sites, &src));
+            // Dead waivers: compare the file's waivers against what the
+            // *unfiltered* passes found (waivers read from the `src`
+            // argument, so an empty one disables filtering).
+            let mut raw: Vec<&str> = rules::style::check_prepped(&p, "", ctx)
+                .iter()
+                .map(|v| v.rule)
+                .chain(fp.raw.iter().map(|f| f.rule))
+                .chain(
+                    rules::unsafe_audit::violations(&sites, "")
+                        .iter()
+                        .map(|v| v.rule),
+                )
+                .collect();
+            raw.sort_unstable();
+            out.extend(rules::dead_waivers(&rel, &src, ctx, &raw_rule_counts(raw)));
+            analysis.taint.absorb(fp.taint);
+            out.extend(fp.violations);
         }
         // Integration tests and benches: ambient-I/O discipline only.
         for sub in ["tests", "benches"] {
@@ -246,14 +210,12 @@ pub fn lint_workspace_report(root: &Path, pass: Pass) -> std::io::Result<Workspa
                 };
                 let rel = label(f);
                 out.extend(lint_source(&rel, &src, ctx));
-                if pass == Pass::Full {
-                    let p = lexer::prep(&rel, &src);
-                    let raw: Vec<&str> = rules::style::check_prepped(&p, "", ctx)
-                        .iter()
-                        .map(|v| v.rule)
-                        .collect();
-                    out.extend(rules::dead_waivers(&rel, &src, ctx, &raw_rule_counts(raw)));
-                }
+                let p = lexer::prep(&rel, &src);
+                let raw: Vec<&str> = rules::style::check_prepped(&p, "", ctx)
+                    .iter()
+                    .map(|v| v.rule)
+                    .collect();
+                out.extend(rules::dead_waivers(&rel, &src, ctx, &raw_rule_counts(raw)));
             }
         }
     }
@@ -261,23 +223,15 @@ pub fn lint_workspace_report(root: &Path, pass: Pass) -> std::io::Result<Workspa
     if let Ok(toml) = fs::read_to_string(&root_manifest) {
         out.extend(lint_manifest(&label(&root_manifest), &toml));
     }
-    if pass == Pass::Full {
-        out.extend(lock_order_analysis(root)?.cycle_violations());
-    }
+    out.extend(lock_order_analysis(root)?.cycle_violations());
     Ok(WorkspaceReport {
         violations: out,
         protocol: analysis,
     })
 }
 
-/// Lints the workspace and returns the gating violations only (the
-/// historical shape; see [`lint_workspace_report`] for the analysis too).
-pub fn lint_workspace_pass(root: &Path, pass: Pass) -> std::io::Result<Vec<LintViolation>> {
-    Ok(lint_workspace_report(root, pass)?.violations)
-}
-
-/// Lints the whole workspace with every pass enabled (the historical
-/// entry point; equivalent to [`lint_workspace_pass`] with [`Pass::Full`]).
+/// Lints the workspace and returns the gating violations only (see
+/// [`lint_workspace_report`] for the analysis product too).
 pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<LintViolation>> {
-    lint_workspace_pass(root, Pass::Full)
+    Ok(lint_workspace_report(root)?.violations)
 }

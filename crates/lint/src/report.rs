@@ -16,10 +16,7 @@ pub struct LintViolation {
     pub file: String,
     /// 1-indexed line.
     pub line: usize,
-    /// Stable rule name: `panic`, `phys-addr-arith`, `ambient-io`,
-    /// `external-dep`, `relaxed-atomic`, `lock-order`, `use-after-unmap`,
-    /// `leak-on-exit`, `double-unmap`, `sync-before-cpu-read`,
-    /// `unsafe-no-safety`.
+    /// Stable rule name, one of [`crate::ALL_RULES`].
     pub rule: &'static str,
     /// What was found.
     pub detail: String,
@@ -46,13 +43,11 @@ pub fn rule_summary(violations: &[LintViolation]) -> BTreeMap<&'static str, usiz
     counts
 }
 
-/// The `call_graph`, `summaries`, `escapes`, and `taint_analysis`
-/// sections of the JSON report, from a full scan's interprocedural
-/// product. Summaries are exported only when DMA-relevant — a parameter
-/// with an unmap or sync effect, a fresh-mapped return, or a device-data
-/// read — so the report stays proportional to the DMA surface, not the
-/// workspace size (plain escape/return facts exist for nearly every
-/// function and are only interesting to the checker itself).
+/// The `call_graph`, `summaries`, and `taint_analysis` sections of the
+/// JSON report, from a scan's interprocedural product. Summaries are
+/// exported only when DMA-relevant — a fresh-mapped return or a
+/// device-data read — so the report stays proportional to the DMA
+/// surface, not the workspace size.
 fn protocol_sections(analysis: &ProtocolAnalysis) -> Vec<(String, Json)> {
     let g = &analysis.graph;
     let closures = g.nodes.iter().filter(|n| n.is_closure).count();
@@ -70,40 +65,13 @@ fn protocol_sections(analysis: &ProtocolAnalysis) -> Vec<(String, Json)> {
         ),
         ("sccs".into(), Json::UInt(g.sccs().len() as u64)),
     ]);
-    let param_effects = |s: &crate::summary::FnSummary| {
-        Json::Arr(
-            s.params
-                .iter()
-                .map(|p| {
-                    let mut effects = Vec::new();
-                    for (on, name) in [
-                        (p.must_unmap, "must-unmap"),
-                        (p.may_unmap && !p.must_unmap, "may-unmap"),
-                        (p.syncs_cpu, "syncs-cpu"),
-                        (p.escapes, "escapes"),
-                        (p.returned, "returned"),
-                        (p.uses, "uses"),
-                    ] {
-                        if on {
-                            effects.push(Json::Str(name.to_string()));
-                        }
-                    }
-                    Json::Arr(effects)
-                })
-                .collect(),
-        )
-    };
     let ret_str = |s: &crate::summary::FnSummary| match &s.ret {
         RetEffect::NotHandle => "not-handle".to_string(),
         RetEffect::FreshMapped { dir } => format!("fresh-mapped:{}", dir.name()),
         RetEffect::Unknown => "unknown".to_string(),
     };
     let interesting = |s: &crate::summary::FnSummary| {
-        s.reads_device_data
-            || matches!(s.ret, RetEffect::FreshMapped { .. })
-            || s.params
-                .iter()
-                .any(|p| p.may_unmap || p.must_unmap || p.syncs_cpu)
+        s.reads_device_data || matches!(s.ret, RetEffect::FreshMapped { .. })
     };
     let summaries = Json::Arr(
         g.nodes
@@ -115,26 +83,9 @@ fn protocol_sections(analysis: &ProtocolAnalysis) -> Vec<(String, Json)> {
                     ("function".into(), Json::Str(n.name.clone())),
                     ("file".into(), Json::Str(n.file.clone())),
                     ("line".into(), Json::UInt(n.line as u64)),
-                    ("params".into(), param_effects(s)),
                     ("ret".into(), Json::Str(ret_str(s))),
                     ("reads_device_data".into(), Json::Bool(s.reads_device_data)),
                     ("converged".into(), Json::Bool(s.converged)),
-                ])
-            })
-            .collect(),
-    );
-    let escapes = Json::Arr(
-        analysis
-            .escapes
-            .iter()
-            .map(|e| {
-                Json::Obj(vec![
-                    ("file".into(), Json::Str(e.file.clone())),
-                    ("function".into(), Json::Str(e.note.function.clone())),
-                    ("line".into(), Json::UInt(e.note.line as u64)),
-                    ("var".into(), Json::Str(e.note.var.clone())),
-                    ("kind".into(), Json::Str(e.note.kind.name().to_string())),
-                    ("detail".into(), Json::Str(e.note.detail.clone())),
                 ])
             })
             .collect(),
@@ -153,20 +104,19 @@ fn protocol_sections(analysis: &ProtocolAnalysis) -> Vec<(String, Json)> {
     vec![
         ("call_graph".into(), call_graph),
         ("summaries".into(), summaries),
-        ("escapes".into(), escapes),
         ("taint_analysis".into(), taint),
     ]
 }
 
 /// Builds the machine-readable lint report (`lint --json <path>`): the
 /// findings, the per-rule summary, the exported lock-order and unsafe
-/// inventories, and (on a full scan) the interprocedural call-graph,
-/// summary, escape, and taint sections.
+/// inventories, and the interprocedural call-graph, summary, and taint
+/// sections.
 pub fn json_report(
     violations: &[LintViolation],
     locks: &LockOrderReport,
     unsafes: &UnsafeReport,
-    protocol: Option<&ProtocolAnalysis>,
+    protocol: &ProtocolAnalysis,
 ) -> Json {
     let viol = |v: &LintViolation| {
         Json::Obj(vec![
@@ -265,9 +215,7 @@ pub fn json_report(
             ]),
         ),
     ];
-    if let Some(analysis) = protocol {
-        fields.extend(protocol_sections(analysis));
-    }
+    fields.extend(protocol_sections(protocol));
     Json::Obj(fields)
 }
 
@@ -293,7 +241,7 @@ mod tests {
         ];
         let s = rule_summary(&v);
         assert_eq!(s["panic"], 2);
-        assert_eq!(s["use-after-unmap"], 0);
+        assert_eq!(s["leak-on-exit"], 0);
         assert!(s.contains_key("lock-order"));
     }
 
@@ -309,7 +257,7 @@ mod tests {
             &v,
             &LockOrderReport::default(),
             &UnsafeReport::default(),
-            None,
+            &ProtocolAnalysis::default(),
         );
         let parsed = Json::parse(&j.encode()).expect("valid json");
         let first = parsed
@@ -330,34 +278,26 @@ mod tests {
                 .and_then(Json::as_u64),
             Some(1)
         );
-        // A fast pass has no interprocedural product, so no such sections.
-        assert!(parsed.get("call_graph").is_none());
-        assert!(parsed.get("taint_analysis").is_none());
     }
 
     #[test]
     fn full_report_exports_interprocedural_sections() {
-        let src = "fn unmap_it(engine: &E, ctx: &mut C, m: Mapping) {\n\
-            engine.unmap(ctx, m).expect(\"u\");\n\
+        let src = "fn make_rx(engine: &E, ctx: &mut C) -> Mapping {\n\
+            engine.map(ctx, DmaBuf::new(pkt, 64), DmaDirection::FromDevice).expect(\"m\")\n\
             }\n";
         let p = crate::lexer::prep("crates/x/src/lib.rs", src);
         let graph = crate::callgraph::CallGraph::build(&[(p, "x".to_string())]);
-        let summaries = crate::summary::compute(&graph);
-        let analysis = ProtocolAnalysis {
-            graph,
-            summaries,
-            escapes: Vec::new(),
-            taint: crate::taint::TaintStats {
-                sources: 2,
-                tainted_vars: 3,
-                sanitized_vars: 1,
-            },
+        let mut analysis = ProtocolAnalysis::from_graph(graph);
+        analysis.taint = crate::taint::TaintStats {
+            sources: 2,
+            tainted_vars: 3,
+            sanitized_vars: 1,
         };
         let j = json_report(
             &[],
             &LockOrderReport::default(),
             &UnsafeReport::default(),
-            Some(&analysis),
+            &analysis,
         );
         let parsed = Json::parse(&j.encode()).expect("valid json");
         assert_eq!(
@@ -374,7 +314,7 @@ mod tests {
                 .and_then(Json::as_u64),
             Some(2)
         );
-        // `unmap_it` must-unmaps its third parameter, so it is exported.
+        // `make_rx` returns a fresh mapping, so it is exported.
         let summaries = parsed.get("summaries").expect("summaries section");
         let first = match summaries {
             Json::Arr(items) => items.first().expect("one summary"),
@@ -382,7 +322,11 @@ mod tests {
         };
         assert_eq!(
             first.get("function").and_then(Json::as_str),
-            Some("unmap_it")
+            Some("make_rx")
+        );
+        assert_eq!(
+            first.get("ret").and_then(Json::as_str),
+            Some("fresh-mapped:FromDevice")
         );
     }
 }

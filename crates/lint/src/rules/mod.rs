@@ -3,8 +3,8 @@
 //! - [`style`] — the line-level house rules (panic, phys-addr-arith,
 //!   ambient-io, relaxed-atomic) and the manifest rule (external-dep).
 //! - [`lock_order`] — lock-site inventory and acquisition-cycle detection.
-//! - [`protocol`] — the DMA-API typestate checker (use-after-unmap,
-//!   leak-on-exit, double-unmap, sync-before-cpu-read).
+//! - [`protocol`] — the DMA-API protocol rules the handle types cannot
+//!   state (leak-on-exit, cpu-read-while-mapped) plus device-taint.
 //! - [`unsafe_audit`] — every `unsafe` must carry a `// SAFETY:` comment.
 //!
 //! Every rule is waiver-compatible: a file opts out of one rule with
@@ -80,8 +80,7 @@ pub(crate) fn executed_waivable_rules(ctx: style::FileContext) -> Vec<&'static s
 /// Reports reasoned waivers that no longer suppress anything: for each
 /// executed waivable rule, a waiver present in `src` while the
 /// *unfiltered* finding count for that rule is zero is itself a finding
-/// (`dead-waiver`), so waivers obsoleted by the interprocedural pass
-/// cannot linger.
+/// (`dead-waiver`), so waivers cannot outlive what they excused.
 pub(crate) fn dead_waivers(
     label: &str,
     src: &str,
@@ -111,10 +110,10 @@ mod tests {
 
     #[test]
     fn rule_waiver_requires_reason() {
-        let with = "// lint: allow(use-after-unmap) — deliberate attack replay\nfn f() {}\n";
-        assert!(has_rule_waiver(with, "use-after-unmap"));
-        let bare = "// lint: allow(use-after-unmap)\nfn f() {}\n";
-        assert!(!has_rule_waiver(bare, "use-after-unmap"));
-        assert!(!has_rule_waiver(with, "double-unmap"));
+        let with = "// lint: allow(leak-on-exit) — the ring owns it at runtime\nfn f() {}\n";
+        assert!(has_rule_waiver(with, "leak-on-exit"));
+        let bare = "// lint: allow(leak-on-exit)\nfn f() {}\n";
+        assert!(!has_rule_waiver(bare, "leak-on-exit"));
+        assert!(!has_rule_waiver(with, "device-taint"));
     }
 }

@@ -1,14 +1,13 @@
-//! The DMA-API protocol rule pass: runs the typestate checker
-//! ([`crate::typestate`]) over a prepared file and converts its findings
-//! into waiver-compatible lint violations.
+//! The DMA-API protocol rule pass: runs the protocol checker
+//! ([`crate::typestate`]) and the device-taint pass ([`crate::taint`])
+//! over a prepared file and converts their findings into
+//! waiver-compatible lint violations.
 //!
-//! In a full workspace scan the pass runs **interprocedurally**: the
-//! workspace call graph ([`crate::callgraph`]) and per-function effect
-//! summaries ([`crate::summary`]) resolve helper calls, returned handles,
-//! and closure captures instead of waiving them, and the device-taint
-//! pass ([`crate::taint`]) rides on the same summaries. The assembled
-//! [`ProtocolAnalysis`] is what `lint --json` exports next to the
-//! lock-order and unsafe inventories.
+//! Both passes share one interprocedural context — the workspace call
+//! graph ([`crate::callgraph`]) and the per-function summaries
+//! ([`crate::summary`]: fresh-mapping returns, device-data reads). The
+//! assembled [`ProtocolAnalysis`] is what `lint --json` exports next to
+//! the lock-order and unsafe inventories.
 
 use crate::callgraph::CallGraph;
 use crate::lexer::Prep;
@@ -17,38 +16,40 @@ use crate::rules::has_rule_waiver;
 use crate::rules::style::FileContext;
 use crate::summary::FnSummary;
 use crate::taint::TaintStats;
-use crate::typestate::{EscapeNote, Finding, InterCtx};
+use crate::typestate::{Finding, InterCtx};
 
 /// The protocol rule names, in reporting order.
-pub const PROTOCOL_RULES: [&str; 4] = [
-    "use-after-unmap",
-    "leak-on-exit",
-    "double-unmap",
-    "sync-before-cpu-read",
-];
+pub const PROTOCOL_RULES: [&str; 2] = ["leak-on-exit", "cpu-read-while-mapped"];
 
-/// One handle-escape note tagged with its file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EscapeExport {
-    /// Workspace-relative file.
-    pub file: String,
-    /// The note itself.
-    pub note: EscapeNote,
-}
-
-/// The interprocedural analysis product of one full workspace scan: the
-/// call graph, every function's effect summary, the handle-escape notes,
-/// and the device-taint statistics.
+/// The interprocedural analysis product of one workspace scan: the call
+/// graph, every function's summary, and the device-taint statistics.
 #[derive(Debug, Default)]
 pub struct ProtocolAnalysis {
     /// The workspace call graph.
     pub graph: CallGraph,
-    /// Effect summaries, indexed like `graph.nodes`.
+    /// Summaries, indexed like `graph.nodes`.
     pub summaries: Vec<FnSummary>,
-    /// Handles that left the typestate lattice, declared not hidden.
-    pub escapes: Vec<EscapeExport>,
     /// Aggregate taint numbers across the workspace.
     pub taint: TaintStats,
+}
+
+impl ProtocolAnalysis {
+    /// Summarizes every function of `graph`; taint stats start empty.
+    pub fn from_graph(graph: CallGraph) -> Self {
+        ProtocolAnalysis {
+            summaries: crate::summary::compute(&graph),
+            graph,
+            taint: TaintStats::default(),
+        }
+    }
+
+    /// The resolution context the per-file passes consume.
+    pub fn inter(&self) -> InterCtx<'_> {
+        InterCtx {
+            graph: &self.graph,
+            summaries: &self.summaries,
+        }
+    }
 }
 
 /// Per-file protocol + taint result, raw and filtered.
@@ -57,38 +58,25 @@ pub struct FileProtocol {
     pub violations: Vec<LintViolation>,
     /// Unfiltered findings (what dead-waiver detection counts).
     pub raw: Vec<Finding>,
-    /// Handle-escape notes (interprocedural mode only).
-    pub escapes: Vec<EscapeNote>,
     /// Taint stats for this file.
     pub taint: TaintStats,
 }
 
-/// Runs the protocol checker (and, in interprocedural mode, the taint
-/// pass) over one prepared file. `src` is the raw source (for waiver
-/// comments). Aux files (`tests/`, `benches/`) are exempt: protocol
-/// discipline is a library-code concern, and test code deliberately
-/// constructs broken sequences to feed dmasan.
-pub fn check_file(
-    prep: &Prep,
-    src: &str,
-    ctx: FileContext,
-    inter: Option<&InterCtx<'_>>,
-) -> FileProtocol {
+/// Runs the protocol checker and the taint pass over one prepared file.
+/// `src` is the raw source (for waiver comments). Aux files (`tests/`,
+/// `benches/`) are exempt: protocol discipline is a library-code concern,
+/// and test code deliberately constructs broken sequences to feed dmasan.
+pub fn check_file(prep: &Prep, src: &str, ctx: FileContext, inter: &InterCtx<'_>) -> FileProtocol {
     if ctx.aux {
         return FileProtocol {
             violations: Vec::new(),
             raw: Vec::new(),
-            escapes: Vec::new(),
             taint: TaintStats::default(),
         };
     }
-    let (mut raw, escapes) = crate::typestate::check_file_inter(prep, inter);
-    let mut taint = TaintStats::default();
-    if let Some(ic) = inter {
-        let (tfindings, tstats) = crate::taint::check_file(prep, Some((ic.graph, ic.summaries)));
-        raw.extend(tfindings);
-        taint = tstats;
-    }
+    let mut raw = crate::typestate::check_file(prep, inter);
+    let (tfindings, taint) = crate::taint::check_file(prep, inter);
+    raw.extend(tfindings);
     let violations = raw
         .iter()
         .filter(|f| !has_rule_waiver(src, f.rule))
@@ -102,14 +90,8 @@ pub fn check_file(
     FileProtocol {
         violations,
         raw,
-        escapes,
         taint,
     }
-}
-
-/// Intraprocedural per-file entry point (the historical signature).
-pub fn check(prep: &Prep, src: &str, ctx: FileContext) -> Vec<LintViolation> {
-    check_file(prep, src, ctx, None).violations
 }
 
 #[cfg(test)]
@@ -121,10 +103,16 @@ mod tests {
         let m = engine.map(ctx, DmaBuf::new(skb, 64), DmaDirection::ToDevice).expect(\"m\");\n\
         }\n";
 
+    fn check(label: &str, src: &str, ctx: FileContext) -> FileProtocol {
+        let p = prep(label, src);
+        let analysis =
+            ProtocolAnalysis::from_graph(CallGraph::build(&[(p.clone(), "x".to_string())]));
+        check_file(&p, src, ctx, &analysis.inter())
+    }
+
     #[test]
     fn protocol_findings_become_violations() {
-        let p = prep("x.rs", LEAKY);
-        let v = check(&p, LEAKY, FileContext::default());
+        let v = check("x.rs", LEAKY, FileContext::default()).violations;
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].rule, "leak-on-exit");
         assert_eq!(v[0].file, "x.rs");
@@ -132,12 +120,11 @@ mod tests {
 
     #[test]
     fn aux_files_are_exempt() {
-        let p = prep("tests/x.rs", LEAKY);
         let aux = FileContext {
             aux: true,
             ..Default::default()
         };
-        assert!(check(&p, LEAKY, aux).is_empty());
+        assert!(check("tests/x.rs", LEAKY, aux).violations.is_empty());
     }
 
     #[test]
@@ -145,28 +132,20 @@ mod tests {
         let src = format!(
             "// lint: allow(leak-on-exit) — ownership handed to the ring at runtime\n{LEAKY}"
         );
-        let p = prep("x.rs", &src);
-        assert!(check(&p, &src, FileContext::default()).is_empty());
-        // The waiver names its rule; other protocol rules still fire.
-        let uaf = "// lint: allow(leak-on-exit) — reasoned\n\
-            fn f(engine: &E, ctx: &mut C) {\n\
-            let m = engine.map(ctx, DmaBuf::new(skb, 64), DmaDirection::ToDevice).expect(\"m\");\n\
-            engine.unmap(ctx, m).expect(\"u\");\n\
-            poke(m.iova.get());\n\
-            }\n";
-        let p = prep("x.rs", uaf);
-        let v = check(&p, uaf, FileContext::default());
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, "use-after-unmap");
-    }
-
-    #[test]
-    fn waivers_filter_but_raw_findings_remain() {
-        let src = format!("// lint: allow(leak-on-exit) — reasoned waiver here\n{LEAKY}");
-        let p = prep("x.rs", &src);
-        let fp = check_file(&p, &src, FileContext::default(), None);
+        let fp = check("x.rs", &src, FileContext::default());
         assert!(fp.violations.is_empty(), "{:?}", fp.violations);
+        // Filtered, not forgotten: dead-waiver detection counts the raw one.
         assert_eq!(fp.raw.len(), 1, "{:?}", fp.raw);
         assert_eq!(fp.raw[0].rule, "leak-on-exit");
+        // The waiver names its rule; other protocol rules still fire.
+        let early_read = "// lint: allow(leak-on-exit) — reasoned\n\
+            fn f(engine: &E, mem: &M, ctx: &mut C) {\n\
+            let m = engine.map(ctx, DmaBuf::new(skb, 64), DmaDirection::FromDevice).expect(\"m\");\n\
+            let got = mem.read_vec(skb, 64);\n\
+            engine.unmap(ctx, m).expect(\"u\");\n\
+            }\n";
+        let v = check("x.rs", early_read, FileContext::default()).violations;
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].rule, "cpu-read-while-mapped");
     }
 }

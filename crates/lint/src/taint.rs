@@ -1,7 +1,7 @@
 //! The device-taint pass: the static mirror of `crates/attacks`.
 //!
 //! Under the paper's threat model everything a device can write is
-//! attacker-controlled, so any value the CPU loads out of a mapped
+//! attacker-controlled, so any value the CPU loads out of a
 //! `FromDevice`/`Bidirectional` buffer is **tainted**. This pass marks
 //! such loads as sources, propagates taint through local `let` bindings
 //! (flow-insensitively, within one function), and flags taint reaching a
@@ -16,17 +16,15 @@
 //!
 //! Sanitizers: a comparison over the tainted value in an `if`/`while`
 //! condition (`idx < table.len()`), or clamping at the definition site
-//! (`.min(…)`, `.clamp(…)`, `% len`). With summaries, a call returning
-//! the payload of a device-reading helper (`reads_device_data`) is also a
+//! (`.min(…)`, `.clamp(…)`, `% len`). A call returning the payload of a
+//! device-reading helper (`reads_device_data` in its summary) is also a
 //! source. Findings use the waivable `device-taint` rule.
 
 use std::collections::BTreeSet;
 
-use crate::callgraph::CallGraph;
 use crate::cfg::{build_trees, extract_functions, Cfg, Stmt, Tree};
 use crate::lexer::Prep;
-use crate::summary::FnSummary;
-use crate::typestate::{detect_bind, scan, Ev, Finding, READ_METHODS};
+use crate::typestate::{detect_bind, scan, Ev, Finding, InterCtx, READ_METHODS};
 
 /// Aggregate numbers for the JSON report.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -154,12 +152,9 @@ fn tainted_in(trees: &[Tree], tainted: &BTreeSet<String>, out: &mut Vec<String>)
 }
 
 /// Runs the taint pass over every non-test function in a prepared file.
-/// With `inter`, uniquely-resolved calls to device-reading helpers
-/// (`reads_device_data`) also act as sources.
-pub fn check_file(
-    prep: &Prep,
-    inter: Option<(&CallGraph, &[FnSummary])>,
-) -> (Vec<Finding>, TaintStats) {
+/// Uniquely-resolved calls to device-reading helpers (`reads_device_data`
+/// in `inter`'s summaries) act as sources too.
+pub fn check_file(prep: &Prep, inter: &InterCtx) -> (Vec<Finding>, TaintStats) {
     let tokens = crate::lexer::tokenize(&prep.blank);
     let trees = build_trees(&tokens);
     let mut findings = Vec::new();
@@ -182,7 +177,7 @@ pub fn check_file(
 fn check_fn(
     body: &[Tree],
     stmts: &[&Stmt],
-    inter: Option<(&CallGraph, &[FnSummary])>,
+    inter: &InterCtx,
     findings: &mut Vec<Finding>,
     stats: &mut TaintStats,
 ) {
@@ -190,7 +185,7 @@ fn check_fn(
     let mut device_bufs: BTreeSet<String> = BTreeSet::new();
     for stmt in stmts {
         if let Some(b) = detect_bind(&stmt.trees, None) {
-            if b.dir.needs_cpu_sync() {
+            if b.dir.device_writes() {
                 if let Some(buf) = b.buf {
                     device_bufs.insert(buf);
                 }
@@ -198,8 +193,8 @@ fn check_fn(
         }
     }
 
-    // Sources: `let v = …read…(device_buf, …)` and, with summaries,
-    // `let v = helper(…)` where the helper reads device data.
+    // Sources: `let v = …read…(device_buf, …)` and `let v = helper(…)`
+    // where the helper's summary says it reads device data.
     let mut tainted: BTreeSet<String> = BTreeSet::new();
     for stmt in stmts {
         let Some(var) = let_var(&stmt.trees) else {
@@ -209,7 +204,7 @@ fn check_fn(
             continue;
         }
         let mut evs = Vec::new();
-        scan(&stmt.trees, false, &mut evs);
+        scan(&stmt.trees, &mut evs);
         let mut is_source = false;
         for ev in &evs {
             match ev {
@@ -219,15 +214,12 @@ fn check_fn(
                 Ev::UserCall {
                     name,
                     method,
-                    qualified,
-                    args,
-                    ..
-                } if !qualified => {
-                    if let Some((graph, sums)) = inter {
-                        if let [id] = graph.resolve(name, *method, args.len())[..] {
-                            if sums.get(id).is_some_and(|s| s.reads_device_data) {
-                                is_source = true;
-                            }
+                    qualified: false,
+                    argc,
+                } => {
+                    if let [id] = inter.graph.resolve(name, *method, *argc)[..] {
+                        if inter.summaries.get(id).is_some_and(|s| s.reads_device_data) {
+                            is_source = true;
                         }
                     }
                 }
@@ -388,18 +380,20 @@ mod tests {
     use crate::lexer::prep;
 
     fn run(src: &str) -> Vec<Finding> {
-        check_file(&prep("x.rs", src), None).0
+        let p = prep("x.rs", src);
+        let graph = crate::callgraph::CallGraph::build(&[(p.clone(), "x".to_string())]);
+        let analysis = crate::rules::protocol::ProtocolAnalysis::from_graph(graph);
+        check_file(&p, &analysis.inter()).0
     }
 
     #[test]
     fn taint_to_index_without_check_is_flagged() {
         let src = "fn rx(engine: &E, mem: &M, ctx: &mut C, table: &[u32]) {\n\
                    let m = engine.map(ctx, DmaBuf::new(frame, 256), DmaDirection::FromDevice).expect(\"m\");\n\
-                   engine.sync_for_cpu(ctx, &m);\n\
+                   engine.unmap(ctx, m).expect(\"u\");\n\
                    let data = mem.read_vec(frame, 256);\n\
                    let idx = head(&data);\n\
                    let x = table[idx];\n\
-                   engine.unmap(ctx, m).expect(\"u\");\n\
                    }\n\
                    fn head(d: &[u8]) -> usize { 0 }\n";
         let f = run(src);
@@ -412,12 +406,12 @@ mod tests {
     fn bounds_checked_taint_is_clean() {
         let src = "fn rx(engine: &E, mem: &M, ctx: &mut C, table: &[u32]) {\n\
                    let m = engine.map(ctx, DmaBuf::new(frame, 256), DmaDirection::FromDevice).expect(\"m\");\n\
+                   engine.unmap(ctx, m).expect(\"u\");\n\
                    let data = mem.read_vec(frame, 256);\n\
                    let idx = head(&data);\n\
                    if idx < table.len() {\n\
                    let x = table[idx];\n\
                    }\n\
-                   engine.unmap(ctx, m).expect(\"u\");\n\
                    }\n\
                    fn head(d: &[u8]) -> usize { 0 }\n";
         assert_eq!(run(src), Vec::new());
@@ -427,10 +421,10 @@ mod tests {
     fn clamped_definition_is_clean() {
         let src = "fn rx(mem: &M, engine: &E, ctx: &mut C, table: &[u32]) {\n\
                    let m = engine.map(ctx, DmaBuf::new(frame, 256), DmaDirection::FromDevice).expect(\"m\");\n\
+                   engine.unmap(ctx, m).expect(\"u\");\n\
                    let data = mem.read_vec(frame, 256);\n\
                    let idx = head(&data) % table.len();\n\
                    let x = table[idx];\n\
-                   engine.unmap(ctx, m).expect(\"u\");\n\
                    }\n\
                    fn head(d: &[u8]) -> usize { 0 }\n";
         assert_eq!(run(src), Vec::new());
@@ -440,9 +434,9 @@ mod tests {
     fn to_device_buffers_do_not_taint() {
         let src = "fn tx(mem: &M, engine: &E, ctx: &mut C, table: &[u32]) {\n\
                    let m = engine.map(ctx, DmaBuf::new(skb, 64), DmaDirection::ToDevice).expect(\"m\");\n\
+                   engine.unmap(ctx, m).expect(\"u\");\n\
                    let echo = mem.read_vec(skb, 64);\n\
                    let x = table[echo];\n\
-                   engine.unmap(ctx, m).expect(\"u\");\n\
                    }\n";
         assert_eq!(run(src), Vec::new());
     }
@@ -451,11 +445,11 @@ mod tests {
     fn tainted_loop_bound_is_flagged() {
         let src = "fn rx(mem: &M, engine: &E, ctx: &mut C) {\n\
                    let m = engine.map(ctx, DmaBuf::new(frame, 256), DmaDirection::Bidirectional).expect(\"m\");\n\
+                   engine.unmap(ctx, m).expect(\"u\");\n\
                    let count = mem.read_vec(frame, 4);\n\
                    for i in 0..count {\n\
                    step(i);\n\
                    }\n\
-                   engine.unmap(ctx, m).expect(\"u\");\n\
                    }\n\
                    fn step(i: usize) {}\n";
         let f = run(src);
@@ -467,9 +461,9 @@ mod tests {
     fn tainted_accessor_length_is_flagged() {
         let src = "fn rx(mem: &M, engine: &E, ctx: &mut C) {\n\
                    let m = engine.map(ctx, DmaBuf::new(frame, 256), DmaDirection::FromDevice).expect(\"m\");\n\
+                   engine.unmap(ctx, m).expect(\"u\");\n\
                    let len = mem.read_vec(frame, 4);\n\
                    let body = mem.read_vec(frame, len);\n\
-                   engine.unmap(ctx, m).expect(\"u\");\n\
                    }\n";
         let f = run(src);
         assert_eq!(f.len(), 1, "{f:?}");
@@ -480,9 +474,9 @@ mod tests {
     fn tainted_phys_addr_arith_is_flagged() {
         let src = "fn rx(mem: &M, engine: &E, ctx: &mut C) {\n\
                    let m = engine.map(ctx, DmaBuf::new(frame, 256), DmaDirection::FromDevice).expect(\"m\");\n\
+                   engine.unmap(ctx, m).expect(\"u\");\n\
                    let off = mem.read_vec(frame, 8);\n\
                    let target = PhysAddr::new(base + off);\n\
-                   engine.unmap(ctx, m).expect(\"u\");\n\
                    }\n";
         let f = run(src);
         assert_eq!(f.len(), 1, "{f:?}");
@@ -493,8 +487,8 @@ mod tests {
     fn summary_backed_source_taints_helper_result() {
         let src = "fn rx_one(mem: &M, engine: &E, ctx: &mut C) -> usize {\n\
                    let m = engine.map(ctx, DmaBuf::new(frame, 256), DmaDirection::FromDevice).expect(\"m\");\n\
-                   let data = mem.read_vec(frame, 256);\n\
                    engine.unmap(ctx, m).expect(\"u\");\n\
+                   let data = mem.read_vec(frame, 256);\n\
                    first(&data)\n\
                    }\n\
                    fn caller(mem: &M, engine: &E, ctx: &mut C, table: &[u32]) {\n\
@@ -502,10 +496,7 @@ mod tests {
                    let x = table[idx];\n\
                    }\n\
                    fn first(d: &[u8]) -> usize { 0 }\n";
-        let p = prep("x.rs", src);
-        let graph = CallGraph::build(&[(p.clone(), "x".to_string())]);
-        let sums = crate::summary::compute(&graph);
-        let (f, _) = check_file(&p, Some((&graph, &sums)));
+        let f = run(src);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, "device-taint");
         assert_eq!(f[0].line, 9);

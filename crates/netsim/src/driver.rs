@@ -424,19 +424,4 @@ mod tests {
         // The NIC performed IOTLB-translated accesses (ring + payload).
         assert!(stack.mmu.iotlb_stats().hits + stack.mmu.iotlb_stats().misses > 0);
     }
-
-    #[test]
-    fn payload_corruption_is_detected() {
-        // Sanity check that verification actually compares bytes: corrupt
-        // the OS buffer reading path by delivering through an engine and
-        // checking a *different* payload panics.
-        let stack = SimStack::new(EngineKind::NoIommu, &ExpConfig::quick());
-        let mut c = ctx(&stack, 0);
-        let drv = CoreDriver::new(CoreId(0));
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            // rx_one verifies against the payload it delivered — always ok.
-            drv.rx_one(&stack, &mut c, &[1u8; 64], true)
-        }));
-        assert!(r.is_ok());
-    }
 }

@@ -2,21 +2,18 @@
 //! Workspace lint runner: `cargo run --bin lint`.
 //!
 //! Scans every member crate's sources, tests, benches, and manifest for
-//! the house rules, the interprocedural DMA-API protocol rules, the
-//! device-taint pass, the lock-order pass, the unsafe audit, and stale
-//! waivers (see the `lint` crate), prints a per-rule summary, and exits
-//! with a CI-friendly code: `0` clean, `1` findings, `2` the scan itself
-//! failed (I/O error, missing workspace, blown time budget).
+//! the house rules, the DMA-API protocol rules the handle types cannot
+//! state, the device-taint pass, the lock-order pass, the unsafe audit,
+//! and stale waivers (see the `lint` crate), prints a per-rule summary,
+//! and exits with a CI-friendly code: `0` clean, `1` findings, `2` the
+//! scan itself failed (I/O error, missing workspace, blown time budget).
 //!
 //! Flags:
-//! - `--fast` — style + manifest rules only (the quick pre-commit pass);
-//!   the protocol, taint, lock-order, unsafe, and dead-waiver passes are
-//!   skipped.
 //! - `--json <path>` — also write the machine-readable report (findings,
 //!   per-rule summary, lock-order and unsafe inventories, call graph,
-//!   function summaries, escapes, taint stats) to `path`.
+//!   function summaries, taint stats) to `path`.
 //! - `--budget-ms <n>` — fail (exit 2) if the scan takes longer than `n`
-//!   milliseconds of wall clock; keeps the full pass honest in CI.
+//!   milliseconds of wall clock; keeps the pass honest in CI.
 //! - any other argument — the workspace root (default: this crate's
 //!   manifest directory).
 
@@ -24,17 +21,15 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use lint::{json_report, lock_order_analysis, rule_summary, unsafe_audit_analysis, Pass};
+use lint::{json_report, lock_order_analysis, rule_summary, unsafe_audit_analysis};
 
 fn main() -> ExitCode {
-    let mut pass = Pass::Full;
     let mut json_path: Option<PathBuf> = None;
     let mut budget_ms: Option<u64> = None;
     let mut root: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--fast" => pass = Pass::Fast,
             "--json" => match args.next() {
                 Some(p) => json_path = Some(PathBuf::from(p)),
                 None => {
@@ -55,7 +50,7 @@ fn main() -> ExitCode {
     let root = root.unwrap_or_else(|| PathBuf::from(env!("CARGO_MANIFEST_DIR")));
     let started = Instant::now();
 
-    let report = match lint::lint_workspace_report(&root, pass) {
+    let report = match lint::lint_workspace_report(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("lint: cannot scan {}: {e}", root.display());
@@ -72,7 +67,7 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         };
-        let doc = json_report(violations, &locks, &unsafes, report.protocol.as_ref());
+        let doc = json_report(violations, &locks, &unsafes, &report.protocol);
         if let Err(e) = std::fs::write(path, doc.encode()) {
             eprintln!("lint: cannot write {}: {e}", path.display());
             return ExitCode::from(2);
@@ -89,23 +84,19 @@ fn main() -> ExitCode {
         println!("lint: {elapsed_ms}ms elapsed, within the {budget}ms budget");
     }
 
-    let mode = match pass {
-        Pass::Fast => "fast (style rules)",
-        Pass::Full => "full (style + protocol + taint + lock-order + unsafe)",
-    };
     let summary: Vec<String> = rule_summary(violations)
         .iter()
         .map(|(rule, n)| format!("{rule}: {n}"))
         .collect();
     if violations.is_empty() {
-        println!("lint[{mode}]: workspace clean ({})", root.display());
-        println!("lint[{mode}]: {}", summary.join(", "));
+        println!("lint: workspace clean ({})", root.display());
+        println!("lint: {}", summary.join(", "));
         return ExitCode::SUCCESS;
     }
     for v in violations {
         eprintln!("{v}");
     }
-    eprintln!("lint[{mode}]: {} violation(s)", violations.len());
-    eprintln!("lint[{mode}]: {}", summary.join(", "));
+    eprintln!("lint: {} violation(s)", violations.len());
+    eprintln!("lint: {}", summary.join(", "));
     ExitCode::from(1)
 }

@@ -1,19 +1,18 @@
-//! Planted interprocedural fixtures: each violation here is invisible to
-//! a per-function checker and only falls out of the call-graph +
-//! summary pass, with summary-proven clean controls alongside. Never
-//! compiled.
+//! Planted cross-function fixtures: what happens to a handle at a helper
+//! boundary is read off the call site — by value is a move, `&m` is a
+//! borrow — and the one summary-backed fact is a helper *returning* a
+//! fresh mapping. Clean controls alongside. Never compiled.
 
 // lint: allow(panic) — fixture bodies use expect() to keep the planted statements one-liners
-// lint: allow(double-unmap) — stale reason left over from an earlier refactor
+// lint: allow(cpu-read-while-mapped) — stale reason left over from an earlier refactor
 
-/// Helper that only *reads* the handle: its summary has no unmap effect,
-/// so the caller keeps the leak obligation.
+/// Helper that only *reads* the handle, through a borrow: the caller
+/// keeps the leak obligation.
 fn touch_stats(stats: &mut Stats, m: &Mapping) {
     stats.record(m.iova.get());
 }
 
-/// Helper that consumes and unmaps the handle: `must_unmap` on its third
-/// parameter, which the callers below rely on.
+/// Helper that takes the handle by value and unmaps it.
 fn finish(engine: &E, ctx: &mut C, m: Mapping) {
     engine.unmap(ctx, m).expect("unmap");
 }
@@ -26,8 +25,8 @@ fn make_rx(engine: &E, ctx: &mut C) -> Mapping {
         .expect("map")
 }
 
-/// The helper call is NOT an unmap: the mapping is still live at exit
-/// (interprocedural leak-on-exit).
+/// `&m` is a borrow, not a transfer: the mapping is still live at exit
+/// (leak-on-exit).
 pub fn leak_across_helper(engine: &E, ctx: &mut C, stats: &mut Stats) {
     let m = engine
         .map(ctx, DmaBuf::new(pkt, 1500), DmaDirection::ToDevice)
@@ -35,21 +34,19 @@ pub fn leak_across_helper(engine: &E, ctx: &mut C, stats: &mut Stats) {
     touch_stats(stats, &m);
 }
 
-/// Clean control: the summary proves `finish` unmaps, so no leak and no
-/// waiver needed.
+/// The handle comes back from `make_rx`, is only ever borrowed, and is
+/// dropped mapped (leak-on-exit through a returned handle).
+pub fn leak_of_returned_handle(engine: &E, ctx: &mut C, stats: &mut Stats) {
+    let m = make_rx(engine, ctx);
+    touch_stats(stats, &m);
+}
+
+/// Clean control: `m` is moved into `finish`; the obligation goes with it.
 pub fn helper_roundtrip(engine: &E, ctx: &mut C) {
     let m = engine
         .map(ctx, DmaBuf::new(pkt, 1500), DmaDirection::ToDevice)
         .expect("map");
     finish(engine, ctx, m);
-}
-
-/// The handle comes back from `make_rx`, dies inside `finish`, and is
-/// then projected: use-after-unmap across two helper calls.
-pub fn use_after_helper_unmap(engine: &E, ctx: &mut C) {
-    let m = make_rx(engine, ctx);
-    finish(engine, ctx, m);
-    fire(m.iova.get());
 }
 
 /// Device-tainted index used raw: `data` comes off a device-writable
@@ -58,11 +55,10 @@ pub fn taint_to_index(engine: &E, mem: &M, ctx: &mut C, table: &mut [u64]) {
     let m = engine
         .map(ctx, DmaBuf::new(pkt, 64), DmaDirection::FromDevice)
         .expect("map");
-    engine.sync_for_cpu(ctx, &m);
+    engine.unmap(ctx, m).expect("unmap");
     let data = mem.read_vec(pkt, 64).expect("read");
     let idx = data[0] as usize;
     table[idx] = 1;
-    engine.unmap(ctx, m).expect("unmap");
 }
 
 /// Clean control: the comparison guards the tainted index, so the taint
@@ -71,18 +67,16 @@ pub fn taint_bounds_checked(engine: &E, mem: &M, ctx: &mut C, table: &mut [u64])
     let m = engine
         .map(ctx, DmaBuf::new(pkt, 64), DmaDirection::FromDevice)
         .expect("map");
-    engine.sync_for_cpu(ctx, &m);
+    engine.unmap(ctx, m).expect("unmap");
     let data = mem.read_vec(pkt, 64).expect("read");
     let idx = data[0] as usize;
     if idx < table.len() {
         table[idx] = 1;
     }
-    engine.unmap(ctx, m).expect("unmap");
 }
 
-/// The closure capture is an escape *note*, not a violation: the handle
-/// leaves the lattice declared, and the closure becomes an anonymous
-/// call-graph node.
+/// Clean control: the closure uses the handle by value, so it moves in
+/// and the deferred unmap is the closure's business.
 pub fn defer_unmap(engine: &E, ctx: &mut C, defer: &mut Defer) {
     let m = engine
         .map(ctx, DmaBuf::new(pkt, 1500), DmaDirection::ToDevice)

@@ -1,18 +1,11 @@
 //! Planted DMA-API protocol fixture: each function trips exactly one
-//! typestate (or unsafe-audit) rule where `tests/lint.rs` expects, with
-//! one clean control per rule family. Never compiled.
+//! protocol (or unsafe-audit) rule where `tests/lint.rs` expects, with
+//! one clean control per rule family. Never compiled — which is why the
+//! two rules rustc now owns (unmap twice, use after unmap: E0382 on the
+//! move-only handle) have no fixture here; `dma_api::DmaMapping`'s
+//! `compile_fail` doctests pin those.
 
 // lint: allow(panic) — fixture bodies use expect() to keep the planted statements one-liners
-
-/// Projects the handle after `dma_unmap`: the IOVA is stale
-/// (static mirror of dmasan `stale_access`).
-pub fn use_after_unmap(engine: &E, ctx: &mut C) {
-    let m = engine
-        .map(ctx, DmaBuf::new(pkt, 1500), DmaDirection::ToDevice)
-        .expect("map");
-    engine.unmap(ctx, m).expect("unmap");
-    fire(m.iova.get());
-}
 
 /// The early `return` leaves the mapping live (dmasan `leak`).
 pub fn leak_on_early_return(engine: &E, ctx: &mut C, bad: bool) -> Result<(), DmaError> {
@@ -35,22 +28,11 @@ pub fn leak_via_question(engine: &E, ctx: &mut C) -> Result<(), DmaError> {
     Ok(())
 }
 
-/// Unmapped on the `early` path, then unconditionally unmapped again
-/// (dmasan `double_unmap`).
-pub fn double_unmap(engine: &E, ctx: &mut C, early: bool) {
-    let m = engine
-        .map(ctx, DmaBuf::new(pkt, 1500), DmaDirection::ToDevice)
-        .expect("map");
-    if early {
-        engine.unmap(ctx, m).expect("first");
-    }
-    engine.unmap(ctx, m).expect("second");
-}
-
-/// CPU read of a device-writable streaming buffer while it is still
-/// mapped and un-synced. dmasan has no runtime mirror: it observes bus
+/// CPU read of a device-writable buffer while its mapping is live: under
+/// shadowing the device's bytes are not there yet, elsewhere the device
+/// can still change them. dmasan has no runtime mirror: it observes bus
 /// accesses, not CPU loads.
-pub fn read_without_sync(engine: &E, mem: &M, ctx: &mut C) {
+pub fn read_while_mapped(engine: &E, mem: &M, ctx: &mut C) {
     let m = engine
         .map(ctx, DmaBuf::new(pkt, 1500), DmaDirection::FromDevice)
         .expect("map");
@@ -58,14 +40,13 @@ pub fn read_without_sync(engine: &E, mem: &M, ctx: &mut C) {
     engine.unmap(ctx, m).expect("unmap");
 }
 
-/// Clean control: the `sync_for_cpu` handoff makes the read legal.
-pub fn read_with_sync(engine: &E, mem: &M, ctx: &mut C) {
+/// Clean control: `unmap` is the handoff, the read comes after it.
+pub fn read_after_unmap(engine: &E, mem: &M, ctx: &mut C) {
     let m = engine
         .map(ctx, DmaBuf::new(pkt, 1500), DmaDirection::FromDevice)
         .expect("map");
-    engine.sync_for_cpu(ctx, &m);
-    let got = mem.read_vec(pkt, 1500).expect("read");
     engine.unmap(ctx, m).expect("unmap");
+    let got = mem.read_vec(pkt, 1500).expect("read");
 }
 
 /// An `unsafe` block with no `// SAFETY:` justification.

@@ -51,6 +51,8 @@ fn shadowing_is_secure_even_though_shadows_stay_mapped() {
     let mut seen = vec![0u8; 1000];
     bus.read(NIC_DEV, ma.iova.get(), &mut seen).unwrap();
     assert_eq!(seen, vec![0xaa; 1000], "device reads the copied data");
+    // What a device keeps after the OS revokes the handle: the raw IOVA.
+    let stale_a = ma.iova;
     stack.engine.unmap(&mut ctx, ma).unwrap();
 
     // Round 2: the *same* shadow buffer is recycled for a from-device
@@ -65,7 +67,7 @@ fn shadowing_is_secure_even_though_shadows_stay_mapped() {
         .unwrap();
     assert_ne!(
         mb.iova.page(),
-        ma.iova.page(),
+        stale_a.page(),
         "write shadow != read shadow page"
     );
 
@@ -73,11 +75,12 @@ fn shadowing_is_secure_even_though_shadows_stay_mapped() {
     // shadow data (0xaa) — data the device was already given. Never fresh
     // OS data.
     let mut stale = vec![0u8; 1000];
-    bus.read(NIC_DEV, ma.iova.get(), &mut stale).unwrap();
+    bus.read(NIC_DEV, stale_a.get(), &mut stale).unwrap();
     assert_eq!(stale, vec![0xaa; 1000], "only previously-authorized bytes");
 
     // The device writes the live write-shadow; after unmap the OS gets it.
-    bus.write(NIC_DEV, mb.iova.get(), &vec![0xbb; 1000])
+    let stale_b = mb.iova;
+    bus.write(NIC_DEV, stale_b.get(), &vec![0xbb; 1000])
         .unwrap();
     stack.engine.unmap(&mut ctx, mb).unwrap();
     assert_eq!(stack.mem.read_vec(b, 1000).unwrap(), vec![0xbb; 1000]);
@@ -85,7 +88,7 @@ fn shadowing_is_secure_even_though_shadows_stay_mapped() {
     // A write AFTER release mutates only the shadow; remap the same OS
     // buffer and verify the late write is overwritten by the fresh copy
     // and never observed.
-    let _ = bus.write(NIC_DEV, mb.iova.get(), &vec![0xcc; 1000]);
+    let _ = bus.write(NIC_DEV, stale_b.get(), &vec![0xcc; 1000]);
     assert_eq!(
         stack.mem.read_vec(b, 1000).unwrap(),
         vec![0xbb; 1000],
@@ -152,10 +155,11 @@ fn vulnerability_window_bounded_by_batch() {
         mmu: stack.mmu.clone(),
         mem: stack.mem.clone(),
     };
-    bus.write(NIC_DEV, m.iova.get(), b"warm").unwrap();
+    let stale = m.iova;
+    bus.write(NIC_DEV, stale.get(), b"warm").unwrap();
     stack.engine.unmap(&mut ctx, m).unwrap();
     // Window open now.
-    assert!(bus.write(NIC_DEV, m.iova.get(), b"attack").is_ok());
+    assert!(bus.write(NIC_DEV, stale.get(), b"attack").is_ok());
     // Drive 250 more map/unmap cycles through the engine: the batch drains.
     let other = stack.kmalloc.alloc(4096, domain).unwrap();
     for _ in 0..250 {
@@ -166,7 +170,7 @@ fn vulnerability_window_bounded_by_batch() {
         stack.engine.unmap(&mut ctx, mi).unwrap();
     }
     assert!(
-        bus.write(NIC_DEV, m.iova.get(), b"late").is_err(),
+        bus.write(NIC_DEV, stale.get(), b"late").is_err(),
         "window closed by the 250-unmap batch drain"
     );
 }
