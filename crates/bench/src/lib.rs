@@ -2,8 +2,10 @@
 //!
 //! One `cargo bench` target per table/figure of the paper's evaluation
 //! (`table1`, `fig1`, `fig3`–`fig11`, `memfootprint`), the ablation
-//! studies DESIGN.md calls out (`ablate_*`), and criterion
-//! micro-benchmarks of this implementation's own hot paths (`micro`).
+//! studies DESIGN.md calls out (`ablate_*`), and the core-count sweep
+//! (`scaling`). Every target reports *simulated* numbers only: host time
+//! is measured in one place, the standalone `benchmark/` package, and CI
+//! gates host cost on exact work counters (`tests/work_goldens.rs`).
 //!
 //! Every figure bench prints the same rows/series the paper reports:
 //! throughput + relative throughput + CPU% + relative CPU across the
@@ -12,8 +14,6 @@
 //! each.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod host;
 
 use netsim::{EngineKind, ExpConfig, ExpResult};
 

@@ -219,11 +219,18 @@ impl DmaEngine for ShadowDma {
         })?;
         if dir.device_reads() {
             let sref = self.pool.find_shadow(iova).expect("just acquired");
-            obs::profile::scope(ctx, "copy_in", |ctx| {
+            let copied = obs::profile::scope(ctx, "copy_in", |ctx| {
                 self.mem.copy(buf.pa, sref.shadow_pa, buf.len)?;
                 self.charge_copy(ctx, buf.len, self.is_cross_numa(buf.pa, sref.shadow_pa));
                 Ok::<(), DmaError>(())
-            })?;
+            });
+            // The caller gets no handle on this path, so nothing could ever
+            // release the slot just acquired: release it here and report
+            // the copy error.
+            if let Err(e) = copied {
+                let _ = self.pool.release_shadow(ctx, iova);
+                return Err(e);
+            }
         }
         Ok(DmaMapping {
             iova,
@@ -563,6 +570,30 @@ mod tests {
             Err(DmaError::Mem(memsim::MemError::Unallocated(_)))
         ));
         assert_eq!(r.eng.pool().stats().in_flight, 0);
+    }
+
+    #[test]
+    fn failed_copy_in_releases_the_slot_it_acquired() {
+        // `map` returns no handle on error, so nobody else can release.
+        let mut r = rig();
+        let buf = os_buf(&r, 1500);
+        let good = r.eng.map(&mut r.ctx, buf, DmaDirection::ToDevice).unwrap();
+        let iova = good.iova;
+        r.eng.unmap(&mut r.ctx, good).unwrap();
+
+        // In bounds, in the domain nothing here allocates from.
+        let never_allocated = DmaBuf::new(memsim::PhysAddr(4000 * PAGE_SIZE as u64), 1500);
+        assert!(matches!(
+            r.eng
+                .map(&mut r.ctx, never_allocated, DmaDirection::ToDevice),
+            Err(DmaError::Mem(memsim::MemError::Unallocated(_)))
+        ));
+        assert_eq!(r.eng.pool().stats().in_flight, 0);
+        // The failed map took the slot at the head of the free list; it is
+        // back there, not stranded.
+        let again = r.eng.map(&mut r.ctx, buf, DmaDirection::ToDevice).unwrap();
+        assert_eq!(again.iova, iova);
+        r.eng.unmap(&mut r.ctx, again).unwrap();
     }
 
     #[test]

@@ -77,6 +77,12 @@ impl EngineKind {
             EngineKind::SelfInvalHw => "self-inval hw",
         }
     }
+
+    /// Parses [`EngineKind::name`] back (fixtures and command lines).
+    pub fn from_name(s: &str) -> Option<EngineKind> {
+        let mut every = EngineKind::ALL.into_iter().chain([EngineKind::SelfInvalHw]);
+        every.find(|k| k.name() == s)
+    }
 }
 
 impl fmt::Display for EngineKind {

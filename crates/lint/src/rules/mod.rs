@@ -21,7 +21,7 @@ pub const PANIC_WAIVER: &str = "// lint: allow(panic)";
 
 /// The waiver comment a file uses to opt out of the ambient-I/O rule. A
 /// reason is mandatory:
-/// `// lint: allow(ambient-io) — the harness writes BENCH_HOST.json`.
+/// `// lint: allow(ambient-io) — the sweep writes its curve artifacts`.
 pub const IO_WAIVER: &str = "// lint: allow(ambient-io)";
 
 /// The waiver comment a file uses to opt out of the relaxed-atomic rule.

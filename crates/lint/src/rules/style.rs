@@ -231,7 +231,7 @@ mod tests {
 
     #[test]
     fn io_waiver_with_reason_silences_ambient_io_only() {
-        let src = "// lint: allow(ambient-io) — the harness writes BENCH_HOST.json\nuse std::fs;\nfn f() { v.unwrap(); }\n";
+        let src = "// lint: allow(ambient-io) — the sweep writes its curve artifacts\nuse std::fs;\nfn f() { v.unwrap(); }\n";
         let v = lint_source("x.rs", src, FileContext::default());
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].rule, "panic");

@@ -1,5 +1,5 @@
 //! The CI model-checking suite: runs the bounded explorer over every
-//! protection strategy and asserts the paper's Table 1 verdicts.
+//! protection engine and asserts the paper's Table 1 verdicts.
 //!
 //! - `copy` (DMA shadowing) must survive **exhaustive** bounded
 //!   exploration with zero violations — the "proved safe within bounds"
@@ -17,8 +17,9 @@
 
 // lint: allow(ambient-io) — reads/writes the committed counterexample fixture and prints the report
 
-use modelcheck::{explore, Config, Counterexample, Report, Strategy};
+use modelcheck::{explore, Config, Counterexample, Report};
 use obs::Json;
+use shadow_core::EngineKind;
 use std::process::ExitCode;
 
 /// The committed deferred-invalidation witness.
@@ -26,7 +27,7 @@ fn fixture_path() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/deferred_counterexample.json")
 }
 
-/// Deterministic exploration budget shared by every strategy.
+/// Deterministic exploration budget shared by every engine.
 fn budget(cfg: &mut Config) {
     cfg.max_runs = 60_000;
     cfg.max_choice_points = 120_000;
@@ -35,7 +36,7 @@ fn budget(cfg: &mut Config) {
 fn line(report: &Report) {
     println!(
         "  {:<18} runs={:<6} choice_points={:<7} pruned={:<5} exhausted={} window={} subpage={}",
-        report.strategy.name(),
+        report.kind.name(),
         report.runs,
         report.choice_points,
         report.sleep_skips,
@@ -53,7 +54,7 @@ fn check(failures: &mut Vec<String>, ok: bool, what: &str) {
 }
 
 fn common_checks(failures: &mut Vec<String>, r: &Report) {
-    let s = r.strategy.name();
+    let s = r.kind.name();
     check(
         failures,
         r.panics.is_empty(),
@@ -105,7 +106,7 @@ fn main() -> ExitCode {
     // 1. The tentpole proof: DMA shadowing survives exhaustive bounded
     //    exploration with zero violations.
     println!("[1/4] copy (DMA shadowing): exhaustive bounded exploration");
-    let mut cfg = Config::new(Strategy::Copy);
+    let mut cfg = Config::new(EngineKind::Copy);
     budget(&mut cfg);
     let r = explore(&cfg);
     line(&r);
@@ -123,13 +124,13 @@ fn main() -> ExitCode {
 
     // 2. Strict zero-copy engines: no window, sub-page exposure expected.
     println!("[2/4] strict engines: no vulnerability window within bounds");
-    for strategy in [
-        Strategy::IdentityStrict,
-        Strategy::LinuxStrict,
-        Strategy::EiovarStrict,
-        Strategy::SelfInval,
+    for kind in [
+        EngineKind::IdentityPlus,
+        EngineKind::LinuxStrict,
+        EngineKind::EiovarStrict,
+        EngineKind::SelfInvalHw,
     ] {
-        let mut cfg = Config::new(strategy);
+        let mut cfg = Config::new(kind);
         budget(&mut cfg);
         let r = explore(&cfg);
         line(&r);
@@ -137,18 +138,18 @@ fn main() -> ExitCode {
         check(
             &mut failures,
             !r.found_window,
-            &format!("{strategy}: window violation — strict invalidation must close it"),
+            &format!("{kind}: window violation — strict invalidation must close it"),
         );
         check(
             &mut failures,
             r.exhausted,
-            &format!("{strategy}: budget exhausted before the bounded space was covered"),
+            &format!("{kind}: budget exhausted before the bounded space was covered"),
         );
         check(
             &mut failures,
             r.found_subpage,
             &format!(
-                "{strategy}: page-granularity sub-page exposure not demonstrated \
+                "{kind}: page-granularity sub-page exposure not demonstrated \
                  (oracle or probes regressed)"
             ),
         );
@@ -157,14 +158,14 @@ fn main() -> ExitCode {
     // 3. Deferred engines: the §2.2.1 window must be found as a concrete
     //    counterexample schedule.
     println!("[3/4] deferred engines: vulnerability window counterexample");
-    let mut linux_deferred_cx: Option<Counterexample> = None;
-    for strategy in [
-        Strategy::IdentityDeferred,
-        Strategy::LinuxDeferred,
-        Strategy::EiovarDeferred,
-        Strategy::NoProtection,
+    let mut defer_cx: Option<Counterexample> = None;
+    for kind in [
+        EngineKind::IdentityMinus,
+        EngineKind::LinuxDefer,
+        EngineKind::EiovarDefer,
+        EngineKind::NoIommu,
     ] {
-        let mut cfg = Config::new(strategy);
+        let mut cfg = Config::new(kind);
         budget(&mut cfg);
         cfg.stop_at_first_window = true;
         let r = explore(&cfg);
@@ -173,13 +174,13 @@ fn main() -> ExitCode {
         check(
             &mut failures,
             r.found_window,
-            &format!("{strategy}: deferred invalidation window not found"),
+            &format!("{kind}: deferred invalidation window not found"),
         );
-        if strategy == Strategy::LinuxDeferred {
-            linux_deferred_cx = r.window_example;
+        if kind == EngineKind::LinuxDefer {
+            defer_cx = r.window_example;
         }
     }
-    if let Some(cx) = &linux_deferred_cx {
+    if let Some(cx) = &defer_cx {
         println!("{}", cx.render());
     }
 
@@ -187,8 +188,8 @@ fn main() -> ExitCode {
     let path = fixture_path();
     if write_fixture {
         println!("[4/4] writing {}", path.display());
-        let Some(cx) = &linux_deferred_cx else {
-            eprintln!("mc-suite: no linux-deferred counterexample to write");
+        let Some(cx) = &defer_cx else {
+            eprintln!("mc-suite: no `defer` counterexample to write");
             return ExitCode::from(2);
         };
         if let Some(dir) = path.parent() {
@@ -205,31 +206,28 @@ fn main() -> ExitCode {
         println!("[4/4] replaying {}", path.display());
         match std::fs::read_to_string(&path) {
             Ok(text) => match Json::parse(&text).and_then(|j| Counterexample::from_json(&j)) {
-                Ok(cx) => {
-                    let strategy = Strategy::from_name(&cx.strategy);
-                    match strategy {
-                        Some(strategy) => {
-                            let cfg = Config::new(strategy);
-                            match modelcheck::replay(&cfg, &cx.schedule) {
-                                Ok(out) => check(
-                                    &mut failures,
-                                    out.violations
-                                        .iter()
-                                        .any(|v| v.class == modelcheck::ViolationClass::Window),
-                                    "fixture replay: window violation did not reproduce",
-                                ),
-                                Err(why) => {
-                                    check(&mut failures, false, &format!("fixture replay: {why}"))
-                                }
+                Ok(cx) => match EngineKind::from_name(&cx.strategy) {
+                    Some(kind) => {
+                        let cfg = Config::new(kind);
+                        match modelcheck::replay(&cfg, &cx.schedule) {
+                            Ok(out) => check(
+                                &mut failures,
+                                out.violations
+                                    .iter()
+                                    .any(|v| v.class == modelcheck::ViolationClass::Window),
+                                "fixture replay: window violation did not reproduce",
+                            ),
+                            Err(why) => {
+                                check(&mut failures, false, &format!("fixture replay: {why}"))
                             }
                         }
-                        None => check(
-                            &mut failures,
-                            false,
-                            &format!("fixture names unknown strategy `{}`", cx.strategy),
-                        ),
                     }
-                }
+                    None => check(
+                        &mut failures,
+                        false,
+                        &format!("fixture names unknown engine `{}`", cx.strategy),
+                    ),
+                },
                 Err(e) => {
                     eprintln!("mc-suite: parse {}: {e}", path.display());
                     return ExitCode::from(2);

@@ -23,7 +23,7 @@ pub struct Step {
 /// A violating schedule with its evidence.
 #[derive(Debug, Clone)]
 pub struct Counterexample {
-    /// Strategy name ([`crate::Strategy::name`]).
+    /// The engine's name in the paper's figures (`EngineKind::name`).
     pub strategy: String,
     /// `"window"` or `"subpage"`.
     pub kind: String,
@@ -171,7 +171,7 @@ mod tests {
     #[test]
     fn json_roundtrip_preserves_schedule() {
         let cx = Counterexample {
-            strategy: "linux-deferred".into(),
+            strategy: "defer".into(),
             kind: "window".into(),
             schedule: vec![
                 Step {
@@ -190,7 +190,7 @@ mod tests {
         let back = Counterexample::from_json(&Json::parse(&j.encode()).unwrap()).unwrap();
         assert_eq!(back.schedule, cx.schedule);
         assert_eq!(back.kind, "window");
-        assert_eq!(back.strategy, "linux-deferred");
+        assert_eq!(back.strategy, "defer");
         assert_eq!(back.trace.len(), 1);
     }
 

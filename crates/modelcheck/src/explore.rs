@@ -19,15 +19,16 @@
 use crate::counterexample::{Counterexample, Step};
 use crate::exec::{Executor, ThreadView, Tid, YieldInfo};
 use crate::oracle::{AccessRecord, ViolationClass, ViolationReport};
-use crate::rig::{Rig, Strategy};
+use crate::rig::Rig;
 use dma_api::ProtectionProfile;
+use shadow_core::EngineKind;
 use std::collections::BTreeSet;
 
 /// Exploration parameters.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// The engine strategy to check.
-    pub strategy: Strategy,
+    /// The engine to check.
+    pub kind: EngineKind,
     /// Mapper thread count (the device thread is added on top).
     pub mappers: usize,
     /// Maximum preemptive context switches per schedule.
@@ -58,9 +59,9 @@ pub struct Config {
 impl Config {
     /// Defaults from the acceptance criteria: 2 mappers × 1 device,
     /// preemption bound 3, DPOR on.
-    pub fn new(strategy: Strategy) -> Config {
+    pub fn new(kind: EngineKind) -> Config {
         Config {
-            strategy,
+            kind,
             mappers: 2,
             preemption_bound: 3,
             max_runs: 100_000,
@@ -113,8 +114,8 @@ pub struct RunSummary {
 /// The explorer's verdict over the bounded space.
 #[derive(Debug)]
 pub struct Report {
-    /// Strategy checked.
-    pub strategy: Strategy,
+    /// Engine checked.
+    pub kind: EngineKind,
     /// Complete schedules executed.
     pub runs: usize,
     /// Choice points created.
@@ -199,10 +200,10 @@ fn independent(
     )
 }
 
-/// Explores the bounded schedule space of `cfg.strategy` and reports.
+/// Explores the bounded schedule space of `cfg.kind` and reports.
 pub fn explore(cfg: &Config) -> Report {
     let mut report = Report {
-        strategy: cfg.strategy,
+        kind: cfg.kind,
         runs: 0,
         choice_points: 0,
         sleep_skips: 0,
@@ -242,7 +243,7 @@ pub fn explore(cfg: &Config) -> Report {
 /// the code under test changed — the fixture must be regenerated). The
 /// run is drained to completion either way so no worker leaks.
 pub fn replay(cfg: &Config, schedule: &[Step]) -> Result<RunOutcome, String> {
-    let rig = Rig::build(cfg.strategy, cfg.mappers, cfg.with_san, cfg.percore);
+    let rig = Rig::build(cfg.kind, cfg.mappers, cfg.with_san, cfg.percore);
     let exec = Executor::new(cfg.mappers + 1);
     let handles = rig.spawn_workers(&exec);
     let mut views = exec.wait_quiescent();
@@ -317,7 +318,7 @@ fn finish_outcome(
 /// Executes one schedule: replays the stack prefix, extends greedily at
 /// the frontier (first allowed choice of every new frame).
 fn run_schedule(cfg: &Config, stack: &mut Vec<Frame>, report: &mut Report) -> RunOutcome {
-    let rig = Rig::build(cfg.strategy, cfg.mappers, cfg.with_san, cfg.percore);
+    let rig = Rig::build(cfg.kind, cfg.mappers, cfg.with_san, cfg.percore);
     let exec = Executor::new(cfg.mappers + 1);
     let handles = rig.spawn_workers(&exec);
     let mut views = exec.wait_quiescent();
@@ -454,7 +455,7 @@ fn evaluate(cfg: &Config, outcome: &RunOutcome, report: &mut Report) {
         report.panics.push((outcome.schedule.clone(), msg.clone()));
     }
     for v in &outcome.violations {
-        let cx = || Counterexample::new(cfg.strategy.name(), v, &outcome.schedule, &outcome.events);
+        let cx = || Counterexample::new(cfg.kind.name(), v, &outcome.schedule, &outcome.events);
         match v.class {
             ViolationClass::Window => {
                 report.found_window = true;
@@ -524,7 +525,7 @@ mod tests {
 
     #[test]
     fn independence_requires_distinct_mapper_locks() {
-        let cfg = Config::new(Strategy::Copy);
+        let cfg = Config::new(EngineKind::Copy);
         let la = YieldInfo::Lock("a".into());
         let lb = YieldInfo::Lock("b".into());
         let op = YieldInfo::Op("x".into());
@@ -535,7 +536,7 @@ mod tests {
         assert!(!independent(&cfg, 0, Some(&la), 2, Some(&lb)));
         let nodpor = Config {
             dpor: false,
-            ..Config::new(Strategy::Copy)
+            ..Config::new(EngineKind::Copy)
         };
         assert!(!independent(&nodpor, 0, Some(&la), 1, Some(&lb)));
     }

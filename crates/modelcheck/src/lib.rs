@@ -38,4 +38,4 @@ pub use counterexample::{Counterexample, Step};
 pub use exec::{Executor, ThreadView, Tid, YieldInfo};
 pub use explore::{explore, replay, Config, Report, RunOutcome, RunSummary};
 pub use oracle::{Board, ViolationClass, ViolationReport, WinState};
-pub use rig::{Rig, Strategy, MC_DEV};
+pub use rig::{Rig, MC_DEV};

@@ -32,97 +32,6 @@ pub const MC_DEV: DeviceId = DeviceId(7);
 /// the sub-page and the stale-window exposure.
 pub const PROBE_READ_LEN: usize = TAIL_OFF + 16;
 
-/// The protection strategies the checker explores — the paper's Table 1
-/// set plus the no-IOMMU baseline and the self-invalidating ablation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Strategy {
-    /// IOMMU bypassed entirely (worst case; window + sub-page exposure).
-    NoProtection,
-    /// DMA shadowing via the permanently-mapped shadow pool (*copy*).
-    Copy,
-    /// Strict identity mappings (*identity+*).
-    IdentityStrict,
-    /// Deferred identity mappings (*identity−*).
-    IdentityDeferred,
-    /// Stock Linux IOVA allocator, strict invalidation (*strict*).
-    LinuxStrict,
-    /// Stock Linux IOVA allocator, deferred invalidation (*defer*).
-    LinuxDeferred,
-    /// EiovaR range-cached allocator, strict (*eiovar+*).
-    EiovarStrict,
-    /// EiovaR range-cached allocator, deferred (*eiovar−*).
-    EiovarDeferred,
-    /// Self-invalidating IOMMU hardware ablation.
-    SelfInval,
-}
-
-impl Strategy {
-    /// Every strategy, in checking order.
-    pub const ALL: [Strategy; 9] = [
-        Strategy::Copy,
-        Strategy::IdentityStrict,
-        Strategy::LinuxStrict,
-        Strategy::EiovarStrict,
-        Strategy::SelfInval,
-        Strategy::IdentityDeferred,
-        Strategy::LinuxDeferred,
-        Strategy::EiovarDeferred,
-        Strategy::NoProtection,
-    ];
-
-    /// Short machine-readable name (used in fixtures and reports).
-    pub fn name(self) -> &'static str {
-        match self {
-            Strategy::NoProtection => "no-iommu",
-            Strategy::Copy => "copy",
-            Strategy::IdentityStrict => "identity-strict",
-            Strategy::IdentityDeferred => "identity-deferred",
-            Strategy::LinuxStrict => "linux-strict",
-            Strategy::LinuxDeferred => "linux-deferred",
-            Strategy::EiovarStrict => "eiovar-strict",
-            Strategy::EiovarDeferred => "eiovar-deferred",
-            Strategy::SelfInval => "selfinval",
-        }
-    }
-
-    /// The engine this strategy checks (the names differ only because
-    /// fixtures and the CLI predate the paper-legend names).
-    pub fn kind(self) -> EngineKind {
-        match self {
-            Strategy::NoProtection => EngineKind::NoIommu,
-            Strategy::Copy => EngineKind::Copy,
-            Strategy::IdentityStrict => EngineKind::IdentityPlus,
-            Strategy::IdentityDeferred => EngineKind::IdentityMinus,
-            Strategy::LinuxStrict => EngineKind::LinuxStrict,
-            Strategy::LinuxDeferred => EngineKind::LinuxDefer,
-            Strategy::EiovarStrict => EngineKind::EiovarStrict,
-            Strategy::EiovarDeferred => EngineKind::EiovarDefer,
-            Strategy::SelfInval => EngineKind::SelfInvalHw,
-        }
-    }
-
-    /// Parses [`Strategy::name`] back (for fixtures and the CLI).
-    pub fn from_name(s: &str) -> Option<Strategy> {
-        Strategy::ALL.into_iter().find(|k| k.name() == s)
-    }
-
-    /// Whether the engine defers IOTLB invalidation (and therefore needs
-    /// the extra `flush` script step and is *expected* to show the
-    /// vulnerability window).
-    pub fn is_deferred(self) -> bool {
-        matches!(
-            self,
-            Strategy::IdentityDeferred | Strategy::LinuxDeferred | Strategy::EiovarDeferred
-        )
-    }
-}
-
-impl fmt::Display for Strategy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// One fully-built model-checking configuration, fresh per run.
 ///
 /// Deliberately leaner than `netsim::SimStack` (no NIC, no wire, no RNG):
@@ -151,8 +60,8 @@ pub struct Rig {
     /// Mapper thread count (thread ids `0..mappers`; the device is
     /// `mappers`).
     pub mappers: usize,
-    /// Strategy this rig was built for.
-    pub strategy: Strategy,
+    /// The engine this rig was built for.
+    pub kind: EngineKind,
     /// Whether the rig was built with per-core allocation state (shadow
     /// pool magazines, per-core IOVA allocator, one invalidation queue per
     /// mapper).
@@ -177,7 +86,7 @@ impl Rig {
     /// strict unmap then waits only on its own queue and still returns
     /// with the IOTLB entry gone, so every engine declares what it
     /// declares unsharded — and the explorer proves it.
-    pub fn build(strategy: Strategy, mappers: usize, with_san: bool, percore: bool) -> Rig {
+    pub fn build(kind: EngineKind, mappers: usize, with_san: bool, percore: bool) -> Rig {
         assert!(mappers >= 1, "need at least one mapper");
         let obs = Obs::with_trace_capacity(4096);
         obs.set_trace_sampling(1);
@@ -185,7 +94,7 @@ impl Rig {
         let queues = if percore { mappers } else { 1 };
         let mmu = Arc::new(Iommu::with_queues(obs.clone(), queues));
         let engine = build_engine(
-            strategy.kind(),
+            kind,
             mem.clone(),
             mmu.clone(),
             MC_DEV,
@@ -199,8 +108,8 @@ impl Rig {
         let observer = san.clone().map(|san| san as Arc<dyn DmaObserver>);
         let engine: Arc<dyn DmaEngine> = Arc::new(TracedDma::new(engine, obs.clone(), observer));
         let profile = engine.profile();
-        let bus = match strategy {
-            Strategy::NoProtection => Bus::Direct(mem.clone()),
+        let bus = match kind {
+            EngineKind::NoIommu => Bus::Direct(mem.clone()),
             _ => Bus::Iommu {
                 mmu: mmu.clone(),
                 mem: mem.clone(),
@@ -238,7 +147,7 @@ impl Rig {
             san,
             profile,
             mappers,
-            strategy,
+            kind,
             percore,
         }
     }
@@ -253,7 +162,9 @@ impl Rig {
             let engine = self.engine.clone();
             let mem = self.mem.clone();
             let board = self.board.clone();
-            let deferred = self.strategy.is_deferred();
+            // An IOMMU engine that declares a window is one that leaves
+            // invalidations pending after `unmap`: it gets the flush step.
+            let deferred = self.profile.uses_iommu && !self.profile.no_vulnerability_window;
             handles.push(std::thread::spawn(move || {
                 exec.run_worker(m, move || mapper_script(m, &engine, &mem, &board, deferred));
             }));
@@ -274,7 +185,7 @@ impl Rig {
 impl fmt::Debug for Rig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Rig")
-            .field("strategy", &self.strategy)
+            .field("kind", &self.kind)
             .field("mappers", &self.mappers)
             .field("percore", &self.percore)
             .finish()

@@ -15,10 +15,11 @@
 //! over-approximation down: oracle clean, dmasan reports only
 //! `StaleAccess`, and at least one such report exists (the gap is real).
 
-use modelcheck::{explore, Config, Strategy};
+use modelcheck::{explore, Config};
+use shadow_core::EngineKind;
 
-fn crosscheck_config(strategy: Strategy) -> Config {
-    let mut cfg = Config::new(strategy);
+fn crosscheck_config(kind: EngineKind) -> Config {
+    let mut cfg = Config::new(kind);
     cfg.preemption_bound = 0; // single-threaded traces only
     cfg.dpor = false; // enumerate every completion order
     cfg.with_san = true;
@@ -28,17 +29,17 @@ fn crosscheck_config(strategy: Strategy) -> Config {
 
 #[test]
 fn dmasan_agrees_with_oracle_on_serial_traces_of_zero_copy_engines() {
-    for strategy in [
-        Strategy::NoProtection,
-        Strategy::LinuxStrict,
-        Strategy::IdentityStrict,
-        Strategy::LinuxDeferred,
-        Strategy::IdentityDeferred,
+    for kind in [
+        EngineKind::NoIommu,
+        EngineKind::LinuxStrict,
+        EngineKind::IdentityPlus,
+        EngineKind::LinuxDefer,
+        EngineKind::IdentityMinus,
     ] {
-        let r = explore(&crosscheck_config(strategy));
-        assert!(r.exhausted, "{strategy}: serial space not covered");
-        assert!(r.panics.is_empty(), "{strategy}: panics: {:?}", r.panics);
-        assert!(!r.run_summaries.is_empty(), "{strategy}: no runs collected");
+        let r = explore(&crosscheck_config(kind));
+        assert!(r.exhausted, "{kind}: serial space not covered");
+        assert!(r.panics.is_empty(), "{kind}: panics: {:?}", r.panics);
+        assert!(!r.run_summaries.is_empty(), "{kind}: no runs collected");
         for (i, run) in r.run_summaries.iter().enumerate() {
             let closed_effect = run
                 .accesses
@@ -52,7 +53,7 @@ fn dmasan_agrees_with_oracle_on_serial_traces_of_zero_copy_engines() {
             let san_oob = run.san_violations.iter().any(|k| k == "OobAccess");
             assert_eq!(
                 san_stale, closed_effect,
-                "{strategy} run {i}: dmasan StaleAccess={san_stale} but oracle \
+                "{kind} run {i}: dmasan StaleAccess={san_stale} but oracle \
                  closed-window effect={closed_effect}\n  schedule: {:?}\n  accesses: {:?}\n  san: {:?}",
                 run.schedule, run.accesses, run.san_violations
             );
@@ -61,13 +62,13 @@ fn dmasan_agrees_with_oracle_on_serial_traces_of_zero_copy_engines() {
             // therefore neither verdict may claim one.
             assert!(
                 !open_effect && !san_oob,
-                "{strategy} run {i}: open-window access on a serial trace \
+                "{kind} run {i}: open-window access on a serial trace \
                  (oracle={open_effect}, dmasan OobAccess={san_oob})"
             );
         }
         // The agreement must be exercised positively somewhere: the
         // no-IOMMU baseline grants stale accesses on serial traces.
-        if strategy == Strategy::NoProtection {
+        if kind == EngineKind::NoIommu {
             assert!(
                 r.run_summaries
                     .iter()
@@ -80,7 +81,7 @@ fn dmasan_agrees_with_oracle_on_serial_traces_of_zero_copy_engines() {
 
 #[test]
 fn dmasan_overapproximates_copy_and_oracle_refines_it() {
-    let r = explore(&crosscheck_config(Strategy::Copy));
+    let r = explore(&crosscheck_config(EngineKind::Copy));
     assert!(r.exhausted && r.panics.is_empty());
     // Effect oracle: shadowing is clean on every serial trace.
     assert!(

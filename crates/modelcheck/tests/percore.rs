@@ -11,13 +11,14 @@
 //! - the strict engines stay provably strict — a per-core queue changes
 //!   whose invalidations an unmap waits behind, not whether the IOTLB
 //!   entry is gone when it returns;
-//! - for every strategy, sharded or not, what the engine *declares* is
+//! - for every engine, sharded or not, what the engine *declares* is
 //!   what the checker *proves*.
 
-use modelcheck::{explore, Config, Rig, Strategy};
+use modelcheck::{explore, Config, Rig};
+use shadow_core::EngineKind;
 
-fn percore_cfg(strategy: Strategy) -> Config {
-    let mut cfg = Config::new(strategy);
+fn percore_cfg(kind: EngineKind) -> Config {
+    let mut cfg = Config::new(kind);
     cfg.percore = true;
     cfg
 }
@@ -26,7 +27,7 @@ fn percore_cfg(strategy: Strategy) -> Config {
 fn percore_copy_is_still_provably_safe() {
     // The copy proof must survive the magazine layer: same bounded space,
     // zero violations, despite the extra magazine-lock preemption points.
-    let r = explore(&percore_cfg(Strategy::Copy));
+    let r = explore(&percore_cfg(EngineKind::Copy));
     assert!(r.exhausted, "bounded space not fully explored");
     assert!(!r.found_window, "copy+magazines must have no window");
     assert!(!r.found_subpage, "copy+magazines must protect sub-page");
@@ -39,48 +40,48 @@ fn percore_strict_engines_are_provably_window_free() {
     // Each mapper posts to its own queue and nothing is parked: in every
     // schedule of the bounded space the device's post-unmap probe faults,
     // exactly as under the single queue.
-    for strategy in [
-        Strategy::IdentityStrict,
-        Strategy::LinuxStrict,
-        Strategy::EiovarStrict,
+    for kind in [
+        EngineKind::IdentityPlus,
+        EngineKind::LinuxStrict,
+        EngineKind::EiovarStrict,
     ] {
-        let r = explore(&percore_cfg(strategy));
-        assert!(r.exhausted, "{strategy}: bounded space not fully explored");
-        assert!(!r.found_window, "{strategy}: {:?}", r.window_example);
-        assert!(r.unexpected.is_none(), "{strategy}: {:?}", r.unexpected);
-        assert!(r.panics.is_empty(), "{strategy}: {:?}", r.panics);
+        let r = explore(&percore_cfg(kind));
+        assert!(r.exhausted, "{kind}: bounded space not fully explored");
+        assert!(!r.found_window, "{kind}: {:?}", r.window_example);
+        assert!(r.unexpected.is_none(), "{kind}: {:?}", r.unexpected);
+        assert!(r.panics.is_empty(), "{kind}: {:?}", r.panics);
     }
 }
 
 #[test]
 fn declared_profile_is_the_proven_verdict_on_every_strategy() {
     // ROADMAP item 4, first step: the engine's own declaration (what the
-    // rig expects) against the explorer's verdict, for every strategy,
+    // rig expects) against the explorer's verdict, for every engine,
     // global and percore. A declared window is proven by one schedule that
     // exhibits it; a declared absence only by exhausting the bounded space.
-    for strategy in Strategy::ALL {
+    for kind in EngineKind::ALL.into_iter().chain([EngineKind::SelfInvalHw]) {
         for percore in [false, true] {
-            let profile = Rig::build(strategy, 2, false, percore).profile;
-            let mut cfg = Config::new(strategy);
+            let profile = Rig::build(kind, 2, false, percore).profile;
+            let mut cfg = Config::new(kind);
             cfg.percore = percore;
             cfg.stop_at_first_window = !profile.no_vulnerability_window;
             let r = explore(&cfg);
             assert!(
                 r.exhausted || r.found_window,
-                "{strategy} percore={percore}: bounded space not covered"
+                "{kind} percore={percore}: bounded space not covered"
             );
             assert_eq!(
                 profile.no_vulnerability_window, !r.found_window,
-                "{strategy} percore={percore}: declared vs proven"
+                "{kind} percore={percore}: declared vs proven"
             );
             assert!(
                 r.unexpected.is_none(),
-                "{strategy} percore={percore}: {:?}",
+                "{kind} percore={percore}: {:?}",
                 r.unexpected
             );
             assert!(
                 r.panics.is_empty(),
-                "{strategy} percore={percore}: {:?}",
+                "{kind} percore={percore}: {:?}",
                 r.panics
             );
         }

@@ -2,12 +2,13 @@
 //! bounded exploration; strict engines show no vulnerability window;
 //! deferred engines produce the window counterexample.
 
-use modelcheck::{explore, Config, Strategy};
+use modelcheck::{explore, Config};
+use shadow_core::EngineKind;
 
 #[test]
 fn copy_is_proved_safe_within_bounds() {
     // 2 mappers × 1 device, preemption bound 3: the acceptance floor.
-    let cfg = Config::new(Strategy::Copy);
+    let cfg = Config::new(EngineKind::Copy);
     assert!(cfg.mappers >= 2 && cfg.preemption_bound >= 3);
     let r = explore(&cfg);
     assert!(r.panics.is_empty(), "worker panics: {:?}", r.panics);
@@ -31,35 +32,35 @@ fn copy_is_proved_safe_within_bounds() {
 
 #[test]
 fn strict_engines_have_no_window_within_bounds() {
-    for strategy in [Strategy::LinuxStrict, Strategy::IdentityStrict] {
-        let r = explore(&Config::new(strategy));
-        assert!(r.panics.is_empty(), "{strategy}: panics: {:?}", r.panics);
-        assert!(r.exhausted, "{strategy}: space not fully explored");
+    for kind in [EngineKind::LinuxStrict, EngineKind::IdentityPlus] {
+        let r = explore(&Config::new(kind));
+        assert!(r.panics.is_empty(), "{kind}: panics: {:?}", r.panics);
+        assert!(r.exhausted, "{kind}: space not fully explored");
         assert!(
             !r.found_window,
-            "{strategy}: strict invalidation left a window: {:?}",
+            "{kind}: strict invalidation left a window: {:?}",
             r.window_example.as_ref().map(|c| &c.detail)
         );
         // Page-granularity exposure is expected — and must be witnessed,
         // otherwise the oracle's probes have regressed.
-        assert!(r.found_subpage, "{strategy}: sub-page exposure not found");
+        assert!(r.found_subpage, "{kind}: sub-page exposure not found");
         assert!(
             r.unexpected.is_none(),
-            "{strategy}: violation contradicts the engine's profile"
+            "{kind}: violation contradicts the engine's profile"
         );
     }
 }
 
 #[test]
 fn deferred_engine_yields_window_counterexample() {
-    let mut cfg = Config::new(Strategy::LinuxDeferred);
+    let mut cfg = Config::new(EngineKind::LinuxDefer);
     cfg.stop_at_first_window = true;
     let r = explore(&cfg);
     assert!(r.panics.is_empty(), "panics: {:?}", r.panics);
     assert!(r.found_window, "deferred invalidation window not found");
     let cx = r.window_example.expect("counterexample recorded");
     assert_eq!(cx.kind, "window");
-    assert_eq!(cx.strategy, "linux-deferred");
+    assert_eq!(cx.strategy, "defer");
     assert!(!cx.schedule.is_empty(), "counterexample has a schedule");
     assert!(!cx.trace.is_empty(), "counterexample carries its trace");
 }
@@ -69,7 +70,7 @@ fn preemption_bound_zero_serializes_threads() {
     // Bound 0 admits only thread-completion orders: with 3 threads that
     // is at most 3! = 6 schedules (fewer when a thread has already
     // finished before a switch point).
-    let mut cfg = Config::new(Strategy::LinuxStrict);
+    let mut cfg = Config::new(EngineKind::LinuxStrict);
     cfg.preemption_bound = 0;
     cfg.dpor = false;
     let r = explore(&cfg);
@@ -80,9 +81,9 @@ fn preemption_bound_zero_serializes_threads() {
 
 #[test]
 fn dpor_prunes_without_changing_verdicts() {
-    let mut plain = Config::new(Strategy::LinuxDeferred);
+    let mut plain = Config::new(EngineKind::LinuxDefer);
     plain.dpor = false;
-    let mut pruned = Config::new(Strategy::LinuxDeferred);
+    let mut pruned = Config::new(EngineKind::LinuxDefer);
     pruned.dpor = true;
     let rp = explore(&plain);
     let rq = explore(&pruned);

@@ -5,8 +5,9 @@
 
 // lint: allow(ambient-io) — reads the committed counterexample fixture
 
-use modelcheck::{replay, Config, Counterexample, Step, Strategy, ViolationClass};
+use modelcheck::{replay, Config, Counterexample, Rig, Step, ViolationClass};
 use obs::Json;
+use shadow_core::EngineKind;
 
 fn load_fixture() -> Counterexample {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -24,12 +25,14 @@ fn load_fixture() -> Counterexample {
 fn committed_counterexample_reproduces_window_violation() {
     let cx = load_fixture();
     assert_eq!(cx.kind, "window", "fixture must witness the window");
-    let strategy = Strategy::from_name(&cx.strategy).expect("fixture strategy exists");
+    let kind = EngineKind::from_name(&cx.strategy).expect("fixture engine exists");
     assert!(
-        strategy.is_deferred(),
-        "the window belongs to deferred engines"
+        !Rig::build(kind, 2, false, false)
+            .profile
+            .no_vulnerability_window,
+        "the window belongs to engines that declare one"
     );
-    let cfg = Config::new(strategy);
+    let cfg = Config::new(kind);
     let out = replay(&cfg, &cx.schedule).expect("fixture schedule replays without divergence");
     assert!(
         out.violations
@@ -44,8 +47,8 @@ fn committed_counterexample_reproduces_window_violation() {
 #[test]
 fn replay_detects_schedule_divergence() {
     let cx = load_fixture();
-    let strategy = Strategy::from_name(&cx.strategy).expect("fixture strategy exists");
-    let cfg = Config::new(strategy);
+    let kind = EngineKind::from_name(&cx.strategy).expect("fixture engine exists");
+    let cfg = Config::new(kind);
     // Corrupt one recorded label: replay must refuse, not misattribute.
     let mut bad: Vec<Step> = cx.schedule.clone();
     let step = bad.last_mut().expect("fixture has steps");

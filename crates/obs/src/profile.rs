@@ -736,7 +736,7 @@ impl ProfileSnapshot {
     }
 
     /// Renders a node-by-node comparison of `self` (before) against
-    /// `after`, for BENCH_HOST regression triage.
+    /// `after`, to triage where two runs' simulated cycles diverge.
     pub fn render_diff(&self, after: &ProfileSnapshot) -> String {
         let mut engines = self.engines();
         for e in after.engines() {

@@ -3,7 +3,8 @@
 //! paper's figures report.
 //!
 //! Run with: `cargo run --release --example netperf -- [engine] [cores] [msg_size]`
-//!   engine   one of: no-iommu copy identity+ identity- strict defer (default copy)
+//!   engine   no-iommu, or a figure-legend name: copy identity+ identity-
+//!            eiovar+ eiovar- strict defer (default copy)
 //!   cores    1..=16 (default 1)
 //!   msg_size message size in bytes (default 65536)
 
@@ -14,15 +15,10 @@ use dma_shadowing::netsim::{
 fn parse_engine(s: &str) -> EngineKind {
     match s {
         "no-iommu" | "noiommu" => EngineKind::NoIommu,
-        "copy" => EngineKind::Copy,
-        "identity+" => EngineKind::IdentityPlus,
-        "identity-" => EngineKind::IdentityMinus,
-        "strict" => EngineKind::LinuxStrict,
-        "defer" => EngineKind::LinuxDefer,
-        other => {
-            eprintln!("unknown engine {other:?}; using copy");
+        _ => EngineKind::from_name(s).unwrap_or_else(|| {
+            eprintln!("unknown engine {s:?}; using copy");
             EngineKind::Copy
-        }
+        }),
     }
 }
 

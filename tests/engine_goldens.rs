@@ -5,8 +5,12 @@
 //!
 //! The simulator is deterministic, so an engine refactor that claims
 //! "figures unchanged" must leave `fixtures/engine_goldens.txt` matching to
-//! the cycle. There is deliberately no bless switch: an intended model
-//! change edits the fixture by hand from the table a failing run prints.
+//! the cycle. There is no bless switch and no hand editing: a failing run
+//! writes the full actual table to `target/engine_goldens.actual.txt` and
+//! prints the `cp` line, so an intended model change is one copied file and
+//! one reviewed fixture diff (see `golden/mod.rs`).
+
+mod golden;
 
 use dma_shadowing::devices::MTU;
 use dma_shadowing::netsim::{
@@ -14,7 +18,10 @@ use dma_shadowing::netsim::{
 };
 use dma_shadowing::simcore::Phase;
 
-const GOLDEN: &str = include_str!("fixtures/engine_goldens.txt");
+const GOLDEN: golden::Golden = golden::Golden {
+    name: "engine_goldens",
+    text: include_str!("fixtures/engine_goldens.txt"),
+};
 
 struct Workload {
     name: &'static str,
@@ -73,32 +80,9 @@ fn actual_rows(w: &Workload) -> Vec<String> {
 }
 
 fn check(w: &Workload) {
-    let expected: Vec<&str> = GOLDEN.lines().filter(|l| l.starts_with(w.name)).collect();
-    let actual = actual_rows(w);
-    if expected != actual {
-        let diff: Vec<String> = actual
-            .iter()
-            .enumerate()
-            .filter(|(i, a)| expected.get(*i).copied() != Some(a.as_str()))
-            .map(|(i, a)| {
-                format!(
-                    "  expected: {}\n  actual:   {a}",
-                    expected.get(i).unwrap_or(&"<missing>")
-                )
-            })
-            .collect();
-        panic!(
-            "{} goldens differ ({} expected rows, {} actual).\n\
-             columns: workload percore engine items bytes {}\n\
-             full actual table:\n{}\nmismatches:\n{}",
-            w.name,
-            expected.len(),
-            actual.len(),
-            Phase::ALL.map(|p| p.label().replace(' ', "_")).join(" "),
-            actual.join("\n"),
-            diff.join("\n")
-        );
-    }
+    GOLDEN.check(w.name, &actual_rows(w), || {
+        [RX, TX, RR].iter().flat_map(actual_rows).collect()
+    });
 }
 
 #[test]

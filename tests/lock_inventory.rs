@@ -5,7 +5,8 @@
 //! that drift a failure.
 
 use dma_shadowing::lint::lock_order_analysis;
-use modelcheck::{explore, Config, Strategy};
+use dma_shadowing::shadow_core::EngineKind;
+use modelcheck::{explore, Config};
 use std::path::Path;
 
 #[test]
@@ -22,27 +23,27 @@ fn static_inventory_covers_model_checker_runtime_locks() {
             "static inventory {names:?} is missing `{percore_lock}`"
         );
     }
-    // Copy exercises the pool locks; linux-deferred exercises the IOVA
+    // Copy exercises the pool locks; defer exercises the IOVA
     // allocator, the deferred flush list, and the invalidation queue. The
     // percore variants add the magazine and shared-pool locks to the
     // runtime set, and take the invalidation-queue lock once per core.
-    for (strategy, percore) in [
-        (Strategy::Copy, false),
-        (Strategy::LinuxDeferred, false),
-        (Strategy::Copy, true),
-        (Strategy::LinuxStrict, true),
+    for (kind, percore) in [
+        (EngineKind::Copy, false),
+        (EngineKind::LinuxDefer, false),
+        (EngineKind::Copy, true),
+        (EngineKind::LinuxStrict, true),
     ] {
-        let mut cfg = Config::new(strategy);
+        let mut cfg = Config::new(kind);
         cfg.known_locks = Some(names.clone());
         cfg.percore = percore;
         let r = explore(&cfg);
         assert!(
             r.exhausted,
-            "{strategy} (percore={percore}): bounded space not covered"
+            "{kind} (percore={percore}): bounded space not covered"
         );
         assert!(
             r.unknown_locks.is_empty(),
-            "{strategy} (percore={percore}): runtime locks missing from the \
+            "{kind} (percore={percore}): runtime locks missing from the \
              static inventory {names:?}: {:?}",
             r.unknown_locks
         );
