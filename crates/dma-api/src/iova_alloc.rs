@@ -252,33 +252,6 @@ impl PerCoreIovaAllocator {
     fn magazine(&self, ctx: &CoreCtx) -> &Mutex<BTreeMap<u64, Vec<u64>>> {
         &self.magazines[ctx.core.index() % self.magazines.len()]
     }
-
-    /// Returns every range cached in the calling core's magazine to the
-    /// shared pool (one batched shared-lock hold). The teardown drain
-    /// path: cached ranges must go home before the allocator's owner is
-    /// dropped so nothing stays checked out of the global structure.
-    pub fn drain_magazine(&self, ctx: &mut CoreCtx) -> usize {
-        let cached: Vec<(u64, Vec<u64>)> = {
-            let mut mag = self.magazine(ctx).lock();
-            std::mem::take(&mut *mag).into_iter().collect()
-        };
-        let drained: usize = cached.iter().map(|(_, v)| v.len()).sum();
-        if drained == 0 {
-            return 0;
-        }
-        let ((), spin) = self.obs.locked(ctx, &self.shared_lock, SHARED_POOL, |ctx| {
-            ctx.charge(Phase::IommuPageTableMgmt, ctx.cost.iova_tree_free);
-            let mut shared = self.shared.lock();
-            for (n, starts) in cached {
-                for s in starts {
-                    shared.free(s, n);
-                }
-            }
-        });
-        self.obs
-            .trace_contention(ctx, None, &self.shared_lock, spin);
-        drained
-    }
 }
 
 impl IovaAllocator for PerCoreIovaAllocator {
@@ -345,8 +318,32 @@ impl IovaAllocator for PerCoreIovaAllocator {
         Some((self.shared_lock.name(), self.shared_lock.stats()))
     }
 
+    /// Returns every range cached in **every** core's magazine to the
+    /// shared pool under one shared-lock hold. Teardown runs once, on one
+    /// core: ranges left in the other cores' magazines would stay checked
+    /// out of the global structure after the allocator's owner is dropped.
     fn drain(&self, ctx: &mut CoreCtx) -> usize {
-        self.drain_magazine(ctx)
+        let cached: Vec<(u64, Vec<u64>)> = self
+            .magazines
+            .iter()
+            .flat_map(|mag| std::mem::take(&mut *mag.lock()))
+            .collect();
+        let drained: usize = cached.iter().map(|(_, v)| v.len()).sum();
+        if drained == 0 {
+            return 0;
+        }
+        let ((), spin) = self.obs.locked(ctx, &self.shared_lock, SHARED_POOL, |ctx| {
+            ctx.charge(Phase::IommuPageTableMgmt, ctx.cost.iova_tree_free);
+            let mut shared = self.shared.lock();
+            for (n, starts) in cached {
+                for s in starts {
+                    shared.free(s, n);
+                }
+            }
+        });
+        self.obs
+            .trace_contention(ctx, None, &self.shared_lock, spin);
+        drained
     }
 }
 
@@ -536,11 +533,11 @@ mod tests {
         // Populate the magazine: the refill pulls MAGAZINE_REFILL ranges.
         let p = a.alloc(&mut c, 1).unwrap();
         a.free(&mut c, p, 1);
-        let drained = a.drain_magazine(&mut c);
+        let drained = a.drain(&mut c);
         assert_eq!(drained, MAGAZINE_REFILL, "refill batch went home");
         // An empty magazine drains to nothing (and takes no shared lock).
         let before = a.shared_lock.stats().acquisitions;
-        assert_eq!(a.drain_magazine(&mut c), 0);
+        assert_eq!(a.drain(&mut c), 0);
         assert_eq!(a.shared_lock.stats().acquisitions, before);
         // After a full drain the shared pool is whole again: a fresh
         // same-size alloc starts from the lowest page, as on a new
@@ -550,6 +547,32 @@ mod tests {
         assert_eq!(
             a.alloc(&mut c, 1).unwrap(),
             fresh.alloc(&mut cf, 1).unwrap()
+        );
+    }
+
+    #[test]
+    fn drain_from_one_core_empties_every_cores_magazine() {
+        // Teardown calls `drain` once, on core 0; ranges parked on the
+        // other cores must go home with it.
+        let a = PerCoreIovaAllocator::new(4);
+        for core in 1..4u16 {
+            let mut c = ctx(core);
+            let p = a.alloc(&mut c, 1).unwrap();
+            a.free(&mut c, p, 1);
+        }
+        let mut c0 = ctx(0);
+        let before = a.shared_lock.stats().acquisitions;
+        assert_eq!(a.drain(&mut c0), 3 * MAGAZINE_REFILL);
+        assert_eq!(
+            a.shared_lock.stats().acquisitions,
+            before + 1,
+            "one shared-lock hold for all magazines"
+        );
+        let fresh = PerCoreIovaAllocator::new(4);
+        assert_eq!(
+            a.alloc(&mut c0, 1).unwrap(),
+            fresh.alloc(&mut ctx(0), 1).unwrap(),
+            "the shared pool is whole again"
         );
     }
 }
