@@ -41,5 +41,9 @@ cargo run -q --release --bin profile_report
 # (16/64/128/256 virtual cores, global vs per-core allocation state);
 # writes the curve artifacts to target/scaling_curves.{csv,jsonl} and
 # fails if percore strict / identity+ degrade from 64 to 256 cores or fall
-# more than 2x behind copy at 64 (ROADMAP item 4's target).
+# more than 2x behind copy at 64 (ROADMAP item 4's target); if percore
+# defer / eiovar- degrade from 64 to 256, leave copy's curve by more than
+# 5 % at any core count, or need more than 25 % CPU or 0.5 us spin/packet
+# at 256; if percore eiovar+ differs from percore strict by more than 1 %;
+# or if any global row moves (ROADMAP item 2(c)).
 cargo bench -p bench --bench scaling

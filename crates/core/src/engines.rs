@@ -14,6 +14,7 @@ use dma_api::{
 };
 use iommu::{DeviceId, Iommu};
 use memsim::PhysMemory;
+use obs::Obs;
 use std::fmt;
 use std::sync::Arc;
 
@@ -117,23 +118,31 @@ pub fn build_shadow(
 /// driven by `cores` cores.
 ///
 /// The zero-copy engines are each one (IOVA policy, invalidation policy)
-/// pair:
+/// pair, and `percore` is one more column of the same table: it changes
+/// where a pair keeps its allocation state, never which pair an engine is.
 ///
-/// | engine | IOVA policy | invalidation policy | `percore` substitutes |
+/// | engine | IOVA policy | invalidation policy | under `percore` |
 /// |---|---|---|---|
-/// | *identity+* | identity | strict | — |
-/// | *identity−* | identity | deferred, one list per core | — |
+/// | *identity+* | identity | strict | unchanged (no allocator, no list) |
+/// | *identity−* | identity | deferred, one list per core | unchanged |
 /// | *strict* | global tree | strict | per-core magazines for the tree |
-/// | *defer* | global tree | deferred, one global list | per-core magazines for the tree |
-/// | *eiovar+* | cached global tree | strict | — |
-/// | *eiovar−* | cached global tree | deferred, one global list | — |
-/// | *self-inval hw* | identity | hardware | — |
+/// | *defer* | global tree | deferred, one global list | per-core magazines, one list per core |
+/// | *eiovar+* | cached global tree | strict | per-core magazines for the tree |
+/// | *eiovar−* | cached global tree | deferred, one global list | per-core magazines, one list per core |
+/// | *self-inval hw* | identity | hardware | unchanged |
 ///
-/// `percore` shards hot allocation state per core: here that is the IOVA
-/// allocator of the stock-Linux pair and the shadow pool's magazines
-/// ([`build_shadow`]); the caller pairs it with one invalidation queue
-/// per core in `mmu` (`Iommu::with_queues`), which changes where a strict
-/// unmap waits, not what it guarantees. `pool_cfg` is used by *copy* only.
+/// `percore` shards hot allocation state per core (Peleg et al. \[42\],
+/// the two serialisation points §2.2.1 names): every tree-backed engine
+/// gets [`PerCoreIovaAllocator`] — EiovaR's free-range cache held per core
+/// *is* the magazine design, so *eiovar±* take the same allocator and
+/// differ from *strict*/*defer* only when `percore` is off — every
+/// deferred engine one pending list per core, and the shadow pool its
+/// magazines ([`build_shadow`]). The caller pairs it with one invalidation
+/// queue per core in `mmu` (`Iommu::with_queues`), which changes where a
+/// strict unmap waits, not what it guarantees. What a deferred engine pays
+/// for its per-core lists is exposure, not protection class: the window
+/// it already declares grows from one batch to one batch per core
+/// (`flush.peak_pending`). `pool_cfg` is used by *copy* only.
 pub fn build_engine(
     kind: EngineKind,
     mem: Arc<PhysMemory>,
@@ -144,32 +153,37 @@ pub fn build_engine(
     pool_cfg: PoolConfig,
 ) -> Box<dyn DmaEngine> {
     let obs = mmu.obs().clone();
-    let stock_tree = || {
+    let tree = |global: fn(Obs) -> GlobalTreeIovaAllocator| {
         if percore {
             IovaPolicy::allocated(PerCoreIovaAllocator::with_obs(cores, obs.clone()))
         } else {
-            IovaPolicy::allocated(GlobalTreeIovaAllocator::with_obs(obs.clone()))
+            IovaPolicy::allocated(global(obs.clone()))
         }
     };
-    let cached_tree =
-        || IovaPolicy::allocated(GlobalTreeIovaAllocator::cached_with_obs(obs.clone()));
-    let deferred = |scope, lists| {
+    let stock_tree = GlobalTreeIovaAllocator::with_obs;
+    let cached_tree = GlobalTreeIovaAllocator::cached_with_obs;
+    let deferred = |scope| {
         InvalPolicy::Deferred(DeferredFlusher::with_obs(
             DeferPolicy::linux_default(),
             scope,
-            lists,
+            cores,
             obs.clone(),
         ))
+    };
+    let list_scope = if percore {
+        FlushScope::PerCore
+    } else {
+        FlushScope::Global
     };
     let (iova, inval) = match kind {
         EngineKind::NoIommu => return Box::new(NoIommu::new(mem, dev)),
         EngineKind::Copy => return Box::new(build_shadow(mem, mmu, dev, cores, percore, pool_cfg)),
         EngineKind::IdentityPlus => (IovaPolicy::identity(), InvalPolicy::Strict),
-        EngineKind::IdentityMinus => (IovaPolicy::identity(), deferred(FlushScope::PerCore, cores)),
-        EngineKind::LinuxStrict => (stock_tree(), InvalPolicy::Strict),
-        EngineKind::LinuxDefer => (stock_tree(), deferred(FlushScope::Global, 1)),
-        EngineKind::EiovarStrict => (cached_tree(), InvalPolicy::Strict),
-        EngineKind::EiovarDefer => (cached_tree(), deferred(FlushScope::Global, 1)),
+        EngineKind::IdentityMinus => (IovaPolicy::identity(), deferred(FlushScope::PerCore)),
+        EngineKind::LinuxStrict => (tree(stock_tree), InvalPolicy::Strict),
+        EngineKind::LinuxDefer => (tree(stock_tree), deferred(list_scope)),
+        EngineKind::EiovarStrict => (tree(cached_tree), InvalPolicy::Strict),
+        EngineKind::EiovarDefer => (tree(cached_tree), deferred(list_scope)),
         EngineKind::SelfInvalHw => (IovaPolicy::identity(), InvalPolicy::Hardware),
     };
     Box::new(MappedDma::new(kind.name(), mem, mmu, dev, iova, inval))
@@ -183,8 +197,9 @@ pub fn build_engine(
 mod tests {
     use super::*;
     use dma_api::{Bus, DmaBuf, DmaDirection, DmaError, DmaMapping};
-    use iommu::{IommuError, Iova, Perms, PtError};
+    use iommu::{IommuError, Iova, IovaPage, Perms, PtError};
     use memsim::{NumaDomain, NumaTopology, Pfn};
+    use obs::EventKind;
     use simcore::{CoreCtx, CoreId, CostModel, Cycles, Phase};
 
     const DEV: DeviceId = DeviceId(0);
@@ -322,7 +337,7 @@ mod tests {
         // IOTLB entry dies: the declaration is the unsharded one, and a
         // warmed translation is dead the moment unmap returns.
         for row in ROWS {
-            let mut r = Rig::on(Iommu::with_queues(obs::Obs::isolated(), 4), |mem, mmu| {
+            let mut r = Rig::on(Iommu::with_queues(Obs::isolated(), 4), |mem, mmu| {
                 build_engine(row.kind, mem, mmu, DEV, 4, true, PoolConfig::default())
             });
             assert_eq!(
@@ -347,45 +362,114 @@ mod tests {
         }
     }
 
+    /// Where an engine keeps its pending unmaps, read off its behaviour:
+    /// one batch of unmaps split over two cores fills one global list (and
+    /// drains it) but leaves two per-core lists half full.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Lists {
+        NoList,
+        Global,
+        PerCore,
+    }
+
     #[test]
-    fn percore_substitutes_the_stock_tree_only() {
-        let lock = |kind, percore| {
-            let mem = Arc::new(PhysMemory::new(NumaTopology::tiny(8)));
-            build_engine(
-                kind,
-                mem,
-                Arc::new(Iommu::new()),
-                DEV,
-                4,
-                percore,
-                PoolConfig::default(),
-            )
-            .iova_lock_stats()
-            .map(|(name, _)| name)
-        };
-        for percore in [false, true] {
-            let stock = if percore {
-                "scalable-iova-shared"
-            } else {
-                "linux-iova-rbtree"
-            };
-            assert_eq!(lock(EngineKind::LinuxStrict, percore), Some(stock));
-            assert_eq!(lock(EngineKind::LinuxDefer, percore), Some(stock));
-            assert_eq!(
-                lock(EngineKind::EiovarStrict, percore),
-                Some("eiovar-iova-cache")
-            );
-            assert_eq!(
-                lock(EngineKind::EiovarDefer, percore),
-                Some("eiovar-iova-cache")
-            );
-            for identity in [
-                EngineKind::IdentityPlus,
-                EngineKind::IdentityMinus,
-                EngineKind::SelfInvalHw,
-            ] {
-                assert_eq!(lock(identity, percore), None);
+    fn allocation_scope_is_a_column_of_the_table() {
+        use Lists::{Global, NoList, PerCore};
+        const RBTREE: Option<&str> = Some("linux-iova-rbtree");
+        const CACHE: Option<&str> = Some("eiovar-iova-cache");
+        const SHARED: Option<&str> = Some("scalable-iova-shared");
+        // (engine, (IOVA lock, pending lists) globally, the same under percore)
+        let table = [
+            (EngineKind::IdentityPlus, (None, NoList), (None, NoList)),
+            (EngineKind::IdentityMinus, (None, PerCore), (None, PerCore)),
+            (EngineKind::LinuxStrict, (RBTREE, NoList), (SHARED, NoList)),
+            (EngineKind::LinuxDefer, (RBTREE, Global), (SHARED, PerCore)),
+            (EngineKind::EiovarStrict, (CACHE, NoList), (SHARED, NoList)),
+            (EngineKind::EiovarDefer, (CACHE, Global), (SHARED, PerCore)),
+            (EngineKind::SelfInvalHw, (None, NoList), (None, NoList)),
+        ];
+        assert_eq!(table.map(|row| row.0), ROWS.map(|row| row.kind));
+        let batch = DeferPolicy::linux_default().batch;
+        for (kind, global, sharded) in table {
+            for (percore, expected) in [(false, global), (true, sharded)] {
+                let queues = if percore { 2 } else { 1 };
+                let r = Rig::on(Iommu::with_queues(Obs::isolated(), queues), |mem, mmu| {
+                    build_engine(kind, mem, mmu, DEV, 2, percore, PoolConfig::default())
+                });
+                let lock = r.eng.iova_lock_stats().map(|(name, _)| name);
+                let buf = DmaBuf::new(r.frames(1).base(), 64);
+                let mut ctxs = [0, 1].map(|c| CoreCtx::new(CoreId(c), r.ctx.cost.clone()));
+                for i in 0..batch {
+                    let ctx = &mut ctxs[i % 2];
+                    let m = r.eng.map(ctx, buf, DmaDirection::ToDevice).unwrap();
+                    r.eng.unmap(ctx, m).unwrap();
+                }
+                let deferred = r.mmu.obs().counter("flush", "deferred_total", None).get();
+                let lists = match (deferred, r.drains()) {
+                    (0, _) => NoList,
+                    (_, 0) => PerCore,
+                    _ => Global,
+                };
+                assert_eq!((lock, lists), expected, "{kind} percore={percore}");
             }
+        }
+    }
+
+    #[test]
+    fn percore_deferred_ranges_stay_out_of_circulation_until_their_drain() {
+        // The reuse-before-invalidate shape (what corrupted *eiovar+*
+        // payloads before PR 18): a per-core cache hands a freed range
+        // straight back, so a range must not reach any cache while its
+        // IOTLB entries can still be live — that is, before the drain of
+        // the list it was deferred on. And the per-core lists must really
+        // be lock-free: the global list's lock is never taken.
+        const CORES: usize = 4;
+        let batch = DeferPolicy::linux_default().batch;
+        for kind in [EngineKind::LinuxDefer, EngineKind::EiovarDefer] {
+            let obs = Obs::isolated();
+            obs.set_detail_enabled(true);
+            let r = Rig::on(Iommu::with_queues(obs.clone(), CORES), |mem, mmu| {
+                build_engine(kind, mem, mmu, DEV, CORES, true, PoolConfig::default())
+            });
+            let buf = DmaBuf::new(r.frames(1).base(), 64);
+            let mut ctxs: Vec<CoreCtx> = (0..CORES as u16)
+                .map(|c| CoreCtx::new(CoreId(c), r.ctx.cost.clone()))
+                .collect();
+            // Unmapped on core c, not yet flushed.
+            let mut in_window: Vec<Vec<IovaPage>> = vec![Vec::new(); CORES];
+            // A few unmaps to put the cores out of step, then two full
+            // batches each, round-robin.
+            let head_start = (0..CORES).flat_map(|c| std::iter::repeat_n(c, 5 * c));
+            let round_robin = (0..CORES * 2 * batch).map(|i| i % CORES);
+            for c in head_start.chain(round_robin) {
+                let m = r
+                    .eng
+                    .map(&mut ctxs[c], buf, DmaDirection::ToDevice)
+                    .unwrap();
+                let page = m.iova.page();
+                assert!(
+                    !in_window.iter().flatten().any(|&p| p == page),
+                    "{kind}: {page} handed to core {c} before the drain that flushes it"
+                );
+                let drains = r.drains();
+                r.eng.unmap(&mut ctxs[c], m).unwrap();
+                in_window[c].push(page);
+                if r.drains() > drains {
+                    in_window[c].clear();
+                }
+            }
+            assert_eq!(r.drains(), 2 * CORES as u64, "{kind}: every list drained");
+            assert_eq!(obs.tracer().dropped(), 0, "{kind}: the trace is complete");
+            let acquired = |name: &str| {
+                obs.tracer().events().iter().any(
+                    |e| matches!(&e.kind, EventKind::LockAcquire { lock } if lock.as_ref() == name),
+                )
+            };
+            assert!(
+                acquired("scalable-iova-shared"),
+                "{kind}: lock sites traced"
+            );
+            assert!(!acquired(dma_api::FLUSH_LOCK), "{kind}: global list lock");
         }
     }
 

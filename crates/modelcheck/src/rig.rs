@@ -81,11 +81,13 @@ impl Rig {
     ///
     /// With `percore`, the hot allocation state is sharded per simulated
     /// core the way `netsim`'s `percore` configs shard it: the shadow pool
-    /// gets per-core magazines, the Linux engines the per-core IOVA
-    /// allocator, and the IOMMU one invalidation queue per mapper. A
-    /// strict unmap then waits only on its own queue and still returns
-    /// with the IOTLB entry gone, so every engine declares what it
-    /// declares unsharded — and the explorer proves it.
+    /// gets per-core magazines, the tree-backed engines the per-core IOVA
+    /// allocator, the deferred engines one pending list per mapper, and
+    /// the IOMMU one invalidation queue per mapper. A strict unmap then
+    /// waits only on its own queue and still returns with the IOTLB entry
+    /// gone, and a deferred one still leaves its entry live until the
+    /// flush, so every engine declares what it declares unsharded — and
+    /// the explorer proves it.
     pub fn build(kind: EngineKind, mappers: usize, with_san: bool, percore: bool) -> Rig {
         assert!(mappers >= 1, "need at least one mapper");
         let obs = Obs::with_trace_capacity(4096);

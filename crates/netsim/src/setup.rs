@@ -54,13 +54,16 @@ pub struct ExpConfig {
     pub trace_sample: u64,
     /// Shard hot allocation state per core: per-core shadow-pool magazines
     /// for the copy engine, the magazine-backed per-core IOVA allocator for
-    /// the stock-Linux engines (both substituted by
+    /// every tree-backed engine (*strict*, *defer*, *eiovar±*), one pending
+    /// list per core for every deferred engine (all substituted by
     /// `shadow_core::build_engine`), and one IOMMU invalidation queue per
     /// core (`Iommu::with_queues`). Engine names are unchanged so scaling
     /// curves compare like for like, and so are their protection profiles:
     /// a strict unmap still returns with its IOTLB entry gone, it only
-    /// stops waiting behind other cores' invalidations. Domain-selective
-    /// flushes (the deferred engines' drain) stay on queue 0.
+    /// stops waiting behind other cores' invalidations; a deferred engine
+    /// still declares its window, which now spans one batch per core
+    /// (`flush.peak_pending`). Domain-selective flushes (the deferred
+    /// engines' drain) stay on queue 0.
     pub percore: bool,
 }
 

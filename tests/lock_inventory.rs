@@ -26,12 +26,16 @@ fn static_inventory_covers_model_checker_runtime_locks() {
     // Copy exercises the pool locks; defer exercises the IOVA
     // allocator, the deferred flush list, and the invalidation queue. The
     // percore variants add the magazine and shared-pool locks to the
-    // runtime set, and take the invalidation-queue lock once per core.
+    // runtime set, and take the invalidation-queue lock once per core; the
+    // percore deferred pairs (*defer*, *eiovar-*) run the shared pool under
+    // per-core pending lists.
     for (kind, percore) in [
         (EngineKind::Copy, false),
         (EngineKind::LinuxDefer, false),
         (EngineKind::Copy, true),
         (EngineKind::LinuxStrict, true),
+        (EngineKind::LinuxDefer, true),
+        (EngineKind::EiovarDefer, true),
     ] {
         let mut cfg = Config::new(kind);
         cfg.known_locks = Some(names.clone());
