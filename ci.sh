@@ -47,3 +47,8 @@ cargo run -q --release --bin profile_report
 # at 256; if percore eiovar+ differs from percore strict by more than 1 %;
 # or if any global row moves (ROADMAP item 2(c)).
 cargo bench -p bench --bench scaling
+# §5.4 ablation (six single-core RX runs, about a second): fails unless,
+# with the completion length handed to dma_unmap, copy's memcpy per packet
+# is exactly cost.memcpy(wire) and never above the unreported arm's, and
+# goodput is never below it.
+cargo bench -p bench --bench ablate_hints

@@ -338,6 +338,87 @@ mod tests {
         }
     }
 
+    /// The runtime twin of the lint's `device-taint` rule: firmware DMAs an
+    /// honest frame into a posted RX buffer, then writes `reported` into the
+    /// descriptor as the completion length — more than was posted, or zero —
+    /// and the driver passes that number to `dma_unmap` as read (§5.4). The
+    /// goal is a copy-back that runs past the buffer into the kernel object
+    /// kmalloc placed behind it; short of that, a panic or a leaked mapping.
+    fn lying_completion_length(kind: EngineKind, reported: usize) -> AttackReport {
+        const POSTED: usize = 1000;
+        let (mut stack, mut ctx) = rig(kind);
+        let domain = stack.mem.topology().domain_of_core(CoreId(0));
+        // Two 1 KB kmalloc objects: the slab packs them onto one page.
+        let buf = stack.kmalloc.alloc(POSTED, domain).expect("rx buffer");
+        let neighbour = stack.kmalloc.alloc(POSTED, domain).expect("victim alloc");
+        assert_eq!(buf.pfn(), neighbour.pfn(), "slab co-location");
+        let object = b"vtable:0xffffffff81000000";
+        stack.mem.write(neighbour, object).expect("init object");
+
+        let mapping = stack
+            .engine
+            .map(&mut ctx, DmaBuf::new(buf, POSTED), DmaDirection::FromDevice)
+            .expect("dma_map");
+        let evil = attacker(&stack);
+        let (_, verdict) = evil.attempt_write(mapping.iova.get(), &[0x33u8; POSTED]);
+        let unmapped = stack.engine.unmap(&mut ctx, mapping.device_wrote(reported));
+
+        let after = stack
+            .mem
+            .read_vec(neighbour, object.len())
+            .expect("kernel reads its object");
+        let delivered = stack
+            .mem
+            .read_vec(buf, POSTED)
+            .expect("OS reads buffer")
+            .iter()
+            .take_while(|&&b| b == 0x33)
+            .count();
+        stack.teardown(&mut ctx);
+        let leaks = stack.san.check_teardown();
+        AttackReport {
+            attack: "lying completion length",
+            engine: kind.name(),
+            succeeded: after != object || unmapped.is_err() || leaks > 0,
+            verdict,
+            detail: format!(
+                "device claimed {reported} of {POSTED} B; {delivered} B delivered, \
+                 neighbour {}, unmap {}, {leaks} leaked",
+                if after == object {
+                    "intact"
+                } else {
+                    "OVERWRITTEN"
+                },
+                if unmapped.is_ok() { "ok" } else { "FAILED" },
+            ),
+        }
+    }
+
+    #[test]
+    fn a_lying_completion_length_buys_nothing() {
+        for kind in EngineKind::ALL {
+            for reported in [0, 1, 1001, 2048, u32::MAX as usize, usize::MAX] {
+                // The rig's sanitizer panics on its first violation, so
+                // returning at all means dmasan saw none.
+                let r = lying_completion_length(kind, reported);
+                assert!(!r.succeeded, "{r}");
+                // The frame itself went through a live mapping.
+                assert_eq!(r.verdict, AccessVerdict::Permitted, "{r}");
+                // Only copy has a copy to bound; it delivers the claimed
+                // bytes and never more than were posted.
+                let delivered = if kind == EngineKind::Copy {
+                    reported.min(1000)
+                } else {
+                    1000
+                };
+                assert!(
+                    r.detail.contains(&format!("; {delivered} B delivered")),
+                    "{r}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn use_after_free_mirrors_window() {
         for kind in EngineKind::ALL {

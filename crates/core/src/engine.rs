@@ -11,21 +11,16 @@ use dma_api::{
 };
 use iommu::{DeviceId, Iommu};
 use memsim::PhysMemory;
-use simcore::sync::Mutex;
 use simcore::{CoreCtx, Phase};
 use std::sync::Arc;
-
-/// A driver-registered copying hint (§5.4): given the (untrusted) contents
-/// of a DMAed buffer, returns how many bytes actually need copying — e.g.
-/// the IP datagram length of a packet that arrived smaller than its
-/// MTU-sized buffer. The return value is clamped to the mapped length.
-pub type CopyHint = Arc<dyn Fn(&[u8]) -> usize + Send + Sync>;
 
 /// The DMA-shadowing engine (*copy* in the paper's figures).
 ///
 /// `dma_map` acquires a permanently mapped shadow buffer and copies the OS
 /// buffer into it when the device will read it; `dma_unmap` copies DMAed
-/// data back when the device could write, then releases the shadow buffer.
+/// data back when the device could write — as many bytes as the driver
+/// says arrived ([`DmaMapping::device_wrote`], §5.4), all of them if it
+/// says nothing — then releases the shadow buffer.
 /// No IOVA is ever unmapped on the data path, so no IOTLB invalidation is
 /// ever issued — protection is strict and byte-granular (§5.2 *Security*).
 ///
@@ -69,7 +64,6 @@ pub struct ShadowDma {
     /// buffers) — infrequent, so the global tree's lock stays cold.
     zc_iova: GlobalTreeIovaAllocator,
     coherent: CoherentHelper,
-    hint: Mutex<Option<CopyHint>>,
 }
 
 impl std::fmt::Debug for ShadowDma {
@@ -77,7 +71,6 @@ impl std::fmt::Debug for ShadowDma {
         f.debug_struct("ShadowDma")
             .field("dev", &self.dev)
             .field("pool", &self.pool.stats())
-            .field("has_hint", &self.hint.lock().is_some())
             .finish()
     }
 }
@@ -113,7 +106,6 @@ impl ShadowDma {
             pool,
             mem,
             dev,
-            hint: Mutex::new(None),
         }
     }
 
@@ -132,26 +124,19 @@ impl ShadowDma {
         &self.huge
     }
 
-    /// Registers a copying hint (§5.4). The hint's input is untrusted
-    /// device-written data; it must be fast and defensive.
-    pub fn set_copy_hint(&self, hint: CopyHint) {
-        *self.hint.lock() = Some(hint);
-    }
-
-    /// `dma_unmap`'s half of the shadowing: moves the device-written
-    /// bytes from the shadow into the OS buffer — all `mapped_len` of
-    /// them, or as many as the copying hint (if registered) asks for
-    /// after looking at them.
+    /// `dma_unmap`'s half of the shadowing: moves the bytes the device
+    /// wrote from the shadow into the OS buffer. `mapping.wrote` came off
+    /// a device-written descriptor, so this is the one place it is
+    /// clamped: never more than was mapped, whatever the device claims.
+    /// The OS buffer beyond it is not written, so it never receives what
+    /// the shadow slot's previous occupant left there.
     fn copy_back(
         &self,
         ctx: &mut CoreCtx,
         sref: &ShadowRef,
-        mapped_len: usize,
+        mapping: &DmaMapping,
     ) -> Result<(), DmaError> {
-        let n = match &*self.hint.lock() {
-            Some(h) => h(&self.mem.read_vec(sref.shadow_pa, mapped_len)?).min(mapped_len),
-            None => mapped_len,
-        };
+        let n = mapping.wrote.min(mapping.len);
         obs::profile::scope(ctx, "copy_back", |ctx| {
             self.mem.copy(sref.shadow_pa, sref.os_pa, n)?;
             self.charge_copy(ctx, n, self.is_cross_numa(sref.shadow_pa, sref.os_pa));
@@ -212,6 +197,7 @@ impl DmaEngine for ShadowDma {
                 len: buf.len,
                 dir,
                 os_pa: buf.pa,
+                wrote: buf.len,
             });
         }
         let iova = obs::profile::scope(ctx, "pool_acquire", |ctx| {
@@ -237,6 +223,7 @@ impl DmaEngine for ShadowDma {
             len: buf.len,
             dir,
             os_pa: buf.pa,
+            wrote: buf.len,
         })
     }
 
@@ -250,7 +237,7 @@ impl DmaEngine for ShadowDma {
             .ok_or(DmaError::BadUnmap(mapping.iova))?;
         debug_assert_eq!(sref.os_pa, mapping.os_pa, "find_shadow is consistent");
         let copied = if mapping.dir.device_writes() {
-            self.copy_back(ctx, &sref, mapping.len)
+            self.copy_back(ctx, &sref, &mapping)
         } else {
             Ok(())
         };
@@ -440,42 +427,91 @@ mod tests {
     }
 
     #[test]
-    fn copy_hint_limits_copy_back() {
+    fn copy_back_moves_what_the_device_wrote() {
         let mut r = rig();
-        // Hint: the "wire length" lives in the first two bytes.
-        r.eng.set_copy_hint(Arc::new(|data: &[u8]| {
-            if data.len() < 2 {
-                return data.len();
-            }
-            u16::from_be_bytes([data[0], data[1]]) as usize
-        }));
         let buf = os_buf(&r, 1500);
         let m = r
             .eng
             .map(&mut r.ctx, buf, DmaDirection::FromDevice)
             .unwrap();
         // The device delivers a 300-byte packet into the MTU-sized buffer.
-        let mut pkt = vec![0xaau8; 300];
-        pkt[0] = 0x01; // length 0x012c = 300
-        pkt[1] = 0x2c;
+        let pkt = vec![0xaau8; 300];
         r.bus.write(DEV, m.iova.get(), &pkt).unwrap();
         r.ctx.reset_stats();
-        r.eng.unmap(&mut r.ctx, m).unwrap();
-        // Only ~300 bytes were copied, not 1500.
+        r.eng.unmap(&mut r.ctx, m.device_wrote(300)).unwrap();
+        // 300 bytes were copied, not 1500, and the OS buffer got the packet.
         let copied = r.ctx.breakdown.get(Phase::Memcpy);
-        assert!(copied <= r.ctx.cost.memcpy(300, true));
-        assert!(copied >= r.ctx.cost.memcpy(250, false));
-        // And the OS buffer got the packet.
+        assert_eq!(copied, r.ctx.cost.memcpy(300, false));
         assert_eq!(r.mem.read_vec(buf.pa, 300).unwrap(), pkt);
-        // A hint returning nonsense is clamped to the mapped length.
-        r.eng.set_copy_hint(Arc::new(|_| usize::MAX));
+    }
+
+    #[test]
+    fn stale_shadow_tail_never_reaches_the_next_buffer() {
+        let mut r = rig();
+        let deliver = |r: &mut Rig, wire: usize, fill: u8, report: bool| {
+            let buf = os_buf(r, 1500);
+            let m = r
+                .eng
+                .map(&mut r.ctx, buf, DmaDirection::FromDevice)
+                .unwrap();
+            let iova = m.iova;
+            r.bus.write(DEV, iova.get(), &vec![fill; wire]).unwrap();
+            let m = if report { m.device_wrote(wire) } else { m };
+            r.eng.unmap(&mut r.ctx, m).unwrap();
+            (iova, r.mem.read_vec(buf.pa, 1500).unwrap())
+        };
+        // A fills 1400 bytes of a slot; B and C reuse the slot for 100.
+        let (slot, _) = deliver(&mut r, 1400, 0xa1, true);
+        let (slot_b, b) = deliver(&mut r, 100, 0xb2, true);
+        assert_eq!(slot_b, slot, "B landed on A's slot");
+        assert_eq!(b[..100], [0xb2; 100]);
+        assert_eq!(b[100..], [0u8; 1400], "B's tail was never written");
+        // C's driver reports nothing, so all 1500 mapped bytes come back:
+        // A's bytes 100..1400 included. That is what reporting prevents.
+        let (slot_c, c) = deliver(&mut r, 100, 0xc3, false);
+        assert_eq!(slot_c, slot);
+        assert_eq!(c[..100], [0xc3; 100]);
+        assert_eq!(c[100..1400], [0xa1; 1300]);
+    }
+
+    #[test]
+    fn a_lying_completion_length_is_clamped_to_the_mapping() {
+        let mut r = rig();
+        let buf = os_buf(&r, 1500);
+        // The rest of the OS buffer's page belongs to somebody else.
+        r.mem
+            .fill(buf.pa.add(1500), 0xee, PAGE_SIZE - 1500)
+            .unwrap();
         let m = r
             .eng
             .map(&mut r.ctx, buf, DmaDirection::FromDevice)
             .unwrap();
         r.bus.write(DEV, m.iova.get(), &vec![5u8; 1500]).unwrap();
-        r.eng.unmap(&mut r.ctx, m).unwrap();
+        r.ctx.reset_stats();
+        r.eng.unmap(&mut r.ctx, m.device_wrote(usize::MAX)).unwrap();
+        assert_eq!(
+            r.ctx.breakdown.get(Phase::Memcpy),
+            r.ctx.cost.memcpy(1500, false)
+        );
         assert_eq!(r.mem.read_vec(buf.pa, 1500).unwrap(), vec![5u8; 1500]);
+        assert_eq!(
+            r.mem.read_vec(buf.pa.add(1500), PAGE_SIZE - 1500).unwrap(),
+            vec![0xeeu8; PAGE_SIZE - 1500]
+        );
+        assert_eq!(r.eng.pool().stats().in_flight, 0);
+    }
+
+    #[test]
+    fn device_wrote_on_a_to_device_mapping_changes_nothing() {
+        let mut r = rig();
+        let buf = os_buf(&r, 1000);
+        r.mem.write(buf.pa, &vec![0x42u8; 1000]).unwrap();
+        let m = r.eng.map(&mut r.ctx, buf, DmaDirection::ToDevice).unwrap();
+        r.ctx.reset_stats();
+        r.eng.unmap(&mut r.ctx, m.device_wrote(5)).unwrap();
+        // No copy-back either way: the device could not write.
+        assert_eq!(r.ctx.breakdown.get(Phase::Memcpy), Cycles::ZERO);
+        assert_eq!(r.mem.read_vec(buf.pa, 1000).unwrap(), vec![0x42u8; 1000]);
     }
 
     #[test]
@@ -604,6 +640,7 @@ mod tests {
             len: 64,
             dir: DmaDirection::ToDevice,
             os_pa: memsim::PhysAddr(0),
+            wrote: 64,
         };
         assert!(matches!(
             r.eng.unmap(&mut r.ctx, bogus),

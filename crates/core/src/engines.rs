@@ -92,28 +92,6 @@ impl fmt::Display for EngineKind {
     }
 }
 
-/// Builds the *copy* engine for `dev`, concretely typed for callers that
-/// go on to register a copying hint (everyone else uses [`build_engine`]).
-///
-/// `percore` gives the shadow pool per-core slot magazines unless
-/// `pool_cfg` already configures them. The IOVA core field is widened when
-/// `cores` exceeds the paper's 7-bit layout (a no-op at ≤128 cores, so
-/// default runs keep byte-identical IOVAs).
-pub fn build_shadow(
-    mem: Arc<PhysMemory>,
-    mmu: Arc<Iommu>,
-    dev: DeviceId,
-    cores: usize,
-    percore: bool,
-    mut pool_cfg: PoolConfig,
-) -> ShadowDma {
-    pool_cfg.codec = pool_cfg.codec.with_min_cores(cores);
-    if percore && pool_cfg.magazines.is_none() {
-        pool_cfg.magazines = Some(MagazineConfig::default());
-    }
-    ShadowDma::new(mem, mmu, dev, pool_cfg)
-}
-
 /// Builds the engine the paper's figures call `kind.name()` for `dev`,
 /// driven by `cores` cores.
 ///
@@ -136,13 +114,16 @@ pub fn build_shadow(
 /// gets [`PerCoreIovaAllocator`] — EiovaR's free-range cache held per core
 /// *is* the magazine design, so *eiovar±* take the same allocator and
 /// differ from *strict*/*defer* only when `percore` is off — every
-/// deferred engine one pending list per core, and the shadow pool its
-/// magazines ([`build_shadow`]). The caller pairs it with one invalidation
-/// queue per core in `mmu` (`Iommu::with_queues`), which changes where a
-/// strict unmap waits, not what it guarantees. What a deferred engine pays
+/// deferred engine one pending list per core, and *copy*'s shadow pool
+/// per-core slot magazines (unless `pool_cfg` already configures them). The
+/// caller pairs it with one invalidation queue per core in `mmu`
+/// (`Iommu::with_queues`), which changes where a strict unmap waits, not
+/// what it guarantees. What a deferred engine pays
 /// for its per-core lists is exposure, not protection class: the window
 /// it already declares grows from one batch to one batch per core
-/// (`flush.peak_pending`). `pool_cfg` is used by *copy* only.
+/// (`flush.peak_pending`). `pool_cfg` is used by *copy* only; its IOVA
+/// core field is widened when `cores` exceeds the paper's 7-bit layout (a
+/// no-op at ≤128 cores, so default runs keep byte-identical IOVAs).
 pub fn build_engine(
     kind: EngineKind,
     mem: Arc<PhysMemory>,
@@ -150,7 +131,7 @@ pub fn build_engine(
     dev: DeviceId,
     cores: usize,
     percore: bool,
-    pool_cfg: PoolConfig,
+    mut pool_cfg: PoolConfig,
 ) -> Box<dyn DmaEngine> {
     let obs = mmu.obs().clone();
     let tree = |global: fn(Obs) -> GlobalTreeIovaAllocator| {
@@ -177,7 +158,13 @@ pub fn build_engine(
     };
     let (iova, inval) = match kind {
         EngineKind::NoIommu => return Box::new(NoIommu::new(mem, dev)),
-        EngineKind::Copy => return Box::new(build_shadow(mem, mmu, dev, cores, percore, pool_cfg)),
+        EngineKind::Copy => {
+            pool_cfg.codec = pool_cfg.codec.with_min_cores(cores);
+            if percore && pool_cfg.magazines.is_none() {
+                pool_cfg.magazines = Some(MagazineConfig::default());
+            }
+            return Box::new(ShadowDma::new(mem, mmu, dev, pool_cfg));
+        }
         EngineKind::IdentityPlus => (IovaPolicy::identity(), InvalPolicy::Strict),
         EngineKind::IdentityMinus => (IovaPolicy::identity(), deferred(FlushScope::PerCore)),
         EngineKind::LinuxStrict => (tree(stock_tree), InvalPolicy::Strict),
@@ -711,6 +698,7 @@ mod tests {
                 len: 64,
                 dir: DmaDirection::ToDevice,
                 os_pa: pa,
+                wrote: 64,
             };
             assert!(
                 matches!(r.eng.unmap(&mut r.ctx, bogus), Err(DmaError::BadUnmap(_))),

@@ -21,9 +21,9 @@
 //!   core id, access rights, size class, metadata index), generalized to
 //!   configurable field widths.
 //! - [`ShadowDma`] — the `DmaEngine` implementation (*copy* in the paper's
-//!   figures), including copying hints (§5.4) and the hybrid huge-buffer
-//!   path that copies only sub-page head/tails and zero-copy-maps the
-//!   aligned middle (§5.5).
+//!   figures), including the copy-back bounded by what the device wrote
+//!   (§5.4's copying hint) and the hybrid huge-buffer path that copies only
+//!   sub-page head/tails and zero-copy-maps the aligned middle (§5.5).
 //! - [`EngineKind`] / [`build_engine`] — the table of every engine the
 //!   paper compares (this crate is the lowest that can see them all) and
 //!   the one function that builds one by name.
@@ -43,8 +43,8 @@ mod pool;
 mod slot;
 
 pub use enc::{DecodedIova, IovaCodec};
-pub use engine::{CopyHint, ShadowDma};
-pub use engines::{build_engine, build_shadow, EngineKind};
+pub use engine::ShadowDma;
+pub use engines::{build_engine, EngineKind};
 pub use freelist::FreeList;
 pub use huge::{HugeMapper, HugeStats};
 pub use pool::{

@@ -327,6 +327,7 @@ mod tests {
                 len: 100,
                 dir: DmaDirection::FromDevice,
                 os_pa: pfn.base(),
+                wrote: 100,
             },
             1,
         );

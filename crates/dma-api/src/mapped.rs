@@ -241,6 +241,7 @@ impl DmaEngine for MappedDma {
             len: buf.len,
             dir,
             os_pa: buf.pa,
+            wrote: buf.len,
         };
         for i in 0..pages {
             let page = first.add(i);

@@ -56,6 +56,7 @@ impl DmaEngine for NoIommu {
             len: buf.len,
             dir,
             os_pa: buf.pa,
+            wrote: buf.len,
         })
     }
 

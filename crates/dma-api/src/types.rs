@@ -99,6 +99,10 @@ impl DmaBuf {
 /// Nothing runs on drop (`unmap` needs a `CoreCtx` to charge): a handle
 /// dropped while mapped is a leak, reported by dmasan at teardown.
 ///
+/// Because the handle travels from `map` to `unmap` by value, it is also
+/// where the driver says how much of the buffer the device filled (§5.4):
+/// see [`DmaMapping::device_wrote`].
+///
 /// ```
 /// use dma_api::{DmaBuf, DmaDirection, DmaEngine, NoIommu};
 /// # use memsim::{NumaDomain, NumaTopology, PhysMemory};
@@ -166,6 +170,24 @@ pub struct DmaMapping {
     pub dir: DmaDirection,
     /// The OS buffer backing this mapping.
     pub os_pa: PhysAddr,
+    /// Bytes the device is known to have written, from the buffer's start:
+    /// `len` as issued by `map`, less once the driver has called
+    /// [`DmaMapping::device_wrote`]. Device-controlled, so an engine that
+    /// acts on it clamps it to `len`.
+    pub wrote: usize,
+}
+
+impl DmaMapping {
+    /// Records the completion length the device wrote back for this buffer
+    /// (§5.4's copying hint): *copy* then moves `n` bytes out of the shadow
+    /// at `unmap`, not all `len`, and the OS buffer's tail is never
+    /// written. The engines that map the OS buffer itself ignore it. `n`
+    /// comes off a device-written descriptor and is passed as read; the
+    /// clamp to `len` is the engine's. The Linux analogue is the `size` a
+    /// driver passes to `dma_sync_single_for_cpu`.
+    pub fn device_wrote(self, n: usize) -> Self {
+        DmaMapping { wrote: n, ..self }
+    }
 }
 
 /// A buffer allocated with `dma_alloc_coherent` (§2.2): permanently mapped,

@@ -691,6 +691,7 @@ mod tests {
             len,
             dir,
             os_pa: PhysAddr(os_pa),
+            wrote: len,
         }
     }
 

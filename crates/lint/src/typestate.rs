@@ -25,8 +25,10 @@
 //! no callee summary is consulted: a tracked handle mentioned **by value**
 //! (`finish(engine, ctx, m)`, `engine.unmap(ctx, m)`, `ring.push(m)`,
 //! `Ok(m)`, a closure body using `m`) is moved and the obligation leaves
-//! with it; `&m`, `&mut m` and `m.field` are borrows and the handle stays
-//! tracked. The one interprocedural fact kept is the *return* effect
+//! with it, and so is the receiver of the handle's one `self` method
+//! (`engine.unmap(ctx, m.device_wrote(n))`); `&m`, `&mut m` and `m.field`
+//! are borrows and the handle stays tracked. The one interprocedural fact
+//! kept is the *return* effect
 //! ([`crate::summary::RetEffect::FreshMapped`]): `let h = make_rx(…)` is
 //! tracked like a direct `map` when the callee provably returns a fresh
 //! mapping.
@@ -140,6 +142,9 @@ fn join_into(dst: &mut State, src: &State) -> bool {
 }
 
 const MAP_METHODS: [&str; 3] = ["map", "map_sg", "alloc_coherent"];
+/// `DmaMapping`'s by-value methods: `m.device_wrote(n)` takes `self`, so the
+/// receiver is moved, not projected.
+const SELF_METHODS: [&str; 1] = ["device_wrote"];
 /// CPU-side read markers on the simulated memory (`SimMemory` API).
 pub(crate) const READ_METHODS: [&str; 4] = ["read", "read_vec", "read_into", "equals"];
 
@@ -303,7 +308,11 @@ pub(crate) fn scan(trees: &[Tree], evs: &mut Vec<Ev>) {
             }
             continue;
         }
-        let projected = trees.get(i + 1).is_some_and(|n| n.is_punct("."));
+        let projected = trees.get(i + 1).is_some_and(|n| n.is_punct("."))
+            && !trees
+                .get(i + 2)
+                .and_then(ident_of)
+                .is_some_and(|m| SELF_METHODS.contains(&m));
         let borrowed =
             after("&") || (i > 1 && trees[i - 1].is_ident("mut") && trees[i - 2].is_punct("&"));
         if !method && !projected && !borrowed {
@@ -819,6 +828,26 @@ mod tests {
             assert_eq!(f[0].rule, "cpu-read-while-mapped");
             assert_eq!(f[0].line, 3);
         }
+    }
+
+    #[test]
+    fn unmap_of_a_self_method_result_consumes_the_receiver() {
+        assert!(run("fn f(engine: &E, ctx: &mut C, mem: &M, skb: P, n: usize) {\n\
+                   let m = engine.map(ctx, DmaBuf::new(skb, 64), DmaDirection::FromDevice).expect(\"m\");\n\
+                   engine.unmap(ctx, m.device_wrote(n)).expect(\"u\");\n\
+                   let _ = mem.read_vec(skb, 64);\n\
+                 }")
+        .is_empty());
+        // Any other method on the handle still only borrows it.
+        assert_eq!(
+            rules(
+                "fn f(engine: &E, ctx: &mut C) {\n\
+                   let m = engine.map(ctx, DmaBuf::new(skb, 64), DmaDirection::FromDevice).expect(\"m\");\n\
+                   log(m.iova.get());\n\
+                 }"
+            ),
+            ["leak-on-exit"]
+        );
     }
 
     #[test]

@@ -37,7 +37,7 @@ impl fmt::Display for MemError {
 
 impl std::error::Error for MemError {}
 
-/// Frame-allocation statistics.
+/// Frame-allocation and byte-movement statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MemStats {
     /// Frames currently allocated.
@@ -48,6 +48,8 @@ pub struct MemStats {
     pub allocs: u64,
     /// Total free calls.
     pub frees: u64,
+    /// Bytes [`PhysMemory::copy`] has moved (every shadow-buffer copy).
+    pub copied_bytes: u64,
 }
 
 #[derive(Debug, Default)]
@@ -428,6 +430,7 @@ impl PhysMemory {
                 }
                 inner.frames.insert(d_pfn.0, df);
             }
+            inner.stats.copied_bytes += take as u64;
             off += take;
         }
         Ok(())
@@ -597,6 +600,7 @@ mod tests {
         m.write(a.base(), &data).unwrap();
         m.copy(a.base(), b.base(), data.len()).unwrap();
         assert_eq!(m.read_vec(b.base(), data.len()).unwrap(), data);
+        assert_eq!(m.stats().copied_bytes, 5000);
     }
 
     #[test]
@@ -729,6 +733,7 @@ mod tests {
                 }
                 let tmp = self.page(s)?[si..si + take].to_vec();
                 self.page(d)?[di..di + take].copy_from_slice(&tmp);
+                self.stats.copied_bytes += take as u64;
                 off += take;
             }
             Ok(())

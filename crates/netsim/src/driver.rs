@@ -111,9 +111,13 @@ impl CoreDriver {
             .receive(self.ring, payload)
             .expect("NIC receive must succeed through a live mapping");
 
-        // Driver reaps the completion and unmaps (copy-out under DMA
-        // shadowing happens here).
-        stack.engine.unmap(ctx, mapping).expect("dma_unmap");
+        // Driver reaps the completion and unmaps, passing on the length the
+        // NIC wrote back (copy-out under DMA shadowing happens here, and
+        // moves that many bytes).
+        stack
+            .engine
+            .unmap(ctx, mapping.device_wrote(completion.len))
+            .expect("dma_unmap");
 
         // Protocol processing and delivery to userspace. The three charges
         // are one burst: the clock advances per charge (virtual-time

@@ -15,7 +15,12 @@ const REMOTE_TURNAROUND_NS: f64 = 8_000.0;
 /// Reports the mean round-trip latency and the CPU utilization of the
 /// evaluated machine (Figures 9–10).
 pub fn tcp_rr(kind: EngineKind, cfg: &ExpConfig) -> ExpResult {
-    let stack = SimStack::new(kind, cfg);
+    tcp_rr_on(&SimStack::new(kind, cfg), cfg)
+}
+
+/// Runs the request/response benchmark on a caller-built stack (see
+/// [`crate::tcp_stream_rx_on`]).
+pub fn tcp_rr_on(stack: &SimStack, cfg: &ExpConfig) -> ExpResult {
     let drv = CoreDriver::new(CoreId(0));
     let mut ctx = CoreCtx::new(CoreId(0), stack.cost.clone());
     ctx.seek(Cycles(1));
@@ -43,7 +48,7 @@ pub fn tcp_rr(kind: EngineKind, cfg: &ExpConfig) -> ExpResult {
         while sent < payload.len() {
             let chunk = (payload.len() - sent).min(64 * 1024);
             let (n, _frames) = drv.tx_one(
-                &stack,
+                stack,
                 &mut ctx,
                 &payload[sent..sent + chunk],
                 cfg.verify_data,
@@ -69,7 +74,7 @@ pub fn tcp_rr(kind: EngineKind, cfg: &ExpConfig) -> ExpResult {
             arrival = stack.wire.transmit(arrival, seg + HEADER_BYTES);
             ctx.wait_until(arrival);
             let delivered = drv.rx_one(
-                &stack,
+                stack,
                 &mut ctx,
                 &payload[received..received + seg],
                 cfg.verify_data,
@@ -96,7 +101,7 @@ pub fn tcp_rr(kind: EngineKind, cfg: &ExpConfig) -> ExpResult {
     let per_item: Breakdown =
         obs::breakdown::breakdown_view(stack.obs.registry(), dev).per_item(measured);
     ExpResult {
-        engine: kind.name(),
+        engine: stack.kind.name(),
         cores: 1,
         msg_size: cfg.msg_size,
         gbps,

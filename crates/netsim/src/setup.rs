@@ -8,8 +8,8 @@ use dmasan::DmaSan;
 use iommu::{DeviceId, Iommu};
 use memsim::{Kmalloc, NumaTopology, PhysMemory};
 use obs::{Counter, Obs};
+use shadow_core::build_engine;
 pub use shadow_core::EngineKind;
-use shadow_core::{build_engine, build_shadow};
 use simcore::{CoreCtx, CoreId, CostModel, Cycles, SimRng, Wire};
 use std::fmt;
 use std::sync::Arc;
@@ -35,12 +35,10 @@ pub struct ExpConfig {
     /// Verify payload integrity end-to-end on every delivery.
     pub verify_data: bool,
     /// Bytes the NIC actually delivers per RX frame (packets can be much
-    /// smaller than their MTU buffers); `None` = full MTU frames.
+    /// smaller than their MTU buffers); `None` = full MTU frames. The
+    /// driver hands the completion length to `dma_unmap` either way (§5.4),
+    /// so *copy* copies back what arrived, not what was mapped.
     pub rx_wire_payload: Option<usize>,
-    /// Install the §5.4 copying hint on the copy engine (parses the
-    /// payload's first two bytes as the wire length, like the prototype's
-    /// IP-length hint).
-    pub use_copy_hint: bool,
     /// Shadow-pool configuration for the copy engine (size classes, slot
     /// bound). `None` = the paper's default (4 KB + 64 KB classes).
     pub pool_config: Option<shadow_core::PoolConfig>,
@@ -79,7 +77,6 @@ impl Default for ExpConfig {
             seed: 42,
             verify_data: true,
             rx_wire_payload: None,
-            use_copy_hint: false,
             pool_config: None,
             tx_sg_frags: 1,
             trace_sample: 64,
@@ -213,35 +210,15 @@ impl SimStack {
         let mmu = Arc::new(Iommu::with_queues(obs.clone(), queues));
         let cost = Arc::new(cfg.cost.clone());
         let pool_cfg = cfg.pool_config.clone().unwrap_or_default();
-        let engine: Box<dyn DmaEngine> = if kind == EngineKind::Copy && cfg.use_copy_hint {
-            let shadow = build_shadow(
-                mem.clone(),
-                mmu.clone(),
-                NIC_DEV,
-                cores,
-                cfg.percore,
-                pool_cfg,
-            );
-            // The prototype's hint: the wire length sits in the packet's
-            // first two (untrusted) bytes.
-            shadow.set_copy_hint(Arc::new(|data: &[u8]| {
-                if data.len() < 2 {
-                    return data.len();
-                }
-                u16::from_be_bytes([data[0], data[1]]) as usize
-            }));
-            Box::new(shadow)
-        } else {
-            build_engine(
-                kind,
-                mem.clone(),
-                mmu.clone(),
-                NIC_DEV,
-                cores,
-                cfg.percore,
-                pool_cfg,
-            )
-        };
+        let engine = build_engine(
+            kind,
+            mem.clone(),
+            mmu.clone(),
+            NIC_DEV,
+            cores,
+            cfg.percore,
+            pool_cfg,
+        );
         // Wrap the engine so every dma_map/dma_unmap is counted and traced
         // (unmap-induced invalidations chain to their DmaUnmap event) and
         // audited by the sanitizer; the bus is observed so the sanitizer
@@ -336,8 +313,10 @@ impl SimStack {
             )
             .expect("dma_map");
         crate::driver::post_rx(self, 0, m.iova.get(), payload.len().max(64) as u32);
-        self.nic.receive(0, payload).expect("NIC receive");
-        self.engine.unmap(&mut ctx, m).expect("dma_unmap");
+        let completion = self.nic.receive(0, payload).expect("NIC receive");
+        self.engine
+            .unmap(&mut ctx, m.device_wrote(completion.len))
+            .expect("dma_unmap");
         let out = self
             .mem
             .read_vec(skb, payload.len())

@@ -50,9 +50,7 @@ impl<'a> RxTask<'a> {
     fn new(stack: &'a SimStack, cfg: &ExpConfig, core: usize) -> Self {
         let wire_len = cfg.rx_wire_payload.unwrap_or(MTU).clamp(16, MTU);
         let mut payload = stack.rng.borrow_mut().bytes(wire_len);
-        // "IP header": the wire length in the first two bytes (consumed by
-        // the §5.4 copying hint), a per-core flavor byte after the stamp.
-        payload[0..2].copy_from_slice(&(wire_len as u16).to_be_bytes());
+        // A per-core flavor byte after the per-packet stamp.
         payload[10] = core as u8;
         RxTask {
             stack,

@@ -52,6 +52,7 @@ fn mapping(iova: u64, len: usize, dir: DmaDirection, os_pa: u64) -> DmaMapping {
         len,
         dir,
         os_pa: PhysAddr(os_pa),
+        wrote: len,
     }
 }
 

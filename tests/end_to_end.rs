@@ -228,6 +228,7 @@ fn unmap_sg_unmaps_every_element_after_a_failure() {
         len: good[1].len,
         dir: good[1].dir,
         os_pa: good[1].os_pa,
+        wrote: good[1].wrote,
     };
     let mut list = good;
     list.insert(1, bogus);

@@ -1,7 +1,8 @@
 //! Simulated-result goldens: every engine's `items`, `bytes` and all eight
 //! per-item phase cycle counts, pinned as integers on quick-scale RX
-//! (16 cores, MTU messages), TX (1 core, 64 KB) and RR (1 core, 64 B), each
-//! with `ExpConfig::percore` off and on.
+//! (16 cores, MTU messages), TX (1 core, 64 KB), RR (1 core, 64 B) and
+//! memcached (16 cores, 1 KB values), each with `ExpConfig::percore` off
+//! and on.
 //!
 //! The simulator is deterministic, so an engine refactor that claims
 //! "figures unchanged" must leave `fixtures/engine_goldens.txt` matching to
@@ -14,7 +15,7 @@ mod golden;
 
 use dma_shadowing::devices::MTU;
 use dma_shadowing::netsim::{
-    tcp_rr, tcp_stream_rx, tcp_stream_tx, EngineKind, ExpConfig, ExpResult,
+    memcached, tcp_rr, tcp_stream_rx, tcp_stream_tx, EngineKind, ExpConfig, ExpResult,
 };
 use dma_shadowing::simcore::Phase;
 
@@ -47,6 +48,12 @@ const RR: Workload = Workload {
     run: tcp_rr,
     cores: 1,
     msg_size: 64,
+};
+const KV: Workload = Workload {
+    name: "kv_1k_16c",
+    run: memcached,
+    cores: 16,
+    msg_size: 1024,
 };
 
 /// One fixture line per (workload, percore, engine), in the fixture's order.
@@ -81,7 +88,7 @@ fn actual_rows(w: &Workload) -> Vec<String> {
 
 fn check(w: &Workload) {
     GOLDEN.check(w.name, &actual_rows(w), || {
-        [RX, TX, RR].iter().flat_map(actual_rows).collect()
+        [RX, TX, RR, KV].iter().flat_map(actual_rows).collect()
     });
 }
 
@@ -98,4 +105,9 @@ fn tx_64k_1_core_matches_goldens() {
 #[test]
 fn rr_64b_1_core_matches_goldens() {
     check(&RR);
+}
+
+#[test]
+fn kv_1k_16_cores_matches_goldens() {
+    check(&KV);
 }

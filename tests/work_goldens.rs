@@ -1,9 +1,10 @@
 //! Host-work goldens: what the program *does* to produce the figures —
 //! heap allocations, simulated-lock acquisitions, IOTLB lookups,
-//! invalidation commands, frame and slab calls, trace events and every
-//! `obs` counter — pinned exactly for every engine on quick-scale RX
-//! (16 cores, MTU) and TX (1 core, 64 KB), with `ExpConfig::percore` off
-//! and on. All of it is counted by the code already and is deterministic
+//! invalidation commands, frame and slab calls, bytes memcpy'd, trace
+//! events and every `obs` counter — pinned exactly for every engine on
+//! quick-scale RX (16 cores, MTU) and TX (1 core, 64 KB), with
+//! `ExpConfig::percore` off and on, and for *copy* on RR (1 core, 64 B),
+//! where the copy-back is bounded by what arrived. All of it is counted by the code already and is deterministic
 //! per seed, so the comparison is string equality with no tolerance: one
 //! more allocation per packet or one more lock hold per unmap fails on the
 //! first run, which a wall-clock band cannot promise. Host *time* is
@@ -20,7 +21,8 @@ mod golden;
 
 use dma_shadowing::devices::MTU;
 use dma_shadowing::netsim::{
-    tcp_stream_rx_on, tcp_stream_tx_on, EngineKind, ExpConfig, ExpResult, SimStack, NIC_DEV,
+    tcp_rr_on, tcp_stream_rx_on, tcp_stream_tx_on, EngineKind, ExpConfig, ExpResult, SimStack,
+    NIC_DEV,
 };
 
 #[global_allocator]
@@ -114,7 +116,10 @@ fn rows(w: &Workload, percore: bool, kind: EngineKind) -> Vec<String> {
             "invalq page_commands={} flush_commands={} waits={}",
             invalq.page_commands, invalq.flush_commands, invalq.waits
         ),
-        format!("frames allocs={} frees={}", frames.allocs, frames.frees),
+        format!(
+            "frames allocs={} frees={} copied_bytes={}",
+            frames.allocs, frames.frees, frames.copied_bytes
+        ),
         format!("kmalloc allocs={} frees={}", slab.allocs, slab.frees),
         format!(
             "trace retained={} sampled_out={} dropped={}",
@@ -150,6 +155,15 @@ fn main() {
             }
         }
     }
+    // 64 B each way in an MTU receive buffer: the row that moves if the
+    // copy-back goes back to the mapped length, or starts allocating.
+    let rr = Workload {
+        name: "rr_64b_1c",
+        run: tcp_rr_on,
+        cores: 1,
+        msg_size: 64,
+    };
+    actual.extend(rows(&rr, false, EngineKind::Copy));
     GOLDEN.check("", &actual, || actual.clone());
     println!("work goldens: {} rows match exactly", actual.len());
 }
