@@ -88,7 +88,11 @@ pub fn tcp_rr_on(stack: &SimStack, cfg: &ExpConfig) -> ExpResult {
             bytes += 2 * payload.len() as u64;
         }
     }
-    stack.engine.flush_deferred(&mut ctx);
+    // Teardown drains the deferred invalidations after the window closes,
+    // on its own context, as the stream and memcached runs do.
+    let mut tctx = CoreCtx::new(CoreId(0), stack.cost.clone());
+    tctx.seek(ctx.now());
+    stack.engine.flush_deferred(&mut tctx);
 
     let window = ctx.now().saturating_sub(meas_start);
     let gbps = if window > Cycles::ZERO {
