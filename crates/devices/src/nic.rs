@@ -242,76 +242,26 @@ impl Nic {
 
     /// The NIC processes the next TX descriptor: fetches it, DMA-reads the
     /// payload from the host, segments it into MTU-sized wire frames
-    /// (TSO), and completes the descriptor.
+    /// (TSO), and completes the descriptor — the one-descriptor case of
+    /// [`Nic::transmit_gather_into`].
     ///
-    /// Returns the completion and the reassembled payload (so callers can
-    /// verify what actually went on the wire).
-    pub fn transmit(&self, ring_id: usize) -> Result<(TxCompletion, Vec<u8>), NicError> {
-        let mut payload = Vec::new();
-        let completion = self.transmit_into(ring_id, &mut payload)?;
-        Ok((completion, payload))
-    }
-
-    /// Like [`Nic::transmit`], but gathers the wire payload into a
-    /// caller-owned buffer so per-packet loops can reuse one allocation.
-    /// The buffer is resized to the payload length and every byte of it
-    /// overwritten; on any error it is left empty, so a reused buffer
-    /// never shows a previous packet's bytes.
+    /// The wire payload is gathered into a caller-owned buffer (so callers
+    /// can verify what actually went on the wire, and per-packet loops
+    /// reuse one allocation). The buffer is resized to the payload length
+    /// and every byte of it overwritten; on any error it is left empty, so
+    /// a reused buffer never shows a previous packet's bytes.
     pub fn transmit_into(
         &self,
         ring_id: usize,
         payload: &mut Vec<u8>,
     ) -> Result<TxCompletion, NicError> {
-        self.tx_into(ring_id, payload)
-            .inspect_err(|_| payload.clear())
-    }
-
-    fn tx_into(&self, ring_id: usize, payload: &mut Vec<u8>) -> Result<TxCompletion, NicError> {
-        let mut ring = self
-            .tx
-            .get(ring_id)
-            .ok_or(NicError::BadRing(ring_id))?
-            .borrow_mut();
-        let slot = ring.next;
-        let (addr, len, status) = self.fetch_descriptor(&ring, slot)?;
-        if status != STATUS_READY {
-            return Err(NicError::NoDescriptor {
-                ring: ring_id,
-                slot,
-            });
-        }
-        let len = len as usize;
-        if len > self.cfg.tso_max {
-            return Err(NicError::OversizedTx(len));
-        }
-        // Resized, not cleared: the DMA read overwrites all `len` bytes,
-        // and clearing a reused buffer first would zero-fill them again.
-        payload.resize(len, 0);
-        self.bus.read(self.dev, addr, payload)?;
-        self.write_back(&ring, slot, len as u32)?;
-        ring.next = (slot + 1) % ring.entries;
-        let frames = len.div_ceil(MTU).max(1);
-        Ok(TxCompletion { slot, len, frames })
+        self.transmit_gather_into(ring_id, 1, payload)
     }
 
     /// The NIC processes the next `n` TX descriptors as one scatter/gather
     /// chain: it fetches each descriptor, DMA-reads each fragment, and
     /// transmits the concatenation as one TSO payload (real NICs chain
-    /// descriptors exactly like this for fragmented skbs).
-    ///
-    /// Returns the combined completion and the gathered payload.
-    pub fn transmit_gather(
-        &self,
-        ring_id: usize,
-        n: usize,
-    ) -> Result<(TxCompletion, Vec<u8>), NicError> {
-        let mut payload = Vec::new();
-        let completion = self.transmit_gather_into(ring_id, n, &mut payload)?;
-        Ok((completion, payload))
-    }
-
-    /// Like [`Nic::transmit_gather`], but gathers into a caller-owned
-    /// buffer so hot loops can reuse one allocation. As with
+    /// descriptors exactly like this for fragmented skbs). As with
     /// [`Nic::transmit_into`], the buffer ends up holding exactly the
     /// gathered payload, or nothing on any error.
     pub fn transmit_gather_into(
@@ -320,11 +270,11 @@ impl Nic {
         n: usize,
         payload: &mut Vec<u8>,
     ) -> Result<TxCompletion, NicError> {
-        self.tx_gather_into(ring_id, n, payload)
+        self.gather(ring_id, n, payload)
             .inspect_err(|_| payload.clear())
     }
 
-    fn tx_gather_into(
+    fn gather(
         &self,
         ring_id: usize,
         n: usize,
@@ -338,7 +288,8 @@ impl Nic {
             .borrow_mut();
         let first_slot = ring.next;
         // Bytes gathered so far. The buffer keeps its old length until the
-        // end, so growing it zero-fills only what it never held.
+        // end, so growing it zero-fills only what it never held, and the
+        // DMA reads overwrite every byte that stays.
         let mut gathered = 0usize;
         for k in 0..n {
             let slot = (first_slot + k) % ring.entries;
@@ -509,7 +460,8 @@ mod tests {
         let m = r.eng.map(&mut r.ctx, buf, DmaDirection::ToDevice).unwrap();
         post_rx(&r, 0, m.iova.get(), payload.len() as u32);
 
-        let (c, wire) = r.nic.transmit(ring_id).unwrap();
+        let mut wire = Vec::new();
+        let c = r.nic.transmit_into(ring_id, &mut wire).unwrap();
         assert_eq!(c.len, 48_000);
         assert_eq!(c.frames, 48_000usize.div_ceil(MTU));
         assert_eq!(wire, payload, "TSO reassembles to the original payload");
@@ -524,7 +476,7 @@ mod tests {
         let m = r.eng.map(&mut r.ctx, buf, DmaDirection::ToDevice).unwrap();
         post_rx(&r, 0, m.iova.get(), (65 * 1024) as u32);
         assert_eq!(
-            r.nic.transmit(ring_id).unwrap_err(),
+            r.nic.transmit_into(ring_id, &mut Vec::new()).unwrap_err(),
             NicError::OversizedTx(65 * 1024)
         );
     }

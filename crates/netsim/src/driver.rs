@@ -15,11 +15,13 @@ use simcore::{CoreCtx, CoreId, Cycles, Phase};
 use std::cell::RefCell;
 
 thread_local! {
-    /// Wire-payload scratch, reused across packets so TX reassembly does
-    /// not allocate up to `tso_max` bytes per transmitted buffer.
-    /// Thread-local (rather than global) because stacks on different host
-    /// threads may transmit concurrently in tests.
-    static TX_SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+    /// The fragment list and the wire-payload scratch, reused across packets
+    /// so a transmitted buffer allocates neither its SG list nor up to
+    /// `tso_max` bytes of reassembly space. Thread-local (rather than
+    /// global) because stacks on different host threads may transmit
+    /// concurrently in tests.
+    static TX_SCRATCH: RefCell<(Vec<DmaBuf>, Vec<u8>)> =
+        const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
 /// Ethernet + IP + TCP header bytes added to each wire frame.
@@ -38,11 +40,6 @@ pub fn post_rx(stack: &SimStack, ring: usize, iova: u64, len: u32) {
         .mem
         .write(stack.rx_rings[ring].pa.add((slot * DESC_BYTES) as u64), &d)
         .expect("ring memory is allocated");
-}
-
-/// Writes a TX descriptor at the slot the NIC will consume next.
-pub fn post_tx(stack: &SimStack, ring: usize, iova: u64, len: u32) {
-    post_tx_at(stack, ring, stack.nic.tx_next(ring), iova, len);
 }
 
 /// Writes a TX descriptor at an explicit slot (scatter/gather chains post
@@ -155,7 +152,12 @@ impl CoreDriver {
 
     /// The per-TSO-buffer transmit path: copy from "userspace" into an skb,
     /// `dma_map` it to-device, post, let the NIC fetch and segment, unmap
-    /// on completion. Returns `(payload_len, wire_frames)`.
+    /// on completion. Returns `(payload_len, wire_frames)`. A contiguous
+    /// skb is the one-element scatter/gather list.
+    ///
+    /// # Panics
+    ///
+    /// As [`CoreDriver::tx_one_sg`].
     pub fn tx_one(
         &self,
         stack: &SimStack,
@@ -163,41 +165,83 @@ impl CoreDriver {
         payload: &[u8],
         verify: bool,
     ) -> (usize, usize) {
-        let domain = stack.mem.topology().domain_of_core(self.core);
+        self.tx_one_sg(stack, ctx, payload, 1, verify)
+    }
+
+    /// The scatter/gather transmit path (§5.2: "SG operations are
+    /// implemented analogously, with each SG element copied to/from its
+    /// own shadow buffer"): the payload is split across `frags` kmalloc'd
+    /// fragments (the head one carries the skb metadata), mapped with
+    /// `dma_map_sg`, posted as a descriptor chain, and gathered by the NIC
+    /// into one TSO payload.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `payload` exceeds the NIC's TSO limit, if the NIC's DMA
+    /// faults, or if `verify` is set and the wire bytes differ from
+    /// `payload`.
+    pub fn tx_one_sg(
+        &self,
+        stack: &SimStack,
+        ctx: &mut CoreCtx,
+        payload: &[u8],
+        frags: usize,
+        verify: bool,
+    ) -> (usize, usize) {
         let len = payload.len();
         assert!(len <= stack.nic.config().tso_max, "TSO limit");
+        let domain = stack.mem.topology().domain_of_core(self.core);
+        let per = len.div_ceil(frags.clamp(1, len.max(1)));
 
-        // copy_from_user into the skb.
-        let skb = obs::profile::scope(ctx, "skb_alloc", |ctx| {
-            ctx.charge(Phase::Other, ctx.cost.kmalloc_alloc);
-            let skb = stack
-                .kmalloc
-                .alloc(len + SKB_OVERHEAD, domain)
-                .expect("skb allocation");
-            stack.mem.write(skb, payload).expect("skb writable");
-            ctx.charge(Phase::CopyUser, ctx.cost.copy_user(len));
-            skb
-        });
+        TX_SCRATCH.with(|scratch| {
+            let (bufs, wire_bytes) = &mut *scratch.borrow_mut();
+            // copy_from_user into the fragment skbs.
+            bufs.clear();
+            obs::profile::scope(ctx, "skb_alloc", |ctx| {
+                let mut off = 0;
+                loop {
+                    let take = per.min(len - off);
+                    let meta = if off == 0 { SKB_OVERHEAD } else { 0 };
+                    ctx.charge(Phase::Other, ctx.cost.kmalloc_alloc);
+                    let pa = stack
+                        .kmalloc
+                        .alloc(take + meta, domain)
+                        .expect("skb allocation");
+                    stack
+                        .mem
+                        .write(pa, &payload[off..off + take])
+                        .expect("skb writable");
+                    bufs.push(DmaBuf::new(pa, take));
+                    off += take;
+                    if off >= len {
+                        break;
+                    }
+                }
+                ctx.charge(Phase::CopyUser, ctx.cost.copy_user(len));
+            });
 
-        // TCP/TSO preparation.
-        obs::profile::scope(ctx, "tso_prep", |ctx| {
-            let segments = len.div_ceil(MTU).max(1);
-            ctx.charge(Phase::Other, ctx.cost.tx_other_per_buffer);
-            ctx.charge(Phase::Other, ctx.cost.tx_per_segment * segments as u64);
-        });
+            // TCP/TSO preparation.
+            obs::profile::scope(ctx, "tso_prep", |ctx| {
+                let segments = len.div_ceil(MTU).max(1);
+                ctx.charge(Phase::Other, ctx.cost.tx_other_per_buffer);
+                ctx.charge(Phase::Other, ctx.cost.tx_per_segment * segments as u64);
+            });
 
-        let mapping = stack
-            .engine
-            .map(ctx, DmaBuf::new(skb, len), DmaDirection::ToDevice)
-            .expect("dma_map");
-        post_tx(stack, self.ring, mapping.iova.get(), len as u32);
+            let mappings = stack
+                .engine
+                .map_sg(ctx, bufs, DmaDirection::ToDevice)
+                .expect("dma_map_sg");
+            let entries = stack.nic.config().ring_entries;
+            let first = stack.nic.tx_next(self.ring);
+            for (k, m) in mappings.iter().enumerate() {
+                let slot = (first + k) % entries;
+                post_tx_at(stack, self.ring, slot, m.iova.get(), m.len as u32);
+            }
 
-        // The NIC fetches the payload and segments it onto the wire.
-        let completion = TX_SCRATCH.with(|scratch| {
-            let mut wire_bytes = scratch.borrow_mut();
+            // The NIC fetches the fragments and segments them onto the wire.
             let completion = stack
                 .nic
-                .transmit_into(self.ring, &mut wire_bytes)
+                .transmit_gather_into(self.ring, mappings.len(), wire_bytes)
                 .expect("NIC transmit must succeed through a live mapping");
             if verify {
                 assert_eq!(
@@ -207,115 +251,21 @@ impl CoreDriver {
                     stack.engine.name()
                 );
             }
-            completion
-        });
 
-        // Completion: unmap and free.
-        stack.engine.unmap(ctx, mapping).expect("dma_unmap");
-        obs::profile::scope(ctx, "skb_free", |ctx| {
-            ctx.charge(Phase::Other, ctx.cost.kmalloc_free);
-        });
-        stack.kmalloc.free(skb).expect("kfree");
-        stack.obs.set_now_hint(ctx.now());
-        stack.net.tx_buffers.inc();
-        stack.net.tx_bytes.add(completion.len as u64);
-        stack.net.tx_frames.add(completion.frames as u64);
-        (completion.len, completion.frames)
-    }
-
-    /// The scatter/gather transmit path (§5.2: "SG operations are
-    /// implemented analogously, with each SG element copied to/from its
-    /// own shadow buffer"): the payload is split across `frags` kmalloc'd
-    /// fragments, mapped with `dma_map_sg`, posted as a descriptor chain,
-    /// and gathered by the NIC into one TSO payload.
-    pub fn tx_one_sg(
-        &self,
-        stack: &SimStack,
-        ctx: &mut CoreCtx,
-        payload: &[u8],
-        frags: usize,
-        verify: bool,
-    ) -> (usize, usize) {
-        use dma_api::DmaBuf;
-        let len = payload.len();
-        let frags = frags.clamp(1, len.max(1));
-        assert!(len <= stack.nic.config().tso_max, "TSO limit");
-        let domain = stack.mem.topology().domain_of_core(self.core);
-
-        // copy_from_user into the fragment skbs.
-        let per = len.div_ceil(frags);
-        let mut bufs = Vec::with_capacity(frags);
-        let mut pas = Vec::with_capacity(frags);
-        let mut off = 0;
-        obs::profile::scope(ctx, "skb_alloc", |ctx| {
-            while off < len {
-                let take = per.min(len - off);
-                ctx.charge(Phase::Other, ctx.cost.kmalloc_alloc);
-                let pa = stack
-                    .kmalloc
-                    .alloc(take, domain)
-                    .expect("fragment allocation");
-                stack
-                    .mem
-                    .write(pa, &payload[off..off + take])
-                    .expect("frag");
-                bufs.push(DmaBuf::new(pa, take));
-                pas.push(pa);
-                off += take;
+            // Completion: unmap and free.
+            stack.engine.unmap_sg(ctx, mappings).expect("dma_unmap_sg");
+            obs::profile::scope(ctx, "skb_free", |ctx| {
+                ctx.charge(Phase::Other, ctx.cost.kmalloc_free * bufs.len() as u64);
+            });
+            for b in bufs.iter() {
+                stack.kmalloc.free(b.pa).expect("kfree");
             }
-            ctx.charge(Phase::CopyUser, ctx.cost.copy_user(len));
-        });
-        obs::profile::scope(ctx, "tso_prep", |ctx| {
-            let segments = len.div_ceil(MTU).max(1);
-            ctx.charge(Phase::Other, ctx.cost.tx_other_per_buffer);
-            ctx.charge(Phase::Other, ctx.cost.tx_per_segment * segments as u64);
-        });
-
-        let mappings = stack
-            .engine
-            .map_sg(ctx, &bufs, DmaDirection::ToDevice)
-            .expect("dma_map_sg");
-        let entries = stack.nic.config().ring_entries;
-        let first = stack.nic.tx_next(self.ring);
-        for (k, m) in mappings.iter().enumerate() {
-            post_tx_at(
-                stack,
-                self.ring,
-                (first + k) % entries,
-                m.iova.get(),
-                m.len as u32,
-            );
-        }
-        let completion = TX_SCRATCH.with(|scratch| {
-            let mut wire_bytes = scratch.borrow_mut();
-            let completion = stack
-                .nic
-                .transmit_gather_into(self.ring, mappings.len(), &mut wire_bytes)
-                .expect("NIC gather transmit");
-            if verify {
-                assert_eq!(
-                    *wire_bytes,
-                    payload,
-                    "scatter/gather payload corrupted ({})",
-                    stack.engine.name()
-                );
-            }
-            completion
-        });
-        stack.engine.unmap_sg(ctx, mappings).expect("dma_unmap_sg");
-        obs::profile::scope(ctx, "skb_free", |ctx| {
-            for _ in &pas {
-                ctx.charge(Phase::Other, ctx.cost.kmalloc_free);
-            }
-        });
-        for pa in pas {
-            stack.kmalloc.free(pa).expect("kfree");
-        }
-        stack.obs.set_now_hint(ctx.now());
-        stack.net.tx_buffers.inc();
-        stack.net.tx_bytes.add(completion.len as u64);
-        stack.net.tx_frames.add(completion.frames as u64);
-        (completion.len, completion.frames)
+            stack.obs.set_now_hint(ctx.now());
+            stack.net.tx_buffers.inc();
+            stack.net.tx_bytes.add(completion.len as u64);
+            stack.net.tx_frames.add(completion.frames as u64);
+            (completion.len, completion.frames)
+        })
     }
 
     /// Puts this buffer's wire frames on the link, returning when the last

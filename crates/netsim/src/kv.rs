@@ -3,149 +3,88 @@
 //! 1 KB values (the memslap defaults, §6).
 
 use crate::driver::{CoreDriver, HEADER_BYTES};
+use crate::harness::{measure, Item, Workload};
 use crate::report::ExpResult;
 use crate::setup::{EngineKind, ExpConfig, SimStack};
-use crate::stream::{collect, run_tasks, Meas};
-use simcore::{CoreCtx, CoreId, CoreTask, Cycles, Phase, SimRng, StepOutcome};
+use devices::MTU;
+use simcore::{CoreCtx, CoreId, Cycles, Phase, SimRng};
 
 /// memslap default key size.
 const KEY_BYTES: usize = 64;
 /// Protocol framing per request/response.
 const PROTO_BYTES: usize = 30;
 
-struct KvTask<'a> {
-    stack: &'a SimStack,
-    drv: CoreDriver,
-    rng: SimRng,
-    value_bytes: usize,
-    verify: bool,
-    warmup: u64,
-    total: u64,
-    count: u64,
-    req_ready: Cycles,
-    get_buf: Vec<u8>,
-    set_buf: Vec<u8>,
-    resp_buf: Vec<u8>,
-    /// Half-finished transaction: `(is_get, req_len)` after the receive
-    /// step, before the respond step. Splitting the transaction into two
-    /// scheduler steps lets other cores' DMA operations interleave between
-    /// this core's two unmaps, as they would on real hardware.
-    pending: Option<(bool, usize)>,
-    meas: Meas,
-}
-
-impl<'a> KvTask<'a> {
-    fn new(stack: &'a SimStack, cfg: &ExpConfig, core: usize, value_bytes: usize) -> Self {
-        let mut rng = SimRng::seed(cfg.seed ^ (core as u64).wrapping_mul(0x9e37_79b9));
-        let get_buf = rng.bytes(KEY_BYTES + PROTO_BYTES);
-        let set_buf = rng.bytes(KEY_BYTES + PROTO_BYTES + value_bytes);
-        let resp_buf = rng.bytes(value_bytes + PROTO_BYTES);
-        KvTask {
-            stack,
-            drv: CoreDriver::new(CoreId(core as u16)),
-            rng,
-            value_bytes,
-            verify: cfg.verify_data,
-            warmup: cfg.warmup_per_core,
-            total: cfg.warmup_per_core + cfg.items_per_core,
-            count: 0,
-            req_ready: Cycles(1),
-            get_buf,
-            set_buf,
-            resp_buf,
-            pending: None,
-            meas: Meas::default(),
-        }
-    }
-}
-
-impl CoreTask for KvTask<'_> {
-    fn step(&mut self, ctx: &mut CoreCtx) -> StepOutcome {
-        // Second half of a transaction: send the response.
-        if let Some((is_get, req_len)) = self.pending.take() {
-            let resp_len = if is_get {
-                self.value_bytes + PROTO_BYTES
-            } else {
-                PROTO_BYTES
-            };
-            self.resp_buf[0..8].copy_from_slice(&self.count.to_le_bytes());
-            let (n, _) = self
-                .drv
-                .tx_one(self.stack, ctx, &self.resp_buf[..resp_len], self.verify);
-            self.stack.wire_back.transmit(ctx.now(), n + HEADER_BYTES);
-
-            if self.count == self.warmup {
-                ctx.reset_stats();
-                self.meas.start = ctx.now();
-            } else if self.count > self.warmup {
-                self.meas.items += 1;
-                self.meas.bytes += (req_len + resp_len) as u64;
-            }
-            if self.count >= self.total {
-                self.meas.end = ctx.now();
-                return StepOutcome::Done;
-            }
-            return StepOutcome::Continue;
+/// The body of one GET or SET transaction on `core`, in two scheduler
+/// steps: receive and execute the request, then send the response.
+/// Splitting it lets other cores' DMA operations interleave between this
+/// core's two unmaps, as they would on real hardware.
+pub(crate) fn kv_item<'a>(stack: &'a SimStack, cfg: &'a ExpConfig, core: usize) -> impl Item + 'a {
+    let drv = CoreDriver::new(CoreId(core as u16));
+    let mut rng = SimRng::seed(cfg.seed ^ (core as u64).wrapping_mul(0x9e37_79b9));
+    let mut get_buf = rng.bytes(KEY_BYTES + PROTO_BYTES);
+    let mut set_buf = rng.bytes(KEY_BYTES + PROTO_BYTES + cfg.msg_size);
+    let mut resp_buf = rng.bytes(cfg.msg_size + PROTO_BYTES);
+    let mut req_ready = Cycles(1);
+    // Half-finished transaction: `(request length, response length)`.
+    let mut pending = None;
+    move |ctx: &mut CoreCtx, seq: u64| {
+        if let Some((req_len, resp_len)) = pending.take() {
+            resp_buf[0..8].copy_from_slice(&seq.to_le_bytes());
+            let (n, _) = drv.tx_one(stack, ctx, &resp_buf[..resp_len], cfg.verify_data);
+            stack.wire_back.transmit(ctx.now(), n + HEADER_BYTES);
+            return Some((req_len + resp_len) as u64);
         }
 
-        // First half: receive and execute the next request.
-        self.count += 1;
-        let is_get = self.rng.chance(0.9);
+        // A GET answers with the value, a SET with a bare acknowledgement.
+        let (req, resp_len, execute) = if rng.chance(0.9) {
+            (&mut get_buf, resp_buf.len(), ctx.cost.memcached_get)
+        } else {
+            (&mut set_buf, PROTO_BYTES, ctx.cost.memcached_set)
+        };
         // memslap saturates the server: the next request is ready as soon
         // as the wire can carry it.
-        let req_len = if is_get {
-            self.get_buf.len()
-        } else {
-            self.set_buf.len()
-        };
-        let arrival = self
-            .stack
+        req_ready = stack
             .wire
-            .transmit(self.req_ready.max(Cycles(1)), req_len + HEADER_BYTES);
-        self.req_ready = arrival;
-        ctx.wait_until(arrival);
+            .transmit(req_ready.max(Cycles(1)), req.len() + HEADER_BYTES);
+        ctx.wait_until(req_ready);
 
-        let stamp = self.count.to_le_bytes();
-        if is_get {
-            self.get_buf[0..8].copy_from_slice(&stamp);
-            self.drv.rx_one(self.stack, ctx, &self.get_buf, self.verify);
-            ctx.charge(Phase::Other, ctx.cost.memcached_get);
-        } else {
-            self.set_buf[0..8].copy_from_slice(&stamp);
-            self.drv.rx_one(self.stack, ctx, &self.set_buf, self.verify);
-            ctx.charge(Phase::Other, ctx.cost.memcached_set);
-        }
-        self.pending = Some((is_get, req_len));
-        StepOutcome::Continue
+        req[0..8].copy_from_slice(&seq.to_le_bytes());
+        drv.rx_one(stack, ctx, req, cfg.verify_data);
+        ctx.charge(Phase::Other, execute);
+        pending = Some((req.len(), resp_len));
+        None
     }
 }
 
 /// Runs the memcached benchmark: `cfg.cores` instances, memslap-style load,
 /// `cfg.msg_size` used as the value size (the paper's default is 1 KB).
 /// Reports aggregate transactions/second and CPU utilization.
+///
+/// # Panics
+///
+/// As [`memcached_on`].
 pub fn memcached(kind: EngineKind, cfg: &ExpConfig) -> ExpResult {
-    let value_bytes = if cfg.msg_size == 64 * 1024 {
-        1024 // figure default when callers pass the generic ExpConfig
-    } else {
+    memcached_on(&SimStack::new(kind, cfg), cfg)
+}
+
+/// Runs the memcached benchmark on a caller-built stack (see
+/// [`crate::tcp_stream_rx_on`]).
+///
+/// # Panics
+///
+/// Panics if a SET request (64 B key + 30 B framing + `cfg.msg_size`
+/// value) does not fit one MTU receive buffer: the NIC would truncate the
+/// frame while the byte count reported the full request.
+pub fn memcached_on(stack: &SimStack, cfg: &ExpConfig) -> ExpResult {
+    let set_request = KEY_BYTES + PROTO_BYTES + cfg.msg_size;
+    assert!(
+        set_request <= MTU,
+        "memcached value of {} B makes a {set_request} B SET request, above the {MTU} B MTU",
         cfg.msg_size
-    };
-    let stack = SimStack::new(kind, cfg);
-    let mut tasks: Vec<KvTask> = (0..cfg.cores)
-        .map(|c| KvTask::new(&stack, cfg, c, value_bytes))
-        .collect();
-    let sim = run_tasks(cfg, &mut tasks, &stack);
-    let meas: Vec<Meas> = tasks.iter().map(|t| t.meas).collect();
-    let tps = meas
-        .iter()
-        .filter(|m| m.end > m.start)
-        .map(|m| m.items as f64 / (m.end - m.start).to_secs(cfg.cost.clock_ghz))
-        .sum();
-    ExpResult {
-        msg_size: value_bytes,
-        transactions_per_sec: Some(tps),
-        shadow_bytes_peak: None,
-        ..collect(kind.name(), cfg, &sim, &meas, &stack)
-    }
+    );
+    measure(Workload::Kv, stack, cfg, cfg.cores, |c| {
+        kv_item(stack, cfg, c)
+    })
 }
 
 #[cfg(test)]
@@ -192,6 +131,28 @@ mod tests {
         let ratio = copy.transactions_per_sec.unwrap() / no.transactions_per_sec.unwrap();
         assert!(ratio > 0.93, "copy/no-iommu = {ratio}");
         assert!(copy.cpu / no.cpu < 1.15);
+    }
+
+    #[test]
+    #[should_panic(expected = "65630 B SET request, above the 1500 B MTU")]
+    fn a_value_whose_set_request_exceeds_the_mtu_is_rejected() {
+        // 64 KB is also the generic `ExpConfig` default, which used to be
+        // replaced with 1 KB without a word.
+        memcached(EngineKind::NoIommu, &ExpConfig::quick());
+    }
+
+    #[test]
+    fn the_largest_value_that_fits_is_delivered_whole() {
+        let cfg = ExpConfig {
+            msg_size: MTU - KEY_BYTES - PROTO_BYTES,
+            items_per_core: 200,
+            warmup_per_core: 0,
+            ..ExpConfig::quick()
+        };
+        assert!(cfg.verify_data, "a truncated SET would fail verification");
+        let r = memcached(EngineKind::Copy, &cfg);
+        // Every GET moves 94 + (value + 30) bytes, every SET (94 + value) + 30.
+        assert_eq!(r.bytes, 200 * (MTU + PROTO_BYTES) as u64);
     }
 
     #[test]

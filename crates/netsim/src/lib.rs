@@ -11,6 +11,11 @@
 //! - [`memcached`] — a memcached/memslap-style key-value workload
 //!   (Figure 11): 64 B keys, 1 KB values, 90 %/10 % GET/SET.
 //!
+//! Each workload is the body of one work item; what a measured run is
+//! (warm-up boundary, window, estimator, teardown) is stated once, in the
+//! private `harness` module, and contiguous transmit is the one-element
+//! scatter/gather list from [`CoreDriver`] down to the NIC.
+//!
 //! Every workload drives the *functional* stack — kmalloc'd skbs, real
 //! `dma_map`/`dma_unmap`, real NIC descriptor DMAs, real payload bytes that
 //! are verified on delivery — while the virtual-time engine accounts
@@ -19,6 +24,7 @@
 #![warn(missing_docs)]
 
 mod driver;
+mod harness;
 mod kv;
 mod report;
 mod rr;
@@ -26,7 +32,7 @@ mod setup;
 mod stream;
 
 pub use driver::{CoreDriver, HEADER_BYTES, SKB_OVERHEAD};
-pub use kv::memcached;
+pub use kv::{memcached, memcached_on};
 pub use report::{format_breakdown_us, format_table, merged_breakdown, ExpResult};
 pub use rr::{tcp_rr, tcp_rr_on};
 pub use setup::{EngineKind, ExpConfig, NetCounters, SimStack, NIC_DEV};

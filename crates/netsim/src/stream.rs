@@ -3,21 +3,11 @@
 //! same runs).
 
 use crate::driver::{CoreDriver, HEADER_BYTES};
+use crate::harness::{measure, Item, Workload};
 use crate::report::ExpResult;
 use crate::setup::{EngineKind, ExpConfig, SimStack};
 use devices::MTU;
-use simcore::{
-    Breakdown, CoreCtx, CoreId, CoreTask, CostModel, Cycles, MultiCoreSim, Phase, StepOutcome,
-};
-
-/// Per-core measurement window.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct Meas {
-    pub(crate) items: u64,
-    pub(crate) bytes: u64,
-    pub(crate) start: Cycles,
-    pub(crate) end: Cycles,
-}
+use simcore::{CoreCtx, CoreId, CostModel, Cycles, Phase};
 
 /// Modeled cycles the *sender machine* spends producing one MTU's worth of
 /// stream bytes when netperf writes messages of `msg` bytes: syscall and
@@ -33,208 +23,55 @@ fn sender_cycles_per_mtu(cost: &CostModel, msg: usize) -> Cycles {
     Cycles((per_byte * MTU as f64).round() as u64)
 }
 
-struct RxTask<'a> {
-    stack: &'a SimStack,
-    drv: CoreDriver,
-    verify: bool,
-    warmup: u64,
-    total: u64,
-    count: u64,
-    sender_ready: Cycles,
-    sender_gap: Cycles,
-    payload: Vec<u8>,
-    meas: Meas,
+/// The body of one received MTU frame on `core`.
+pub(crate) fn rx_item<'a>(stack: &'a SimStack, cfg: &'a ExpConfig, core: usize) -> impl Item + 'a {
+    let drv = CoreDriver::new(CoreId(core as u16));
+    let wire_len = cfg.rx_wire_payload.unwrap_or(MTU).clamp(16, MTU);
+    let mut payload = stack.rng.borrow_mut().bytes(wire_len);
+    // A per-core flavor byte after the per-packet stamp.
+    payload[10] = core as u8;
+    let mut sender_ready = Cycles(1);
+    let sender_gap = sender_cycles_per_mtu(&cfg.cost, cfg.msg_size);
+    move |ctx: &mut CoreCtx, seq: u64| {
+        // The paired sender produces the next MTU frame; frames from all
+        // senders serialize on the shared wire.
+        sender_ready += sender_gap;
+        let arrival = stack
+            .wire
+            .transmit(sender_ready.max(Cycles(1)), payload.len() + HEADER_BYTES);
+        ctx.wait_until(arrival);
+
+        // Stamp the frame so every packet's bytes are distinct.
+        payload[2..10].copy_from_slice(&seq.to_le_bytes());
+        Some(drv.rx_one(stack, ctx, &payload, cfg.verify_data) as u64)
+    }
 }
 
-impl<'a> RxTask<'a> {
-    fn new(stack: &'a SimStack, cfg: &ExpConfig, core: usize) -> Self {
-        let wire_len = cfg.rx_wire_payload.unwrap_or(MTU).clamp(16, MTU);
-        let mut payload = stack.rng.borrow_mut().bytes(wire_len);
-        // A per-core flavor byte after the per-packet stamp.
-        payload[10] = core as u8;
-        RxTask {
-            stack,
-            drv: CoreDriver::new(CoreId(core as u16)),
-            verify: cfg.verify_data,
-            warmup: cfg.warmup_per_core,
-            total: cfg.warmup_per_core + cfg.items_per_core,
-            count: 0,
-            sender_ready: Cycles(1),
-            sender_gap: sender_cycles_per_mtu(&cfg.cost, cfg.msg_size),
-            payload,
-            meas: Meas::default(),
+/// The body of one transmitted TSO buffer on `core`.
+pub(crate) fn tx_item<'a>(stack: &'a SimStack, cfg: &'a ExpConfig, core: usize) -> impl Item + 'a {
+    let drv = CoreDriver::new(CoreId(core as u16));
+    let mut payload = stack
+        .rng
+        .borrow_mut()
+        .bytes(cfg.msg_size.clamp(MTU, 64 * 1024));
+    payload[0] = core as u8;
+    // Fractional-message accounting for sub-MTU messages coalescing into
+    // MTU buffers.
+    let mut msg_credit = 0;
+    move |ctx: &mut CoreCtx, seq: u64| {
+        // netperf keeps writing `msg_size`d messages; charge the syscalls
+        // that produced this buffer's bytes.
+        msg_credit += payload.len();
+        while msg_credit >= cfg.msg_size {
+            ctx.charge(Phase::Other, ctx.cost.syscall_per_message);
+            msg_credit -= cfg.msg_size;
         }
+
+        payload[1..9].copy_from_slice(&seq.to_le_bytes());
+        let (n, _frames) = drv.tx_one_sg(stack, ctx, &payload, cfg.tx_sg_frags, cfg.verify_data);
+        drv.wire_out(stack, ctx, n);
+        Some(n as u64)
     }
-}
-
-impl CoreTask for RxTask<'_> {
-    fn step(&mut self, ctx: &mut CoreCtx) -> StepOutcome {
-        let dev = Some(crate::setup::NIC_DEV.0);
-        let engine = self.stack.kind.name();
-        obs::profile::task_scope(&self.stack.obs, ctx, engine, dev, "rx", |ctx| {
-            // The paired sender produces the next MTU frame; frames from
-            // all senders serialize on the shared wire.
-            self.count += 1;
-            self.sender_ready += self.sender_gap;
-            let arrival = self.stack.wire.transmit(
-                self.sender_ready.max(Cycles(1)),
-                self.payload.len() + HEADER_BYTES,
-            );
-            ctx.wait_until(arrival);
-
-            // Stamp the frame so every packet's bytes are distinct.
-            self.payload[2..10].copy_from_slice(&self.count.to_le_bytes());
-            let n = self.drv.rx_one(self.stack, ctx, &self.payload, self.verify);
-
-            if self.count == self.warmup {
-                ctx.reset_stats();
-                obs::profile::note_reset(ctx);
-                self.meas.start = ctx.now();
-            } else if self.count > self.warmup {
-                self.meas.items += 1;
-                self.meas.bytes += n as u64;
-            }
-            if self.count >= self.total {
-                self.meas.end = ctx.now();
-                StepOutcome::Done
-            } else {
-                StepOutcome::Continue
-            }
-        })
-    }
-}
-
-struct TxTask<'a> {
-    stack: &'a SimStack,
-    drv: CoreDriver,
-    verify: bool,
-    sg_frags: usize,
-    msg_size: usize,
-    warmup: u64,
-    total: u64,
-    count: u64,
-    /// Fractional-message accounting for sub-MTU messages coalescing into
-    /// MTU buffers.
-    msg_credit: usize,
-    payload: Vec<u8>,
-    meas: Meas,
-}
-
-impl<'a> TxTask<'a> {
-    fn new(stack: &'a SimStack, cfg: &ExpConfig, core: usize) -> Self {
-        let buffer = cfg.msg_size.clamp(MTU, 64 * 1024);
-        let mut payload = stack.rng.borrow_mut().bytes(buffer);
-        payload[0] = core as u8;
-        TxTask {
-            stack,
-            drv: CoreDriver::new(CoreId(core as u16)),
-            verify: cfg.verify_data,
-            sg_frags: cfg.tx_sg_frags.max(1),
-            msg_size: cfg.msg_size,
-            warmup: cfg.warmup_per_core,
-            total: cfg.warmup_per_core + cfg.items_per_core,
-            count: 0,
-            msg_credit: 0,
-            payload,
-            meas: Meas::default(),
-        }
-    }
-}
-
-impl CoreTask for TxTask<'_> {
-    fn step(&mut self, ctx: &mut CoreCtx) -> StepOutcome {
-        let dev = Some(crate::setup::NIC_DEV.0);
-        let engine = self.stack.kind.name();
-        obs::profile::task_scope(&self.stack.obs, ctx, engine, dev, "tx", |ctx| {
-            self.count += 1;
-            let buffer_len = self.payload.len();
-
-            // netperf keeps writing `msg_size`d messages; charge the
-            // syscalls that produced this buffer's bytes.
-            self.msg_credit += buffer_len;
-            while self.msg_credit >= self.msg_size {
-                ctx.charge(Phase::Other, ctx.cost.syscall_per_message);
-                self.msg_credit -= self.msg_size;
-            }
-
-            self.payload[1..9].copy_from_slice(&self.count.to_le_bytes());
-            let (n, _frames) = if self.sg_frags > 1 {
-                self.drv
-                    .tx_one_sg(self.stack, ctx, &self.payload, self.sg_frags, self.verify)
-            } else {
-                self.drv.tx_one(self.stack, ctx, &self.payload, self.verify)
-            };
-            self.drv.wire_out(self.stack, ctx, n);
-
-            if self.count == self.warmup {
-                ctx.reset_stats();
-                obs::profile::note_reset(ctx);
-                self.meas.start = ctx.now();
-            } else if self.count > self.warmup {
-                self.meas.items += 1;
-                self.meas.bytes += n as u64;
-            }
-            if self.count >= self.total {
-                self.meas.end = ctx.now();
-                StepOutcome::Done
-            } else {
-                StepOutcome::Continue
-            }
-        })
-    }
-}
-
-pub(crate) fn collect(
-    engine: &'static str,
-    cfg: &ExpConfig,
-    sim: &MultiCoreSim,
-    meas: &[Meas],
-    stack: &SimStack,
-) -> ExpResult {
-    let clock = cfg.cost.clock_ghz;
-    let mut gbps = 0.0;
-    let mut bytes = 0;
-    let mut items = 0;
-    for m in meas {
-        let window = m.end.saturating_sub(m.start);
-        if window > Cycles::ZERO {
-            gbps += m.bytes as f64 * 8.0 / window.to_secs(clock) / 1e9;
-        }
-        bytes += m.bytes;
-        items += m.items;
-    }
-    let cpu = sim.ctxs().iter().map(|c| c.utilization()).sum::<f64>() / sim.n_cores() as f64;
-    // Publish the cores' accumulated phase breakdown to the registry, then
-    // report from the registry — it is the single source of truth.
-    let total: Breakdown = sim.ctxs().iter().map(|c| c.breakdown).sum::<Breakdown>();
-    let dev = Some(crate::setup::NIC_DEV.0);
-    obs::breakdown::record_breakdown(stack.obs.registry(), dev, &total);
-    let per_item = obs::breakdown::breakdown_view(stack.obs.registry(), dev);
-    ExpResult {
-        engine,
-        cores: cfg.cores,
-        msg_size: cfg.msg_size,
-        gbps,
-        cpu,
-        items,
-        bytes,
-        per_item: per_item.per_item(items),
-        clock_ghz: clock,
-        latency_us: None,
-        transactions_per_sec: None,
-        shadow_bytes_peak: shadow_peak(stack),
-    }
-}
-
-fn shadow_peak(stack: &SimStack) -> Option<u64> {
-    // Only the copy engine grows a shadow pool; its peak footprint lives
-    // in the stack-wide registry as the `pool.peak_shadow_bytes` gauge.
-    stack
-        .obs
-        .registry()
-        .snapshot()
-        .gauge("pool", "peak_shadow_bytes", Some(crate::setup::NIC_DEV.0))
-        .map(|v| v as u64)
 }
 
 /// Runs the `TCP_STREAM` **receive** experiment: the evaluated machine
@@ -259,10 +96,9 @@ pub fn tcp_stream_rx(kind: EngineKind, cfg: &ExpConfig) -> ExpResult {
 /// with [`SimStack::with_obs`] so its metrics and trace feed an external
 /// registry.
 pub fn tcp_stream_rx_on(stack: &SimStack, cfg: &ExpConfig) -> ExpResult {
-    let mut tasks: Vec<RxTask> = (0..cfg.cores).map(|c| RxTask::new(stack, cfg, c)).collect();
-    let sim = run_tasks(cfg, &mut tasks, stack);
-    let meas: Vec<Meas> = tasks.iter().map(|t| t.meas).collect();
-    collect(stack.kind.name(), cfg, &sim, &meas, stack)
+    measure(Workload::Rx, stack, cfg, cfg.cores, |c| {
+        rx_item(stack, cfg, c)
+    })
 }
 
 /// Runs the `TCP_STREAM` **transmit** experiment: the evaluated machine
@@ -274,39 +110,9 @@ pub fn tcp_stream_tx(kind: EngineKind, cfg: &ExpConfig) -> ExpResult {
 /// Runs the transmit experiment on a caller-built stack (see
 /// [`tcp_stream_rx_on`]).
 pub fn tcp_stream_tx_on(stack: &SimStack, cfg: &ExpConfig) -> ExpResult {
-    let mut tasks: Vec<TxTask> = (0..cfg.cores).map(|c| TxTask::new(stack, cfg, c)).collect();
-    let sim = run_tasks(cfg, &mut tasks, stack);
-    let meas: Vec<Meas> = tasks.iter().map(|t| t.meas).collect();
-    collect(stack.kind.name(), cfg, &sim, &meas, stack)
-}
-
-/// Runs one task per core to completion, then drains every deferred
-/// invalidation on a teardown context placed at the latest core's time.
-pub(crate) fn run_tasks<T>(cfg: &ExpConfig, tasks: &mut [T], stack: &SimStack) -> MultiCoreSim
-where
-    T: CoreTask,
-{
-    let mut sim = MultiCoreSim::new(stack.cost.clone(), cfg.cores);
-    for ctx in sim.ctxs_mut() {
-        ctx.seek(Cycles(1));
-    }
-    {
-        let mut boxed: Vec<Box<dyn CoreTask + '_>> = tasks
-            .iter_mut()
-            .map(|t| Box::new(move |ctx: &mut CoreCtx| t.step(ctx)) as Box<dyn CoreTask + '_>)
-            .collect();
-        sim.run(&mut boxed, Cycles::MAX);
-    }
-    let mut tctx = CoreCtx::new(CoreId(0), stack.cost.clone());
-    tctx.seek(
-        sim.ctxs()
-            .iter()
-            .map(|c| c.now())
-            .max()
-            .unwrap_or(Cycles(1)),
-    );
-    stack.engine.flush_deferred(&mut tctx);
-    sim
+    measure(Workload::Tx, stack, cfg, cfg.cores, |c| {
+        tx_item(stack, cfg, c)
+    })
 }
 
 #[cfg(test)]

@@ -6,7 +6,10 @@
 
 // lint: allow(ambient-io) — this test reads back the flight recorder's on-disk dump
 
-use dma_shadowing::netsim::{tcp_stream_rx_on, EngineKind, ExpConfig, SimStack, NIC_DEV};
+use dma_shadowing::netsim::{
+    memcached_on, tcp_rr_on, tcp_stream_rx_on, tcp_stream_tx_on, EngineKind, ExpConfig, ExpResult,
+    SimStack, NIC_DEV,
+};
 use dma_shadowing::obs::json::Json;
 use dma_shadowing::obs::profile::{chrome_trace, flamegraph, validate_chrome_trace};
 use dma_shadowing::obs::sink::{event_from_json, parse_jsonl};
@@ -28,28 +31,43 @@ fn profile_depth1_cut_is_byte_identical_to_breakdown() {
     // The RX deliver block and the deferred flusher burst-charge
     // (`CoreCtx::charge_batch`), so LinuxDefer here asserts the depth-1
     // cut stays cycle-identical with attribution committed per burst
-    // rather than per charge.
-    let obs = Obs::with_trace_capacity(1 << 14);
-    obs.profiler().set_enabled(true);
-    let cfg = quick_cfg();
-    for kind in [
-        EngineKind::Copy,
-        EngineKind::IdentityPlus,
-        EngineKind::LinuxDefer,
-    ] {
-        let stack = SimStack::with_obs(kind, &cfg, obs.clone());
-        tcp_stream_rx_on(&stack, &cfg);
+    // rather than per charge. Every workload runs under the one measured-
+    // run harness, so every workload opens a root the cut can see.
+    type Run = fn(&SimStack, &ExpConfig) -> ExpResult;
+    let workloads: [(&str, Run, usize); 4] = [
+        ("rx", tcp_stream_rx_on, 64 * 1024),
+        ("tx", tcp_stream_tx_on, 64 * 1024),
+        ("rr", tcp_rr_on, 64),
+        ("kv", memcached_on, 1024),
+    ];
+    for (root, run, msg_size) in workloads {
+        let obs = Obs::with_trace_capacity(1 << 14);
+        obs.profiler().set_enabled(true);
+        let cfg = ExpConfig {
+            msg_size,
+            ..quick_cfg()
+        };
+        for kind in [
+            EngineKind::Copy,
+            EngineKind::IdentityPlus,
+            EngineKind::LinuxDefer,
+        ] {
+            let stack = SimStack::with_obs(kind, &cfg, obs.clone());
+            run(&stack, &cfg);
+        }
+        let merged = breakdown::breakdown_view(obs.registry(), Some(NIC_DEV.0));
+        let snap = obs.profiler().snapshot();
+        let cut = snap.breakdown_cut(Some(NIC_DEV.0));
+        assert!(merged.total().get() > 0, "{root}: nothing was measured");
+        for p in Phase::ALL {
+            assert_eq!(cut.get(p), merged.get(p), "{root}: phase '{}'", p.label());
+        }
+        // Each engine left a distinct tree, rooted at the workload's frame.
+        for engine in ["copy", "identity+", "defer"] {
+            let tree = snap.merged(Some(engine));
+            assert!(tree.child(root).is_some(), "{root}: no {engine} tree");
+        }
     }
-    let merged = breakdown::breakdown_view(obs.registry(), Some(NIC_DEV.0));
-    let cut = obs.profiler().snapshot().breakdown_cut(Some(NIC_DEV.0));
-    for p in Phase::ALL {
-        assert_eq!(cut.get(p), merged.get(p), "phase '{}'", p.label());
-    }
-    // Each engine left a distinct tree.
-    let engines = obs.profiler().snapshot().engines();
-    assert!(engines.contains(&"copy".to_string()), "{engines:?}");
-    assert!(engines.contains(&"identity+".to_string()), "{engines:?}");
-    assert!(engines.contains(&"defer".to_string()), "{engines:?}");
 }
 
 #[test]

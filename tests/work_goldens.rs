@@ -4,8 +4,10 @@
 //! events and every `obs` counter — pinned exactly for every engine on
 //! quick-scale RX (16 cores, MTU) and TX (1 core, 64 KB), with
 //! `ExpConfig::percore` off and on, and for *copy* on RR (1 core, 64 B),
-//! where the copy-back is bounded by what arrived. All of it is counted by the code already and is deterministic
-//! per seed, so the comparison is string equality with no tolerance: one
+//! where the copy-back is bounded by what arrived, and on memcached
+//! (16 cores, 1 KB values), where RX and TX interleave under contention.
+//! All of it is counted by the code already and is deterministic per
+//! seed, so the comparison is string equality with no tolerance: one
 //! more allocation per packet or one more lock hold per unmap fails on the
 //! first run, which a wall-clock band cannot promise. Host *time* is
 //! measured in one place, the standalone `benchmark/` package.
@@ -21,8 +23,8 @@ mod golden;
 
 use dma_shadowing::devices::MTU;
 use dma_shadowing::netsim::{
-    tcp_rr_on, tcp_stream_rx_on, tcp_stream_tx_on, EngineKind, ExpConfig, ExpResult, SimStack,
-    NIC_DEV,
+    memcached_on, tcp_rr_on, tcp_stream_rx_on, tcp_stream_tx_on, EngineKind, ExpConfig, ExpResult,
+    SimStack, NIC_DEV,
 };
 
 #[global_allocator]
@@ -164,6 +166,13 @@ fn main() {
         msg_size: 64,
     };
     actual.extend(rows(&rr, false, EngineKind::Copy));
+    let kv = Workload {
+        name: "kv_1k_16c",
+        run: memcached_on,
+        cores: 16,
+        msg_size: 1024,
+    };
+    actual.extend(rows(&kv, false, EngineKind::Copy));
     GOLDEN.check("", &actual, || actual.clone());
     println!("work goldens: {} rows match exactly", actual.len());
 }
