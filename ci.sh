@@ -52,3 +52,8 @@ cargo bench -p bench --bench scaling
 # is exactly cost.memcpy(wire) and never above the unreported arm's, and
 # goodput is never below it.
 cargo bench -p bench --bench ablate_hints
+# Figure 4 (single-core TX, about 7 s): fails unless, at 64 KB, copy is the
+# only engine at >= 99 % CPU, it is below every zero-copy engine, and every
+# zero-copy engine is within 1 % of no-iommu — the paper's large-TX shape,
+# which an unpipelined sender (idling after each TSO buffer) breaks.
+cargo bench -p bench --bench fig4

@@ -51,14 +51,16 @@ pub fn run_engines(
 
 /// Prints a figure: one table per message size, plus a one-line summary of
 /// copy's relative throughput per size (the paper's "relative" panels).
+/// Returns each size's rows, in `sizes` order, for the figure's checks.
 pub fn print_figure(
     title: &str,
     cores: usize,
     sizes: &[usize],
     f: impl Fn(EngineKind, &ExpConfig) -> ExpResult,
-) {
+) -> Vec<Vec<ExpResult>> {
     println!("==== {title} ====");
     let mut rel_line = Vec::new();
+    let mut tables = Vec::new();
     for &size in sizes {
         let rows = run_engines(cores, size, &f);
         println!(
@@ -70,11 +72,13 @@ pub fn print_figure(
         if let (Some(b), Some(c)) = (base, copy) {
             rel_line.push(format!("{}B:{:.2}", size, c.relative_gbps(b)));
         }
+        tables.push(rows);
     }
     println!(
         "copy relative throughput vs no-iommu: {}\n",
         rel_line.join("  ")
     );
+    tables
 }
 
 /// Prints the per-phase packet-time breakdown of each engine at one point

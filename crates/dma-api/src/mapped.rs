@@ -23,7 +23,17 @@ use iommu::{DeviceId, Iommu, Iova, IovaPage, Perms};
 use memsim::PhysMemory;
 use simcore::sync::Mutex;
 use simcore::{CoreCtx, FxHashMap};
+use std::cell::Cell;
 use std::sync::Arc;
+
+thread_local! {
+    /// The list [`MappedDma::revoke`] gathers dead pages in, taken and put
+    /// back by every unmap so unmapping allocates nothing. Thread-local
+    /// rather than a locked field: an engine is shared by host threads, and
+    /// a host lock held across the invalidation would span the queue-lock
+    /// acquisition (a model-checker preemption point).
+    static DEAD_PAGES: Cell<Vec<IovaPage>> = const { Cell::new(Vec::new()) };
+}
 
 /// Where a mapping's IOVA comes from — which also decides the PTE
 /// permissions and where coherent buffers are placed.
@@ -147,7 +157,8 @@ impl MappedDma {
         span: u64,
         token: Iova,
     ) -> Result<(), DmaError> {
-        let mut dead = Vec::with_capacity(installed as usize);
+        let mut dead = DEAD_PAGES.take();
+        dead.clear();
         for i in 0..installed {
             let page = first.add(i);
             if self.iova.release(page).ok_or(DmaError::BadUnmap(token))? {
@@ -180,7 +191,7 @@ impl MappedDma {
                 |ctx, batch| self.drain(ctx, batch),
             ),
             (IovaPolicy::Identity(_), Some(flusher)) => {
-                for page in dead {
+                for &page in &dead {
                     flusher.defer(ctx, PendingUnmap { page, pages: 1 }, |ctx, batch| {
                         self.drain(ctx, batch)
                     });
@@ -188,6 +199,7 @@ impl MappedDma {
             }
             (IovaPolicy::Identity(_), None) => {}
         }
+        DEAD_PAGES.set(dead);
         Ok(())
     }
 

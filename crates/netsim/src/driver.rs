@@ -31,6 +31,12 @@ pub const HEADER_BYTES: usize = 66;
 /// MTU allocation into kmalloc's 2 KB class, like Linux's 1.5 KB skbs do).
 pub const SKB_OVERHEAD: usize = 320;
 
+/// TCP Small Queues' per-socket budget (`tcp_limit_output_bytes`): the
+/// payload a sender may have queued ahead of it on the wire before it
+/// stops and waits — two 64 KB TSO buffers, so the CPU prepares buffer
+/// *n+1* while the NIC sends buffer *n*.
+const TSQ_BUDGET_BYTES: usize = 128 * 1024;
+
 /// Writes an RX/TX descriptor into ring memory at the slot the NIC will
 /// consume next (a CPU store into the coherent ring buffer).
 pub fn post_rx(stack: &SimStack, ring: usize, iova: u64, len: u32) {
@@ -269,8 +275,9 @@ impl CoreDriver {
     }
 
     /// Puts this buffer's wire frames on the link, returning when the last
-    /// frame finished serializing. Applies ring backpressure: if the wire
-    /// is backed up beyond ~32 frames, the core idles until it drains.
+    /// frame finished serializing. Applies TCP Small Queues backpressure:
+    /// the core idles only while more than 128 KiB of payload (plus its
+    /// frame headers) is queued ahead of it on the wire.
     pub fn wire_out(&self, stack: &SimStack, ctx: &mut CoreCtx, len: usize) -> Cycles {
         let mut end = Cycles::ZERO;
         let mut remaining = len;
@@ -279,7 +286,10 @@ impl CoreDriver {
             end = stack.wire.transmit(ctx.now(), seg + HEADER_BYTES);
             remaining -= seg;
         }
-        let slack = stack.wire.frame_time(MTU + HEADER_BYTES) * 32;
+        let budget_frames = TSQ_BUDGET_BYTES.div_ceil(MTU);
+        let slack = stack
+            .wire
+            .frame_time(TSQ_BUDGET_BYTES + budget_frames * HEADER_BYTES);
         let free = stack.wire.next_free();
         if free > ctx.now() + slack {
             ctx.wait_until(free - slack);
@@ -365,6 +375,19 @@ mod tests {
             drv.wire_out(&stack, &mut c, 64 * 1024);
         }
         assert!(c.idle() > Cycles::ZERO, "backpressure idles the core");
+    }
+
+    #[test]
+    fn one_tso_buffer_on_an_idle_wire_costs_no_idle() {
+        // Within TSQ's budget the sender hands the buffer to the NIC and
+        // goes on preparing the next one while the wire serializes it.
+        let stack = SimStack::new(EngineKind::NoIommu, &ExpConfig::quick());
+        let mut c = ctx(&stack, 0);
+        let start = c.now();
+        let end = CoreDriver::new(CoreId(0)).wire_out(&stack, &mut c, 64 * 1024);
+        assert_eq!(c.idle(), Cycles::ZERO);
+        assert_eq!(c.now(), start, "the core did not wait");
+        assert!(end > start, "the frames are still on the wire");
     }
 
     #[test]

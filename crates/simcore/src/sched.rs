@@ -64,6 +64,9 @@ pub struct TimingWheel {
     slots: Vec<Vec<(u64, usize)>>,
     /// Far-future events, beyond the top level's span from `base`.
     overflow: BinaryHeap<Reverse<(u64, usize)>>,
+    /// An empty bucket swapped in for the one a cascade drains, so the
+    /// drained bucket keeps its capacity and a cascade allocates nothing.
+    scratch: Vec<(u64, usize)>,
     len: usize,
 }
 
@@ -81,6 +84,7 @@ impl TimingWheel {
             occupied: [0; WHEEL_LEVELS],
             slots: vec![Vec::new(); WHEEL_LEVELS * WHEEL_SLOTS],
             overflow: BinaryHeap::new(),
+            scratch: Vec::new(),
             len: 0,
         }
     }
@@ -156,12 +160,14 @@ impl TimingWheel {
             }
             // Cascade: advance the cursor to the bucket's earliest time and
             // re-bucket its events, which now all land on lower levels.
-            let drained = std::mem::take(&mut self.slots[bucket]);
+            let empty = std::mem::take(&mut self.scratch);
+            let mut drained = std::mem::replace(&mut self.slots[bucket], empty);
             self.occupied[lvl] &= !(1 << slot);
             self.base = drained.iter().map(|&(t, _)| t).min().expect("bit set");
-            for (t, core) in drained {
+            for (t, core) in drained.drain(..) {
                 self.insert(t, core);
             }
+            self.scratch = drained;
         }
     }
 }
