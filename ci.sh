@@ -47,13 +47,9 @@ cargo run -q --release --bin profile_report
 # at 256; if percore eiovar+ differs from percore strict by more than 1 %;
 # or if any global row moves (ROADMAP item 2(c)).
 cargo bench -p bench --bench scaling
-# §5.4 ablation (six single-core RX runs, about a second): fails unless,
-# with the completion length handed to dma_unmap, copy's memcpy per packet
-# is exactly cost.memcpy(wire) and never above the unreported arm's, and
-# goodput is never below it.
-cargo bench -p bench --bench ablate_hints
-# Figure 4 (single-core TX, about 7 s): fails unless, at 64 KB, copy is the
-# only engine at >= 99 % CPU, it is below every zero-copy engine, and every
-# zero-copy engine is within 1 % of no-iommu — the paper's large-TX shape,
-# which an unpipelined sender (idling after each TSO buffer) breaks.
-cargo bench -p bench --bench fig4
+# The paper's evaluation in one run (Table 1, Figures 1 and 3-11, the §6
+# footprint, the ablations): prints every table, writes
+# target/figures.csv, and fails if a row of bench::TARGETS that should hold
+# breaks (among them the 64 KB TX shape of Figure 4 and the §5.4 copy-back
+# bound) or a known miss starts to hold.
+cargo bench -p bench --bench figures

@@ -79,13 +79,15 @@ pub fn format_breakdown_us(b: &Breakdown, clock_ghz: f64) -> String {
 
 /// Renders results as an aligned text table with relative columns against
 /// the first row whose engine is `baseline` (falling back to the first
-/// row), mirroring the paper's absolute+relative figure pairs.
+/// row), mirroring the paper's absolute+relative figure pairs. The engine
+/// column is 10 characters wide, or as wide as the longest engine name.
 pub fn format_table(title: &str, rows: &[ExpResult], baseline: &str) -> String {
+    let w = rows.iter().map(|r| r.engine.len()).fold(10, usize::max);
     let mut out = String::new();
     out.push_str(title);
     out.push('\n');
     out.push_str(&format!(
-        "{:<10} {:>6} {:>8} {:>10} {:>8} {:>8} {:>8} {:>10}\n",
+        "{:<w$} {:>6} {:>8} {:>10} {:>8} {:>8} {:>8} {:>10}\n",
         "engine", "cores", "msgsize", "Gb/s", "rel", "cpu%", "relcpu", "us/item"
     ));
     let base = rows
@@ -98,7 +100,7 @@ pub fn format_table(title: &str, rows: &[ExpResult], baseline: &str) -> String {
             None => (0.0, 0.0),
         };
         out.push_str(&format!(
-            "{:<10} {:>6} {:>8} {:>10.2} {:>8.2} {:>8.1} {:>8.2} {:>10.2}\n",
+            "{:<w$} {:>6} {:>8} {:>10.2} {:>8.2} {:>8.1} {:>8.2} {:>10.2}\n",
             r.engine,
             r.cores,
             r.msg_size,
@@ -109,10 +111,10 @@ pub fn format_table(title: &str, rows: &[ExpResult], baseline: &str) -> String {
             r.us_per_item(),
         ));
         if let Some(l) = r.latency_us {
-            out.push_str(&format!("{:<10}   latency = {l:.1} us\n", ""));
+            out.push_str(&format!("{:<w$}   latency = {l:.1} us\n", ""));
         }
         if let Some(t) = r.transactions_per_sec {
-            out.push_str(&format!("{:<10}   {:.2} M transactions/s\n", "", t / 1e6));
+            out.push_str(&format!("{:<w$}   {:.2} M transactions/s\n", "", t / 1e6));
         }
     }
     out
@@ -170,6 +172,22 @@ mod tests {
         assert!(t.contains("no iommu"));
         assert!(t.contains("copy"));
         assert!(t.contains("0.75"));
+    }
+
+    #[test]
+    fn engine_column_fits_the_longest_name() {
+        let rows = vec![
+            result("no iommu", 16.0, 0.5),
+            result("self-inval hw", 12.0, 0.6),
+        ];
+        let t = format_table("Figure X", &rows, "no iommu");
+        // Where the msgsize column ends on the row starting with `engine`.
+        let end = |engine: &str, cell: &str| {
+            let line = t.lines().find(|l| l.starts_with(engine)).expect("row");
+            line.find(cell).expect("msgsize column") + cell.len()
+        };
+        assert_eq!(end("no iommu", "1500"), end("self-inval hw", "1500"));
+        assert_eq!(end("engine", "msgsize"), end("no iommu", "1500"));
     }
 
     #[test]
