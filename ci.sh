@@ -31,12 +31,12 @@ cargo run -q --bin lint -- --json target/lint_report.json --budget-ms 60000
 cargo run -q --release -p modelcheck --bin mc-suite
 cargo fmt --all --check
 cargo clippy --workspace --all-targets -- -D warnings
-# Observability round-trips: the telemetry walk-through re-verifies the
-# trajectory export from its own file, and profile_report asserts the
-# profile tree's depth-1 cut is cycle-identical to the Fig. 5 breakdown
-# (and writes the flamegraph/Perfetto artifacts under target/).
-cargo run -q --release --example telemetry_report
-cargo run -q --release --bin profile_report
+# Observability: the Fig. 1 RX workload on every engine plus a
+# malicious-device scan; asserts the profile tree's depth-1 cut is
+# cycle-identical to the Fig. 5 breakdown, the trace pairs every DmaMap
+# with its DmaUnmap and records every blocked probe, and writes the
+# flamegraph/Perfetto artifacts under target/.
+cargo run -q --release --bin report
 # Scaling sweep: Figures 6-8 extended along the core-count axis
 # (16/64/128/256 virtual cores, global vs per-core allocation state);
 # writes the curve artifacts to target/scaling_curves.{csv,jsonl} and

@@ -446,7 +446,11 @@ mod tests {
                 }
             }
             assert_eq!(r.drains(), 2 * CORES as u64, "{kind}: every list drained");
-            assert_eq!(obs.tracer().dropped(), 0, "{kind}: the trace is complete");
+            assert_eq!(
+                obs.tracer().stats().dropped,
+                0,
+                "{kind}: the trace is complete"
+            );
             let acquired = |name: &str| {
                 obs.tracer().events().iter().any(
                     |e| matches!(&e.kind, EventKind::LockAcquire { lock } if lock.as_ref() == name),

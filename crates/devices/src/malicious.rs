@@ -277,7 +277,6 @@ mod tests {
         assert_eq!(f, 0xff);
         // Every blocked probe appears exactly once as an AttackBlocked
         // trace event — the attacker shares the IOMMU's tracer.
-        assert!(evil.obs().same_as(mmu.obs()));
         let blocked = evil
             .obs()
             .tracer()

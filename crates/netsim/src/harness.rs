@@ -158,12 +158,11 @@ pub(crate) fn collect<I>(sim: &MultiCoreSim, tasks: &[Measured<I>]) -> ExpResult
         latency += t.latency;
     }
     let cpu = sim.ctxs().iter().map(|c| c.utilization()).sum::<f64>() / sim.n_cores() as f64;
-    // Publish the cores' accumulated phase breakdown to the registry, then
-    // report from the registry — it is the single source of truth.
+    // The run reports its own cores' phase breakdown; the registry gets a
+    // copy, which accumulates across every run sharing the stack's `Obs`.
     let total: Breakdown = sim.ctxs().iter().map(|c| c.breakdown).sum::<Breakdown>();
     let dev = Some(NIC_DEV.0);
     obs::breakdown::record_breakdown(stack.obs.registry(), dev, &total);
-    let per_item = obs::breakdown::breakdown_view(stack.obs.registry(), dev);
     ExpResult {
         engine: stack.kind.name(),
         cores: sim.n_cores(),
@@ -172,7 +171,7 @@ pub(crate) fn collect<I>(sim: &MultiCoreSim, tasks: &[Measured<I>]) -> ExpResult
         cpu,
         items,
         bytes,
-        per_item: per_item.per_item(items),
+        per_item: total.per_item(items),
         clock_ghz: clock,
         latency_us: (workload == Workload::Rr)
             .then(|| latency.to_micros(clock) / items.max(1) as f64),
@@ -263,6 +262,26 @@ mod tests {
         assert_eq!((r.items, r.bytes), (5, 50));
         let tps = 5.0 / window.to_secs(r.clock_ghz);
         assert_eq!(r.transactions_per_sec, Some(tps));
+    }
+
+    #[test]
+    fn a_run_reports_its_own_breakdown_on_a_shared_obs() {
+        // The registry's phase counters sum every run published to them;
+        // a run's per-item breakdown must not.
+        let cfg = &ExpConfig {
+            cores: 2,
+            msg_size: 1024,
+            items_per_core: 100,
+            warmup_per_core: 10,
+            ..ExpConfig::quick()
+        };
+        let run = |kind, obs| crate::tcp_stream_rx_on(&SimStack::with_obs(kind, cfg, obs), cfg);
+        let shared = obs::Obs::isolated();
+        run(EngineKind::Copy, shared.clone());
+        let second = run(EngineKind::IdentityPlus, shared);
+        let alone = run(EngineKind::IdentityPlus, obs::Obs::isolated());
+        assert_eq!(second.per_item, alone.per_item);
+        assert_eq!(second.per_item.get(Phase::Memcpy), Cycles::ZERO);
     }
 
     /// ROADMAP 2(a)'s invariants that hold today (`gbps <= wire_gbps` is

@@ -2,11 +2,12 @@
 //! accumulator) and the metric [`Registry`].
 //!
 //! `simcore` sits below `obs` in the dependency graph, so `CoreCtx`
-//! accumulates phase cycles locally; at collection points (end of a
-//! workload run) the accumulated breakdown is published to the registry
-//! as `phase.<slug>{device}` counters. The registry is then the single
-//! source of truth: [`breakdown_view`] reconstitutes a [`Breakdown`]
-//! from registry counters, which is what reporting reads.
+//! accumulates phase cycles locally; at the end of a workload run the
+//! run's summed breakdown is what the run reports, and a copy of it is
+//! published to the registry as `phase.<slug>{device}` counters. Those
+//! counters accumulate over every run on one [`Registry`], like the
+//! profiler's call trees, so [`breakdown_view`] over them is what the
+//! profile's depth-1 cut is cross-checked against.
 
 use crate::metrics::{MetricKey, Registry};
 use simcore::{Breakdown, Cycles, Phase};
@@ -30,19 +31,17 @@ pub const PHASE_SUBSYSTEM: &str = "phase";
 
 /// Publishes `b` into `registry` as `phase.<slug>{device}` counters
 /// (adds to whatever is already there, mirroring `Breakdown: AddAssign`).
+/// All eight counters are registered, zeros included.
 pub fn record_breakdown(registry: &Registry, device: Option<u16>, b: &Breakdown) {
     for p in Phase::ALL {
-        let cycles = b.get(p);
-        if cycles > Cycles::ZERO {
-            registry
-                .counter(MetricKey::new(PHASE_SUBSYSTEM, phase_slug(p), device))
-                .add(cycles.0);
-        }
+        registry
+            .counter(MetricKey::new(PHASE_SUBSYSTEM, phase_slug(p), device))
+            .add(b.get(p).0);
     }
 }
 
-/// Reconstitutes a [`Breakdown`] from the registry's phase counters —
-/// the thin-view direction: reports read this, not private accumulators.
+/// Reconstitutes a [`Breakdown`] from the registry's phase counters: the
+/// sum of every run published on this registry.
 pub fn breakdown_view(registry: &Registry, device: Option<u16>) -> Breakdown {
     let mut b = Breakdown::default();
     for p in Phase::ALL {
@@ -64,6 +63,11 @@ mod tests {
         b.record(Phase::Spinlock, Cycles(7));
         record_breakdown(&r, None, &b);
         assert_eq!(breakdown_view(&r, None), b);
+        // Zero phases are registered too.
+        assert_eq!(
+            r.snapshot().counter(PHASE_SUBSYSTEM, "other", None),
+            Some(0)
+        );
 
         // Recording again accumulates, like AddAssign.
         record_breakdown(&r, None, &b);

@@ -15,17 +15,14 @@
 //! - [`Obs::locked`] / [`Obs::guarded`] / [`Obs::shared_access`] — the one
 //!   lock-site primitive: every instrumented lock emits its lockset events
 //!   (and reaches the model checker's yield hook) through these.
-//! - [`sink`] — a pretty-table text reporter and a JSON-lines exporter
-//!   (`BENCH_*.json` trajectory format) with a lossless importer.
+//! - [`sink`] — a pretty-table text reporter and the JSON-lines reader
+//!   that loads saved profiles.
 //! - [`breakdown`] — bridges [`simcore::Breakdown`] phase accounting onto
 //!   the registry.
 //! - [`profile`] — a hierarchical virtual-time profiler: nested scopes
 //!   accumulate per-phase cycles into call trees keyed
 //!   `engine × core × device`, with flamegraph and Chrome trace-event
 //!   (Perfetto) exporters.
-//! - [`flight`] — a flight recorder that dumps the last-N trace events,
-//!   the registry snapshot and the profile trees as replayable JSONL on
-//!   panics and security events.
 //!
 //! All timestamps are **simulated cycles** ([`simcore::Cycles`]); `obs`
 //! deliberately never reads host wall-clock time, keeping experiments
@@ -41,7 +38,6 @@
 #![warn(missing_docs)]
 
 pub mod breakdown;
-pub mod flight;
 pub mod json;
 mod lock_site;
 pub mod metrics;
@@ -49,11 +45,9 @@ pub mod profile;
 pub mod sink;
 pub mod trace;
 
-pub use flight::FlightRecorder;
 pub use json::Json;
 pub use metrics::{
-    bucket_index, bucket_upper_bound, Counter, Gauge, Histogram, HistogramSnapshot, MetricKey,
-    Registry, RegistrySnapshot, HIST_BUCKETS,
+    Counter, Gauge, Histogram, HistogramSnapshot, MetricKey, Registry, RegistrySnapshot,
 };
 pub use profile::{ProfileNode, ProfileSnapshot, Profiler, SpanEvent};
 pub use trace::{span, Event, EventKind, SpanGuard, TraceStats, Tracer, DEFAULT_TRACE_CAPACITY};
@@ -100,8 +94,6 @@ struct Inner {
     yield_hook: YieldHookCell,
     /// The hierarchical virtual-time profiler (disabled by default).
     profiler: Arc<Profiler>,
-    /// The flight recorder (disarmed by default).
-    flight: FlightRecorder,
 }
 
 impl Default for Obs {
@@ -128,7 +120,6 @@ impl Obs {
             detail: AtomicBool::new(false),
             yield_hook: YieldHookCell::default(),
             profiler: Arc::new(Profiler::new()),
-            flight: FlightRecorder::default(),
         }))
     }
 
@@ -192,11 +183,6 @@ impl Obs {
         &self.0.profiler
     }
 
-    /// The flight recorder (see [`flight::dump_now`]).
-    pub fn flight(&self) -> &FlightRecorder {
-        &self.0.flight
-    }
-
     /// Shorthand: get-or-create a counter.
     pub fn counter(
         &self,
@@ -231,13 +217,7 @@ impl Obs {
     /// Shorthand: record a trace event, returning its sequence number.
     #[inline]
     pub fn trace(&self, at: Cycles, core: u16, device: Option<u16>, kind: EventKind) -> u64 {
-        let security = kind.is_security();
-        let name = kind.name();
-        let seq = self.0.tracer.record(at, core, device, kind);
-        if security && self.0.flight.armed() {
-            flight::dump_now(self, name);
-        }
-        seq
+        self.0.tracer.record(at, core, device, kind)
     }
 
     /// Shorthand: record a trace event caused by event `cause`.
@@ -249,18 +229,7 @@ impl Obs {
         cause: u64,
         kind: EventKind,
     ) -> u64 {
-        let security = kind.is_security();
-        let name = kind.name();
-        let seq = self.0.tracer.record_caused(at, core, device, cause, kind);
-        if security && self.0.flight.armed() {
-            flight::dump_now(self, name);
-        }
-        seq
-    }
-
-    /// True when `other` is a clone of this handle.
-    pub fn same_as(&self, other: &Obs) -> bool {
-        Arc::ptr_eq(&self.0, &other.0)
+        self.0.tracer.record_caused(at, core, device, cause, kind)
     }
 }
 
@@ -274,8 +243,6 @@ mod tests {
         let b = a.clone();
         a.counter("x", "y", None).inc();
         assert_eq!(b.registry().snapshot().counter("x", "y", None), Some(1));
-        assert!(a.same_as(&b));
-        assert!(!a.same_as(&Obs::isolated()));
     }
 
     #[test]

@@ -116,10 +116,10 @@ impl Gauge {
 
 /// Number of histogram buckets: bucket 0 holds zeros, bucket `i` holds
 /// values whose bit length is `i`, i.e. `[2^(i-1), 2^i - 1]`.
-pub const HIST_BUCKETS: usize = 65;
+const HIST_BUCKETS: usize = 65;
 
 /// Bucket index for a value (log2 bucketing).
-pub fn bucket_index(v: u64) -> usize {
+fn bucket_index(v: u64) -> usize {
     if v == 0 {
         0
     } else {
@@ -128,7 +128,7 @@ pub fn bucket_index(v: u64) -> usize {
 }
 
 /// Inclusive upper bound of bucket `i`.
-pub fn bucket_upper_bound(i: usize) -> u64 {
+fn bucket_upper_bound(i: usize) -> u64 {
     match i {
         0 => 0,
         1..=63 => (1u64 << i) - 1,
@@ -177,23 +177,6 @@ impl Histogram {
         self.cells.sum.load(Ordering::Relaxed)
     }
 
-    /// Mean sample, or 0 if empty.
-    pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum() as f64 / n as f64
-        }
-    }
-
-    /// Approximate percentile (`p` in `[0,1]`): the upper bound of the
-    /// bucket where the cumulative count crosses `p * count`.
-    pub fn percentile(&self, p: f64) -> u64 {
-        let snap = self.snapshot();
-        snap.percentile(p)
-    }
-
     /// Consistent-enough snapshot of the bucket array.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let mut buckets = Vec::new();
@@ -233,7 +216,8 @@ impl HistogramSnapshot {
         }
     }
 
-    /// Approximate percentile (see [`Histogram::percentile`]).
+    /// Approximate percentile (`p` in `[0,1]`): the upper bound of the
+    /// bucket where the cumulative count crosses `p * count`.
     pub fn percentile(&self, p: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -273,44 +257,6 @@ impl HistogramSnapshot {
             cum = next;
         }
         self.buckets.last().map(|&(b, _)| b as f64).unwrap_or(0.0)
-    }
-
-    /// Accumulates `other` into `self` (cross-core aggregation): counts
-    /// and sums add, bucket lists merge by upper bound.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        let mut merged = Vec::with_capacity(self.buckets.len() + other.buckets.len());
-        let (mut i, mut j) = (0, 0);
-        while i < self.buckets.len() || j < other.buckets.len() {
-            let a = self.buckets.get(i).copied();
-            let b = other.buckets.get(j).copied();
-            match (a, b) {
-                (Some((ba, ca)), Some((bb, _))) if ba < bb => {
-                    merged.push((ba, ca));
-                    i += 1;
-                }
-                (Some((ba, _)), Some((bb, cb))) if bb < ba => {
-                    merged.push((bb, cb));
-                    j += 1;
-                }
-                (Some((ba, ca)), Some((_, cb))) => {
-                    merged.push((ba, ca + cb));
-                    i += 1;
-                    j += 1;
-                }
-                (Some((ba, ca)), None) => {
-                    merged.push((ba, ca));
-                    i += 1;
-                }
-                (None, Some((bb, cb))) => {
-                    merged.push((bb, cb));
-                    j += 1;
-                }
-                (None, None) => break,
-            }
-        }
-        self.buckets = merged;
     }
 }
 
@@ -563,40 +509,6 @@ mod tests {
         assert!(p99 < 1023.0, "p99 interp = {p99} must beat the bound");
         assert!(snap.percentile_interp(0.0) >= 0.0);
         assert_eq!(HistogramSnapshot::default().percentile_interp(0.5), 0.0);
-    }
-
-    #[test]
-    fn merge_matches_single_stream() {
-        // Two per-core histograms merged equal one histogram that saw
-        // both streams — the cross-core aggregation use case.
-        let (a, b, both) = (
-            Histogram::default(),
-            Histogram::default(),
-            Histogram::default(),
-        );
-        for v in [1u64, 5, 9, 100, 3000] {
-            a.record(v);
-            both.record(v);
-        }
-        for v in [0u64, 2, 100, 4096, 1 << 40] {
-            b.record(v);
-            both.record(v);
-        }
-        let mut merged = a.snapshot();
-        merged.merge(&b.snapshot());
-        assert_eq!(merged, both.snapshot());
-        assert_eq!(merged.count, 10);
-        assert_eq!(merged.mean(), both.snapshot().mean());
-        for p in [0.5, 0.9, 0.99, 0.999] {
-            assert_eq!(merged.percentile(p), both.snapshot().percentile(p));
-            assert!(
-                (merged.percentile_interp(p) - both.snapshot().percentile_interp(p)).abs() < 1e-9
-            );
-        }
-        // Merging an empty snapshot is the identity.
-        let before = merged.clone();
-        merged.merge(&HistogramSnapshot::default());
-        assert_eq!(merged, before);
     }
 
     #[test]

@@ -183,7 +183,6 @@ struct ProfInner {
     /// Per-key synthetic containers whose children are task-root nodes.
     trees: Vec<(Key, Node)>,
     spans: Vec<SpanEvent>,
-    span_capacity: usize,
     span_dropped: u64,
 }
 
@@ -216,7 +215,7 @@ impl Default for Profiler {
 }
 
 impl Profiler {
-    /// Creates a disabled profiler with the default span-log capacity.
+    /// Creates a disabled profiler.
     pub fn new() -> Self {
         Profiler {
             enabled: AtomicBool::new(false),
@@ -224,7 +223,6 @@ impl Profiler {
             inner: Mutex::new(ProfInner {
                 trees: Vec::new(),
                 spans: Vec::new(),
-                span_capacity: DEFAULT_SPAN_CAPACITY,
                 span_dropped: 0,
             }),
         }
@@ -247,14 +245,9 @@ impl Profiler {
         self.spans_enabled.store(on, Ordering::Relaxed);
     }
 
-    /// Caps retained span-log entries. When the cap is hit, further span
-    /// *begins* are dropped (and counted); ends of already-logged spans
-    /// are always retained so B/E pairs stay matched.
-    pub fn set_span_capacity(&self, cap: usize) {
-        self.inner.lock().span_capacity = cap.max(1);
-    }
-
-    /// Span-log begins dropped because the capacity was reached.
+    /// Span-log begins dropped because [`DEFAULT_SPAN_CAPACITY`] entries
+    /// were already retained; ends of logged spans are always kept, so
+    /// B/E pairs stay matched.
     pub fn span_dropped(&self) -> u64 {
         self.inner.lock().span_dropped
     }
@@ -281,20 +274,12 @@ impl Profiler {
         ProfileSnapshot { roots }
     }
 
-    /// Discards all trees and the span log (keeps enable flags).
-    pub fn clear(&self) {
-        let mut inner = self.inner.lock();
-        inner.trees.clear();
-        inner.spans.clear();
-        inner.span_dropped = 0;
-    }
-
     fn log_begin(&self, key: Key, label: &'static str, at: Cycles) -> bool {
         if !self.spans_enabled.load(Ordering::Relaxed) {
             return false;
         }
         let mut inner = self.inner.lock();
-        if inner.spans.len() >= inner.span_capacity {
+        if inner.spans.len() >= DEFAULT_SPAN_CAPACITY {
             inner.span_dropped += 1;
             return false;
         }
@@ -585,11 +570,6 @@ pub struct ProfileSnapshot {
 }
 
 impl ProfileSnapshot {
-    /// True when nothing was collected.
-    pub fn is_empty(&self) -> bool {
-        self.roots.is_empty()
-    }
-
     /// Distinct engine names, in first-seen order.
     pub fn engines(&self) -> Vec<String> {
         let mut out: Vec<String> = Vec::new();
@@ -606,7 +586,7 @@ impl ProfileSnapshot {
     ///
     /// When root scopes wrap whole task steps this is byte-identical to
     /// the breakdown the experiment publishes into the registry (the
-    /// Figure 5 bars) — the acceptance invariant `profile_report`
+    /// Figure 5 bars) — the acceptance invariant the `report` binary
     /// asserts.
     pub fn breakdown_cut(&self, device: Option<u16>) -> Breakdown {
         let mut b = Breakdown::new();
@@ -1008,7 +988,7 @@ mod tests {
             42
         });
         assert_eq!(r, 42);
-        assert!(obs.profiler().snapshot().is_empty());
+        assert!(obs.profiler().snapshot().roots.is_empty());
     }
 
     #[test]
@@ -1130,7 +1110,7 @@ mod tests {
         });
         let snap = obs.profiler().snapshot();
         let lines = snap.to_json_lines();
-        // Through an encode/parse cycle, as the flight recorder replays it.
+        // Through an encode/parse cycle, as `report --diff` loads it.
         let parsed: Vec<Json> = lines
             .iter()
             .map(|l| Json::parse(&l.encode()).ok().unwrap_or(Json::Null))
@@ -1178,22 +1158,6 @@ mod tests {
         let parsed = Json::parse(&doc.encode()).ok().unwrap_or(Json::Null);
         let pairs = validate_chrome_trace(&parsed);
         assert_eq!(pairs, Ok(9));
-    }
-
-    #[test]
-    fn span_capacity_keeps_pairs_matched() {
-        let obs = charged_obs();
-        obs.profiler().set_span_log(true);
-        obs.profiler().set_span_capacity(3);
-        let mut c = ctx(0);
-        for _ in 0..4 {
-            task_scope(&obs, &mut c, "copy", None, "rx", |ctx| {
-                scope(ctx, "inner", |ctx| ctx.charge(Phase::Other, Cycles(1)));
-            });
-        }
-        assert!(obs.profiler().span_dropped() > 0);
-        let doc = chrome_trace(&obs.profiler().spans(), 2.4);
-        assert!(validate_chrome_trace(&doc).is_ok());
     }
 
     #[test]

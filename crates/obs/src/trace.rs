@@ -8,7 +8,7 @@
 //! it triggered.
 //!
 //! The buffer is bounded: when full, the oldest events are dropped and
-//! counted in [`Tracer::dropped`], so tracing never grows without bound
+//! counted in [`TraceStats::dropped`], so tracing never grows without bound
 //! during long experiments.
 //!
 //! # Sampling
@@ -144,8 +144,7 @@ impl EventKind {
     }
 
     /// True for security events ([`EventKind::AttackBlocked`],
-    /// [`EventKind::SanitizerViolation`]), which always bypass sampling
-    /// and can trigger the flight recorder.
+    /// [`EventKind::SanitizerViolation`]), which always bypass sampling.
     pub fn is_security(&self) -> bool {
         matches!(
             self,
@@ -349,7 +348,7 @@ impl Tracer {
     }
 
     /// Events skipped by chain sampling (never counts security events;
-    /// distinct from ring-overflow [`Tracer::dropped`]).
+    /// distinct from ring-overflow [`TraceStats::dropped`]).
     pub fn sampled_out(&self) -> u64 {
         self.sampled_out.load(Ordering::Relaxed)
     }
@@ -397,10 +396,7 @@ impl Tracer {
         let period = self.sample_period.load(Ordering::Relaxed);
         // Security events always bypass sampling; otherwise chain members
         // follow their head's verdict and heads keep 1 in `period`.
-        let security = matches!(
-            kind,
-            EventKind::AttackBlocked { .. } | EventKind::SanitizerViolation { .. }
-        );
+        let security = kind.is_security();
         let kept = security
             || period <= 1
             || match cause_kept {
@@ -458,11 +454,6 @@ impl Tracer {
         out
     }
 
-    /// Events dropped because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.ring.lock().dropped
-    }
-
     /// Retention statistics: retained / sampled-out / dropped counts and
     /// the sampling period, for report headers and table sinks.
     pub fn stats(&self) -> TraceStats {
@@ -476,26 +467,6 @@ impl Tracer {
             dropped,
             sample_period: self.sample_period(),
         }
-    }
-
-    /// Number of events currently retained.
-    pub fn len(&self) -> usize {
-        self.ring.lock().events.len()
-    }
-
-    /// True when no events are retained.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Ring capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Discards all retained events (keeps the sequence counter).
-    pub fn clear(&self) {
-        self.ring.lock().events.clear();
     }
 }
 
@@ -520,7 +491,7 @@ mod tests {
         }
         let evs = t.events();
         assert_eq!(evs.len(), 4);
-        assert_eq!(t.dropped(), 6);
+        assert_eq!(t.stats().dropped, 6);
         let seqs: Vec<u64> = evs.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![6, 7, 8, 9], "oldest dropped, order preserved");
     }
@@ -654,8 +625,6 @@ mod tests {
             t.record(Cycles(i), 0, None, ev(i));
         }
         assert_eq!(t.sampled_out(), 10, "every other chain head skipped");
-        assert_eq!(t.dropped(), 6, "10 kept, ring holds 4");
-        assert_eq!(t.len(), 4);
         assert_eq!(
             t.stats(),
             TraceStats {

@@ -119,7 +119,7 @@ fn retained_causes_are_never_sampled_out() {
             let t = Tracer::with_capacity(1 << 16);
             t.set_sample_period(period);
             drive(&t, &mut rng, 200);
-            assert_eq!(t.dropped(), 0, "ring must not wrap in this test");
+            assert_eq!(t.stats().dropped, 0, "ring must not wrap in this test");
             let events = t.events();
             let retained: HashSet<u64> = events.iter().map(|e| e.seq).collect();
             for e in &events {

@@ -1,20 +1,21 @@
 //! Cross-crate acceptance tests for the virtual-time profiler and the
-//! flight recorder: the whole netsim stack runs with the profiler
-//! enabled, and the resulting tree must agree cycle-for-cycle with the
-//! registry's Figure 5 breakdown; a security event must leave a flight
-//! dump whose every line re-parses.
+//! event trace: the whole netsim stack runs with the profiler enabled, and
+//! the resulting tree must agree cycle-for-cycle with the registry's
+//! Figure 5 breakdown; the trace of a run plus a malicious-device scan
+//! must pair every map with its unmap and record every blocked probe.
 
-// lint: allow(ambient-io) — this test reads back the flight recorder's on-disk dump
-
+use dma_shadowing::devices::MaliciousDevice;
+use dma_shadowing::dma_api::Bus;
+use dma_shadowing::iommu::DeviceId;
 use dma_shadowing::netsim::{
     memcached_on, tcp_rr_on, tcp_stream_rx_on, tcp_stream_tx_on, EngineKind, ExpConfig, ExpResult,
     SimStack, NIC_DEV,
 };
 use dma_shadowing::obs::json::Json;
 use dma_shadowing::obs::profile::{chrome_trace, flamegraph, validate_chrome_trace};
-use dma_shadowing::obs::sink::{event_from_json, parse_jsonl};
-use dma_shadowing::obs::{breakdown, flight, Obs};
-use dma_shadowing::simcore::Phase;
+use dma_shadowing::obs::{breakdown, EventKind, Obs};
+use dma_shadowing::simcore::{CoreCtx, CoreId, Phase};
+use std::collections::HashMap;
 
 fn quick_cfg() -> ExpConfig {
     ExpConfig {
@@ -97,23 +98,11 @@ fn exporters_render_the_real_stack() {
 }
 
 #[test]
-fn security_event_dump_replays_through_the_parsers() {
-    use dma_shadowing::devices::MaliciousDevice;
-    use dma_shadowing::dma_api::Bus;
-    use dma_shadowing::iommu::DeviceId;
-
-    let obs = Obs::with_trace_capacity(1 << 14);
-    obs.profiler().set_enabled(true);
+fn the_trace_balances_maps_and_records_every_blocked_probe() {
+    let obs = Obs::isolated();
     let cfg = quick_cfg();
-    let stack = SimStack::with_obs(EngineKind::Copy, &cfg, obs.clone());
+    let mut stack = SimStack::with_obs(EngineKind::Copy, &cfg, obs.clone());
     tcp_stream_rx_on(&stack, &cfg);
-
-    // Arm, then probe from a rogue device: every blocked DMA is a
-    // security event, and the first one triggers a dump.
-    let dir = std::path::Path::new("target").join("flight-stack-test");
-    let _ = std::fs::remove_dir_all(&dir);
-    obs.flight().arm(&dir, 64);
-    obs.flight().set_max_dumps(1);
     let evil = MaliciousDevice::new(
         DeviceId(13),
         Bus::Iommu {
@@ -123,38 +112,26 @@ fn security_event_dump_replays_through_the_parsers() {
     );
     let scan = evil.scan(0, 8 * 4096, 4096);
     assert!(scan.blocked > 0, "the IOMMU blocked the rogue probes");
-    assert_eq!(obs.flight().dumps(), 1, "one dump, budget respected");
+    stack.teardown(&mut CoreCtx::new(CoreId(0), stack.cost.clone()));
 
-    // The dump replays: run header, metrics, profile tree, events.
-    let dump = std::fs::read_dir(&dir)
-        .expect("dump dir exists")
-        .filter_map(Result::ok)
-        .find(|e| e.file_name().to_string_lossy().starts_with("flight-"))
-        .expect("dump file written");
-    let text = std::fs::read_to_string(dump.path()).expect("dump readable");
-    let lines = parse_jsonl(&text).expect("every dump line is valid JSON");
-    let header = &lines[0];
-    assert_eq!(header.get("kind").and_then(Json::as_str), Some("flight"));
-    assert_eq!(
-        header.get("reason").and_then(Json::as_str),
-        Some("AttackBlocked")
+    assert_eq!(obs.tracer().stats().dropped, 0, "trace ring must not wrap");
+    let mut open: HashMap<(Option<u16>, u64), i64> = HashMap::new();
+    let mut blocked = 0;
+    for e in obs.tracer().events() {
+        match e.kind {
+            EventKind::DmaMap { iova, .. } => *open.entry((e.device, iova)).or_default() += 1,
+            EventKind::DmaUnmap { iova, .. } => *open.entry((e.device, iova)).or_default() -= 1,
+            EventKind::AttackBlocked { .. } => blocked += 1,
+            _ => {}
+        }
+    }
+    assert!(!open.is_empty(), "the run mapped buffers");
+    assert!(
+        open.values().all(|&n| n == 0),
+        "every DmaMap has its DmaUnmap per (device, iova)"
     );
-    let events: Vec<_> = lines
-        .iter()
-        .filter(|l| l.get("type").and_then(Json::as_str) == Some("event"))
-        .map(|l| event_from_json(l).expect("event decodes"))
-        .collect();
-    assert!(!events.is_empty(), "the dump carries the last-N events");
-    let profile_lines: Vec<Json> = lines
-        .iter()
-        .filter(|l| l.get("type").and_then(Json::as_str) == Some("profile"))
-        .cloned()
-        .collect();
-    let snap = dma_shadowing::obs::profile::ProfileSnapshot::from_json_lines(&profile_lines)
-        .expect("profile decodes");
-    assert!(!snap.is_empty(), "the dump carries the profile tree");
-    // Same dump content is available without touching disk.
-    let s = flight::dump_string(&obs, "manual", 16);
-    assert!(parse_jsonl(&s).is_ok());
-    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(
+        blocked, scan.blocked,
+        "every blocked probe is an AttackBlocked"
+    );
 }
