@@ -361,8 +361,8 @@ fn batching(e: &mut Evidence) {
         let items = (OPS * 16) as f64;
         let end = sim.ctxs().iter().map(|c| c.now()).max().expect("16 cores");
         let mops = items / end.to_secs(2.4) / 1e6;
-        let spin = sim.ctxs().iter().map(|c| c.breakdown.get(Phase::Spinlock));
-        let spin = spin.map(|c| c.to_micros(2.4)).sum::<f64>() / items;
+        let spin = |c: &CoreCtx| c.breakdown().get(Phase::Spinlock).to_micros(2.4);
+        let spin = sim.ctxs().iter().map(spin).sum::<f64>() / items;
         let deferred = mmu.obs().counter("flush", "deferred_total", None).get();
         println!("{name:<18} {mops:>14.2} {spin:>18.4} {deferred:>14}");
         e.batching[i] = mops;

@@ -332,7 +332,7 @@ mod tests {
         // And the whole exchange issued ZERO IOTLB invalidations.
         assert_eq!(r.mmu.invalq().stats().page_commands, 0);
         assert_eq!(r.mmu.invalq().stats().flush_commands, 0);
-        assert_eq!(r.ctx.breakdown.get(Phase::InvalidateIotlb), Cycles::ZERO);
+        assert_eq!(r.ctx.breakdown().get(Phase::InvalidateIotlb), Cycles::ZERO);
     }
 
     #[test]
@@ -413,17 +413,17 @@ mod tests {
         // RX 1500 B: one copy ≈ 0.11 µs, pool mgmt ≈ 0.02 µs (Fig. 5a).
         let memcpy_us = r
             .ctx
-            .breakdown
+            .breakdown()
             .get(Phase::Memcpy)
             .to_micros(r.ctx.cost.clock_ghz);
         assert!((memcpy_us - 0.11).abs() < 0.03, "{memcpy_us}");
         let mgmt_us = r
             .ctx
-            .breakdown
+            .breakdown()
             .get(Phase::CopyMgmt)
             .to_micros(r.ctx.cost.clock_ghz);
         assert!((mgmt_us - 0.02).abs() < 0.01, "{mgmt_us}");
-        assert_eq!(r.ctx.breakdown.get(Phase::InvalidateIotlb), Cycles::ZERO);
+        assert_eq!(r.ctx.breakdown().get(Phase::InvalidateIotlb), Cycles::ZERO);
     }
 
     #[test]
@@ -440,7 +440,7 @@ mod tests {
         r.ctx.reset_stats();
         r.eng.unmap(&mut r.ctx, m.device_wrote(300)).unwrap();
         // 300 bytes were copied, not 1500, and the OS buffer got the packet.
-        let copied = r.ctx.breakdown.get(Phase::Memcpy);
+        let copied = r.ctx.breakdown().get(Phase::Memcpy);
         assert_eq!(copied, r.ctx.cost.memcpy(300, false));
         assert_eq!(r.mem.read_vec(buf.pa, 300).unwrap(), pkt);
     }
@@ -490,7 +490,7 @@ mod tests {
         r.ctx.reset_stats();
         r.eng.unmap(&mut r.ctx, m.device_wrote(usize::MAX)).unwrap();
         assert_eq!(
-            r.ctx.breakdown.get(Phase::Memcpy),
+            r.ctx.breakdown().get(Phase::Memcpy),
             r.ctx.cost.memcpy(1500, false)
         );
         assert_eq!(r.mem.read_vec(buf.pa, 1500).unwrap(), vec![5u8; 1500]);
@@ -510,7 +510,7 @@ mod tests {
         r.ctx.reset_stats();
         r.eng.unmap(&mut r.ctx, m.device_wrote(5)).unwrap();
         // No copy-back either way: the device could not write.
-        assert_eq!(r.ctx.breakdown.get(Phase::Memcpy), Cycles::ZERO);
+        assert_eq!(r.ctx.breakdown().get(Phase::Memcpy), Cycles::ZERO);
         assert_eq!(r.mem.read_vec(buf.pa, 1000).unwrap(), vec![0x42u8; 1000]);
     }
 

@@ -509,7 +509,7 @@ mod tests {
             let mut warm = [0u8; 8];
             r.bus.read(DEV, m.iova.get(), &mut warm).unwrap();
             r.unmap(m);
-            let waited = r.ctx.breakdown.get(Phase::InvalidateIotlb);
+            let waited = r.ctx.breakdown().get(Phase::InvalidateIotlb);
             let posted = r.mmu.invalq().stats().page_commands;
             match row.inval {
                 Inval::Strict => {
@@ -717,9 +717,9 @@ mod tests {
         let mut r = rig(EngineKind::LinuxStrict);
         let buf = DmaBuf::new(r.frames(1).base(), 64);
         let m = r.map(buf, DmaDirection::ToDevice);
-        let pt = r.ctx.breakdown.get(Phase::IommuPageTableMgmt);
+        let pt = r.ctx.breakdown().get(Phase::IommuPageTableMgmt);
         assert!(pt >= r.ctx.cost.iova_tree_alloc + r.ctx.cost.pagetable_map_page);
-        assert!(r.ctx.breakdown.get(Phase::Spinlock) >= r.ctx.cost.spinlock_uncontended);
+        assert!(r.ctx.breakdown().get(Phase::Spinlock) >= r.ctx.cost.spinlock_uncontended);
         r.unmap(m);
     }
 
@@ -737,7 +737,7 @@ mod tests {
                 let m = r.map(buf, DmaDirection::FromDevice);
                 r.unmap(m);
             }
-            r.ctx.breakdown.get(Phase::IommuPageTableMgmt)
+            r.ctx.breakdown().get(Phase::IommuPageTableMgmt)
         };
         let eiovar = steady_state_pt_cost(EngineKind::EiovarStrict);
         let stock = steady_state_pt_cost(EngineKind::LinuxStrict);

@@ -373,7 +373,7 @@ mod tests {
         assert!(s.shadowed_bytes < 2 * PAGE_SIZE as u64);
         assert!(s.zero_copy_bytes > 990_000);
         // The memcpy charge is tiny compared to copying the whole buffer.
-        let copied = r.ctx.breakdown.get(Phase::Memcpy);
+        let copied = r.ctx.breakdown().get(Phase::Memcpy);
         let full_copy = r.ctx.cost.memcpy(1_000_000, false);
         assert!(copied.get() * 50 < full_copy.get());
         r.huge.unmap(&mut r.ctx, &r.alloc, iova).unwrap();

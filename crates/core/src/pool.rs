@@ -1146,7 +1146,7 @@ mod tests {
         c.reset_stats();
         let i = r.pool.acquire_shadow(&mut c, buf, Perms::Write).unwrap();
         r.pool.release_shadow(&mut c, i).unwrap();
-        let mgmt = c.breakdown.get(Phase::CopyMgmt);
+        let mgmt = c.breakdown().get(Phase::CopyMgmt);
         assert_eq!(mgmt, c.cost.shadow_pool_op * 2);
         // ≈0.02 µs per the paper's Figure 5a.
         let us = mgmt.to_micros(c.cost.clock_ghz);

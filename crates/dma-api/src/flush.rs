@@ -11,7 +11,7 @@
 use iommu::IovaPage;
 use obs::{Counter, Gauge, Obs};
 use simcore::sync::Mutex;
-use simcore::{ChargeBatch, CoreCtx, Cycles, Phase, SimLock};
+use simcore::{CoreCtx, Cycles, Phase, SimLock};
 
 /// One deferred unmap: an IOVA range whose IOTLB entries are still live.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,6 +131,15 @@ impl DeferredFlusher {
         self.lists.iter().map(|l| l.lock().entries.len()).sum()
     }
 
+    /// Runs `f` under the global list's lock, tracing this acquisition's
+    /// own spin as `LockContention` like every other contended lock.
+    fn locked<R>(&self, ctx: &mut CoreCtx, f: impl FnOnce(&mut CoreCtx) -> R) -> R {
+        let (r, spin) = self.obs.locked(ctx, &self.global_lock, GLOBAL_LIST, f);
+        self.obs
+            .trace_contention(ctx, None, &self.global_lock, spin);
+        r
+    }
+
     fn list_index(&self, ctx: &CoreCtx) -> usize {
         match self.scope {
             FlushScope::Global => 0,
@@ -152,14 +161,8 @@ impl DeferredFlusher {
         self.deferred_total.inc();
         self.peak_pending.set_max(self.pending_gauge.add(1));
         let idx = self.list_index(ctx);
-        let append = |ctx: &mut CoreCtx,
-                      acc: &mut ChargeBatch,
-                      lists: &Mutex<PendingList>|
-         -> Option<Vec<PendingUnmap>> {
-            // Burst-charged: the clock advances here (so the append cost is
-            // inside the global lock's hold time, exactly as before), the
-            // breakdown attribution commits when the burst scope closes.
-            ctx.charge_batch(acc, Phase::IommuPageTableMgmt, ctx.cost.defer_list_append);
+        let append = |ctx: &mut CoreCtx, lists: &Mutex<PendingList>| -> Option<Vec<PendingUnmap>> {
+            ctx.charge(Phase::IommuPageTableMgmt, ctx.cost.defer_list_append);
             let mut list = lists.lock();
             list.entries.push(entry);
             if list.oldest.is_none() {
@@ -176,21 +179,16 @@ impl DeferredFlusher {
                 None
             }
         };
-        let batch = ctx.burst(|ctx, acc| match self.scope {
-            FlushScope::Global => {
-                let (b, _) = self.obs.locked(ctx, &self.global_lock, GLOBAL_LIST, |ctx| {
-                    append(ctx, acc, &self.lists[0])
-                });
-                b
-            }
+        let batch = match self.scope {
+            FlushScope::Global => self.locked(ctx, |ctx| append(ctx, &self.lists[0])),
             FlushScope::PerCore => {
                 // Deliberately lock-free: each core owns its own list, so
                 // the lockset detector must see per-index variable names.
                 self.obs
                     .shared_access(ctx, format_args!("flush.pending_list[{idx}]"));
-                append(ctx, acc, &self.lists[idx])
+                append(ctx, &self.lists[idx])
             }
-        });
+        };
         if let Some(batch) = batch {
             self.drains.inc();
             self.pending_gauge.sub(batch.len() as i64);
@@ -207,14 +205,11 @@ impl DeferredFlusher {
     ) {
         for (idx, list) in self.lists.iter().enumerate() {
             let batch = match self.scope {
-                FlushScope::Global => {
-                    let (b, _) = self.obs.locked(ctx, &self.global_lock, GLOBAL_LIST, |_| {
-                        let mut l = list.lock();
-                        l.oldest = None;
-                        std::mem::take(&mut l.entries)
-                    });
-                    b
-                }
+                FlushScope::Global => self.locked(ctx, |_| {
+                    let mut l = list.lock();
+                    l.oldest = None;
+                    std::mem::take(&mut l.entries)
+                }),
                 FlushScope::PerCore => {
                     self.obs
                         .shared_access(ctx, format_args!("flush.pending_list[{idx}]"));
@@ -235,6 +230,7 @@ impl DeferredFlusher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use obs::EventKind;
     use simcore::{CoreId, CostModel};
     use std::cell::RefCell;
     use std::sync::Arc;
@@ -346,6 +342,36 @@ mod tests {
         f.force_flush(&mut c, |_, b| drained.extend_from_slice(b));
         assert_eq!(drained.len(), 3);
         assert_eq!(f.pending(), 0);
+    }
+
+    #[test]
+    fn global_list_contention_is_traced_with_the_spinners_own_spin() {
+        let obs = Obs::isolated();
+        let f = DeferredFlusher::with_obs(
+            DeferPolicy::linux_default(),
+            FlushScope::Global,
+            2,
+            obs.clone(),
+        );
+        let (mut c0, mut c1) = (ctx(0), ctx(1));
+        f.defer(&mut c0, entry(0), |_, _| {});
+        f.defer(&mut c1, entry(1), |_, _| {});
+        // Core 1 arrived at t=0 and waited out core 0's whole hold.
+        let spin = f.global_lock().stats().total_spin;
+        assert!(spin > Cycles::ZERO);
+        assert_eq!(spin, c0.now());
+        let traced: Vec<_> = obs
+            .tracer()
+            .events()
+            .into_iter()
+            .filter_map(|e| match e.kind {
+                EventKind::LockContention { lock, spin_cycles } => {
+                    Some((e.core, lock.into_owned(), spin_cycles))
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(traced, [(1, FLUSH_LOCK.to_string(), spin.get())]);
     }
 
     #[test]

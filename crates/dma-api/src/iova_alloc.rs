@@ -415,7 +415,7 @@ mod tests {
         let a = GlobalTreeIovaAllocator::new();
         let mut c = ctx(0);
         a.alloc(&mut c, 1).unwrap();
-        assert!(c.breakdown.get(Phase::IommuPageTableMgmt) >= c.cost.iova_tree_alloc);
+        assert!(c.breakdown().get(Phase::IommuPageTableMgmt) >= c.cost.iova_tree_alloc);
         assert_eq!(a.lock.stats().acquisitions, 1);
     }
 

@@ -153,7 +153,7 @@ impl InvalQueue {
         let lock = &self.queues[ctx.core.0 as usize % self.queues.len()];
         obs::profile::scope(ctx, "invalq_drain", |ctx| {
             let active = ctx.active_cores;
-            let wait_start = ctx.breakdown.get(Phase::InvalidateIotlb);
+            let wait_start = ctx.breakdown().get(Phase::InvalidateIotlb);
             let ((), spin) = self.obs.locked(ctx, lock, "invalq.queue", |ctx| {
                 let mut iotlb = iotlb.lock();
                 let mut i = 0;
@@ -193,7 +193,7 @@ impl InvalQueue {
     ) {
         self.obs.set_now_hint(ctx.now());
         let wait_cycles = ctx
-            .breakdown
+            .breakdown()
             .get(Phase::InvalidateIotlb)
             .saturating_sub(wait_start);
         self.obs.trace(
@@ -216,7 +216,7 @@ impl InvalQueue {
     pub fn flush_device_sync(&self, ctx: &mut CoreCtx, iotlb: &Mutex<Iotlb>, dev: DeviceId) {
         let lock = self.lock();
         obs::profile::scope(ctx, "invalq_flush", |ctx| {
-            let wait_start = ctx.breakdown.get(Phase::InvalidateIotlb);
+            let wait_start = ctx.breakdown().get(Phase::InvalidateIotlb);
             let ((), spin) = self.obs.locked(ctx, lock, "invalq.queue", |ctx| {
                 ctx.charge(Phase::InvalidateIotlb, ctx.cost.inval_queue_post);
                 iotlb.lock().invalidate_device(dev);
@@ -283,7 +283,7 @@ mod tests {
         q.invalidate_page_sync(&mut c, &tlb, DEV, IovaPage(3));
         assert!(!tlb.lock().contains(DEV, IovaPage(3)));
         // Cost at least the hardware wait (plus post + lock).
-        assert!(c.breakdown.get(Phase::InvalidateIotlb) >= c.cost.iotlb_inval_wait);
+        assert!(c.breakdown().get(Phase::InvalidateIotlb) >= c.cost.iotlb_inval_wait);
         assert_eq!(q.stats().page_commands, 1);
         assert_eq!(q.stats().waits, 1);
     }
@@ -296,7 +296,7 @@ mod tests {
             let mut c = ctx();
             c.active_cores = cores;
             q.invalidate_page_sync(&mut c, &tlb, DEV, IovaPage(1));
-            c.breakdown.get(Phase::InvalidateIotlb)
+            c.breakdown().get(Phase::InvalidateIotlb)
         };
         assert!(run(16) > run(1) * 2);
     }
@@ -316,7 +316,7 @@ mod tests {
             assert!(!tlb.lock().contains(DEV, p));
         }
         assert_eq!(q.stats().page_commands, 1);
-        assert!(c.breakdown.get(Phase::InvalidateIotlb) < c.cost.iotlb_inval_wait * 2);
+        assert!(c.breakdown().get(Phase::InvalidateIotlb) < c.cost.iotlb_inval_wait * 2);
     }
 
     #[test]
@@ -334,7 +334,7 @@ mod tests {
         }
         assert_eq!(q.stats().page_commands, 3, "runs: [0,1] [5] [9,10]");
         assert_eq!(q.stats().waits, 1, "one lock hold / wait descriptor");
-        assert!(c.breakdown.get(Phase::InvalidateIotlb) >= c.cost.iotlb_inval_wait * 3);
+        assert!(c.breakdown().get(Phase::InvalidateIotlb) >= c.cost.iotlb_inval_wait * 3);
     }
 
     #[test]
@@ -359,7 +359,7 @@ mod tests {
         assert!(tlb.lock().is_empty());
         assert_eq!(q.stats().flush_commands, 1);
         // A single flush is far cheaper than 250 selective invalidations.
-        let flush_cost = c.breakdown.get(Phase::InvalidateIotlb);
+        let flush_cost = c.breakdown().get(Phase::InvalidateIotlb);
         assert!(flush_cost < c.cost.iotlb_inval_wait * 10);
     }
 
@@ -504,7 +504,7 @@ mod tests {
             q.invalidate_pages_sync(&mut c, &tlb, DEV, &scattered);
             q.flush_device_sync(&mut c, &tlb, DEV);
             q.invalidate_page_sync(&mut c, &tlb, DEV, IovaPage(7));
-            (c.now(), c.breakdown, q.stats(), q.lock().stats())
+            (c.now(), *c.breakdown(), q.stats(), q.lock().stats())
         };
         assert_eq!(
             run(InvalQueue::with_queues(Obs::isolated(), 1)),

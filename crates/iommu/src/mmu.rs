@@ -663,7 +663,7 @@ mod tests {
         mmu.map_page(&mut ctx, DEV, IovaPage(1), pfn, Perms::Read)
             .unwrap();
         mmu.unmap_page_nosync(&mut ctx, DEV, IovaPage(1)).unwrap();
-        let charged = ctx.breakdown.get(Phase::IommuPageTableMgmt);
+        let charged = ctx.breakdown().get(Phase::IommuPageTableMgmt);
         assert_eq!(
             charged,
             ctx.cost.pagetable_map_page + ctx.cost.pagetable_unmap_page
@@ -680,7 +680,7 @@ mod tests {
         mmu.map_page(&mut ctx, DEV, IovaPage(1), pfn, Perms::Read)
             .unwrap();
         mmu.unmap_page_nosync(&mut ctx, DEV, IovaPage(1)).unwrap();
-        assert_eq!(ctx.breakdown.get(Phase::InvalidateIotlb), Cycles::ZERO);
+        assert_eq!(ctx.breakdown().get(Phase::InvalidateIotlb), Cycles::ZERO);
         assert_eq!(mmu.invalq().stats().page_commands, 0);
     }
 

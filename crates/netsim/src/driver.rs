@@ -122,17 +122,11 @@ impl CoreDriver {
             .unmap(ctx, mapping.device_wrote(completion.len))
             .expect("dma_unmap");
 
-        // Protocol processing and delivery to userspace. The three charges
-        // are one burst: the clock advances per charge (virtual-time
-        // ordering unchanged), the breakdown is committed once, before the
-        // profiler scope exits so the depth-1 cut still matches the
-        // registry breakdown cycle for cycle.
+        // Protocol processing and delivery to userspace.
         obs::profile::scope(ctx, "deliver", |ctx| {
-            ctx.burst(|ctx, b| {
-                ctx.charge_batch(b, Phase::RxParsing, ctx.cost.rx_parse);
-                ctx.charge_batch(b, Phase::CopyUser, ctx.cost.copy_user(completion.len));
-                ctx.charge_batch(b, Phase::Other, ctx.cost.rx_other);
-            });
+            ctx.charge(Phase::RxParsing, ctx.cost.rx_parse);
+            ctx.charge(Phase::CopyUser, ctx.cost.copy_user(completion.len));
+            ctx.charge(Phase::Other, ctx.cost.rx_other);
         });
 
         if verify {
@@ -319,8 +313,8 @@ mod tests {
             let n = CoreDriver::new(CoreId(0)).rx_one(&stack, &mut c, &payload, true);
             assert_eq!(n, 1400);
             assert!(c.busy() > Cycles::ZERO);
-            assert!(c.breakdown.get(Phase::RxParsing) > Cycles::ZERO);
-            assert!(c.breakdown.get(Phase::CopyUser) > Cycles::ZERO);
+            assert!(c.breakdown().get(Phase::RxParsing) > Cycles::ZERO);
+            assert!(c.breakdown().get(Phase::CopyUser) > Cycles::ZERO);
         }
     }
 
@@ -342,12 +336,12 @@ mod tests {
         let drv = CoreDriver::new(CoreId(0));
         let mut c = ctx(&stack, 0);
         drv.rx_one(&stack, &mut c, &vec![1u8; 1500], true);
-        let rx_copy = c.breakdown.get(Phase::Memcpy);
+        let rx_copy = c.breakdown().get(Phase::Memcpy);
         assert!(rx_copy > Cycles::ZERO, "RX copies at unmap");
         let mut c2 = ctx(&stack, 0);
         drv.tx_one(&stack, &mut c2, &vec![2u8; 1500], true);
         assert!(
-            c2.breakdown.get(Phase::Memcpy) > Cycles::ZERO,
+            c2.breakdown().get(Phase::Memcpy) > Cycles::ZERO,
             "TX copies at map"
         );
     }
@@ -359,9 +353,9 @@ mod tests {
         let mut c = ctx(&stack, 0);
         drv.rx_one(&stack, &mut c, &vec![1u8; 1500], true);
         drv.tx_one(&stack, &mut c, &vec![2u8; 1500], true);
-        assert_eq!(c.breakdown.get(Phase::InvalidateIotlb), Cycles::ZERO);
-        assert_eq!(c.breakdown.get(Phase::IommuPageTableMgmt), Cycles::ZERO);
-        assert_eq!(c.breakdown.get(Phase::Memcpy), Cycles::ZERO);
+        assert_eq!(c.breakdown().get(Phase::InvalidateIotlb), Cycles::ZERO);
+        assert_eq!(c.breakdown().get(Phase::IommuPageTableMgmt), Cycles::ZERO);
+        assert_eq!(c.breakdown().get(Phase::Memcpy), Cycles::ZERO);
     }
 
     #[test]

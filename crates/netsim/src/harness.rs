@@ -158,11 +158,10 @@ pub(crate) fn collect<I>(sim: &MultiCoreSim, tasks: &[Measured<I>]) -> ExpResult
         latency += t.latency;
     }
     let cpu = sim.ctxs().iter().map(|c| c.utilization()).sum::<f64>() / sim.n_cores() as f64;
-    // The run reports its own cores' phase breakdown; the registry gets a
-    // copy, which accumulates across every run sharing the stack's `Obs`.
-    let total: Breakdown = sim.ctxs().iter().map(|c| c.breakdown).sum::<Breakdown>();
+    // The run reports its own cores' phase breakdown, nothing accumulated
+    // by earlier runs sharing the stack's `Obs`.
+    let total: Breakdown = sim.ctxs().iter().map(|c| *c.breakdown()).sum();
     let dev = Some(NIC_DEV.0);
-    obs::breakdown::record_breakdown(stack.obs.registry(), dev, &total);
     ExpResult {
         engine: stack.kind.name(),
         cores: sim.n_cores(),
@@ -266,8 +265,8 @@ mod tests {
 
     #[test]
     fn a_run_reports_its_own_breakdown_on_a_shared_obs() {
-        // The registry's phase counters sum every run published to them;
-        // a run's per-item breakdown must not.
+        // A shared `Obs` sums every run into its registry and profile
+        // trees; a run's per-item breakdown must not.
         let cfg = &ExpConfig {
             cores: 2,
             msg_size: 1024,
@@ -285,7 +284,8 @@ mod tests {
     }
 
     /// ROADMAP 2(a)'s invariants that hold today (`gbps <= wire_gbps` is
-    /// the open one), on one workload.
+    /// the open one), on one workload, with the profiler on: its depth-1
+    /// cut is the measured cores' breakdowns, phase for phase.
     fn check_invariants<'a, I: Item>(
         workload: Workload,
         stack: &'a SimStack,
@@ -293,14 +293,20 @@ mod tests {
         cores: usize,
         item: impl FnMut(usize) -> I,
     ) {
+        stack.obs.profiler().set_enabled(true);
         let (sim, tasks) = run_tasks(workload, stack, cfg, (0..cores).map(item));
-        let busy: Cycles = sim.ctxs().iter().map(|c| c.busy()).sum();
+        let ledger: Breakdown = sim.ctxs().iter().map(|c| *c.breakdown()).sum();
         let r = collect(&sim, &tasks);
         let what = format!("{} {workload:?} percore={}", stack.kind, cfg.percore);
         assert_eq!(r.items, cores as u64 * cfg.items_per_core, "{what}");
         assert!(r.cpu > 0.0 && r.cpu <= 1.0, "{what}: cpu {}", r.cpu);
-        let phases = obs::breakdown::breakdown_view(stack.obs.registry(), Some(NIC_DEV.0));
-        assert_eq!(phases.total(), busy, "{what}: phases vs busy cycles");
+        let snap = stack.obs.profiler().snapshot();
+        let tree = snap.merged(Some(stack.kind.name()));
+        assert!(tree.child(workload.label()).is_some(), "{what}: no root");
+        let cut = snap.breakdown_cut(Some(NIC_DEV.0));
+        for p in Phase::ALL {
+            assert_eq!(cut.get(p), ledger.get(p), "{what}: depth-1 cut on '{p}'");
+        }
     }
 
     #[test]

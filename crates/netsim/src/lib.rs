@@ -33,7 +33,7 @@ mod stream;
 
 pub use driver::{CoreDriver, HEADER_BYTES, SKB_OVERHEAD};
 pub use kv::{memcached, memcached_on};
-pub use report::{format_breakdown_us, format_table, merged_breakdown, ExpResult};
+pub use report::{format_breakdown_us, format_table, ExpResult};
 pub use rr::{tcp_rr, tcp_rr_on};
 pub use setup::{EngineKind, ExpConfig, NetCounters, SimStack, NIC_DEV};
 pub use stream::{tcp_stream_rx, tcp_stream_rx_on, tcp_stream_tx, tcp_stream_tx_on};

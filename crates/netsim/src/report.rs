@@ -120,12 +120,6 @@ pub fn format_table(title: &str, rows: &[ExpResult], baseline: &str) -> String {
     out
 }
 
-/// Sums busy time per phase across a slice of results (used by breakdown
-/// figures).
-pub fn merged_breakdown(rows: &[ExpResult]) -> Breakdown {
-    rows.iter().map(|r| r.per_item).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

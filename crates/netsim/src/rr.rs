@@ -61,6 +61,7 @@ pub fn tcp_rr_on(stack: &SimStack, cfg: &ExpConfig) -> ExpResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simcore::Phase;
 
     fn quick(msg: usize) -> ExpConfig {
         ExpConfig {
@@ -105,14 +106,15 @@ mod tests {
         let cfg = quick(64 * 1024);
         let idp = tcp_rr(EngineKind::IdentityPlus, &cfg);
         let copy = tcp_rr(EngineKind::Copy, &cfg);
-        let idp_iommu = idp.per_item.fraction(simcore::Phase::InvalidateIotlb)
-            + idp.per_item.fraction(simcore::Phase::IommuPageTableMgmt);
-        let copy_mgmt = copy.per_item.fraction(simcore::Phase::Memcpy)
-            + copy.per_item.fraction(simcore::Phase::CopyMgmt);
+        let share = |r: &ExpResult, a, b| {
+            (r.per_item.get(a) + r.per_item.get(b)).get() as f64 / r.per_item.total().get() as f64
+        };
+        let idp_iommu = share(&idp, Phase::InvalidateIotlb, Phase::IommuPageTableMgmt);
+        let copy_mgmt = share(&copy, Phase::Memcpy, Phase::CopyMgmt);
         assert!(idp_iommu > 0.1, "identity+ iommu share {idp_iommu}");
         assert!(copy_mgmt > 0.02, "copy share {copy_mgmt}");
         assert!(
-            copy.per_item.get(simcore::Phase::InvalidateIotlb) == Cycles::ZERO,
+            copy.per_item.get(Phase::InvalidateIotlb) == Cycles::ZERO,
             "copy never invalidates"
         );
     }

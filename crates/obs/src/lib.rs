@@ -17,12 +17,11 @@
 //!   (and reaches the model checker's yield hook) through these.
 //! - [`sink`] — a pretty-table text reporter and the JSON-lines reader
 //!   that loads saved profiles.
-//! - [`breakdown`] — bridges [`simcore::Breakdown`] phase accounting onto
-//!   the registry.
 //! - [`profile`] — a hierarchical virtual-time profiler: nested scopes
-//!   accumulate per-phase cycles into call trees keyed
+//!   split each core's [`simcore::Breakdown`] into call trees keyed
 //!   `engine × core × device`, with flamegraph and Chrome trace-event
-//!   (Perfetto) exporters.
+//!   (Perfetto) exporters. Per-phase cycles themselves are recorded in one
+//!   place only, `simcore::CoreCtx`; nothing here mirrors them.
 //!
 //! All timestamps are **simulated cycles** ([`simcore::Cycles`]); `obs`
 //! deliberately never reads host wall-clock time, keeping experiments
@@ -37,7 +36,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod breakdown;
 pub mod json;
 mod lock_site;
 pub mod metrics;

@@ -4,9 +4,10 @@
 //! The paper's Figure 5 decomposes packet time into eight fixed
 //! [`Phase`] categories. This module generalizes that one hand-wired
 //! breakdown into an arbitrary-depth **call tree**: every scope records
-//! the per-phase [`CoreCtx::breakdown`] delta it observed, split into
-//! *self* cycles (charged directly in the scope) and *total* cycles
-//! (self + everything charged in child scopes).
+//! the [`CoreCtx::breakdown`] delta it observed, split into *self* cycles
+//! (charged directly in the scope) and *total* cycles (self + everything
+//! charged in child scopes). It reads the core's ledger and never keeps a
+//! second one.
 //!
 //! - [`task_scope`] opens a *root* scope for one engine's task step (the
 //!   netsim RX/TX loop bodies). It binds the host thread to the
@@ -14,16 +15,16 @@
 //! - [`scope`] opens a nested scope anywhere below a root — the DMA
 //!   engines, the IOMMU invalidation queue, the shadow pool, the driver.
 //!   With no root open on the thread (unit tests, teardown, deferred
-//!   flushes) a `scope` is a pass-through, which is exactly what keeps
-//!   the profile tree byte-identical to the registry's published
-//!   breakdown: both see only what runs under a measured task.
+//!   flushes) a `scope` is a pass-through, so the tree sees exactly what
+//!   runs under a measured task — what the measured cores' breakdowns
+//!   hold.
 //! - [`note_reset`] re-bases every open scope after a warm-up
 //!   [`CoreCtx::reset_stats`] and clears the task's tree, so
 //!   steady-state trees cover precisely the measured window.
 //!
 //! The **depth-1 cut** of the tree — per-phase totals summed over root
-//! nodes — reproduces the Figure 5 [`Breakdown`] exactly; see
-//! [`ProfileSnapshot::breakdown_cut`].
+//! nodes — reproduces the measured cores' summed [`Breakdown`] exactly;
+//! see [`ProfileSnapshot::breakdown_cut`].
 //!
 //! Exports: [`ProfileSnapshot::render`] (text table),
 //! [`ProfileSnapshot::to_json_lines`] (replayable JSONL),
@@ -34,7 +35,6 @@
 //! wall-clock time, and a disabled profiler costs one relaxed load per
 //! root scope (nested scopes only check thread-local state).
 
-use crate::breakdown::phase_slug;
 use crate::json::Json;
 use crate::Obs;
 use simcore::sync::Mutex;
@@ -45,21 +45,9 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// Number of phase cells per node, one per [`Phase::ALL`] entry (cell `i`
-/// belongs to `Phase::ALL[i]`, the paper's legend order).
-pub const PHASE_COUNT: usize = 8;
-
 /// Default bound on retained span-log entries (begin/end pairs for the
 /// Chrome trace exporter).
 pub const DEFAULT_SPAN_CAPACITY: usize = 1 << 20;
-
-fn cells(b: &Breakdown) -> [u64; PHASE_COUNT] {
-    let mut out = [0u64; PHASE_COUNT];
-    for (i, p) in Phase::ALL.iter().enumerate() {
-        out[i] = b.get(*p).0;
-    }
-    out
-}
 
 /// Identity of one profile tree: which engine ran on which core against
 /// which device.
@@ -73,11 +61,11 @@ struct Key {
 /// One open scope on the thread's stack.
 struct Frame {
     label: &'static str,
-    /// Breakdown cells at scope entry (or at the last [`note_reset`]).
-    enter: [u64; PHASE_COUNT],
+    /// The core's breakdown at scope entry (or at the last [`note_reset`]).
+    enter: Breakdown,
     /// Cycles attributed to already-closed child scopes; subtracted from
     /// this scope's delta to obtain its self time.
-    consumed: [u64; PHASE_COUNT],
+    consumed: Breakdown,
     /// Whether a span-log `begin` entry was emitted (and so an `end`
     /// entry must be, to keep B/E pairs matched).
     span_logged: bool,
@@ -134,7 +122,7 @@ impl Drop for FrameGuard {
 #[derive(Debug, Default)]
 struct Node {
     count: u64,
-    self_cycles: [u64; PHASE_COUNT],
+    self_cycles: Breakdown,
     children: Vec<(&'static str, Node)>,
 }
 
@@ -307,20 +295,17 @@ impl Profiler {
         });
     }
 
+    /// Records the exit of `leaf`, nested under `parents` (outermost
+    /// first), at breakdown `exit`; returns the scope's total delta for its
+    /// parent to consume.
     fn record_exit(
         &self,
         key: Key,
-        path: &[&'static str],
-        enter: &[u64; PHASE_COUNT],
-        consumed: &[u64; PHASE_COUNT],
-        exit: &[u64; PHASE_COUNT],
-    ) -> [u64; PHASE_COUNT] {
-        let mut delta = [0u64; PHASE_COUNT];
-        let mut selfc = [0u64; PHASE_COUNT];
-        for i in 0..PHASE_COUNT {
-            delta[i] = exit[i].saturating_sub(enter[i]);
-            selfc[i] = delta[i].saturating_sub(consumed[i]);
-        }
+        parents: &[Frame],
+        leaf: &Frame,
+        exit: &Breakdown,
+    ) -> Breakdown {
+        let delta = exit.saturating_sub(&leaf.enter);
         let mut inner = self.inner.lock();
         let mut node = if let Some(i) = inner.trees.iter().position(|(k, _)| *k == key) {
             &mut inner.trees[i].1
@@ -329,13 +314,11 @@ impl Profiler {
             let last = inner.trees.len() - 1;
             &mut inner.trees[last].1
         };
-        for l in path {
-            node = node.child_mut(l);
+        for frame in parents.iter().chain([leaf]) {
+            node = node.child_mut(frame.label);
         }
         node.count += 1;
-        for (cell, add) in node.self_cycles.iter_mut().zip(selfc) {
-            *cell = cell.saturating_add(add);
-        }
+        node.self_cycles += delta.saturating_sub(&leaf.consumed);
         delta
     }
 
@@ -378,8 +361,8 @@ pub fn task_scope<R>(
             key,
             frames: vec![Frame {
                 label,
-                enter: cells(&ctx.breakdown),
-                consumed: [0; PHASE_COUNT],
+                enter: *ctx.breakdown(),
+                consumed: Breakdown::new(),
                 span_logged,
             }],
         })
@@ -389,17 +372,11 @@ pub fn task_scope<R>(
     let r = f(ctx);
     std::mem::forget(guard);
     set_root_open(false);
-    let exit = cells(&ctx.breakdown);
     let end = ctx.now();
     if let Some(task) = TASK.with(|t| t.borrow_mut().take()) {
         if let Some(frame) = task.frames.last() {
-            task.profiler.record_exit(
-                task.key,
-                &[frame.label],
-                &frame.enter,
-                &frame.consumed,
-                &exit,
-            );
+            task.profiler
+                .record_exit(task.key, &[], frame, ctx.breakdown());
             if frame.span_logged {
                 task.profiler.log_end(task.key, frame.label, end);
             }
@@ -432,8 +409,8 @@ pub fn scope<R>(ctx: &mut CoreCtx, label: &'static str, f: impl FnOnce(&mut Core
         if let Some(task) = t.borrow_mut().as_mut() {
             task.frames.push(Frame {
                 label,
-                enter: cells(&ctx.breakdown),
-                consumed: [0; PHASE_COUNT],
+                enter: *ctx.breakdown(),
+                consumed: Breakdown::new(),
                 span_logged,
             });
         }
@@ -441,25 +418,17 @@ pub fn scope<R>(ctx: &mut CoreCtx, label: &'static str, f: impl FnOnce(&mut Core
     let guard = FrameGuard;
     let r = f(ctx);
     std::mem::forget(guard);
-    let exit = cells(&ctx.breakdown);
     let end = ctx.now();
     TASK.with(|t| {
         let mut b = t.borrow_mut();
         if let Some(task) = b.as_mut() {
             if let Some(frame) = task.frames.pop() {
-                let mut path: Vec<&'static str> = task.frames.iter().map(|fr| fr.label).collect();
-                path.push(frame.label);
-                let delta = task.profiler.record_exit(
-                    task.key,
-                    &path,
-                    &frame.enter,
-                    &frame.consumed,
-                    &exit,
-                );
+                // The path is the frame stack itself, walked in place: a
+                // scope exit allocates nothing.
+                let (prof, parents) = (&task.profiler, &task.frames);
+                let delta = prof.record_exit(task.key, parents, &frame, ctx.breakdown());
                 if let Some(parent) = task.frames.last_mut() {
-                    for (cell, add) in parent.consumed.iter_mut().zip(delta) {
-                        *cell = cell.saturating_add(add);
-                    }
+                    parent.consumed += delta;
                 }
                 if frame.span_logged {
                     task.profiler.log_end(task.key, frame.label, end);
@@ -474,16 +443,15 @@ pub fn scope<R>(ctx: &mut CoreCtx, label: &'static str, f: impl FnOnce(&mut Core
 /// and clears this task's collected tree.
 ///
 /// Call immediately after `reset_stats()` inside the measured task so
-/// the steady-state tree matches the registry's published breakdown
-/// byte for byte. No-op when no root scope is open.
+/// the steady-state tree matches the core's breakdown byte for byte.
+/// No-op when no root scope is open.
 pub fn note_reset(ctx: &CoreCtx) {
     TASK.with(|t| {
         let mut b = t.borrow_mut();
         if let Some(task) = b.as_mut() {
-            let now = cells(&ctx.breakdown);
             for fr in task.frames.iter_mut() {
-                fr.enter = now;
-                fr.consumed = [0; PHASE_COUNT];
+                fr.enter = *ctx.breakdown();
+                fr.consumed = Breakdown::new();
             }
             task.profiler.reset_tree(task.key);
         }
@@ -498,8 +466,8 @@ pub struct ProfileNode {
     pub label: String,
     /// Times the scope was entered (after the last warm-up reset).
     pub count: u64,
-    /// Cycles charged directly in this scope, per [`Phase::ALL`] cell.
-    pub self_cycles: [u64; PHASE_COUNT],
+    /// Cycles charged directly in this scope, per phase.
+    pub self_cycles: Breakdown,
     /// Child scopes, in first-entered order.
     pub children: Vec<ProfileNode>,
 }
@@ -507,24 +475,18 @@ pub struct ProfileNode {
 impl ProfileNode {
     /// Self cycles summed over all phases.
     pub fn self_total(&self) -> u64 {
-        self.self_cycles.iter().sum()
+        self.self_cycles.total().get()
     }
 
     /// Per-phase cycles including every descendant.
-    pub fn total_cycles(&self) -> [u64; PHASE_COUNT] {
-        let mut out = self.self_cycles;
-        for c in &self.children {
-            let t = c.total_cycles();
-            for i in 0..PHASE_COUNT {
-                out[i] = out[i].saturating_add(t[i]);
-            }
-        }
-        out
+    pub fn total_cycles(&self) -> Breakdown {
+        let children: Breakdown = self.children.iter().map(ProfileNode::total_cycles).sum();
+        self.self_cycles + children
     }
 
     /// Total cycles (self + descendants) summed over all phases.
     pub fn total(&self) -> u64 {
-        self.total_cycles().iter().sum()
+        self.total_cycles().total().get()
     }
 
     /// Child with the given label, if present.
@@ -536,9 +498,7 @@ impl ProfileNode {
     /// children by label.
     pub fn merge_from(&mut self, other: &ProfileNode) {
         self.count += other.count;
-        for i in 0..PHASE_COUNT {
-            self.self_cycles[i] = self.self_cycles[i].saturating_add(other.self_cycles[i]);
-        }
+        self.self_cycles += other.self_cycles;
         for oc in &other.children {
             if let Some(c) = self.children.iter_mut().find(|c| c.label == oc.label) {
                 c.merge_from(oc);
@@ -584,22 +544,15 @@ impl ProfileSnapshot {
     /// The **depth-1 cut**: per-phase totals over every root whose
     /// device matches, as a [`Breakdown`].
     ///
-    /// When root scopes wrap whole task steps this is byte-identical to
-    /// the breakdown the experiment publishes into the registry (the
-    /// Figure 5 bars) — the acceptance invariant the `report` binary
-    /// asserts.
+    /// When root scopes wrap whole task steps this equals, phase for
+    /// phase, the measured cores' summed `CoreCtx::breakdown` (the
+    /// Figure 5 bars); netsim's harness invariants test asserts it.
     pub fn breakdown_cut(&self, device: Option<u16>) -> Breakdown {
-        let mut b = Breakdown::new();
-        for r in &self.roots {
-            if r.device != device {
-                continue;
-            }
-            let t = r.node.total_cycles();
-            for (i, p) in Phase::ALL.iter().enumerate() {
-                b.record(*p, Cycles(t[i]));
-            }
-        }
-        b
+        self.roots
+            .iter()
+            .filter(|r| r.device == device)
+            .map(|r| r.node.total_cycles())
+            .sum()
     }
 
     /// Merges matching roots (optionally restricted to one engine) into
@@ -688,16 +641,16 @@ impl ProfileSnapshot {
         for engine in self.engines() {
             let merged = self.merged(Some(&engine));
             let totals = merged.total_cycles();
-            let grand: u64 = totals.iter().sum();
+            let grand = totals.total().get();
             let _ = writeln!(out, "=== profile: {engine} ===");
             let _ = writeln!(out, "  phase totals (depth-1 cut):");
-            for (i, p) in Phase::ALL.iter().enumerate() {
+            for (p, c) in totals.iter() {
                 let _ = writeln!(
                     out,
                     "    {:<22} {:>14}  {:>5.1}%",
                     p.label(),
-                    totals[i],
-                    100.0 * totals[i] as f64 / grand.max(1) as f64
+                    c.get(),
+                    100.0 * c.get() as f64 / grand.max(1) as f64
                 );
             }
             let _ = writeln!(
@@ -803,7 +756,12 @@ fn node_json(n: &ProfileNode) -> Json {
         ("count".into(), Json::UInt(n.count)),
         (
             "self".into(),
-            Json::Arr(n.self_cycles.iter().map(|&v| Json::UInt(v)).collect()),
+            Json::Arr(
+                n.self_cycles
+                    .iter()
+                    .map(|(_, c)| Json::UInt(c.get()))
+                    .collect(),
+            ),
         ),
         (
             "children".into(),
@@ -822,11 +780,12 @@ fn node_from_json(j: &Json) -> Result<ProfileNode, String> {
         .get("count")
         .and_then(Json::as_u64)
         .ok_or("profile node: missing 'count'")?;
-    let mut self_cycles = [0u64; PHASE_COUNT];
+    let mut self_cycles = Breakdown::new();
     match j.get("self") {
-        Some(Json::Arr(a)) if a.len() == PHASE_COUNT => {
-            for (i, v) in a.iter().enumerate() {
-                self_cycles[i] = v.as_u64().ok_or("profile node: invalid 'self' cell")?;
+        Some(Json::Arr(a)) if a.len() == Phase::ALL.len() => {
+            for (p, v) in Phase::ALL.into_iter().zip(a) {
+                let c = v.as_u64().ok_or("profile node: invalid 'self' cell")?;
+                self_cycles.record(p, Cycles(c));
             }
         }
         _ => return Err("profile node: missing/invalid 'self'".into()),
@@ -864,9 +823,9 @@ pub fn flamegraph(snap: &ProfileSnapshot) -> String {
 
 fn flame_walk(agg: &mut BTreeMap<String, u64>, prefix: &str, n: &ProfileNode) {
     let path = format!("{prefix};{}", n.label);
-    for (i, p) in Phase::ALL.iter().enumerate() {
-        if n.self_cycles[i] > 0 {
-            *agg.entry(format!("{path};{}", phase_slug(*p))).or_insert(0) += n.self_cycles[i];
+    for (p, c) in n.self_cycles.iter() {
+        if c > Cycles::ZERO {
+            *agg.entry(format!("{path};{}", p.slug())).or_insert(0) += c.get();
         }
     }
     for c in &n.children {
@@ -1024,7 +983,7 @@ mod tests {
         assert_eq!(mc.self_total(), 50);
         // Depth-1 cut matches the ctx breakdown exactly.
         let cut = snap.breakdown_cut(Some(0));
-        assert_eq!(cut, c.breakdown);
+        assert_eq!(cut, *c.breakdown());
     }
 
     #[test]
@@ -1077,7 +1036,7 @@ mod tests {
         });
         let snap = obs.profiler().snapshot();
         // Only post-reset cycles survive, matching the post-reset ctx.
-        assert_eq!(snap.breakdown_cut(Some(0)), c.breakdown);
+        assert_eq!(snap.breakdown_cut(Some(0)), *c.breakdown());
         assert_eq!(snap.roots[0].node.total(), 40);
     }
 
@@ -1184,16 +1143,20 @@ mod tests {
     fn diff_render_alignment() {
         let mut a = ProfileSnapshot::default();
         let mut b = ProfileSnapshot::default();
-        let mk = |v: u64| ProfileRoot {
-            engine: "copy".into(),
-            core: 0,
-            device: None,
-            node: ProfileNode {
-                label: "rx".into(),
-                count: 1,
-                self_cycles: [v, 0, 0, 0, 0, 0, 0, 0],
-                children: vec![],
-            },
+        let mk = |v: u64| {
+            let mut self_cycles = Breakdown::new();
+            self_cycles.record(Phase::CopyMgmt, Cycles(v));
+            ProfileRoot {
+                engine: "copy".into(),
+                core: 0,
+                device: None,
+                node: ProfileNode {
+                    label: "rx".into(),
+                    count: 1,
+                    self_cycles,
+                    children: vec![],
+                },
+            }
         };
         a.roots.push(mk(100));
         b.roots.push(mk(150));

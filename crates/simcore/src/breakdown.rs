@@ -54,17 +54,25 @@ impl Phase {
         }
     }
 
-    fn index(self) -> usize {
+    /// Metric-name slug: the label with underscores, as the flamegraph's
+    /// leaf frames spell it.
+    pub fn slug(self) -> &'static str {
         match self {
-            Phase::CopyMgmt => 0,
-            Phase::Spinlock => 1,
-            Phase::InvalidateIotlb => 2,
-            Phase::IommuPageTableMgmt => 3,
-            Phase::Memcpy => 4,
-            Phase::RxParsing => 5,
-            Phase::CopyUser => 6,
-            Phase::Other => 7,
+            Phase::CopyMgmt => "copy_mgmt",
+            Phase::Spinlock => "spinlock",
+            Phase::InvalidateIotlb => "invalidate_iotlb",
+            Phase::IommuPageTableMgmt => "iommu_page_table_mgmt",
+            Phase::Memcpy => "memcpy",
+            Phase::RxParsing => "rx_parsing",
+            Phase::CopyUser => "copy_user",
+            Phase::Other => "other",
         }
+    }
+
+    /// Position in [`Phase::ALL`]: the variants are declared in legend
+    /// order.
+    fn index(self) -> usize {
+        self as usize
     }
 }
 
@@ -119,13 +127,13 @@ impl Breakdown {
         out
     }
 
-    /// Fraction of the total attributed to `phase` (0 if the total is 0).
-    pub fn fraction(&self, phase: Phase) -> f64 {
-        let t = self.total().get();
-        if t == 0 {
-            return 0.0;
+    /// Per-phase `self - rhs`, each cell clamped at zero.
+    pub fn saturating_sub(&self, rhs: &Breakdown) -> Breakdown {
+        let mut out = *self;
+        for (cell, r) in out.cells.iter_mut().zip(rhs.cells) {
+            *cell = cell.saturating_sub(r);
         }
-        self.get(phase).get() as f64 / t as f64
+        out
     }
 }
 
@@ -190,20 +198,29 @@ mod tests {
     }
 
     #[test]
-    fn fractions() {
+    fn saturating_sub_clamps_per_phase() {
+        let mut a = Breakdown::new();
+        a.record(Phase::Memcpy, Cycles(75));
         let mut b = Breakdown::new();
-        b.record(Phase::Memcpy, Cycles(75));
-        b.record(Phase::Other, Cycles(25));
-        assert!((b.fraction(Phase::Memcpy) - 0.75).abs() < 1e-9);
-        assert_eq!(Breakdown::new().fraction(Phase::Memcpy), 0.0);
+        b.record(Phase::Memcpy, Cycles(25));
+        b.record(Phase::Other, Cycles(5));
+        let d = a.saturating_sub(&b);
+        assert_eq!(d.get(Phase::Memcpy), Cycles(50));
+        assert_eq!(d.get(Phase::Other), Cycles::ZERO);
     }
 
     #[test]
-    fn all_phases_have_distinct_labels_and_indices() {
-        let mut seen = std::collections::HashSet::new();
-        for p in Phase::ALL {
-            assert!(seen.insert(p.label()));
+    fn phase_all_is_in_index_order() {
+        for (i, p) in Phase::ALL.into_iter().enumerate() {
+            assert_eq!(p.index(), i, "{p}");
         }
-        assert_eq!(seen.len(), 8);
+    }
+
+    #[test]
+    fn all_phases_have_distinct_labels_and_slugs() {
+        for name in [Phase::label, Phase::slug] {
+            let seen: std::collections::HashSet<_> = Phase::ALL.into_iter().map(name).collect();
+            assert_eq!(seen.len(), 8);
+        }
     }
 }

@@ -19,46 +19,11 @@ pub struct CoreCtx {
     /// Number of cores actively driving DMA in the current experiment;
     /// used by the IOMMU model to scale invalidation latency (Figure 8).
     pub active_cores: usize,
-    /// Per-phase busy-time accounting.
-    pub breakdown: Breakdown,
+    /// Per-phase busy time: the one record of where this core's cycles
+    /// went, written only by [`CoreCtx::charge`].
+    breakdown: Breakdown,
     now: Cycles,
-    busy: Cycles,
     idle: Cycles,
-}
-
-/// Deferred per-phase attribution for a burst of charges.
-///
-/// Accumulates the [`Breakdown`] deltas of several
-/// [`CoreCtx::charge_batch`] calls in a plain local, so the hot loop
-/// touches the live breakdown once per burst
-/// ([`CoreCtx::commit_batch`]) instead of once per charge. Created
-/// empty (or via the [`CoreCtx::burst`] scope, which commits
-/// automatically).
-///
-/// Dropping an uncommitted, non-empty batch loses busy-time
-/// attribution (the clock already advanced); the `#[must_use]` and the
-/// burst scope exist so that cannot happen silently.
-#[derive(Debug, Default)]
-#[must_use = "a dropped batch loses the breakdown attribution of charges already applied to the clock"]
-pub struct ChargeBatch {
-    acc: Breakdown,
-}
-
-impl ChargeBatch {
-    /// An empty batch.
-    pub fn new() -> Self {
-        ChargeBatch::default()
-    }
-
-    /// Total cycles accumulated and not yet committed.
-    pub fn pending(&self) -> Cycles {
-        self.acc.total()
-    }
-
-    /// Whether nothing has been charged through this batch.
-    pub fn is_empty(&self) -> bool {
-        self.acc.total() == Cycles::ZERO
-    }
 }
 
 impl CoreCtx {
@@ -70,7 +35,6 @@ impl CoreCtx {
             active_cores: 1,
             breakdown: Breakdown::new(),
             now: Cycles::ZERO,
-            busy: Cycles::ZERO,
             idle: Cycles::ZERO,
         }
     }
@@ -80,10 +44,16 @@ impl CoreCtx {
         self.now
     }
 
+    /// Busy cycles per [`Phase`] since creation or the last
+    /// [`CoreCtx::reset_stats`] (the Figure 5/8/10 bars).
+    pub fn breakdown(&self) -> &Breakdown {
+        &self.breakdown
+    }
+
     /// Cycles this core spent doing work (including lock spinning, which is
     /// busy-waiting and burns CPU).
     pub fn busy(&self) -> Cycles {
-        self.busy
+        self.breakdown.total()
     }
 
     /// Cycles this core spent idle (waiting for packets/work).
@@ -93,67 +63,18 @@ impl CoreCtx {
 
     /// CPU utilization over the core's lifetime so far, in `[0, 1]`.
     pub fn utilization(&self) -> f64 {
-        let total = self.busy + self.idle;
+        let busy = self.busy();
+        let total = busy + self.idle;
         if total == Cycles::ZERO {
             return 0.0;
         }
-        self.busy.get() as f64 / total.get() as f64
+        busy.get() as f64 / total.get() as f64
     }
 
     /// Performs `cycles` of busy work attributed to `phase`.
     pub fn charge(&mut self, phase: Phase, cycles: Cycles) {
         self.now += cycles;
-        self.busy += cycles;
         self.breakdown.record(phase, cycles);
-    }
-
-    /// Performs `cycles` of busy work, parking the per-phase attribution
-    /// in `batch` instead of the live [`Breakdown`].
-    ///
-    /// The clock and busy time advance immediately — virtual-time ordering
-    /// (scheduler step order, [`SimLock`](crate::SimLock) contention) is
-    /// exactly as if [`CoreCtx::charge`] had been called — only the
-    /// breakdown bookkeeping is deferred until [`CoreCtx::commit_batch`].
-    /// Burst charging is therefore invariant-preserving by construction:
-    /// committing folds the identical per-phase deltas in, just later.
-    ///
-    /// Callers must commit the batch before anything reads
-    /// `self.breakdown` (a profiler scope exit, an experiment collecting
-    /// stats) or the reader sees busy time not yet attributed to a phase.
-    /// [`CoreCtx::burst`] scopes the lifetime so this cannot be missed.
-    pub fn charge_batch(&mut self, batch: &mut ChargeBatch, phase: Phase, cycles: Cycles) {
-        self.now += cycles;
-        self.busy += cycles;
-        batch.acc.record(phase, cycles);
-    }
-
-    /// Folds a burst's deferred per-phase attribution into the live
-    /// [`Breakdown`] — one bulk add per burst instead of one per charge.
-    pub fn commit_batch(&mut self, batch: ChargeBatch) {
-        self.breakdown += batch.acc;
-    }
-
-    /// Runs `f` as one charge burst: charges made through the provided
-    /// [`ChargeBatch`] accumulate in plain locals and commit to the
-    /// breakdown once when `f` returns.
-    ///
-    /// ```
-    /// use simcore::{CoreCtx, CoreId, CostModel, Cycles, Phase};
-    /// use std::sync::Arc;
-    ///
-    /// let mut ctx = CoreCtx::new(CoreId(0), Arc::new(CostModel::zero()));
-    /// ctx.burst(|ctx, b| {
-    ///     ctx.charge_batch(b, Phase::Memcpy, Cycles(100));
-    ///     ctx.charge_batch(b, Phase::Other, Cycles(20));
-    /// });
-    /// assert_eq!(ctx.breakdown.get(Phase::Memcpy), Cycles(100));
-    /// assert_eq!(ctx.busy(), Cycles(120));
-    /// ```
-    pub fn burst<R>(&mut self, f: impl FnOnce(&mut CoreCtx, &mut ChargeBatch) -> R) -> R {
-        let mut batch = ChargeBatch::new();
-        let r = f(self, &mut batch);
-        self.commit_batch(batch);
-        r
     }
 
     /// Blocks (idle) until instant `t`. No-op if `t` is in the past.
@@ -178,7 +99,6 @@ impl CoreCtx {
     /// Experiments call this after warm-up so steady-state numbers are not
     /// skewed by pool growth and cold caches.
     pub fn reset_stats(&mut self) {
-        self.busy = Cycles::ZERO;
         self.idle = Cycles::ZERO;
         self.breakdown = Breakdown::new();
     }
@@ -210,7 +130,7 @@ mod tests {
         assert_eq!(c.now(), Cycles(100));
         assert_eq!(c.busy(), Cycles(100));
         assert_eq!(c.idle(), Cycles::ZERO);
-        assert_eq!(c.breakdown.get(Phase::Memcpy), Cycles(100));
+        assert_eq!(c.breakdown().get(Phase::Memcpy), Cycles(100));
     }
 
     #[test]
@@ -230,7 +150,7 @@ mod tests {
         let mut c = ctx();
         c.spin_until(Cycles(30), Phase::Spinlock);
         assert_eq!(c.busy(), Cycles(30));
-        assert_eq!(c.breakdown.get(Phase::Spinlock), Cycles(30));
+        assert_eq!(c.breakdown().get(Phase::Spinlock), Cycles(30));
     }
 
     #[test]
@@ -251,7 +171,7 @@ mod tests {
         assert_eq!(c.now(), Cycles(150));
         assert_eq!(c.busy(), Cycles::ZERO);
         assert_eq!(c.idle(), Cycles::ZERO);
-        assert_eq!(c.breakdown.total(), Cycles::ZERO);
+        assert_eq!(c.breakdown().total(), Cycles::ZERO);
     }
 
     #[test]
@@ -260,70 +180,5 @@ mod tests {
         let mut c = ctx();
         c.charge(Phase::Other, Cycles(10));
         c.seek(Cycles(5));
-    }
-
-    #[test]
-    fn charge_batch_advances_clock_immediately_but_defers_breakdown() {
-        let mut c = ctx();
-        let mut b = ChargeBatch::new();
-        c.charge_batch(&mut b, Phase::Memcpy, Cycles(100));
-        assert_eq!(c.now(), Cycles(100), "clock advances at charge time");
-        assert_eq!(c.busy(), Cycles(100), "busy advances at charge time");
-        assert_eq!(c.breakdown.total(), Cycles::ZERO, "attribution deferred");
-        assert_eq!(b.pending(), Cycles(100));
-        c.commit_batch(b);
-        assert_eq!(c.breakdown.get(Phase::Memcpy), Cycles(100));
-    }
-
-    #[test]
-    fn burst_scope_commits_on_exit() {
-        let mut c = ctx();
-        let v = c.burst(|ctx, b| {
-            ctx.charge_batch(b, Phase::Memcpy, Cycles(10));
-            ctx.charge_batch(b, Phase::Other, Cycles(5));
-            assert_eq!(ctx.breakdown.total(), Cycles::ZERO);
-            42
-        });
-        assert_eq!(v, 42);
-        assert_eq!(c.breakdown.get(Phase::Memcpy), Cycles(10));
-        assert_eq!(c.breakdown.get(Phase::Other), Cycles(5));
-        assert_eq!(c.busy(), Cycles(15));
-    }
-
-    #[test]
-    fn burst_charging_is_cycle_identical_to_per_charge() {
-        // Property: for any charge pattern, running it through a burst
-        // yields the same clock, busy time, and per-phase breakdown as
-        // charging each item live. Deterministic xorshift stimulus.
-        let mut seed = 0x9e3779b97f4a7c15u64;
-        let mut rnd = move || {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            seed
-        };
-        for _ in 0..100 {
-            let pattern: Vec<(Phase, Cycles)> = (0..(rnd() % 32))
-                .map(|_| {
-                    let phase = Phase::ALL[(rnd() % Phase::ALL.len() as u64) as usize];
-                    (phase, Cycles(rnd() % 10_000))
-                })
-                .collect();
-            let mut live = ctx();
-            for &(p, cy) in &pattern {
-                live.charge(p, cy);
-            }
-            let mut burst = ctx();
-            burst.burst(|ctx, b| {
-                for &(p, cy) in &pattern {
-                    ctx.charge_batch(b, p, cy);
-                }
-            });
-            assert_eq!(burst.now(), live.now());
-            assert_eq!(burst.busy(), live.busy());
-            for p in Phase::ALL {
-                assert_eq!(burst.breakdown.get(p), live.breakdown.get(p), "{p:?}");
-            }
-        }
     }
 }

@@ -18,8 +18,8 @@
 //!
 //! - [`Cycles`] — virtual time unit (CPU cycles at the modeled clock).
 //! - [`CostModel`] — calibrated per-operation costs (see `DESIGN.md`).
-//! - [`CoreCtx`] — a virtual core's clock, busy/idle accounting and
-//!   per-phase [`Breakdown`].
+//! - [`CoreCtx`] — a virtual core's clock, idle time and per-phase
+//!   [`Breakdown`], the one record of where its busy cycles went.
 //! - [`SimLock`] — a spinlock contended in virtual time.
 //! - [`Wire`] — a serialized link (e.g. 40 Gb/s ethernet) in virtual time.
 //! - [`MultiCoreSim`] — earliest-core-first scheduler for multi-core
@@ -39,7 +39,7 @@ pub mod sync;
 mod wire;
 
 pub use breakdown::{Breakdown, Phase};
-pub use clock::{ChargeBatch, CoreCtx};
+pub use clock::CoreCtx;
 pub use cost::{CostModel, MemcpyFlavor};
 pub use cycles::{CoreId, Cycles, Gbps};
 pub use fxhash::{FxHashMap, FxHashSet};

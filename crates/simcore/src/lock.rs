@@ -198,7 +198,7 @@ mod tests {
         let mut c1 = ctx_at(1, 100);
         assert_eq!(l.lock(&mut c1), Cycles(400));
         assert_eq!(c1.now(), Cycles(500));
-        assert_eq!(c1.breakdown.get(Phase::Spinlock), Cycles(400));
+        assert_eq!(c1.breakdown().get(Phase::Spinlock), Cycles(400));
         l.unlock(&mut c1);
 
         let s = l.stats();
@@ -227,7 +227,10 @@ mod tests {
         let mut c = CoreCtx::new(CoreId(0), cost.clone());
         let l = SimLock::new("test");
         l.with(&mut c, |_| {});
-        assert_eq!(c.breakdown.get(Phase::Spinlock), cost.spinlock_uncontended);
+        assert_eq!(
+            c.breakdown().get(Phase::Spinlock),
+            cost.spinlock_uncontended
+        );
     }
 
     #[test]

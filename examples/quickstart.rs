@@ -59,7 +59,7 @@ fn main() {
     println!(
         "driver-side cost: {:.2} us ({})",
         ctx.busy().to_micros(ctx.cost.clock_ghz),
-        dma_shadowing::netsim::format_breakdown_us(&ctx.breakdown, ctx.cost.clock_ghz)
+        dma_shadowing::netsim::format_breakdown_us(ctx.breakdown(), ctx.cost.clock_ghz)
     );
     kmalloc.free(skb).expect("kfree");
 }

@@ -4,12 +4,12 @@
 //! stack reporting into one [`Obs`] with the profiler and its span log on
 //! and trace sampling off. A malicious device then probes the *copy*
 //! stack, and every stack is torn down like a driver `remove()`. The report
-//! prints the Figure 5 phase breakdown, the metric registry and each
-//! engine's call tree (the breakdown refined into per-scope self/total
-//! time), and asserts that
+//! prints the Figure 5 phase breakdown (the profile tree's depth-1 cut,
+//! which netsim's harness tests assert equals the cores' own breakdowns),
+//! the metric registry and each engine's call tree (the breakdown refined
+//! into per-scope self/total time), and asserts that
 //!
-//! 1. the tree's depth-1 cut equals the registry breakdown on all eight
-//!    phases, and none of them is zero;
+//! 1. none of the eight phases is zero;
 //! 2. dmasan finds no leaked mapping and no violation on any stack;
 //! 3. the trace did not wrap, every `DmaMap` has its `DmaUnmap` per
 //!    (device, IOVA), and every blocked probe is one `AttackBlocked`;
@@ -31,8 +31,8 @@ use dma_shadowing::obs::profile::{
     chrome_trace, flamegraph, validate_chrome_trace, ProfileSnapshot,
 };
 use dma_shadowing::obs::sink::{parse_jsonl, render_table};
-use dma_shadowing::obs::{breakdown, EventKind, Obs};
-use dma_shadowing::simcore::{CoreCtx, CoreId, Phase};
+use dma_shadowing::obs::{EventKind, Obs};
+use dma_shadowing::simcore::{CoreCtx, CoreId};
 use std::collections::HashMap;
 use std::path::Path;
 use std::process::ExitCode;
@@ -121,19 +121,15 @@ fn report() -> Result<(), String> {
     }
     println!("dmasan: every stack tore down clean (0 leaks, 0 violations)");
 
-    // Figure 5 from the registry, and the profile tree's depth-1 cut of it.
-    let merged = breakdown::breakdown_view(obs.registry(), Some(NIC_DEV.0));
+    // Figure 5: the profile tree's depth-1 cut over every engine.
     let prof = obs.profiler().snapshot();
     let cut = prof.breakdown_cut(Some(NIC_DEV.0));
     println!("\n=== Figure 5 phase breakdown (all engines, cycles) ===");
-    for p in Phase::ALL {
-        let c = merged.get(p).get();
-        let share = 100.0 * c as f64 / merged.total().get().max(1) as f64;
-        println!("  {:<22} {c:>14}  {share:>5.1}%", p.label());
-        assert!(c > 0, "phase '{}' is missing", p.label());
-        assert_eq!(cut.get(p), merged.get(p), "depth-1 cut on '{}'", p.label());
+    for (p, c) in cut.iter() {
+        let share = 100.0 * c.get() as f64 / cut.total().get().max(1) as f64;
+        println!("  {:<22} {:>14}  {share:>5.1}%", p.label(), c.get());
+        assert!(c.get() > 0, "phase '{p}' is missing");
     }
-    println!("  profile depth-1 cut == registry breakdown (all 8 phases)");
 
     println!("\n=== registry ===");
     print!(
