@@ -240,45 +240,38 @@ impl Nic {
         Ok(RxCompletion { slot, len: n })
     }
 
-    /// The NIC processes the next TX descriptor: fetches it, DMA-reads the
-    /// payload from the host, segments it into MTU-sized wire frames
-    /// (TSO), and completes the descriptor — the one-descriptor case of
-    /// [`Nic::transmit_gather_into`].
+    /// The NIC processes the next TX descriptor and collects the wire
+    /// payload into a caller-owned buffer: the one-descriptor case of
+    /// [`Nic::transmit_gather_with`], with a sink that appends.
     ///
-    /// The wire payload is gathered into a caller-owned buffer (so callers
-    /// can verify what actually went on the wire, and per-packet loops
-    /// reuse one allocation). The buffer is resized to the payload length
-    /// and every byte of it overwritten; on any error it is left empty, so
-    /// a reused buffer never shows a previous packet's bytes.
+    /// The buffer ends up holding exactly the payload (per-packet loops
+    /// reuse one allocation); on any error it is left empty, so a reused
+    /// buffer never shows a previous packet's bytes.
     pub fn transmit_into(
         &self,
         ring_id: usize,
         payload: &mut Vec<u8>,
     ) -> Result<TxCompletion, NicError> {
-        self.transmit_gather_into(ring_id, 1, payload)
-    }
-
-    /// The NIC processes the next `n` TX descriptors as one scatter/gather
-    /// chain: it fetches each descriptor, DMA-reads each fragment, and
-    /// transmits the concatenation as one TSO payload (real NICs chain
-    /// descriptors exactly like this for fragmented skbs). As with
-    /// [`Nic::transmit_into`], the buffer ends up holding exactly the
-    /// gathered payload, or nothing on any error.
-    pub fn transmit_gather_into(
-        &self,
-        ring_id: usize,
-        n: usize,
-        payload: &mut Vec<u8>,
-    ) -> Result<TxCompletion, NicError> {
-        self.gather(ring_id, n, payload)
+        payload.clear();
+        self.transmit_gather_with(ring_id, 1, |_, bytes| payload.extend_from_slice(bytes))
             .inspect_err(|_| payload.clear())
     }
 
-    fn gather(
+    /// The NIC processes the next `n` TX descriptors as one scatter/gather
+    /// chain: it fetches each descriptor, DMA-reads each fragment,
+    /// segments the concatenation into MTU-sized wire frames (TSO), and
+    /// completes the descriptors (real NICs chain descriptors exactly like
+    /// this for fragmented skbs).
+    ///
+    /// The payload streams to `sink` straight out of memory as
+    /// `(offset in the payload, bytes)` pieces, in order and without gaps,
+    /// so a caller checks what went on the wire without staging it. On an
+    /// error the sink has seen only the pieces read before it.
+    pub fn transmit_gather_with(
         &self,
         ring_id: usize,
         n: usize,
-        payload: &mut Vec<u8>,
+        mut sink: impl FnMut(usize, &[u8]),
     ) -> Result<TxCompletion, NicError> {
         assert!(n > 0, "empty gather chain");
         let mut ring = self
@@ -287,9 +280,6 @@ impl Nic {
             .ok_or(NicError::BadRing(ring_id))?
             .borrow_mut();
         let first_slot = ring.next;
-        // Bytes gathered so far. The buffer keeps its old length until the
-        // end, so growing it zero-fills only what it never held, and the
-        // DMA reads overwrite every byte that stays.
         let mut gathered = 0usize;
         for k in 0..n {
             let slot = (first_slot + k) % ring.entries;
@@ -304,14 +294,13 @@ impl Nic {
             if end > self.cfg.tso_max {
                 return Err(NicError::OversizedTx(end));
             }
-            if payload.len() < end {
-                payload.resize(end, 0);
-            }
-            self.bus.read(self.dev, addr, &mut payload[gathered..end])?;
+            self.bus
+                .read_with(self.dev, addr, len as usize, |off, bytes| {
+                    sink(gathered + off, bytes)
+                })?;
             self.write_back(&ring, slot, len)?;
             gathered = end;
         }
-        payload.truncate(gathered);
         ring.next = (first_slot + n) % ring.entries;
         let frames = gathered.div_ceil(MTU).max(1);
         Ok(TxCompletion {
@@ -337,7 +326,8 @@ impl Nic {
 mod tests {
     use super::*;
     use dma_api::{DmaBuf, DmaDirection, DmaEngine, NoIommu};
-    use memsim::{NumaDomain, NumaTopology, PhysMemory};
+    use iommu::{Iommu, IovaPage, Perms};
+    use memsim::{NumaDomain, NumaTopology, PhysMemory, PAGE_SIZE};
     use simcore::{CoreCtx, CoreId, CostModel};
     use std::sync::Arc;
 
@@ -482,61 +472,148 @@ mod tests {
     }
 
     #[test]
-    fn failed_tx_leaves_a_reused_buffer_empty() {
-        use iommu::{Iommu, IovaPage, Perms};
-        use memsim::PAGE_SIZE;
-        let mem = Arc::new(PhysMemory::new(NumaTopology::tiny(16)));
-        let mmu = Arc::new(Iommu::new());
-        let mut ctx = CoreCtx::new(CoreId(0), Arc::new(CostModel::zero()));
-        let ring_pfn = mem.alloc_frame(NumaDomain(0)).unwrap();
-        let ring_page = IovaPage(0x10);
-        mmu.map_page(&mut ctx, DEV, ring_page, ring_pfn, Perms::ReadWrite)
-            .unwrap();
-        let ring = CoherentBuffer {
-            iova: ring_page.base(),
-            pa: ring_pfn.base(),
-            len: PAGE_SIZE,
-            pages: 1,
-        };
-        let bus = Bus::Iommu {
-            mmu: mmu.clone(),
-            mem: mem.clone(),
-        };
-        let mut nic = Nic::new(DEV, bus, NicConfig::default());
-        let ring_id = nic.attach_tx_ring(&ring);
-        let post = |slot: usize, iova: u64, len: usize| {
-            let d = Nic::encode_descriptor(iova, len as u32);
-            mem.write(ring.pa.add((slot * DESC_BYTES) as u64), &d)
-                .unwrap();
-        };
+    fn a_gather_streams_what_transmit_into_collects() {
+        let mut r = rig();
+        let ring_id = r.nic.attach_tx_ring(&r.ring);
+        let pfn = r.mem.alloc_frames(NumaDomain(0), 4).unwrap();
+        let bytes: Vec<u8> = (0..4 * PAGE_SIZE).map(|i| (i % 251) as u8).collect();
+        r.mem.write(pfn.base(), &bytes).unwrap();
+        let buf = DmaBuf::new(pfn.base(), bytes.len());
+        let m = r.eng.map(&mut r.ctx, buf, DmaDirection::ToDevice).unwrap();
+        // Three fragments; the first and the last cross frame boundaries.
+        let frags = [(100, 5000), (6000, 3), (7000, 9000)];
+        let post = |slot: usize, (at, len): (u64, u32)| post_rx(&r, slot, m.iova.get() + at, len);
 
-        // A two-page TX buffer, fully mapped: the transmit fills `wire`.
-        let buf = mem.alloc_frames(NumaDomain(0), 2).unwrap();
-        mem.fill(buf.base(), 0x5a, 2 * PAGE_SIZE).unwrap();
-        let page = IovaPage(0x20);
-        mmu.map_range(&mut ctx, DEV, page, buf, 2, Perms::Read)
+        for (slot, &frag) in frags.iter().enumerate() {
+            post(slot, frag);
+        }
+        let mut pieces = Vec::new();
+        let c = r
+            .nic
+            .transmit_gather_with(ring_id, 3, |off, b| pieces.push((off, b.to_vec())))
             .unwrap();
+
+        let mut collected = Vec::new();
+        for (slot, &frag) in frags.iter().enumerate() {
+            post(3 + slot, frag);
+            let mut wire = Vec::new();
+            r.nic.transmit_into(ring_id, &mut wire).unwrap();
+            collected.extend(wire);
+        }
+        // The pieces tile the payload in order, and hold what was collected.
+        let mut end = 0;
+        for (off, b) in &pieces {
+            assert_eq!(*off, end, "pieces arrive in order, without gaps");
+            assert_eq!(b[..], collected[end..end + b.len()]);
+            end += b.len();
+        }
+        assert_eq!((end, c.len), (collected.len(), collected.len()));
+        let sent: Vec<u8> = frags
+            .iter()
+            .flat_map(|&(at, len)| &bytes[at as usize..at as usize + len as usize])
+            .copied()
+            .collect();
+        assert_eq!(collected, sent);
+    }
+
+    /// A NIC behind an IOMMU with a TX ring attached, and a two-page TX
+    /// buffer of `0x5a` bytes mapped read-only at IOVA `page`.
+    struct IommuTx {
+        mem: Arc<PhysMemory>,
+        mmu: Arc<Iommu>,
+        ctx: CoreCtx,
+        nic: Nic,
+        ring_id: usize,
+        ring_pa: memsim::PhysAddr,
+        page: IovaPage,
+    }
+
+    impl IommuTx {
+        fn new() -> Self {
+            let mem = Arc::new(PhysMemory::new(NumaTopology::tiny(16)));
+            let mmu = Arc::new(Iommu::new());
+            let mut ctx = CoreCtx::new(CoreId(0), Arc::new(CostModel::zero()));
+            let ring_pfn = mem.alloc_frame(NumaDomain(0)).unwrap();
+            let ring_page = IovaPage(0x10);
+            mmu.map_page(&mut ctx, DEV, ring_page, ring_pfn, Perms::ReadWrite)
+                .unwrap();
+            let ring = CoherentBuffer {
+                iova: ring_page.base(),
+                pa: ring_pfn.base(),
+                len: PAGE_SIZE,
+                pages: 1,
+            };
+            let bus = Bus::Iommu {
+                mmu: mmu.clone(),
+                mem: mem.clone(),
+            };
+            let mut nic = Nic::new(DEV, bus, NicConfig::default());
+            let ring_id = nic.attach_tx_ring(&ring);
+            let buf = mem.alloc_frames(NumaDomain(0), 2).unwrap();
+            mem.fill(buf.base(), 0x5a, 2 * PAGE_SIZE).unwrap();
+            let page = IovaPage(0x20);
+            mmu.map_range(&mut ctx, DEV, page, buf, 2, Perms::Read)
+                .unwrap();
+            IommuTx {
+                mem,
+                mmu,
+                ctx,
+                nic,
+                ring_id,
+                ring_pa: ring.pa,
+                page,
+            }
+        }
+
+        fn post(&self, slot: usize, iova: u64, len: usize) {
+            let d = Nic::encode_descriptor(iova, len as u32);
+            self.mem
+                .write(self.ring_pa.add((slot * DESC_BYTES) as u64), &d)
+                .unwrap();
+        }
+
+        /// Leaves only the buffer's first page mapped.
+        fn unmap_second_page(&mut self) {
+            let second = self.page.add(1);
+            self.mmu
+                .unmap_page_nosync(&mut self.ctx, DEV, second)
+                .unwrap();
+            self.mmu.invalidate_page_sync(&mut self.ctx, DEV, second);
+        }
+    }
+
+    #[test]
+    fn failed_tx_leaves_a_reused_buffer_empty() {
+        let mut r = IommuTx::new();
+        // Fully mapped: the transmit fills `wire`.
         let mut wire = Vec::new();
-        post(0, page.base().get(), 2 * PAGE_SIZE);
-        nic.transmit_into(ring_id, &mut wire).unwrap();
+        r.post(0, r.page.base().get(), 2 * PAGE_SIZE);
+        r.nic.transmit_into(r.ring_id, &mut wire).unwrap();
         assert_eq!(wire, vec![0x5a; 2 * PAGE_SIZE]);
 
         // Now only its first page is mapped: the fetch faults part-way,
         // and the previous packet's bytes must not survive in `wire`.
-        mmu.unmap_page_nosync(&mut ctx, DEV, page.add(1)).unwrap();
-        mmu.invalidate_page_sync(&mut ctx, DEV, page.add(1));
-        post(1, page.base().get(), 2 * PAGE_SIZE);
-        let err = nic.transmit_into(ring_id, &mut wire).unwrap_err();
+        r.unmap_second_page();
+        r.post(1, r.page.base().get(), 2 * PAGE_SIZE);
+        let err = r.nic.transmit_into(r.ring_id, &mut wire).unwrap_err();
         assert!(matches!(err, NicError::Dma(_)), "{err:?}");
         assert!(wire.is_empty());
+    }
 
-        // Same for a gather chain that breaks after its first fragment.
-        wire.resize(100, 0xff);
-        post(1, page.base().get(), PAGE_SIZE);
-        post(2, page.add(1).base().get(), PAGE_SIZE);
-        let err = nic.transmit_gather_into(ring_id, 2, &mut wire).unwrap_err();
+    #[test]
+    fn a_fault_on_the_second_fragment_leaves_the_sink_with_the_first() {
+        let mut r = IommuTx::new();
+        r.unmap_second_page();
+        r.post(0, r.page.base().get(), PAGE_SIZE);
+        r.post(1, r.page.add(1).base().get(), PAGE_SIZE);
+        let mut pieces = Vec::new();
+        let err = r
+            .nic
+            .transmit_gather_with(r.ring_id, 2, |off, b| pieces.push((off, b.to_vec())))
+            .unwrap_err();
         assert!(matches!(err, NicError::Dma(_)), "{err:?}");
-        assert!(wire.is_empty());
+        assert_eq!(pieces, [(0, vec![0x5a; PAGE_SIZE])]);
+        assert_eq!(r.nic.tx_next(r.ring_id), 0, "the chain did not complete");
     }
 
     #[test]

@@ -83,19 +83,36 @@ impl Bus {
         }
     }
 
-    /// Device read (`addr` is an IOVA when protected, else physical).
-    pub fn read(&self, dev: DeviceId, addr: u64, buf: &mut [u8]) -> Result<(), BusError> {
+    /// Device read of `len` bytes at `addr` (an IOVA when protected, else
+    /// physical), handed to `visit` in place as `(offset, bytes)` pieces in
+    /// order; on an error, `visit` has seen the pieces before it.
+    pub fn read_with(
+        &self,
+        dev: DeviceId,
+        addr: u64,
+        len: usize,
+        visit: impl FnMut(usize, &[u8]),
+    ) -> Result<(), BusError> {
         match self {
-            Bus::Direct(mem) => mem.read(PhysAddr(addr), buf).map_err(BusError::Mem),
+            Bus::Direct(mem) => mem
+                .read_with(PhysAddr(addr), len, visit)
+                .map_err(BusError::Mem),
             Bus::Iommu { mmu, mem } => mmu
-                .dma_read(mem, dev, Iova::new(addr), buf)
+                .dma_read_with(mem, dev, Iova::new(addr), len, visit)
                 .map_err(BusError::Fault),
             Bus::Observed { inner, observer } => {
-                let r = inner.read(dev, addr, buf);
-                observer.on_device_access(dev, addr, buf.len(), false, r.is_ok());
+                let r = inner.read_with(dev, addr, len, visit);
+                observer.on_device_access(dev, addr, len, false, r.is_ok());
                 r
             }
         }
+    }
+
+    /// Device read into `buf`: the copying case of [`Bus::read_with`].
+    pub fn read(&self, dev: DeviceId, addr: u64, buf: &mut [u8]) -> Result<(), BusError> {
+        self.read_with(dev, addr, buf.len(), |off, bytes| {
+            buf[off..off + bytes.len()].copy_from_slice(bytes)
+        })
     }
 
     /// Device write (`addr` is an IOVA when protected, else physical).

@@ -271,11 +271,29 @@ impl Iommu {
         Ok(entry.pfn.base().add(iova.page_offset() as u64))
     }
 
-    /// Device DMA read: the device fetches `buf.len()` bytes from `iova`.
+    /// Device DMA read: the device fetches `len` bytes from `iova` and
+    /// hands them to `visit` in place, in order, as `(offset, bytes)`.
     ///
     /// Translation is per page; a fault aborts the transfer at the faulting
     /// page boundary (earlier pages may already have been read, as on real
-    /// hardware where each TLP is checked independently).
+    /// hardware where each TLP is checked independently). `visit` runs
+    /// under the same lock holds as the transfer (see
+    /// [`PhysMemory::read_with`]).
+    pub fn dma_read_with(
+        &self,
+        mem: &PhysMemory,
+        dev: DeviceId,
+        iova: Iova,
+        len: usize,
+        mut visit: impl FnMut(usize, &[u8]),
+    ) -> Result<(), DmaFault> {
+        self.dma_access(dev, iova, len, Access::Read, |pa, off, len| {
+            mem.read_with(pa, len, |at, bytes| visit(off + at, bytes))
+        })
+    }
+
+    /// Device DMA read into `buf`: the copying case of
+    /// [`Iommu::dma_read_with`].
     pub fn dma_read(
         &self,
         mem: &PhysMemory,
@@ -283,8 +301,8 @@ impl Iommu {
         iova: Iova,
         buf: &mut [u8],
     ) -> Result<(), DmaFault> {
-        self.dma_access(dev, iova, buf.len(), Access::Read, |pa, off, len| {
-            mem.read(pa, &mut buf[off..off + len])
+        self.dma_read_with(mem, dev, iova, buf.len(), |off, bytes| {
+            buf[off..off + bytes.len()].copy_from_slice(bytes)
         })
     }
 

@@ -50,6 +50,9 @@ pub struct MemStats {
     pub frees: u64,
     /// Bytes [`PhysMemory::copy`] has moved (every shadow-buffer copy).
     pub copied_bytes: u64,
+    /// Bytes zeroed to keep recycled frames reading as zeros (on a
+    /// frame's first touch; a full overwrite from offset 0 zeroes none).
+    pub zeroed_bytes: u64,
 }
 
 #[derive(Debug, Default)]
@@ -110,11 +113,21 @@ impl DomainAllocator {
 const CHUNK_BITS: u32 = 9;
 const CHUNK: usize = 1 << CHUNK_BITS;
 
-/// One allocated frame's backing bytes plus a dirty high-water mark:
-/// the largest `offset + len` any write has touched since the bytes were
-/// last all-zero. Recycling zeroes only that prefix instead of the whole
-/// page — an MTU-sized skb dirties ~1.5 KB of its 4 KB frame, so the
-/// per-packet alloc/free cycle re-zeroes ~1.5 KB, not 4 KB.
+/// Set in [`Frame::dirty`] while the frame is pending-zero.
+const PENDING_ZERO: usize = 1 << (usize::BITS - 1);
+
+/// One allocated frame's backing bytes plus a dirty high-water mark: the
+/// largest `offset + len` any write has touched since the bytes were last
+/// all-zero, so only that prefix ever needs zeroing (an MTU-sized skb
+/// dirties ~1.5 KB of its 4 KB frame).
+///
+/// An allocated frame reads as zeros, but a recycled one is zeroed on
+/// first touch, not at allocation: allocation sets [`PENDING_ZERO`] in
+/// `dirty`, and the stale prefix is cleared when the frame is next read,
+/// compared, copied or partly written. A write from offset 0 that covers
+/// the whole prefix clears the mark without zeroing, since it overwrites
+/// every stale byte (the 16 frames of a 64 KB TX skb are never memset).
+/// The mark is `dirty`'s top bit so a frame-table slot stays 24 bytes.
 #[derive(Debug)]
 struct Frame {
     data: Box<[u8]>,
@@ -129,16 +142,32 @@ impl Frame {
         }
     }
 
-    /// Restores the all-zero state (cheap when little was written).
-    fn rezero(&mut self) {
-        self.data[..self.dirty].fill(0);
-        self.dirty = 0;
+    /// Reallocation: the frame reads as zeros from now on.
+    fn mark_pending_zero(&mut self) {
+        self.dirty |= PENDING_ZERO;
     }
 
-    /// The `len` bytes at `at`, for overwriting: raises the dirty mark.
-    fn dirty_mut(&mut self, at: usize, len: usize) -> &mut [u8] {
-        self.dirty = self.dirty.max(at + len);
-        &mut self.data[at..at + len]
+    /// First touch of a pending-zero frame: zeroes its stale prefix and
+    /// adds the bytes zeroed to `zeroed`.
+    fn settle(&mut self, zeroed: &mut u64) {
+        if self.dirty & PENDING_ZERO != 0 {
+            let stale = self.dirty & !PENDING_ZERO;
+            self.data[..stale].fill(0);
+            self.dirty = 0;
+            *zeroed += stale as u64;
+        }
+    }
+
+    /// Readies the `len` bytes at `at` for overwriting and raises the
+    /// dirty mark. A pending-zero frame is settled first unless the write
+    /// starts at offset 0 and covers its whole stale prefix.
+    fn open(&mut self, at: usize, len: usize, zeroed: &mut u64) {
+        if at == 0 && len >= self.dirty & !PENDING_ZERO {
+            self.dirty = len;
+        } else {
+            self.settle(zeroed);
+            self.dirty = self.dirty.max(at + len);
+        }
     }
 }
 
@@ -193,40 +222,40 @@ impl FrameTable {
 }
 
 /// Freed frame boxes kept for reuse (bounded at 1 MB of backing store);
-/// reused frames are re-zeroed, preserving "frames start zeroed".
+/// reused frames are pending-zero, preserving "frames start zeroed".
 const RECYCLE_CAP: usize = 256;
 
 /// All mutable state, behind [`PhysMemory`]'s one lock.
 #[derive(Debug)]
 struct Inner {
-    /// Size of the physical address space, in frames.
-    total_frames: u64,
     frames: FrameTable,
-    /// Freed frames awaiting reuse (contents stale; re-zeroed on alloc).
+    /// Freed frames awaiting reuse (contents stale until first touch).
     recycled: Vec<Frame>,
     domains: Vec<DomainAllocator>,
     stats: MemStats,
 }
 
 impl Inner {
-    fn check_bounds(&self, pa: PhysAddr) -> Result<(), MemError> {
-        if pa.pfn().0 >= self.total_frames {
-            Err(MemError::OutOfBounds(pa))
-        } else {
-            Ok(())
-        }
+    /// The frame holding `pa`, settled (its first touch zeroes it).
+    fn frame(&mut self, pa: PhysAddr) -> Result<&mut Frame, MemError> {
+        let pfn = pa.pfn();
+        let frame = self
+            .frames
+            .get_mut(pfn.0)
+            .ok_or(MemError::Unallocated(pfn))?;
+        frame.settle(&mut self.stats.zeroed_bytes);
+        Ok(frame)
     }
 
-    fn frame(&self, pa: PhysAddr) -> Result<&Frame, MemError> {
-        self.check_bounds(pa)?;
-        let pfn = pa.pfn();
-        self.frames.get(pfn.0).ok_or(MemError::Unallocated(pfn))
-    }
-
-    fn frame_mut(&mut self, pa: PhysAddr) -> Result<&mut Frame, MemError> {
-        self.check_bounds(pa)?;
-        let pfn = pa.pfn();
-        self.frames.get_mut(pfn.0).ok_or(MemError::Unallocated(pfn))
+    /// The `len` bytes at `pa` (within one frame), opened for overwriting.
+    fn bytes_mut(&mut self, pa: PhysAddr, len: usize) -> Result<&mut [u8], MemError> {
+        let (pfn, at) = (pa.pfn(), pa.page_offset());
+        let frame = self
+            .frames
+            .get_mut(pfn.0)
+            .ok_or(MemError::Unallocated(pfn))?;
+        frame.open(at, len, &mut self.stats.zeroed_bytes);
+        Ok(&mut frame.data[at..at + len])
     }
 }
 
@@ -253,6 +282,12 @@ fn pieces(pa: PhysAddr, len: usize) -> impl Iterator<Item = (PhysAddr, usize, us
 /// require the touched frames to be allocated; devices probing
 /// unallocated memory get [`MemError::Unallocated`]. An access that fails
 /// part-way has already transferred the frames before the failing one.
+///
+/// Frames read as zero when allocated, fresh or recycled, but zeroing
+/// waits for first touch: a recycled frame's stale bytes are cleared when
+/// something first reads, compares, copies or partly overwrites it, and
+/// never when a write from offset 0 covers them all
+/// ([`MemStats::zeroed_bytes`] counts what was cleared).
 pub struct PhysMemory {
     topology: NumaTopology,
     inner: Mutex<Inner>,
@@ -279,7 +314,6 @@ impl PhysMemory {
             .collect();
         PhysMemory {
             inner: Mutex::new(Inner {
-                total_frames: topology.total_frames(),
                 frames: FrameTable::default(),
                 recycled: Vec::new(),
                 domains,
@@ -292,6 +326,15 @@ impl PhysMemory {
     /// The machine topology.
     pub fn topology(&self) -> &NumaTopology {
         &self.topology
+    }
+
+    /// `pa`, if it lies inside the physical address space.
+    fn in_bounds(&self, pa: PhysAddr) -> Result<PhysAddr, MemError> {
+        if pa.pfn().0 >= self.topology.total_frames() {
+            Err(MemError::OutOfBounds(pa))
+        } else {
+            Ok(pa)
+        }
     }
 
     /// Allocates one zeroed frame on `domain`.
@@ -314,7 +357,7 @@ impl PhysMemory {
         for i in 0..n {
             let frame = match inner.recycled.pop() {
                 Some(mut f) => {
-                    f.rezero();
+                    f.mark_pending_zero();
                     f
                 }
                 None => Frame::zeroed(),
@@ -328,15 +371,21 @@ impl PhysMemory {
         Ok(pfn)
     }
 
-    /// Frees `n` contiguous frames starting at `pfn`. A bad free of a
-    /// partially-allocated run reports the first unallocated frame and
-    /// frees nothing at all.
+    /// Frees `n` contiguous frames starting at `pfn`. A bad free — a run
+    /// that is partially allocated or crosses out of `pfn`'s NUMA domain
+    /// (no allocation spans two) — reports the first frame that cannot be
+    /// freed with it and frees nothing at all.
     pub fn free_frames(&self, pfn: Pfn, n: u64) -> Result<(), MemError> {
         assert!(n > 0, "zero-frame free");
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
+        let domain = self.topology.domain_of_pfn(pfn);
+        let (_, domain_end) = self.topology.frame_range(domain);
         let run = pfn.0..pfn.0 + n;
-        if let Some(bad) = run.clone().find(|&p| !inner.frames.contains(p)) {
+        if let Some(bad) = run
+            .clone()
+            .find(|&p| p >= domain_end.0 || !inner.frames.contains(p))
+        {
             return Err(MemError::BadFree(Pfn(bad)));
         }
         for p in run {
@@ -345,7 +394,6 @@ impl PhysMemory {
                 inner.recycled.extend(frame);
             }
         }
-        let domain = self.topology.domain_of_pfn(pfn);
         inner.domains[domain.index()].free(pfn, n);
         inner.stats.frees += 1;
         inner.stats.allocated_frames -= n;
@@ -357,14 +405,29 @@ impl PhysMemory {
         self.inner.lock().frames.contains(pfn.0)
     }
 
-    /// Reads `buf.len()` bytes starting at `pa` (may cross frames).
-    pub fn read(&self, pa: PhysAddr, buf: &mut [u8]) -> Result<(), MemError> {
-        let inner = self.inner.lock();
-        for (cur, off, take) in pieces(pa, buf.len()) {
+    /// Hands the `len` bytes at `pa` to `visit` in place, one piece per
+    /// frame in address order, as `(offset from pa, bytes)` — a read that
+    /// stages nothing. `visit` runs under this memory's lock, so it must
+    /// not access this memory.
+    pub fn read_with(
+        &self,
+        pa: PhysAddr,
+        len: usize,
+        mut visit: impl FnMut(usize, &[u8]),
+    ) -> Result<(), MemError> {
+        let mut inner = self.inner.lock();
+        for (cur, off, take) in pieces(pa, len) {
             let at = cur.page_offset();
-            buf[off..off + take].copy_from_slice(&inner.frame(cur)?.data[at..at + take]);
+            visit(off, &inner.frame(self.in_bounds(cur)?)?.data[at..at + take]);
         }
         Ok(())
+    }
+
+    /// Reads `buf.len()` bytes starting at `pa` (may cross frames).
+    pub fn read(&self, pa: PhysAddr, buf: &mut [u8]) -> Result<(), MemError> {
+        self.read_with(pa, buf.len(), |off, bytes| {
+            buf[off..off + bytes.len()].copy_from_slice(bytes)
+        })
     }
 
     /// Writes `data` starting at `pa` (may cross frames).
@@ -372,8 +435,7 @@ impl PhysMemory {
         let mut inner = self.inner.lock();
         for (cur, off, take) in pieces(pa, data.len()) {
             inner
-                .frame_mut(cur)?
-                .dirty_mut(cur.page_offset(), take)
+                .bytes_mut(self.in_bounds(cur)?, take)?
                 .copy_from_slice(&data[off..off + take]);
         }
         Ok(())
@@ -382,10 +444,10 @@ impl PhysMemory {
     /// Compares the bytes at `pa` with `data` without copying them out —
     /// the allocation-free verify used on per-packet paths.
     pub fn equals(&self, pa: PhysAddr, data: &[u8]) -> Result<bool, MemError> {
-        let inner = self.inner.lock();
+        let mut inner = self.inner.lock();
         for (cur, off, take) in pieces(pa, data.len()) {
             let at = cur.page_offset();
-            if inner.frame(cur)?.data[at..at + take] != data[off..off + take] {
+            if inner.frame(self.in_bounds(cur)?)?.data[at..at + take] != data[off..off + take] {
                 return Ok(false);
             }
         }
@@ -402,31 +464,28 @@ impl PhysMemory {
         let inner = &mut *guard;
         let mut off = 0usize;
         while off < len {
-            let s_pa = src.add(off as u64);
-            let d_pa = dst.add(off as u64);
-            inner.check_bounds(s_pa)?;
-            inner.check_bounds(d_pa)?;
+            let s_pa = self.in_bounds(src.add(off as u64))?;
+            let d_pa = self.in_bounds(dst.add(off as u64))?;
             let (s_pfn, d_pfn) = (s_pa.pfn(), d_pa.pfn());
             let si = s_pa.page_offset();
             let di = d_pa.page_offset();
             let take = (PAGE_SIZE - si).min(PAGE_SIZE - di).min(len - off);
             if s_pfn == d_pfn {
-                let frame = inner.frame_mut(s_pa)?;
+                let frame = inner.frame(s_pa)?;
                 frame.data.copy_within(si..si + take, di);
                 frame.dirty = frame.dirty.max(di + take);
             } else {
-                if !inner.frames.contains(s_pfn.0) {
-                    return Err(MemError::Unallocated(s_pfn));
-                }
+                // Settles the source, or fails if it is unallocated.
+                inner.frame(s_pa)?;
                 // Two frames of one table: lift the destination out (a
                 // pointer move) so both can be borrowed, then put it back.
                 let mut df = inner
                     .frames
                     .remove(d_pfn.0)
                     .ok_or(MemError::Unallocated(d_pfn))?;
+                df.open(di, take, &mut inner.stats.zeroed_bytes);
                 if let Some(sf) = inner.frames.get(s_pfn.0) {
-                    df.dirty_mut(di, take)
-                        .copy_from_slice(&sf.data[si..si + take]);
+                    df.data[di..di + take].copy_from_slice(&sf.data[si..si + take]);
                 }
                 inner.frames.insert(d_pfn.0, df);
             }
@@ -440,10 +499,7 @@ impl PhysMemory {
     pub fn fill(&self, pa: PhysAddr, byte: u8, len: usize) -> Result<(), MemError> {
         let mut inner = self.inner.lock();
         for (cur, _, take) in pieces(pa, len) {
-            inner
-                .frame_mut(cur)?
-                .dirty_mut(cur.page_offset(), take)
-                .fill(byte);
+            inner.bytes_mut(self.in_bounds(cur)?, take)?.fill(byte);
         }
         Ok(())
     }
@@ -634,6 +690,146 @@ mod tests {
         assert!(!m.is_allocated(third));
     }
 
+    #[test]
+    fn a_free_across_a_numa_boundary_frees_nothing() {
+        // Domain 0 owns frames 0-3, domain 1 frames 4-7.
+        let m = PhysMemory::new(NumaTopology::new(2, 2, 8));
+        let a = m.alloc_frames(NumaDomain(0), 4).unwrap();
+        let b = m.alloc_frame(NumaDomain(1)).unwrap();
+        assert_eq!((a, b), (Pfn(0), Pfn(4)));
+        let before = m.stats();
+        assert_eq!(m.free_frames(Pfn(3), 2).unwrap_err(), MemError::BadFree(b));
+        assert_eq!(m.stats(), before);
+        assert!(m.is_allocated(Pfn(3)) && m.is_allocated(b));
+        // Domain 0 is still full: nothing of domain 1 was filed under it.
+        let err = m.alloc_frames(NumaDomain(0), 1).unwrap_err();
+        assert!(matches!(err, MemError::OutOfMemory { .. }), "{err:?}");
+        m.free_frames(a, 4).unwrap();
+        m.free_frames(b, 1).unwrap();
+        assert_eq!(m.alloc_frames(NumaDomain(0), 4), Ok(a));
+        assert_eq!(m.alloc_frames(NumaDomain(1), 4), Ok(b));
+    }
+
+    #[test]
+    fn the_pending_mark_does_not_grow_a_frame_table_slot() {
+        assert_eq!(
+            std::mem::size_of::<Option<Frame>>(),
+            3 * std::mem::size_of::<usize>()
+        );
+    }
+
+    /// Bytes a previous owner left in each recycled frame of [`pending`].
+    const STALE: usize = 100;
+
+    /// `n` pending-zero frames: a previous owner dirtied the first
+    /// [`STALE`] bytes of each, freed them, and they were allocated again.
+    fn pending(m: &PhysMemory, n: u64) -> Pfn {
+        let a = m.alloc_frames(NumaDomain(0), n).unwrap();
+        for i in 0..n {
+            m.fill(a.add(i).base(), 0xcc, STALE).unwrap();
+        }
+        m.free_frames(a, n).unwrap();
+        assert_eq!(m.alloc_frames(NumaDomain(0), n), Ok(a));
+        a
+    }
+
+    /// Runs `f` and returns the bytes it zeroed.
+    fn zeroed_by(m: &PhysMemory, f: impl FnOnce()) -> u64 {
+        let before = m.stats().zeroed_bytes;
+        f();
+        m.stats().zeroed_bytes - before
+    }
+
+    #[test]
+    fn a_full_overwrite_from_offset_0_is_never_zeroed() {
+        let m = mem(4);
+        let a = pending(&m, 1).base();
+        let data = [7u8; STALE + 20];
+        assert_eq!(zeroed_by(&m, || m.write(a, &data).unwrap()), 0);
+        // Past the written length the frame still reads as zeros.
+        let got = m.read_vec(a, PAGE_SIZE).unwrap();
+        assert_eq!(got[..data.len()], data);
+        assert!(got[data.len()..].iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn a_partial_write_zeroes_the_stale_prefix_first() {
+        let m = mem(4);
+        // Mid-frame, and from offset 0 but shorter than the stale prefix.
+        for at in [50, 0] {
+            let a = pending(&m, 1).base();
+            let zeroed = zeroed_by(&m, || m.write(a.add(at), &[7; 10]).unwrap());
+            assert_eq!(zeroed, STALE as u64);
+            let mut want = vec![0u8; PAGE_SIZE];
+            want[at as usize..at as usize + 10].fill(7);
+            assert_eq!(m.read_vec(a, PAGE_SIZE).unwrap(), want);
+            m.free_frames(a.pfn(), 1).unwrap();
+        }
+    }
+
+    #[test]
+    fn copy_settles_a_pending_source_and_destination() {
+        let m = mem(8);
+        let ones = m.alloc_frame(NumaDomain(0)).unwrap().base();
+        m.fill(ones, 1, PAGE_SIZE).unwrap();
+        // A page of `fill` with `len` bytes of `byte` at `at`.
+        let page = |fill: u8, at: usize, len: usize, byte: u8| {
+            let mut p = vec![fill; PAGE_SIZE];
+            p[at..at + len].fill(byte);
+            p
+        };
+
+        // Within one frame: both ends are the pending frame.
+        let a = pending(&m, 1).base();
+        m.copy(a.add(10), a.add(200), 20).unwrap();
+        assert_eq!(m.read_vec(a, PAGE_SIZE).unwrap(), vec![0; PAGE_SIZE]);
+
+        // Across two frames: a pending source into a written frame ...
+        let src = pending(&m, 1).base();
+        m.copy(src.add(10), ones.add(10), 30).unwrap();
+        assert_eq!(m.read_vec(ones, PAGE_SIZE).unwrap(), page(1, 10, 30, 0));
+        m.fill(ones, 1, PAGE_SIZE).unwrap();
+
+        // ... a written frame into a pending one, part-way ...
+        let dst = pending(&m, 1).base();
+        m.copy(ones, dst.add(30), 20).unwrap();
+        assert_eq!(m.read_vec(dst, PAGE_SIZE).unwrap(), page(0, 30, 20, 1));
+
+        // ... and over its whole stale prefix from offset 0, zeroing none.
+        let over = pending(&m, 1).base();
+        assert_eq!(zeroed_by(&m, || m.copy(ones, over, STALE).unwrap()), 0);
+        assert_eq!(m.read_vec(over, PAGE_SIZE).unwrap(), page(0, 0, STALE, 1));
+    }
+
+    #[test]
+    fn equals_and_fill_see_a_pending_frame_as_zeros() {
+        let m = mem(4);
+        let a = pending(&m, 1).base();
+        assert!(!m.equals(a, &[0xcc; STALE]).unwrap());
+        assert!(m.equals(a, &[0; STALE]).unwrap());
+        let b = pending(&m, 1).base();
+        m.fill(b.add(30), 0xee, 10).unwrap();
+        let mut want = vec![0u8; PAGE_SIZE];
+        want[30..40].fill(0xee);
+        assert_eq!(m.read_vec(b, PAGE_SIZE).unwrap(), want);
+    }
+
+    #[test]
+    fn a_pending_frame_freed_and_allocated_again_still_reads_zero() {
+        let m = mem(4);
+        let a = pending(&m, 1);
+        m.free_frames(a, 1).unwrap();
+        assert_eq!(m.alloc_frame(NumaDomain(0)), Ok(a));
+        let zeroed = zeroed_by(&m, || {
+            assert!(m.equals(a.base(), &[0; PAGE_SIZE]).unwrap());
+        });
+        assert_eq!(zeroed, STALE as u64, "the stale prefix is zeroed once");
+        let zeroed = zeroed_by(&m, || {
+            m.read_vec(a.base(), 8).unwrap();
+        });
+        assert_eq!(zeroed, 0, "and not again");
+    }
+
     /// The naive reference [`PhysMemory`] is checked against: whole pages
     /// in a `BTreeMap`, one byte at a time, no recycling, no fast paths.
     struct Model {
@@ -775,9 +971,14 @@ mod tests {
                         match real.alloc_frames(NumaDomain(0), n) {
                             Ok(pfn) => {
                                 model.alloc(pfn.0, n);
-                                // Recycled or fresh, frames start zeroed.
-                                let got = real.read_vec(pfn.base(), n as usize * PAGE_SIZE);
-                                assert_eq!(got.unwrap(), vec![0; n as usize * PAGE_SIZE]);
+                                // Recycled or fresh, frames start zeroed. Only
+                                // on a coin flip: the read-back is a first
+                                // touch, and the lazy zeroing paths need
+                                // pending frames to reach the other operations.
+                                if rng.chance(0.5) {
+                                    let got = real.read_vec(pfn.base(), n as usize * PAGE_SIZE);
+                                    assert_eq!(got.unwrap(), vec![0; n as usize * PAGE_SIZE]);
+                                }
                             }
                             Err(e) => {
                                 let domain = NumaDomain(0);
@@ -833,7 +1034,13 @@ mod tests {
                         );
                     }
                 }
-                assert_eq!(real.stats(), model.stats, "seed {seed} step {step}");
+                // The model zeroes nothing lazily, so it cannot predict
+                // `zeroed_bytes`; every other field must match.
+                let stats = MemStats {
+                    zeroed_bytes: 0,
+                    ..real.stats()
+                };
+                assert_eq!(stats, model.stats, "seed {seed} step {step}");
                 if step % 50 == 49 {
                     for p in 0..FRAMES + 2 {
                         match model.pages.get(&p) {

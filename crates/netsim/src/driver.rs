@@ -15,13 +15,26 @@ use simcore::{CoreCtx, CoreId, Cycles, Phase};
 use std::cell::RefCell;
 
 thread_local! {
-    /// The fragment list and the wire-payload scratch, reused across packets
-    /// so a transmitted buffer allocates neither its SG list nor up to
-    /// `tso_max` bytes of reassembly space. Thread-local (rather than
-    /// global) because stacks on different host threads may transmit
-    /// concurrently in tests.
-    static TX_SCRATCH: RefCell<(Vec<DmaBuf>, Vec<u8>)> =
-        const { RefCell::new((Vec::new(), Vec::new())) };
+    /// The fragment list, reused across packets so a transmitted buffer
+    /// does not allocate its SG list. Thread-local (rather than global)
+    /// because stacks on different host threads may transmit concurrently
+    /// in tests.
+    static TX_SCRATCH: RefCell<Vec<DmaBuf>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The in-place TX check: runs `gather`, which streams a wire payload to
+/// the sink it is given as `(offset, bytes)` pieces, and reports whether
+/// those pieces are exactly `sent` — every byte, and the total length.
+fn gathers_exactly<R>(
+    sent: &[u8],
+    gather: impl FnOnce(&mut dyn FnMut(usize, &[u8])) -> R,
+) -> (R, bool) {
+    let (mut end, mut same) = (0, true);
+    let out = gather(&mut |off, bytes| {
+        same &= off == end && sent.get(off..off + bytes.len()) == Some(bytes);
+        end = off + bytes.len();
+    });
+    (out, same && end == sent.len())
 }
 
 /// Ethernet + IP + TCP header bytes added to each wire frame.
@@ -194,7 +207,7 @@ impl CoreDriver {
         let per = len.div_ceil(frags.clamp(1, len.max(1)));
 
         TX_SCRATCH.with(|scratch| {
-            let (bufs, wire_bytes) = &mut *scratch.borrow_mut();
+            let bufs = &mut *scratch.borrow_mut();
             // copy_from_user into the fragment skbs.
             bufs.clear();
             obs::profile::scope(ctx, "skb_alloc", |ctx| {
@@ -238,19 +251,19 @@ impl CoreDriver {
                 post_tx_at(stack, self.ring, slot, m.iova.get(), m.len as u32);
             }
 
-            // The NIC fetches the fragments and segments them onto the wire.
-            let completion = stack
-                .nic
-                .transmit_gather_into(self.ring, mappings.len(), wire_bytes)
-                .expect("NIC transmit must succeed through a live mapping");
-            if verify {
-                assert_eq!(
-                    *wire_bytes,
-                    payload,
-                    "payload corrupted on the way to the wire ({})",
-                    stack.engine.name()
-                );
-            }
+            // The NIC fetches the fragments and segments them onto the wire,
+            // and the bytes are checked as they stream past.
+            let (completion, intact) = gathers_exactly(payload, |sink| {
+                stack
+                    .nic
+                    .transmit_gather_with(self.ring, mappings.len(), sink)
+                    .expect("NIC transmit must succeed through a live mapping")
+            });
+            assert!(
+                intact || !verify,
+                "payload corrupted on the way to the wire ({})",
+                stack.engine.name()
+            );
 
             // Completion: unmap and free.
             stack.engine.unmap_sg(ctx, mappings).expect("dma_unmap_sg");
@@ -328,6 +341,37 @@ mod tests {
             assert_eq!(len, 48_000);
             assert_eq!(frames, 32);
         }
+    }
+
+    #[test]
+    fn the_tx_check_needs_every_byte_and_the_exact_length() {
+        let sent: Vec<u8> = (0..5000).map(|i| (i % 251) as u8).collect();
+        let check = |pieces: &[(usize, &[u8])]| {
+            let ((), intact) = gathers_exactly(&sent, |sink| {
+                for &(off, bytes) in pieces {
+                    sink(off, bytes);
+                }
+            });
+            intact
+        };
+        /// `wire` in frame-sized pieces, as the NIC streams it.
+        fn split(wire: &[u8]) -> Vec<(usize, &[u8])> {
+            let frames = wire.chunks(4096).enumerate();
+            frames.map(|(k, piece)| (k * 4096, piece)).collect()
+        }
+        assert!(check(&split(&sent)));
+        let mut flipped = sent.clone();
+        *flipped.last_mut().unwrap() ^= 1;
+        assert!(!check(&split(&flipped)), "a flipped last byte");
+        let short = &sent[..sent.len() - 1];
+        assert!(!check(&split(short)), "a gather one byte short");
+        let mut long = sent.clone();
+        long.push(0);
+        assert!(!check(&split(&long)), "a gather one byte long");
+        let mut repeated = split(&sent);
+        repeated.insert(1, repeated[0]);
+        assert!(!check(&repeated), "a piece gathered twice");
+        assert!(!check(&[]), "nothing gathered");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Host-work goldens: what the program *does* to produce the figures —
 //! heap allocations, simulated-lock acquisitions, IOTLB lookups,
-//! invalidation commands, frame and slab calls, bytes memcpy'd, trace
-//! events and every `obs` counter — pinned exactly for every engine on
+//! invalidation commands, frame and slab calls, bytes memcpy'd and zeroed,
+//! trace events and every `obs` counter — pinned exactly for every engine on
 //! quick-scale RX (16 cores, MTU) and TX (1 core, 64 KB), with
 //! `ExpConfig::percore` off and on, and for *copy* on RR (1 core, 64 B),
 //! where the copy-back is bounded by what arrived, and on memcached
@@ -119,8 +119,8 @@ fn rows(w: &Workload, percore: bool, kind: EngineKind) -> Vec<String> {
             invalq.page_commands, invalq.flush_commands, invalq.waits
         ),
         format!(
-            "frames allocs={} frees={} copied_bytes={}",
-            frames.allocs, frames.frees, frames.copied_bytes
+            "frames allocs={} frees={} copied_bytes={} zeroed_bytes={}",
+            frames.allocs, frames.frees, frames.copied_bytes, frames.zeroed_bytes
         ),
         format!("kmalloc allocs={} frees={}", slab.allocs, slab.frees),
         format!(
