@@ -19,11 +19,12 @@ cargo test -q --workspace
 # among the end-to-end metrics, and drop this skip.
 cargo test --offline -q --manifest-path benchmark/Cargo.toml -- \
     --skip known_broken_engines_are_counted_not_skipped
-# Lint: one pass (style, the DMA protocol rules the handle types cannot
-# state, device-taint, lock-order, unsafe audit, dead-waiver) with the
-# machine-readable report artifact. It takes about a second and carries a
-# wall-clock budget: if it ever gets slow enough to discourage running it,
-# that is a CI failure, not a shrug.
+# Lint: one scan that reads and parses the workspace once (style,
+# forbid-unsafe on every crate root, the DMA protocol rules the handle
+# types cannot state, device-taint, lock-order, dead-waiver) and writes the
+# machine-readable report artifact from the same scan. It takes under a
+# second and carries a wall-clock budget: if it ever gets slow enough to
+# discourage running it, that is a CI failure, not a shrug.
 cargo run -q --bin lint -- --json target/lint_report.json --budget-ms 60000
 # Bounded model checking: prove the strict strategies hold the protection
 # invariant within bounds and replay the committed deferred-invalidation

@@ -3,10 +3,11 @@
 // lint: allow(panic) — attack rigs panic on broken simulation invariants, not recoverable errors
 
 use devices::MaliciousDevice;
-use dma_api::{Bus, DmaBuf, DmaDirection};
+use dma_api::{DmaBuf, DmaDirection};
 use dmasan::AccessVerdict;
 use memsim::PAGE_SIZE;
 use netsim::{EngineKind, ExpConfig, SimStack};
+use shadow_core::engine_bus;
 use simcore::{CoreCtx, CoreId, Cycles};
 use std::fmt;
 
@@ -62,13 +63,7 @@ fn rig(kind: EngineKind) -> (SimStack, CoreCtx) {
 /// panicking sanitizer stays quiet while still proving what the hardware
 /// let through).
 fn attacker(stack: &SimStack) -> MaliciousDevice {
-    let bus = match stack.kind {
-        EngineKind::NoIommu => Bus::Direct(stack.mem.clone()),
-        _ => Bus::Iommu {
-            mmu: stack.mmu.clone(),
-            mem: stack.mem.clone(),
-        },
-    };
+    let bus = engine_bus(stack.kind, stack.mem.clone(), stack.mmu.clone());
     MaliciousDevice::new(netsim::NIC_DEV, bus).with_sanitizer(stack.san.clone())
 }
 

@@ -5,11 +5,11 @@
 //! the policy pairs of `dma_api::MappedDma` below it, [`ShadowDma`] in it),
 //! so the name → construction mapping lives here and nowhere else: the
 //! workload stack, the model-checking rig and the ablation benches all
-//! call [`build_engine`].
+//! call [`build_engine`], and pick the device's bus with [`engine_bus`].
 
 use crate::{MagazineConfig, PoolConfig, ShadowDma};
 use dma_api::{
-    DeferPolicy, DeferredFlusher, DmaEngine, FlushScope, GlobalTreeIovaAllocator, InvalPolicy,
+    Bus, DeferPolicy, DeferredFlusher, DmaEngine, FlushScope, GlobalTreeIovaAllocator, InvalPolicy,
     IovaPolicy, MappedDma, NoIommu, PerCoreIovaAllocator,
 };
 use iommu::{DeviceId, Iommu};
@@ -174,6 +174,16 @@ pub fn build_engine(
         EngineKind::SelfInvalHw => (IovaPolicy::identity(), InvalPolicy::Hardware),
     };
     Box::new(MappedDma::new(kind.name(), mem, mmu, dev, iova, inval))
+}
+
+/// The bus a device reaches memory through when `kind` drives it: straight
+/// to memory with the IOMMU off (*no iommu*), through `mmu` for every other
+/// engine.
+pub fn engine_bus(kind: EngineKind, mem: Arc<PhysMemory>, mmu: Arc<Iommu>) -> Bus {
+    match kind {
+        EngineKind::NoIommu => Bus::Direct(mem),
+        _ => Bus::Iommu { mmu, mem },
+    }
 }
 
 /// One table-driven suite over the zero-copy policy pairs. Each row states

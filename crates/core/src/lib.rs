@@ -44,7 +44,7 @@ mod slot;
 
 pub use enc::{DecodedIova, IovaCodec};
 pub use engine::ShadowDma;
-pub use engines::{build_engine, EngineKind};
+pub use engines::{build_engine, engine_bus, EngineKind};
 pub use freelist::FreeList;
 pub use huge::{HugeMapper, HugeStats};
 pub use pool::{

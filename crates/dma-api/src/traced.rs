@@ -12,7 +12,7 @@ use crate::{
     ProtectionProfile,
 };
 use iommu::DeviceId;
-use obs::{Counter, EventKind, Histogram, Obs};
+use obs::{Counter, EventKind, Obs};
 use simcore::CoreCtx;
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -56,7 +56,6 @@ pub struct TracedDma {
     observer: Option<Arc<dyn DmaObserver>>,
     maps: Counter,
     unmaps: Counter,
-    map_bytes: Histogram,
 }
 
 impl TracedDma {
@@ -71,7 +70,6 @@ impl TracedDma {
         TracedDma {
             maps: obs.counter("dma", "maps", d),
             unmaps: obs.counter("dma", "unmaps", d),
-            map_bytes: obs.histogram("dma", "map_bytes", d),
             inner,
             obs,
             observer,
@@ -100,7 +98,6 @@ impl DmaEngine for TracedDma {
     ) -> Result<DmaMapping, DmaError> {
         let m = obs::profile::scope(ctx, "dma_map", |ctx| self.inner.map(ctx, buf, dir))?;
         self.maps.inc();
-        self.map_bytes.record(m.len as u64);
         self.obs.set_now_hint(ctx.now());
         let seq = self.obs.trace(
             ctx.now(),

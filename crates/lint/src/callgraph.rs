@@ -1,10 +1,10 @@
-// lint: allow(ambient-io) — the call-graph walk must read member crates' sources
 //! The workspace call graph.
 //!
 //! Nodes are every non-test function extracted by the shared front-end
-//! ([`crate::cfg::extract_functions`]) across the workspace file walk,
-//! plus one anonymous node per closure body (`{fn}::closure@L<line>`) so
-//! deferred code is represented rather than silently skipped. Edges are
+//! ([`crate::cfg::extract_functions`]) from the parsed workspace, plus one
+//! anonymous node per closure body (`{fn}::closure@L<line>`) so deferred
+//! code is represented rather than silently skipped. Each node carries its
+//! CFG, built once here for every pass that reads it. Edges are
 //! resolved syntactically: a call site `name(…)` or `recv.name(…)` links
 //! to every workspace function of that `name` whose parameter count is
 //! compatible (receiver-position heuristics mirror the `map`/`unmap`
@@ -15,19 +15,16 @@
 //! bottom-up over its SCCs.
 
 use std::collections::BTreeMap;
-use std::fs;
-use std::path::Path;
+use std::ops::Range;
 
-use crate::cfg::{build_trees, extract_functions, split_top_level_commas, Param, Tree};
-use crate::lexer::{prep, tokenize, Prep};
+use crate::cfg::{extract_functions, split_top_level_commas, Cfg, Function, Param, Tree};
+use crate::workspace::SourceFile;
 
 /// One call-graph node: a named function or an anonymous closure body.
 #[derive(Debug)]
 pub struct FnNode {
     /// Workspace-relative file.
     pub file: String,
-    /// Member crate the file belongs to.
-    pub crate_name: String,
     /// Function name; closures use `{parent}::closure@L<line>`.
     pub name: String,
     /// 1-indexed line of the `fn` keyword (or the closure's `|`).
@@ -36,6 +33,8 @@ pub struct FnNode {
     pub params: Vec<Param>,
     /// Body token trees.
     pub body: Vec<Tree>,
+    /// The body's control-flow graph.
+    pub cfg: Cfg,
     /// `true` for anonymous closure nodes.
     pub is_closure: bool,
 }
@@ -52,6 +51,8 @@ pub struct CallGraph {
     /// Call sites per node that resolved to no workspace function — the
     /// explicit unknown-callee bottom.
     pub unknown_calls: Vec<usize>,
+    /// The node ids of each input file, indexed like the input.
+    pub files: Vec<Range<usize>>,
 }
 
 /// One syntactic call site found in a body.
@@ -94,9 +95,10 @@ fn collect_calls(trees: &[Tree], out: &mut Vec<CallSite>) {
         }
         // `. name ( … )` — method call.
         if trees[i].is_punct(".") {
-            if let (Some(name), Some(Tree::Group { children, .. })) =
-                (ident_text(trees.get(i + 1)), paren_group(trees.get(i + 2)))
-            {
+            if let (Some(name), Some(Tree::Group { children, .. })) = (
+                trees.get(i + 1).and_then(Tree::ident),
+                paren_group(trees.get(i + 2)),
+            ) {
                 out.push(CallSite {
                     name: name.to_string(),
                     method: true,
@@ -112,7 +114,7 @@ fn collect_calls(trees: &[Tree], out: &mut Vec<CallSite>) {
         // `name ( … )` — free (or path-suffixed) call; `name ! ( … )` is a
         // macro, not a call.
         if let (Some(name), Some(Tree::Group { children, .. })) =
-            (ident_text(trees.get(i)), paren_group(trees.get(i + 1)))
+            (trees[i].ident(), paren_group(trees.get(i + 1)))
         {
             if !NON_CALL_KEYWORDS.contains(&name) {
                 out.push(CallSite {
@@ -129,13 +131,6 @@ fn collect_calls(trees: &[Tree], out: &mut Vec<CallSite>) {
             collect_calls(children, out);
         }
         i += 1;
-    }
-}
-
-fn ident_text(t: Option<&Tree>) -> Option<&str> {
-    match t {
-        Some(Tree::Tok(tok)) if tok.is_ident => Some(&tok.text),
-        _ => None,
     }
 }
 
@@ -200,95 +195,86 @@ pub(crate) fn closure_at(trees: &[Tree], i: usize) -> Option<(usize, usize)> {
 /// The exclusive end of a closure body that starts at `body_start`: the
 /// next top-level comma, or the end of the slice.
 pub(crate) fn closure_body_end(trees: &[Tree], body_start: usize) -> usize {
-    let mut j = body_start;
-    while j < trees.len() {
-        if trees[j].is_punct(",") {
-            return j;
-        }
-        j += 1;
-    }
-    j
+    let comma = trees[body_start..].iter().position(|t| t.is_punct(","));
+    comma.map_or(trees.len(), |k| body_start + k)
 }
 
 /// Extracts every closure in `trees` (recursing into groups, but not into
 /// inner closures' bodies — those are found when the inner node is built).
-fn collect_closures(trees: &[Tree], out: &mut Vec<(usize, Vec<Param>, Vec<Tree>)>) {
+/// Closures are named `{parent}::closure@L<line>`.
+fn collect_closures(trees: &[Tree], parent: &str, out: &mut Vec<Function>) {
     let mut i = 0;
     while i < trees.len() {
         if let Some((params_end, params_start)) = closure_at(trees, i) {
             let line = trees[i].line();
-            let params: Vec<Param> = trees[params_start..params_end]
+            let params = trees[params_start..params_end]
                 .iter()
-                .filter_map(|t| match t {
-                    Tree::Tok(tok) if tok.is_ident && tok.text != "mut" => Some(Param {
-                        name: tok.text.clone(),
-                    }),
-                    _ => None,
+                .filter_map(Tree::ident)
+                .filter(|p| *p != "mut")
+                .map(|p| Param {
+                    name: p.to_string(),
                 })
                 .collect();
             let end = closure_body_end(trees, params_end + 1);
-            out.push((line, params, trees[params_end + 1..end].to_vec()));
+            out.push(Function {
+                name: format!("{parent}::closure@L{line}"),
+                line,
+                params,
+                body: trees[params_end + 1..end].to_vec(),
+            });
             i = end;
             continue;
         }
         if let Tree::Group { children, .. } = &trees[i] {
-            collect_closures(children, out);
+            collect_closures(children, parent, out);
         }
         i += 1;
     }
 }
 
 impl CallGraph {
-    /// Builds the graph from already-prepared files: `(prep, crate_name)`
-    /// pairs from the workspace walk.
-    pub fn build(files: &[(Prep, String)]) -> CallGraph {
+    /// Builds the graph over parsed files (`tests/`/`benches/` files have
+    /// no trees, hence no nodes).
+    pub fn build(files: &[SourceFile]) -> CallGraph {
         let mut g = CallGraph::default();
-        for (p, crate_name) in files {
-            let trees = build_trees(&tokenize(&p.blank));
-            for f in extract_functions(p, &trees) {
-                let parent_id = g.nodes.len();
-                let parent_name = f.name.clone();
-                g.push_node(FnNode {
-                    file: p.label.clone(),
-                    crate_name: crate_name.clone(),
-                    name: f.name,
-                    line: f.line,
-                    params: f.params,
-                    body: f.body,
-                    is_closure: false,
-                });
+        for file in files {
+            let first = g.nodes.len();
+            let label = &file.prep.label;
+            for f in extract_functions(&file.prep, &file.trees) {
+                let parent = f.name.clone();
                 // Closures become anonymous child nodes. Nested closures
                 // are discovered from their parent closure's body in turn.
-                let mut queue = vec![parent_id];
+                let mut queue = vec![g.nodes.len()];
+                g.push_node(label, f, false);
                 while let Some(owner) = queue.pop() {
                     let mut closures = Vec::new();
-                    collect_closures(&g.nodes[owner].body, &mut closures);
-                    for (line, params, body) in closures {
-                        let id = g.nodes.len();
-                        g.push_node(FnNode {
-                            file: p.label.clone(),
-                            crate_name: crate_name.clone(),
-                            name: format!("{parent_name}::closure@L{line}"),
-                            line,
-                            params,
-                            body,
-                            is_closure: true,
-                        });
-                        queue.push(id);
+                    collect_closures(&g.nodes[owner].body, &parent, &mut closures);
+                    for c in closures {
+                        queue.push(g.nodes.len());
+                        g.push_node(label, c, true);
                     }
                 }
             }
+            g.files.push(first..g.nodes.len());
         }
         g.resolve_edges();
         g
     }
 
-    fn push_node(&mut self, node: FnNode) {
+    fn push_node(&mut self, file: &str, f: Function, is_closure: bool) {
         let id = self.nodes.len();
-        if !node.is_closure {
-            self.by_name.entry(node.name.clone()).or_default().push(id);
+        if !is_closure {
+            self.by_name.entry(f.name.clone()).or_default().push(id);
         }
-        self.nodes.push(node);
+        self.nodes.push(FnNode {
+            file: file.to_string(),
+            name: f.name,
+            line: f.line,
+            params: f.params,
+            cfg: Cfg::build(&f.body),
+            body: f.body,
+            is_closure,
+        });
         self.callees.push(Vec::new());
         self.unknown_calls.push(0);
     }
@@ -413,42 +399,6 @@ impl CallGraph {
         }
         sccs
     }
-
-    /// Whether `id` participates in recursion (self-loop or SCC > 1).
-    pub fn is_recursive(&self, id: usize, scc: &[usize]) -> bool {
-        scc.len() > 1 || self.callees[id].contains(&id)
-    }
-}
-
-/// Walks the workspace exactly like the lint pass (member crates' `src/`
-/// trees) and builds the call graph.
-pub fn build_workspace_graph(root: &Path) -> std::io::Result<CallGraph> {
-    let label = |p: &Path| {
-        p.strip_prefix(root)
-            .unwrap_or(p)
-            .display()
-            .to_string()
-            .replace('\\', "/")
-    };
-    let mut files = Vec::new();
-    for member in crate::member_crates(root)? {
-        let crate_name = member
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_default();
-        let src_dir = member.join("src");
-        if !src_dir.is_dir() {
-            continue;
-        }
-        let mut rs = Vec::new();
-        crate::rust_files(&src_dir, &mut rs)?;
-        rs.sort();
-        for f in &rs {
-            let src = fs::read_to_string(f)?;
-            files.push((prep(&label(f), &src), crate_name.clone()));
-        }
-    }
-    Ok(CallGraph::build(&files))
 }
 
 #[cfg(test)]
@@ -456,7 +406,7 @@ mod tests {
     use super::*;
 
     fn graph(src: &str) -> CallGraph {
-        CallGraph::build(&[(prep("x.rs", src), "x".to_string())])
+        CallGraph::build(&[SourceFile::lib("x.rs", src)])
     }
 
     fn id_of(g: &CallGraph, name: &str) -> usize {
@@ -532,9 +482,8 @@ mod tests {
         // b and c are one SCC and must precede a.
         assert_eq!(pos("b"), pos("c"));
         assert!(pos("b") < pos("a"), "{sccs:?}");
-        let bc = &sccs[pos("b")];
-        assert!(g.is_recursive(id_of(&g, "b"), bc));
-        assert!(!g.is_recursive(id_of(&g, "a"), &sccs[pos("a")]));
+        assert_eq!(sccs[pos("b")].len(), 2);
+        assert_eq!(sccs[pos("a")].len(), 1);
     }
 
     #[test]

@@ -26,16 +26,23 @@ pub enum Tree {
         children: Vec<Tree>,
         /// 1-indexed line of the opening delimiter.
         open_line: usize,
+        /// Byte offset of the opening delimiter (in either stripped view).
+        open_pos: usize,
     },
 }
 
 impl Tree {
-    /// The token text if this is a plain token.
-    pub fn text(&self) -> Option<&str> {
+    /// The token, if this is a plain one.
+    pub fn token(&self) -> Option<&Token> {
         match self {
-            Tree::Tok(t) => Some(&t.text),
+            Tree::Tok(t) => Some(t),
             Tree::Group { .. } => None,
         }
+    }
+
+    /// The identifier text, if this is an ident token.
+    pub fn ident(&self) -> Option<&str> {
+        self.token().filter(|t| t.is_ident).map(|t| t.text.as_str())
     }
 
     /// `true` if this is the ident token `s`.
@@ -78,7 +85,7 @@ fn parse_group(tokens: &[Token], i: &mut usize, closer: Option<&str>) -> Vec<Tre
             match t.text.as_str() {
                 "{" | "(" | "[" => {
                     let delim = t.text.chars().next().unwrap_or('(');
-                    let open_line = t.line;
+                    let (open_line, open_pos) = (t.line, t.pos);
                     let want = match delim {
                         '{' => "}",
                         '(' => ")",
@@ -90,6 +97,7 @@ fn parse_group(tokens: &[Token], i: &mut usize, closer: Option<&str>) -> Vec<Tre
                         delim,
                         children,
                         open_line,
+                        open_pos,
                     });
                     continue;
                 }
@@ -191,7 +199,8 @@ fn walk_functions(prep: &Prep, trees: &[Tree], out: &mut Vec<Function>) {
             let fn_line = trees[i].line();
             let name = trees
                 .get(i + 1)
-                .and_then(|t| t.text())
+                .and_then(|t| t.token())
+                .map(|t| t.text.as_str())
                 .unwrap_or("")
                 .to_string();
             // Scan forward for the body brace group; a `;` first means a
@@ -310,6 +319,15 @@ impl Cfg {
         self.blocks.len() - 1
     }
 
+    /// Every statement, minus nested `fn` items (they are their own
+    /// functions).
+    pub fn stmts(&self) -> impl Iterator<Item = &Stmt> {
+        self.blocks
+            .iter()
+            .filter_map(|b| b.stmt.as_ref())
+            .filter(|s| !s.trees.first().is_some_and(|t| t.is_ident("fn")))
+    }
+
     fn link(&mut self, from: usize, to: usize) {
         if !self.blocks[from].succs.contains(&to) {
             self.blocks[from].succs.push(to);
@@ -362,27 +380,32 @@ impl Cfg {
         }
     }
 
-    /// `if cond { … } else if … { … } else { … }` — evaluates the
-    /// condition as a statement (it may contain DMA calls or `?`), then
-    /// branches.
-    fn lower_if(&mut self, trees: &[Tree], cur: usize) -> usize {
-        // Head: tokens after `if` (and an optional `let` pattern) up to
-        // the then-block.
-        let then_at = trees
+    /// The head block of an `if`/`match`/loop statement after `cur`: the
+    /// tokens between the keyword (and an `if let` pattern) and the first
+    /// brace group, evaluated once as a statement — they may contain DMA
+    /// calls or `?`. Returns the block and the brace group's index.
+    fn lower_head(&mut self, trees: &[Tree], cur: usize) -> (usize, usize) {
+        let brace = trees
             .iter()
             .position(|t| matches!(t, Tree::Group { delim: '{', .. }))
             .unwrap_or(trees.len());
-        let head: Vec<Tree> = trees[1..then_at].to_vec();
-        let has_try = top_level_try(&head);
+        let head = trees[1..brace].to_vec();
         let h = self.new_block();
         self.blocks[h].stmt = Some(Stmt {
             line: trees.first().map(Tree::line).unwrap_or(0),
+            has_try: top_level_try(&head),
             trees: head,
-            has_try,
             is_return: false,
             is_tail: false,
         });
         self.link(cur, h);
+        (h, brace)
+    }
+
+    /// `if cond { … } else if … { … } else { … }` — evaluates the
+    /// condition, then branches.
+    fn lower_if(&mut self, trees: &[Tree], cur: usize) -> usize {
+        let (h, then_at) = self.lower_head(trees, cur);
         let join = self.new_block();
         if let Some(Tree::Group { children, .. }) = trees.get(then_at) {
             let end = self.lower_block(children, h, false);
@@ -418,21 +441,7 @@ impl Cfg {
     /// `match scrut { pat => body, … }` — the scrutinee is evaluated once,
     /// then each arm body is an alternative path to the join node.
     fn lower_match(&mut self, trees: &[Tree], cur: usize) -> usize {
-        let arms_at = trees
-            .iter()
-            .position(|t| matches!(t, Tree::Group { delim: '{', .. }))
-            .unwrap_or(trees.len());
-        let head: Vec<Tree> = trees[1..arms_at].to_vec();
-        let has_try = top_level_try(&head);
-        let h = self.new_block();
-        self.blocks[h].stmt = Some(Stmt {
-            line: trees.first().map(Tree::line).unwrap_or(0),
-            trees: head,
-            has_try,
-            is_return: false,
-            is_tail: false,
-        });
-        self.link(cur, h);
+        let (h, arms_at) = self.lower_head(trees, cur);
         let join = self.new_block();
         let mut any_arm = false;
         if let Some(Tree::Group { children, .. }) = trees.get(arms_at) {
@@ -452,21 +461,7 @@ impl Cfg {
     /// head, and the head also exits to the continuation (conservatively
     /// even for `loop`, which matches `break`).
     fn lower_loop(&mut self, trees: &[Tree], cur: usize) -> usize {
-        let body_at = trees
-            .iter()
-            .position(|t| matches!(t, Tree::Group { delim: '{', .. }))
-            .unwrap_or(trees.len());
-        let head: Vec<Tree> = trees[1..body_at].to_vec();
-        let has_try = top_level_try(&head);
-        let h = self.new_block();
-        self.blocks[h].stmt = Some(Stmt {
-            line: trees.first().map(Tree::line).unwrap_or(0),
-            trees: head,
-            has_try,
-            is_return: false,
-            is_tail: false,
-        });
-        self.link(cur, h);
+        let (h, body_at) = self.lower_head(trees, cur);
         if let Some(Tree::Group { children, .. }) = trees.get(body_at) {
             let end = self.lower_block(children, h, false);
             self.link(end, h); // back edge

@@ -1,10 +1,11 @@
 //! The shared front-end: byte-aligned comment/string-stripped views of a
 //! Rust source file, the `#[cfg(test)]` region mask, and a token stream.
 //!
-//! Everything downstream — the style rules, the lock-order pass, the
-//! unsafe audit, and the DMA-protocol typestate checker — consumes the
-//! output of this one pass, so there is exactly one tokenizer and one
-//! interpretation of what is code and what is comment.
+//! Everything downstream — the style rules, the lock-order pass, the call
+//! graph, and the DMA-protocol and taint checks — consumes the output of
+//! this one pass, run once per file by [`crate::workspace`], so there is
+//! exactly one tokenizer and one interpretation of what is code and what
+//! is comment.
 
 /// A source file prepared for scanning. The two views are byte-aligned
 /// with each other and with the raw source: `kept` has comments blanked

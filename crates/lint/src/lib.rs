@@ -1,17 +1,19 @@
-// lint: allow(ambient-io) — the workspace walk must read source files and manifests
 //! A pure-std workspace lint (no `syn`, no external dependencies).
 //!
-//! The crate is built around a small in-tree Rust front-end
-//! ([`lexer`]: byte-aligned stripped views + token stream, [`cfg`]:
-//! token trees and per-function control-flow graphs) shared by every
-//! pass, so there is exactly one tokenizer, one `#[cfg(test)]` mask, and
-//! one file walk. On top of it:
+//! The crate is one pipeline over one parsed form of the workspace
+//! ([`workspace`]: one file walk; [`lexer`]: byte-aligned stripped views
+//! and the token stream; [`mod@cfg`]: token trees and per-function
+//! control-flow graphs). Each file is read and prepped once, each `src/`
+//! file tokenized and parsed once, and each function's CFG built once (in
+//! the [`callgraph`]). On top of it:
 //!
 //! 1. **House style rules** ([`rules::style`]) — no `unwrap()`/`expect(`
 //!    outside `#[cfg(test)]`, no raw `PhysAddr` arithmetic outside
 //!    `memsim`, no `std::process`/`std::net`/`std::fs`, no
-//!    `Ordering::Relaxed` outside `crates/obs`, and no external
-//!    dependencies in any manifest (the workspace builds offline).
+//!    `Ordering::Relaxed` outside `crates/obs`, no external dependencies
+//!    in any manifest (the workspace builds offline), and every crate
+//!    root carries `#![forbid(unsafe_code)]` (`forbid-unsafe`: rustc, not
+//!    this lint, then rejects any `unsafe`).
 //! 2. **Lock order** ([`rules::lock_order`]) — extracts every
 //!    instrumented lock site, builds the nested-acquisition graph, and
 //!    flags cycles; the site inventory feeds the model checker's
@@ -31,21 +33,17 @@
 //! 4. **Device taint** ([`taint`]) — values read off device-writable
 //!    mapped buffers flowing into an index, loop bound, accessor length,
 //!    or `PhysAddr` arithmetic without a bounds check.
-//! 5. **Unsafe audit** ([`rules::unsafe_audit`]) — every `unsafe` must
-//!    carry a `// SAFETY:` comment; the inventory (plus which crates
-//!    `#![forbid(unsafe_code)]`) is exported like the lock-order report.
 //!
-//! Every rule is waiver-compatible (`// lint: allow(<rule>) — <reason>`,
-//! reason mandatory) — and waivers are themselves audited: a reasoned
-//! waiver whose rule no longer finds anything unfiltered is a
-//! `dead-waiver` finding. The runner exits 0 (clean) / 1 (findings) /
+//! Passes return raw findings; one filter ([`rules`]) applies the
+//! `// lint: allow(<rule>) — <reason>` waivers (reason mandatory) and
+//! audits them: a reasoned waiver whose rule finds nothing in its file is
+//! a `dead-waiver` finding. The runner exits 0 (clean) / 1 (findings) /
 //! 2 (scan failure). Run via `cargo run --bin lint` (`--json <path>` for
 //! the machine-readable report, `--budget-ms <n>` to fail on blown wall
 //! clock).
 #![forbid(unsafe_code)]
 
-use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 pub mod callgraph;
 pub mod cfg;
@@ -55,18 +53,17 @@ pub mod rules;
 pub mod summary;
 pub mod taint;
 pub mod typestate;
+pub mod workspace;
 
-pub use callgraph::{build_workspace_graph, CallGraph, FnNode};
+pub use callgraph::{CallGraph, FnNode};
 pub use lexer::{aligned_views, strip_code, test_region_mask, Prep};
 pub use report::{json_report, rule_summary, LintViolation};
-pub use rules::lock_order::{lock_order_analysis, LockEdge, LockOrderReport, LockSite};
+pub use rules::lock_order::{LockEdge, LockOrderReport, LockSite};
 pub use rules::protocol::ProtocolAnalysis;
-pub use rules::style::{lint_manifest, lint_source, FileContext};
-pub use rules::unsafe_audit::{unsafe_audit_analysis, UnsafeReport, UnsafeSite};
-pub use rules::{has_rule_waiver, IO_WAIVER, PANIC_WAIVER, RELAXED_WAIVER};
+pub use rules::style::{lint_manifest, FileContext};
 pub use summary::{FnSummary, RetEffect};
 pub use taint::TaintStats;
-pub use typestate::{Finding, InterCtx};
+pub use workspace::{SourceFile, Workspace};
 
 /// Every rule the workspace lint can emit, for the per-rule summary.
 pub const ALL_RULES: [&str; 11] = [
@@ -75,163 +72,115 @@ pub const ALL_RULES: [&str; 11] = [
     "dead-waiver",
     "device-taint",
     "external-dep",
+    "forbid-unsafe",
     "leak-on-exit",
     "lock-order",
     "panic",
     "phys-addr-arith",
     "relaxed-atomic",
-    "unsafe-no-safety",
 ];
 
-/// The sorted member crate directories under `root/crates`.
-pub(crate) fn member_crates(root: &Path) -> std::io::Result<Vec<PathBuf>> {
-    let mut members: Vec<PathBuf> = fs::read_dir(root.join("crates"))?
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.is_dir())
-        .collect();
-    members.sort();
-    Ok(members)
-}
-
-/// Recursively collects `.rs` files under `dir`.
-pub(crate) fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
-    for entry in fs::read_dir(dir)? {
-        let path = entry?.path();
-        if path.is_dir() {
-            rust_files(&path, out)?;
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
-        }
-    }
-    Ok(())
-}
-
 /// A workspace scan: the violations the build gates on, plus the
-/// interprocedural analysis product the JSON report exports next to the
-/// lock-order and unsafe inventories.
+/// interprocedural analysis product and the lock-order inventory the JSON
+/// report exports.
 #[derive(Debug, Default)]
 pub struct WorkspaceReport {
     /// Waiver-filtered violations across every file and manifest.
     pub violations: Vec<LintViolation>,
     /// Call graph, summaries, and taint stats.
     pub protocol: ProtocolAnalysis,
+    /// Lock sites, nested-acquisition edges and cycles.
+    pub locks: LockOrderReport,
 }
 
-/// Tallies unfiltered findings per rule for dead-waiver detection.
-fn raw_rule_counts<'a>(
-    rules_iter: impl IntoIterator<Item = &'a str>,
-) -> std::collections::BTreeMap<&'static str, usize> {
-    let mut counts = std::collections::BTreeMap::new();
-    for rule in rules_iter {
-        // Rule names are interned `&'static str`s; match back onto the table.
-        if let Some(r) = ALL_RULES.iter().find(|r| **r == rule) {
-            *counts.entry(*r).or_insert(0) += 1;
+/// Runs every pass over a loaded workspace: the manifests, then each
+/// file's raw line, protocol and taint findings through its waivers (and
+/// each crate root through the forbid-unsafe rule), then lock-order
+/// cycles.
+pub fn lint(ws: &Workspace) -> WorkspaceReport {
+    let mut protocol = ProtocolAnalysis::from_graph(CallGraph::build(&ws.files));
+    let locks = rules::lock_order::analyze(&ws.files);
+    let mut out = Vec::new();
+    for (label, toml) in &ws.manifests {
+        out.extend(lint_manifest(label, toml));
+    }
+    let mut taint = TaintStats::default();
+    for (i, f) in ws.files.iter().enumerate() {
+        let mut raw = rules::style::check(&f.prep, f.ctx);
+        let (found, stats) = protocol.check_file(i);
+        raw.extend(found);
+        taint.absorb(stats);
+        out.extend(rules::apply_waivers(&f.prep.label, &f.src, f.ctx, raw));
+        if f.crate_root {
+            out.extend(rules::style::check_crate_root(&f.prep));
         }
     }
-    counts
+    out.extend(locks.cycle_violations());
+    protocol.taint = taint;
+    WorkspaceReport {
+        violations: out,
+        protocol,
+        locks,
+    }
 }
 
 /// Lints the whole workspace rooted at `root`: every member crate's
-/// sources and manifest, plus the root manifest, through the style,
-/// lock-order, protocol, device-taint, unsafe, and dead-waiver passes.
+/// sources and manifest, plus the root manifest.
 pub fn lint_workspace_report(root: &Path) -> std::io::Result<WorkspaceReport> {
-    let mut out = Vec::new();
-    let label = |p: &Path| {
-        p.strip_prefix(root)
-            .unwrap_or(p)
-            .display()
-            .to_string()
-            .replace('\\', "/")
-    };
-    // The interprocedural context is built once over the whole workspace
-    // so per-file protocol checks can resolve cross-file helper calls.
-    let mut analysis = ProtocolAnalysis::from_graph(build_workspace_graph(root)?);
-    for member in member_crates(root)? {
-        let crate_name = member
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_default();
-        let manifest = member.join("Cargo.toml");
-        if let Ok(toml) = fs::read_to_string(&manifest) {
-            out.extend(lint_manifest(&label(&manifest), &toml));
-        }
-        let src_dir = member.join("src");
-        if !src_dir.is_dir() {
-            continue;
-        }
-        let mut files = Vec::new();
-        rust_files(&src_dir, &mut files)?;
-        files.sort();
-        for f in &files {
-            let src = fs::read_to_string(f)?;
-            let rel = label(f);
-            let ctx = FileContext {
-                in_memsim: crate_name == "memsim",
-                in_obs: crate_name == "obs",
-                ..Default::default()
-            };
-            let p = lexer::prep(&rel, &src);
-            out.extend(rules::style::check_prepped(&p, &src, ctx));
-            let fp = rules::protocol::check_file(&p, &src, ctx, &analysis.inter());
-            let sites = rules::unsafe_audit::scan_file(&p, &src);
-            out.extend(rules::unsafe_audit::violations(&sites, &src));
-            // Dead waivers: compare the file's waivers against what the
-            // *unfiltered* passes found (waivers read from the `src`
-            // argument, so an empty one disables filtering).
-            let mut raw: Vec<&str> = rules::style::check_prepped(&p, "", ctx)
-                .iter()
-                .map(|v| v.rule)
-                .chain(fp.raw.iter().map(|f| f.rule))
-                .chain(
-                    rules::unsafe_audit::violations(&sites, "")
-                        .iter()
-                        .map(|v| v.rule),
-                )
-                .collect();
-            raw.sort_unstable();
-            out.extend(rules::dead_waivers(&rel, &src, ctx, &raw_rule_counts(raw)));
-            analysis.taint.absorb(fp.taint);
-            out.extend(fp.violations);
-        }
-        // Integration tests and benches: ambient-I/O discipline only.
-        for sub in ["tests", "benches"] {
-            let aux_dir = member.join(sub);
-            if !aux_dir.is_dir() {
-                continue;
-            }
-            let mut aux_files = Vec::new();
-            rust_files(&aux_dir, &mut aux_files)?;
-            aux_files.sort();
-            for f in &aux_files {
-                let src = fs::read_to_string(f)?;
-                let ctx = FileContext {
-                    aux: true,
-                    ..Default::default()
-                };
-                let rel = label(f);
-                out.extend(lint_source(&rel, &src, ctx));
-                let p = lexer::prep(&rel, &src);
-                let raw: Vec<&str> = rules::style::check_prepped(&p, "", ctx)
-                    .iter()
-                    .map(|v| v.rule)
-                    .collect();
-                out.extend(rules::dead_waivers(&rel, &src, ctx, &raw_rule_counts(raw)));
-            }
-        }
-    }
-    let root_manifest = root.join("Cargo.toml");
-    if let Ok(toml) = fs::read_to_string(&root_manifest) {
-        out.extend(lint_manifest(&label(&root_manifest), &toml));
-    }
-    out.extend(lock_order_analysis(root)?.cycle_violations());
-    Ok(WorkspaceReport {
-        violations: out,
-        protocol: analysis,
-    })
+    Ok(lint(&Workspace::load(root)?))
 }
 
 /// Lints the workspace and returns the gating violations only (see
 /// [`lint_workspace_report`] for the analysis product too).
 pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<LintViolation>> {
     Ok(lint_workspace_report(root)?.violations)
+}
+
+/// The lock-order pass alone over the workspace rooted at `root`.
+pub fn lock_order_analysis(root: &Path) -> std::io::Result<LockOrderReport> {
+    Ok(rules::lock_order::analyze(&Workspace::load(root)?.files))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn forbid_unsafe_findings(files: Vec<SourceFile>) -> Vec<String> {
+        let ws = Workspace {
+            manifests: Vec::new(),
+            files,
+        };
+        lint(&ws)
+            .violations
+            .into_iter()
+            .filter(|v| v.rule == "forbid-unsafe")
+            .map(|v| v.file)
+            .collect()
+    }
+
+    fn file(label: &str, src: &str, crate_root: bool) -> SourceFile {
+        let mut f = SourceFile::lib(label, src);
+        f.crate_root = crate_root;
+        f
+    }
+
+    #[test]
+    fn crate_roots_without_forbid_unsafe_are_flagged() {
+        let bare = "//! A crate.\npub fn f() {}\n";
+        let forbidden = "//! A crate.\n#![forbid(unsafe_code)]\npub fn f() {}\n";
+        let found = forbid_unsafe_findings(vec![
+            file("crates/a/src/lib.rs", bare, true),
+            file("crates/a/src/bin/tool.rs", bare, true),
+            file("crates/a/src/engines.rs", bare, false),
+            file("crates/b/src/lib.rs", forbidden, true),
+        ]);
+        assert_eq!(found, ["crates/a/src/lib.rs", "crates/a/src/bin/tool.rs"]);
+    }
+
+    #[test]
+    fn forbid_unsafe_ignores_waivers() {
+        let src = "// lint: allow(forbid-unsafe) — waivers do not reach this rule\npub fn f() {}\n";
+        let found = forbid_unsafe_findings(vec![file("crates/a/src/lib.rs", src, true)]);
+        assert_eq!(found, ["crates/a/src/lib.rs"]);
+    }
 }

@@ -1,13 +1,11 @@
-//! Finding types and the machine-readable report.
+//! The finding type and the machine-readable report.
 
 use std::collections::BTreeMap;
 
 use obs::json::Json;
 
-use crate::rules::lock_order::LockOrderReport;
-use crate::rules::protocol::ProtocolAnalysis;
-use crate::rules::unsafe_audit::UnsafeReport;
 use crate::summary::RetEffect;
+use crate::WorkspaceReport;
 
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,185 +41,121 @@ pub fn rule_summary(violations: &[LintViolation]) -> BTreeMap<&'static str, usiz
     counts
 }
 
-/// The `call_graph`, `summaries`, and `taint_analysis` sections of the
-/// JSON report, from a scan's interprocedural product. Summaries are
-/// exported only when DMA-relevant — a fresh-mapped return or a
-/// device-data read — so the report stays proportional to the DMA
-/// surface, not the workspace size.
-fn protocol_sections(analysis: &ProtocolAnalysis) -> Vec<(String, Json)> {
-    let g = &analysis.graph;
-    let closures = g.nodes.iter().filter(|n| n.is_closure).count();
-    let edges: usize = g.callees.iter().map(|c| c.len()).sum();
-    let call_graph = Json::Obj(vec![
-        (
-            "functions".into(),
-            Json::UInt((g.nodes.len() - closures) as u64),
-        ),
-        ("closures".into(), Json::UInt(closures as u64)),
-        ("edges".into(), Json::UInt(edges as u64)),
-        (
-            "unknown_calls".into(),
-            Json::UInt(g.unknown_calls.iter().sum::<usize>() as u64),
-        ),
-        ("sccs".into(), Json::UInt(g.sccs().len() as u64)),
-    ]);
-    let ret_str = |s: &crate::summary::FnSummary| match &s.ret {
-        RetEffect::NotHandle => "not-handle".to_string(),
-        RetEffect::FreshMapped { dir } => format!("fresh-mapped:{}", dir.name()),
-        RetEffect::Unknown => "unknown".to_string(),
-    };
-    let interesting = |s: &crate::summary::FnSummary| {
-        s.reads_device_data || matches!(s.ret, RetEffect::FreshMapped { .. })
-    };
-    let summaries = Json::Arr(
-        g.nodes
-            .iter()
-            .zip(&analysis.summaries)
-            .filter(|(_, s)| interesting(s))
-            .map(|(n, s)| {
-                Json::Obj(vec![
-                    ("function".into(), Json::Str(n.name.clone())),
-                    ("file".into(), Json::Str(n.file.clone())),
-                    ("line".into(), Json::UInt(n.line as u64)),
-                    ("ret".into(), Json::Str(ret_str(s))),
-                    ("reads_device_data".into(), Json::Bool(s.reads_device_data)),
-                    ("converged".into(), Json::Bool(s.converged)),
-                ])
-            })
+fn obj(fields: Vec<(&str, Json)>) -> Json {
+    Json::Obj(
+        fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
             .collect(),
-    );
-    let taint = Json::Obj(vec![
-        ("sources".into(), Json::UInt(analysis.taint.sources as u64)),
-        (
-            "tainted_vars".into(),
-            Json::UInt(analysis.taint.tainted_vars as u64),
-        ),
-        (
-            "sanitized_vars".into(),
-            Json::UInt(analysis.taint.sanitized_vars as u64),
-        ),
-    ]);
-    vec![
-        ("call_graph".into(), call_graph),
-        ("summaries".into(), summaries),
-        ("taint_analysis".into(), taint),
-    ]
+    )
+}
+
+fn uint(n: usize) -> Json {
+    Json::UInt(n as u64)
+}
+
+fn text(s: &str) -> Json {
+    Json::Str(s.to_string())
 }
 
 /// Builds the machine-readable lint report (`lint --json <path>`): the
-/// findings, the per-rule summary, the exported lock-order and unsafe
-/// inventories, and the interprocedural call-graph, summary, and taint
-/// sections.
-pub fn json_report(
-    violations: &[LintViolation],
-    locks: &LockOrderReport,
-    unsafes: &UnsafeReport,
-    protocol: &ProtocolAnalysis,
-) -> Json {
-    let viol = |v: &LintViolation| {
-        Json::Obj(vec![
-            ("file".into(), Json::Str(v.file.clone())),
-            ("line".into(), Json::UInt(v.line as u64)),
-            ("rule".into(), Json::Str(v.rule.to_string())),
-            ("detail".into(), Json::Str(v.detail.clone())),
+/// findings, the per-rule summary, the exported lock-order inventory, and
+/// the interprocedural call-graph, summary, and taint sections. Summaries
+/// are exported only when DMA-relevant — a fresh-mapped return or a
+/// device-data read — so the report stays proportional to the DMA
+/// surface, not the workspace size.
+pub fn json_report(report: &WorkspaceReport) -> Json {
+    let (locks, analysis) = (&report.locks, &report.protocol);
+    let violations = report.violations.iter().map(|v| {
+        obj(vec![
+            ("file", text(&v.file)),
+            ("line", uint(v.line)),
+            ("rule", text(v.rule)),
+            ("detail", text(&v.detail)),
         ])
-    };
-    let summary = Json::Obj(
-        rule_summary(violations)
-            .into_iter()
-            .map(|(r, n)| (r.to_string(), Json::UInt(n as u64)))
-            .collect(),
-    );
-    let lock_sites = Json::Arr(
-        locks
-            .sites
-            .iter()
-            .map(|s| {
-                Json::Obj(vec![
-                    ("file".into(), Json::Str(s.file.clone())),
-                    ("line".into(), Json::UInt(s.line as u64)),
-                    ("lock".into(), Json::Str(s.lock.clone())),
-                    ("acquisition".into(), Json::Bool(s.acquisition)),
-                ])
-            })
-            .collect(),
-    );
-    let lock_edges = Json::Arr(
-        locks
-            .edges
-            .iter()
-            .map(|e| {
-                Json::Obj(vec![
-                    ("outer".into(), Json::Str(e.outer.clone())),
-                    ("inner".into(), Json::Str(e.inner.clone())),
-                    ("file".into(), Json::Str(e.file.clone())),
-                    ("line".into(), Json::UInt(e.line as u64)),
-                ])
-            })
-            .collect(),
-    );
-    let cycles = Json::Arr(
-        locks
-            .cycles
-            .iter()
-            .map(|c| Json::Arr(c.iter().map(|n| Json::Str(n.clone())).collect()))
-            .collect(),
-    );
-    let unsafe_sites = Json::Arr(
-        unsafes
-            .sites
-            .iter()
-            .map(|s| {
-                Json::Obj(vec![
-                    ("file".into(), Json::Str(s.file.clone())),
-                    ("line".into(), Json::UInt(s.line as u64)),
-                    (
-                        "has_safety_comment".into(),
-                        Json::Bool(s.has_safety_comment),
-                    ),
-                ])
-            })
-            .collect(),
-    );
-    let mut fields = vec![
-        ("tool".into(), Json::Str("lint".to_string())),
+    });
+    let summary = rule_summary(&report.violations)
+        .into_iter()
+        .map(|(r, n)| (r.to_string(), uint(n)));
+    let sites = locks.sites.iter().map(|s| {
+        obj(vec![
+            ("file", text(&s.file)),
+            ("line", uint(s.line)),
+            ("lock", text(&s.lock)),
+            ("acquisition", Json::Bool(s.acquisition)),
+        ])
+    });
+    let edges = locks.edges.iter().map(|e| {
+        obj(vec![
+            ("outer", text(&e.outer)),
+            ("inner", text(&e.inner)),
+            ("file", text(&e.file)),
+            ("line", uint(e.line)),
+        ])
+    });
+    let cycles = locks
+        .cycles
+        .iter()
+        .map(|c| Json::Arr(c.iter().map(|n| text(n)).collect()));
+    let g = &analysis.graph;
+    let closures = g.nodes.iter().filter(|n| n.is_closure).count();
+    let call_graph = obj(vec![
+        ("functions", uint(g.nodes.len() - closures)),
+        ("closures", uint(closures)),
+        ("edges", uint(g.callees.iter().map(Vec::len).sum())),
+        ("unknown_calls", uint(g.unknown_calls.iter().sum())),
+        ("sccs", uint(g.sccs().len())),
+    ]);
+    let summaries = g
+        .nodes
+        .iter()
+        .zip(&analysis.summaries)
+        .filter(|(_, s)| s.reads_device_data || matches!(s.ret, RetEffect::FreshMapped { .. }));
+    let summaries = summaries.map(|(n, s)| {
+        let ret = match s.ret {
+            RetEffect::NotHandle => "not-handle".to_string(),
+            RetEffect::FreshMapped { dir } => format!("fresh-mapped:{dir:?}"),
+            RetEffect::Unknown => "unknown".to_string(),
+        };
+        obj(vec![
+            ("function", text(&n.name)),
+            ("file", text(&n.file)),
+            ("line", uint(n.line)),
+            ("ret", Json::Str(ret)),
+            ("reads_device_data", Json::Bool(s.reads_device_data)),
+            ("converged", Json::Bool(s.converged)),
+        ])
+    });
+    let taint = &analysis.taint;
+    obj(vec![
+        ("tool", text("lint")),
+        ("violations", Json::Arr(violations.collect())),
+        ("summary", Json::Obj(summary.collect())),
         (
-            "violations".into(),
-            Json::Arr(violations.iter().map(viol).collect()),
-        ),
-        ("summary".into(), summary),
-        (
-            "lock_order".into(),
-            Json::Obj(vec![
-                ("sites".into(), lock_sites),
-                ("edges".into(), lock_edges),
-                ("cycles".into(), cycles),
+            "lock_order",
+            obj(vec![
+                ("sites", Json::Arr(sites.collect())),
+                ("edges", Json::Arr(edges.collect())),
+                ("cycles", Json::Arr(cycles.collect())),
             ]),
         ),
+        ("call_graph", call_graph),
+        ("summaries", Json::Arr(summaries.collect())),
         (
-            "unsafe_audit".into(),
-            Json::Obj(vec![
-                ("sites".into(), unsafe_sites),
-                (
-                    "forbid_crates".into(),
-                    Json::Arr(
-                        unsafes
-                            .forbid_crates
-                            .iter()
-                            .map(|c| Json::Str(c.clone()))
-                            .collect(),
-                    ),
-                ),
+            "taint_analysis",
+            obj(vec![
+                ("sources", uint(taint.sources)),
+                ("tainted_vars", uint(taint.tainted_vars)),
+                ("sanitized_vars", uint(taint.sanitized_vars)),
             ]),
         ),
-    ];
-    fields.extend(protocol_sections(protocol));
-    Json::Obj(fields)
+    ])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rules::protocol::ProtocolAnalysis;
 
     #[test]
     fn summary_lists_every_rule_and_counts_findings() {
@@ -247,18 +181,16 @@ mod tests {
 
     #[test]
     fn json_report_round_trips() {
-        let v = vec![LintViolation {
-            file: "a.rs".into(),
-            line: 3,
-            rule: "leak-on-exit",
-            detail: "m leaks".into(),
-        }];
-        let j = json_report(
-            &v,
-            &LockOrderReport::default(),
-            &UnsafeReport::default(),
-            &ProtocolAnalysis::default(),
-        );
+        let report = WorkspaceReport {
+            violations: vec![LintViolation {
+                file: "a.rs".into(),
+                line: 3,
+                rule: "leak-on-exit",
+                detail: "m leaks".into(),
+            }],
+            ..Default::default()
+        };
+        let j = json_report(&report);
         let parsed = Json::parse(&j.encode()).expect("valid json");
         let first = parsed
             .get("violations")
@@ -285,20 +217,18 @@ mod tests {
         let src = "fn make_rx(engine: &E, ctx: &mut C) -> Mapping {\n\
             engine.map(ctx, DmaBuf::new(pkt, 64), DmaDirection::FromDevice).expect(\"m\")\n\
             }\n";
-        let p = crate::lexer::prep("crates/x/src/lib.rs", src);
-        let graph = crate::callgraph::CallGraph::build(&[(p, "x".to_string())]);
-        let mut analysis = ProtocolAnalysis::from_graph(graph);
-        analysis.taint = crate::taint::TaintStats {
+        let file = crate::workspace::SourceFile::lib("crates/x/src/lib.rs", src);
+        let graph = crate::callgraph::CallGraph::build(&[file]);
+        let mut protocol = ProtocolAnalysis::from_graph(graph);
+        protocol.taint = crate::taint::TaintStats {
             sources: 2,
             tainted_vars: 3,
             sanitized_vars: 1,
         };
-        let j = json_report(
-            &[],
-            &LockOrderReport::default(),
-            &UnsafeReport::default(),
-            &analysis,
-        );
+        let j = json_report(&WorkspaceReport {
+            protocol,
+            ..Default::default()
+        });
         let parsed = Json::parse(&j.encode()).expect("valid json");
         assert_eq!(
             parsed

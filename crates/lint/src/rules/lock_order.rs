@@ -1,24 +1,23 @@
-// lint: allow(ambient-io) — the lock-order pass must read member crates' sources
 //! Lock-order static analysis.
 //!
-//! Extracts every lock site from the member crates — the `SimLock::new`
-//! declarations and three acquisition shapes: a bare `lock.with(ctx, …)` /
-//! `lock.with_spin(ctx, …)`, and the two forms of the `obs` lock-site
-//! primitive, `obs.locked(ctx, &lock, …)` and `obs.guarded(ctx, NAME, …)`
-//! — resolves the lock-name constants, builds the nested-acquisition
-//! graph by paren matching the critical-section closures, and flags any
-//! cycle as a
-//! `lock-order` violation. The site inventory is exported
-//! ([`lock_order_analysis`]) and fed to the bounded model checker's
-//! `known_locks` check, so a lock the checker schedules around can never
-//! be missing from the static map.
+//! Extracts every lock site from the member crates' shared token trees —
+//! the `SimLock::new` declarations and three acquisition shapes: a bare
+//! `lock.with(ctx, …)` / `lock.with_spin(ctx, …)`, and the two forms of
+//! the `obs` lock-site primitive, `obs.locked(ctx, &lock, …)` and
+//! `obs.guarded(ctx, NAME, …)` — resolves the lock-name constants, builds
+//! the nested-acquisition graph from which acquisition's argument group
+//! holds which, and flags any cycle as a `lock-order` violation. Lock-name
+//! literals are read from the byte-aligned `kept` view, since the token
+//! stream is built over the blanked one. The site inventory is exported
+//! ([`crate::WorkspaceReport::locks`]) and fed to the bounded model
+//! checker's `known_locks` check, so a lock the checker schedules around
+//! can never be missing from the static map.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::fs;
-use std::path::Path;
 
-use crate::lexer::{prep, Prep};
+use crate::cfg::Tree;
 use crate::report::LintViolation;
+use crate::workspace::SourceFile;
 
 /// One statically discovered lock site in a member crate's sources.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -101,256 +100,222 @@ impl LockOrderReport {
     }
 }
 
-/// Collects `const NAME: &str = "value";`-style string constants (the
-/// idiom lock names are declared with) into `consts`, crate-wide.
-pub(crate) fn scan_lock_consts(prep: &Prep, consts: &mut BTreeMap<String, String>) {
-    let bb = prep.blank.as_bytes();
-    let kb = prep.kept.as_bytes();
-    for (pos, _) in prep.blank.match_indices("const ") {
-        if pos > 0 && (bb[pos - 1].is_ascii_alphanumeric() || bb[pos - 1] == b'_') {
+/// A crate's lock-name constants: `const NAME: &str = "value";`.
+type Consts = BTreeMap<String, String>;
+
+/// The string literal that starts, after whitespace, at byte `from` of
+/// the comment-stripped view.
+fn literal_at(f: &SourceFile, from: usize) -> Option<String> {
+    let body = f.prep.kept.get(from..)?.trim_start().strip_prefix('"')?;
+    Some(body[..body.find('"').unwrap_or(body.len())].to_string())
+}
+
+/// A lock-name argument: a crate constant when it starts with an
+/// identifier, else a literal starting at byte `from`.
+fn lock_arg(f: &SourceFile, arg: &[Tree], from: usize, consts: &Consts) -> Option<String> {
+    match arg.first().and_then(Tree::ident) {
+        Some(name) => consts.get(name).cloned(),
+        None => literal_at(f, from),
+    }
+}
+
+/// Collects the file's `const NAME: <&str type> = "value";` items, at any
+/// depth, into `consts`.
+fn scan_consts(f: &SourceFile, trees: &[Tree], consts: &mut Consts) {
+    for (i, t) in trees.iter().enumerate() {
+        if let Tree::Group { children, .. } = t {
+            scan_consts(f, children, consts);
             continue;
         }
-        let mut k = pos + "const ".len();
-        while k < bb.len() && bb[k] == b' ' {
-            k += 1;
-        }
-        let start = k;
-        while k < bb.len() && (bb[k].is_ascii_alphanumeric() || bb[k] == b'_') {
-            k += 1;
-        }
-        if k == start {
+        if !t.is_ident("const") {
             continue;
         }
-        let ident = &prep.blank[start..k];
-        // The type between `:` and `=` must be a &str flavor.
-        let Some(eq) = prep.blank[k..].find('=').map(|o| k + o) else {
+        let Some(name) = trees.get(i + 1).and_then(Tree::ident) else {
             continue;
         };
-        if !prep.blank[k..eq].contains("str") {
+        let rest = &trees[i + 2..];
+        let Some(eq) = rest.iter().position(|t| t.is_punct("=") || t.is_punct(";")) else {
             continue;
-        }
-        let mut v = eq + 1;
-        while v < kb.len() && (kb[v] == b' ' || kb[v] == b'\n') {
-            v += 1;
-        }
-        if v >= kb.len() || kb[v] != b'"' {
-            continue;
-        }
-        let mut e = v + 1;
-        while e < kb.len() && kb[e] != b'"' {
-            e += 1;
-        }
-        if let Ok(val) = std::str::from_utf8(&kb[v + 1..e]) {
-            consts.insert(ident.to_string(), val.to_string());
-        }
-    }
-}
-
-/// Reads a lock-name argument starting at byte `k`: a string literal
-/// (from the comment-stripped view) or an identifier resolved through the
-/// crate's constant table.
-fn read_lock_arg(prep: &Prep, mut k: usize, consts: &BTreeMap<String, String>) -> Option<String> {
-    let bb = prep.blank.as_bytes();
-    let kb = prep.kept.as_bytes();
-    while k < kb.len() && (kb[k] == b' ' || kb[k] == b'\n' || kb[k] == b'\t') {
-        k += 1;
-    }
-    if k >= kb.len() {
-        return None;
-    }
-    if kb[k] == b'"' {
-        let mut e = k + 1;
-        while e < kb.len() && kb[e] != b'"' {
-            e += 1;
-        }
-        return std::str::from_utf8(&kb[k + 1..e]).ok().map(str::to_string);
-    }
-    let start = k;
-    let mut e = k;
-    while e < bb.len() && (bb[e].is_ascii_alphanumeric() || bb[e] == b'_') {
-        e += 1;
-    }
-    if e == start {
-        return None;
-    }
-    consts.get(&prep.blank[start..e]).cloned()
-}
-
-/// The identifier ending right before byte `end` (used for `.with`
-/// receivers and `SimLock::new` binders).
-fn ident_before(blank: &str, end: usize) -> &str {
-    let bb = blank.as_bytes();
-    let mut k = end;
-    while k > 0 && (bb[k - 1].is_ascii_alphanumeric() || bb[k - 1] == b'_') {
-        k -= 1;
-    }
-    &blank[k..end]
-}
-
-/// Matches the `(` at `open` to its `)` on the fully-blanked view (string
-/// contents cannot unbalance it).
-fn match_paren(blank: &[u8], open: usize) -> Option<usize> {
-    let mut depth = 0i64;
-    for (k, &c) in blank.iter().enumerate().skip(open) {
-        match c {
-            b'(' => depth += 1,
-            b')' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(k);
-                }
+        };
+        let typed_str = rest[..eq]
+            .iter()
+            .any(|t| t.token().is_some_and(|t| t.text.contains("str")));
+        if let Some(eq_tok) = rest[eq].token().filter(|t| t.text == "=" && typed_str) {
+            if let Some(value) = literal_at(f, eq_tok.pos + 1) {
+                consts.insert(name.to_string(), value);
             }
-            _ => {}
         }
     }
-    None
 }
 
-/// Byte offset of a call's second argument, given the offset right after
-/// its first (`ctx`): skips the separating comma and surrounding
-/// whitespace.
-fn second_arg(blank: &[u8], mut k: usize) -> Option<usize> {
-    let skip_ws = |mut k: usize| {
-        while k < blank.len() && (blank[k] == b' ' || blank[k] == b'\n') {
-            k += 1;
+/// The `SimLock::new(ARG)` declarations: `(line, lock, binder)`, the
+/// binder being the field or `let` name it initialises, if any.
+fn declarations(
+    f: &SourceFile,
+    trees: &[Tree],
+    consts: &Consts,
+    out: &mut Vec<(usize, String, Option<String>)>,
+) {
+    for (i, t) in trees.iter().enumerate() {
+        if let Tree::Group { children, .. } = t {
+            declarations(f, children, consts, out);
+            continue;
         }
-        k
-    };
-    k = skip_ws(k);
-    (blank.get(k) == Some(&b',')).then(|| skip_ws(k + 1))
+        let Some(Tree::Group {
+            delim: '(',
+            children,
+            open_pos,
+            ..
+        }) = trees.get(i + 3)
+        else {
+            continue;
+        };
+        if !(t.is_ident("SimLock") && trees[i + 1].is_punct("::") && trees[i + 2].is_ident("new"))
+            || f.prep.in_test(t.line())
+        {
+            continue;
+        }
+        let Some(lock) = lock_arg(f, children, open_pos + 1, consts) else {
+            continue;
+        };
+        let binder = (i >= 2 && (trees[i - 1].is_punct(":") || trees[i - 1].is_punct("=")))
+            .then(|| trees[i - 2].ident())
+            .flatten()
+            .filter(|b| *b != "let")
+            .map(str::to_string);
+        out.push((t.line(), lock, binder));
+    }
 }
 
-/// An acquisition occurrence with the byte span of its critical-section
-/// argument list (nested occurrences starting inside the span become
-/// lock-order edges).
+/// An acquisition: the locks it takes, and the acquisitions whose
+/// argument group (critical section) it sits in.
 struct Acq {
-    start: usize,
-    end: usize,
+    /// The shape's reporting rank: `with`, `with_spin`, `locked`, `guarded`.
+    rank: usize,
+    /// Byte offset of the method's `.` (unique per acquisition).
+    pos: usize,
     line: usize,
     names: Vec<String>,
+    /// `pos` of every enclosing acquisition.
+    within: Vec<usize>,
 }
 
-/// Scans one prepared file for lock declarations and acquisitions,
-/// recording sites and intra-file nested-acquisition edges.
-pub(crate) fn scan_lock_file(
-    prep: &Prep,
-    consts: &BTreeMap<String, String>,
-    sites: &mut Vec<LockSite>,
-    edges: &mut Vec<LockEdge>,
+/// The acquisitions in `trees`, in source order.
+fn acquisitions(
+    f: &SourceFile,
+    trees: &[Tree],
+    consts: &Consts,
+    fields: &BTreeMap<String, BTreeSet<String>>,
+    held: &mut Vec<usize>,
+    out: &mut Vec<Acq>,
 ) {
-    let bb = prep.blank.as_bytes();
-
-    // Declarations: `binder: SimLock::new(ARG)` / `let binder = …`.
-    let mut fields: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    for (pos, _) in prep.blank.match_indices("SimLock::new(") {
-        let line = prep.line_of(pos);
-        if prep.in_test(line) {
-            continue;
-        }
-        let Some(name) = read_lock_arg(prep, pos + "SimLock::new(".len(), consts) else {
-            continue;
-        };
-        let mut j = pos;
-        while j > 0 && bb[j - 1] == b' ' {
-            j -= 1;
-        }
-        if j > 0 && (bb[j - 1] == b':' || bb[j - 1] == b'=') {
-            j -= 1;
-            while j > 0 && bb[j - 1] == b' ' {
-                j -= 1;
-            }
-            let binder = ident_before(&prep.blank, j);
-            if !binder.is_empty() && binder != "let" {
-                fields
-                    .entry(binder.to_string())
-                    .or_default()
-                    .insert(name.clone());
-            }
-        }
-        sites.push(LockSite {
-            file: prep.label.clone(),
-            line,
-            lock: name,
-            acquisition: false,
-        });
-    }
-
-    let mut acqs: Vec<Acq> = Vec::new();
-    let mut record = |names: Vec<String>, open: usize, pos: usize, acqs: &mut Vec<Acq>| {
-        let line = prep.line_of(pos);
-        if names.is_empty() || prep.in_test(line) {
-            return;
-        }
-        let Some(end) = match_paren(bb, open) else {
-            return;
-        };
-        for n in &names {
-            sites.push(LockSite {
-                file: prep.label.clone(),
-                line,
-                lock: n.clone(),
-                acquisition: true,
-            });
-        }
-        acqs.push(Acq {
-            start: pos,
-            end,
-            line,
-            names,
-        });
-    };
-
-    let held_by = |binder: &str| -> Vec<String> {
-        fields
-            .get(binder)
+    let held_by = |binder: Option<&str>| -> Vec<String> {
+        binder
+            .and_then(|b| fields.get(b))
             .map(|s| s.iter().cloned().collect())
             .unwrap_or_default()
     };
-    // `receiver.with(ctx, |ctx| …)` / `receiver.with_spin(ctx, |ctx| …)` —
-    // a bare SimLock acquisition. The receiver must be a known SimLock
-    // binder (this is what keeps `CURRENT.with(|…|)` thread-locals out).
-    for method in [".with", ".with_spin"] {
-        for (pos, _) in prep.blank.match_indices(&format!("{method}(")) {
-            let names = held_by(ident_before(&prep.blank, pos));
-            record(names, pos + method.len(), pos, &mut acqs);
-        }
-    }
-    // `obs.locked(ctx, &self.lock, var, |ctx| …)` — the lock-site primitive
-    // over a SimLock: the second argument's last path segment is the
-    // binder, resolved like a `.with(` receiver.
-    for (pos, _) in prep.blank.match_indices(".locked(ctx") {
-        let Some(arg) = second_arg(bb, pos + ".locked(ctx".len()) else {
+    for (i, t) in trees.iter().enumerate() {
+        let Tree::Group {
+            delim, children, ..
+        } = t
+        else {
             continue;
         };
-        let mut end = arg;
-        while end < bb.len() && (bb[end].is_ascii_alphanumeric() || b"&_.".contains(&bb[end])) {
-            end += 1;
-        }
-        let names = held_by(ident_before(&prep.blank, end));
-        record(names, pos + ".locked".len(), pos, &mut acqs);
-    }
-    // `obs.guarded(ctx, NAME, var)` — the primitive's name-only form for
-    // host-mutex regions.
-    for (pos, _) in prep.blank.match_indices(".guarded(ctx") {
-        let Some(arg) = second_arg(bb, pos + ".guarded(ctx".len()) else {
-            continue;
-        };
-        let names = read_lock_arg(prep, arg, consts).into_iter().collect();
-        record(names, pos + ".guarded".len(), pos, &mut acqs);
-    }
-
-    for outer in &acqs {
-        for inner in &acqs {
-            if inner.start <= outer.start || inner.start >= outer.end {
-                continue;
+        let mut before = trees[..i].iter().rev();
+        let method = before.next().and_then(Tree::ident);
+        let dot = before
+            .next()
+            .and_then(Tree::token)
+            .filter(|d| d.text == ".");
+        let ctx_comma = children.first().and_then(Tree::ident) == Some("ctx")
+            && children.get(1).is_some_and(|c| c.is_punct(","));
+        let acq = match (*delim, method, dot) {
+            ('(', Some(m @ ("with" | "with_spin")), Some(dot)) => {
+                // The receiver must be a SimLock binder written right
+                // before the `.` (this keeps `CURRENT.with(|…|)` out).
+                let recv = before
+                    .next()
+                    .and_then(Tree::token)
+                    .filter(|r| r.is_ident && r.pos + r.text.len() == dot.pos);
+                let rank = if m == "with" { 0 } else { 1 };
+                Some((rank, dot, held_by(recv.map(|r| r.text.as_str()))))
             }
+            ('(', Some("locked"), Some(dot)) if ctx_comma => {
+                // `&self.lock`: the last identifier of the path is the binder.
+                let path = children[2..].iter().take_while(
+                    |t| matches!(t, Tree::Tok(t) if t.is_ident || t.text == "&" || t.text == "."),
+                );
+                let binder = path.filter_map(Tree::ident).last();
+                Some((2, dot, held_by(binder)))
+            }
+            ('(', Some("guarded"), Some(dot)) if ctx_comma => {
+                let from = children[1].token().map_or(0, |c| c.pos + 1);
+                let arg = &children[2..];
+                let arg = &arg[..arg
+                    .iter()
+                    .position(|t| t.is_punct(","))
+                    .unwrap_or(arg.len())];
+                Some((3, dot, lock_arg(f, arg, from, consts).into_iter().collect()))
+            }
+            _ => None,
+        };
+        match acq {
+            Some((rank, dot, names)) if !names.is_empty() && !f.prep.in_test(dot.line) => {
+                out.push(Acq {
+                    rank,
+                    pos: dot.pos,
+                    line: dot.line,
+                    names,
+                    within: held.clone(),
+                });
+                held.push(dot.pos);
+                acquisitions(f, children, consts, fields, held, out);
+                held.pop();
+            }
+            _ => acquisitions(f, children, consts, fields, held, out),
+        }
+    }
+}
+
+/// Scans one file for lock declarations and acquisitions, recording sites
+/// and intra-file nested-acquisition edges.
+fn scan_file(
+    f: &SourceFile,
+    consts: &Consts,
+    sites: &mut Vec<LockSite>,
+    edges: &mut Vec<LockEdge>,
+) {
+    let site = |line, lock, acquisition| LockSite {
+        file: f.prep.label.clone(),
+        line,
+        lock,
+        acquisition,
+    };
+    let mut decls = Vec::new();
+    declarations(f, &f.trees, consts, &mut decls);
+    let mut fields: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+    for (line, lock, binder) in decls {
+        if let Some(b) = binder {
+            fields.entry(b).or_default().insert(lock.clone());
+        }
+        sites.push(site(line, lock, false));
+    }
+    let mut acqs = Vec::new();
+    acquisitions(f, &f.trees, consts, &fields, &mut Vec::new(), &mut acqs);
+    acqs.sort_by_key(|a| a.rank);
+    for a in &acqs {
+        sites.extend(a.names.iter().map(|n| site(a.line, n.clone(), true)));
+    }
+    for outer in &acqs {
+        for inner in acqs.iter().filter(|a| a.within.contains(&outer.pos)) {
             for no in &outer.names {
                 for ni in &inner.names {
                     if !edges.iter().any(|e| &e.outer == no && &e.inner == ni) {
                         edges.push(LockEdge {
                             outer: no.clone(),
                             inner: ni.clone(),
-                            file: prep.label.clone(),
+                            file: f.prep.label.clone(),
                             line: inner.line,
                         });
                     }
@@ -407,44 +372,36 @@ pub(crate) fn find_cycles(edges: &[LockEdge]) -> Vec<Vec<String>> {
     out
 }
 
-/// Runs the lock-order pass over every member crate's `src/` tree rooted
-/// at `root`, returning the site inventory, acquisition graph, and cycles.
-pub fn lock_order_analysis(root: &Path) -> std::io::Result<LockOrderReport> {
-    let label = |p: &Path| {
-        p.strip_prefix(root)
-            .unwrap_or(p)
-            .display()
-            .to_string()
-            .replace('\\', "/")
-    };
+/// Runs the lock-order pass over the `src/` files of a parsed workspace,
+/// returning the site inventory, acquisition graph, and cycles. Lock-name
+/// constants resolve crate-wide.
+pub fn analyze(files: &[SourceFile]) -> LockOrderReport {
+    let lib = || files.iter().filter(|f| !f.ctx.aux);
+    let mut consts: BTreeMap<&str, Consts> = BTreeMap::new();
+    for f in lib() {
+        scan_consts(
+            f,
+            &f.trees,
+            consts.entry(f.crate_name.as_str()).or_default(),
+        );
+    }
     let mut report = LockOrderReport::default();
-    for member in crate::member_crates(root)? {
-        let src_dir = member.join("src");
-        if !src_dir.is_dir() {
-            continue;
-        }
-        let mut files = Vec::new();
-        crate::rust_files(&src_dir, &mut files)?;
-        files.sort();
-        let mut preps = Vec::new();
-        let mut consts = BTreeMap::new();
-        for f in &files {
-            let src = fs::read_to_string(f)?;
-            let p = prep(&label(f), &src);
-            scan_lock_consts(&p, &mut consts);
-            preps.push(p);
-        }
-        for p in &preps {
-            scan_lock_file(p, &consts, &mut report.sites, &mut report.edges);
-        }
+    for f in lib() {
+        scan_file(
+            f,
+            &consts[f.crate_name.as_str()],
+            &mut report.sites,
+            &mut report.edges,
+        );
     }
     report.cycles = find_cycles(&report.edges);
-    Ok(report)
+    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workspace::SourceFile;
 
     #[test]
     fn lock_sites_resolve_consts_fields_and_nesting() {
@@ -460,12 +417,8 @@ mod tests {
             "    }\n",
             "}\n",
         );
-        let p = prep("x.rs", src);
-        let mut consts = BTreeMap::new();
-        scan_lock_consts(&p, &mut consts);
-        assert_eq!(consts.get("A_LOCK").map(String::as_str), Some("lock-a"));
-        let (mut sites, mut edges) = (Vec::new(), Vec::new());
-        scan_lock_file(&p, &consts, &mut sites, &mut edges);
+        let LockOrderReport { sites, edges, .. } = analyze(&[SourceFile::lib("x.rs", src)]);
+        // `A_LOCK` resolved through the crate's constants.
         assert!(
             sites
                 .iter()
@@ -479,14 +432,8 @@ mod tests {
             "{sites:?}"
         );
         assert_eq!(edges.len(), 1, "{edges:?}");
-        assert_eq!(
-            (
-                edges[0].outer.as_str(),
-                edges[0].inner.as_str(),
-                edges[0].line
-            ),
-            ("lock-a", "lock-b", 7)
-        );
+        let e = &edges[0];
+        assert_eq!((&*e.outer, &*e.inner, e.line), ("lock-a", "lock-b", 7));
     }
 
     #[test]
@@ -504,11 +451,7 @@ mod tests {
             "    }\n",
             "}\n",
         );
-        let p = prep("x.rs", src);
-        let mut consts = BTreeMap::new();
-        scan_lock_consts(&p, &mut consts);
-        let (mut sites, mut edges) = (Vec::new(), Vec::new());
-        scan_lock_file(&p, &consts, &mut sites, &mut edges);
+        let LockOrderReport { sites, edges, .. } = analyze(&[SourceFile::lib("x.rs", src)]);
         let acqs: Vec<(&str, usize)> = sites
             .iter()
             .filter(|s| s.acquisition)
@@ -516,14 +459,8 @@ mod tests {
             .collect();
         assert_eq!(acqs, [("lock-a", 6), ("lock-b", 8)], "{sites:?}");
         assert_eq!(edges.len(), 1, "{edges:?}");
-        assert_eq!(
-            (
-                edges[0].outer.as_str(),
-                edges[0].inner.as_str(),
-                edges[0].line
-            ),
-            ("lock-a", "lock-b", 8)
-        );
+        let e = &edges[0];
+        assert_eq!((&*e.outer, &*e.inner, e.line), ("lock-a", "lock-b", 8));
     }
 
     #[test]
@@ -535,9 +472,7 @@ mod tests {
             "    fn t() { let l = SimLock::new(\"test\"); l.with(ctx, |ctx| {}); }\n",
             "}\n",
         );
-        let p = prep("x.rs", src);
-        let (mut sites, mut edges) = (Vec::new(), Vec::new());
-        scan_lock_file(&p, &BTreeMap::new(), &mut sites, &mut edges);
+        let LockOrderReport { sites, edges, .. } = analyze(&[SourceFile::lib("x.rs", src)]);
         assert!(sites.is_empty(), "{sites:?}");
         assert!(edges.is_empty(), "{edges:?}");
     }

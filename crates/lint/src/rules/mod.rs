@@ -1,119 +1,163 @@
-//! The rule passes, all consuming the shared front-end ([`crate::lexer`]).
+//! The rule passes, all consuming the one parsed workspace
+//! ([`crate::workspace`]), and the one waiver filter.
 //!
 //! - [`style`] — the line-level house rules (panic, phys-addr-arith,
-//!   ambient-io, relaxed-atomic) and the manifest rule (external-dep).
+//!   ambient-io, relaxed-atomic), the manifest rule (external-dep) and
+//!   the crate-root rule (forbid-unsafe).
 //! - [`lock_order`] — lock-site inventory and acquisition-cycle detection.
 //! - [`protocol`] — the DMA-API protocol rules the handle types cannot
 //!   state (leak-on-exit, cpu-read-while-mapped) plus device-taint.
-//! - [`unsafe_audit`] — every `unsafe` must carry a `// SAFETY:` comment.
 //!
-//! Every rule is waiver-compatible: a file opts out of one rule with
-//! `// lint: allow(<rule>) — <reason>`; the reason is mandatory.
+//! Passes return raw findings. `apply_waivers` is the one place a file
+//! opts out of a rule, with `// lint: allow(<rule>) — <reason>` (the
+//! reason is mandatory), and the one place a waiver that excuses nothing
+//! becomes a `dead-waiver` finding. Lock-order cycles, external
+//! dependencies and forbid-unsafe are not waivable.
+
+use std::collections::BTreeMap;
+
+use crate::report::LintViolation;
+use style::FileContext;
 
 pub mod lock_order;
 pub mod protocol;
 pub mod style;
-pub mod unsafe_audit;
 
-/// The waiver comment a file uses to opt out of the panic rule. A reason
-/// is mandatory: `// lint: allow(panic) — deliberate invariant panics`.
-pub const PANIC_WAIVER: &str = "// lint: allow(panic)";
-
-/// The waiver comment a file uses to opt out of the ambient-I/O rule. A
-/// reason is mandatory:
-/// `// lint: allow(ambient-io) — the sweep writes its curve artifacts`.
-pub const IO_WAIVER: &str = "// lint: allow(ambient-io)";
-
-/// The waiver comment a file uses to opt out of the relaxed-atomic rule.
-/// A reason is mandatory — it must say why no ordering is needed:
-/// `// lint: allow(relaxed-atomic) — stats counters, never synchronized on`.
-pub const RELAXED_WAIVER: &str = "// lint: allow(relaxed-atomic)";
-
-/// Whether `src` contains `waiver` followed by a non-trivial reason.
-pub(crate) fn has_waiver(src: &str, waiver: &str) -> bool {
-    src.lines().any(|l| {
-        let t = l.trim_start();
-        t.starts_with(waiver) && t.len() > waiver.len() + 3
-    })
-}
-
-/// Whether `src` carries a reasoned waiver for `rule`
-/// (`// lint: allow(<rule>) — <reason>`).
-pub fn has_rule_waiver(src: &str, rule: &str) -> bool {
-    let waiver = format!("// lint: allow({rule})");
-    has_waiver(src, &waiver)
-}
-
-/// The 1-indexed line of the first reasoned waiver for `rule`, if any.
-pub(crate) fn rule_waiver_line(src: &str, rule: &str) -> Option<usize> {
-    let waiver = format!("// lint: allow({rule})");
-    src.lines()
-        .position(|l| {
-            let t = l.trim_start();
-            t.starts_with(&waiver) && t.len() > waiver.len() + 3
-        })
-        .map(|i| i + 1)
+/// The reasoned waivers in `src`: rule → 1-indexed line of the first
+/// `// lint: allow(<rule>) — <reason>`. A waiver without a reason does
+/// not count.
+fn waivers(src: &str) -> BTreeMap<&str, usize> {
+    let mut out = BTreeMap::new();
+    for (idx, line) in src.lines().enumerate() {
+        let Some(rest) = line.trim_start().strip_prefix("// lint: allow(") else {
+            continue;
+        };
+        if let Some((rule, reason)) = rest.split_once(')') {
+            if reason.len() > 3 {
+                out.entry(rule).or_insert(idx + 1);
+            }
+        }
+    }
+    out
 }
 
 /// The waivable rules that actually *execute* for a file in context
 /// `ctx`: the universe dead-waiver detection checks against. A waiver
 /// for a rule that never runs here (e.g. `panic` in a bench) is left
 /// alone — it is inert, not stale evidence.
-pub(crate) fn executed_waivable_rules(ctx: style::FileContext) -> Vec<&'static str> {
-    let mut rules = Vec::new();
-    if !ctx.io_allowed {
-        rules.push("ambient-io");
-    }
+fn executed_waivable_rules(ctx: FileContext) -> Vec<&'static str> {
     if ctx.aux {
-        return rules;
+        return vec!["ambient-io"];
     }
-    rules.push("panic");
+    let mut rules = vec!["ambient-io", "panic"];
     if !ctx.in_obs {
         rules.push("relaxed-atomic");
     }
     rules.extend(protocol::PROTOCOL_RULES);
     rules.push("device-taint");
-    rules.push("unsafe-no-safety");
     rules
 }
 
-/// Reports reasoned waivers that no longer suppress anything: for each
-/// executed waivable rule, a waiver present in `src` while the
-/// *unfiltered* finding count for that rule is zero is itself a finding
+/// Filters one file's raw findings through its waivers, then reports each
+/// reasoned waiver of an executed rule that filtered nothing
 /// (`dead-waiver`), so waivers cannot outlive what they excused.
-pub(crate) fn dead_waivers(
+pub(crate) fn apply_waivers(
     label: &str,
     src: &str,
-    ctx: style::FileContext,
-    raw_counts: &std::collections::BTreeMap<&'static str, usize>,
-) -> Vec<crate::report::LintViolation> {
+    ctx: FileContext,
+    raw: Vec<LintViolation>,
+) -> Vec<LintViolation> {
+    let waived = waivers(src);
     let mut out = Vec::new();
     for rule in executed_waivable_rules(ctx) {
-        if raw_counts.get(rule).copied().unwrap_or(0) > 0 {
-            continue;
-        }
-        if let Some(line) = rule_waiver_line(src, rule) {
-            out.push(crate::report::LintViolation {
-                file: label.to_string(),
-                line,
-                rule: "dead-waiver",
-                detail: format!("waiver for `{rule}` no longer suppresses any finding"),
-            });
+        if let Some(&line) = waived.get(rule) {
+            if !raw.iter().any(|v| v.rule == rule) {
+                out.push(LintViolation {
+                    file: label.to_string(),
+                    line,
+                    rule: "dead-waiver",
+                    detail: format!("waiver for `{rule}` no longer suppresses any finding"),
+                });
+            }
         }
     }
-    out
+    let kept = raw.into_iter().filter(|v| !waived.contains_key(v.rule));
+    kept.chain(out).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn raw(rule: &'static str) -> LintViolation {
+        LintViolation {
+            file: "x.rs".into(),
+            line: 9,
+            rule,
+            detail: String::new(),
+        }
+    }
+
+    fn rules(src: &str, ctx: FileContext, found: &[&'static str]) -> Vec<&'static str> {
+        let found = found.iter().map(|&r| raw(r)).collect();
+        apply_waivers("x.rs", src, ctx, found)
+            .iter()
+            .map(|v| v.rule)
+            .collect()
+    }
+
     #[test]
-    fn rule_waiver_requires_reason() {
-        let with = "// lint: allow(leak-on-exit) — the ring owns it at runtime\nfn f() {}\n";
-        assert!(has_rule_waiver(with, "leak-on-exit"));
-        let bare = "// lint: allow(leak-on-exit)\nfn f() {}\n";
-        assert!(!has_rule_waiver(bare, "leak-on-exit"));
-        assert!(!has_rule_waiver(with, "device-taint"));
+    fn a_reasoned_waiver_silences_its_rule_only() {
+        let src = "// lint: allow(panic) — invariant panics are documented\nfn f() {}\n";
+        let lib = FileContext::default();
+        assert_eq!(
+            rules(src, lib, &["panic", "phys-addr-arith"]),
+            ["phys-addr-arith"]
+        );
+        // A panic waiver does not satisfy the ambient-io rule.
+        let cross = "// lint: allow(panic) — deliberate\n";
+        assert_eq!(rules(cross, lib, &["panic", "ambient-io"]), ["ambient-io"]);
+    }
+
+    #[test]
+    fn a_bare_waiver_without_a_reason_is_ignored() {
+        let bare = "// lint: allow(ambient-io)\nuse std::fs;\n";
+        assert_eq!(
+            rules(bare, FileContext::default(), &["ambient-io"]),
+            ["ambient-io"]
+        );
+        // Nor is it dead: it is not a waiver at all.
+        assert!(rules(bare, FileContext::default(), &[]).is_empty());
+    }
+
+    #[test]
+    fn an_inert_waiver_for_a_rule_that_does_not_run_is_not_dead() {
+        let bench = FileContext {
+            aux: true,
+            ..Default::default()
+        };
+        let src = "// lint: allow(panic) — bench bodies expect() through setup\n";
+        assert!(rules(src, bench, &[]).is_empty());
+        let obs = FileContext {
+            in_obs: true,
+            ..Default::default()
+        };
+        let src = "// lint: allow(relaxed-atomic) — counters are statistics\n";
+        assert!(rules(src, obs, &[]).is_empty());
+    }
+
+    #[test]
+    fn a_stale_protocol_waiver_is_dead() {
+        let src = "fn f() {}\n// lint: allow(cpu-read-while-mapped) — stale reason\n";
+        let v = apply_waivers(
+            "x.rs",
+            src,
+            FileContext::default(),
+            vec![raw("leak-on-exit")],
+        );
+        assert_eq!(v.len(), 2, "{v:?}");
+        assert_eq!((v[0].rule, v[0].line), ("leak-on-exit", 9));
+        assert_eq!((v[1].rule, v[1].line), ("dead-waiver", 2));
+        assert!(v[1].detail.contains("cpu-read-while-mapped"), "{v:?}");
     }
 }

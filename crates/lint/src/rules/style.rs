@@ -1,10 +1,11 @@
-//! The line-level house rules and the manifest rule, ported onto the
-//! shared front-end: the scan runs over the `blank` view (comments and
-//! literal contents erased) with the `#[cfg(test)]` mask applied.
+//! The line-level house rules, the manifest rule and the crate-root
+//! rule, on the shared front-end: the line scan runs over the `blank`
+//! view (comments and literal contents erased) with the `#[cfg(test)]`
+//! mask applied, and reports raw findings (waivers are
+//! `rules::apply_waivers`'s job).
 
-use crate::lexer::prep;
+use crate::lexer::Prep;
 use crate::report::LintViolation;
-use crate::rules::{has_waiver, IO_WAIVER, PANIC_WAIVER, RELAXED_WAIVER};
 
 const FORBIDDEN_MODULES: [&str; 3] = ["std::process", "std::net", "std::fs"];
 
@@ -15,10 +16,6 @@ pub struct FileContext {
     /// The file belongs to `crates/memsim` (raw address arithmetic is its
     /// job).
     pub in_memsim: bool,
-    /// The file is pre-approved as an ambient-I/O edge (callers that
-    /// cannot carry a waiver comment); source files normally opt out with
-    /// a reasoned [`IO_WAIVER`] comment instead.
-    pub io_allowed: bool,
     /// The file belongs to `crates/obs` (relaxed telemetry counters are
     /// its job).
     pub in_obs: bool,
@@ -28,23 +25,14 @@ pub struct FileContext {
     pub aux: bool,
 }
 
-/// Lints one Rust source file's contents. `label` is used for reporting.
-pub fn lint_source(label: &str, src: &str, ctx: FileContext) -> Vec<LintViolation> {
-    check_prepped(&prep(label, src), src, ctx)
-}
-
-/// Same as [`lint_source`], over an already-prepared file (the workspace
-/// walk preps each file once and shares it across all rule passes).
-pub fn check_prepped(p: &crate::lexer::Prep, src: &str, ctx: FileContext) -> Vec<LintViolation> {
+/// The line rules' raw findings for one prepared file.
+pub fn check(p: &Prep, ctx: FileContext) -> Vec<LintViolation> {
     let label = &p.label;
     let mut out = Vec::new();
-    let waived_panics = has_waiver(src, PANIC_WAIVER);
-    let waived_io = has_waiver(src, IO_WAIVER);
-    let waived_relaxed = has_waiver(src, RELAXED_WAIVER);
     for (idx, line) in p.blank.lines().enumerate() {
         let in_test = p.in_test(idx + 1);
         let lineno = idx + 1;
-        if !in_test && !waived_panics && !ctx.aux {
+        if !in_test && !ctx.aux {
             for pat in [".unwrap()", ".expect("] {
                 if line.contains(pat) {
                     out.push(LintViolation {
@@ -53,7 +41,7 @@ pub fn check_prepped(p: &crate::lexer::Prep, src: &str, ctx: FileContext) -> Vec
                         rule: "panic",
                         detail: format!(
                             "`{pat}` outside #[cfg(test)]; propagate the error or add \
-                             `{PANIC_WAIVER} — <reason>`"
+                             `// lint: allow(panic) — <reason>`"
                         ),
                     });
                 }
@@ -74,36 +62,29 @@ pub fn check_prepped(p: &crate::lexer::Prep, src: &str, ctx: FileContext) -> Vec
                 }
             }
         }
-        if !ctx.io_allowed && !waived_io {
-            for m in FORBIDDEN_MODULES {
-                if line.contains(m) {
-                    out.push(LintViolation {
-                        file: label.to_string(),
-                        line: lineno,
-                        rule: "ambient-io",
-                        detail: format!(
-                            "`{m}` in simulation code; the stack stays deterministic \
-                             and self-contained — deliberate I/O edges add \
-                             `{IO_WAIVER} — <reason>`"
-                        ),
-                    });
-                }
+        for m in FORBIDDEN_MODULES {
+            if line.contains(m) {
+                out.push(LintViolation {
+                    file: label.to_string(),
+                    line: lineno,
+                    rule: "ambient-io",
+                    detail: format!(
+                        "`{m}` in simulation code; the stack stays deterministic \
+                         and self-contained — deliberate I/O edges add \
+                         `// lint: allow(ambient-io) — <reason>`"
+                    ),
+                });
             }
         }
-        if !in_test
-            && !ctx.aux
-            && !ctx.in_obs
-            && !waived_relaxed
-            && line.contains("Ordering::Relaxed")
-        {
+        if !in_test && !ctx.aux && !ctx.in_obs && line.contains("Ordering::Relaxed") {
             out.push(LintViolation {
                 file: label.to_string(),
                 line: lineno,
                 rule: "relaxed-atomic",
-                detail: format!(
-                    "`Ordering::Relaxed` outside the obs counters; pick an ordering \
-                     or argue why none is needed via `{RELAXED_WAIVER} — <reason>`"
-                ),
+                detail: "`Ordering::Relaxed` outside the obs counters; pick an ordering \
+                         or argue why none is needed via \
+                         `// lint: allow(relaxed-atomic) — <reason>`"
+                    .to_string(),
             });
         }
     }
@@ -128,6 +109,21 @@ fn phys_addr_ctor_arg(line: &str) -> Option<&str> {
         }
     }
     Some(rest)
+}
+
+/// The crate-root rule: a crate root (`src/lib.rs`, `src/main.rs`,
+/// `src/bin/*.rs`) must carry `#![forbid(unsafe_code)]`, so rustc rejects
+/// any `unsafe` in the crate. Not waivable: a crate that ever needs
+/// `unsafe` drops the attribute on purpose and audits its blocks with
+/// clippy's `undocumented_unsafe_blocks`.
+pub fn check_crate_root(p: &Prep) -> Option<LintViolation> {
+    (!p.blank.contains("#![forbid(unsafe_code)]")).then(|| LintViolation {
+        file: p.label.clone(),
+        line: 1,
+        rule: "forbid-unsafe",
+        detail: "crate root without `#![forbid(unsafe_code)]`; let rustc reject `unsafe`"
+            .to_string(),
+    })
 }
 
 /// Lints one `Cargo.toml`: every dependency must resolve in-tree.
@@ -174,6 +170,11 @@ pub fn lint_manifest(label: &str, toml: &str) -> Vec<LintViolation> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lexer::prep;
+
+    fn lint_source(label: &str, src: &str, ctx: FileContext) -> Vec<LintViolation> {
+        check(&prep(label, src), ctx)
+    }
 
     #[test]
     fn test_regions_are_exempt() {
@@ -183,21 +184,6 @@ mod tests {
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].line, 1);
         assert_eq!(v[0].rule, "panic");
-    }
-
-    #[test]
-    fn waiver_with_reason_silences_panic_rule_only() {
-        let src = "// lint: allow(panic) — invariant panics are documented\nfn f() { v.unwrap(); let p = PhysAddr(a + b); }\n";
-        let v = lint_source("x.rs", src, FileContext::default());
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, "phys-addr-arith");
-    }
-
-    #[test]
-    fn bare_waiver_without_reason_is_ignored() {
-        let src = "// lint: allow(panic)\nfn f() { v.unwrap(); }\n";
-        let v = lint_source("x.rs", src, FileContext::default());
-        assert_eq!(v.len(), 1, "{v:?}");
     }
 
     #[test]
@@ -222,29 +208,6 @@ mod tests {
         let v = lint_source("x.rs", src, FileContext::default());
         assert_eq!(v.len(), 2, "{v:?}");
         assert!(v.iter().all(|x| x.rule == "ambient-io"));
-        let bench = FileContext {
-            io_allowed: true,
-            ..Default::default()
-        };
-        assert!(lint_source("x.rs", src, bench).is_empty());
-    }
-
-    #[test]
-    fn io_waiver_with_reason_silences_ambient_io_only() {
-        let src = "// lint: allow(ambient-io) — the sweep writes its curve artifacts\nuse std::fs;\nfn f() { v.unwrap(); }\n";
-        let v = lint_source("x.rs", src, FileContext::default());
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, "panic");
-        // A bare waiver with no reason does not count.
-        let bare = "// lint: allow(ambient-io)\nuse std::fs;\n";
-        let v = lint_source("x.rs", bare, FileContext::default());
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, "ambient-io");
-        // A panic waiver does not satisfy the ambient-io rule.
-        let cross = "// lint: allow(panic) — deliberate\nuse std::fs;\n";
-        let v = lint_source("x.rs", cross, FileContext::default());
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, "ambient-io");
     }
 
     #[test]
@@ -259,11 +222,6 @@ mod tests {
             ..Default::default()
         };
         assert!(lint_source("x.rs", src, obs).is_empty());
-        // A reasoned waiver silences it; a bare one does not.
-        let waived = "// lint: allow(relaxed-atomic) — stats counter, never synchronized on\nfn f(c: &AtomicU64) { c.fetch_add(1, Ordering::Relaxed); }\n";
-        assert!(lint_source("x.rs", waived, FileContext::default()).is_empty());
-        let bare = "// lint: allow(relaxed-atomic)\nfn f(c: &AtomicU64) { c.fetch_add(1, Ordering::Relaxed); }\n";
-        assert_eq!(lint_source("x.rs", bare, FileContext::default()).len(), 1);
     }
 
     #[test]
@@ -276,6 +234,20 @@ mod tests {
         let v = lint_source("tests/x.rs", src, aux);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].rule, "ambient-io");
+    }
+
+    #[test]
+    fn crate_root_rule_reads_code_not_comments() {
+        let bare = prep("src/lib.rs", "//! Docs.\npub mod a;\n");
+        let v = check_crate_root(&bare).expect("missing attribute");
+        assert_eq!((v.rule, v.line), ("forbid-unsafe", 1));
+        let commented = prep("src/lib.rs", "// #![forbid(unsafe_code)]\npub mod a;\n");
+        assert!(check_crate_root(&commented).is_some());
+        let forbidden = prep(
+            "src/lib.rs",
+            "//! Docs.\n#![forbid(unsafe_code)]\npub mod a;\n",
+        );
+        assert!(check_crate_root(&forbidden).is_none());
     }
 
     #[test]

@@ -66,7 +66,6 @@ impl FnSummary {
 
 /// Computes summaries for every node, callees before callers.
 pub fn compute(graph: &CallGraph) -> Vec<FnSummary> {
-    let cfgs: Vec<Cfg> = graph.nodes.iter().map(|n| Cfg::build(&n.body)).collect();
     let mut sums = vec![FnSummary::BOTTOM; graph.nodes.len()];
     for scc in graph.sccs() {
         let cap = 3 * scc.len() + 3;
@@ -74,7 +73,7 @@ pub fn compute(graph: &CallGraph) -> Vec<FnSummary> {
         loop {
             let mut changed = false;
             for &id in &scc {
-                let next = summarize_one(graph, &cfgs[id], &sums);
+                let next = summarize_one(graph, &graph.nodes[id].cfg, &sums);
                 if next != sums[id] {
                     sums[id] = next;
                     changed = true;
@@ -97,22 +96,16 @@ pub fn compute(graph: &CallGraph) -> Vec<FnSummary> {
 
 fn summarize_one(graph: &CallGraph, cfg: &Cfg, sums: &[FnSummary]) -> FnSummary {
     let mut s = FnSummary::BOTTOM;
-    // Nested fn items are their own nodes.
-    let stmts = || {
-        cfg.blocks
-            .iter()
-            .filter_map(|b| b.stmt.as_ref())
-            .filter(|stmt| !stmt.trees.first().is_some_and(|t| t.is_ident("fn")))
-    };
 
     // Device-writable buffers bound in this body (taint sources).
-    let device_bufs: BTreeSet<String> = stmts()
+    let device_bufs: BTreeSet<String> = cfg
+        .stmts()
         .filter_map(|stmt| detect_bind(&stmt.trees, None))
         .filter(|b| b.dir.device_writes())
         .filter_map(|b| b.buf)
         .collect();
 
-    for stmt in stmts() {
+    for stmt in cfg.stmts() {
         let mut evs = Vec::new();
         scan(&stmt.trees, &mut evs);
         s.reads_device_data |= evs.iter().any(
@@ -150,10 +143,10 @@ fn join_ret(a: RetEffect, b: RetEffect) -> RetEffect {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::prep;
+    use crate::workspace::SourceFile;
 
     fn setup(src: &str) -> (CallGraph, Vec<FnSummary>) {
-        let g = CallGraph::build(&[(prep("x.rs", src), "x".to_string())]);
+        let g = CallGraph::build(&[SourceFile::lib("x.rs", src)]);
         let s = compute(&g);
         (g, s)
     }

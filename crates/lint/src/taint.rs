@@ -22,9 +22,11 @@
 
 use std::collections::BTreeSet;
 
-use crate::cfg::{build_trees, extract_functions, Cfg, Stmt, Tree};
-use crate::lexer::Prep;
-use crate::typestate::{detect_bind, scan, Ev, Finding, InterCtx, READ_METHODS};
+use crate::callgraph::FnNode;
+use crate::cfg::{Stmt, Tree};
+use crate::report::LintViolation;
+use crate::rules::protocol::ProtocolAnalysis;
+use crate::typestate::{detect_bind, let_binding, scan, Ev, READ_METHODS};
 
 /// Aggregate numbers for the JSON report.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -44,26 +46,6 @@ impl TaintStats {
         self.tainted_vars += other.tainted_vars;
         self.sanitized_vars += other.sanitized_vars;
     }
-}
-
-fn ident_of(t: &Tree) -> Option<&str> {
-    match t {
-        Tree::Tok(tok) if tok.is_ident => Some(&tok.text),
-        _ => None,
-    }
-}
-
-/// `let [mut] var = …` binding variable of a statement.
-fn let_var(trees: &[Tree]) -> Option<&str> {
-    if !trees.first()?.is_ident("let") {
-        return None;
-    }
-    let mut j = 1;
-    if trees.get(j)?.is_ident("mut") {
-        j += 1;
-    }
-    let var = ident_of(trees.get(j)?)?;
-    trees.get(j + 1)?.is_punct("=").then_some(var)
 }
 
 /// Any ident from `vars` mentioned anywhere in `trees`.
@@ -86,7 +68,7 @@ fn clamped_at_definition(trees: &[Tree]) -> bool {
                 if tok.text == "."
                     && trees
                         .get(i + 1)
-                        .and_then(ident_of)
+                        .and_then(Tree::ident)
                         .is_some_and(|m| m == "min" || m == "clamp")
                     && matches!(trees.get(i + 2), Some(Tree::Group { delim: '(', .. }))
                 {
@@ -151,23 +133,15 @@ fn tainted_in(trees: &[Tree], tainted: &BTreeSet<String>, out: &mut Vec<String>)
     }
 }
 
-/// Runs the taint pass over every non-test function in a prepared file.
-/// Uniquely-resolved calls to device-reading helpers (`reads_device_data`
-/// in `inter`'s summaries) act as sources too.
-pub fn check_file(prep: &Prep, inter: &InterCtx) -> (Vec<Finding>, TaintStats) {
-    let tokens = crate::lexer::tokenize(&prep.blank);
-    let trees = build_trees(&tokens);
+/// Runs the taint pass over the named functions among one file's
+/// call-graph `nodes`. Uniquely-resolved calls to device-reading helpers
+/// (`reads_device_data` in `inter`'s summaries) act as sources too.
+pub fn check_fns(nodes: &[FnNode], inter: &ProtocolAnalysis) -> (Vec<LintViolation>, TaintStats) {
     let mut findings = Vec::new();
     let mut stats = TaintStats::default();
-    for f in extract_functions(prep, &trees) {
-        let cfg = Cfg::build(&f.body);
-        let stmts: Vec<&Stmt> = cfg
-            .blocks
-            .iter()
-            .filter_map(|b| b.stmt.as_ref())
-            .filter(|s| !s.trees.first().is_some_and(|t| t.is_ident("fn")))
-            .collect();
-        check_fn(&f.body, &stmts, inter, &mut findings, &mut stats);
+    for f in nodes.iter().filter(|n| !n.is_closure) {
+        let stmts: Vec<&Stmt> = f.cfg.stmts().collect();
+        check_fn(f, &stmts, inter, &mut findings, &mut stats);
     }
     findings.sort_by_key(|f| (f.line, f.detail.clone()));
     findings.dedup();
@@ -175,12 +149,13 @@ pub fn check_file(prep: &Prep, inter: &InterCtx) -> (Vec<Finding>, TaintStats) {
 }
 
 fn check_fn(
-    body: &[Tree],
+    f: &FnNode,
     stmts: &[&Stmt],
-    inter: &InterCtx,
-    findings: &mut Vec<Finding>,
+    inter: &ProtocolAnalysis,
+    findings: &mut Vec<LintViolation>,
     stats: &mut TaintStats,
 ) {
+    let body = &f.body;
     // Device-writable buffers bound in this function.
     let mut device_bufs: BTreeSet<String> = BTreeSet::new();
     for stmt in stmts {
@@ -197,7 +172,7 @@ fn check_fn(
     // where the helper's summary says it reads device data.
     let mut tainted: BTreeSet<String> = BTreeSet::new();
     for stmt in stmts {
-        let Some(var) = let_var(&stmt.trees) else {
+        let Some((var, _)) = let_binding(&stmt.trees) else {
             continue;
         };
         if clamped_at_definition(&stmt.trees) {
@@ -240,7 +215,7 @@ fn check_fn(
     loop {
         let mut changed = false;
         for stmt in stmts {
-            let Some(var) = let_var(&stmt.trees) else {
+            let Some((var, _)) = let_binding(&stmt.trees) else {
                 continue;
             };
             if tainted.contains(var) || clamped_at_definition(&stmt.trees) {
@@ -278,9 +253,10 @@ fn check_fn(
 
     // Sinks.
     let mut seen: BTreeSet<(usize, String)> = BTreeSet::new();
-    let mut flag = |findings: &mut Vec<Finding>, line: usize, var: &str, sink: &str| {
+    let mut flag = |findings: &mut Vec<LintViolation>, line: usize, var: &str, sink: &str| {
         if seen.insert((line, var.to_string())) {
-            findings.push(Finding {
+            findings.push(LintViolation {
+                file: f.file.clone(),
                 rule: "device-taint",
                 line,
                 detail: format!(
@@ -313,11 +289,12 @@ fn sink_walk(trees: &[Tree], live: &BTreeSet<String>, flag: &mut impl FnMut(usiz
     while i < trees.len() {
         // Index sink: `ident [ …tainted… ]` (the ident guard keeps
         // `vec![…]` and `#[…]` out).
-        if trees.get(i).and_then(ident_of).is_some() {
+        if trees.get(i).and_then(Tree::ident).is_some() {
             if let Some(Tree::Group {
                 delim: '[',
                 children,
                 open_line,
+                ..
             }) = trees.get(i + 1)
             {
                 let mut hit = Vec::new();
@@ -329,12 +306,13 @@ fn sink_walk(trees: &[Tree], live: &BTreeSet<String>, flag: &mut impl FnMut(usiz
         }
         // PhysAddr sink: tainted inside the argument group of a
         // `PhysAddr`-path call (`PhysAddr::new(base + off)`, …).
-        if trees.get(i).and_then(ident_of) == Some("PhysAddr") {
+        if trees.get(i).and_then(Tree::ident) == Some("PhysAddr") {
             for t in trees.iter().skip(i + 1).take(4) {
                 if let Tree::Group {
                     delim: '(',
                     children,
                     open_line,
+                    ..
                 } = t
                 {
                     let mut hit = Vec::new();
@@ -355,8 +333,9 @@ fn sink_walk(trees: &[Tree], live: &BTreeSet<String>, flag: &mut impl FnMut(usiz
                     delim: '(',
                     children,
                     open_line,
+                    ..
                 }),
-            ) = (trees.get(i + 1).and_then(ident_of), trees.get(i + 2))
+            ) = (trees.get(i + 1).and_then(Tree::ident), trees.get(i + 2))
             {
                 if READ_METHODS.contains(&name) || name == "write" || name == "write_vec" {
                     let mut hit = Vec::new();
@@ -377,13 +356,12 @@ fn sink_walk(trees: &[Tree], live: &BTreeSet<String>, flag: &mut impl FnMut(usiz
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::prep;
+    use crate::workspace::SourceFile;
 
-    fn run(src: &str) -> Vec<Finding> {
-        let p = prep("x.rs", src);
-        let graph = crate::callgraph::CallGraph::build(&[(p.clone(), "x".to_string())]);
+    fn run(src: &str) -> Vec<LintViolation> {
+        let graph = crate::callgraph::CallGraph::build(&[SourceFile::lib("x.rs", src)]);
         let analysis = crate::rules::protocol::ProtocolAnalysis::from_graph(graph);
-        check_file(&p, &analysis.inter()).0
+        check_fns(&analysis.graph.nodes, &analysis).0
     }
 
     #[test]

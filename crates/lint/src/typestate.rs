@@ -49,31 +49,11 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::callgraph::{CallGraph, INTRINSICS};
-use crate::cfg::{build_trees, extract_functions, split_top_level_commas, Cfg, Stmt, Tree};
-use crate::lexer::Prep;
+use crate::callgraph::{CallGraph, FnNode, INTRINSICS};
+use crate::cfg::{split_top_level_commas, Cfg, Stmt, Tree};
+use crate::report::LintViolation;
+use crate::rules::protocol::ProtocolAnalysis;
 use crate::summary::{FnSummary, RetEffect};
-
-/// One protocol finding.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Finding {
-    /// Stable rule name: `leak-on-exit`, `cpu-read-while-mapped`,
-    /// `device-taint`.
-    pub rule: &'static str,
-    /// 1-indexed line.
-    pub line: usize,
-    /// What was found.
-    pub detail: String,
-}
-
-/// The interprocedural context: call resolution plus the per-function
-/// summaries, shared by this pass and [`crate::taint`].
-pub struct InterCtx<'a> {
-    /// The workspace call graph.
-    pub graph: &'a CallGraph,
-    /// Per-node summaries, indexed like `graph.nodes`.
-    pub summaries: &'a [FnSummary],
-}
 
 /// Streaming direction of a tracked mapping, as far as the source shows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,17 +72,6 @@ impl Dir {
     /// and final only once the mapping is gone.
     pub(crate) fn device_writes(self) -> bool {
         matches!(self, Dir::FromDevice | Dir::Bidirectional)
-    }
-
-    /// Stable name for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Dir::ToDevice => "ToDevice",
-            Dir::FromDevice => "FromDevice",
-            Dir::Bidirectional => "Bidirectional",
-            Dir::Unknown => "Unknown",
-            Dir::Coherent => "Coherent",
-        }
     }
 }
 
@@ -169,13 +138,6 @@ pub(crate) enum Ev {
     },
 }
 
-fn ident_of(t: &Tree) -> Option<&str> {
-    match t {
-        Tree::Tok(tok) if tok.is_ident => Some(&tok.text),
-        _ => None,
-    }
-}
-
 /// First argument is `ctx`-flavored: an identifier ending in `ctx`
 /// (`ctx`, `setup_ctx`, `&mut ctx`, `r.ctx`).
 fn ctx_first_arg(children: &[Tree]) -> bool {
@@ -184,7 +146,7 @@ fn ctx_first_arg(children: &[Tree]) -> bool {
         .is_some_and(|first| {
             first
                 .iter()
-                .any(|t| ident_of(t).is_some_and(|s| s.ends_with("ctx")))
+                .any(|t| t.ident().is_some_and(|s| s.ends_with("ctx")))
         })
 }
 
@@ -194,7 +156,7 @@ fn dir_last_arg(children: &[Tree]) -> Option<Dir> {
     let args = split_top_level_commas(children);
     let last = args.last()?;
     if let Some(k) = last.iter().position(|t| t.is_ident("DmaDirection")) {
-        let name = last.get(k + 2).and_then(ident_of).unwrap_or("");
+        let name = last.get(k + 2).and_then(Tree::ident).unwrap_or("");
         return Some(match name {
             "ToDevice" => Dir::ToDevice,
             "FromDevice" => Dir::FromDevice,
@@ -219,7 +181,7 @@ fn dma_buf_ident(children: &[Tree]) -> Option<String> {
                 children: inner, ..
             }) = children.get(i + 3)
             {
-                return inner.first().and_then(ident_of).map(str::to_string);
+                return inner.first().and_then(Tree::ident).map(str::to_string);
             }
         }
         if let Tree::Group {
@@ -311,7 +273,7 @@ pub(crate) fn scan(trees: &[Tree], evs: &mut Vec<Ev>) {
         let projected = trees.get(i + 1).is_some_and(|n| n.is_punct("."))
             && !trees
                 .get(i + 2)
-                .and_then(ident_of)
+                .and_then(Tree::ident)
                 .is_some_and(|m| SELF_METHODS.contains(&m));
         let borrowed =
             after("&") || (i > 1 && trees[i - 1].is_ident("mut") && trees[i - 2].is_punct("&"));
@@ -335,24 +297,15 @@ pub(crate) struct Bind {
 /// `let h = make_mapping(…)` where the callee provably returns a fresh
 /// mapping. The RHS must *end* with the recognized call so results
 /// consumed by a larger expression are left untracked.
-pub(crate) fn detect_bind(trees: &[Tree], inter: Option<&InterCtx>) -> Option<Bind> {
-    if !trees.first()?.is_ident("let") {
-        return None;
-    }
-    let mut j = 1;
-    if trees.get(j)?.is_ident("mut") {
-        j += 1;
-    }
-    let var = ident_of(trees.get(j)?)?.to_string();
-    if !trees.get(j + 1)?.is_punct("=") {
-        return None;
-    }
-    let call = last_call(&trees[j + 2..])?;
+pub(crate) fn detect_bind(trees: &[Tree], inter: Option<&ProtocolAnalysis>) -> Option<Bind> {
+    let (var, rhs) = let_binding(trees)?;
+    let var = var.to_string();
+    let call = last_call(rhs)?;
     let (dir, buf) = match call {
         TailCall::Map { dir, children, .. } => (dir, dma_buf_ident(children)),
         // The callee-side buffer identifier is meaningless in this scope;
         // the read rule stays quiet for summary-backed bindings.
-        TailCall::User { .. } => match call.ret(inter?.graph, inter?.summaries)? {
+        TailCall::User { .. } => match call.ret(&inter?.graph, &inter?.summaries)? {
             RetEffect::FreshMapped { dir } => (dir, None),
             _ => return None,
         },
@@ -363,6 +316,14 @@ pub(crate) fn detect_bind(trees: &[Tree], inter: Option<&InterCtx>) -> Option<Bi
         buf,
         line: call.line(),
     })
+}
+
+/// A `let [mut] var = rhs` statement's variable and right-hand side.
+pub(crate) fn let_binding(trees: &[Tree]) -> Option<(&str, &[Tree])> {
+    let j = if trees.get(1)?.is_ident("mut") { 2 } else { 1 };
+    let var = trees.get(j)?.ident()?;
+    (trees.first()?.is_ident("let") && trees.get(j + 1)?.is_punct("="))
+        .then(|| (var, &trees[j + 2..]))
 }
 
 /// The call an expression *ends* with (modulo `?` / `.unwrap()` /
@@ -426,7 +387,7 @@ fn last_call(rhs: &[Tree]) -> Option<TailCall<'_>> {
                 children,
                 ..
             }),
-        ) = (ident_of(&rhs[k]), rhs.get(k + 1))
+        ) = (rhs[k].ident(), rhs.get(k + 1))
         else {
             continue;
         };
@@ -472,7 +433,7 @@ fn last_call(rhs: &[Tree]) -> Option<TailCall<'_>> {
         } else if rhs[s].is_punct(".")
             && rhs
                 .get(s + 1)
-                .and_then(ident_of)
+                .and_then(Tree::ident)
                 .is_some_and(|m| m == "unwrap" || m == "expect")
             && matches!(rhs.get(s + 2), Some(Tree::Group { delim: '(', .. }))
         {
@@ -493,19 +454,24 @@ pub(crate) fn tail_call_effect(trees: &[Tree], graph: &CallGraph, sums: &[FnSumm
         .unwrap_or(RetEffect::Unknown)
 }
 
-/// Collects findings with per-function leak dedup (one leak report per
+/// Collects one file's findings with leak dedup (one leak report per
 /// handle, at the first program point that witnesses it).
-#[derive(Default)]
-struct Reporter {
-    findings: Vec<Finding>,
+struct Reporter<'a> {
+    file: &'a str,
+    findings: Vec<LintViolation>,
     leaked: BTreeSet<(String, usize)>,
     seen: BTreeSet<(&'static str, usize, String)>,
 }
 
-impl Reporter {
+impl Reporter<'_> {
     fn push(&mut self, rule: &'static str, line: usize, detail: String) {
         if self.seen.insert((rule, line, detail.clone())) {
-            self.findings.push(Finding { rule, line, detail });
+            self.findings.push(LintViolation {
+                file: self.file.to_string(),
+                line,
+                rule,
+                detail,
+            });
         }
     }
 
@@ -531,7 +497,7 @@ impl Reporter {
 fn transfer(
     state: &mut State,
     stmt: &Stmt,
-    inter: &InterCtx,
+    inter: &ProtocolAnalysis,
     mut rep: Option<&mut Reporter>,
 ) -> Option<Bind> {
     if stmt.trees.first().is_some_and(|t| t.is_ident("fn")) {
@@ -589,7 +555,7 @@ fn block_out(
     cfg: &Cfg,
     b: usize,
     mut st: State,
-    inter: &InterCtx,
+    inter: &ProtocolAnalysis,
     mut rep: Option<&mut Reporter>,
 ) -> (State, Option<State>) {
     let Some(stmt) = &cfg.blocks[b].stmt else {
@@ -622,7 +588,7 @@ fn block_out(
 }
 
 /// Runs the pass over one function's CFG.
-fn check_cfg(cfg: &Cfg, inter: &InterCtx, rep: &mut Reporter) {
+fn check_cfg(cfg: &Cfg, inter: &ProtocolAnalysis, rep: &mut Reporter) {
     let n = cfg.blocks.len();
     let mut ins: Vec<State> = vec![State::new(); n];
     // Fixpoint: propagate out-states along edges until stable.
@@ -657,15 +623,21 @@ fn check_cfg(cfg: &Cfg, inter: &InterCtx, rep: &mut Reporter) {
     }
 }
 
-/// Runs the protocol checker over every non-test function in a prepared
-/// file; `inter` is what lets a binding of a call that returns a fresh
-/// mapping be tracked like a direct `map`.
-pub fn check_file(prep: &Prep, inter: &InterCtx) -> Vec<Finding> {
-    let tokens = crate::lexer::tokenize(&prep.blank);
-    let trees = build_trees(&tokens);
-    let mut rep = Reporter::default();
-    for f in extract_functions(prep, &trees) {
-        check_cfg(&Cfg::build(&f.body), inter, &mut rep);
+/// Runs the protocol checker over the named functions among one file's
+/// call-graph `nodes`; `inter` is what lets a binding of a call that
+/// returns a fresh mapping be tracked like a direct `map`.
+pub fn check_fns(nodes: &[FnNode], inter: &ProtocolAnalysis) -> Vec<LintViolation> {
+    let Some(first) = nodes.first() else {
+        return Vec::new();
+    };
+    let mut rep = Reporter {
+        file: &first.file,
+        findings: Vec::new(),
+        leaked: BTreeSet::new(),
+        seen: BTreeSet::new(),
+    };
+    for f in nodes.iter().filter(|n| !n.is_closure) {
+        check_cfg(&f.cfg, inter, &mut rep);
     }
     rep.findings.sort_by_key(|f| (f.line, f.rule));
     rep.findings
@@ -674,14 +646,14 @@ pub fn check_file(prep: &Prep, inter: &InterCtx) -> Vec<Finding> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::prep;
     use crate::rules::protocol::ProtocolAnalysis;
+    use crate::workspace::SourceFile;
 
     /// Runs the checker with the file's own call graph and summaries.
-    fn run(src: &str) -> Vec<Finding> {
-        let p = prep("x.rs", src);
-        let graph = CallGraph::build(&[(p.clone(), "x".to_string())]);
-        check_file(&p, &ProtocolAnalysis::from_graph(graph).inter())
+    fn run(src: &str) -> Vec<LintViolation> {
+        let graph = CallGraph::build(&[SourceFile::lib("x.rs", src)]);
+        let analysis = ProtocolAnalysis::from_graph(graph);
+        check_fns(&analysis.graph.nodes, &analysis)
     }
 
     fn rules(src: &str) -> Vec<&'static str> {

@@ -14,6 +14,7 @@
 //!
 //! Exit codes: 0 = all verdicts hold, 1 = a verdict failed,
 //! 2 = usage/IO error.
+#![forbid(unsafe_code)]
 
 // lint: allow(ambient-io) — reads/writes the committed counterexample fixture and prints the report
 

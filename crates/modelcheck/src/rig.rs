@@ -19,7 +19,7 @@ use dmasan::DmaSan;
 use iommu::{DeviceId, Iommu};
 use memsim::{NumaTopology, PhysMemory};
 use obs::Obs;
-use shadow_core::{build_engine, EngineKind, PoolConfig};
+use shadow_core::{build_engine, engine_bus, EngineKind, PoolConfig};
 use simcore::{CoreCtx, CoreId, CostModel, Cycles};
 use std::fmt;
 use std::sync::Arc;
@@ -110,13 +110,7 @@ impl Rig {
         let observer = san.clone().map(|san| san as Arc<dyn DmaObserver>);
         let engine: Arc<dyn DmaEngine> = Arc::new(TracedDma::new(engine, obs.clone(), observer));
         let profile = engine.profile();
-        let bus = match kind {
-            EngineKind::NoIommu => Bus::Direct(mem.clone()),
-            _ => Bus::Iommu {
-                mmu: mmu.clone(),
-                mem: mem.clone(),
-            },
-        };
+        let bus = engine_bus(kind, mem.clone(), mmu.clone());
         let bus = match &san {
             Some(san) => bus.observed(san.clone() as Arc<dyn BusObserver>),
             None => bus,

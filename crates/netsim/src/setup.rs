@@ -3,13 +3,13 @@
 // lint: allow(panic) — machine construction panics on impossible configurations, documented under # Panics
 
 use devices::{Nic, NicConfig, DESC_BYTES};
-use dma_api::{Bus, BusObserver, CoherentBuffer, DmaEngine, DmaObserver, TracedDma};
+use dma_api::{BusObserver, CoherentBuffer, DmaEngine, DmaObserver, TracedDma};
 use dmasan::DmaSan;
 use iommu::{DeviceId, Iommu};
 use memsim::{Kmalloc, NumaTopology, PhysMemory};
 use obs::{Counter, Obs};
-use shadow_core::build_engine;
 pub use shadow_core::EngineKind;
+use shadow_core::{build_engine, engine_bus};
 use simcore::{CoreCtx, CoreId, CostModel, Cycles, SimRng, Wire};
 use std::fmt;
 use std::sync::Arc;
@@ -228,14 +228,8 @@ impl SimStack {
         let observer = san.clone() as Arc<dyn DmaObserver>;
         let engine: Box<dyn DmaEngine> =
             Box::new(TracedDma::new(engine, obs.clone(), Some(observer)));
-        let bus = match kind {
-            EngineKind::NoIommu => Bus::Direct(mem.clone()),
-            _ => Bus::Iommu {
-                mmu: mmu.clone(),
-                mem: mem.clone(),
-            },
-        }
-        .observed(san.clone() as Arc<dyn BusObserver>);
+        let bus = engine_bus(kind, mem.clone(), mmu.clone())
+            .observed(san.clone() as Arc<dyn BusObserver>);
         let mut nic = Nic::new(NIC_DEV, bus, NicConfig::default());
         // Ring setup happens on core 0 at time zero; its costs are not part
         // of any measurement.

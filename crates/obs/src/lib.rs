@@ -5,7 +5,7 @@
 //! invalidation / page-table / memcpy phases). This crate is the single
 //! observability layer every subsystem reports into:
 //!
-//! - [`Registry`] — counters, gauges and log-bucketed histograms keyed by
+//! - [`Registry`] — counters and gauges keyed by
 //!   `(subsystem, name, device)`; see [`MetricKey`] for the
 //!   `subsystem.name{device}` naming convention.
 //! - [`Tracer`] — a bounded ring buffer of structured [`Event`]s
@@ -44,9 +44,7 @@ pub mod sink;
 pub mod trace;
 
 pub use json::Json;
-pub use metrics::{
-    Counter, Gauge, Histogram, HistogramSnapshot, MetricKey, Registry, RegistrySnapshot,
-};
+pub use metrics::{Counter, Gauge, MetricKey, Registry, RegistrySnapshot};
 pub use profile::{ProfileNode, ProfileSnapshot, Profiler, SpanEvent};
 pub use trace::{span, Event, EventKind, SpanGuard, TraceStats, Tracer, DEFAULT_TRACE_CAPACITY};
 
@@ -198,18 +196,6 @@ impl Obs {
         self.0
             .registry
             .gauge(MetricKey::new(subsystem, name, device))
-    }
-
-    /// Shorthand: get-or-create a histogram.
-    pub fn histogram(
-        &self,
-        subsystem: &'static str,
-        name: &'static str,
-        device: Option<u16>,
-    ) -> Histogram {
-        self.0
-            .registry
-            .histogram(MetricKey::new(subsystem, name, device))
     }
 
     /// Shorthand: record a trace event, returning its sequence number.

@@ -17,8 +17,7 @@ pub fn parse_jsonl(s: &str) -> Result<Vec<Json>, String> {
 }
 
 /// Renders the snapshot as an aligned text table: counters and gauges as
-/// `metric value` rows, histograms with count/mean/p50/p99 (upper-bound
-/// and interpolated tail). When `trace` is given, trailing rows report
+/// `metric value` rows. When `trace` is given, trailing rows report
 /// the tracer's retained/sampled-out/dropped counts so no report
 /// silently hides an incomplete event record.
 pub fn render_table(snap: &RegistrySnapshot, trace: Option<&TraceStats>) -> String {
@@ -28,19 +27,6 @@ pub fn render_table(snap: &RegistrySnapshot, trace: Option<&TraceStats>) -> Stri
     }
     for (k, v) in &snap.gauges {
         rows.push((k.to_string(), v.to_string()));
-    }
-    for (k, h) in &snap.histograms {
-        rows.push((
-            k.to_string(),
-            format!(
-                "count={} mean={:.1} p50<={} p99<={} p99~={:.1}",
-                h.count,
-                h.mean(),
-                h.percentile(0.50),
-                h.percentile(0.99),
-                h.percentile_interp(0.99)
-            ),
-        ));
     }
     if let Some(t) = trace {
         rows.push(("trace.retained".into(), t.retained.to_string()));
@@ -67,12 +53,11 @@ mod tests {
     fn table_renders_all_metrics() {
         let r = Registry::new();
         r.counter(MetricKey::new("a", "count", None)).add(5);
-        r.histogram(MetricKey::new("b", "sizes", Some(1)))
-            .record(64);
+        r.gauge(MetricKey::new("b", "depth", Some(1))).set(-2);
         let table = render_table(&r.snapshot(), None);
         assert!(table.contains("a.count"));
-        assert!(table.contains("b.sizes{dev1}"));
-        assert!(table.contains("count=1"));
+        assert!(table.contains("b.depth{dev1}"));
+        assert!(table.contains("-2"));
     }
 
     #[test]

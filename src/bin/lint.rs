@@ -1,17 +1,18 @@
 // lint: allow(ambient-io) — the runner writes the --json report file
 //! Workspace lint runner: `cargo run --bin lint`.
 //!
-//! Scans every member crate's sources, tests, benches, and manifest for
-//! the house rules, the DMA-API protocol rules the handle types cannot
-//! state, the device-taint pass, the lock-order pass, the unsafe audit,
-//! and stale waivers (see the `lint` crate), prints a per-rule summary,
+//! Reads every member crate's sources, tests, benches, and manifest once
+//! and runs the house rules, the crate-root `forbid(unsafe_code)` rule,
+//! the DMA-API protocol rules the handle types cannot state, the
+//! device-taint pass, the lock-order pass, and stale waivers over them
+//! (see the `lint` crate), prints a per-rule summary,
 //! and exits with a CI-friendly code: `0` clean, `1` findings, `2` the
 //! scan itself failed (I/O error, missing workspace, blown time budget).
 //!
 //! Flags:
 //! - `--json <path>` — also write the machine-readable report (findings,
-//!   per-rule summary, lock-order and unsafe inventories, call graph,
-//!   function summaries, taint stats) to `path`.
+//!   per-rule summary, lock-order inventory, call graph, function
+//!   summaries, taint stats) to `path`; it comes from the same scan.
 //! - `--budget-ms <n>` — fail (exit 2) if the scan takes longer than `n`
 //!   milliseconds of wall clock; keeps the pass honest in CI.
 //! - any other argument — the workspace root (default: this crate's
@@ -21,7 +22,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use lint::{json_report, lock_order_analysis, rule_summary, unsafe_audit_analysis};
+use lint::{json_report, rule_summary};
 
 fn main() -> ExitCode {
     let mut json_path: Option<PathBuf> = None;
@@ -60,15 +61,7 @@ fn main() -> ExitCode {
     let violations = &report.violations;
 
     if let Some(path) = &json_path {
-        let (locks, unsafes) = match (lock_order_analysis(&root), unsafe_audit_analysis(&root)) {
-            (Ok(l), Ok(u)) => (l, u),
-            (Err(e), _) | (_, Err(e)) => {
-                eprintln!("lint: cannot build inventories for {}: {e}", root.display());
-                return ExitCode::from(2);
-            }
-        };
-        let doc = json_report(violations, &locks, &unsafes, &report.protocol);
-        if let Err(e) = std::fs::write(path, doc.encode()) {
+        if let Err(e) = std::fs::write(path, json_report(&report).encode()) {
             eprintln!("lint: cannot write {}: {e}", path.display());
             return ExitCode::from(2);
         }

@@ -19,8 +19,9 @@
 //! - [`dmasan`] — the DMA-API sanitizer and lockset race detector.
 //!
 //! It also fronts the workspace's correctness tooling: the [`lint`]
-//! crate (style rules, lock-order analysis, the DMA-API protocol
-//! typestate checker, and the unsafe audit) and its
+//! crate (one pass over the workspace, parsed once: style rules, the
+//! crate-root `#![forbid(unsafe_code)]` rule, lock-order analysis, and
+//! the DMA-API protocol and device-taint checks) and its
 //! `cargo run --bin lint` runner.
 #![forbid(unsafe_code)]
 

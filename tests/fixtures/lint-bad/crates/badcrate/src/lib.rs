@@ -1,5 +1,6 @@
 //! Planted fixture source: trips every source-level lint rule exactly
-//! where `tests/lint.rs` expects. Never compiled.
+//! where `tests/lint.rs` expects — including forbid-unsafe, since this
+//! crate root leaves out `#![forbid(unsafe_code)]`. Never compiled.
 
 pub mod interproc;
 pub mod protocol;

@@ -1,6 +1,6 @@
 //! Planted DMA-API protocol fixture: each function trips exactly one
-//! protocol (or unsafe-audit) rule where `tests/lint.rs` expects, with
-//! one clean control per rule family. Never compiled — which is why the
+//! protocol rule where `tests/lint.rs` expects, with one clean control
+//! per rule family. Never compiled — which is why the
 //! two rules rustc now owns (unmap twice, use after unmap: E0382 on the
 //! move-only handle) have no fixture here; `dma_api::DmaMapping`'s
 //! `compile_fail` doctests pin those.
@@ -47,19 +47,4 @@ pub fn read_after_unmap(engine: &E, mem: &M, ctx: &mut C) {
         .expect("map");
     engine.unmap(ctx, m).expect("unmap");
     let got = mem.read_vec(pkt, 1500).expect("read");
-}
-
-/// An `unsafe` block with no `// SAFETY:` justification.
-pub fn poke_raw(p: *mut u8) {
-    unsafe {
-        *p = 0;
-    }
-}
-
-/// Clean control: the justification satisfies the audit.
-pub fn poke_documented(p: *mut u8) {
-    // SAFETY: fixture pointer is valid for writes by construction.
-    unsafe {
-        *p = 1;
-    }
 }

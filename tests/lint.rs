@@ -1,18 +1,32 @@
 //! The lint must hold two properties at once: the real workspace passes,
 //! and a planted fixture workspace (`tests/fixtures/lint-bad`) fails with
 //! every rule firing. Together they prove the scanner neither rubber-stamps
-//! nor cries wolf.
+//! nor cries wolf. Each workspace is scanned once, and the tests share the
+//! report: findings, lock inventory and interprocedural product alike.
 
-use dma_shadowing::lint::{lint_workspace, lint_workspace_report, lock_order_analysis};
+use dma_shadowing::lint::{lint_workspace_report, WorkspaceReport};
 use std::path::Path;
+use std::sync::OnceLock;
 
 fn repo_root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
 }
 
+fn real_workspace() -> &'static WorkspaceReport {
+    static REPORT: OnceLock<WorkspaceReport> = OnceLock::new();
+    REPORT.get_or_init(|| lint_workspace_report(repo_root()).expect("scan workspace"))
+}
+
+fn fixture() -> &'static WorkspaceReport {
+    static REPORT: OnceLock<WorkspaceReport> = OnceLock::new();
+    REPORT.get_or_init(|| {
+        lint_workspace_report(&repo_root().join("tests/fixtures/lint-bad")).expect("scan fixture")
+    })
+}
+
 #[test]
 fn real_workspace_is_lint_clean() {
-    let violations = lint_workspace(repo_root()).expect("scan workspace");
+    let violations = &real_workspace().violations;
     assert!(
         violations.is_empty(),
         "workspace must be lint-clean, got:\n{}",
@@ -26,7 +40,7 @@ fn real_workspace_is_lint_clean() {
 
 #[test]
 fn real_workspace_lock_inventory_is_acyclic_and_complete() {
-    let report = lock_order_analysis(repo_root()).expect("scan workspace");
+    let report = &real_workspace().locks;
     assert!(
         report.cycles.is_empty(),
         "lock-order cycles in the real workspace: {:?}",
@@ -51,8 +65,7 @@ fn real_workspace_lock_inventory_is_acyclic_and_complete() {
 
 #[test]
 fn planted_fixture_trips_every_rule() {
-    let fixture = repo_root().join("tests/fixtures/lint-bad");
-    let violations = lint_workspace(&fixture).expect("scan fixture");
+    let violations = &fixture().violations;
     let count = |rule: &str| violations.iter().filter(|v| v.rule == rule).count();
 
     // `serde` in the fixture root plus `rand`/`proptest` in badcrate.
@@ -97,8 +110,8 @@ fn planted_fixture_trips_every_rule() {
         dead.file.ends_with("interproc.rs") && dead.detail.contains("cpu-read-while-mapped"),
         "{dead:?}"
     );
-    // One undocumented `unsafe`; `poke_documented` must NOT be counted.
-    assert_eq!(count("unsafe-no-safety"), 1, "{violations:?}");
+    // The fixture's crate root leaves out `#![forbid(unsafe_code)]`.
+    assert_eq!(count("forbid-unsafe"), 1, "{violations:?}");
 
     // The `#[cfg(test)]` unwrap in the fixture must NOT be counted; the
     // totals above are exhaustive.
@@ -115,10 +128,7 @@ fn planted_fixture_trips_every_rule() {
 
 #[test]
 fn fixture_interprocedural_product_is_exported() {
-    let fixture = repo_root().join("tests/fixtures/lint-bad");
-    let analysis = lint_workspace_report(&fixture)
-        .expect("scan fixture")
-        .protocol;
+    let analysis = &fixture().protocol;
 
     // The call graph resolved the planted helpers: `leak_across_helper`
     // calls `touch_stats`, `leak_of_returned_handle` calls `make_rx`,
@@ -155,9 +165,7 @@ fn fixture_interprocedural_product_is_exported() {
 
 #[test]
 fn real_workspace_interprocedural_product_is_pinned() {
-    let analysis = lint_workspace_report(repo_root())
-        .expect("scan workspace")
-        .protocol;
+    let analysis = &real_workspace().protocol;
     let g = &analysis.graph;
 
     // The graph covers the whole workspace: floors, not exact counts, so
