@@ -21,7 +21,7 @@ cargo test --offline -q --manifest-path benchmark/Cargo.toml -- \
     --skip known_broken_engines_are_counted_not_skipped
 # Lint: one scan that reads and parses the workspace once (style,
 # forbid-unsafe on every crate root, the DMA protocol rules the handle
-# types cannot state, device-taint, lock-order, dead-waiver) and writes the
+# types cannot state, device-taint, dead-waiver) and writes the
 # machine-readable report artifact from the same scan. It takes under a
 # second and carries a wall-clock budget: if it ever gets slow enough to
 # discourage running it, that is a CI failure, not a shrug.

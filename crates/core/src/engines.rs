@@ -424,7 +424,8 @@ mod tests {
         let batch = DeferPolicy::linux_default().batch;
         for kind in [EngineKind::LinuxDefer, EngineKind::EiovarDefer] {
             let obs = Obs::isolated();
-            obs.set_detail_enabled(true);
+            // A hook makes every lock site record its `LockAcquire`.
+            obs.set_yield_hook(Some(Arc::new(|_: &str| {})));
             let r = Rig::on(Iommu::with_queues(obs.clone(), CORES), |mem, mmu| {
                 build_engine(kind, mem, mmu, DEV, CORES, true, PoolConfig::default())
             });

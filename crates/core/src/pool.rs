@@ -119,11 +119,11 @@ struct FallbackEntry {
 /// MSB-clear half, disjoint from the `dma-api` allocators' range.
 const FALLBACK_PAGE_BASE: u64 = 1 << 34;
 
-/// Lock name reported in lockset events for the sub-page fragment caches.
+/// Lock-site name of the sub-page fragment caches.
 pub const POOL_CACHE_LOCK: &str = "pool-cache";
-/// Lock name reported in lockset events for the fallback table.
+/// Lock-site name of the fallback table.
 pub const POOL_FALLBACK_LOCK: &str = "pool-fallback";
-/// Lock name reported in lockset events for the per-core slot magazines.
+/// Lock-site name of the per-core slot magazines.
 pub const POOL_MAGAZINE_LOCK: &str = "pool-magazine";
 
 fn rights_idx(p: Perms) -> usize {
@@ -371,8 +371,7 @@ impl ShadowPool {
             // NOTE: bind the cache pop to a statement so its lock guard
             // drops here — `grow` re-locks the same cache when splitting a
             // page.
-            self.obs
-                .guarded(ctx, POOL_CACHE_LOCK, format_args!("pool.cache[{li}]"));
+            self.obs.guarded(ctx, POOL_CACHE_LOCK);
             let cached = self.caches[li].lock().pop();
             if let Some(i) = cached {
                 i
@@ -395,8 +394,7 @@ impl ShadowPool {
     /// magazines disabled, or on a miss).
     fn magazine_pop(&self, ctx: &mut CoreCtx, li: usize) -> Option<u64> {
         self.mag?;
-        self.obs
-            .guarded(ctx, POOL_MAGAZINE_LOCK, format_args!("pool.magazine[{li}]"));
+        self.obs.guarded(ctx, POOL_MAGAZINE_LOCK);
         let i = self.magazines[li].lock().pop();
         if i.is_some() {
             self.magazine_hits.inc();
@@ -415,8 +413,7 @@ impl ShadowPool {
         let (&first, rest) = got.split_first()?;
         if !rest.is_empty() {
             self.magazine_refills.inc();
-            self.obs
-                .guarded(ctx, POOL_MAGAZINE_LOCK, format_args!("pool.magazine[{li}]"));
+            self.obs.guarded(ctx, POOL_MAGAZINE_LOCK);
             self.magazines[li].lock().extend_from_slice(rest);
         }
         Some(first)
@@ -429,8 +426,7 @@ impl ShadowPool {
         let Some(mc) = self.mag else {
             return false;
         };
-        self.obs
-            .guarded(ctx, POOL_MAGAZINE_LOCK, format_args!("pool.magazine[{li}]"));
+        self.obs.guarded(ctx, POOL_MAGAZINE_LOCK);
         let mut mag = self.magazines[li].lock();
         if mag.len() >= mc.capacity.max(1) {
             return false;
@@ -450,8 +446,7 @@ impl ShadowPool {
         if self.mag.is_none() || self.magazines[li].lock().is_empty() {
             return 0;
         }
-        self.obs
-            .guarded(ctx, POOL_MAGAZINE_LOCK, format_args!("pool.magazine[{li}]"));
+        self.obs.guarded(ctx, POOL_MAGAZINE_LOCK);
         let slots = std::mem::take(&mut *self.magazines[li].lock());
         for &index in &slots {
             self.lists[li].push(array, index);
@@ -556,8 +551,7 @@ impl ShadowPool {
                 "aligned run must start an IOVA page"
             );
             self.mmu.map_page(ctx, self.dev, iova_page, pfn, rights)?;
-            self.obs
-                .guarded(ctx, POOL_CACHE_LOCK, format_args!("pool.cache[{li}]"));
+            self.obs.guarded(ctx, POOL_CACHE_LOCK);
             self.caches[li].lock().extend((start + 1..start + k).rev());
             self.add_shadow_bytes(PAGE_SIZE as u64);
             self.trace_grow(ctx, class, PAGE_SIZE as u64);
@@ -581,8 +575,7 @@ impl ShadowPool {
         self.mmu
             .map_range(ctx, self.dev, iova_page, pfn, pages, rights)?;
         let iova = iova_page.base();
-        self.obs
-            .guarded(ctx, POOL_FALLBACK_LOCK, format_args!("pool.fallback_table"));
+        self.obs.guarded(ctx, POOL_FALLBACK_LOCK);
         self.fallback.lock().insert(
             iova.get(),
             FallbackEntry {
@@ -615,7 +608,7 @@ impl ShadowPool {
     ///
     /// `iova` may point anywhere inside the shadow buffer; the lookup
     /// resolves to the containing buffer. Takes no `CoreCtx`, so unlike
-    /// the pool's other accessors it is deliberately not a lockset site.
+    /// the pool's other accessors it is deliberately not a lock site.
     pub fn find_shadow(&self, iova: Iova) -> Option<ShadowRef> {
         match self.codec.decode(iova) {
             Some(d) => {
@@ -692,8 +685,7 @@ impl ShadowPool {
                 }
             }
             None => {
-                self.obs
-                    .guarded(ctx, POOL_FALLBACK_LOCK, format_args!("pool.fallback_table"));
+                self.obs.guarded(ctx, POOL_FALLBACK_LOCK);
                 let entry = self
                     .fallback
                     .lock()

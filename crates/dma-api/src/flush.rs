@@ -75,13 +75,8 @@ pub struct DeferredFlusher {
     peak_pending: Gauge,
 }
 
-/// Lock name reported in lockset events for the global pending list.
+/// The name of the global pending list's lock.
 pub const FLUSH_LOCK: &str = "deferred-flush-list";
-
-/// Lockset label of the one list [`FlushScope::Global`] keeps; per-core
-/// lists are labelled by index the same way, so the detector sees each as
-/// its own variable.
-const GLOBAL_LIST: &str = "flush.pending_list[0]";
 
 impl DeferredFlusher {
     /// Creates a flusher; `cores` sizes the per-core lists (ignored for
@@ -134,16 +129,30 @@ impl DeferredFlusher {
     /// Runs `f` under the global list's lock, tracing this acquisition's
     /// own spin as `LockContention` like every other contended lock.
     fn locked<R>(&self, ctx: &mut CoreCtx, f: impl FnOnce(&mut CoreCtx) -> R) -> R {
-        let (r, spin) = self.obs.locked(ctx, &self.global_lock, GLOBAL_LIST, f);
+        let (r, spin) = self.obs.locked(ctx, &self.global_lock, f);
         self.obs
             .trace_contention(ctx, None, &self.global_lock, spin);
         r
     }
 
+    /// The calling core's list: the one global list, or the core's own.
+    ///
+    /// # Panics
+    ///
+    /// Panics under [`FlushScope::PerCore`] if the core has no list of its
+    /// own: a per-core list is lock-free only while one core owns it.
     fn list_index(&self, ctx: &CoreCtx) -> usize {
         match self.scope {
             FlushScope::Global => 0,
-            FlushScope::PerCore => ctx.core.index() % self.lists.len(),
+            FlushScope::PerCore => {
+                let idx = ctx.core.index();
+                assert!(
+                    idx < self.lists.len(),
+                    "core {idx} has no pending list of its own (per-core flusher sized for {})",
+                    self.lists.len()
+                );
+                idx
+            }
         }
     }
 
@@ -181,13 +190,8 @@ impl DeferredFlusher {
         };
         let batch = match self.scope {
             FlushScope::Global => self.locked(ctx, |ctx| append(ctx, &self.lists[0])),
-            FlushScope::PerCore => {
-                // Deliberately lock-free: each core owns its own list, so
-                // the lockset detector must see per-index variable names.
-                self.obs
-                    .shared_access(ctx, format_args!("flush.pending_list[{idx}]"));
-                append(ctx, &self.lists[idx])
-            }
+            // Deliberately lock-free: `list_index` gives each core its own.
+            FlushScope::PerCore => append(ctx, &self.lists[idx]),
         };
         if let Some(batch) = batch {
             self.drains.inc();
@@ -203,20 +207,15 @@ impl DeferredFlusher {
         ctx: &mut CoreCtx,
         mut drain: impl FnMut(&mut CoreCtx, &[PendingUnmap]),
     ) {
-        for (idx, list) in self.lists.iter().enumerate() {
+        for list in &self.lists {
+            let take = |_: &mut CoreCtx| {
+                let mut l = list.lock();
+                l.oldest = None;
+                std::mem::take(&mut l.entries)
+            };
             let batch = match self.scope {
-                FlushScope::Global => self.locked(ctx, |_| {
-                    let mut l = list.lock();
-                    l.oldest = None;
-                    std::mem::take(&mut l.entries)
-                }),
-                FlushScope::PerCore => {
-                    self.obs
-                        .shared_access(ctx, format_args!("flush.pending_list[{idx}]"));
-                    let mut l = list.lock();
-                    l.oldest = None;
-                    std::mem::take(&mut l.entries)
-                }
+                FlushScope::Global => self.locked(ctx, take),
+                FlushScope::PerCore => take(ctx),
             };
             if !batch.is_empty() {
                 self.drains.inc();
@@ -316,6 +315,36 @@ mod tests {
         });
         assert_eq!(drains, 1);
         assert_eq!(f.pending(), 1, "core 1's entry still pending");
+    }
+
+    #[test]
+    fn a_per_core_list_shared_by_two_cores_panics() {
+        // Per-core scope sized for one core, driven from cores 0 and 1,
+        // would put both cores on one lock-free list; sized for two, each
+        // core owns its own.
+        for (sized_for, races) in [(1, true), (2, false)] {
+            let drive = move || {
+                let f = DeferredFlusher::new(
+                    DeferPolicy::linux_default(),
+                    FlushScope::PerCore,
+                    sized_for,
+                );
+                let (mut c0, mut c1) = (ctx(0), ctx(1));
+                for i in 0..4 {
+                    f.defer(&mut c0, entry(i), |_, _| {});
+                    f.defer(&mut c1, entry(100 + i), |_, _| {});
+                }
+                f.pending()
+            };
+            match std::panic::catch_unwind(drive) {
+                Err(e) => {
+                    assert!(races, "sized for {sized_for}: {e:?}");
+                    let msg = e.downcast_ref::<String>().map_or("", String::as_str);
+                    assert!(msg.contains("core 1 has no pending list"), "{msg}");
+                }
+                Ok(pending) => assert!(!races && pending == 8, "sized for {sized_for}"),
+            }
+        }
     }
 
     #[test]

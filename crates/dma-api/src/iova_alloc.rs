@@ -118,8 +118,6 @@ impl GlobalTreeIovaAllocator {
     /// Creates the stock allocator reporting into `obs` (`iova.tree_*`
     /// metrics, `LockContention` events on contended lock acquisitions).
     pub fn with_obs(obs: Obs) -> Self {
-        // `let lock = SimLock::new("…")`: the shape the lint's static lock
-        // inventory reads a lock's name and binder from.
         let lock = SimLock::new("linux-iova-rbtree");
         Self::build(lock, None, ["tree_allocs", "tree_frees"], obs)
     }
@@ -219,9 +217,6 @@ impl IovaAllocator for GlobalTreeIovaAllocator {
 const MAGAZINE_CAP: usize = 256;
 const MAGAZINE_REFILL: usize = 32;
 
-/// Lockset label of the shared tree the magazines refill from.
-const SHARED_POOL: &str = "iova.shared_pool";
-
 /// The scalable per-core ("magazine") IOVA allocator of ATC'15 \[42\]:
 /// each core caches freed ranges locally and only touches the shared tree
 /// (under its lock) to refill or spill. EiovaR's free-range cache held per
@@ -247,8 +242,8 @@ impl PerCoreIovaAllocator {
     }
 
     /// Creates the allocator reporting into `obs` (`iova.magazine_*`
-    /// metrics, dmasan lockset events on the shared pool, `LockContention`
-    /// events on contended shared-lock acquisitions).
+    /// metrics, `LockContention` events on contended shared-lock
+    /// acquisitions).
     pub fn with_obs(cores: usize, obs: Obs) -> Self {
         assert!(cores > 0);
         PerCoreIovaAllocator {
@@ -278,7 +273,7 @@ impl IovaAllocator for PerCoreIovaAllocator {
         }
         self.refills.inc();
         // Refill from the shared tree.
-        let (refill, spin) = self.obs.locked(ctx, &self.shared_lock, SHARED_POOL, |ctx| {
+        let (refill, spin) = self.obs.locked(ctx, &self.shared_lock, |ctx| {
             ctx.charge(Phase::IommuPageTableMgmt, ctx.cost.iova_tree_alloc);
             let mut shared = self.shared.lock();
             let mut got = Vec::with_capacity(MAGAZINE_REFILL);
@@ -316,7 +311,7 @@ impl IovaAllocator for PerCoreIovaAllocator {
         };
         if let Some(spill) = spill {
             self.spills.inc();
-            let ((), spin) = self.obs.locked(ctx, &self.shared_lock, SHARED_POOL, |ctx| {
+            let ((), spin) = self.obs.locked(ctx, &self.shared_lock, |ctx| {
                 ctx.charge(Phase::IommuPageTableMgmt, ctx.cost.iova_tree_free);
                 let mut shared = self.shared.lock();
                 for s in spill {
@@ -346,7 +341,7 @@ impl IovaAllocator for PerCoreIovaAllocator {
         if drained == 0 {
             return 0;
         }
-        let ((), spin) = self.obs.locked(ctx, &self.shared_lock, SHARED_POOL, |ctx| {
+        let ((), spin) = self.obs.locked(ctx, &self.shared_lock, |ctx| {
             ctx.charge(Phase::IommuPageTableMgmt, ctx.cost.iova_tree_free);
             let mut shared = self.shared.lock();
             for (n, starts) in cached {

@@ -36,11 +36,8 @@ pub struct InvalQueueStats {
     pub waits: u64,
 }
 
-/// Lock name reported in lockset events for every invalidation queue.
-///
-/// All queues share one name (and the one `invalq.queue` access label):
-/// the owner core's page invalidations and a cross-core domain flush then
-/// hold a common candidate lock for the Eraser-style detector.
+/// The name every invalidation queue's lock carries (in `LockContention`
+/// events and at model-checker yield points).
 pub const INVALQ_LOCK: &str = "iommu-invalidation-queue";
 
 /// The IOMMU's invalidation queues: one (the paper's §2.2.1 machine) or
@@ -78,15 +75,8 @@ impl InvalQueue {
     /// page invalidations to queue `c % n`, so with one queue per core a
     /// strict unmap never waits on another core's invalidation.
     pub fn with_queues(obs: Obs, n: usize) -> Self {
-        let mut queues = Vec::new();
-        for _ in 0..n.max(1) {
-            // `let lock = SimLock::new(…)`: the shape the lint's static
-            // lock inventory reads a lock's name and binder from.
-            let lock = SimLock::new(INVALQ_LOCK);
-            queues.push(lock);
-        }
         InvalQueue {
-            queues,
+            queues: (0..n.max(1)).map(|_| SimLock::new(INVALQ_LOCK)).collect(),
             page_commands: obs.counter("invalq", "page_commands", None),
             flush_commands: obs.counter("invalq", "flush_commands", None),
             waits: obs.counter("invalq", "waits", None),
@@ -154,7 +144,7 @@ impl InvalQueue {
         obs::profile::scope(ctx, "invalq_drain", |ctx| {
             let active = ctx.active_cores;
             let wait_start = ctx.breakdown().get(Phase::InvalidateIotlb);
-            let ((), spin) = self.obs.locked(ctx, lock, "invalq.queue", |ctx| {
+            let ((), spin) = self.obs.locked(ctx, lock, |ctx| {
                 let mut iotlb = iotlb.lock();
                 let mut i = 0;
                 while i < pages.len() {
@@ -217,7 +207,7 @@ impl InvalQueue {
         let lock = self.lock();
         obs::profile::scope(ctx, "invalq_flush", |ctx| {
             let wait_start = ctx.breakdown().get(Phase::InvalidateIotlb);
-            let ((), spin) = self.obs.locked(ctx, lock, "invalq.queue", |ctx| {
+            let ((), spin) = self.obs.locked(ctx, lock, |ctx| {
                 ctx.charge(Phase::InvalidateIotlb, ctx.cost.inval_queue_post);
                 iotlb.lock().invalidate_device(dev);
                 self.flush_commands.inc();

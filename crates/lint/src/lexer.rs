@@ -1,23 +1,18 @@
-//! The shared front-end: byte-aligned comment/string-stripped views of a
+//! The shared front-end: a byte-aligned comment/string-stripped view of a
 //! Rust source file, the `#[cfg(test)]` region mask, and a token stream.
 //!
-//! Everything downstream — the style rules, the lock-order pass, the call
-//! graph, and the DMA-protocol and taint checks — consumes the output of
-//! this one pass, run once per file by [`crate::workspace`], so there is
-//! exactly one tokenizer and one interpretation of what is code and what
-//! is comment.
+//! Everything downstream — the style rules, the call graph, and the
+//! DMA-protocol and taint checks — consumes the output of this one pass,
+//! run once per file by [`crate::workspace`], so there is exactly one
+//! tokenizer and one interpretation of what is code and what is comment.
 
-/// A source file prepared for scanning. The two views are byte-aligned
-/// with each other and with the raw source: `kept` has comments blanked
-/// but string literals preserved (lock names live in strings); `blank`
-/// additionally blanks string/char contents, so structural matching on it
-/// is immune to both comments and literal contents.
+/// A source file prepared for scanning. The `blank` view is byte-aligned
+/// with the raw source and blanks comments and string/char contents, so
+/// structural matching on it is immune to both.
 #[derive(Debug, Clone)]
 pub struct Prep {
     /// Reporting label (workspace-relative path).
     pub label: String,
-    /// Comment-stripped view, string contents preserved.
-    pub kept: String,
     /// Comment- and literal-stripped view.
     pub blank: String,
     /// Per line (0-indexed): does the line belong to a `#[cfg(test)]`
@@ -25,20 +20,19 @@ pub struct Prep {
     pub mask: Vec<bool>,
 }
 
-/// Prepares one source file: builds both views and the test mask.
+/// Prepares one source file: builds the blanked view and the test mask.
 pub fn prep(label: &str, src: &str) -> Prep {
-    let (kept, blank) = aligned_views(src);
+    let blank = strip_code(src);
     let mask = test_region_mask(&blank);
     Prep {
         label: label.to_string(),
-        kept,
         blank,
         mask,
     }
 }
 
 impl Prep {
-    /// 1-indexed line of byte offset `pos` in either view.
+    /// 1-indexed line of byte offset `pos` in the source.
     pub fn line_of(&self, pos: usize) -> usize {
         self.blank.as_bytes()[..pos.min(self.blank.len())]
             .iter()
@@ -59,18 +53,11 @@ impl Prep {
 /// Replaces comments and string/char literals with spaces, preserving
 /// newlines and all other structure (so brace matching and line numbers
 /// survive). Doc comments — and therefore doctests — are stripped too.
-/// This is the `blank` view of [`aligned_views`].
+/// Handles nested block comments, raw strings with any number of `#`s
+/// (including unterminated ones at EOF), escapes, and byte-string
+/// literals.
 pub fn strip_code(src: &str) -> String {
-    aligned_views(src).1
-}
-
-/// Builds the byte-aligned comment-stripped (`kept`) and fully-blanked
-/// (`blank`) views. Handles nested block comments, raw strings with any
-/// number of `#`s (including unterminated ones at EOF), escapes, and
-/// byte-string literals.
-pub fn aligned_views(src: &str) -> (String, String) {
     let b = src.as_bytes();
-    let mut kept = Vec::with_capacity(b.len());
     let mut blank = Vec::with_capacity(b.len());
     let nl = |c: u8| if c == b'\n' { b'\n' } else { b' ' };
     let mut i = 0;
@@ -78,44 +65,35 @@ pub fn aligned_views(src: &str) -> (String, String) {
         let c = b[i];
         if c == b'/' && b.get(i + 1) == Some(&b'/') {
             while i < b.len() && b[i] != b'\n' {
-                kept.push(b' ');
                 blank.push(b' ');
                 i += 1;
             }
         } else if c == b'/' && b.get(i + 1) == Some(&b'*') {
             let mut depth = 1;
-            kept.extend([b' ', b' ']);
             blank.extend([b' ', b' ']);
             i += 2;
             while i < b.len() && depth > 0 {
                 if b[i] == b'/' && b.get(i + 1) == Some(&b'*') {
                     depth += 1;
-                    kept.extend([b' ', b' ']);
                     blank.extend([b' ', b' ']);
                     i += 2;
                 } else if b[i] == b'*' && b.get(i + 1) == Some(&b'/') {
                     depth -= 1;
-                    kept.extend([b' ', b' ']);
                     blank.extend([b' ', b' ']);
                     i += 2;
                 } else {
-                    kept.push(nl(b[i]));
                     blank.push(nl(b[i]));
                     i += 1;
                 }
             }
         } else if c == b'r' && raw_string_here(b, i) {
-            let start = i;
             let mut j = i + 1;
             while j < b.len() && b[j] == b'#' {
                 j += 1;
             }
             let hashes = j - (i + 1);
-            // Copy `r##"` verbatim into kept, spaces into blank.
-            for &d in &b[start..=j] {
-                kept.push(d);
-                blank.push(b' ');
-            }
+            // The `r##"` opener.
+            blank.extend(std::iter::repeat_n(b' ', j + 1 - i));
             i = j + 1;
             while i < b.len() {
                 // The closer is `"` followed by exactly `hashes` `#`s; a
@@ -125,32 +103,24 @@ pub fn aligned_views(src: &str) -> (String, String) {
                     && b.len() - (i + 1) >= hashes
                     && b[i + 1..].iter().take(hashes).all(|&d| d == b'#')
                 {
-                    for &d in &b[i..i + 1 + hashes] {
-                        kept.push(d);
-                        blank.push(b' ');
-                    }
+                    blank.extend(std::iter::repeat_n(b' ', 1 + hashes));
                     i += 1 + hashes;
                     break;
                 }
-                kept.push(b[i]);
                 blank.push(nl(b[i]));
                 i += 1;
             }
         } else if c == b'"' {
-            kept.push(c);
             blank.push(b' ');
             i += 1;
             while i < b.len() {
                 if b[i] == b'\\' && i + 1 < b.len() {
-                    kept.push(b[i]);
-                    kept.push(b[i + 1]);
                     blank.push(b' ');
                     blank.push(nl(b[i + 1]));
                     i += 2;
                     continue;
                 }
                 let done = b[i] == b'"';
-                kept.push(b[i]);
                 blank.push(nl(b[i]));
                 i += 1;
                 if done {
@@ -158,19 +128,15 @@ pub fn aligned_views(src: &str) -> (String, String) {
                 }
             }
         } else if c == b'\'' && char_literal_here(b, i) {
-            kept.push(c);
             blank.push(b' ');
             i += 1;
             while i < b.len() {
                 if b[i] == b'\\' && i + 1 < b.len() {
-                    kept.push(b[i]);
-                    kept.push(b[i + 1]);
                     blank.extend([b' ', b' ']);
                     i += 2;
                     continue;
                 }
                 let done = b[i] == b'\'';
-                kept.push(b[i]);
                 blank.push(b' ');
                 i += 1;
                 if done {
@@ -178,15 +144,11 @@ pub fn aligned_views(src: &str) -> (String, String) {
                 }
             }
         } else {
-            kept.push(c);
             blank.push(c);
             i += 1;
         }
     }
-    (
-        String::from_utf8_lossy(&kept).into_owned(),
-        String::from_utf8_lossy(&blank).into_owned(),
-    )
+    String::from_utf8_lossy(&blank).into_owned()
 }
 
 fn raw_string_here(b: &[u8], i: usize) -> bool {
@@ -285,7 +247,7 @@ const JOINED: [&str; 6] = ["::", "->", "=>", "..=", "..", "&&"];
 /// Tokenizes the `blank` view: identifier runs (`[A-Za-z0-9_]+`) become
 /// ident tokens, a few multi-character operators stay joined, and every
 /// other non-whitespace byte is a one-character punct token. String and
-/// char literal contents were blanked by [`aligned_views`], so no string
+/// char literal contents were blanked by [`strip_code`], so no string
 /// byte ever reaches the token stream.
 pub fn tokenize(blank: &str) -> Vec<Token> {
     let b = blank.as_bytes();
@@ -370,8 +332,7 @@ mod tests {
         // old closer probe `take(hashes).all(..)` matched an *empty*
         // remainder and treated the literal as closed.
         let src = "let r = r##\"abc\"";
-        let (kept, blank) = aligned_views(src);
-        assert_eq!(kept.len(), src.len());
+        let blank = strip_code(src);
         assert_eq!(blank.len(), src.len());
         assert!(!blank.contains("abc"));
     }

@@ -14,11 +14,7 @@
 //!    in any manifest (the workspace builds offline), and every crate
 //!    root carries `#![forbid(unsafe_code)]` (`forbid-unsafe`: rustc, not
 //!    this lint, then rejects any `unsafe`).
-//! 2. **Lock order** ([`rules::lock_order`]) — extracts every
-//!    instrumented lock site, builds the nested-acquisition graph, and
-//!    flags cycles; the site inventory feeds the model checker's
-//!    `known_locks`.
-//! 3. **DMA-API protocol** ([`rules::protocol`], [`typestate`],
+//! 2. **DMA-API protocol** ([`rules::protocol`], [`typestate`],
 //!    [`callgraph`], [`summary`]) — what the move-only handle types
 //!    cannot say. Unmap-once and no-use-after-unmap are rustc's (E0382);
 //!    a dataflow over each function's CFG checks the two obligations
@@ -30,9 +26,12 @@
 //!    summaries (computed over SCCs with a fixpoint for recursion) of the
 //!    one thing a call site cannot show — whether a callee returns a
 //!    fresh mapping.
-//! 4. **Device taint** ([`taint`]) — values read off device-writable
+//! 3. **Device taint** ([`taint`]) — values read off device-writable
 //!    mapped buffers flowing into an index, loop bound, accessor length,
 //!    or `PhysAddr` arithmetic without a bounds check.
+//!
+//! Lock order needs no pass: locks never nest, and `simcore::SimLock`
+//! panics at run time when a core takes one inside another.
 //!
 //! Passes return raw findings; one filter ([`rules`]) applies the
 //! `// lint: allow(<rule>) — <reason>` waivers (reason mandatory) and
@@ -56,9 +55,8 @@ pub mod typestate;
 pub mod workspace;
 
 pub use callgraph::{CallGraph, FnNode};
-pub use lexer::{aligned_views, strip_code, test_region_mask, Prep};
+pub use lexer::{strip_code, test_region_mask, Prep};
 pub use report::{json_report, rule_summary, LintViolation};
-pub use rules::lock_order::{LockEdge, LockOrderReport, LockSite};
 pub use rules::protocol::ProtocolAnalysis;
 pub use rules::style::{lint_manifest, FileContext};
 pub use summary::{FnSummary, RetEffect};
@@ -66,7 +64,7 @@ pub use taint::TaintStats;
 pub use workspace::{SourceFile, Workspace};
 
 /// Every rule the workspace lint can emit, for the per-rule summary.
-pub const ALL_RULES: [&str; 11] = [
+pub const ALL_RULES: [&str; 10] = [
     "ambient-io",
     "cpu-read-while-mapped",
     "dead-waiver",
@@ -74,32 +72,26 @@ pub const ALL_RULES: [&str; 11] = [
     "external-dep",
     "forbid-unsafe",
     "leak-on-exit",
-    "lock-order",
     "panic",
     "phys-addr-arith",
     "relaxed-atomic",
 ];
 
 /// A workspace scan: the violations the build gates on, plus the
-/// interprocedural analysis product and the lock-order inventory the JSON
-/// report exports.
+/// interprocedural analysis product the JSON report exports.
 #[derive(Debug, Default)]
 pub struct WorkspaceReport {
     /// Waiver-filtered violations across every file and manifest.
     pub violations: Vec<LintViolation>,
     /// Call graph, summaries, and taint stats.
     pub protocol: ProtocolAnalysis,
-    /// Lock sites, nested-acquisition edges and cycles.
-    pub locks: LockOrderReport,
 }
 
 /// Runs every pass over a loaded workspace: the manifests, then each
 /// file's raw line, protocol and taint findings through its waivers (and
-/// each crate root through the forbid-unsafe rule), then lock-order
-/// cycles.
+/// each crate root through the forbid-unsafe rule).
 pub fn lint(ws: &Workspace) -> WorkspaceReport {
     let mut protocol = ProtocolAnalysis::from_graph(CallGraph::build(&ws.files));
-    let locks = rules::lock_order::analyze(&ws.files);
     let mut out = Vec::new();
     for (label, toml) in &ws.manifests {
         out.extend(lint_manifest(label, toml));
@@ -115,12 +107,10 @@ pub fn lint(ws: &Workspace) -> WorkspaceReport {
             out.extend(rules::style::check_crate_root(&f.prep));
         }
     }
-    out.extend(locks.cycle_violations());
     protocol.taint = taint;
     WorkspaceReport {
         violations: out,
         protocol,
-        locks,
     }
 }
 
@@ -134,11 +124,6 @@ pub fn lint_workspace_report(root: &Path) -> std::io::Result<WorkspaceReport> {
 /// [`lint_workspace_report`] for the analysis product too).
 pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<LintViolation>> {
     Ok(lint_workspace_report(root)?.violations)
-}
-
-/// The lock-order pass alone over the workspace rooted at `root`.
-pub fn lock_order_analysis(root: &Path) -> std::io::Result<LockOrderReport> {
-    Ok(rules::lock_order::analyze(&Workspace::load(root)?.files))
 }
 
 #[cfg(test)]

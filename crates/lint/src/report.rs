@@ -59,13 +59,13 @@ fn text(s: &str) -> Json {
 }
 
 /// Builds the machine-readable lint report (`lint --json <path>`): the
-/// findings, the per-rule summary, the exported lock-order inventory, and
-/// the interprocedural call-graph, summary, and taint sections. Summaries
+/// findings, the per-rule summary, and the interprocedural call-graph,
+/// summary, and taint sections. Summaries
 /// are exported only when DMA-relevant — a fresh-mapped return or a
 /// device-data read — so the report stays proportional to the DMA
 /// surface, not the workspace size.
 pub fn json_report(report: &WorkspaceReport) -> Json {
-    let (locks, analysis) = (&report.locks, &report.protocol);
+    let analysis = &report.protocol;
     let violations = report.violations.iter().map(|v| {
         obj(vec![
             ("file", text(&v.file)),
@@ -77,26 +77,6 @@ pub fn json_report(report: &WorkspaceReport) -> Json {
     let summary = rule_summary(&report.violations)
         .into_iter()
         .map(|(r, n)| (r.to_string(), uint(n)));
-    let sites = locks.sites.iter().map(|s| {
-        obj(vec![
-            ("file", text(&s.file)),
-            ("line", uint(s.line)),
-            ("lock", text(&s.lock)),
-            ("acquisition", Json::Bool(s.acquisition)),
-        ])
-    });
-    let edges = locks.edges.iter().map(|e| {
-        obj(vec![
-            ("outer", text(&e.outer)),
-            ("inner", text(&e.inner)),
-            ("file", text(&e.file)),
-            ("line", uint(e.line)),
-        ])
-    });
-    let cycles = locks
-        .cycles
-        .iter()
-        .map(|c| Json::Arr(c.iter().map(|n| text(n)).collect()));
     let g = &analysis.graph;
     let closures = g.nodes.iter().filter(|n| n.is_closure).count();
     let call_graph = obj(vec![
@@ -131,14 +111,6 @@ pub fn json_report(report: &WorkspaceReport) -> Json {
         ("tool", text("lint")),
         ("violations", Json::Arr(violations.collect())),
         ("summary", Json::Obj(summary.collect())),
-        (
-            "lock_order",
-            obj(vec![
-                ("sites", Json::Arr(sites.collect())),
-                ("edges", Json::Arr(edges.collect())),
-                ("cycles", Json::Arr(cycles.collect())),
-            ]),
-        ),
         ("call_graph", call_graph),
         ("summaries", Json::Arr(summaries.collect())),
         (
@@ -176,7 +148,7 @@ mod tests {
         let s = rule_summary(&v);
         assert_eq!(s["panic"], 2);
         assert_eq!(s["leak-on-exit"], 0);
-        assert!(s.contains_key("lock-order"));
+        assert_eq!(s.len(), crate::ALL_RULES.len());
     }
 
     #[test]

@@ -4,22 +4,20 @@
 //! - [`style`] — the line-level house rules (panic, phys-addr-arith,
 //!   ambient-io, relaxed-atomic), the manifest rule (external-dep) and
 //!   the crate-root rule (forbid-unsafe).
-//! - [`lock_order`] — lock-site inventory and acquisition-cycle detection.
 //! - [`protocol`] — the DMA-API protocol rules the handle types cannot
 //!   state (leak-on-exit, cpu-read-while-mapped) plus device-taint.
 //!
 //! Passes return raw findings. `apply_waivers` is the one place a file
 //! opts out of a rule, with `// lint: allow(<rule>) — <reason>` (the
 //! reason is mandatory), and the one place a waiver that excuses nothing
-//! becomes a `dead-waiver` finding. Lock-order cycles, external
-//! dependencies and forbid-unsafe are not waivable.
+//! becomes a `dead-waiver` finding. External dependencies and
+//! forbid-unsafe are not waivable.
 
 use std::collections::BTreeMap;
 
 use crate::report::LintViolation;
 use style::FileContext;
 
-pub mod lock_order;
 pub mod protocol;
 pub mod style;
 

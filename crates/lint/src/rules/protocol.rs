@@ -5,8 +5,7 @@
 //! Both passes share one interprocedural context — the workspace call
 //! graph ([`crate::callgraph`]) and the per-function summaries
 //! ([`crate::summary`]: fresh-mapping returns, device-data reads). The
-//! assembled [`ProtocolAnalysis`] is what `lint --json` exports next to
-//! the lock-order inventory.
+//! assembled [`ProtocolAnalysis`] is what `lint --json` exports.
 
 use crate::callgraph::CallGraph;
 use crate::report::LintViolation;

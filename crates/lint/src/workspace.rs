@@ -6,8 +6,8 @@
 //! ([`crate::lexer::prep`]); each `src/` file is also tokenized and turned
 //! into token trees once, here. Every pass — the line rules, the call
 //! graph (which splits the trees into functions and builds each one's
-//! CFG once), the protocol and taint checks, lock order — reads this form
-//! and none of them touches the file system.
+//! CFG once), the protocol and taint checks — reads this form and none of
+//! them touches the file system.
 
 use std::fs;
 use std::io;
@@ -129,7 +129,7 @@ fn is_crate_root(path: &Path, src: &Path) -> bool {
 }
 
 /// Recursively collects `.rs` files under `dir`.
-fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
+pub fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     for entry in fs::read_dir(dir)? {
         let path = entry?.path();
         if path.is_dir() {

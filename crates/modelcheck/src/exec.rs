@@ -3,10 +3,11 @@
 //! Worker threads (mappers, the device) hand control back to the explorer
 //! at *yield points*: explicit operation boundaries in their scripts, and
 //! every instrumented lock site (delivered through the [`obs`] yield
-//! hook). Because the lock-site primitive fires the hook *before* taking
-//! the underlying lock — and nothing in the stack yields while holding a
-//! host lock — a parked worker never blocks another worker, so the handoff
-//! can never deadlock.
+//! hook). The lock-site primitive fires the hook *before* taking the
+//! underlying lock, locks never nest — `SimLock::lock` panics when a core
+//! already holds one, and `Obs::guarded` when it is reached under one —
+//! and nothing in the stack yields while holding a host lock, so a parked
+//! worker never blocks another worker and the handoff can never deadlock.
 //!
 //! The executor is rebuilt for every run: bounded model checking here is
 //! *stateless* (loom/Shuttle style) — each schedule is replayed against a
@@ -100,10 +101,8 @@ impl Executor {
 
     /// Installs the schedule-interception hook on `obs`: every instrumented
     /// lock site reached from a registered worker thread becomes a
-    /// preemption point. Also enables detail events, which gate the lockset
-    /// instrumentation the hook feeds on.
+    /// preemption point.
     pub fn install_hook(obs: &Obs) {
-        obs.set_detail_enabled(true);
         obs.set_yield_hook(Some(Arc::new(|lock: &str| {
             Self::yield_current(YieldInfo::Lock(lock.to_string()));
         })));

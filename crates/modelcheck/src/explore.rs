@@ -46,10 +46,6 @@ pub struct Config {
     pub with_san: bool,
     /// Keep a per-run summary (schedules, violations, accesses).
     pub collect_runs: bool,
-    /// Lock names the static lock-order pass inventoried; any yield point
-    /// naming a lock outside this set is reported in
-    /// [`Report::unknown_locks`]. `None` disables the check.
-    pub known_locks: Option<Vec<String>>,
     /// Build every rig with per-core allocation state (pool magazines,
     /// per-core IOVA allocator, one invalidation queue per mapper) — the
     /// `netsim` `percore` configuration, under the checker.
@@ -70,7 +66,6 @@ impl Config {
             stop_at_first_window: false,
             with_san: false,
             collect_runs: false,
-            known_locks: None,
             percore: false,
         }
     }
@@ -137,8 +132,6 @@ pub struct Report {
     pub window_example: Option<Counterexample>,
     /// First sub-page violation witnessed.
     pub subpage_example: Option<Counterexample>,
-    /// Lock yield points whose names the static inventory did not know.
-    pub unknown_locks: Vec<String>,
     /// Per-run summaries (when collected).
     pub run_summaries: Vec<RunSummary>,
     /// Worker panics with their schedules.
@@ -213,7 +206,6 @@ pub fn explore(cfg: &Config) -> Report {
         unexpected: None,
         window_example: None,
         subpage_example: None,
-        unknown_locks: Vec::new(),
         run_summaries: Vec::new(),
         panics: Vec::new(),
     };
@@ -326,15 +318,6 @@ fn run_schedule(cfg: &Config, stack: &mut Vec<Frame>, report: &mut Report) -> Ru
     let mut depth = 0usize;
     let mut pruned = false;
     loop {
-        if let Some(known) = &cfg.known_locks {
-            for v in &views {
-                if let ThreadView::Parked(YieldInfo::Lock(name)) = v {
-                    if !known.iter().any(|k| k == name) && !report.unknown_locks.contains(name) {
-                        report.unknown_locks.push(name.clone());
-                    }
-                }
-            }
-        }
         let enabled = parked(&views);
         if enabled.is_empty() {
             break; // all workers finished (or panicked): terminal state

@@ -9,10 +9,9 @@
 //! The moving parts:
 //!
 //! - [`exec`]: a schedule-controlled executor. Worker threads yield at
-//!   explicit operation boundaries and at every instrumented
-//!   `LockAcquire` (the same sites the dmasan lockset detector feeds on,
-//!   intercepted via the [`obs`] yield hook), so the explorer decides
-//!   every context switch.
+//!   explicit operation boundaries and at every instrumented lock site
+//!   (`Obs::locked` / `Obs::guarded`, intercepted via the [`obs`] yield
+//!   hook), so the explorer decides every context switch.
 //! - [`rig`]: the checked configuration — memory, IOMMU, one engine, one
 //!   window lifecycle per mapper, a probing device.
 //! - [`oracle`]: the sentinel-based invariant checker (pre-fill, page-tail

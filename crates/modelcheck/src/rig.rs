@@ -38,8 +38,8 @@ pub const PROBE_READ_LEN: usize = TAIL_OFF + 16;
 /// the stack's `RefCell` RNG is not `Sync`, and the checker needs engines
 /// shared across real host threads.
 pub struct Rig {
-    /// Telemetry (detail events on, sampling 1 — the executor's yield hook
-    /// and the counterexample trace both feed on it).
+    /// Telemetry (the executor's yield hook installed, sampling 1 — the
+    /// hook and the counterexample trace both feed on it).
     pub obs: Obs,
     /// Physical memory (tiny single-socket topology).
     pub mem: Arc<PhysMemory>,

@@ -12,9 +12,9 @@
 //!   (`DmaMap`/`DmaUnmap`, `IotlbInvalidate`, `PoolGrow`/`PoolShrink`,
 //!   `FallbackAcquire`, `AttackBlocked`, lock-contention spins) with
 //!   cause-chain spans.
-//! - [`Obs::locked`] / [`Obs::guarded`] / [`Obs::shared_access`] — the one
-//!   lock-site primitive: every instrumented lock emits its lockset events
-//!   (and reaches the model checker's yield hook) through these.
+//! - [`Obs::locked`] / [`Obs::guarded`] — the one lock-site primitive:
+//!   every instrumented lock reaches the model checker's yield hook
+//!   through these, and `guarded` asserts that no `SimLock` is held.
 //! - [`sink`] — a pretty-table text reporter and the JSON-lines reader
 //!   that loads saved profiles.
 //! - [`profile`] — a hierarchical virtual-time profiler: nested scopes
@@ -54,9 +54,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A schedule-interception hook: called with the lock's name at every
-/// instrumented lock site ([`Obs::locked`], [`Obs::guarded`]) reached while
-/// detail events are enabled. The `modelcheck` crate installs one to turn
-/// those sites into preemption points.
+/// instrumented lock site ([`Obs::locked`], [`Obs::guarded`]). The
+/// `modelcheck` crate installs one to turn those sites into preemption
+/// points.
 pub type YieldHook = Arc<dyn Fn(&str) + Send + Sync>;
 
 #[derive(Default)]
@@ -82,10 +82,10 @@ struct Inner {
     /// Latest virtual time any instrumented OS-side operation reported;
     /// device-side events (which carry no `CoreCtx`) are stamped with it.
     now_hint: AtomicU64,
-    /// Gates high-volume detail events (lockset `LockAcquire` /
-    /// `LockRelease` / `SharedAccess`); off by default so benchmarks and
-    /// ordinary runs never pay for or overflow the ring with them.
-    detail: AtomicBool,
+    /// Whether `yield_hook` is set: the one relaxed load a lock site
+    /// pays when no hook is installed, kept in step by
+    /// [`Obs::set_yield_hook`].
+    hooked: AtomicBool,
     /// The installed schedule-interception hook, if any.
     yield_hook: YieldHookCell,
     /// The hierarchical virtual-time profiler (disabled by default).
@@ -113,7 +113,7 @@ impl Obs {
             registry: Registry::new(),
             tracer: Tracer::with_capacity(capacity),
             now_hint: AtomicU64::new(0),
-            detail: AtomicBool::new(false),
+            hooked: AtomicBool::new(false),
             yield_hook: YieldHookCell::default(),
             profiler: Arc::new(Profiler::new()),
         }))
@@ -121,24 +121,14 @@ impl Obs {
 
     /// Installs (or, with `None`, removes) the schedule-interception hook.
     ///
-    /// While a hook is installed and detail events are enabled, every
-    /// instrumented lock site invokes it with the lock's name right after
-    /// recording `LockAcquire` and *before* taking the lock — the
-    /// `modelcheck` executor uses this to hand control to its scheduler at
-    /// lock-acquisition points.
+    /// While a hook is installed, every instrumented lock site invokes it
+    /// with the lock's name right after recording `LockAcquire` and
+    /// *before* taking the lock — the `modelcheck` executor uses this to
+    /// hand control to its scheduler at lock-acquisition points.
     pub fn set_yield_hook(&self, hook: Option<YieldHook>) {
-        *self.0.yield_hook.0.write() = hook;
-    }
-
-    /// Enables or disables high-volume detail events (lockset
-    /// instrumentation). Disabled by default.
-    pub fn set_detail_enabled(&self, on: bool) {
-        self.0.detail.store(on, Ordering::Relaxed);
-    }
-
-    /// True when detail events (lockset instrumentation) are enabled.
-    pub fn detail_enabled(&self) -> bool {
-        self.0.detail.load(Ordering::Relaxed)
+        let mut cell = self.0.yield_hook.0.write();
+        self.0.hooked.store(hook.is_some(), Ordering::Relaxed);
+        *cell = hook;
     }
 
     /// Keeps 1 in `period` trace cause chains (see [`trace`] module docs);

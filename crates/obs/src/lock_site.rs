@@ -1,64 +1,50 @@
-//! The lock-site primitive: the one place lockset events are built.
+//! The lock-site primitive: the one place a lock site reaches the model
+//! checker.
 //!
-//! Every contention-visible lock in the stack feeds two consumers from the
-//! same three detail-gated events: the Eraser-style lockset detector
-//! (`dmasan`) intersects the locks held across `SharedAccess` events, and
-//! the bounded model checker (`modelcheck`) preempts at `LockAcquire`. Both
-//! depend on one ordering rule — `LockAcquire` is recorded, and the yield
-//! hook fired, *before* the lock is taken, so a worker parked in the hook
-//! never holds a lock another worker needs. The three forms below are the
-//! only code that knows that rule. A `SimLock` guards one named structure,
-//! so [`Obs::locked`] takes a literal label; the other two forms label
-//! per-index state and take `format_args!(…)`, so with detail events off
-//! every site costs one relaxed load and never formats its label.
+//! Every contention-visible lock in the stack is taken through one of the
+//! two forms below. While a yield hook is installed (the bounded model
+//! checker's, `modelcheck`), a site records `LockAcquire` and fires the
+//! hook *before* the lock is taken, so a worker parked in the hook never
+//! holds a lock another worker needs; with no hook a site costs one
+//! relaxed load. Locks never nest: `SimLock::lock` panics when the core
+//! already holds one, and [`Obs::guarded`] when a host-mutex site is
+//! reached under a held `SimLock`.
 
 use crate::{EventKind, Obs};
 use simcore::{CoreCtx, Cycles, SimLock};
-use std::borrow::Cow;
-use std::fmt;
+use std::sync::atomic::Ordering;
 
 impl Obs {
-    /// Runs `f` under `lock` as an instrumented lock site guarding the
-    /// shared variable `var`; returns `f`'s result and the cycles this
-    /// acquisition spent spinning (see [`SimLock::with_spin`]).
+    /// Runs `f` under `lock` as an instrumented lock site; returns `f`'s
+    /// result and the cycles this acquisition spent spinning (see
+    /// [`SimLock::with_spin`]).
     pub fn locked<R>(
         &self,
         ctx: &mut CoreCtx,
         lock: &SimLock,
-        var: &'static str,
         f: impl FnOnce(&mut CoreCtx) -> R,
     ) -> (R, Cycles) {
-        if !self.detail_enabled() {
-            return lock.with_spin(ctx, f);
-        }
-        self.lock_acquire(ctx, lock.name());
-        let out = lock.with_spin(ctx, |ctx| {
-            self.lockset_event(ctx, access(var.into()));
-            f(ctx)
-        });
-        self.lockset_event(ctx, release(lock.name()));
-        out
+        self.lock_site(ctx, lock.name());
+        lock.with_spin(ctx, f)
     }
 
     /// The name-only form, for a region guarded by a host mutex rather than
-    /// a [`SimLock`]: records that `var` was touched under `lock`. Host
-    /// mutexes are instantaneous in virtual time, so the three events
-    /// share one timestamp and bracket the access exactly.
-    pub fn guarded(&self, ctx: &CoreCtx, lock: &'static str, var: fmt::Arguments<'_>) {
-        if !self.detail_enabled() {
-            return;
+    /// a [`SimLock`]. Host mutexes are instantaneous in virtual time, so
+    /// the site is only a preemption point.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the calling core holds a `SimLock`: no lock is taken
+    /// inside another.
+    pub fn guarded(&self, ctx: &CoreCtx, lock: &'static str) {
+        if let Some(outer) = ctx.holding() {
+            panic!(
+                "lock site {lock:?} reached on core {} while it holds SimLock {outer:?} \
+                 (locks never nest)",
+                ctx.core.0
+            );
         }
-        self.lock_acquire(ctx, lock);
-        self.lockset_event(ctx, access(var.to_string().into()));
-        self.lockset_event(ctx, release(lock));
-    }
-
-    /// The bare form, for deliberately lock-free state (per-core lists):
-    /// records that `var` was touched with whatever locks are held.
-    pub fn shared_access(&self, ctx: &CoreCtx, var: fmt::Arguments<'_>) {
-        if self.detail_enabled() {
-            self.lockset_event(ctx, access(var.to_string().into()));
-        }
+        self.lock_site(ctx, lock);
     }
 
     /// Emits `LockContention` for an acquisition of `lock` that spun.
@@ -87,28 +73,21 @@ impl Obs {
         }
     }
 
-    fn lockset_event(&self, ctx: &CoreCtx, kind: EventKind) {
+    /// With a yield hook installed, records `LockAcquire`, then hands
+    /// control to the hook — the caller takes the lock only after this
+    /// returns.
+    fn lock_site(&self, ctx: &CoreCtx, lock: &'static str) {
+        if !self.0.hooked.load(Ordering::Relaxed) {
+            return;
+        }
+        let kind = EventKind::LockAcquire { lock: lock.into() };
         self.trace(ctx.now(), ctx.core.0, None, kind);
-    }
-
-    /// Records `LockAcquire`, then hands control to the yield hook — the
-    /// caller takes the lock only after this returns.
-    fn lock_acquire(&self, ctx: &CoreCtx, lock: &'static str) {
-        self.lockset_event(ctx, EventKind::LockAcquire { lock: lock.into() });
         // Cloned out so the hook never runs under the cell's lock.
         let hook = self.0.yield_hook.0.read().clone();
         if let Some(hook) = hook {
             hook(lock);
         }
     }
-}
-
-fn access(var: Cow<'static, str>) -> EventKind {
-    EventKind::SharedAccess { var, write: true }
-}
-
-fn release(lock: &'static str) -> EventKind {
-    EventKind::LockRelease { lock: lock.into() }
 }
 
 #[cfg(test)]
@@ -124,106 +103,81 @@ mod tests {
         c
     }
 
-    fn kinds(obs: &Obs) -> Vec<String> {
+    fn acquires(obs: &Obs) -> Vec<String> {
         obs.tracer()
             .events()
             .iter()
             .map(|e| match &e.kind {
-                EventKind::LockAcquire { lock } => format!("acq:{lock}"),
-                EventKind::SharedAccess { var, write } => format!("acc:{var}:{write}"),
-                EventKind::LockRelease { lock } => format!("rel:{lock}"),
+                EventKind::LockAcquire { lock } => format!("acq:{lock}@{}", e.core),
                 other => other.name().to_string(),
             })
             .collect()
     }
 
-    struct Never;
-
-    impl fmt::Display for Never {
-        fn fmt(&self, _: &mut fmt::Formatter<'_>) -> fmt::Result {
-            panic!("label built with detail off")
-        }
-    }
-
     #[test]
-    fn detail_off_emits_nothing_and_never_builds_the_label() {
+    fn without_a_hook_sites_record_nothing() {
         let obs = Obs::isolated();
         let l = SimLock::new("site-lock");
         let mut c = ctx_at(0, 0);
-        let (v, _) = obs.locked(&mut c, &l, "site.var", |_| 7);
-        obs.guarded(&c, "host-lock", format_args!("{Never}"));
-        obs.shared_access(&c, format_args!("{Never}"));
+        let (v, _) = obs.locked(&mut c, &l, |_| 7);
+        obs.guarded(&c, "host-lock");
         assert_eq!(v, 7);
         assert_eq!(l.stats().acquisitions, 1, "the lock is still taken");
         assert!(obs.tracer().events().is_empty());
     }
 
     #[test]
-    fn detail_on_emits_acquire_access_release_with_the_locks_name() {
-        let obs = Obs::isolated();
-        obs.set_detail_enabled(true);
-        let l = SimLock::new("site-lock");
-        let mut c = ctx_at(2, 10);
-        obs.locked(&mut c, &l, "site.var", |_| ());
-        obs.guarded(&c, "host-lock", format_args!("host.var[{}]", c.core.0 + 1));
-        obs.shared_access(&c, format_args!("free.var"));
-        assert_eq!(
-            kinds(&obs),
-            [
-                "acq:site-lock",
-                "acc:site.var:true",
-                "rel:site-lock",
-                "acq:host-lock",
-                "acc:host.var[3]:true",
-                "rel:host-lock",
-                "acc:free.var:true",
-            ]
-        );
-        assert!(obs.tracer().events().iter().all(|e| e.core == 2));
-    }
-
-    #[test]
     fn yield_hook_runs_after_acquire_is_recorded_and_before_the_lock_is_taken() {
         let obs = Obs::isolated();
-        obs.set_detail_enabled(true);
         let l = Arc::new(SimLock::new("site-lock"));
         let seen: Arc<Mutex<Vec<String>>> = Arc::default();
         let (o, l2, s) = (obs.clone(), l.clone(), seen.clone());
         obs.set_yield_hook(Some(Arc::new(move |name: &str| {
-            let recorded = kinds(&o).join(",");
+            let recorded = acquires(&o).join(",");
             s.lock()
                 .push(format!("{name} after [{recorded}] held={}", l2.is_held()));
         })));
-        let mut c = ctx_at(0, 0);
-        obs.locked(&mut c, &l, "site.var", |_| assert!(l.is_held()));
-        obs.guarded(&c, "host-lock", format_args!("host.var"));
-        obs.shared_access(&c, format_args!("free.var"));
+        let mut c = ctx_at(2, 0);
+        obs.locked(&mut c, &l, |_| assert!(l.is_held()));
+        obs.guarded(&c, "host-lock");
         obs.set_yield_hook(None); // break the obs -> hook -> obs cycle
-        let seen = seen.lock();
-        assert_eq!(seen.len(), 2, "one yield per acquisition, none per access");
-        assert_eq!(seen[0], "site-lock after [acq:site-lock] held=false");
-        assert!(seen[1].starts_with("host-lock after ["), "{}", seen[1]);
-        assert!(seen[1].contains(",acq:host-lock] "), "{}", seen[1]);
+        obs.guarded(&c, "unhooked");
+        assert_eq!(
+            *seen.lock(),
+            [
+                "site-lock after [acq:site-lock@2] held=false",
+                "host-lock after [acq:site-lock@2,acq:host-lock@2] held=false",
+            ]
+        );
+        assert_eq!(acquires(&obs).len(), 2, "removing the hook stops recording");
     }
 
     #[test]
-    fn returned_spin_is_the_acquisitions_own_in_both_modes() {
-        for detail in [false, true] {
-            let obs = Obs::isolated();
-            obs.set_detail_enabled(detail);
-            // Core 0 holds the lock over t=0..500; core 1 arrives at t=100.
-            let l = SimLock::new("site-lock");
-            let mut c0 = ctx_at(0, 0);
-            l.lock(&mut c0);
-            c0.charge(Phase::Other, Cycles(500));
-            l.unlock(&mut c0);
-            let mut c1 = ctx_at(1, 100);
-            let ((), spin) = obs.locked(&mut c1, &l, "site.var", |_| ());
-            assert_eq!(spin, Cycles(400), "detail={detail}");
-            assert_eq!(c1.now(), Cycles(500));
-            let mut c2 = ctx_at(2, 600);
-            let ((), spin) = obs.locked(&mut c2, &l, "site.var", |_| ());
-            assert_eq!(spin, Cycles::ZERO, "detail={detail}");
-        }
+    #[should_panic(
+        expected = "lock site \"pool-cache\" reached on core 1 while it holds SimLock \"site-lock\""
+    )]
+    fn a_guarded_site_under_a_held_simlock_panics() {
+        let obs = Obs::isolated();
+        let l = SimLock::new("site-lock");
+        let mut c = ctx_at(1, 0);
+        obs.locked(&mut c, &l, |ctx| obs.guarded(ctx, "pool-cache"));
+    }
+
+    #[test]
+    fn returned_spin_is_the_acquisitions_own() {
+        let obs = Obs::isolated();
+        // Core 0 holds the lock over t=0..500; core 1 arrives at t=100.
+        let l = SimLock::new("site-lock");
+        let mut c0 = ctx_at(0, 0);
+        l.lock(&mut c0);
+        c0.charge(Phase::Other, Cycles(500));
+        l.unlock(&mut c0);
+        let mut c1 = ctx_at(1, 100);
+        let ((), spin) = obs.locked(&mut c1, &l, |_| ());
+        assert_eq!(spin, Cycles(400));
+        assert_eq!(c1.now(), Cycles(500));
+        let mut c2 = ctx_at(2, 600);
+        let ((), spin) = obs.locked(&mut c2, &l, |_| ());
+        assert_eq!(spin, Cycles::ZERO);
     }
 }

@@ -103,24 +103,11 @@ pub enum EventKind {
         /// Human-readable description of the violation.
         detail: Cow<'static, str>,
     },
-    /// A lock was acquired (lockset instrumentation; detail-gated).
+    /// A core reached an instrumented lock site: recorded only while a
+    /// yield hook is installed (see [`crate::Obs::set_yield_hook`]).
     LockAcquire {
         /// Which lock (e.g. `iommu-invalidation-queue`).
         lock: Cow<'static, str>,
-    },
-    /// A lock was released (lockset instrumentation; detail-gated).
-    LockRelease {
-        /// Which lock (e.g. `iommu-invalidation-queue`).
-        lock: Cow<'static, str>,
-    },
-    /// A shared variable was touched (lockset instrumentation;
-    /// detail-gated). The Eraser-style detector intersects the locks
-    /// held across these accesses.
-    SharedAccess {
-        /// Which shared variable (e.g. `invalq.commands`).
-        var: Cow<'static, str>,
-        /// True for a write access, false for a read.
-        write: bool,
     },
 }
 
@@ -138,8 +125,6 @@ impl EventKind {
             EventKind::LockContention { .. } => "LockContention",
             EventKind::SanitizerViolation { .. } => "SanitizerViolation",
             EventKind::LockAcquire { .. } => "LockAcquire",
-            EventKind::LockRelease { .. } => "LockRelease",
-            EventKind::SharedAccess { .. } => "SharedAccess",
         }
     }
 

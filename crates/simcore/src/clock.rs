@@ -24,6 +24,9 @@ pub struct CoreCtx {
     breakdown: Breakdown,
     now: Cycles,
     idle: Cycles,
+    /// The [`crate::SimLock`] this core holds, if any: written only by
+    /// `SimLock::lock` / `unlock`, which keep locks from nesting.
+    pub(crate) holding: Option<&'static str>,
 }
 
 impl CoreCtx {
@@ -36,6 +39,7 @@ impl CoreCtx {
             breakdown: Breakdown::new(),
             now: Cycles::ZERO,
             idle: Cycles::ZERO,
+            holding: None,
         }
     }
 
@@ -48,6 +52,12 @@ impl CoreCtx {
     /// [`CoreCtx::reset_stats`] (the Figure 5/8/10 bars).
     pub fn breakdown(&self) -> &Breakdown {
         &self.breakdown
+    }
+
+    /// The name of the [`crate::SimLock`] this core holds, if any. Locks
+    /// never nest, so there is at most one.
+    pub fn holding(&self) -> Option<&'static str> {
+        self.holding
     }
 
     /// Cycles this core spent doing work (including lock spinning, which is

@@ -32,6 +32,9 @@ pub struct LockStats {
 /// will next be free and charges arriving cores the spin time. Because the
 /// multi-core scheduler steps the earliest core first, acquisition order is
 /// FIFO in virtual time.
+///
+/// Locks never nest: a core holds at most one ([`CoreCtx::holding`]), and
+/// [`SimLock::lock`] panics on a second.
 #[derive(Debug, Default)]
 pub struct SimLock {
     name: &'static str,
@@ -71,7 +74,9 @@ impl SimLock {
     /// # Panics
     ///
     /// Panics if the lock is already held (no recursion: the code under
-    /// simulation never self-deadlocks, so this indicates a harness bug).
+    /// simulation never self-deadlocks, so this indicates a harness bug),
+    /// or if the calling core already holds another `SimLock`: locks never
+    /// nest, so no acquisition order exists to get wrong.
     #[inline]
     pub fn lock(&self, ctx: &mut CoreCtx) -> Cycles {
         assert!(
@@ -79,6 +84,13 @@ impl SimLock {
             "SimLock {:?} acquired while held (missing unlock?)",
             self.name
         );
+        if let Some(outer) = ctx.holding {
+            panic!(
+                "SimLock {:?} acquired on core {} while it holds {outer:?} (locks never nest)",
+                self.name, ctx.core.0
+            );
+        }
+        ctx.holding = Some(self.name);
         self.acquisitions.fetch_add(1, Ordering::Relaxed);
         let free_at = Cycles(self.free_at.load(Ordering::Relaxed));
         let mut spin = Cycles::ZERO;
@@ -106,6 +118,7 @@ impl SimLock {
             "SimLock {:?} released while free",
             self.name
         );
+        ctx.holding = None;
         let since = self.held_since.load(Ordering::Relaxed);
         let now = ctx.now().get();
         debug_assert!(now >= since);
@@ -250,6 +263,28 @@ mod tests {
         let mut c = ctx_at(0, 0);
         l.lock(&mut c);
         l.lock(&mut c);
+    }
+
+    #[test]
+    #[should_panic(expected = "SimLock \"inner\" acquired on core 3 while it holds \"outer\"")]
+    fn nested_locks_on_one_core_panic() {
+        let (outer, inner) = (SimLock::new("outer"), SimLock::new("inner"));
+        let mut c = ctx_at(3, 0);
+        outer.with(&mut c, |ctx| inner.with(ctx, |_| ()));
+    }
+
+    #[test]
+    fn cores_holding_different_locks_at_one_instant_do_not_nest() {
+        let (a, b) = (SimLock::new("a"), SimLock::new("b"));
+        let (mut c0, mut c1) = (ctx_at(0, 100), ctx_at(1, 100));
+        a.lock(&mut c0);
+        b.lock(&mut c1);
+        assert_eq!((c0.holding(), c1.holding()), (Some("a"), Some("b")));
+        a.unlock(&mut c0);
+        b.unlock(&mut c1);
+        assert_eq!((c0.holding(), c1.holding()), (None, None));
+        // A released lock leaves the core free to take the other one.
+        b.with(&mut c0, |_| ());
     }
 
     #[test]

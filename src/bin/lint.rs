@@ -4,15 +4,14 @@
 //! Reads every member crate's sources, tests, benches, and manifest once
 //! and runs the house rules, the crate-root `forbid(unsafe_code)` rule,
 //! the DMA-API protocol rules the handle types cannot state, the
-//! device-taint pass, the lock-order pass, and stale waivers over them
-//! (see the `lint` crate), prints a per-rule summary,
-//! and exits with a CI-friendly code: `0` clean, `1` findings, `2` the
-//! scan itself failed (I/O error, missing workspace, blown time budget).
+//! device-taint pass, and stale waivers over them (see the `lint` crate),
+//! prints a per-rule summary, and exits with a CI-friendly code: `0`
+//! clean, `1` findings, `2` the scan itself failed (I/O error, missing
+//! workspace, blown time budget).
 //!
 //! Flags:
 //! - `--json <path>` — also write the machine-readable report (findings,
-//!   per-rule summary, lock-order inventory, call graph, function
-//!   summaries, taint stats) to `path`; it comes from the same scan.
+//!   per-rule summary, call graph, function summaries, taint stats) to `path`; it comes from the same scan.
 //! - `--budget-ms <n>` — fail (exit 2) if the scan takes longer than `n`
 //!   milliseconds of wall clock; keeps the pass honest in CI.
 //! - any other argument — the workspace root (default: this crate's

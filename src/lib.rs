@@ -16,13 +16,12 @@
 //! - [`netsim`] — netperf-like and memcached-like workloads.
 //! - [`attacks`] — DMA-attack scenarios used to validate Table 1.
 //! - [`obs`] — telemetry: metrics registry, event tracer, report sinks.
-//! - [`dmasan`] — the DMA-API sanitizer and lockset race detector.
+//! - [`dmasan`] — the DMA-API sanitizer.
 //!
 //! It also fronts the workspace's correctness tooling: the [`lint`]
 //! crate (one pass over the workspace, parsed once: style rules, the
-//! crate-root `#![forbid(unsafe_code)]` rule, lock-order analysis, and
-//! the DMA-API protocol and device-taint checks) and its
-//! `cargo run --bin lint` runner.
+//! crate-root `#![forbid(unsafe_code)]` rule, and the DMA-API protocol
+//! and device-taint checks) and its `cargo run --bin lint` runner.
 #![forbid(unsafe_code)]
 
 pub use lint;

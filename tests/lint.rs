@@ -2,9 +2,13 @@
 //! and a planted fixture workspace (`tests/fixtures/lint-bad`) fails with
 //! every rule firing. Together they prove the scanner neither rubber-stamps
 //! nor cries wolf. Each workspace is scanned once, and the tests share the
-//! report: findings, lock inventory and interprocedural product alike.
+//! report: findings and interprocedural product alike. The loader also
+//! serves one source scan of its own: lock sites are instrumented only by
+//! the `obs` primitive.
 
-use dma_shadowing::lint::{lint_workspace_report, WorkspaceReport};
+use dma_shadowing::lint::lexer::prep;
+use dma_shadowing::lint::workspace::rust_files;
+use dma_shadowing::lint::{lint_workspace_report, Prep, Workspace, WorkspaceReport};
 use std::path::Path;
 use std::sync::OnceLock;
 
@@ -39,31 +43,6 @@ fn real_workspace_is_lint_clean() {
 }
 
 #[test]
-fn real_workspace_lock_inventory_is_acyclic_and_complete() {
-    let report = &real_workspace().locks;
-    assert!(
-        report.cycles.is_empty(),
-        "lock-order cycles in the real workspace: {:?}",
-        report.cycles
-    );
-    let names = report.lock_names();
-    for expected in [
-        "pool-cache",
-        "pool-fallback",
-        "deferred-flush-list",
-        "linux-iova-rbtree",
-        "scalable-iova-shared",
-        "eiovar-iova-cache",
-        "iommu-invalidation-queue",
-    ] {
-        assert!(
-            names.iter().any(|n| n == expected),
-            "lock `{expected}` missing from the static inventory: {names:?}"
-        );
-    }
-}
-
-#[test]
 fn planted_fixture_trips_every_rule() {
     let violations = &fixture().violations;
     let count = |rule: &str| violations.iter().filter(|v| v.rule == rule).count();
@@ -78,17 +57,6 @@ fn planted_fixture_trips_every_rule() {
     assert_eq!(count("ambient-io"), 1, "{violations:?}");
     // `Ordering::Relaxed` outside the obs counters, no waiver.
     assert_eq!(count("relaxed-atomic"), 1, "{violations:?}");
-    // `deadlock.rs` nests fixture-a / fixture-b in both orders: one cycle.
-    assert_eq!(count("lock-order"), 1, "{violations:?}");
-    let cycle = violations
-        .iter()
-        .find(|v| v.rule == "lock-order")
-        .expect("cycle violation");
-    assert!(
-        cycle.detail.contains("fixture-a -> fixture-b -> fixture-a"),
-        "{cycle:?}"
-    );
-
     // `protocol.rs` plants the two leak edges (`return`, `?`) and the
     // early CPU read; `interproc.rs` adds the cross-function leaks: a
     // handle only ever *borrowed* by a helper, and one that came back from
@@ -115,7 +83,7 @@ fn planted_fixture_trips_every_rule() {
 
     // The `#[cfg(test)]` unwrap in the fixture must NOT be counted; the
     // totals above are exhaustive.
-    assert_eq!(violations.len(), 17, "{violations:?}");
+    assert_eq!(violations.len(), 16, "{violations:?}");
 
     // The in-tree path dependency (`memsim = {{ path = .. }}`) is allowed.
     assert!(
@@ -178,11 +146,81 @@ fn real_workspace_interprocedural_product_is_pinned() {
     );
     assert!(closures > 300, "{closures} closures");
     let edges: usize = g.callees.iter().map(|c| c.len()).sum();
-    assert!(edges > 7500, "{edges} call edges");
+    assert!(edges > 7200, "{edges} call edges");
 
     // Device-tainted values exist (rx paths) but every one is either
     // sink-free or guarded: zero device-taint violations is the
     // workspace-clean assertion above, and the stats prove the pass
     // actually ran over real sources rather than finding nothing to do.
     assert!(analysis.taint.sources >= 5, "{:?}", analysis.taint);
+}
+
+/// Constructions (not patterns) of `EventKind::LockAcquire` in one prepped
+/// file, outside `#[cfg(test)]`.
+fn hand_rolled_lock_sites(p: &Prep) -> Vec<String> {
+    const NEEDLE: &str = "EventKind::LockAcquire";
+    let bb = p.blank.as_bytes();
+    let skip_ws = |mut k: usize| {
+        while bb.get(k).is_some_and(u8::is_ascii_whitespace) {
+            k += 1;
+        }
+        k
+    };
+    let mut out = Vec::new();
+    for (pos, _) in p.blank.match_indices(NEEDLE) {
+        // A braced value followed by `=>`, `=` or `|` is a pattern (code
+        // that *reads* the stream), not a construction.
+        let open = skip_ws(pos + NEEDLE.len());
+        let close = match bb.get(open) {
+            Some(b'{') => bb[open..].iter().position(|&c| c == b'}').map(|o| open + o),
+            _ => None,
+        };
+        let after = close.map(|c| skip_ws(c + 1)).and_then(|k| bb.get(k));
+        let line = p.line_of(pos);
+        if !matches!(after, Some(b'=' | b'|')) && !p.in_test(line) {
+            out.push(format!("{}:{line}: {NEEDLE}", p.label));
+        }
+    }
+    out
+}
+
+#[test]
+fn lock_acquire_is_built_only_by_the_obs_primitive() {
+    // The scanner must have teeth before its silence means anything.
+    let planted =
+        "fn f(o: &Obs) { o.trace(t, 0, None, EventKind::LockAcquire { lock: n.into() }); }";
+    assert_eq!(hand_rolled_lock_sites(&prep("x.rs", planted)).len(), 1);
+    let reader = "fn g(k: &EventKind) { match k { EventKind::LockAcquire { lock } => {} \
+                  _ => {} } if let EventKind::LockAcquire { lock } = k {} }";
+    assert!(hand_rolled_lock_sites(&prep("x.rs", reader)).is_empty());
+
+    // Every lock site goes through `Obs::{locked, guarded}`; a hand-copied
+    // `LockAcquire` (and with it a new place to get the record-and-yield-
+    // before-the-lock ordering wrong) fails here. The loader reads the
+    // member crates; the umbrella crate, the examples and the standalone
+    // benchmark are walked beside it.
+    let root = repo_root();
+    let ws = Workspace::load(root).expect("load workspace");
+    let mut preps: Vec<Prep> = ws
+        .files
+        .into_iter()
+        .filter(|f| f.crate_name != "obs")
+        .map(|f| f.prep)
+        .collect();
+    for dir in ["src", "examples", "benchmark/src"] {
+        let mut paths = Vec::new();
+        rust_files(&root.join(dir), &mut paths).expect("walk sources");
+        for path in paths {
+            let label = path.strip_prefix(root).unwrap_or(&path).display();
+            let src = std::fs::read_to_string(&path).expect("read source");
+            preps.push(prep(&label.to_string(), &src));
+        }
+    }
+    assert!(preps.len() > 50, "source walk found only {}", preps.len());
+    let sites: Vec<String> = preps.iter().flat_map(hand_rolled_lock_sites).collect();
+    assert!(
+        sites.is_empty(),
+        "lock-site instrumentation outside crates/obs:\n{}",
+        sites.join("\n")
+    );
 }
