@@ -4,10 +4,14 @@ set -eux
 export CARGO_NET_OFFLINE=true
 cargo build --release --workspace --all-targets
 # Includes the two exact goldens: tests/engine_goldens.rs (simulated cycles)
-# and tests/work_goldens.rs (host work: allocations, lock acquisitions,
-# IOTLB/invalidation/obs counters). No step here compares a timing with a
-# recorded baseline; host time is measured by the pipeline, from benchmark/.
+# and tests/work_goldens.rs (host work: allocations, SimLock acquisitions,
+# host lock holds, IOTLB/invalidation/obs counters). No step here compares a
+# timing with a recorded baseline; host time is measured by the pipeline,
+# from benchmark/.
 cargo test -q --workspace
+# The work goldens again in the release profile: their fixture promises the
+# dev and release profiles give the same numbers, and this holds it to that.
+cargo test --release -q --test work_goldens
 # The standalone benchmark package binds to this workspace's public items
 # by name (benchmark/README.md, "What the benchmark binds to"); its tests
 # fail here, not in the pipeline, when a refactor breaks one. Read-only.

@@ -2,7 +2,7 @@
 
 // lint: allow(panic) — descriptor-ring invariants are device-model bugs, not runtime errors
 
-use dma_api::{Bus, BusError, CoherentBuffer};
+use dma_api::{Bus, BusBurst, BusError, CoherentBuffer};
 use iommu::DeviceId;
 use std::cell::RefCell;
 use std::fmt;
@@ -194,31 +194,42 @@ impl Nic {
         status == STATUS_DONE
     }
 
-    fn fetch_descriptor(&self, ring: &Ring, slot: usize) -> Result<(u64, u32, u32), NicError> {
+    fn fetch_descriptor(
+        &self,
+        bus: &mut BusBurst<'_>,
+        ring: &Ring,
+        slot: usize,
+    ) -> Result<(u64, u32, u32), NicError> {
         let mut raw = [0u8; DESC_BYTES];
-        self.bus
-            .read(self.dev, ring.iova + (slot * DESC_BYTES) as u64, &mut raw)?;
+        bus.read(self.dev, ring.iova + (slot * DESC_BYTES) as u64, &mut raw)?;
         Ok(Self::decode_descriptor(&raw))
     }
 
-    fn write_back(&self, ring: &Ring, slot: usize, len: u32) -> Result<(), NicError> {
+    fn write_back(
+        &self,
+        bus: &mut BusBurst<'_>,
+        ring: &Ring,
+        slot: usize,
+        len: u32,
+    ) -> Result<(), NicError> {
         let mut tail = [0u8; 8];
         tail[0..4].copy_from_slice(&len.to_le_bytes());
         tail[4..8].copy_from_slice(&STATUS_DONE.to_le_bytes());
-        self.bus
-            .write(self.dev, ring.iova + (slot * DESC_BYTES + 8) as u64, &tail)?;
+        bus.write(self.dev, ring.iova + (slot * DESC_BYTES + 8) as u64, &tail)?;
         Ok(())
     }
 
     /// A frame arrives from the wire: the NIC fetches the next RX
     /// descriptor (a DMA read), DMAs the payload into the posted buffer,
-    /// and writes the completion back (a DMA write).
+    /// and writes the completion back (a DMA write) — three DMAs in one
+    /// [`Bus::burst`].
     ///
     /// # Errors
     ///
     /// [`NicError::NoDescriptor`] if the driver hasn't replenished the
     /// ring (the frame is dropped, as on real hardware);
-    /// [`NicError::Dma`] if any of the NIC's DMAs is blocked by the IOMMU.
+    /// [`NicError::Dma`] if any of the NIC's DMAs is blocked by the IOMMU
+    /// (the DMAs after it are not issued).
     pub fn receive(&self, ring_id: usize, payload: &[u8]) -> Result<RxCompletion, NicError> {
         let mut ring = self
             .rx
@@ -226,16 +237,19 @@ impl Nic {
             .ok_or(NicError::BadRing(ring_id))?
             .borrow_mut();
         let slot = ring.next;
-        let (addr, len, status) = self.fetch_descriptor(&ring, slot)?;
-        if status != STATUS_READY {
-            return Err(NicError::NoDescriptor {
-                ring: ring_id,
-                slot,
-            });
-        }
-        let n = payload.len().min(len as usize);
-        self.bus.write(self.dev, addr, &payload[..n])?;
-        self.write_back(&ring, slot, n as u32)?;
+        let n = self.bus.burst(|bus| {
+            let (addr, len, status) = self.fetch_descriptor(bus, &ring, slot)?;
+            if status != STATUS_READY {
+                return Err(NicError::NoDescriptor {
+                    ring: ring_id,
+                    slot,
+                });
+            }
+            let n = payload.len().min(len as usize);
+            bus.write(self.dev, addr, &payload[..n])?;
+            self.write_back(bus, &ring, slot, n as u32)?;
+            Ok(n)
+        })?;
         ring.next = (slot + 1) % ring.entries;
         Ok(RxCompletion { slot, len: n })
     }
@@ -261,12 +275,14 @@ impl Nic {
     /// chain: it fetches each descriptor, DMA-reads each fragment,
     /// segments the concatenation into MTU-sized wire frames (TSO), and
     /// completes the descriptors (real NICs chain descriptors exactly like
-    /// this for fragmented skbs).
+    /// this for fragmented skbs). The whole chain is one [`Bus::burst`].
     ///
     /// The payload streams to `sink` straight out of memory as
     /// `(offset in the payload, bytes)` pieces, in order and without gaps,
-    /// so a caller checks what went on the wire without staging it. On an
-    /// error the sink has seen only the pieces read before it.
+    /// so a caller checks what went on the wire without staging it. The
+    /// sink runs under the burst's lock holds, so it must not touch the
+    /// NIC's memory. On an error the sink has seen only the pieces read
+    /// before it.
     pub fn transmit_gather_with(
         &self,
         ring_id: usize,
@@ -280,27 +296,29 @@ impl Nic {
             .ok_or(NicError::BadRing(ring_id))?
             .borrow_mut();
         let first_slot = ring.next;
-        let mut gathered = 0usize;
-        for k in 0..n {
-            let slot = (first_slot + k) % ring.entries;
-            let (addr, len, status) = self.fetch_descriptor(&ring, slot)?;
-            if status != STATUS_READY {
-                return Err(NicError::NoDescriptor {
-                    ring: ring_id,
-                    slot,
-                });
-            }
-            let end = gathered + len as usize;
-            if end > self.cfg.tso_max {
-                return Err(NicError::OversizedTx(end));
-            }
-            self.bus
-                .read_with(self.dev, addr, len as usize, |off, bytes| {
+        let gathered = self.bus.burst(|bus| {
+            let mut gathered = 0usize;
+            for k in 0..n {
+                let slot = (first_slot + k) % ring.entries;
+                let (addr, len, status) = self.fetch_descriptor(bus, &ring, slot)?;
+                if status != STATUS_READY {
+                    return Err(NicError::NoDescriptor {
+                        ring: ring_id,
+                        slot,
+                    });
+                }
+                let end = gathered + len as usize;
+                if end > self.cfg.tso_max {
+                    return Err(NicError::OversizedTx(end));
+                }
+                bus.read_with(self.dev, addr, len as usize, |off, bytes| {
                     sink(gathered + off, bytes)
                 })?;
-            self.write_back(&ring, slot, len)?;
-            gathered = end;
-        }
+                self.write_back(bus, &ring, slot, len)?;
+                gathered = end;
+            }
+            Ok(gathered)
+        })?;
         ring.next = (first_slot + n) % ring.entries;
         let frames = gathered.div_ceil(MTU).max(1);
         Ok(TxCompletion {
@@ -325,7 +343,8 @@ impl Nic {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dma_api::{DmaBuf, DmaDirection, DmaEngine, NoIommu};
+    use dma_api::{BusObserver, DmaBuf, DmaDirection, DmaEngine, DmaObserver, NoIommu};
+    use dmasan::DmaSan;
     use iommu::{Iommu, IovaPage, Perms};
     use memsim::{NumaDomain, NumaTopology, PhysMemory, PAGE_SIZE};
     use simcore::{CoreCtx, CoreId, CostModel};
@@ -516,20 +535,26 @@ mod tests {
         assert_eq!(collected, sent);
     }
 
-    /// A NIC behind an IOMMU with a TX ring attached, and a two-page TX
-    /// buffer of `0x5a` bytes mapped read-only at IOVA `page`.
-    struct IommuTx {
+    /// A NIC behind an IOMMU whose one ring page is attached as both its
+    /// RX and its TX ring (id 0), and a two-page buffer of `0x5a` bytes
+    /// mapped read-write at IOVA `page`. The bus reports to `observer`.
+    struct IommuNic {
         mem: Arc<PhysMemory>,
         mmu: Arc<Iommu>,
         ctx: CoreCtx,
+        bus: Bus,
         nic: Nic,
         ring_id: usize,
-        ring_pa: memsim::PhysAddr,
+        ring: CoherentBuffer,
         page: IovaPage,
     }
 
-    impl IommuTx {
+    impl IommuNic {
         fn new() -> Self {
+            Self::observed(None)
+        }
+
+        fn observed(observer: Option<Arc<dyn BusObserver>>) -> Self {
             let mem = Arc::new(PhysMemory::new(NumaTopology::tiny(16)));
             let mmu = Arc::new(Iommu::new());
             let mut ctx = CoreCtx::new(CoreId(0), Arc::new(CostModel::zero()));
@@ -547,29 +572,42 @@ mod tests {
                 mmu: mmu.clone(),
                 mem: mem.clone(),
             };
-            let mut nic = Nic::new(DEV, bus, NicConfig::default());
+            let bus = match observer {
+                Some(observer) => bus.observed(observer),
+                None => bus,
+            };
+            let mut nic = Nic::new(DEV, bus.clone(), NicConfig::default());
             let ring_id = nic.attach_tx_ring(&ring);
+            assert_eq!(nic.attach_rx_ring(&ring), ring_id);
             let buf = mem.alloc_frames(NumaDomain(0), 2).unwrap();
             mem.fill(buf.base(), 0x5a, 2 * PAGE_SIZE).unwrap();
             let page = IovaPage(0x20);
-            mmu.map_range(&mut ctx, DEV, page, buf, 2, Perms::Read)
+            mmu.map_range(&mut ctx, DEV, page, buf, 2, Perms::ReadWrite)
                 .unwrap();
-            IommuTx {
+            IommuNic {
                 mem,
                 mmu,
                 ctx,
+                bus,
                 nic,
                 ring_id,
-                ring_pa: ring.pa,
+                ring,
                 page,
             }
         }
 
+        /// Posts a ready descriptor for `len` bytes at `iova` in `slot`.
         fn post(&self, slot: usize, iova: u64, len: usize) {
             let d = Nic::encode_descriptor(iova, len as u32);
             self.mem
-                .write(self.ring_pa.add((slot * DESC_BYTES) as u64), &d)
+                .write(self.ring.pa.add((slot * DESC_BYTES) as u64), &d)
                 .unwrap();
+        }
+
+        /// The descriptor in `slot` as ring memory holds it.
+        fn descriptor(&self, slot: usize) -> (u64, u32, u32) {
+            let at = self.ring.pa.add((slot * DESC_BYTES) as u64);
+            Nic::decode_descriptor(&self.mem.read_vec(at, DESC_BYTES).unwrap())
         }
 
         /// Leaves only the buffer's first page mapped.
@@ -580,11 +618,41 @@ mod tests {
                 .unwrap();
             self.mmu.invalidate_page_sync(&mut self.ctx, DEV, second);
         }
+
+        /// A checker that knows the ring (as a coherent buffer) and
+        /// nothing else, watching this rig's bus.
+        fn sanitized(strict: bool) -> (Self, Arc<DmaSan>) {
+            let obs = obs::Obs::isolated();
+            let san = Arc::new(if strict {
+                DmaSan::new(obs)
+            } else {
+                DmaSan::lenient(obs)
+            });
+            let r = Self::observed(Some(san.clone()));
+            san.on_alloc_coherent(&r.ctx, DEV, &r.ring);
+            (r, san)
+        }
+    }
+
+    /// Every access a bus reports: `(addr, len, is_write, granted)`.
+    #[derive(Debug, Default)]
+    struct Recorder(simcore::sync::Mutex<Vec<(u64, usize, bool, bool)>>);
+
+    impl BusObserver for Recorder {
+        fn on_device_access(&self, _: DeviceId, addr: u64, len: usize, w: bool, granted: bool) {
+            self.0.lock().push((addr, len, w, granted));
+        }
+    }
+
+    impl Recorder {
+        fn calls(&self) -> Vec<(u64, usize, bool, bool)> {
+            self.0.lock().clone()
+        }
     }
 
     #[test]
     fn failed_tx_leaves_a_reused_buffer_empty() {
-        let mut r = IommuTx::new();
+        let mut r = IommuNic::new();
         // Fully mapped: the transmit fills `wire`.
         let mut wire = Vec::new();
         r.post(0, r.page.base().get(), 2 * PAGE_SIZE);
@@ -602,7 +670,7 @@ mod tests {
 
     #[test]
     fn a_fault_on_the_second_fragment_leaves_the_sink_with_the_first() {
-        let mut r = IommuTx::new();
+        let mut r = IommuNic::new();
         r.unmap_second_page();
         r.post(0, r.page.base().get(), PAGE_SIZE);
         r.post(1, r.page.add(1).base().get(), PAGE_SIZE);
@@ -614,6 +682,119 @@ mod tests {
         assert!(matches!(err, NicError::Dma(_)), "{err:?}");
         assert_eq!(pieces, [(0, vec![0x5a; PAGE_SIZE])]);
         assert_eq!(r.nic.tx_next(r.ring_id), 0, "the chain did not complete");
+    }
+
+    #[test]
+    fn a_payload_fault_mid_burst_fetches_the_descriptor_and_writes_nothing_back() {
+        let rec = Arc::new(Recorder::default());
+        let mut r = IommuNic::observed(Some(rec.clone()));
+        r.unmap_second_page();
+        // The receive buffer starts 100 B into the mapped page and runs
+        // into the unmapped one: the payload write faults part-way.
+        let buf = r.page.base().get() + 100;
+        r.post(0, buf, PAGE_SIZE);
+        let err = r.nic.receive(r.ring_id, &[0xee; PAGE_SIZE]).unwrap_err();
+        let NicError::Dma(BusError::Fault(fault)) = err else {
+            panic!("{err:?}");
+        };
+        assert_eq!(fault.iova, r.page.add(1).base());
+        assert_eq!(r.mmu.faults(), [fault], "exactly one fault logged");
+        let ring = r.ring.iova.get();
+        assert_eq!(
+            rec.calls(),
+            [
+                (ring, DESC_BYTES, false, true),
+                (buf, PAGE_SIZE, true, false)
+            ],
+            "the fetch and the faulted write reach the observer, no write-back"
+        );
+        assert_eq!(r.descriptor(0), (buf, PAGE_SIZE as u32, STATUS_READY));
+        assert_eq!(r.nic.rx_next(r.ring_id), 0);
+    }
+
+    #[test]
+    fn a_sanitizer_violation_inside_a_burst_is_recorded_as_alone() {
+        // The checker knows the ring but not the buffer: the payload write
+        // is a violation the IOMMU grants.
+        let (burst, in_burst) = IommuNic::sanitized(false);
+        let buf = burst.page.base().get();
+        burst.post(0, buf, 600);
+        assert!(burst.nic.receive(burst.ring_id, &[1; 600]).is_ok());
+        let (single, alone) = IommuNic::sanitized(false);
+        single.bus.write(DEV, buf, &[1; 600]).unwrap();
+        let v = in_burst.violations();
+        assert_eq!(v.len(), 1, "the ring accesses are legal: {v:?}");
+        assert_eq!(v[0].kind, dmasan::ViolationKind::StaleAccess);
+        assert_eq!(v, alone.violations());
+    }
+
+    #[test]
+    fn a_strict_sanitizer_panic_inside_a_burst_leaves_the_bus_usable() {
+        let (r, san) = IommuNic::sanitized(true);
+        let buf = r.page.base().get();
+        r.post(0, buf, 600);
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            r.nic.receive(r.ring_id, &[1; 600])
+        }))
+        .unwrap_err();
+        let msg = panicked.downcast_ref::<String>().unwrap();
+        assert!(msg.starts_with("dmasan[stale_access]"), "{msg}");
+        assert_eq!(r.nic.rx_next(r.ring_id), 0, "the receive did not complete");
+        // Once the buffer is mapped as far as the checker knows, the next
+        // burst on the same bus runs.
+        let m = dma_api::DmaMapping {
+            iova: r.page.base(),
+            len: 600,
+            dir: DmaDirection::FromDevice,
+            os_pa: memsim::PhysAddr(0x9000),
+            wrote: 600,
+        };
+        san.on_map(&r.ctx, DEV, &m, 1);
+        let c = r.nic.receive(r.ring_id, &[2; 600]).unwrap();
+        assert_eq!(c, RxCompletion { slot: 0, len: 600 });
+        assert_eq!(r.descriptor(0), (buf, 600, STATUS_DONE));
+        assert_eq!(san.violation_count(), 1);
+    }
+
+    #[test]
+    fn a_three_descriptor_chain_matches_its_accesses_one_by_one() {
+        // Fragments inside the two-page buffer; the second crosses pages.
+        let frags = [(100, 3000), (3100, 2000), (5100, 2000)];
+        let run = |chain: bool| {
+            let rec = Arc::new(Recorder::default());
+            let r = IommuNic::observed(Some(rec.clone()));
+            for (slot, &(at, len)) in frags.iter().enumerate() {
+                r.post(slot, r.page.base().get() + at, len);
+            }
+            let mut pieces = Vec::new();
+            if chain {
+                let sink = |off, b: &[u8]| pieces.push((off, b.to_vec()));
+                r.nic.transmit_gather_with(r.ring_id, 3, sink).unwrap();
+            } else {
+                let mut gathered = 0;
+                for slot in 0..3 {
+                    let desc = r.ring.iova.get() + (slot * DESC_BYTES) as u64;
+                    let mut raw = [0u8; DESC_BYTES];
+                    r.bus.read(DEV, desc, &mut raw).unwrap();
+                    let (addr, len, _) = Nic::decode_descriptor(&raw);
+                    let sink = |off, b: &[u8]| pieces.push((gathered + off, b.to_vec()));
+                    r.bus.read_with(DEV, addr, len as usize, sink).unwrap();
+                    let mut tail = [0u8; 8];
+                    tail[0..4].copy_from_slice(&len.to_le_bytes());
+                    tail[4..8].copy_from_slice(&STATUS_DONE.to_le_bytes());
+                    r.bus.write(DEV, desc + 8, &tail).unwrap();
+                    gathered += len as usize;
+                }
+            }
+            let ring = r.mem.read_vec(r.ring.pa, 3 * DESC_BYTES).unwrap();
+            (r.mmu.iotlb_stats(), pieces, rec.calls(), ring)
+        };
+        let (chain, alone) = (run(true), run(false));
+        assert_eq!(chain.0, alone.0, "IOTLB hits, misses and evictions");
+        assert_eq!(chain.1, alone.1, "sink pieces");
+        assert_eq!(chain.2, alone.2, "observer calls");
+        assert_eq!(chain.3, alone.3, "ring memory after the write-backs");
+        assert_eq!(chain.2.len(), 9);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The device-side view of memory: how device models issue DMAs.
 
 use crate::observe::BusObserver;
-use iommu::{DeviceId, DmaFault, Iommu, Iova};
-use memsim::{MemError, PhysAddr, PhysMemory};
+use iommu::{DeviceId, DmaFault, Iommu, IommuBurst, Iova};
+use memsim::{MemError, MemLocked, PhysAddr, PhysMemory};
 use std::fmt;
 use std::sync::Arc;
 
@@ -47,7 +47,8 @@ pub enum Bus {
     /// A bus whose traffic is reported to a [`BusObserver`] (the DMA
     /// sanitizer). The observer sees every access *after* the inner bus
     /// decided it, so it can layer the DMA-API-contract check on top of
-    /// the hardware verdict.
+    /// the hardware verdict; inside a burst it runs under the burst's
+    /// holds (lock order IOTLB → memory → observer).
     Observed {
         /// The bus actually performing the access.
         inner: Box<Bus>,
@@ -67,25 +68,42 @@ impl Bus {
 
     /// The underlying physical memory.
     pub fn mem(&self) -> &Arc<PhysMemory> {
-        match self {
-            Bus::Direct(mem) => mem,
-            Bus::Iommu { mem, .. } => mem,
-            Bus::Observed { inner, .. } => inner.mem(),
-        }
+        self.path().1
     }
 
     /// Whether an IOMMU sits between devices and memory.
     pub fn protected(&self) -> bool {
+        self.path().0.is_some()
+    }
+
+    /// The IOMMU (if any) and the memory under the observers.
+    fn path(&self) -> (Option<&Iommu>, &Arc<PhysMemory>) {
         match self {
-            Bus::Direct(_) => false,
-            Bus::Iommu { .. } => true,
-            Bus::Observed { inner, .. } => inner.protected(),
+            Bus::Direct(mem) => (None, mem),
+            Bus::Iommu { mmu, mem } => (Some(mmu), mem),
+            Bus::Observed { inner, .. } => inner.path(),
         }
     }
 
-    /// Device read of `len` bytes at `addr` (an IOVA when protected, else
-    /// physical), handed to `visit` in place as `(offset, bytes)` pieces in
-    /// order; on an error, `visit` has seen the pieces before it.
+    /// Runs `f` as one device burst: the IOTLB (when protected) and the
+    /// memory are locked once, in that order, for every access `f` makes,
+    /// and released when it returns. Each access still reaches the
+    /// observer once, after it completes, with the hardware verdict; the
+    /// observer runs under the burst's holds, so it must not touch this
+    /// bus's memory or IOMMU.
+    pub fn burst<R>(&self, f: impl FnOnce(&mut BusBurst<'_>) -> R) -> R {
+        let (mmu, mem) = self.path();
+        let mmu = mmu.map(Iommu::burst);
+        let mut burst = BusBurst {
+            bus: self,
+            mmu,
+            mem: mem.locked(),
+        };
+        f(&mut burst)
+    }
+
+    /// Device read of `len` bytes at `addr`, handed to `visit` in place: a
+    /// burst of one (see [`BusBurst::read_with`]).
     pub fn read_with(
         &self,
         dev: DeviceId,
@@ -93,41 +111,77 @@ impl Bus {
         len: usize,
         visit: impl FnMut(usize, &[u8]),
     ) -> Result<(), BusError> {
-        match self {
-            Bus::Direct(mem) => mem
-                .read_with(PhysAddr(addr), len, visit)
-                .map_err(BusError::Mem),
-            Bus::Iommu { mmu, mem } => mmu
-                .dma_read_with(mem, dev, Iova::new(addr), len, visit)
-                .map_err(BusError::Fault),
-            Bus::Observed { inner, observer } => {
-                let r = inner.read_with(dev, addr, len, visit);
-                observer.on_device_access(dev, addr, len, false, r.is_ok());
-                r
-            }
-        }
+        self.burst(|b| b.read_with(dev, addr, len, visit))
     }
 
     /// Device read into `buf`: the copying case of [`Bus::read_with`].
     pub fn read(&self, dev: DeviceId, addr: u64, buf: &mut [u8]) -> Result<(), BusError> {
+        self.burst(|b| b.read(dev, addr, buf))
+    }
+
+    /// Device write (`addr` is an IOVA when protected, else physical).
+    pub fn write(&self, dev: DeviceId, addr: u64, data: &[u8]) -> Result<(), BusError> {
+        self.burst(|b| b.write(dev, addr, data))
+    }
+
+    /// Reports one access to every observer in the chain, innermost first.
+    fn notify(&self, dev: DeviceId, addr: u64, len: usize, is_write: bool, granted: bool) {
+        if let Bus::Observed { inner, observer } = self {
+            inner.notify(dev, addr, len, is_write, granted);
+            observer.on_device_access(dev, addr, len, is_write, granted);
+        }
+    }
+}
+
+/// A [`Bus`] inside [`Bus::burst`]: the device's accesses, under one hold
+/// of the IOTLB and one of the memory.
+pub struct BusBurst<'a> {
+    bus: &'a Bus,
+    mmu: Option<IommuBurst<'a>>,
+    mem: MemLocked<'a>,
+}
+
+impl BusBurst<'_> {
+    /// Device read of `len` bytes at `addr` (an IOVA when protected, else
+    /// physical), handed to `visit` in place as `(offset, bytes)` pieces in
+    /// order; on an error, `visit` has seen the pieces before it.
+    pub fn read_with(
+        &mut self,
+        dev: DeviceId,
+        addr: u64,
+        len: usize,
+        visit: impl FnMut(usize, &[u8]),
+    ) -> Result<(), BusError> {
+        let r = match &mut self.mmu {
+            Some(mmu) => mmu
+                .dma_read_with(&mut self.mem, dev, Iova::new(addr), len, visit)
+                .map_err(BusError::Fault),
+            None => self
+                .mem
+                .read_with(PhysAddr(addr), len, visit)
+                .map_err(BusError::Mem),
+        };
+        self.bus.notify(dev, addr, len, false, r.is_ok());
+        r
+    }
+
+    /// Device read into `buf`: the copying case of [`BusBurst::read_with`].
+    pub fn read(&mut self, dev: DeviceId, addr: u64, buf: &mut [u8]) -> Result<(), BusError> {
         self.read_with(dev, addr, buf.len(), |off, bytes| {
             buf[off..off + bytes.len()].copy_from_slice(bytes)
         })
     }
 
     /// Device write (`addr` is an IOVA when protected, else physical).
-    pub fn write(&self, dev: DeviceId, addr: u64, data: &[u8]) -> Result<(), BusError> {
-        match self {
-            Bus::Direct(mem) => mem.write(PhysAddr(addr), data).map_err(BusError::Mem),
-            Bus::Iommu { mmu, mem } => mmu
-                .dma_write(mem, dev, Iova::new(addr), data)
+    pub fn write(&mut self, dev: DeviceId, addr: u64, data: &[u8]) -> Result<(), BusError> {
+        let r = match &mut self.mmu {
+            Some(mmu) => mmu
+                .dma_write(&mut self.mem, dev, Iova::new(addr), data)
                 .map_err(BusError::Fault),
-            Bus::Observed { inner, observer } => {
-                let r = inner.write(dev, addr, data);
-                observer.on_device_access(dev, addr, data.len(), true, r.is_ok());
-                r
-            }
-        }
+            None => self.mem.write(PhysAddr(addr), data).map_err(BusError::Mem),
+        };
+        self.bus.notify(dev, addr, data.len(), true, r.is_ok());
+        r
     }
 }
 
@@ -139,6 +193,94 @@ mod tests {
     use simcore::{CoreCtx, CoreId, CostModel};
 
     const DEV: DeviceId = DeviceId(0);
+
+    /// A protected bus over two mapped pages at IOVA page 0x10.
+    fn iommu_bus() -> (Bus, Arc<Iommu>) {
+        let mem = Arc::new(PhysMemory::new(NumaTopology::tiny(8)));
+        let mmu = Arc::new(Iommu::new());
+        let mut ctx = CoreCtx::new(CoreId(0), Arc::new(CostModel::zero()));
+        let pfn = mem.alloc_frames(NumaDomain(0), 2).unwrap();
+        mmu.map_range(&mut ctx, DEV, IovaPage(0x10), pfn, 2, Perms::ReadWrite)
+            .unwrap();
+        (
+            Bus::Iommu {
+                mmu: mmu.clone(),
+                mem,
+            },
+            mmu,
+        )
+    }
+
+    #[test]
+    fn a_burst_holds_the_iotlb_and_the_memory_once() {
+        let (bus, _) = iommu_bus();
+        let at = IovaPage(0x10).base().get();
+        let mut buf = [0u8; 16];
+        // Warm the IOTLB, so no access below walks the page tables.
+        bus.read(DEV, at, &mut [0u8; 2 * 4096]).unwrap();
+        let accesses = |b: &mut BusBurst<'_>| {
+            b.read(DEV, at, &mut buf).unwrap();
+            b.write(DEV, at + 4000, &[7; 200]).unwrap();
+            b.read_with(DEV, at + 4090, 10, |_, _| {}).unwrap();
+        };
+        let before = simcore::sync::holds();
+        bus.burst(accesses);
+        assert_eq!(simcore::sync::holds() - before, 2);
+        let before = simcore::sync::holds();
+        bus.read(DEV, at, &mut buf).unwrap();
+        assert_eq!(simcore::sync::holds() - before, 2, "a burst of one");
+        let direct = Bus::Direct(bus.mem().clone());
+        let pa = bus.mem().alloc_frame(NumaDomain(0)).unwrap().base().get();
+        let before = simcore::sync::holds();
+        direct.burst(|b| {
+            b.write(DEV, pa, b"abc").unwrap();
+            b.read(DEV, pa, &mut buf[..3]).unwrap();
+        });
+        assert_eq!(simcore::sync::holds() - before, 1);
+        assert_eq!(&buf[..3], b"abc");
+    }
+
+    /// Appends `(tag, addr, len, is_write, granted)` for every access.
+    #[derive(Debug)]
+    struct Log(&'static str, Arc<simcore::sync::Mutex<Vec<LogEntry>>>);
+    type LogEntry = (&'static str, u64, usize, bool, bool);
+
+    impl BusObserver for Log {
+        fn on_device_access(&self, _: DeviceId, addr: u64, len: usize, w: bool, granted: bool) {
+            self.1.lock().push((self.0, addr, len, w, granted));
+        }
+    }
+
+    #[test]
+    fn every_access_of_a_burst_reaches_each_observer_once_innermost_first() {
+        let (bus, mmu) = iommu_bus();
+        let log = Arc::new(simcore::sync::Mutex::new(Vec::new()));
+        let bus = bus
+            .observed(Arc::new(Log("inner", log.clone())))
+            .observed(Arc::new(Log("outer", log.clone())));
+        let at = IovaPage(0x10).base().get();
+        let wild = IovaPage(0x99).base().get();
+        let results = bus.burst(|b| {
+            [
+                b.write(DEV, at, &[1; 100]).is_ok(),
+                b.write(DEV, wild, &[2; 8]).is_ok(),
+                b.read(DEV, at, &mut [0; 100]).is_ok(),
+            ]
+        });
+        assert_eq!(results, [true, false, true]);
+        assert_eq!(
+            *log.lock(),
+            [
+                ("inner", at, 100, true, true),
+                ("outer", at, 100, true, true),
+                ("inner", wild, 8, true, false),
+                ("outer", wild, 8, true, false),
+                ("inner", at, 100, false, true),
+                ("outer", at, 100, false, true),
+            ]
+        );
+        assert_eq!(mmu.fault_count(), 1);
+    }
 
     #[test]
     fn direct_bus_reaches_any_allocated_frame() {

@@ -27,7 +27,8 @@
 //! free-range cache, and the per-core magazine allocator of ATC'15 \[42\]),
 //! the deferred-invalidation batching machinery (global-list and per-core
 //! variants), and the device-side [`Bus`] through which device models
-//! issue DMAs.
+//! issue DMAs, each burst of them under one IOTLB and one memory lock hold
+//! ([`Bus::burst`]).
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -42,7 +43,7 @@ mod observe;
 mod traced;
 mod types;
 
-pub use bus::{Bus, BusError};
+pub use bus::{Bus, BusBurst, BusError};
 pub use coherent::CoherentHelper;
 pub use engine::DmaEngine;
 pub use flush::{DeferPolicy, DeferredFlusher, FlushScope, PendingUnmap, FLUSH_LOCK};

@@ -40,7 +40,9 @@ pub trait DmaObserver: Debug + Send + Sync {
 /// *after* the underlying bus (IOMMU or direct memory) has decided the
 /// access. `granted` reports that hardware decision; the observer layers
 /// the DMA-API-contract check (is there a live mapping covering exactly
-/// these bytes?) on top.
+/// these bytes?) on top. It runs inside the device's burst
+/// ([`crate::Bus::burst`]), under the burst's IOTLB and memory holds, so it
+/// must not touch that bus's memory or IOMMU.
 pub trait BusObserver: Debug + Send + Sync {
     /// A device touched `len` bytes at `addr` (IOVA when protected).
     fn on_device_access(&self, dev: DeviceId, addr: u64, len: usize, is_write: bool, granted: bool);

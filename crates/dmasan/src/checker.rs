@@ -7,14 +7,11 @@
 //! so a device access to the padding of a sub-page shadow slot — bytes the
 //! IOMMU page tables *do* permit — is still flagged (the paper's
 //! byte-granularity claim, Table 1 "sub-page").
-
-// lint: allow(relaxed-atomic) — the coherent-window cache is seqlock-shaped:
-// the version field (odd = write in progress, re-checked after the reads)
-// detects torn or stale views and falls back to the locked slow path, and
-// writers are serialized under the checker's inner mutex. The simulator steps
-// every virtual core from one host thread, so these atomics are never raced;
-// the version protocol is belt-and-suspenders for hypothetical threaded
-// harnesses, where a missed hit is still only a slow-path fallback.
+//!
+//! The registry sits behind one mutex, which the device side takes only
+//! for streaming accesses: descriptor-ring (coherent) verdicts are answered
+//! from a per-thread copy of every coherent window, re-read under the lock
+//! only after a ring alloc or free (`RingView`).
 
 use dma_api::{BusObserver, CoherentBuffer, DmaDirection, DmaMapping, DmaObserver};
 use iommu::DeviceId;
@@ -22,6 +19,7 @@ use obs::{Counter, EventKind, Obs};
 use simcore::sync::Mutex;
 use simcore::FxHashMap;
 use simcore::{CoreCtx, Cycles};
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -217,72 +215,43 @@ struct Inner {
     violations: Vec<Violation>,
 }
 
-/// Lock-free cache of the last coherent window a verdict landed in.
+/// A host thread's copy of one checker's coherent windows (descriptor
+/// rings), so ring verdicts take no lock.
 ///
-/// Descriptor-ring traffic (the NIC's descriptor fetch and completion
-/// write-back) hits the same long-lived coherent window on every packet,
-/// and a coherent hit in [`DmaSan::verdict`] depends *only* on the
-/// coherent set — it is checked before the streaming mappings, so map and
-/// unmap churn cannot change its outcome. Caching that window behind a
-/// generation stamped by the (rare) coherent alloc/free mutations turns
-/// two of the three per-packet bus checks into a few atomic loads instead
-/// of a mutex acquisition and two binary searches.
-///
-/// Published seqlock-style: `ver` goes odd while the fields are being
-/// written and even once they are consistent, so a torn read on another
-/// host thread is detected and falls through to the locked slow path.
+/// A coherent verdict depends *only* on the coherent set — it is checked
+/// before the streaming mappings, so map and unmap churn cannot change it
+/// — and that set changes only at ring alloc/free, which bump the
+/// checker's `coherent_gen` under its lock. A copy tagged with the
+/// checker's id and the generation it was taken at is exact until the
+/// next bump, however many rings the device alternates between (RX and TX
+/// on one core, or 16 cores' rings).
 #[derive(Debug)]
-struct CoherentCache {
-    /// Seqlock version: odd = write in progress.
-    ver: AtomicU64,
-    /// Value of `coherent_gen` the window was read under.
-    gen: AtomicU64,
-    /// Cached device (`u64::MAX` = empty).
-    dev: AtomicU64,
-    /// Cached window `[start, end)` in IOVA space.
-    start: AtomicU64,
-    end: AtomicU64,
+struct RingView {
+    /// [`DmaSan::id`] of the checker copied (0: none yet).
+    san: u64,
+    /// Its `coherent_gen` when copied.
+    gen: u64,
+    /// Every coherent window as `(dev, start, end)`, sorted.
+    windows: Vec<(u16, u64, u64)>,
 }
 
-impl Default for CoherentCache {
-    fn default() -> Self {
-        CoherentCache {
-            ver: AtomicU64::new(0),
-            gen: AtomicU64::new(0),
-            dev: AtomicU64::new(u64::MAX),
-            start: AtomicU64::new(0),
-            end: AtomicU64::new(0),
-        }
+impl RingView {
+    /// The window of `dev` containing `addr`, as `(start, end)`.
+    fn covering(&self, dev: u16, addr: u64) -> Option<(u64, u64)> {
+        let i = self.windows.partition_point(|&w| (w.0, w.1) <= (dev, addr));
+        let &(d, start, end) = self.windows.get(i.checked_sub(1)?)?;
+        (d == dev && addr < end).then_some((start, end))
     }
 }
 
-impl CoherentCache {
-    /// Whether `[addr, end)` on `dev` is inside the cached window and the
-    /// cache is still valid for generation `gen`.
-    #[inline]
-    fn covers(&self, gen: u64, dev: u16, addr: u64, end: u64) -> bool {
-        let v1 = self.ver.load(Ordering::Acquire);
-        if v1 & 1 != 0 {
-            return false;
-        }
-        let hit = self.gen.load(Ordering::Relaxed) == gen
-            && self.dev.load(Ordering::Relaxed) == dev as u64
-            && self.start.load(Ordering::Relaxed) <= addr
-            && end <= self.end.load(Ordering::Relaxed);
-        hit && self.ver.load(Ordering::Acquire) == v1
-    }
-
-    /// Publishes a window (called with the checker's inner lock held, so
-    /// writers never race each other).
-    fn publish(&self, gen: u64, dev: u16, start: u64, end: u64) {
-        self.ver.fetch_add(1, Ordering::AcqRel); // odd: write in progress
-        self.gen.store(gen, Ordering::Relaxed);
-        self.dev.store(dev as u64, Ordering::Relaxed);
-        self.start.store(start, Ordering::Relaxed);
-        self.end.store(end, Ordering::Relaxed);
-        self.ver.fetch_add(1, Ordering::Release); // even: consistent
-    }
+thread_local! {
+    static RING_VIEW: RefCell<RingView> = const {
+        RefCell::new(RingView { san: 0, gen: 0, windows: Vec::new() })
+    };
 }
+
+/// Source of [`DmaSan::id`]s (0 is never handed out).
+static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
 /// The DMA-API sanitizer.
 ///
@@ -300,9 +269,11 @@ pub struct DmaSan {
     inner: Mutex<Inner>,
     strict: bool,
     violations_total: Counter,
-    /// Bumped on every coherent alloc/free; validates [`CoherentCache`].
+    /// Tells this checker's [`RingView`]s from another's on one thread.
+    id: u64,
+    /// Bumped (under `inner`) on every coherent alloc/free; a
+    /// [`RingView`] of an older generation is stale.
     coherent_gen: AtomicU64,
-    coherent_cache: CoherentCache,
 }
 
 impl DmaSan {
@@ -323,8 +294,8 @@ impl DmaSan {
             inner: Mutex::new(Inner::default()),
             strict,
             obs,
+            id: NEXT_ID.fetch_add(1, Ordering::AcqRel),
             coherent_gen: AtomicU64::new(0),
-            coherent_cache: CoherentCache::default(),
         }
     }
 
@@ -404,38 +375,48 @@ impl DmaSan {
     /// Classifies a device access without recording anything — the
     /// verdict API attack scenarios assert on. `granted` is the hardware
     /// outcome (IOMMU / memory backing) the caller observed.
+    ///
+    /// Ring accesses are answered from this thread's [`RingView`] without
+    /// a lock once it is current; only streaming accesses (and the first
+    /// verdict after a ring alloc/free) take the checker's lock.
     pub fn verdict(&self, dev: DeviceId, addr: u64, len: usize, granted: bool) -> AccessVerdict {
         if !granted {
             return AccessVerdict::BlockedByIommu;
         }
         let end = addr + len.max(1) as u64;
-        // Coherent-window fast path: a hit depends only on the coherent
-        // set (checked before the streaming mappings below), so a cached
-        // window is valid as long as no coherent alloc/free intervened.
-        let gen = self.coherent_gen.load(Ordering::Relaxed);
-        if self.coherent_cache.covers(gen, dev.0, addr, end) {
-            return AccessVerdict::Permitted;
-        }
-        let inner = self.inner.lock();
-        let Some(st) = inner.devs.get(&dev.0) else {
-            return AccessVerdict::SanitizerViolation(ViolationKind::StaleAccess);
-        };
-        if let Some((start, wlen)) = st.coherent_covering(addr) {
-            return if end <= start + wlen {
-                self.coherent_cache.publish(gen, dev.0, start, start + wlen);
+        let within = |window_end: u64| {
+            if end <= window_end {
                 AccessVerdict::Permitted
             } else {
                 AccessVerdict::SanitizerViolation(ViolationKind::OobAccess)
-            };
-        }
-        match st.covering(addr) {
-            Some((start, m)) => {
-                if end <= start + m.len {
-                    AccessVerdict::Permitted
-                } else {
-                    AccessVerdict::SanitizerViolation(ViolationKind::OobAccess)
-                }
             }
+        };
+        let gen = self.coherent_gen.load(Ordering::Acquire);
+        let mut held = None;
+        let ring = RING_VIEW.with(|view| {
+            let mut view = view.borrow_mut();
+            if (view.san, view.gen) != (self.id, gen) {
+                let inner = held.insert(self.inner.lock());
+                view.san = self.id;
+                // Bumps happen under the lock, so this is the generation
+                // of the windows copied below.
+                view.gen = self.coherent_gen.load(Ordering::Acquire);
+                view.windows.clear();
+                for (&d, st) in &inner.devs {
+                    let windows = st.coherent.iter();
+                    view.windows
+                        .extend(windows.map(|&(start, len)| (d, start, start + len)));
+                }
+                view.windows.sort_unstable();
+            }
+            view.covering(dev.0, addr)
+        });
+        if let Some((_, window_end)) = ring {
+            return within(window_end);
+        }
+        let inner = held.unwrap_or_else(|| self.inner.lock());
+        match inner.devs.get(&dev.0).and_then(|st| st.covering(addr)) {
+            Some((start, m)) => within(start + m.len),
             None => AccessVerdict::SanitizerViolation(ViolationKind::StaleAccess),
         }
     }
@@ -585,7 +566,7 @@ impl DmaObserver for DmaSan {
 
     fn on_alloc_coherent(&self, _ctx: &CoreCtx, dev: DeviceId, buf: &CoherentBuffer) {
         let mut inner = self.inner.lock();
-        self.coherent_gen.fetch_add(1, Ordering::Relaxed);
+        self.coherent_gen.fetch_add(1, Ordering::Release);
         let st = inner.devs.entry(dev.0).or_default();
         st.coherent.insert(buf.iova.get(), buf.len as u64);
     }
@@ -593,7 +574,7 @@ impl DmaObserver for DmaSan {
     fn on_free_coherent(&self, ctx: &CoreCtx, dev: DeviceId, buf: &CoherentBuffer) {
         let missing = {
             let mut inner = self.inner.lock();
-            self.coherent_gen.fetch_add(1, Ordering::Relaxed);
+            self.coherent_gen.fetch_add(1, Ordering::Release);
             let st = inner.devs.entry(dev.0).or_default();
             st.coherent.remove(buf.iova.get()).is_none()
         };
@@ -864,6 +845,119 @@ mod tests {
             AccessVerdict::BlockedByIommu
         );
         assert_eq!(san.violation_count(), 0, "verdict records nothing");
+    }
+
+    fn ring(iova: u64) -> CoherentBuffer {
+        CoherentBuffer {
+            iova: Iova::new(iova),
+            pa: PhysAddr(iova),
+            len: 4096,
+            pages: 1,
+        }
+    }
+
+    const PERMITTED: AccessVerdict = AccessVerdict::Permitted;
+    const STALE: AccessVerdict = AccessVerdict::SanitizerViolation(ViolationKind::StaleAccess);
+    const OOB: AccessVerdict = AccessVerdict::SanitizerViolation(ViolationKind::OobAccess);
+
+    #[test]
+    fn a_ring_verdict_right_after_an_alloc_or_free_sees_the_new_windows() {
+        let (_, san, c) = rig();
+        let (a, b) = (ring(0x10_0000), ring(0x20_0000));
+        assert_eq!(san.verdict(DEV, 0x10_0010, 16, true), STALE);
+        san.on_alloc_coherent(&c, DEV, &a);
+        assert_eq!(san.verdict(DEV, 0x10_0010, 16, true), PERMITTED);
+        assert_eq!(san.verdict(DEV, 0x20_0010, 16, true), STALE);
+        san.on_alloc_coherent(&c, DEV, &b);
+        assert_eq!(san.verdict(DEV, 0x20_0010, 16, true), PERMITTED);
+        san.on_free_coherent(&c, DEV, &a);
+        assert_eq!(san.verdict(DEV, 0x10_0010, 16, true), STALE);
+        assert_eq!(san.verdict(DEV, 0x20_0010, 16, true), PERMITTED);
+        // Another device's window is not this device's.
+        assert_eq!(san.verdict(DeviceId(1), 0x20_0010, 16, true), STALE);
+        san.on_free_coherent(&c, DEV, &b);
+        assert_eq!(san.verdict(DEV, 0x20_0010, 16, true), STALE);
+        assert_eq!(san.violation_count(), 0, "verdicts record nothing");
+    }
+
+    #[test]
+    fn two_checkers_alternating_on_one_thread_never_share_windows() {
+        let (_, a, c) = rig();
+        let (_, b, _) = rig();
+        // One ring each, at the same generation.
+        a.on_alloc_coherent(&c, DEV, &ring(0x10_0000));
+        b.on_alloc_coherent(&c, DEV, &ring(0x20_0000));
+        for _ in 0..3 {
+            assert_eq!(a.verdict(DEV, 0x10_0000, 16, true), PERMITTED);
+            assert_eq!(b.verdict(DEV, 0x10_0000, 16, true), STALE);
+            assert_eq!(a.verdict(DEV, 0x20_0000, 16, true), STALE);
+            assert_eq!(b.verdict(DEV, 0x20_0000, 16, true), PERMITTED);
+        }
+    }
+
+    #[test]
+    fn a_verdict_on_another_thread_after_a_free_is_stale() {
+        let (_, san, c) = rig();
+        let r = ring(0x10_0000);
+        san.on_alloc_coherent(&c, DEV, &r);
+        assert_eq!(san.verdict(DEV, 0x10_0000, 16, true), PERMITTED);
+        let (checked_tx, checked) = std::sync::mpsc::channel();
+        let (freed_tx, freed) = std::sync::mpsc::channel();
+        let san = &san;
+        std::thread::scope(|s| {
+            let device = s.spawn(move || {
+                let before = san.verdict(DEV, 0x10_0000, 16, true);
+                checked_tx.send(()).unwrap();
+                freed.recv().unwrap();
+                (before, san.verdict(DEV, 0x10_0000, 16, true))
+            });
+            checked.recv().unwrap();
+            san.on_free_coherent(&c, DEV, &r);
+            freed_tx.send(()).unwrap();
+            assert_eq!(device.join().unwrap(), (PERMITTED, STALE));
+        });
+    }
+
+    #[test]
+    fn an_access_overrunning_a_ring_window_is_oob() {
+        let (_, san, c) = rig();
+        san.on_alloc_coherent(&c, DEV, &ring(0x10_0000));
+        assert_eq!(san.verdict(DEV, 0x10_0000 + 4080, 16, true), PERMITTED);
+        assert_eq!(san.verdict(DEV, 0x10_0000 + 4080, 17, true), OOB);
+        // Asked twice: the second answer comes from the thread's copy.
+        assert_eq!(san.verdict(DEV, 0x10_0000 + 4090, 16, true), OOB);
+        san.on_device_access(DEV, 0x10_0000 + 4090, 16, true, true);
+        let v = san.violations();
+        assert_eq!(v.len(), 1);
+        assert_eq!(v[0].kind, ViolationKind::OobAccess);
+        assert!(v[0]
+            .detail
+            .contains("overruns the mapped window 0x100000+4096"));
+    }
+
+    #[test]
+    fn ring_verdicts_after_the_first_take_no_host_lock() {
+        let (_, san, c) = rig();
+        // 16 RX and 16 TX rings, interleaved like a stack allocates them.
+        let rings: Vec<u64> = (0..32).map(|i| 0x100_0000 + i * 0x1_0000).collect();
+        for &iova in &rings {
+            san.on_alloc_coherent(&c, DEV, &ring(iova));
+        }
+        let m = mapping(0x8000, 1500, DmaDirection::FromDevice, 0x9000);
+        map(&san, &c, &m, 1);
+        // Fetch a descriptor on every ring, then write back on each.
+        let accesses = || rings.iter().flat_map(|&r| [(r + 32, 16), (r + 40, 8)]);
+        assert_eq!(san.verdict(DEV, rings[0], 16, true), PERMITTED);
+        let before = simcore::sync::holds();
+        for (addr, len) in accesses().chain(accesses()) {
+            assert_eq!(san.verdict(DEV, addr, len, true), PERMITTED);
+            san.on_device_access(DEV, addr, len, true, true);
+        }
+        assert_eq!(simcore::sync::holds() - before, 0);
+        // A streaming access takes the lock, once.
+        san.on_device_access(DEV, 0x8000, 1500, true, true);
+        assert_eq!(simcore::sync::holds() - before, 1);
+        assert_eq!(san.violation_count(), 0);
     }
 
     #[test]

@@ -33,6 +33,6 @@ mod types;
 
 pub use invalq::{InvalQueue, InvalQueueStats, INVALQ_LOCK};
 pub use iotlb::{Iotlb, IotlbStats};
-pub use mmu::{Iommu, IommuError, DEVICE_SIDE_CORE};
+pub use mmu::{Iommu, IommuBurst, IommuError, DEVICE_SIDE_CORE};
 pub use pagetable::{IoPageTable, PtEntry, PtError};
 pub use types::{Access, DeviceId, DmaFault, FaultReason, Iova, IovaPage, Perms};

@@ -4,12 +4,13 @@ use crate::{
     Access, DeviceId, DmaFault, FaultReason, InvalQueue, IoPageTable, Iotlb, IotlbStats, Iova,
     IovaPage, Perms, PtEntry, PtError,
 };
-use memsim::{MemError, Pfn, PhysAddr, PhysMemory, PAGE_SIZE};
+use memsim::{MemError, MemLocked, Pfn, PhysAddr, PhysMemory, PAGE_SIZE};
 use obs::{Counter, EventKind, Obs};
 use simcore::sync::{Mutex, RwLock};
 use simcore::FxHashMap;
 use simcore::{CoreCtx, Phase};
 use std::fmt;
+use std::sync::MutexGuard;
 
 /// Sentinel `core` used on trace events initiated by a device rather
 /// than a CPU (devices are not cores; see [`obs::Event::core`]).
@@ -223,77 +224,30 @@ impl Iommu {
     // Device side (no CPU cost)
     // ---------------------------------------------------------------
 
-    /// Translates one IOVA for a device access, exercising the IOTLB:
-    /// hit → cached entry (even if the page table no longer maps the page);
-    /// miss → page walk, inserting into the IOTLB on success.
-    ///
-    /// Blocked accesses are recorded in the fault log.
+    /// Holds the IOTLB until the returned handle drops, for a device
+    /// burst: every translation and DMA of the burst under one hold. The
+    /// single-access methods below are bursts of one. Lock order: the
+    /// IOTLB before the memory a burst's DMAs reach (and, on a walk, the
+    /// page tables).
+    pub fn burst(&self) -> IommuBurst<'_> {
+        IommuBurst {
+            mmu: self,
+            iotlb: self.iotlb.lock(),
+        }
+    }
+
+    /// Translates one IOVA for a device access (see
+    /// [`IommuBurst::translate`]).
     pub fn translate(
         &self,
         dev: DeviceId,
         iova: Iova,
         access: Access,
     ) -> Result<PhysAddr, DmaFault> {
-        self.translate_locked(&mut self.iotlb.lock(), dev, iova, access)
+        self.burst().translate(dev, iova, access)
     }
 
-    /// [`Iommu::translate`] under an IOTLB hold the caller already has.
-    fn translate_locked(
-        &self,
-        iotlb: &mut Iotlb,
-        dev: DeviceId,
-        iova: Iova,
-        access: Access,
-    ) -> Result<PhysAddr, DmaFault> {
-        let page = iova.page();
-        let entry = match iotlb.lookup(dev, page) {
-            Some(e) => {
-                self.iotlb_hits.inc();
-                e
-            }
-            None => {
-                self.iotlb_misses.inc();
-                let tables = self.tables.read();
-                match tables.get(&dev).and_then(|t| t.translate(page)) {
-                    Some(e) => {
-                        iotlb.insert(dev, page, e);
-                        e
-                    }
-                    None => {
-                        return Err(self.fault(dev, iova, access, FaultReason::NotMapped));
-                    }
-                }
-            }
-        };
-        if !entry.perms.allows(access) {
-            return Err(self.fault(dev, iova, access, FaultReason::PermissionDenied));
-        }
-        Ok(entry.pfn.base().add(iova.page_offset() as u64))
-    }
-
-    /// Device DMA read: the device fetches `len` bytes from `iova` and
-    /// hands them to `visit` in place, in order, as `(offset, bytes)`.
-    ///
-    /// Translation is per page; a fault aborts the transfer at the faulting
-    /// page boundary (earlier pages may already have been read, as on real
-    /// hardware where each TLP is checked independently). `visit` runs
-    /// under the same lock holds as the transfer (see
-    /// [`PhysMemory::read_with`]).
-    pub fn dma_read_with(
-        &self,
-        mem: &PhysMemory,
-        dev: DeviceId,
-        iova: Iova,
-        len: usize,
-        mut visit: impl FnMut(usize, &[u8]),
-    ) -> Result<(), DmaFault> {
-        self.dma_access(dev, iova, len, Access::Read, |pa, off, len| {
-            mem.read_with(pa, len, |at, bytes| visit(off + at, bytes))
-        })
-    }
-
-    /// Device DMA read into `buf`: the copying case of
-    /// [`Iommu::dma_read_with`].
+    /// Device DMA read into `buf` (see [`IommuBurst::dma_read_with`]).
     pub fn dma_read(
         &self,
         mem: &PhysMemory,
@@ -301,9 +255,7 @@ impl Iommu {
         iova: Iova,
         buf: &mut [u8],
     ) -> Result<(), DmaFault> {
-        self.dma_read_with(mem, dev, iova, buf.len(), |off, bytes| {
-            buf[off..off + bytes.len()].copy_from_slice(bytes)
-        })
+        self.burst().dma_read(&mut mem.locked(), dev, iova, buf)
     }
 
     /// Device DMA write: the device stores `data` at `iova`.
@@ -314,59 +266,7 @@ impl Iommu {
         iova: Iova,
         data: &[u8],
     ) -> Result<(), DmaFault> {
-        self.dma_access(dev, iova, data.len(), Access::Write, |pa, off, len| {
-            mem.write(pa, &data[off..off + len])
-        })
-    }
-
-    /// Walks one DMA under a single IOTLB hold: every page is translated
-    /// on its own (hit/miss counters and the fault log see each page),
-    /// but physically contiguous pages reach memory as one `op` call, so
-    /// a DMA through a contiguous buffer is one memory operation. On a
-    /// fault the pages before it have been transferred.
-    fn dma_access(
-        &self,
-        dev: DeviceId,
-        iova: Iova,
-        len: usize,
-        access: Access,
-        mut op: impl FnMut(PhysAddr, usize, usize) -> Result<(), MemError>,
-    ) -> Result<(), DmaFault> {
-        let mut transfer = |(pa, off, len): (PhysAddr, usize, usize)| {
-            if len > 0 {
-                op(pa, off, len).unwrap_or_else(|e| {
-                    panic!("IOMMU-mapped page must be backed by allocated memory: {e}")
-                });
-            }
-        };
-        // The pending run: physical start, offset into the DMA, length.
-        let mut run = (PhysAddr(0), 0usize, 0usize);
-        let mut fault = None;
-        {
-            let mut iotlb = self.iotlb.lock();
-            let mut off = 0usize;
-            while off < len {
-                let cur = iova.add(off as u64);
-                let take = (PAGE_SIZE - cur.page_offset()).min(len - off);
-                match self.translate_locked(&mut iotlb, dev, cur, access) {
-                    Ok(pa) if run.2 > 0 && run.0.add(run.2 as u64) == pa => run.2 += take,
-                    Ok(pa) => {
-                        // First page, or a physical discontinuity (rare:
-                        // skbs and shadow buffers are contiguous) — the
-                        // run so far goes to memory under the hold.
-                        transfer(run);
-                        run = (pa, off, take);
-                    }
-                    Err(f) => {
-                        fault = Some(f);
-                        break;
-                    }
-                }
-                off += take;
-            }
-        }
-        transfer(run);
-        fault.map_or(Ok(()), Err)
+        self.burst().dma_write(&mut mem.locked(), dev, iova, data)
     }
 
     // ---------------------------------------------------------------
@@ -439,6 +339,147 @@ impl Iommu {
             },
         );
         f
+    }
+}
+
+/// The IOMMU under one hold of its IOTLB ([`Iommu::burst`]): the device
+/// side of a burst of DMAs. Every access is still translated page by page
+/// (hit/miss counters, evictions and the fault log see each page exactly
+/// as they would one DMA at a time); only the lock is taken once.
+pub struct IommuBurst<'a> {
+    mmu: &'a Iommu,
+    iotlb: MutexGuard<'a, Iotlb>,
+}
+
+impl IommuBurst<'_> {
+    /// Translates one IOVA for a device access, exercising the IOTLB:
+    /// hit → cached entry (even if the page table no longer maps the page);
+    /// miss → page walk, inserting into the IOTLB on success.
+    ///
+    /// Blocked accesses are recorded in the fault log.
+    pub fn translate(
+        &mut self,
+        dev: DeviceId,
+        iova: Iova,
+        access: Access,
+    ) -> Result<PhysAddr, DmaFault> {
+        let mmu = self.mmu;
+        let page = iova.page();
+        let entry = match self.iotlb.lookup(dev, page) {
+            Some(e) => {
+                mmu.iotlb_hits.inc();
+                e
+            }
+            None => {
+                mmu.iotlb_misses.inc();
+                let tables = mmu.tables.read();
+                match tables.get(&dev).and_then(|t| t.translate(page)) {
+                    Some(e) => {
+                        self.iotlb.insert(dev, page, e);
+                        e
+                    }
+                    None => {
+                        return Err(mmu.fault(dev, iova, access, FaultReason::NotMapped));
+                    }
+                }
+            }
+        };
+        if !entry.perms.allows(access) {
+            return Err(mmu.fault(dev, iova, access, FaultReason::PermissionDenied));
+        }
+        Ok(entry.pfn.base().add(iova.page_offset() as u64))
+    }
+
+    /// Device DMA read: the device fetches `len` bytes from `iova` and
+    /// hands them to `visit` in place, in order, as `(offset, bytes)`.
+    ///
+    /// Translation is per page; a fault aborts the transfer at the faulting
+    /// page boundary (earlier pages may already have been read, as on real
+    /// hardware where each TLP is checked independently). `visit` runs
+    /// under the burst's lock holds (see [`MemLocked::read_with`]).
+    pub fn dma_read_with(
+        &mut self,
+        mem: &mut MemLocked<'_>,
+        dev: DeviceId,
+        iova: Iova,
+        len: usize,
+        mut visit: impl FnMut(usize, &[u8]),
+    ) -> Result<(), DmaFault> {
+        self.dma_access(dev, iova, len, Access::Read, |pa, off, len| {
+            mem.read_with(pa, len, |at, bytes| visit(off + at, bytes))
+        })
+    }
+
+    /// Device DMA read into `buf`: the copying case of
+    /// [`IommuBurst::dma_read_with`].
+    pub fn dma_read(
+        &mut self,
+        mem: &mut MemLocked<'_>,
+        dev: DeviceId,
+        iova: Iova,
+        buf: &mut [u8],
+    ) -> Result<(), DmaFault> {
+        self.dma_read_with(mem, dev, iova, buf.len(), |off, bytes| {
+            buf[off..off + bytes.len()].copy_from_slice(bytes)
+        })
+    }
+
+    /// Device DMA write: the device stores `data` at `iova`.
+    pub fn dma_write(
+        &mut self,
+        mem: &mut MemLocked<'_>,
+        dev: DeviceId,
+        iova: Iova,
+        data: &[u8],
+    ) -> Result<(), DmaFault> {
+        self.dma_access(dev, iova, data.len(), Access::Write, |pa, off, len| {
+            mem.write(pa, &data[off..off + len])
+        })
+    }
+
+    /// Walks one DMA: every page is translated on its own, but physically
+    /// contiguous pages reach memory as one `op` call, so a DMA through a
+    /// contiguous buffer is one memory operation. On a fault the pages
+    /// before it have been transferred.
+    fn dma_access(
+        &mut self,
+        dev: DeviceId,
+        iova: Iova,
+        len: usize,
+        access: Access,
+        mut op: impl FnMut(PhysAddr, usize, usize) -> Result<(), MemError>,
+    ) -> Result<(), DmaFault> {
+        let mut transfer = |(pa, off, len): (PhysAddr, usize, usize)| {
+            if len > 0 {
+                op(pa, off, len).unwrap_or_else(|e| {
+                    panic!("IOMMU-mapped page must be backed by allocated memory: {e}")
+                });
+            }
+        };
+        // The pending run: physical start, offset into the DMA, length.
+        let mut run = (PhysAddr(0), 0usize, 0usize);
+        let mut off = 0usize;
+        while off < len {
+            let cur = iova.add(off as u64);
+            let take = (PAGE_SIZE - cur.page_offset()).min(len - off);
+            match self.translate(dev, cur, access) {
+                Ok(pa) if run.2 > 0 && run.0.add(run.2 as u64) == pa => run.2 += take,
+                Ok(pa) => {
+                    // First page, or a physical discontinuity (rare: skbs
+                    // and shadow buffers are contiguous) — the run so far
+                    // goes to memory.
+                    transfer(run);
+                    run = (pa, off, take);
+                }
+                Err(f) => {
+                    transfer(run);
+                    return Err(f);
+                }
+            }
+            off += take;
+        }
+        transfer(run);
+        Ok(())
     }
 }
 
@@ -613,11 +654,12 @@ mod tests {
         let start = page.base().add(100);
         let len = 6 * PAGE_SIZE - 300;
         let mut runs = Vec::new();
-        mmu.dma_access(DEV, start, len, Access::Write, |pa, off, len| {
-            runs.push((pa, off, len));
-            Ok(())
-        })
-        .unwrap();
+        mmu.burst()
+            .dma_access(DEV, start, len, Access::Write, |pa, off, len| {
+                runs.push((pa, off, len));
+                Ok(())
+            })
+            .unwrap();
         let first = 3 * PAGE_SIZE - 100;
         assert_eq!(
             runs,

@@ -10,8 +10,8 @@
 // lint: allow(panic) — slab metadata invariants are allocator bugs, not runtime errors
 
 use crate::{MemError, NumaDomain, Pfn, PhysAddr, PhysMemory, PAGE_SIZE};
-use simcore::sync::Mutex;
 use simcore::FxHashMap;
+use std::cell::RefCell;
 use std::sync::Arc;
 
 /// kmalloc size classes (bytes). Requests are rounded up to a class;
@@ -80,6 +80,11 @@ struct Inner {
 
 /// The slab allocator.
 ///
+/// Single-threaded: its state sits in a `RefCell`, not behind a lock, so
+/// an skb alloc/free takes no host lock. A simulated machine steps all its
+/// cores on one host thread and owns its allocator, so nothing shares one
+/// across threads (`Kmalloc` is `Send` but not `Sync`).
+///
 /// # Examples
 ///
 /// ```
@@ -102,7 +107,7 @@ struct Inner {
 #[derive(Debug)]
 pub struct Kmalloc {
     mem: Arc<PhysMemory>,
-    inner: Mutex<Inner>,
+    inner: RefCell<Inner>,
 }
 
 impl Kmalloc {
@@ -110,7 +115,7 @@ impl Kmalloc {
     pub fn new(mem: Arc<PhysMemory>) -> Self {
         Kmalloc {
             mem,
-            inner: Mutex::new(Inner::default()),
+            inner: RefCell::new(Inner::default()),
         }
     }
 
@@ -129,7 +134,7 @@ impl Kmalloc {
     /// Panics if `size == 0`.
     pub fn alloc(&self, size: usize, domain: NumaDomain) -> Result<PhysAddr, MemError> {
         assert!(size > 0, "kmalloc(0)");
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         let pa = if let Some(class) = CLASSES.iter().position(|&c| c >= size) {
             self.alloc_slab_object(&mut inner, class, size, domain)?
         } else {
@@ -226,7 +231,7 @@ impl Kmalloc {
     /// cache is full the page is returned to [`PhysMemory`], which zeroes
     /// frames on reallocation. [`Kmalloc::reap`] releases the cache.
     pub fn free(&self, pa: PhysAddr) -> Result<usize, MemError> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         let info = inner
             .live
             .remove(&pa.get())
@@ -293,7 +298,7 @@ impl Kmalloc {
     /// Used by the attack scenarios to find victim data sharing a page with
     /// a DMA buffer.
     pub fn neighbors_on_page(&self, pa: PhysAddr) -> Vec<(PhysAddr, usize)> {
-        let inner = self.inner.lock();
+        let inner = self.inner.borrow();
         let pfn = pa.pfn();
         let mut out: Vec<(PhysAddr, usize)> = inner
             .live
@@ -307,14 +312,14 @@ impl Kmalloc {
 
     /// The requested size of the live allocation at `pa`, if any.
     pub fn size_of(&self, pa: PhysAddr) -> Option<usize> {
-        self.inner.lock().live.get(&pa.get()).map(|i| i.size)
+        self.inner.borrow().live.get(&pa.get()).map(|i| i.size)
     }
 
     /// Releases all cached empty slab pages back to [`PhysMemory`],
     /// returning how many were freed — the slab-shrinker path, for
     /// memory-pressure scenarios and teardown hygiene.
     pub fn reap(&self) -> u64 {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         let pages: Vec<u64> = inner.empty.values_mut().flat_map(std::mem::take).collect();
         let n = pages.len() as u64;
         for p in pages {
@@ -326,7 +331,7 @@ impl Kmalloc {
 
     /// Statistics snapshot.
     pub fn stats(&self) -> KmallocStats {
-        self.inner.lock().stats
+        self.inner.borrow().stats
     }
 }
 

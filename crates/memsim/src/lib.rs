@@ -27,4 +27,4 @@ mod phys;
 pub use addr::{Pfn, PhysAddr, PAGE_SHIFT, PAGE_SIZE};
 pub use kmalloc::{Kmalloc, KmallocStats};
 pub use numa::{NumaDomain, NumaTopology};
-pub use phys::{MemError, MemStats, PhysMemory};
+pub use phys::{MemError, MemLocked, MemStats, PhysMemory};

@@ -3,6 +3,7 @@
 use crate::{NumaDomain, NumaTopology, Pfn, PhysAddr, PAGE_SIZE};
 use simcore::sync::Mutex;
 use std::fmt;
+use std::sync::MutexGuard;
 
 /// Errors from physical memory operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -277,11 +278,13 @@ fn pieces(pa: PhysAddr, len: usize) -> impl Iterator<Item = (PhysAddr, usize, us
 ///
 /// Thread-safe — the frame table, the allocator and the statistics sit
 /// behind one lock that every operation takes exactly once, however many
-/// frames it spans — so it can be shared between the OS side and device
-/// models, and used from real threads in stress tests. All byte accesses
-/// require the touched frames to be allocated; devices probing
-/// unallocated memory get [`MemError::Unallocated`]. An access that fails
-/// part-way has already transferred the frames before the failing one.
+/// frames it spans, and that a device burst takes once for all its
+/// accesses ([`PhysMemory::locked`]) — so it can be shared between the
+/// OS side and device models, and used from real threads in stress
+/// tests. All byte accesses require the touched frames to be allocated;
+/// devices probing unallocated memory get [`MemError::Unallocated`]. An
+/// access that fails part-way has already transferred the frames before
+/// the failing one.
 ///
 /// Frames read as zero when allocated, fresh or recycled, but zeroing
 /// waits for first touch: a recycled frame's stale bytes are cleared when
@@ -405,49 +408,107 @@ impl PhysMemory {
         self.inner.lock().frames.contains(pfn.0)
     }
 
+    /// Holds this memory's lock until the returned handle drops, for a
+    /// burst of byte operations under one hold (a device's descriptor
+    /// fetch, payload and write-back). The single-access methods below are
+    /// bursts of one. Nothing may touch this memory through `&self` while
+    /// the handle lives: the lock is not reentrant.
+    pub fn locked(&self) -> MemLocked<'_> {
+        MemLocked {
+            mem: self,
+            inner: self.inner.lock(),
+        }
+    }
+
+    /// Reads `buf.len()` bytes starting at `pa` (may cross frames).
+    pub fn read(&self, pa: PhysAddr, buf: &mut [u8]) -> Result<(), MemError> {
+        self.locked().read(pa, buf)
+    }
+
+    /// Writes `data` starting at `pa` (may cross frames).
+    pub fn write(&self, pa: PhysAddr, data: &[u8]) -> Result<(), MemError> {
+        self.locked().write(pa, data)
+    }
+
+    /// Compares the bytes at `pa` with `data` without copying them out —
+    /// the allocation-free verify used on per-packet paths.
+    pub fn equals(&self, pa: PhysAddr, data: &[u8]) -> Result<bool, MemError> {
+        self.locked().equals(pa, data)
+    }
+
+    /// Copies `len` bytes from `src` to `dst` (see [`MemLocked::copy`]).
+    pub fn copy(&self, src: PhysAddr, dst: PhysAddr, len: usize) -> Result<(), MemError> {
+        self.locked().copy(src, dst, len)
+    }
+
+    /// Fills `len` bytes at `pa` with `byte`.
+    pub fn fill(&self, pa: PhysAddr, byte: u8, len: usize) -> Result<(), MemError> {
+        self.locked().fill(pa, byte, len)
+    }
+
+    /// Reads `len` bytes at `pa` into a fresh vector.
+    pub fn read_vec(&self, pa: PhysAddr, len: usize) -> Result<Vec<u8>, MemError> {
+        let mut v = vec![0u8; len];
+        self.read(pa, &mut v)?;
+        Ok(v)
+    }
+
+    /// Allocation statistics snapshot.
+    pub fn stats(&self) -> MemStats {
+        self.inner.lock().stats
+    }
+}
+
+/// [`PhysMemory`] under one hold of its lock ([`PhysMemory::locked`]):
+/// every byte operation, for as many accesses as the burst makes. The
+/// lock is released when the handle drops.
+pub struct MemLocked<'a> {
+    mem: &'a PhysMemory,
+    inner: MutexGuard<'a, Inner>,
+}
+
+impl MemLocked<'_> {
     /// Hands the `len` bytes at `pa` to `visit` in place, one piece per
     /// frame in address order, as `(offset from pa, bytes)` — a read that
     /// stages nothing. `visit` runs under this memory's lock, so it must
     /// not access this memory.
     pub fn read_with(
-        &self,
+        &mut self,
         pa: PhysAddr,
         len: usize,
         mut visit: impl FnMut(usize, &[u8]),
     ) -> Result<(), MemError> {
-        let mut inner = self.inner.lock();
         for (cur, off, take) in pieces(pa, len) {
             let at = cur.page_offset();
-            visit(off, &inner.frame(self.in_bounds(cur)?)?.data[at..at + take]);
+            let frame = self.inner.frame(self.mem.in_bounds(cur)?)?;
+            visit(off, &frame.data[at..at + take]);
         }
         Ok(())
     }
 
     /// Reads `buf.len()` bytes starting at `pa` (may cross frames).
-    pub fn read(&self, pa: PhysAddr, buf: &mut [u8]) -> Result<(), MemError> {
+    pub fn read(&mut self, pa: PhysAddr, buf: &mut [u8]) -> Result<(), MemError> {
         self.read_with(pa, buf.len(), |off, bytes| {
             buf[off..off + bytes.len()].copy_from_slice(bytes)
         })
     }
 
     /// Writes `data` starting at `pa` (may cross frames).
-    pub fn write(&self, pa: PhysAddr, data: &[u8]) -> Result<(), MemError> {
-        let mut inner = self.inner.lock();
+    pub fn write(&mut self, pa: PhysAddr, data: &[u8]) -> Result<(), MemError> {
         for (cur, off, take) in pieces(pa, data.len()) {
-            inner
-                .bytes_mut(self.in_bounds(cur)?, take)?
+            self.inner
+                .bytes_mut(self.mem.in_bounds(cur)?, take)?
                 .copy_from_slice(&data[off..off + take]);
         }
         Ok(())
     }
 
-    /// Compares the bytes at `pa` with `data` without copying them out —
-    /// the allocation-free verify used on per-packet paths.
-    pub fn equals(&self, pa: PhysAddr, data: &[u8]) -> Result<bool, MemError> {
-        let mut inner = self.inner.lock();
+    /// Compares the bytes at `pa` with `data` without copying them out.
+    pub fn equals(&mut self, pa: PhysAddr, data: &[u8]) -> Result<bool, MemError> {
         for (cur, off, take) in pieces(pa, data.len()) {
             let at = cur.page_offset();
-            if inner.frame(self.in_bounds(cur)?)?.data[at..at + take] != data[off..off + take] {
+            let frame = self.inner.frame(self.mem.in_bounds(cur)?)?;
+            if frame.data[at..at + take] != data[off..off + take] {
                 return Ok(false);
             }
         }
@@ -459,13 +520,12 @@ impl PhysMemory {
     /// frame-pair by frame-pair, moving each contiguous run with one
     /// `memcpy` — no scratch staging, no second pass over the bytes.
     /// Overlapping ranges copy in ascending address order.
-    pub fn copy(&self, src: PhysAddr, dst: PhysAddr, len: usize) -> Result<(), MemError> {
-        let mut guard = self.inner.lock();
-        let inner = &mut *guard;
+    pub fn copy(&mut self, src: PhysAddr, dst: PhysAddr, len: usize) -> Result<(), MemError> {
+        let inner = &mut *self.inner;
         let mut off = 0usize;
         while off < len {
-            let s_pa = self.in_bounds(src.add(off as u64))?;
-            let d_pa = self.in_bounds(dst.add(off as u64))?;
+            let s_pa = self.mem.in_bounds(src.add(off as u64))?;
+            let d_pa = self.mem.in_bounds(dst.add(off as u64))?;
             let (s_pfn, d_pfn) = (s_pa.pfn(), d_pa.pfn());
             let si = s_pa.page_offset();
             let di = d_pa.page_offset();
@@ -496,24 +556,13 @@ impl PhysMemory {
     }
 
     /// Fills `len` bytes at `pa` with `byte`.
-    pub fn fill(&self, pa: PhysAddr, byte: u8, len: usize) -> Result<(), MemError> {
-        let mut inner = self.inner.lock();
+    pub fn fill(&mut self, pa: PhysAddr, byte: u8, len: usize) -> Result<(), MemError> {
         for (cur, _, take) in pieces(pa, len) {
-            inner.bytes_mut(self.in_bounds(cur)?, take)?.fill(byte);
+            self.inner
+                .bytes_mut(self.mem.in_bounds(cur)?, take)?
+                .fill(byte);
         }
         Ok(())
-    }
-
-    /// Reads `len` bytes at `pa` into a fresh vector.
-    pub fn read_vec(&self, pa: PhysAddr, len: usize) -> Result<Vec<u8>, MemError> {
-        let mut v = vec![0u8; len];
-        self.read(pa, &mut v)?;
-        Ok(v)
-    }
-
-    /// Allocation statistics snapshot.
-    pub fn stats(&self) -> MemStats {
-        self.inner.lock().stats
     }
 }
 

@@ -429,6 +429,46 @@ mod tests {
     }
 
     #[test]
+    fn a_warm_packet_takes_the_pinned_host_lock_holds() {
+        // Host lock holds per RX MTU packet and per RR transaction (a
+        // 64 B TX then a 64 B RX) on a warm stack, with every trace chain
+        // sampled out: each device burst (`Nic::receive`, one TX gather)
+        // holds the IOTLB and the memory once, ring verdicts take none,
+        // and kmalloc takes none.
+        let pinned = [
+            (EngineKind::NoIommu, 7, 14),
+            (EngineKind::Copy, 13, 26),
+            (EngineKind::LinuxStrict, 16, 32),
+        ];
+        for (kind, rx, rr) in pinned {
+            let cfg = ExpConfig {
+                cores: 16,
+                trace_sample: u64::MAX,
+                ..ExpConfig::quick()
+            };
+            let stack = SimStack::new(kind, &cfg);
+            let drv = CoreDriver::new(CoreId(3));
+            let mut c = ctx(&stack, 3);
+            let (mtu, small) = (vec![7u8; MTU], vec![9u8; 64]);
+            for _ in 0..8 {
+                drv.rx_one(&stack, &mut c, &mtu, true);
+                drv.tx_one(&stack, &mut c, &small, true);
+            }
+            let before = simcore::sync::holds();
+            drv.rx_one(&stack, &mut c, &mtu, true);
+            let after_rx = simcore::sync::holds();
+            drv.tx_one(&stack, &mut c, &small, true);
+            drv.rx_one(&stack, &mut c, &small, true);
+            let after_rr = simcore::sync::holds();
+            assert_eq!(
+                (after_rx - before, after_rr - after_rx),
+                (rx, rr),
+                "{kind}: holds per RX packet, per RR transaction"
+            );
+        }
+    }
+
+    #[test]
     fn rings_are_device_visible_even_under_protection() {
         // The descriptor fetch itself is a DMA: under a protected engine it
         // goes through the IOMMU via the coherent mapping.

@@ -266,6 +266,9 @@ pub fn span(seq: u64) -> SpanGuard {
 struct Ring {
     events: VecDeque<Event>,
     dropped: u64,
+    /// Events ever pushed (retained or since dropped): every other issued
+    /// seq was sampled out.
+    pushed: u64,
 }
 
 /// Bounded, thread-safe event ring buffer.
@@ -280,8 +283,6 @@ pub struct Tracer {
     heads: AtomicU64,
     /// Keep 1 chain in `period`; 1 records everything.
     sample_period: AtomicU64,
-    /// Events skipped by sampling (distinct from ring-overflow `dropped`).
-    sampled_out: AtomicU64,
 }
 
 /// Default ring capacity (events retained before the oldest are dropped).
@@ -317,7 +318,6 @@ impl Tracer {
             next_seq: AtomicU64::new(0),
             heads: AtomicU64::new(0),
             sample_period: AtomicU64::new(1),
-            sampled_out: AtomicU64::new(0),
         }
     }
 
@@ -333,9 +333,11 @@ impl Tracer {
     }
 
     /// Events skipped by chain sampling (never counts security events;
-    /// distinct from ring-overflow [`TraceStats::dropped`]).
+    /// distinct from ring-overflow [`TraceStats::dropped`]): the seqs
+    /// issued minus the events pushed, so a record still in flight on
+    /// another thread counts here until it lands.
     pub fn sampled_out(&self) -> u64 {
-        self.sampled_out.load(Ordering::Relaxed)
+        self.stats().sampled_out
     }
 
     /// Records an event, returning its sequence number (usable as the
@@ -395,8 +397,9 @@ impl Tracer {
         if !kept {
             // The sampled-out return is the steady-state path under figure
             // sampling (1 kept chain in 64) — it never touches the ring
-            // lock, and `kind` is dropped here (borrowed `Cow`s, no frees).
-            self.sampled_out.fetch_add(1, Ordering::Relaxed);
+            // lock nor any shared counter (it is counted as a seq issued
+            // but never pushed), and `kind` is dropped here (borrowed
+            // `Cow`s, no frees).
             return seq;
         }
         // A security event recorded under a sampled-out chain is still
@@ -428,6 +431,7 @@ impl Tracer {
             r.dropped += 1;
         }
         r.events.push_back(event);
+        r.pushed += 1;
     }
 
     /// Snapshot of retained events, oldest first.
@@ -442,14 +446,11 @@ impl Tracer {
     /// Retention statistics: retained / sampled-out / dropped counts and
     /// the sampling period, for report headers and table sinks.
     pub fn stats(&self) -> TraceStats {
-        let (retained, dropped) = {
-            let r = self.ring.lock();
-            (r.events.len() as u64, r.dropped)
-        };
+        let r = self.ring.lock();
         TraceStats {
-            retained,
-            sampled_out: self.sampled_out(),
-            dropped,
+            retained: r.events.len() as u64,
+            sampled_out: self.next_seq.load(Ordering::Relaxed) - r.pushed,
+            dropped: r.dropped,
             sample_period: self.sample_period(),
         }
     }

@@ -10,8 +10,31 @@
 //! Poisoning is deliberately ignored: a panicking test thread must not
 //! cascade opaque `PoisonError` panics through unrelated threads — the
 //! original panic is the signal we want.
+//!
+//! Every hold is counted per host thread ([`holds`]): a plain thread-local
+//! counter, not an atomic, so the dev and release profiles read the same
+//! number and counting costs no bus traffic. The work goldens pin it per
+//! workload and engine, which is how "one hold per device burst" stays
+//! true.
 
+use std::cell::Cell;
 use std::sync::{self, MutexGuard, RwLockReadGuard, RwLockWriteGuard};
+
+thread_local! {
+    static HOLDS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Host lock holds taken on the calling thread so far: every
+/// [`Mutex::lock`], successful [`Mutex::try_lock`], [`RwLock::read`] and
+/// [`RwLock::write`].
+pub fn holds() -> u64 {
+    HOLDS.with(Cell::get)
+}
+
+#[inline]
+fn count_hold() {
+    HOLDS.with(|h| h.set(h.get() + 1));
+}
 
 /// A mutual-exclusion lock whose `lock()` returns the guard directly.
 #[derive(Debug, Default)]
@@ -39,6 +62,7 @@ impl<T> Mutex<T> {
 impl<T: ?Sized> Mutex<T> {
     /// Acquires the lock, blocking until available. Poisoning is ignored.
     pub fn lock(&self) -> MutexGuard<'_, T> {
+        count_hold();
         match self.inner.lock() {
             Ok(g) => g,
             Err(p) => p.into_inner(),
@@ -47,11 +71,13 @@ impl<T: ?Sized> Mutex<T> {
 
     /// Attempts to acquire the lock without blocking.
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.inner.try_lock() {
-            Ok(g) => Some(g),
-            Err(sync::TryLockError::Poisoned(p)) => Some(p.into_inner()),
-            Err(sync::TryLockError::WouldBlock) => None,
-        }
+        let g = match self.inner.try_lock() {
+            Ok(g) => g,
+            Err(sync::TryLockError::Poisoned(p)) => p.into_inner(),
+            Err(sync::TryLockError::WouldBlock) => return None,
+        };
+        count_hold();
+        Some(g)
     }
 
     /// Mutable access without locking (requires exclusive borrow).
@@ -89,6 +115,7 @@ impl<T> RwLock<T> {
 impl<T: ?Sized> RwLock<T> {
     /// Acquires shared read access. Poisoning is ignored.
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
+        count_hold();
         match self.inner.read() {
             Ok(g) => g,
             Err(p) => p.into_inner(),
@@ -97,6 +124,7 @@ impl<T: ?Sized> RwLock<T> {
 
     /// Acquires exclusive write access. Poisoning is ignored.
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
+        count_hold();
         match self.inner.write() {
             Ok(g) => g,
             Err(p) => p.into_inner(),
@@ -132,6 +160,23 @@ mod tests {
         assert_eq!(l.read().len(), 2);
         l.write().push(3);
         assert_eq!(*l.read(), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn every_hold_is_counted_on_its_own_thread() {
+        let (m, l) = (Mutex::new(0), RwLock::new(0));
+        let before = holds();
+        drop(m.lock());
+        drop(m.try_lock());
+        drop(l.read());
+        drop(l.write());
+        assert_eq!(holds() - before, 4);
+        let _held = m.lock();
+        assert!(m.try_lock().is_none(), "a failed try_lock holds nothing");
+        assert_eq!(holds() - before, 5);
+        let other = std::thread::scope(|s| s.spawn(|| (holds(), *l.read())).join().unwrap());
+        assert_eq!(other, (0, 0), "another thread starts from zero");
+        assert_eq!(holds() - before, 5);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Host-work goldens: what the program *does* to produce the figures —
-//! heap allocations, simulated-lock acquisitions, IOTLB lookups,
-//! invalidation commands, frame and slab calls, bytes memcpy'd and zeroed,
-//! trace events and every `obs` counter — pinned exactly for every engine on
+//! heap allocations, simulated-lock acquisitions, host lock holds
+//! (`simcore::sync::holds`), IOTLB lookups, invalidation commands, frame
+//! and slab calls, bytes memcpy'd and zeroed, trace events and every `obs`
+//! counter — pinned exactly for every engine on
 //! quick-scale RX (16 cores, MTU) and TX (1 core, 64 KB), with
 //! `ExpConfig::percore` off and on, and for *copy* on RR (1 core, 64 B),
 //! where the copy-back is bounded by what arrived, and on memcached
@@ -75,11 +76,13 @@ fn rows(w: &Workload, percore: bool, kind: EngineKind) -> Vec<String> {
         percore,
         ..ExpConfig::quick()
     };
+    let holds = dma_shadowing::simcore::sync::holds();
     let ((stack, result), allocs, alloc_bytes) = counted(|| {
         let stack = SimStack::new(kind, &cfg);
         let result = (w.run)(&stack, &cfg);
         (stack, result)
     });
+    let host_locks = dma_shadowing::simcore::sync::holds() - holds;
     let snap = stack.obs.registry().snapshot();
     let invalq_lock = stack.mmu.invalq().lock_stats().acquisitions;
     let iova_lock = stack
@@ -106,6 +109,7 @@ fn rows(w: &Workload, percore: bool, kind: EngineKind) -> Vec<String> {
         format!("run items={} bytes={}", result.items, result.bytes),
         format!("heap allocs={allocs} bytes={alloc_bytes}"),
         format!("simlock invalq={invalq_lock} iova={iova_lock}"),
+        format!("host_locks holds={host_locks}"),
         format!(
             "iotlb hits={} misses={} page_invalidations={} global_invalidations={} evictions={}",
             iotlb.hits,
