@@ -36,6 +36,9 @@ cargo run -q --bin lint -- --json target/lint_report.json --budget-ms 60000
 cargo run -q --release -p modelcheck --bin mc-suite
 cargo fmt --all --check
 cargo clippy --workspace --all-targets -- -D warnings
+# API docs build without a rustdoc warning (broken or ambiguous intra-doc
+# links, links to private items, output-file collisions).
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # Observability: the Fig. 1 RX workload on every engine plus a
 # malicious-device scan; prints Fig. 5 from the profile tree's depth-1 cut
 # (that the cut equals the cores' breakdowns is a tier-1 test in

@@ -72,7 +72,7 @@ fn config(work: Work, cores: usize, size: usize) -> ExpConfig {
 
 impl Evidence {
     /// The run of `work` on `kind` at one point, simulated on first use with
-    /// the point's [`config`].
+    /// the point's configuration (`config`).
     pub fn run(&mut self, work: Work, kind: EngineKind, cores: usize, size: usize) -> &ExpResult {
         let workload = match work {
             Rx => netsim::tcp_stream_rx,

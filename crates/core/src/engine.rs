@@ -228,8 +228,12 @@ impl DmaEngine for ShadowDma {
     }
 
     fn unmap(&self, ctx: &mut CoreCtx, mapping: DmaMapping) -> Result<(), DmaError> {
-        if self.huge.owns(mapping.iova) {
-            return self.huge.unmap(ctx, &self.zc_iova, mapping.iova);
+        // Pool IOVAs carry the shadow flag (Fig. 2's MSB), so only the
+        // others can be huge mappings: they alone consult the huge table.
+        let pooled = self.pool.codec().decode(mapping.iova).is_some();
+        if !pooled && self.huge.owns(mapping.iova) {
+            let wrote = mapping.wrote.min(mapping.len);
+            return self.huge.unmap(ctx, &self.zc_iova, mapping.iova, wrote);
         }
         let sref = self
             .pool
@@ -530,6 +534,32 @@ mod tests {
         assert_eq!(r.eng.huge().live_count(), 0);
         // Huge unmap IS strict (it invalidates), unlike the pool path.
         assert!(r.mmu.invalq().stats().page_commands > 0);
+    }
+
+    #[test]
+    fn huge_copy_back_stops_at_what_the_device_wrote() {
+        // §5.4 on the hybrid path: an unaligned 200 KB RX buffer, of which
+        // the device fills the first 100 B. The head and tail shadows must
+        // not overwrite the OS bytes the device never wrote.
+        let mut r = rig();
+        let (off, len) = (1000u64, 200_000);
+        let pages = (off + len as u64).div_ceil(PAGE_SIZE as u64);
+        let pfn = r.mem.alloc_frames(NumaDomain(0), pages).unwrap();
+        let buf = DmaBuf::new(pfn.base().add(off), len);
+        r.mem.write(buf.pa, &vec![0xabu8; len]).unwrap();
+        let m = r
+            .eng
+            .map(&mut r.ctx, buf, DmaDirection::FromDevice)
+            .unwrap();
+        assert_eq!(r.eng.huge().live_count(), 1);
+        r.bus.write(DEV, m.iova.get(), &[0x11u8; 100]).unwrap();
+        r.eng.unmap(&mut r.ctx, m.device_wrote(100)).unwrap();
+        let os = r.mem.read_vec(buf.pa, len).unwrap();
+        assert_eq!(os[..100], [0x11u8; 100]);
+        assert!(
+            os[100..].iter().all(|&b| b == 0xab),
+            "an OS byte past what the device wrote was overwritten"
+        );
     }
 
     #[test]

@@ -111,6 +111,8 @@ impl HugeMapper {
     /// and tail contents are copied into their shadow pages now.
     ///
     /// Returns the IOVA at which the device sees the buffer's first byte.
+    /// On error nothing stays behind: what was mapped is unmapped and
+    /// strictly invalidated, and the frames and the IOVA range are freed.
     pub fn map(
         &self,
         ctx: &mut CoreCtx,
@@ -127,81 +129,100 @@ impl HugeMapper {
         let after_head = buf.len - head_len;
         let tail_len = after_head % PAGE_SIZE;
         let mid_len = after_head - tail_len;
-        let mid_pages = (mid_len / PAGE_SIZE) as u64;
-        let n_pages = u64::from(head_len > 0) + mid_pages + u64::from(tail_len > 0);
+        let n_pages =
+            u64::from(head_len > 0) + (mid_len / PAGE_SIZE) as u64 + u64::from(tail_len > 0);
         assert!(n_pages > 0, "huge mapping of empty buffer");
-        let domain = self.mem.topology().domain_of_core(ctx.core);
-        let first_page = iova_alloc.alloc(ctx, n_pages)?;
-
-        let mut page = first_page;
-        let device_reads = rights.allows(iommu::Access::Read);
-
-        // Head shadow page.
-        let head_frame = if head_len > 0 {
-            let f = self.mem.alloc_frames(domain, 1)?;
-            if device_reads {
-                self.mem.copy(buf.pa, f.base().add(off as u64), head_len)?;
-                ctx.charge(Phase::Memcpy, ctx.cost.memcpy(head_len, false));
-            }
-            self.mmu.map_page(ctx, self.dev, page, f, rights)?;
-            page = page.add(1);
-            Some(f)
-        } else {
-            None
+        let mut entry = HugeEntry {
+            first_page: iova_alloc.alloc(ctx, n_pages)?,
+            n_pages,
+            os_pa: buf.pa,
+            len: buf.len,
+            rights,
+            head_frame: None,
+            head_len,
+            tail_frame: None,
+            tail_len,
         };
-
-        // Zero-copy middle: the OS buffer's own (fully-owned) pages.
-        if mid_pages > 0 {
-            let mid_pfn = buf.pa.add(head_len as u64).pfn();
-            self.mmu
-                .map_range(ctx, self.dev, page, mid_pfn, mid_pages, rights)?;
-            page = page.add(mid_pages);
+        let mut mapped = 0;
+        if let Err(e) = self.populate(ctx, &mut entry, &mut mapped) {
+            // The caller gets no handle, so nothing else could undo this.
+            let _ = self.release(ctx, iova_alloc, &entry, mapped);
+            return Err(e);
         }
-
-        // Tail shadow page.
-        let tail_frame = if tail_len > 0 {
-            let f = self.mem.alloc_frames(domain, 1)?;
-            if device_reads {
-                let tail_src = buf.pa.add((head_len + mid_len) as u64);
-                self.mem.copy(tail_src, f.base(), tail_len)?;
-                ctx.charge(Phase::Memcpy, ctx.cost.memcpy(tail_len, false));
-            }
-            self.mmu.map_page(ctx, self.dev, page, f, rights)?;
-            Some(f)
-        } else {
-            None
-        };
-
-        let iova = first_page.base().add(off as u64);
-        self.live.lock().insert(
-            iova.get(),
-            HugeEntry {
-                first_page,
-                n_pages,
-                os_pa: buf.pa,
-                len: buf.len,
-                rights,
-                head_frame,
-                head_len,
-                tail_frame,
-                tail_len,
-            },
-        );
+        let iova = entry.first_page.base().add(off as u64);
+        self.live.lock().insert(iova.get(), entry);
         self.maps.inc();
         self.shadowed_bytes.add((head_len + tail_len) as u64);
         self.zero_copy_bytes.add(mid_len as u64);
         Ok(iova)
     }
 
+    /// Allocates `entry`'s shadow frames, fills them if the device reads,
+    /// and maps its pages in order, counting them in `mapped`.
+    fn populate(
+        &self,
+        ctx: &mut CoreCtx,
+        entry: &mut HugeEntry,
+        mapped: &mut u64,
+    ) -> Result<(), DmaError> {
+        let domain = self.mem.topology().domain_of_core(ctx.core);
+        let device_reads = entry.rights.allows(iommu::Access::Read);
+        let off = entry.os_pa.page_offset();
+        let (first_page, rights) = (entry.first_page, entry.rights);
+        let mut map_next = |ctx: &mut CoreCtx, pfn: Pfn| -> Result<(), DmaError> {
+            self.mmu
+                .map_page(ctx, self.dev, first_page.add(*mapped), pfn, rights)?;
+            *mapped += 1;
+            Ok(())
+        };
+
+        // Head shadow page.
+        if entry.head_len > 0 {
+            let f = self.mem.alloc_frames(domain, 1)?;
+            entry.head_frame = Some(f);
+            if device_reads {
+                self.mem
+                    .copy(entry.os_pa, f.base().add(off as u64), entry.head_len)?;
+                ctx.charge(Phase::Memcpy, ctx.cost.memcpy(entry.head_len, false));
+            }
+            map_next(ctx, f)?;
+        }
+
+        // Zero-copy middle: the OS buffer's own (fully-owned) pages.
+        let mid_pfn = entry.os_pa.add(entry.head_len as u64).pfn();
+        let mid_pages = ((entry.len - entry.head_len - entry.tail_len) / PAGE_SIZE) as u64;
+        for i in 0..mid_pages {
+            map_next(ctx, mid_pfn.add(i))?;
+        }
+
+        // Tail shadow page.
+        if entry.tail_len > 0 {
+            let f = self.mem.alloc_frames(domain, 1)?;
+            entry.tail_frame = Some(f);
+            if device_reads {
+                let tail_src = entry.os_pa.add((entry.len - entry.tail_len) as u64);
+                self.mem.copy(tail_src, f.base(), entry.tail_len)?;
+                ctx.charge(Phase::Memcpy, ctx.cost.memcpy(entry.tail_len, false));
+            }
+            map_next(ctx, f)?;
+        }
+        Ok(())
+    }
+
     /// Unmaps a huge mapping: copies head/tail shadows back into the OS
     /// buffer if the device could write, then destroys the whole range
     /// with a strict, synchronous invalidation and releases the shadow
     /// frames and the IOVA range.
+    ///
+    /// `wrote` is how many bytes from the buffer's start the device wrote
+    /// (§5.4); only head and tail bytes below it are copied back, so the
+    /// OS bytes past it keep their contents.
     pub fn unmap(
         &self,
         ctx: &mut CoreCtx,
         iova_alloc: &GlobalTreeIovaAllocator,
         iova: Iova,
+        wrote: usize,
     ) -> Result<(), DmaError> {
         let entry = self
             .live
@@ -211,32 +232,44 @@ impl HugeMapper {
         let off = entry.os_pa.page_offset();
         if entry.rights.allows(iommu::Access::Write) {
             if let Some(f) = entry.head_frame {
-                self.mem
-                    .copy(f.base().add(off as u64), entry.os_pa, entry.head_len)?;
-                ctx.charge(Phase::Memcpy, ctx.cost.memcpy(entry.head_len, false));
+                let n = entry.head_len.min(wrote);
+                self.mem.copy(f.base().add(off as u64), entry.os_pa, n)?;
+                ctx.charge(Phase::Memcpy, ctx.cost.memcpy(n, false));
             }
             if let Some(f) = entry.tail_frame {
-                let tail_dst = entry.os_pa.add((entry.len - entry.tail_len) as u64);
-                self.mem.copy(f.base(), tail_dst, entry.tail_len)?;
-                ctx.charge(Phase::Memcpy, ctx.cost.memcpy(entry.tail_len, false));
+                let tail_start = entry.len - entry.tail_len;
+                let n = wrote.saturating_sub(tail_start).min(entry.tail_len);
+                self.mem
+                    .copy(f.base(), entry.os_pa.add(tail_start as u64), n)?;
+                ctx.charge(Phase::Memcpy, ctx.cost.memcpy(n, false));
             }
         }
-        // Strict teardown: no vulnerability window for huge mappings.
-        let pages: Vec<IovaPage> = (0..entry.n_pages)
-            .map(|i| entry.first_page.add(i))
-            .collect();
+        self.release(ctx, iova_alloc, &entry, entry.n_pages)?;
+        self.unmaps.inc();
+        Ok(())
+    }
+
+    /// Strict teardown, with no vulnerability window: unmaps the first
+    /// `mapped` pages of `entry` and invalidates them synchronously, then
+    /// frees the shadow frames and the IOVA range.
+    fn release(
+        &self,
+        ctx: &mut CoreCtx,
+        iova_alloc: &GlobalTreeIovaAllocator,
+        entry: &HugeEntry,
+        mapped: u64,
+    ) -> Result<(), DmaError> {
+        let pages: Vec<IovaPage> = (0..mapped).map(|i| entry.first_page.add(i)).collect();
         for &p in &pages {
             self.mmu.unmap_page_nosync(ctx, self.dev, p)?;
         }
-        self.mmu.invalidate_pages_sync(ctx, self.dev, &pages);
-        if let Some(f) = entry.head_frame {
-            self.mem.free_frames(f, 1)?;
+        if !pages.is_empty() {
+            self.mmu.invalidate_pages_sync(ctx, self.dev, &pages);
         }
-        if let Some(f) = entry.tail_frame {
+        for f in [entry.head_frame, entry.tail_frame].into_iter().flatten() {
             self.mem.free_frames(f, 1)?;
         }
         iova_alloc.free(ctx, entry.first_page, entry.n_pages);
-        self.unmaps.inc();
         Ok(())
     }
 }
@@ -285,7 +318,7 @@ mod tests {
         let mut out = vec![0u8; 200_000];
         r.mmu.dma_read(&r.mem, DEV, iova, &mut out).unwrap();
         assert_eq!(out, data, "head+middle+tail stitch together");
-        r.huge.unmap(&mut r.ctx, &r.alloc, iova).unwrap();
+        r.huge.unmap(&mut r.ctx, &r.alloc, iova, buf.len).unwrap();
     }
 
     #[test]
@@ -302,7 +335,7 @@ mod tests {
             data[mid_probe as usize..mid_probe as usize + 16]
         );
         // ...head/tail bytes only after the unmap copy-back.
-        r.huge.unmap(&mut r.ctx, &r.alloc, iova).unwrap();
+        r.huge.unmap(&mut r.ctx, &r.alloc, iova, buf.len).unwrap();
         assert_eq!(r.mem.read_vec(buf.pa, 150_000).unwrap(), data);
     }
 
@@ -327,7 +360,7 @@ mod tests {
         r.mmu.dma_read(&r.mem, DEV, probe, &mut leak).unwrap();
         assert_ne!(&leak, b"SECRET-AT-PAGE-START");
         assert_eq!(leak, vec![0u8; 20], "fresh shadow page is zeroed");
-        r.huge.unmap(&mut r.ctx, &r.alloc, iova).unwrap();
+        r.huge.unmap(&mut r.ctx, &r.alloc, iova, buf.len).unwrap();
     }
 
     #[test]
@@ -338,7 +371,7 @@ mod tests {
         // Warm the IOTLB.
         r.mmu.dma_write(&r.mem, DEV, iova, b"warm").unwrap();
         let invals_before = r.mmu.invalq().stats().page_commands;
-        r.huge.unmap(&mut r.ctx, &r.alloc, iova).unwrap();
+        r.huge.unmap(&mut r.ctx, &r.alloc, iova, buf.len).unwrap();
         assert!(r.mmu.invalq().stats().page_commands > invals_before);
         // No window: immediately blocked.
         assert!(r.mmu.dma_write(&r.mem, DEV, iova, b"late").is_err());
@@ -361,7 +394,7 @@ mod tests {
         let s = r.huge.stats();
         assert_eq!(s.shadowed_bytes, 0);
         assert_eq!(s.zero_copy_bytes, 32 * PAGE_SIZE as u64);
-        r.huge.unmap(&mut r.ctx, &r.alloc, iova).unwrap();
+        r.huge.unmap(&mut r.ctx, &r.alloc, iova, buf.len).unwrap();
     }
 
     #[test]
@@ -376,7 +409,7 @@ mod tests {
         let copied = r.ctx.breakdown().get(Phase::Memcpy);
         let full_copy = r.ctx.cost.memcpy(1_000_000, false);
         assert!(copied.get() * 50 < full_copy.get());
-        r.huge.unmap(&mut r.ctx, &r.alloc, iova).unwrap();
+        r.huge.unmap(&mut r.ctx, &r.alloc, iova, buf.len).unwrap();
     }
 
     #[test]
@@ -385,20 +418,51 @@ mod tests {
         let buf = unaligned_buf(&r, 100_000, 700);
         let frames_before = r.mem.stats().allocated_frames;
         let iova1 = r.huge.map(&mut r.ctx, &r.alloc, buf, Perms::Write).unwrap();
-        r.huge.unmap(&mut r.ctx, &r.alloc, iova1).unwrap();
+        r.huge.unmap(&mut r.ctx, &r.alloc, iova1, buf.len).unwrap();
         assert_eq!(r.mem.stats().allocated_frames, frames_before);
         assert_eq!(r.huge.live_count(), 0);
         // IOVA range reusable.
         let iova2 = r.huge.map(&mut r.ctx, &r.alloc, buf, Perms::Write).unwrap();
         assert_eq!(iova2, iova1);
-        r.huge.unmap(&mut r.ctx, &r.alloc, iova2).unwrap();
+        r.huge.unmap(&mut r.ctx, &r.alloc, iova2, buf.len).unwrap();
+    }
+
+    #[test]
+    fn a_failed_map_leaves_nothing_behind() {
+        // Memory sized so the head shadow gets the last free frame and the
+        // tail shadow's allocation fails, after the head and the OS
+        // buffer's middle pages are already mapped.
+        let mut r = rig();
+        let buf = unaligned_buf(&r, 4 * PAGE_SIZE, 1000);
+        let total = r.mem.topology().total_frames();
+        let filler = total - r.mem.stats().allocated_frames - 1;
+        let fill = r.mem.alloc_frames(NumaDomain(0), filler).unwrap();
+        let frames_before = r.mem.stats().allocated_frames;
+        let invals_before = r.mmu.invalq().stats().page_commands;
+        let got = r.huge.map(&mut r.ctx, &r.alloc, buf, Perms::Write);
+        assert!(got.is_err(), "the tail frame cannot be allocated");
+        assert_eq!(r.mmu.mapped_pages(DEV), 0, "no page stays mapped");
+        assert!(
+            r.mmu.invalq().stats().page_commands > invals_before,
+            "the rolled-back pages are strictly invalidated"
+        );
+        assert_eq!(r.mem.stats().allocated_frames, frames_before);
+        assert_eq!(r.huge.live_count(), 0);
+        // The IOVA range was freed too: with memory back, the buffer maps
+        // at the first range a fresh allocator hands out.
+        r.mem.free_frames(fill, filler).unwrap();
+        let iova = r.huge.map(&mut r.ctx, &r.alloc, buf, Perms::Write).unwrap();
+        let fresh = GlobalTreeIovaAllocator::new().alloc(&mut r.ctx, 1).unwrap();
+        assert_eq!(iova.page(), fresh);
+        r.huge.unmap(&mut r.ctx, &r.alloc, iova, buf.len).unwrap();
+        assert_eq!(r.mmu.mapped_pages(DEV), 0);
     }
 
     #[test]
     fn unmap_unknown_fails() {
         let mut r = rig();
         assert!(matches!(
-            r.huge.unmap(&mut r.ctx, &r.alloc, Iova::new(0x7000)),
+            r.huge.unmap(&mut r.ctx, &r.alloc, Iova::new(0x7000), 0),
             Err(DmaError::BadUnmap(_))
         ));
     }

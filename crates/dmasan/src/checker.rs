@@ -376,7 +376,7 @@ impl DmaSan {
     /// verdict API attack scenarios assert on. `granted` is the hardware
     /// outcome (IOMMU / memory backing) the caller observed.
     ///
-    /// Ring accesses are answered from this thread's [`RingView`] without
+    /// Ring accesses are answered from this thread's `RingView` without
     /// a lock once it is current; only streaming accesses (and the first
     /// verdict after a ring alloc/free) take the checker's lock.
     pub fn verdict(&self, dev: DeviceId, addr: u64, len: usize, granted: bool) -> AccessVerdict {

@@ -3,9 +3,11 @@
 //! Models an Intel VT-d-style IOMMU \[30\] faithfully enough to reproduce
 //! both the *protection semantics* and the *costs* that drive the paper:
 //!
-//! - [`IoPageTable`] — a real 4-level radix page table per device domain,
-//!   mapping 48-bit I/O virtual addresses ([`Iova`]) to physical frames at
-//!   page granularity with read/write/both access rights ([`Perms`]).
+//! - [`IoPageTable`] — the page table of one device domain (a hash map from
+//!   IOVA page to entry), mapping 48-bit I/O virtual addresses ([`Iova`])
+//!   to physical frames at page granularity with read/write/both access
+//!   rights ([`Perms`]). Its updates and walks are charged cost-model
+//!   constants.
 //! - [`Iotlb`] — the translation cache. Entries created by device-side
 //!   walks **persist after a page-table unmap until explicitly
 //!   invalidated** — this staleness is what makes deferred protection a

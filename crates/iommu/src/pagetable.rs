@@ -1,23 +1,14 @@
-//! The per-device 4-level I/O page table.
+//! The per-device I/O page table.
 //!
-//! Nodes live in two flat arenas (interior tables and leaf tables) with
-//! dense 512-entry child arrays, so a page walk is three indexed
-//! pointer-chases instead of four hash lookups. Freed nodes go on a
-//! free list and are reused by later `map` calls, which keeps the
-//! steady-state map/unmap cycle of the strict engines allocation-free.
+//! One hash map from IOVA page to entry. The radix levels of a hardware
+//! table reach no simulated number: the caller ([`crate::Iommu`]) charges
+//! each map, unmap and IOTLB-miss walk one calibrated cost-model constant.
 
 use crate::{IovaPage, Perms};
 use memsim::Pfn;
+use simcore::FxHashMap;
+use std::collections::hash_map::Entry;
 use std::fmt;
-
-/// Bits of IOVA page number consumed per radix level (like x86-64).
-const LEVEL_BITS: u32 = 9;
-/// Number of levels: 4 levels × 9 bits + 12-bit page offset = 48 bits.
-const LEVELS: u32 = 4;
-/// Children per node.
-const FANOUT: usize = 1 << LEVEL_BITS;
-/// Absent-child sentinel in interior child arrays.
-const NO_CHILD: u32 = u32::MAX;
 
 /// A leaf page-table entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,74 +39,11 @@ impl fmt::Display for PtError {
 
 impl std::error::Error for PtError {}
 
-/// An interior table: dense child array plus a population count so empty
-/// tables can be pruned without scanning.
-#[derive(Debug)]
-struct Interior {
-    children: Box<[u32]>,
-    used: u16,
-}
-
-impl Interior {
-    fn new() -> Self {
-        Interior {
-            children: vec![NO_CHILD; FANOUT].into_boxed_slice(),
-            used: 0,
-        }
-    }
-}
-
-/// A last-level table holding the actual translations.
-#[derive(Debug)]
-struct LeafTable {
-    entries: Box<[Option<PtEntry>]>,
-    used: u16,
-}
-
-impl LeafTable {
-    fn new() -> Self {
-        LeafTable {
-            entries: vec![None; FANOUT].into_boxed_slice(),
-            used: 0,
-        }
-    }
-}
-
-/// A 4-level radix page table translating 36-bit IOVA page numbers to
-/// physical frames, one per device domain.
-///
-/// The radix structure is real (walks descend level by level) so the
-/// `mapped_pages` accounting, sparseness, and level-granular behavior match
-/// genuine hardware tables; the cost of updates is charged by the caller
-/// ([`crate::Iommu`]) using the calibrated cost model. Unlike hash-map
-/// nodes, the dense arena layout also matches how hardware walks memory:
-/// each level is one array index off a physical node pointer.
-#[derive(Debug)]
+/// The I/O page table of one device domain: translates 36-bit IOVA page
+/// numbers (48-bit IOVAs) to physical frames with access rights.
+#[derive(Debug, Default)]
 pub struct IoPageTable {
-    /// Interior nodes; index 0 is the root and is never freed.
-    interiors: Vec<Interior>,
-    leaves: Vec<LeafTable>,
-    free_interiors: Vec<u32>,
-    free_leaves: Vec<u32>,
-    mapped: u64,
-}
-
-impl Default for IoPageTable {
-    fn default() -> Self {
-        IoPageTable {
-            interiors: vec![Interior::new()],
-            leaves: Vec::new(),
-            free_interiors: Vec::new(),
-            free_leaves: Vec::new(),
-            mapped: 0,
-        }
-    }
-}
-
-fn level_index(page: IovaPage, level: u32) -> usize {
-    // level 0 is the root (most significant 9 bits of the page number).
-    let shift = (LEVELS - 1 - level) * LEVEL_BITS;
-    ((page.0 >> shift) & ((1 << LEVEL_BITS) - 1)) as usize
+    entries: FxHashMap<u64, PtEntry>,
 }
 
 impl IoPageTable {
@@ -126,36 +54,7 @@ impl IoPageTable {
 
     /// Number of mapped IOVA pages.
     pub fn mapped_pages(&self) -> u64 {
-        self.mapped
-    }
-
-    /// Live node counts `(interior tables, leaf tables)` — the root
-    /// counts even when empty. Diagnostics for pruning/footprint tests.
-    pub fn live_nodes(&self) -> (usize, usize) {
-        (
-            self.interiors.len() - self.free_interiors.len(),
-            self.leaves.len() - self.free_leaves.len(),
-        )
-    }
-
-    fn alloc_interior(&mut self) -> u32 {
-        match self.free_interiors.pop() {
-            Some(i) => i, // freed nodes are already reset (see free_interior)
-            None => {
-                self.interiors.push(Interior::new());
-                (self.interiors.len() - 1) as u32
-            }
-        }
-    }
-
-    fn alloc_leaf(&mut self) -> u32 {
-        match self.free_leaves.pop() {
-            Some(i) => i,
-            None => {
-                self.leaves.push(LeafTable::new());
-                (self.leaves.len() - 1) as u32
-            }
-        }
+        self.entries.len() as u64
     }
 
     /// Installs a mapping for one IOVA page.
@@ -165,38 +64,13 @@ impl IoPageTable {
     /// Fails with [`PtError::AlreadyMapped`] if the page already has a
     /// mapping (the DMA API never overwrites live mappings).
     pub fn map(&mut self, page: IovaPage, pfn: Pfn, perms: Perms) -> Result<(), PtError> {
-        let mut idx = 0usize;
-        for level in 0..LEVELS - 2 {
-            let slot = level_index(page, level);
-            let child = self.interiors[idx].children[slot];
-            idx = if child == NO_CHILD {
-                let new = self.alloc_interior();
-                self.interiors[idx].children[slot] = new;
-                self.interiors[idx].used += 1;
-                new as usize
-            } else {
-                child as usize
-            };
+        match self.entries.entry(page.0) {
+            Entry::Occupied(_) => Err(PtError::AlreadyMapped(page)),
+            Entry::Vacant(v) => {
+                v.insert(PtEntry { pfn, perms });
+                Ok(())
+            }
         }
-        let slot = level_index(page, LEVELS - 2);
-        let child = self.interiors[idx].children[slot];
-        let leaf_idx = if child == NO_CHILD {
-            let new = self.alloc_leaf();
-            self.interiors[idx].children[slot] = new;
-            self.interiors[idx].used += 1;
-            new as usize
-        } else {
-            child as usize
-        };
-        let li = level_index(page, LEVELS - 1);
-        let leaf = &mut self.leaves[leaf_idx];
-        if leaf.entries[li].is_some() {
-            return Err(PtError::AlreadyMapped(page));
-        }
-        leaf.entries[li] = Some(PtEntry { pfn, perms });
-        leaf.used += 1;
-        self.mapped += 1;
-        Ok(())
     }
 
     /// Removes the mapping of one IOVA page, returning the removed entry.
@@ -205,66 +79,34 @@ impl IoPageTable {
     /// entry — that requires an explicit invalidation (see
     /// [`crate::InvalQueue`]).
     pub fn unmap(&mut self, page: IovaPage) -> Result<PtEntry, PtError> {
-        // Walk down, recording the (interior, slot) path for pruning.
-        let mut path = [(0usize, 0usize); (LEVELS - 1) as usize];
-        let mut idx = 0usize;
-        for level in 0..LEVELS - 1 {
-            let slot = level_index(page, level);
-            path[level as usize] = (idx, slot);
-            let child = self.interiors[idx].children[slot];
-            if child == NO_CHILD {
-                return Err(PtError::NotMapped(page));
-            }
-            idx = child as usize;
-        }
-        let leaf_idx = idx;
-        let li = level_index(page, LEVELS - 1);
-        let leaf = &mut self.leaves[leaf_idx];
-        let entry = leaf.entries[li].take().ok_or(PtError::NotMapped(page))?;
-        leaf.used -= 1;
-        self.mapped -= 1;
-
-        // Prune empty tables bottom-up, returning them to the free lists.
-        if leaf.used == 0 {
-            self.free_leaves.push(leaf_idx as u32);
-            let mut unlink = true;
-            for &(parent, slot) in path.iter().rev() {
-                if unlink {
-                    self.interiors[parent].children[slot] = NO_CHILD;
-                    self.interiors[parent].used -= 1;
-                }
-                unlink = self.interiors[parent].used == 0 && parent != 0;
-                if unlink {
-                    self.free_interiors.push(parent as u32);
-                }
-            }
-        }
-        Ok(entry)
+        self.entries.remove(&page.0).ok_or(PtError::NotMapped(page))
     }
 
-    /// Walks the table for one IOVA page (the hardware page walk on an
-    /// IOTLB miss).
+    /// Looks up one IOVA page (the hardware page walk on an IOTLB miss).
     pub fn translate(&self, page: IovaPage) -> Option<PtEntry> {
-        let mut idx = 0usize;
-        for level in 0..LEVELS - 1 {
-            let child = self.interiors[idx].children[level_index(page, level)];
-            if child == NO_CHILD {
-                return None;
-            }
-            idx = child as usize;
-        }
-        self.leaves[idx].entries[level_index(page, LEVELS - 1)]
+        self.entries.get(&page.0).copied()
     }
 }
 
-/// The previous `HashMap`-of-nodes implementation, kept as the
-/// behavioral oracle for the property tests below.
+/// A nested-`HashMap` 4-level radix table, the behavioral oracle for the
+/// property tests below.
 #[cfg(test)]
 mod oracle {
-    use super::{level_index, PtEntry, PtError, LEVELS};
+    use super::{PtEntry, PtError};
     use crate::{IovaPage, Perms};
     use memsim::Pfn;
     use std::collections::HashMap;
+
+    /// Bits of IOVA page number consumed per radix level (like x86-64).
+    const LEVEL_BITS: u32 = 9;
+    /// 4 levels × 9 bits + 12-bit page offset = 48 bits.
+    const LEVELS: u32 = 4;
+
+    fn level_index(page: IovaPage, level: u32) -> usize {
+        // level 0 is the root (most significant 9 bits of the page number).
+        let shift = (LEVELS - 1 - level) * LEVEL_BITS;
+        ((page.0 >> shift) & ((1 << LEVEL_BITS) - 1)) as usize
+    }
 
     #[derive(Debug, Default)]
     enum Node {
@@ -414,39 +256,15 @@ mod tests {
     }
 
     #[test]
-    fn adjacent_pages_in_same_leaf_table() {
+    fn adjacent_pages_all_translate() {
         let mut pt = IoPageTable::new();
         for i in 0..512u64 {
             pt.map(IovaPage(i), Pfn(i + 100), Perms::ReadWrite).unwrap();
         }
         assert_eq!(pt.mapped_pages(), 512);
-        // One shared leaf table (plus the three interior levels above it).
-        assert_eq!(pt.live_nodes(), (3, 1));
         for i in 0..512u64 {
             assert_eq!(pt.translate(IovaPage(i)).unwrap().pfn, Pfn(i + 100));
         }
-    }
-
-    #[test]
-    fn empty_interior_tables_are_pruned() {
-        let mut pt = IoPageTable::new();
-        pt.map(IovaPage(0x1234), Pfn(1), Perms::Read).unwrap();
-        assert_eq!(pt.live_nodes(), (3, 1));
-        pt.unmap(IovaPage(0x1234)).unwrap();
-        assert_eq!(pt.live_nodes(), (1, 0), "interior tables freed after unmap");
-    }
-
-    #[test]
-    fn freed_nodes_are_recycled() {
-        let mut pt = IoPageTable::new();
-        for _ in 0..1_000 {
-            pt.map(IovaPage(0x9999), Pfn(3), Perms::Write).unwrap();
-            pt.unmap(IovaPage(0x9999)).unwrap();
-        }
-        // The arena never grows past one path's worth of nodes.
-        assert_eq!(pt.interiors.len(), 3);
-        assert_eq!(pt.leaves.len(), 1);
-        assert_eq!(pt.live_nodes(), (1, 0));
     }
 
     #[test]
@@ -457,9 +275,9 @@ mod tests {
         assert_eq!(pt.translate(top).unwrap().pfn, Pfn(42));
     }
 
-    /// Randomized map/unmap/translate against the previous nested-map
-    /// implementation: every return value — including the exact error —
-    /// and the `mapped_pages` count must match at each step.
+    /// Randomized map/unmap/translate against the nested-map radix: every
+    /// return value — including the exact error — and the `mapped_pages`
+    /// count must match at each step.
     #[test]
     fn matches_oracle_on_random_workloads() {
         let mut rng = SimRng::seed(0x9a9e);

@@ -16,7 +16,7 @@
 //!   window lifecycle per mapper, a probing device.
 //! - [`oracle`]: the sentinel-based invariant checker (pre-fill, page-tail
 //!   secret, post-unmap reuse magic).
-//! - [`explore`]: stateless DFS over schedules with a preemption bound,
+//! - [`explore`](mod@explore): stateless DFS over schedules with a preemption bound,
 //!   sleep-set (conservative DPOR) pruning, and deterministic caps.
 //! - [`counterexample`]: machine-readable violating schedules, committed
 //!   as fixtures and replayed by CI.

@@ -434,10 +434,11 @@ mod tests {
         // 64 B TX then a 64 B RX) on a warm stack, with every trace chain
         // sampled out: each device burst (`Nic::receive`, one TX gather)
         // holds the IOTLB and the memory once, ring verdicts take none,
-        // and kmalloc takes none.
+        // kmalloc takes none, and copy's unmap of a pool IOVA skips the
+        // huge-mapping table.
         let pinned = [
             (EngineKind::NoIommu, 7, 14),
-            (EngineKind::Copy, 13, 26),
+            (EngineKind::Copy, 12, 24),
             (EngineKind::LinuxStrict, 16, 32),
         ];
         for (kind, rx, rr) in pinned {

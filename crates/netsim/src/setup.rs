@@ -132,7 +132,7 @@ pub struct SimStack {
     /// all report into this one registry and tracer.
     pub obs: Obs,
     /// The DMA-API sanitizer auditing every map/unmap (via the engine's
-    /// observer hook) and every device access (via the observed [`Bus`]).
+    /// observer hook) and every device access (via the observed [`Bus`](dma_api::Bus)).
     /// Strict: the first violation panics with its detail string, so every
     /// run of the stack is also a sanitizer run.
     pub san: Arc<DmaSan>,

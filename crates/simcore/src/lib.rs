@@ -45,5 +45,5 @@ pub use cycles::{CoreId, Cycles, Gbps};
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use lock::{LockStats, SimLock};
 pub use rng::SimRng;
-pub use sched::{CoreTask, MultiCoreSim, StepOutcome, TimingWheel};
+pub use sched::{CoreTask, MultiCoreSim, StepOutcome};
 pub use wire::Wire;

@@ -1,176 +1,13 @@
 //! Earliest-core-first multi-core scheduler.
 //!
-//! The ready queue is a hierarchical timing wheel ([`TimingWheel`]) rather
-//! than a binary heap: the per-step reschedule — pop the earliest core,
-//! advance it, push it back a packet-length ahead — is the hottest
-//! scheduler operation in every figure run, and on the wheel both ends are
-//! O(1) bitmap-and-push work for the common near-future case. Pop order is
-//! exactly the old heap's lexicographic `(time, core id)` order, which the
-//! property tests below pin against a `BinaryHeap` oracle.
-
-// lint: allow(panic) — wheel occupancy-bitmap/len invariants are scheduler
-// bugs, not runtime errors; the oracle property tests exercise them
+//! The ready queue is a `BinaryHeap` of `(time, core id)` keys: the
+//! scheduler always steps the core with the earliest clock, ties broken by
+//! the lowest core id.
 
 use crate::{CoreCtx, CoreId, CostModel, Cycles};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
-
-/// Slots per wheel level; one occupancy bit per slot fills a `u64`.
-const WHEEL_SLOTS: usize = 64;
-/// Bits of the time key consumed per level (`64 = 1 << 6` slots).
-const WHEEL_BITS: u32 = 6;
-/// Wheel levels. An event whose time differs from the cursor in a 6-bit
-/// digit at or above this level is parked in the overflow heap instead
-/// (far-future waits: wire backpressure stalls, idle cores at horizon).
-const WHEEL_LEVELS: usize = 4;
-
-/// The 6-bit digit position where `t` and `base` first differ, scanning
-/// from the top — the wheel level an event at `t` belongs to while the
-/// cursor sits at `base`.
-#[inline]
-fn wheel_level(base: u64, t: u64) -> usize {
-    let x = base ^ t;
-    if x == 0 {
-        0
-    } else {
-        ((63 - x.leading_zeros()) / WHEEL_BITS) as usize
-    }
-}
-
-/// Hierarchical timing wheel over `(Cycles, core index)` keys, popping in
-/// exactly the lexicographic order a min-heap of `(time, core)` would.
-///
-/// Level `k` buckets events by the `k`-th 6-bit digit of their time, but
-/// only events whose digits *above* `k` all match the cursor `base` live
-/// there. That invariant (maintained by choosing the level from
-/// `base ^ t`) means a level's occupied slots always sit at or after the
-/// cursor's slot — the lowest set occupancy bit is always the earliest
-/// slot, with no ring-wrap case. Events past the top level's span go to a
-/// `BinaryHeap` overflow; they are provably later than every wheel entry
-/// (they differ from `base` in a digit the whole wheel agrees on), so the
-/// heap only needs consulting when the wheel is empty.
-///
-/// Pushing a time earlier than the last popped time is not supported
-/// (debug-asserted): the simulation only ever reschedules a core at or
-/// after the instant it was stepped.
-#[derive(Debug)]
-pub struct TimingWheel {
-    /// Cursor: the last popped time (no event precedes it).
-    base: u64,
-    /// Per-level slot occupancy bitmaps.
-    occupied: [u64; WHEEL_LEVELS],
-    /// `WHEEL_LEVELS * WHEEL_SLOTS` buckets of `(time, core)` entries.
-    slots: Vec<Vec<(u64, usize)>>,
-    /// Far-future events, beyond the top level's span from `base`.
-    overflow: BinaryHeap<Reverse<(u64, usize)>>,
-    /// An empty bucket swapped in for the one a cascade drains, so the
-    /// drained bucket keeps its capacity and a cascade allocates nothing.
-    scratch: Vec<(u64, usize)>,
-    len: usize,
-}
-
-impl Default for TimingWheel {
-    fn default() -> Self {
-        TimingWheel::new()
-    }
-}
-
-impl TimingWheel {
-    /// An empty wheel with its cursor at time zero.
-    pub fn new() -> Self {
-        TimingWheel {
-            base: 0,
-            occupied: [0; WHEEL_LEVELS],
-            slots: vec![Vec::new(); WHEEL_LEVELS * WHEEL_SLOTS],
-            overflow: BinaryHeap::new(),
-            scratch: Vec::new(),
-            len: 0,
-        }
-    }
-
-    /// Events currently queued.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no events are queued.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Queues `core` to run at `t`. `t` must not precede the last popped
-    /// time.
-    pub fn push(&mut self, t: Cycles, core: usize) {
-        debug_assert!(t.get() >= self.base, "push into the past");
-        self.insert(t.get(), core);
-        self.len += 1;
-    }
-
-    fn insert(&mut self, t: u64, core: usize) {
-        let lvl = wheel_level(self.base, t);
-        if lvl >= WHEEL_LEVELS {
-            self.overflow.push(Reverse((t, core)));
-        } else {
-            let slot = ((t >> (WHEEL_BITS * lvl as u32)) & (WHEEL_SLOTS as u64 - 1)) as usize;
-            self.occupied[lvl] |= 1 << slot;
-            self.slots[lvl * WHEEL_SLOTS + slot].push((t, core));
-        }
-    }
-
-    /// Removes and returns the earliest event, ties broken by lowest core
-    /// index — the exact order of a min-heap over `(time, core)`.
-    pub fn pop(&mut self) -> Option<(Cycles, usize)> {
-        if self.len == 0 {
-            return None;
-        }
-        self.len -= 1;
-        loop {
-            let Some(lvl) = (0..WHEEL_LEVELS).find(|&k| self.occupied[k] != 0) else {
-                // Wheel empty: jump the cursor to the overflow's earliest
-                // event and pull newly-in-range events back into the wheel.
-                let Reverse((t, core)) = self.overflow.pop().expect("len tracked");
-                self.base = t;
-                while let Some(&Reverse((ot, _))) = self.overflow.peek() {
-                    if wheel_level(self.base, ot) >= WHEEL_LEVELS {
-                        break;
-                    }
-                    let Reverse((ot, oc)) = self.overflow.pop().expect("peeked");
-                    self.insert(ot, oc);
-                }
-                return Some((Cycles(t), core));
-            };
-            let slot = self.occupied[lvl].trailing_zeros() as usize;
-            let bucket = lvl * WHEEL_SLOTS + slot;
-            if lvl == 0 {
-                // A level-0 bucket holds exactly one distinct time; take
-                // the lowest core index.
-                let min = self.slots[bucket]
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|&(_, &e)| e)
-                    .map(|(i, _)| i)
-                    .expect("occupied bit set");
-                let (t, core) = self.slots[bucket].swap_remove(min);
-                if self.slots[bucket].is_empty() {
-                    self.occupied[0] &= !(1 << slot);
-                }
-                self.base = t;
-                return Some((Cycles(t), core));
-            }
-            // Cascade: advance the cursor to the bucket's earliest time and
-            // re-bucket its events, which now all land on lower levels.
-            let empty = std::mem::take(&mut self.scratch);
-            let mut drained = std::mem::replace(&mut self.slots[bucket], empty);
-            self.occupied[lvl] &= !(1 << slot);
-            self.base = drained.iter().map(|&(t, _)| t).min().expect("bit set");
-            for (t, core) in drained.drain(..) {
-                self.insert(t, core);
-            }
-            self.scratch = drained;
-        }
-    }
-}
 
 /// Result of one scheduling step of a [`CoreTask`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -257,13 +94,15 @@ impl MultiCoreSim {
             self.ctxs.len(),
             "one task per core is required"
         );
-        let mut wheel = TimingWheel::new();
-        for (i, c) in self.ctxs.iter().enumerate() {
-            wheel.push(c.now(), i);
-        }
+        let mut ready: BinaryHeap<Reverse<(Cycles, usize)>> = self
+            .ctxs
+            .iter()
+            .enumerate()
+            .map(|(i, c)| Reverse((c.now(), i)))
+            .collect();
         let mut stalls = vec![0u32; self.ctxs.len()];
         let mut last_time = Cycles::ZERO;
-        while let Some((t, i)) = wheel.pop() {
+        while let Some(Reverse((t, i))) = ready.pop() {
             last_time = last_time.max(t);
             if t >= horizon {
                 continue;
@@ -285,7 +124,7 @@ impl MultiCoreSim {
             } else {
                 stalls[i] = 0;
             }
-            wheel.push(after, i);
+            ready.push(Reverse((after, i)));
         }
         last_time
     }
@@ -420,9 +259,7 @@ mod tests {
         sim.run(&mut tasks, Cycles(1));
     }
 
-    /// Charge deltas that exercise every wheel regime: same-slot
-    /// rescheduling (0 and tiny), digit-boundary crossings at each level,
-    /// and far-future jumps that overflow into the fallback heap.
+    /// Charge deltas from zero (same-instant ties) to far-future jumps.
     fn random_delta(rng: &mut crate::SimRng) -> u64 {
         match rng.below(10) {
             0 => 0,
@@ -434,51 +271,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn wheel_matches_heap_oracle_pop_order() {
-        // Drive the wheel and a BinaryHeap through identical random
-        // push/pop sequences and require identical pop order, including
-        // same-time entries (ties must come out lowest-core-first).
-        for seed in 0..20u64 {
-            let mut rng = crate::SimRng::seed(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xA5A5);
-            let mut wheel = TimingWheel::new();
-            let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-            let cores = 1 + rng.below(24) as usize;
-            for i in 0..cores {
-                let t = random_delta(&mut rng);
-                wheel.push(Cycles(t), i);
-                heap.push(Reverse((t, i)));
-            }
-            // Deliberate tie pile-up: several cores at one instant.
-            for _ in 0..1500 {
-                let got = wheel.pop();
-                let want = heap.pop().map(|Reverse((t, i))| (Cycles(t), i));
-                assert_eq!(got, want, "pop order diverged");
-                let Some((t, i)) = got else { break };
-                if rng.chance(0.9) {
-                    let nt = t.get() + random_delta(&mut rng);
-                    wheel.push(Cycles(nt), i);
-                    heap.push(Reverse((nt, i)));
-                    if rng.chance(0.2) {
-                        // Pile a second entry onto the same instant so the
-                        // lowest-core-first tie break is actually exercised.
-                        let j = cores + rng.below(cores as u64) as usize;
-                        wheel.push(Cycles(nt), j);
-                        heap.push(Reverse((nt, j)));
-                    }
-                }
-            }
-            assert_eq!(wheel.len(), heap.len());
-            while let Some(got) = wheel.pop() {
-                let want = heap.pop().map(|Reverse((t, i))| (Cycles(t), i));
-                assert_eq!(Some(got), want, "drain order diverged");
-            }
-            assert!(heap.pop().is_none());
-        }
-    }
-
-    /// The old `BinaryHeap` scheduler loop, kept verbatim as the oracle
-    /// for [`MultiCoreSim::run`]'s step-order equivalence.
+    /// The bare `(time, core)` min-heap loop, the oracle for
+    /// [`MultiCoreSim::run`]'s step order.
     fn run_heap_oracle(
         ctxs: &mut [CoreCtx],
         tasks: &mut [Box<dyn CoreTask + '_>],
@@ -509,8 +303,8 @@ mod tests {
 
     #[test]
     fn run_matches_heap_oracle_step_order() {
-        // Same random-charge tasks through the wheel-based run() and the
-        // old heap loop: identical step sequence, end times, and result.
+        // Same random-charge tasks through run() and the bare heap loop:
+        // identical step sequence, end times, and result.
         for seed in [7u64, 99, 4242] {
             let record = |use_oracle: bool| {
                 let cost = Arc::new(CostModel::zero());

@@ -50,8 +50,14 @@ fn workflow_commands(text: &str) -> Vec<String> {
     commands
 }
 
+/// The cargo commands, with or without leading `VAR=value` assignments.
 fn cargo_only(mut commands: Vec<String>) -> Vec<String> {
-    commands.retain(|c| c.starts_with("cargo "));
+    commands.retain(|c| {
+        c.starts_with("cargo ")
+            || c.split_once(" cargo ").is_some_and(|(env, _)| {
+                env.contains('=') && env.starts_with(|ch: char| ch.is_ascii_uppercase())
+            })
+    });
     commands
 }
 
@@ -63,6 +69,12 @@ fn ci_sh_runs_the_workflows_cargo_commands_in_order() {
     assert!(
         script.iter().any(|c| c.contains("-- --skip ")),
         "the continued benchmark-test line was not joined: {script:?}"
+    );
+    assert!(
+        script
+            .iter()
+            .any(|c| c.ends_with("cargo doc --workspace --no-deps")),
+        "the env-prefixed rustdoc line was not kept: {script:?}"
     );
     assert_eq!(script, workflow, "ci.sh (left) and ci.yml (right) differ");
 }

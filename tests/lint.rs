@@ -146,7 +146,7 @@ fn real_workspace_interprocedural_product_is_pinned() {
     );
     assert!(closures > 300, "{closures} closures");
     let edges: usize = g.callees.iter().map(|c| c.len()).sum();
-    assert!(edges > 7200, "{edges} call edges");
+    assert!(edges > 6600, "{edges} call edges");
 
     // Device-tainted values exist (rx paths) but every one is either
     // sink-free or guarded: zero device-taint violations is the

@@ -62,7 +62,7 @@ fn codec_injective() {
     }
 }
 
-/// The 4-level page table behaves exactly like a flat map.
+/// The I/O page table behaves exactly like a flat map.
 #[test]
 fn pagetable_matches_reference_model() {
     let mut rng = SimRng::seed(0x9a9e);
