@@ -182,7 +182,7 @@ impl DmaEngine for Unreported {
     }
 
     fn unmap(&self, ctx: &mut CoreCtx, mapping: DmaMapping) -> Result<(), DmaError> {
-        let len = mapping.len;
+        let len = mapping.buf().len;
         self.0.unmap(ctx, mapping.device_wrote(len))
     }
 

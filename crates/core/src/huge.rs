@@ -38,8 +38,9 @@ pub struct HugeStats {
     pub zero_copy_bytes: u64,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct HugeEntry {
+/// A live huge mapping; [`HugeMapper::take`] hands it to `unmap`.
+#[derive(Debug)]
+pub(crate) struct HugeEntry {
     first_page: IovaPage,
     n_pages: u64,
     os_pa: PhysAddr,
@@ -86,9 +87,9 @@ impl HugeMapper {
         }
     }
 
-    /// Whether `iova` belongs to a live huge mapping.
-    pub fn owns(&self, iova: Iova) -> bool {
-        self.live.lock().contains_key(&iova.get())
+    /// Takes the live huge mapping at `iova` out of the table, if any.
+    pub(crate) fn take(&self, iova: Iova) -> Option<HugeEntry> {
+        self.live.lock().remove(&iova.get())
     }
 
     /// Number of live huge mappings.
@@ -113,7 +114,7 @@ impl HugeMapper {
     /// Returns the IOVA at which the device sees the buffer's first byte.
     /// On error nothing stays behind: what was mapped is unmapped and
     /// strictly invalidated, and the frames and the IOVA range are freed.
-    pub fn map(
+    pub(crate) fn map(
         &self,
         ctx: &mut CoreCtx,
         iova_alloc: &GlobalTreeIovaAllocator,
@@ -209,26 +210,21 @@ impl HugeMapper {
         Ok(())
     }
 
-    /// Unmaps a huge mapping: copies head/tail shadows back into the OS
-    /// buffer if the device could write, then destroys the whole range
-    /// with a strict, synchronous invalidation and releases the shadow
-    /// frames and the IOVA range.
+    /// Unmaps a huge mapping [`HugeMapper::take`] returned: copies head/tail
+    /// shadows back into the OS buffer if the device could write, then
+    /// destroys the whole range with a strict, synchronous invalidation and
+    /// releases the shadow frames and the IOVA range.
     ///
     /// `wrote` is how many bytes from the buffer's start the device wrote
     /// (§5.4); only head and tail bytes below it are copied back, so the
     /// OS bytes past it keep their contents.
-    pub fn unmap(
+    pub(crate) fn unmap(
         &self,
         ctx: &mut CoreCtx,
         iova_alloc: &GlobalTreeIovaAllocator,
-        iova: Iova,
+        entry: HugeEntry,
         wrote: usize,
     ) -> Result<(), DmaError> {
-        let entry = self
-            .live
-            .lock()
-            .remove(&iova.get())
-            .ok_or(DmaError::BadUnmap(iova))?;
         let off = entry.os_pa.page_offset();
         if entry.rights.allows(iommu::Access::Write) {
             if let Some(f) = entry.head_frame {
@@ -302,6 +298,15 @@ mod tests {
         }
     }
 
+    impl Rig {
+        fn unmap(&mut self, iova: Iova, wrote: usize) {
+            let entry = self.huge.take(iova).expect("a live huge mapping");
+            self.huge
+                .unmap(&mut self.ctx, &self.alloc, entry, wrote)
+                .unwrap();
+        }
+    }
+
     fn unaligned_buf(r: &Rig, len: usize, off: u64) -> DmaBuf {
         let pages = (off + len as u64).div_ceil(PAGE_SIZE as u64);
         let pfn = r.mem.alloc_frames(NumaDomain(0), pages).unwrap();
@@ -318,7 +323,7 @@ mod tests {
         let mut out = vec![0u8; 200_000];
         r.mmu.dma_read(&r.mem, DEV, iova, &mut out).unwrap();
         assert_eq!(out, data, "head+middle+tail stitch together");
-        r.huge.unmap(&mut r.ctx, &r.alloc, iova, buf.len).unwrap();
+        r.unmap(iova, buf.len);
     }
 
     #[test]
@@ -335,7 +340,7 @@ mod tests {
             data[mid_probe as usize..mid_probe as usize + 16]
         );
         // ...head/tail bytes only after the unmap copy-back.
-        r.huge.unmap(&mut r.ctx, &r.alloc, iova, buf.len).unwrap();
+        r.unmap(iova, buf.len);
         assert_eq!(r.mem.read_vec(buf.pa, 150_000).unwrap(), data);
     }
 
@@ -360,7 +365,7 @@ mod tests {
         r.mmu.dma_read(&r.mem, DEV, probe, &mut leak).unwrap();
         assert_ne!(&leak, b"SECRET-AT-PAGE-START");
         assert_eq!(leak, vec![0u8; 20], "fresh shadow page is zeroed");
-        r.huge.unmap(&mut r.ctx, &r.alloc, iova, buf.len).unwrap();
+        r.unmap(iova, buf.len);
     }
 
     #[test]
@@ -371,7 +376,7 @@ mod tests {
         // Warm the IOTLB.
         r.mmu.dma_write(&r.mem, DEV, iova, b"warm").unwrap();
         let invals_before = r.mmu.invalq().stats().page_commands;
-        r.huge.unmap(&mut r.ctx, &r.alloc, iova, buf.len).unwrap();
+        r.unmap(iova, buf.len);
         assert!(r.mmu.invalq().stats().page_commands > invals_before);
         // No window: immediately blocked.
         assert!(r.mmu.dma_write(&r.mem, DEV, iova, b"late").is_err());
@@ -394,7 +399,7 @@ mod tests {
         let s = r.huge.stats();
         assert_eq!(s.shadowed_bytes, 0);
         assert_eq!(s.zero_copy_bytes, 32 * PAGE_SIZE as u64);
-        r.huge.unmap(&mut r.ctx, &r.alloc, iova, buf.len).unwrap();
+        r.unmap(iova, buf.len);
     }
 
     #[test]
@@ -409,7 +414,7 @@ mod tests {
         let copied = r.ctx.breakdown().get(Phase::Memcpy);
         let full_copy = r.ctx.cost.memcpy(1_000_000, false);
         assert!(copied.get() * 50 < full_copy.get());
-        r.huge.unmap(&mut r.ctx, &r.alloc, iova, buf.len).unwrap();
+        r.unmap(iova, buf.len);
     }
 
     #[test]
@@ -418,13 +423,13 @@ mod tests {
         let buf = unaligned_buf(&r, 100_000, 700);
         let frames_before = r.mem.stats().allocated_frames;
         let iova1 = r.huge.map(&mut r.ctx, &r.alloc, buf, Perms::Write).unwrap();
-        r.huge.unmap(&mut r.ctx, &r.alloc, iova1, buf.len).unwrap();
+        r.unmap(iova1, buf.len);
         assert_eq!(r.mem.stats().allocated_frames, frames_before);
         assert_eq!(r.huge.live_count(), 0);
         // IOVA range reusable.
         let iova2 = r.huge.map(&mut r.ctx, &r.alloc, buf, Perms::Write).unwrap();
         assert_eq!(iova2, iova1);
-        r.huge.unmap(&mut r.ctx, &r.alloc, iova2, buf.len).unwrap();
+        r.unmap(iova2, buf.len);
     }
 
     #[test]
@@ -454,16 +459,7 @@ mod tests {
         let iova = r.huge.map(&mut r.ctx, &r.alloc, buf, Perms::Write).unwrap();
         let fresh = GlobalTreeIovaAllocator::new().alloc(&mut r.ctx, 1).unwrap();
         assert_eq!(iova.page(), fresh);
-        r.huge.unmap(&mut r.ctx, &r.alloc, iova, buf.len).unwrap();
+        r.unmap(iova, buf.len);
         assert_eq!(r.mmu.mapped_pages(DEV), 0);
-    }
-
-    #[test]
-    fn unmap_unknown_fails() {
-        let mut r = rig();
-        assert!(matches!(
-            r.huge.unmap(&mut r.ctx, &r.alloc, Iova::new(0x7000), 0),
-            Err(DmaError::BadUnmap(_))
-        ));
     }
 }

@@ -663,7 +663,8 @@ impl ShadowPool {
     /// `release_shadow`), disassociating it from its OS buffer. Shadow
     /// buffers are *sticky*: the buffer returns to the free list encoded
     /// in its IOVA — its owner core's — keeping it NUMA-local and its
-    /// IOMMU mapping unchanged, no matter which core releases it.
+    /// IOMMU mapping unchanged, no matter which core releases it. Panics
+    /// if nothing acquired at `iova` is in flight: a raw IOVA is not sealed.
     pub fn release_shadow(&self, ctx: &mut CoreCtx, iova: Iova) -> Result<(), DmaError> {
         ctx.charge(Phase::CopyMgmt, ctx.cost.shadow_pool_op);
         match self.codec.decode(iova) {
@@ -671,9 +672,10 @@ impl ShadowPool {
                 let ai = self.array_idx(d.core, d.class);
                 let array = &self.arrays[ai];
                 let slot = array.slot(d.index);
-                if slot.association().is_none() {
-                    return Err(DmaError::BadUnmap(iova));
-                }
+                assert!(
+                    slot.association().is_some(),
+                    "release_shadow of unacquired slot {iova}"
+                );
                 slot.disassociate();
                 let li = self.list_idx(d.core, d.class, d.rights);
                 // Owner-core releases land in the magazine (until full);
@@ -690,7 +692,7 @@ impl ShadowPool {
                     .fallback
                     .lock()
                     .remove(&iova.get())
-                    .ok_or(DmaError::BadUnmap(iova))?;
+                    .unwrap_or_else(|| panic!("release_shadow of unacquired fallback {iova}"));
                 // Fallback buffers are transient: strictly unmap,
                 // invalidate, and free.
                 let first = iova.page();
@@ -1075,14 +1077,12 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "release_shadow of unacquired slot")]
     fn release_of_unacquired_fails() {
         let r = rig();
         let mut c = ctx(0);
         let bogus = r.pool.codec().encode(CoreId(0), Perms::Read, 0, 7);
-        assert!(matches!(
-            r.pool.release_shadow(&mut c, bogus),
-            Err(DmaError::BadUnmap(_))
-        ));
+        let _ = r.pool.release_shadow(&mut c, bogus);
     }
 
     #[test]

@@ -305,9 +305,8 @@ mod tests {
 
     #[test]
     fn verdicts_classify_hardware_and_contract_outcomes() {
-        use dma_api::{DmaDirection, DmaMapping, DmaObserver};
+        use dma_api::{DmaBuf, DmaDirection, DmaEngine, DmaObserver, NoIommu};
         use dmasan::ViolationKind;
-        use iommu::Iova;
 
         let mem = Arc::new(PhysMemory::new(NumaTopology::tiny(16)));
         let mmu = Arc::new(Iommu::new());
@@ -318,18 +317,12 @@ mod tests {
         // The DMA API only vouches for 100 bytes of that page.
         let san = Arc::new(DmaSan::lenient(mmu.obs().clone()));
         let iova = 0x40 * 4096u64;
-        san.on_map(
-            &ctx,
-            DEV,
-            &DmaMapping {
-                iova: Iova::new(iova),
-                len: 100,
-                dir: DmaDirection::FromDevice,
-                os_pa: pfn.base(),
-                wrote: 100,
-            },
-            1,
-        );
+        // `NoIommu` issues the handle: its IOVA is the address it is given.
+        let at = DmaBuf::new(memsim::PhysAddr(iova), 100);
+        let m = NoIommu::new(mem.clone(), DEV)
+            .map(&mut ctx, at, DmaDirection::FromDevice)
+            .unwrap();
+        san.on_map(&ctx, DEV, &m, 1);
         let evil = MaliciousDevice::new(
             DEV,
             Bus::Iommu {

@@ -146,7 +146,7 @@ impl Nic {
     /// allocated); returns the ring id.
     pub fn attach_rx_ring(&mut self, ring: &CoherentBuffer) -> usize {
         assert!(
-            ring.len >= self.cfg.ring_entries * DESC_BYTES,
+            ring.size() >= self.cfg.ring_entries * DESC_BYTES,
             "ring buffer too small"
         );
         self.rx.push(RefCell::new(Ring {
@@ -160,7 +160,7 @@ impl Nic {
     /// Attaches a TX descriptor ring; returns the ring id.
     pub fn attach_tx_ring(&mut self, ring: &CoherentBuffer) -> usize {
         assert!(
-            ring.len >= self.cfg.ring_entries * DESC_BYTES,
+            ring.size() >= self.cfg.ring_entries * DESC_BYTES,
             "ring buffer too small"
         );
         self.tx.push(RefCell::new(Ring {
@@ -343,7 +343,9 @@ impl Nic {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dma_api::{BusObserver, DmaBuf, DmaDirection, DmaEngine, DmaObserver, NoIommu};
+    use dma_api::{
+        BusObserver, CoherentHelper, DmaBuf, DmaDirection, DmaEngine, DmaObserver, NoIommu,
+    };
     use dmasan::DmaSan;
     use iommu::{Iommu, IovaPage, Perms};
     use memsim::{NumaDomain, NumaTopology, PhysMemory, PAGE_SIZE};
@@ -558,16 +560,9 @@ mod tests {
             let mem = Arc::new(PhysMemory::new(NumaTopology::tiny(16)));
             let mmu = Arc::new(Iommu::new());
             let mut ctx = CoreCtx::new(CoreId(0), Arc::new(CostModel::zero()));
-            let ring_pfn = mem.alloc_frame(NumaDomain(0)).unwrap();
-            let ring_page = IovaPage(0x10);
-            mmu.map_page(&mut ctx, DEV, ring_page, ring_pfn, Perms::ReadWrite)
+            let ring = CoherentHelper::new(mem.clone(), mmu.clone(), DEV)
+                .alloc(&mut ctx, PAGE_SIZE, |_, _, _| Ok(IovaPage(0x10)))
                 .unwrap();
-            let ring = CoherentBuffer {
-                iova: ring_page.base(),
-                pa: ring_pfn.base(),
-                len: PAGE_SIZE,
-                pages: 1,
-            };
             let bus = Bus::Iommu {
                 mmu: mmu.clone(),
                 mem: mem.clone(),
@@ -730,7 +725,7 @@ mod tests {
 
     #[test]
     fn a_strict_sanitizer_panic_inside_a_burst_leaves_the_bus_usable() {
-        let (r, san) = IommuNic::sanitized(true);
+        let (mut r, san) = IommuNic::sanitized(true);
         let buf = r.page.base().get();
         r.post(0, buf, 600);
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -741,14 +736,12 @@ mod tests {
         assert!(msg.starts_with("dmasan[stale_access]"), "{msg}");
         assert_eq!(r.nic.rx_next(r.ring_id), 0, "the receive did not complete");
         // Once the buffer is mapped as far as the checker knows, the next
-        // burst on the same bus runs.
-        let m = dma_api::DmaMapping {
-            iova: r.page.base(),
-            len: 600,
-            dir: DmaDirection::FromDevice,
-            os_pa: memsim::PhysAddr(0x9000),
-            wrote: 600,
-        };
+        // burst on the same bus runs. (`NoIommu` issues the handle: its
+        // IOVA is the address it is given.)
+        let at = DmaBuf::new(memsim::PhysAddr(buf), 600);
+        let m = NoIommu::new(r.mem.clone(), DEV)
+            .map(&mut r.ctx, at, DmaDirection::FromDevice)
+            .unwrap();
         san.on_map(&r.ctx, DEV, &m, 1);
         let c = r.nic.receive(r.ring_id, &[2; 600]).unwrap();
         assert_eq!(c, RxCompletion { slot: 0, len: 600 });

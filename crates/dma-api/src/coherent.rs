@@ -42,12 +42,7 @@ impl CoherentHelper {
         let iova_page = place(ctx, pages, pfn)?;
         self.mmu
             .map_range(ctx, self.dev, iova_page, pfn, pages, Perms::ReadWrite)?;
-        Ok(CoherentBuffer {
-            iova: iova_page.base(),
-            pa: pfn.base(),
-            len,
-            pages,
-        })
+        Ok(CoherentBuffer::new(iova_page.base(), pfn.base(), len))
     }
 
     /// Unmaps (with strict, synchronous invalidation) and frees a coherent
@@ -59,14 +54,14 @@ impl CoherentHelper {
         buf: CoherentBuffer,
         unplace: impl FnOnce(&mut CoreCtx, IovaPage, u64),
     ) -> Result<(), DmaError> {
-        let first = buf.iova.page();
-        let pages: Vec<IovaPage> = (0..buf.pages).map(|i| first.add(i)).collect();
+        let (first, n) = (buf.iova.page(), buf.pages());
+        let pages: Vec<IovaPage> = (0..n).map(|i| first.add(i)).collect();
         for &p in &pages {
             self.mmu.unmap_page_nosync(ctx, self.dev, p)?;
         }
         self.mmu.invalidate_pages_sync(ctx, self.dev, &pages);
-        self.mem.free_frames(buf.pa.pfn(), buf.pages)?;
-        unplace(ctx, first, buf.pages);
+        self.mem.free_frames(buf.pa.pfn(), n)?;
+        unplace(ctx, first, n);
         Ok(())
     }
 }

@@ -19,9 +19,11 @@ use simcore::CoreCtx;
 /// [`DmaMapping`] and [`CoherentBuffer`] are move-only, `unmap` /
 /// `unmap_sg` / `free_coherent` consume them, and every observer borrows.
 /// A consumed handle cannot be retried, so an `unmap` that returns `Err`
-/// has still finished the revocation as far as it can. There is no
-/// `dma_sync_*`: under DMA shadowing the device's bytes reach the OS
-/// buffer only in `unmap`'s copy, so "sync, then read while mapped" has no
+/// has still finished the revocation as far as it can. The handles are
+/// sealed too, so an engine trusts the one it gets back, as Linux's
+/// `dma_unmap_*` do, without looking it up. There is no `dma_sync_*`:
+/// under DMA shadowing the device's bytes reach the OS buffer only in
+/// `unmap`'s copy, so "sync, then read while mapped" has no
 /// engine-independent meaning — a driver reads a device-written buffer
 /// after `unmap`, and the lint's `cpu-read-while-mapped` rule holds it to
 /// that.

@@ -19,7 +19,7 @@ use crate::{
     CoherentBuffer, CoherentHelper, DeferredFlusher, DmaBuf, DmaDirection, DmaEngine, DmaError,
     DmaMapping, IovaAllocator, ProtectionProfile,
 };
-use iommu::{DeviceId, Iommu, Iova, IovaPage, Perms};
+use iommu::{DeviceId, Iommu, IommuError, IovaPage, Perms, PtError};
 use memsim::PhysMemory;
 use simcore::sync::Mutex;
 use simcore::{CoreCtx, FxHashMap};
@@ -44,12 +44,8 @@ pub enum IovaPolicy {
     /// read-write PTE.
     Identity(Mutex<FxHashMap<u64, u32>>),
     /// IOVA ranges come from an allocator and carry the mapping's own
-    /// direction permissions. The map (mapping IOVA → pages) is what
-    /// `dma_unmap` looks a mapping up in.
-    Allocated(
-        Box<dyn IovaAllocator + Send + Sync>,
-        Mutex<FxHashMap<u64, u64>>,
-    ),
+    /// direction permissions.
+    Allocated(Box<dyn IovaAllocator + Send + Sync>),
 }
 
 impl IovaPolicy {
@@ -58,9 +54,9 @@ impl IovaPolicy {
         IovaPolicy::Identity(Mutex::default())
     }
 
-    /// Placement by `allocator` with no live mapping yet.
+    /// Placement by `allocator`.
     pub fn allocated(allocator: impl IovaAllocator + Send + Sync + 'static) -> Self {
-        IovaPolicy::Allocated(Box::new(allocator), Mutex::default())
+        IovaPolicy::Allocated(Box::new(allocator))
     }
 
     /// Claims `page` for one more mapping; `true` if the caller must
@@ -73,25 +69,27 @@ impl IovaPolicy {
                 *count += 1;
                 *count == 1
             }
-            IovaPolicy::Allocated(..) => true,
+            IovaPolicy::Allocated(_) => true,
         }
     }
 
-    /// Drops one mapping's claim on `page`; `Some(true)` if the caller
-    /// must remove its PTE, `None` if nothing claimed the page.
-    fn release(&self, page: IovaPage) -> Option<bool> {
+    /// Drops one mapping's claim on `page`; `true` if the caller must
+    /// remove its PTE. An identity page nothing claims is not mapped.
+    fn release(&self, page: IovaPage) -> Result<bool, IommuError> {
         match self {
             IovaPolicy::Identity(refs) => {
                 let mut refs = refs.lock();
-                let count = refs.get_mut(&page.0)?;
+                let count = refs
+                    .get_mut(&page.0)
+                    .ok_or(IommuError::PageTable(PtError::NotMapped(page)))?;
                 *count -= 1;
                 let dead = *count == 0;
                 if dead {
                     refs.remove(&page.0);
                 }
-                Some(dead)
+                Ok(dead)
             }
-            IovaPolicy::Allocated(..) => Some(true),
+            IovaPolicy::Allocated(_) => Ok(true),
         }
     }
 }
@@ -155,13 +153,12 @@ impl MappedDma {
         first: IovaPage,
         installed: u64,
         span: u64,
-        token: Iova,
     ) -> Result<(), DmaError> {
         let mut dead = DEAD_PAGES.take();
         dead.clear();
         for i in 0..installed {
             let page = first.add(i);
-            if self.iova.release(page).ok_or(DmaError::BadUnmap(token))? {
+            if self.iova.release(page)? {
                 self.mmu.unmap_page_nosync(ctx, self.dev, page)?;
                 dead.push(page);
             }
@@ -180,9 +177,9 @@ impl MappedDma {
             InvalPolicy::Deferred(flusher) => Some(flusher),
         };
         match (&self.iova, flusher) {
-            (IovaPolicy::Allocated(allocator, _), None) => allocator.free(ctx, first, span),
+            (IovaPolicy::Allocated(allocator), None) => allocator.free(ctx, first, span),
             // One entry per mapping: the drain frees the range it names.
-            (IovaPolicy::Allocated(..), Some(flusher)) => flusher.defer(
+            (IovaPolicy::Allocated(_), Some(flusher)) => flusher.defer(
                 ctx,
                 PendingUnmap {
                     page: first,
@@ -207,7 +204,7 @@ impl MappedDma {
     /// (and only then) allocated ranges are reusable.
     fn drain(&self, ctx: &mut CoreCtx, batch: &[PendingUnmap]) {
         self.mmu.flush_device_sync(ctx, self.dev);
-        if let IovaPolicy::Allocated(allocator, _) = &self.iova {
+        if let IovaPolicy::Allocated(allocator) = &self.iova {
             for e in batch {
                 allocator.free(ctx, e.page, e.pages);
             }
@@ -246,14 +243,7 @@ impl DmaEngine for MappedDma {
         let pfn = buf.pa.pfn();
         let (first, perms) = match &self.iova {
             IovaPolicy::Identity(_) => (IovaPage(pfn.get()), Perms::ReadWrite),
-            IovaPolicy::Allocated(allocator, _) => (allocator.alloc(ctx, pages)?, dir.perms()),
-        };
-        let mapping = DmaMapping {
-            iova: first.base().add(buf.pa.page_offset() as u64),
-            len: buf.len,
-            dir,
-            os_pa: buf.pa,
-            wrote: buf.len,
+            IovaPolicy::Allocated(allocator) => (allocator.alloc(ctx, pages)?, dir.perms()),
         };
         for i in 0..pages {
             let page = first.add(i);
@@ -265,38 +255,31 @@ impl DmaEngine for MappedDma {
                 // before it are fully installed. Undo both, so the error
                 // leaves no refcount, PTE or IOVA range behind.
                 let _ = self.iova.release(page);
-                let _ = self.revoke(ctx, first, i, pages, mapping.iova);
+                let _ = self.revoke(ctx, first, i, pages);
                 return Err(e.into());
             }
         }
-        if let IovaPolicy::Allocated(_, live) = &self.iova {
-            live.lock().insert(mapping.iova.get(), pages);
-        }
-        Ok(mapping)
+        let iova = first.base().add(buf.pa.page_offset() as u64);
+        Ok(DmaMapping::issue(iova, buf, dir))
     }
 
     fn unmap(&self, ctx: &mut CoreCtx, mapping: DmaMapping) -> Result<(), DmaError> {
-        let pages = match &self.iova {
-            IovaPolicy::Identity(_) => DmaBuf::new(mapping.os_pa, mapping.len).pages(),
-            IovaPolicy::Allocated(_, live) => live
-                .lock()
-                .remove(&mapping.iova.get())
-                .ok_or(DmaError::BadUnmap(mapping.iova))?,
-        };
-        self.revoke(ctx, mapping.iova.page(), pages, pages, mapping.iova)
+        // The IOVA keeps the buffer's page offset: the span `map` placed.
+        let pages = mapping.buf().pages();
+        self.revoke(ctx, mapping.iova.page(), pages, pages)
     }
 
     fn alloc_coherent(&self, ctx: &mut CoreCtx, len: usize) -> Result<CoherentBuffer, DmaError> {
         self.coherent
             .alloc(ctx, len, |ctx, pages, pfn| match &self.iova {
                 IovaPolicy::Identity(_) => Ok(IovaPage(pfn.get())),
-                IovaPolicy::Allocated(allocator, _) => allocator.alloc(ctx, pages),
+                IovaPolicy::Allocated(allocator) => allocator.alloc(ctx, pages),
             })
     }
 
     fn free_coherent(&self, ctx: &mut CoreCtx, buf: CoherentBuffer) -> Result<(), DmaError> {
         self.coherent.free(ctx, buf, |ctx, first, pages| {
-            if let IovaPolicy::Allocated(allocator, _) = &self.iova {
+            if let IovaPolicy::Allocated(allocator) = &self.iova {
                 allocator.free(ctx, first, pages);
             }
         })
@@ -306,7 +289,7 @@ impl DmaEngine for MappedDma {
         if let InvalPolicy::Deferred(flusher) = &self.inval {
             flusher.force_flush(ctx, |ctx, batch| self.drain(ctx, batch));
         }
-        if let IovaPolicy::Allocated(allocator, _) = &self.iova {
+        if let IovaPolicy::Allocated(allocator) = &self.iova {
             // Magazine-backed allocators park freed ranges per core; return
             // them so teardown leaves nothing checked out of the shared pool.
             allocator.drain(ctx);
@@ -316,7 +299,7 @@ impl DmaEngine for MappedDma {
     fn iova_lock_stats(&self) -> Option<(&'static str, simcore::LockStats)> {
         match &self.iova {
             IovaPolicy::Identity(_) => None,
-            IovaPolicy::Allocated(allocator, _) => allocator.lock_stats(),
+            IovaPolicy::Allocated(allocator) => allocator.lock_stats(),
         }
     }
 }

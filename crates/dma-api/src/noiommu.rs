@@ -51,13 +51,7 @@ impl DmaEngine for NoIommu {
         buf: DmaBuf,
         dir: DmaDirection,
     ) -> Result<DmaMapping, DmaError> {
-        Ok(DmaMapping {
-            iova: Iova::new(buf.pa.get()),
-            len: buf.len,
-            dir,
-            os_pa: buf.pa,
-            wrote: buf.len,
-        })
+        Ok(DmaMapping::issue(Iova::new(buf.pa.get()), buf, dir))
     }
 
     fn unmap(&self, _ctx: &mut CoreCtx, _mapping: DmaMapping) -> Result<(), DmaError> {
@@ -68,17 +62,12 @@ impl DmaEngine for NoIommu {
         assert!(len > 0, "zero-length coherent allocation");
         let pages = (len as u64).div_ceil(PAGE_SIZE as u64);
         let domain = self.mem.topology().domain_of_core(ctx.core);
-        let pfn = self.mem.alloc_frames(domain, pages)?;
-        Ok(CoherentBuffer {
-            iova: Iova::new(pfn.base().get()),
-            pa: pfn.base(),
-            len,
-            pages,
-        })
+        let pa = self.mem.alloc_frames(domain, pages)?.base();
+        Ok(CoherentBuffer::new(Iova::new(pa.get()), pa, len))
     }
 
     fn free_coherent(&self, _ctx: &mut CoreCtx, buf: CoherentBuffer) -> Result<(), DmaError> {
-        self.mem.free_frames(buf.pa.pfn(), buf.pages)?;
+        self.mem.free_frames(buf.pa.pfn(), buf.pages())?;
         Ok(())
     }
 }
@@ -124,7 +113,7 @@ mod tests {
     fn coherent_roundtrip() {
         let (eng, mem, mut ctx) = setup();
         let c = eng.alloc_coherent(&mut ctx, 6000).unwrap();
-        assert_eq!(c.pages, 2);
+        assert_eq!(c.pages(), 2);
         assert_eq!(c.iova.get(), c.pa.get());
         mem.write(c.pa, b"ring").unwrap();
         let pfn = c.pa.pfn();

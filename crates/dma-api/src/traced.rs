@@ -105,7 +105,7 @@ impl DmaEngine for TracedDma {
             Some(self.inner.device().0),
             EventKind::DmaMap {
                 iova: m.iova.get(),
-                len: m.len as u64,
+                len: m.buf().len as u64,
                 dir: dir_str(dir),
             },
         );
@@ -126,13 +126,13 @@ impl DmaEngine for TracedDma {
             Some(self.inner.device().0),
             EventKind::DmaUnmap {
                 iova: mapping.iova.get(),
-                len: mapping.len as u64,
+                len: mapping.buf().len as u64,
             },
         );
         let _span = obs::span(seq);
-        // Notify the observer *before* the inner unmap so misuse (double
-        // unmap, size mismatch) is seen even if the inner engine rejects
-        // the call.
+        // Notify the observer *before* the inner unmap so misuse (a
+        // re-aimed handle's double unmap or size mismatch) is seen before
+        // the inner engine, which trusts the handle, acts on it.
         if let Some(o) = &self.observer {
             o.on_unmap(ctx, self.inner.device(), &mapping, seq);
         }

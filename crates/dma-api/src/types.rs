@@ -1,7 +1,7 @@
 //! DMA API data types.
 
 use iommu::{Iova, Perms};
-use memsim::{MemError, PhysAddr};
+use memsim::{MemError, PhysAddr, PAGE_SIZE};
 use std::fmt;
 
 /// DMA direction from the CPU's point of view, exactly the Linux DMA API
@@ -82,102 +82,140 @@ impl DmaBuf {
 /// A live DMA mapping returned by `dma_map`; the token `dma_unmap` takes.
 ///
 /// Mirrors the information a Linux driver passes to `dma_unmap_single`
-/// (IOVA, size, direction); `os_pa` additionally records the OS buffer so
-/// engines can verify their reverse lookup.
+/// (IOVA, size, direction), plus the OS buffer, which *copy* copies back
+/// into and the identity engines count pages from.
 ///
-/// The handle is **linear**: it is neither `Clone` nor `Copy`,
-/// [`crate::DmaEngine::map`] is what issues one, and `unmap` consumes it by
-/// value. Unmapping twice, or touching the handle after its unmap, is
-/// therefore a use of a moved value — rustc error E0382, through aliases,
-/// helpers and closures alike — not a rule some later checker has to
-/// re-derive. What a *device* may keep past the unmap is the raw [`Iova`]
-/// (`let stale = m.iova;` before the unmap), which is how tests and the
-/// attack scenarios replay a stale address. The fields stay public, so a
-/// handle the engine never issued can still be written out as a struct
-/// literal — forging is explicit, never an accident — and such handles are
-/// what dmasan and each engine's [`DmaError::BadUnmap`] exist to catch.
-/// Nothing runs on drop (`unmap` needs a `CoreCtx` to charge): a handle
-/// dropped while mapped is a leak, reported by dmasan at teardown.
+/// The handle is **linear**: neither `Clone` nor `Copy`, and consumed by
+/// `unmap`, so unmapping twice or touching it after its unmap is E0382,
+/// through aliases, helpers and closures alike. What a *device* may keep
+/// past the unmap is the raw [`Iova`] (`let stale = m.iova;` first), which
+/// is how tests and the attack scenarios replay a stale address. Nothing
+/// runs on drop (`unmap` needs a `CoreCtx`): a handle dropped while mapped
+/// is a leak, reported by dmasan at teardown.
+///
+/// It is also **sealed**: every field but `iova` is private and
+/// [`DmaMapping::issue`] is the only constructor, so an engine trusts the
+/// handle it is given back, as Linux's `dma_unmap_*` do. A re-aimed `iova`
+/// is what dmasan's unmap rules still catch.
 ///
 /// Because the handle travels from `map` to `unmap` by value, it is also
 /// where the driver says how much of the buffer the device filled (§5.4):
 /// see [`DmaMapping::device_wrote`].
 ///
 /// ```
-/// use dma_api::{DmaBuf, DmaDirection, DmaEngine, NoIommu};
-/// # use memsim::{NumaDomain, NumaTopology, PhysMemory};
-/// # use simcore::{CoreCtx, CoreId, CostModel};
-/// # use std::sync::Arc;
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// use dma_api::{DmaBuf, DmaDirection, DmaEngine, DmaMapping, NoIommu};
+/// # use memsim::{NumaDomain, NumaTopology, PhysMemory}; use simcore::{CoreCtx, CoreId, CostModel}; use std::sync::Arc;
 /// # let mem = Arc::new(PhysMemory::new(NumaTopology::tiny(16)));
-/// # let eng = NoIommu::new(mem.clone(), iommu::DeviceId(0));
-/// # let mut ctx = CoreCtx::new(CoreId(0), Arc::new(CostModel::zero()));
+/// # let (eng, mut ctx) = (NoIommu::new(mem.clone(), iommu::DeviceId(0)), CoreCtx::new(CoreId(0), Arc::new(CostModel::zero())));
 /// # let buf = DmaBuf::new(mem.alloc_frame(NumaDomain(0))?.base(), 1500);
-/// let m = eng.map(&mut ctx, buf, DmaDirection::FromDevice)?;
+/// let mut m = eng.map(&mut ctx, buf, DmaDirection::FromDevice)?;
 /// let stale = m.iova; // the address outlives the handle; the handle does not
+/// m = m.device_wrote(100); // the completion length the device reported
 /// eng.unmap(&mut ctx, m)?;
-/// # let _ = stale;
-/// # Ok(())
-/// # }
+/// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 ///
-/// The same code unmapping twice does not compile:
+/// Each example below differs from that one in one line (unmapping twice,
+/// reading the handle after its unmap, a struct literal, a changed length)
+/// and does not compile. Stable rustdoc does not check the error code, so
+/// the example above is what shows the rest of each one compiles.
 ///
 /// ```compile_fail,E0382
-/// use dma_api::{DmaBuf, DmaDirection, DmaEngine, NoIommu};
-/// # use memsim::{NumaDomain, NumaTopology, PhysMemory};
-/// # use simcore::{CoreCtx, CoreId, CostModel};
-/// # use std::sync::Arc;
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// use dma_api::{DmaBuf, DmaDirection, DmaEngine, DmaMapping, NoIommu};
+/// # use memsim::{NumaDomain, NumaTopology, PhysMemory}; use simcore::{CoreCtx, CoreId, CostModel}; use std::sync::Arc;
 /// # let mem = Arc::new(PhysMemory::new(NumaTopology::tiny(16)));
-/// # let eng = NoIommu::new(mem.clone(), iommu::DeviceId(0));
-/// # let mut ctx = CoreCtx::new(CoreId(0), Arc::new(CostModel::zero()));
+/// # let (eng, mut ctx) = (NoIommu::new(mem.clone(), iommu::DeviceId(0)), CoreCtx::new(CoreId(0), Arc::new(CostModel::zero())));
 /// # let buf = DmaBuf::new(mem.alloc_frame(NumaDomain(0))?.base(), 1500);
-/// let m = eng.map(&mut ctx, buf, DmaDirection::FromDevice)?;
+/// let mut m = eng.map(&mut ctx, buf, DmaDirection::FromDevice)?;
+/// let stale = m.iova; // the address outlives the handle; the handle does not
+/// m = m.device_wrote(100); // the completion length the device reported
 /// eng.unmap(&mut ctx, m)?;
 /// eng.unmap(&mut ctx, m)?; // error[E0382]: use of moved value: `m`
-/// # Ok(())
-/// # }
+/// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 ///
-/// Nor does reading the handle after its unmap:
-///
 /// ```compile_fail,E0382
-/// use dma_api::{DmaBuf, DmaDirection, DmaEngine, NoIommu};
-/// # use memsim::{NumaDomain, NumaTopology, PhysMemory};
-/// # use simcore::{CoreCtx, CoreId, CostModel};
-/// # use std::sync::Arc;
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// use dma_api::{DmaBuf, DmaDirection, DmaEngine, DmaMapping, NoIommu};
+/// # use memsim::{NumaDomain, NumaTopology, PhysMemory}; use simcore::{CoreCtx, CoreId, CostModel}; use std::sync::Arc;
 /// # let mem = Arc::new(PhysMemory::new(NumaTopology::tiny(16)));
-/// # let eng = NoIommu::new(mem.clone(), iommu::DeviceId(0));
-/// # let mut ctx = CoreCtx::new(CoreId(0), Arc::new(CostModel::zero()));
+/// # let (eng, mut ctx) = (NoIommu::new(mem.clone(), iommu::DeviceId(0)), CoreCtx::new(CoreId(0), Arc::new(CostModel::zero())));
 /// # let buf = DmaBuf::new(mem.alloc_frame(NumaDomain(0))?.base(), 1500);
-/// let m = eng.map(&mut ctx, buf, DmaDirection::FromDevice)?;
+/// let mut m = eng.map(&mut ctx, buf, DmaDirection::FromDevice)?;
+/// let stale = m.iova; // the address outlives the handle; the handle does not
+/// m = m.device_wrote(100); // the completion length the device reported
 /// eng.unmap(&mut ctx, m)?;
-/// let stale = m.iova; // error[E0382]: use of moved value: `m`
-/// # let _ = stale;
-/// # Ok(())
-/// # }
+/// assert_eq!(m.iova, stale); // error[E0382]: borrow of moved value: `m`
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+///
+/// ```compile_fail,E0451
+/// use dma_api::{DmaBuf, DmaDirection, DmaEngine, DmaMapping, NoIommu};
+/// # use memsim::{NumaDomain, NumaTopology, PhysMemory}; use simcore::{CoreCtx, CoreId, CostModel}; use std::sync::Arc;
+/// # let mem = Arc::new(PhysMemory::new(NumaTopology::tiny(16)));
+/// # let (eng, mut ctx) = (NoIommu::new(mem.clone(), iommu::DeviceId(0)), CoreCtx::new(CoreId(0), Arc::new(CostModel::zero())));
+/// # let buf = DmaBuf::new(mem.alloc_frame(NumaDomain(0))?.base(), 1500);
+/// let mut m = DmaMapping { iova: iommu::Iova::new(buf.pa.get()), len: buf.len, dir: DmaDirection::FromDevice, os_pa: buf.pa, wrote: buf.len }; // error[E0451]
+/// let stale = m.iova; // the address outlives the handle; the handle does not
+/// m = m.device_wrote(100); // the completion length the device reported
+/// eng.unmap(&mut ctx, m)?;
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+///
+/// ```compile_fail,E0616
+/// use dma_api::{DmaBuf, DmaDirection, DmaEngine, DmaMapping, NoIommu};
+/// # use memsim::{NumaDomain, NumaTopology, PhysMemory}; use simcore::{CoreCtx, CoreId, CostModel}; use std::sync::Arc;
+/// # let mem = Arc::new(PhysMemory::new(NumaTopology::tiny(16)));
+/// # let (eng, mut ctx) = (NoIommu::new(mem.clone(), iommu::DeviceId(0)), CoreCtx::new(CoreId(0), Arc::new(CostModel::zero())));
+/// # let buf = DmaBuf::new(mem.alloc_frame(NumaDomain(0))?.base(), 1500);
+/// let mut m = eng.map(&mut ctx, buf, DmaDirection::FromDevice)?;
+/// let stale = m.iova; // the address outlives the handle; the handle does not
+/// m.len = 0; // error[E0616]: field `len` of struct `DmaMapping` is private
+/// eng.unmap(&mut ctx, m)?;
+/// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[must_use = "a mapping dropped without `unmap` stays device-reachable"]
 #[derive(Debug, PartialEq, Eq)]
 pub struct DmaMapping {
     /// The device-visible address of the buffer.
     pub iova: Iova,
-    /// Mapped length in bytes.
-    pub len: usize,
-    /// Direction the mapping was established with.
-    pub dir: DmaDirection,
-    /// The OS buffer backing this mapping.
-    pub os_pa: PhysAddr,
-    /// Bytes the device is known to have written, from the buffer's start:
-    /// `len` as issued by `map`, less once the driver has called
-    /// [`DmaMapping::device_wrote`]. Device-controlled, so an engine that
-    /// acts on it clamps it to `len`.
-    pub wrote: usize,
+    len: usize,
+    dir: DmaDirection,
+    os_pa: PhysAddr,
+    wrote: usize,
 }
 
 impl DmaMapping {
+    /// The handle `dma_map` returns for `buf` mapped at `iova` in direction
+    /// `dir`: the only way to make one. Public, as the engines live in two
+    /// crates; the seal rules out a handle built or edited field by field.
+    pub fn issue(iova: Iova, buf: DmaBuf, dir: DmaDirection) -> Self {
+        DmaMapping {
+            iova,
+            len: buf.len,
+            dir,
+            os_pa: buf.pa,
+            wrote: buf.len,
+        }
+    }
+
+    /// The OS buffer this mapping was issued for.
+    pub fn buf(&self) -> DmaBuf {
+        DmaBuf {
+            pa: self.os_pa,
+            len: self.len,
+        }
+    }
+
+    /// Direction the mapping was established with.
+    pub fn dir(&self) -> DmaDirection {
+        self.dir
+    }
+
+    /// Bytes the device wrote, as [`DmaMapping::device_wrote`] recorded them.
+    pub fn wrote(&self) -> usize {
+        self.wrote
+    }
+
     /// Records the completion length the device wrote back for this buffer
     /// (§5.4's copying hint): *copy* then moves `n` bytes out of the shadow
     /// at `unmap`, not all `len`, and the OS buffer's tail is never
@@ -194,38 +232,42 @@ impl DmaMapping {
 /// page-quantity memory shared between driver and device (descriptor rings,
 /// mailboxes).
 ///
-/// Linear like [`DmaMapping`]: `free_coherent` consumes the handle, so a
-/// second free (or a ring access through a freed handle) is E0382.
+/// Linear and sealed like [`DmaMapping`]: a second free (or a ring access
+/// through a freed handle) is E0382, and only an engine's `alloc_coherent`
+/// makes one. `iova` and `pa` stay public fields.
 ///
 /// ```
-/// use dma_api::{DmaEngine, NoIommu};
-/// # use memsim::{NumaTopology, PhysMemory};
-/// # use simcore::{CoreCtx, CoreId, CostModel};
-/// # use std::sync::Arc;
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// use dma_api::{CoherentBuffer, DmaEngine, NoIommu};
+/// # use memsim::{NumaTopology, PhysMemory}; use simcore::{CoreCtx, CoreId, CostModel}; use std::sync::Arc;
 /// # let mem = Arc::new(PhysMemory::new(NumaTopology::tiny(16)));
-/// # let eng = NoIommu::new(mem.clone(), iommu::DeviceId(0));
-/// # let mut ctx = CoreCtx::new(CoreId(0), Arc::new(CostModel::zero()));
+/// # let (eng, mut ctx) = (NoIommu::new(mem.clone(), iommu::DeviceId(0)), CoreCtx::new(CoreId(0), Arc::new(CostModel::zero())));
 /// let ring = eng.alloc_coherent(&mut ctx, 4096)?;
 /// eng.free_coherent(&mut ctx, ring)?;
-/// # Ok(())
-/// # }
+/// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 ///
+/// Each example below differs from that one in one line (a second free, a
+/// struct literal) and does not compile.
+///
 /// ```compile_fail,E0382
-/// use dma_api::{DmaEngine, NoIommu};
-/// # use memsim::{NumaTopology, PhysMemory};
-/// # use simcore::{CoreCtx, CoreId, CostModel};
-/// # use std::sync::Arc;
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// use dma_api::{CoherentBuffer, DmaEngine, NoIommu};
+/// # use memsim::{NumaTopology, PhysMemory}; use simcore::{CoreCtx, CoreId, CostModel}; use std::sync::Arc;
 /// # let mem = Arc::new(PhysMemory::new(NumaTopology::tiny(16)));
-/// # let eng = NoIommu::new(mem.clone(), iommu::DeviceId(0));
-/// # let mut ctx = CoreCtx::new(CoreId(0), Arc::new(CostModel::zero()));
+/// # let (eng, mut ctx) = (NoIommu::new(mem.clone(), iommu::DeviceId(0)), CoreCtx::new(CoreId(0), Arc::new(CostModel::zero())));
 /// let ring = eng.alloc_coherent(&mut ctx, 4096)?;
 /// eng.free_coherent(&mut ctx, ring)?;
 /// eng.free_coherent(&mut ctx, ring)?; // error[E0382]: use of moved value: `ring`
-/// # Ok(())
-/// # }
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+///
+/// ```compile_fail,E0451
+/// use dma_api::{CoherentBuffer, DmaEngine, NoIommu};
+/// # use memsim::{NumaTopology, PhysMemory}; use simcore::{CoreCtx, CoreId, CostModel}; use std::sync::Arc;
+/// # let mem = Arc::new(PhysMemory::new(NumaTopology::tiny(16)));
+/// # let (eng, mut ctx) = (NoIommu::new(mem.clone(), iommu::DeviceId(0)), CoreCtx::new(CoreId(0), Arc::new(CostModel::zero())));
+/// let ring = CoherentBuffer { iova: iommu::Iova::new(0x1000), pa: memsim::PhysAddr(0x1000), len: 4096 }; // error[E0451]
+/// eng.free_coherent(&mut ctx, ring)?;
+/// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[must_use = "a coherent buffer dropped without `free_coherent` stays mapped"]
 #[derive(Debug, PartialEq, Eq)]
@@ -234,10 +276,23 @@ pub struct CoherentBuffer {
     pub iova: Iova,
     /// CPU-visible physical address.
     pub pa: PhysAddr,
-    /// Usable length in bytes.
-    pub len: usize,
+    len: usize,
+}
+
+impl CoherentBuffer {
+    pub(crate) fn new(iova: Iova, pa: PhysAddr, len: usize) -> Self {
+        CoherentBuffer { iova, pa, len }
+    }
+
+    /// Usable length in bytes: the `size` passed to `dma_alloc_coherent`.
+    pub fn size(&self) -> usize {
+        self.len
+    }
+
     /// Pages backing the buffer.
-    pub pages: u64,
+    pub fn pages(&self) -> u64 {
+        self.len.div_ceil(PAGE_SIZE) as u64
+    }
 }
 
 /// The qualitative security/performance properties of an engine — the rows
@@ -274,8 +329,6 @@ pub enum DmaError {
     Mem(MemError),
     /// An IOMMU management operation failed.
     Iommu(iommu::IommuError),
-    /// `dma_unmap` was called with an IOVA that is not mapped.
-    BadUnmap(Iova),
     /// The device's IOVA space (or a pool's metadata space) is exhausted.
     IovaExhausted,
 }
@@ -285,7 +338,6 @@ impl fmt::Display for DmaError {
         match self {
             DmaError::Mem(e) => write!(f, "memory: {e}"),
             DmaError::Iommu(e) => write!(f, "iommu: {e}"),
-            DmaError::BadUnmap(iova) => write!(f, "unmap of unknown mapping {iova}"),
             DmaError::IovaExhausted => f.write_str("IOVA space exhausted"),
         }
     }
@@ -355,8 +407,6 @@ mod tests {
 
     #[test]
     fn error_display() {
-        let e = DmaError::BadUnmap(Iova(0x1000));
-        assert!(e.to_string().contains("0x1000"));
         assert_eq!(DmaError::IovaExhausted.to_string(), "IOVA space exhausted");
     }
 }

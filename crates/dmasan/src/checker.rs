@@ -460,7 +460,7 @@ impl DmaSan {
 
 impl DmaObserver for DmaSan {
     fn on_map(&self, ctx: &CoreCtx, dev: DeviceId, m: &DmaMapping, map_seq: u64) {
-        let (iova, len, os_pa) = (m.iova.get(), m.len as u64, m.os_pa.get());
+        let (iova, len, os_pa) = (m.iova.get(), m.buf().len as u64, m.buf().pa.get());
         let dup = {
             let mut inner = self.inner.lock();
             let st = inner.devs.entry(dev.0).or_default();
@@ -469,7 +469,7 @@ impl DmaObserver for DmaSan {
                 iova,
                 LiveMapping {
                     len,
-                    dir: m.dir,
+                    dir: m.dir(),
                     os_pa,
                     map_seq,
                 },
@@ -494,7 +494,7 @@ impl DmaObserver for DmaSan {
     }
 
     fn on_unmap(&self, ctx: &CoreCtx, dev: DeviceId, m: &DmaMapping, unmap_seq: u64) {
-        let (iova, len) = (m.iova.get(), m.len as u64);
+        let (iova, len) = (m.iova.get(), m.buf().len as u64);
         enum Bad {
             Missing {
                 stale: bool,
@@ -514,7 +514,7 @@ impl DmaObserver for DmaSan {
                         st.os_live.remove(live.os_pa);
                     }
                     st.retire(iova, live.len, unmap_seq);
-                    if live.len != len || live.dir != m.dir {
+                    if live.len != len || live.dir != m.dir() {
                         Some(Bad::Mismatch {
                             mapped_len: live.len,
                             mapped_dir: live.dir,
@@ -542,7 +542,7 @@ impl DmaObserver for DmaSan {
                 format!(
                     "dma_unmap of iova {iova:#x} with len {len} dir {} but mapped \
                      with len {mapped_len} dir {mapped_dir}",
-                    m.dir
+                    m.dir()
                 ),
                 Some(cause),
                 ctx.now(),
@@ -568,7 +568,7 @@ impl DmaObserver for DmaSan {
         let mut inner = self.inner.lock();
         self.coherent_gen.fetch_add(1, Ordering::Release);
         let st = inner.devs.entry(dev.0).or_default();
-        st.coherent.insert(buf.iova.get(), buf.len as u64);
+        st.coherent.insert(buf.iova.get(), buf.size() as u64);
     }
 
     fn on_free_coherent(&self, ctx: &CoreCtx, dev: DeviceId, buf: &CoherentBuffer) {
@@ -654,9 +654,9 @@ impl BusObserver for DmaSan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dma_api::DmaBuf;
-    use iommu::Iova;
-    use memsim::PhysAddr;
+    use dma_api::{CoherentHelper, DmaBuf, DmaEngine, NoIommu};
+    use iommu::{Iommu, Iova};
+    use memsim::{NumaTopology, PhysAddr, PhysMemory};
     use simcore::{CoreId, CostModel};
     use std::sync::Arc;
 
@@ -666,14 +666,21 @@ mod tests {
         CoreCtx::new(CoreId(0), Arc::new(CostModel::zero()))
     }
 
-    fn mapping(iova: u64, len: usize, dir: DmaDirection, os_pa: u64) -> DmaMapping {
-        DmaMapping {
-            iova: Iova::new(iova),
-            len,
-            dir,
-            os_pa: PhysAddr(os_pa),
-            wrote: len,
-        }
+    /// A mapping of `len` bytes at physical address `pa`, issued by
+    /// `NoIommu` (so its IOVA is `pa`).
+    fn mapping(pa: u64, len: usize, dir: DmaDirection) -> DmaMapping {
+        let eng = NoIommu::new(Arc::new(PhysMemory::new(NumaTopology::tiny(1))), DEV);
+        eng.map(&mut ctx(), DmaBuf::new(PhysAddr(pa), len), dir)
+            .unwrap()
+    }
+
+    /// A one-page coherent ring at `iova`, allocated by the helper the
+    /// IOMMU-backed engines use, over an IOMMU of its own.
+    fn ring(iova: u64) -> CoherentBuffer {
+        let mem = Arc::new(PhysMemory::new(NumaTopology::tiny(1)));
+        CoherentHelper::new(mem, Arc::new(Iommu::new()), DEV)
+            .alloc(&mut ctx(), 4096, |_, _, _| Ok(Iova::new(iova).page()))
+            .unwrap()
     }
 
     fn rig() -> (Obs, DmaSan, CoreCtx) {
@@ -689,7 +696,7 @@ mod tests {
     #[test]
     fn clean_lifecycle_records_nothing() {
         let (_, san, c) = rig();
-        let m = mapping(0x1000, 1500, DmaDirection::FromDevice, 0x9000);
+        let m = mapping(0x1000, 1500, DmaDirection::FromDevice);
         map(&san, &c, &m, 1);
         san.on_device_access(DEV, 0x1000, 1500, true, true);
         san.on_unmap(&c, DEV, &m, 2);
@@ -703,16 +710,11 @@ mod tests {
         map(
             &san,
             &c,
-            &mapping(0x1000, 1500, DmaDirection::FromDevice, 0x9000),
+            &mapping(0x9000, 1500, DmaDirection::FromDevice),
             1,
         );
         // Second mapping overlapping the same OS bytes at a new IOVA.
-        map(
-            &san,
-            &c,
-            &mapping(0x5000, 64, DmaDirection::ToDevice, 0x9100),
-            2,
-        );
+        map(&san, &c, &mapping(0x9100, 64, DmaDirection::ToDevice), 2);
         assert_eq!(san.count_of(ViolationKind::DoubleMap), 1);
         let v = &san.violations()[0];
         assert_eq!(v.cause, Some(2), "chains to the second DmaMap");
@@ -726,11 +728,11 @@ mod tests {
     #[test]
     fn detects_double_unmap_and_distinguishes_stale() {
         let (_, san, c) = rig();
-        let m = mapping(0x2000, 256, DmaDirection::ToDevice, 0xa000);
+        let m = mapping(0x2000, 256, DmaDirection::ToDevice);
         map(&san, &c, &m, 1);
         san.on_unmap(&c, DEV, &m, 2);
         san.on_unmap(&c, DEV, &m, 3); // double
-        let never = mapping(0xffff_0000, 64, DmaDirection::ToDevice, 0xb000);
+        let never = mapping(0xffff_0000, 64, DmaDirection::ToDevice);
         san.on_unmap(&c, DEV, &never, 4); // never mapped
         assert_eq!(san.count_of(ViolationKind::DoubleUnmap), 2);
         let v = san.violations();
@@ -741,9 +743,9 @@ mod tests {
     #[test]
     fn detects_unmap_size_and_direction_mismatch() {
         let (_, san, c) = rig();
-        let m = mapping(0x3000, 1024, DmaDirection::FromDevice, 0xc000);
+        let m = mapping(0x3000, 1024, DmaDirection::FromDevice);
         map(&san, &c, &m, 7);
-        let wrong = mapping(0x3000, 512, DmaDirection::ToDevice, 0xc000);
+        let wrong = mapping(0x3000, 512, DmaDirection::ToDevice);
         san.on_unmap(&c, DEV, &wrong, 8);
         assert_eq!(san.count_of(ViolationKind::UnmapMismatch), 1);
         let v = &san.violations()[0];
@@ -753,9 +755,30 @@ mod tests {
     }
 
     #[test]
+    fn a_re_aimed_handle_is_caught_at_unmap() {
+        // The seal leaves `iova` writable: a genuine handle pointed
+        // elsewhere before its unmap is the forgery these rules still see.
+        let (_, san, c) = rig();
+        let mut m = mapping(0x1000, 64, DmaDirection::ToDevice);
+        let other = mapping(0x4000, 1500, DmaDirection::ToDevice);
+        map(&san, &c, &m, 1);
+        map(&san, &c, &other, 2);
+        m.iova = Iova::new(0xdead_0000);
+        san.on_unmap(&c, DEV, &m, 3);
+        assert_eq!(san.count_of(ViolationKind::DoubleUnmap), 1);
+        assert!(san.violations()[0].detail.contains("never mapped"));
+        m.iova = other.iova;
+        san.on_unmap(&c, DEV, &m, 4);
+        assert_eq!(san.count_of(ViolationKind::UnmapMismatch), 1);
+        let v = &san.violations()[1];
+        assert_eq!(v.cause, Some(2), "chains to the other mapping's DmaMap");
+        assert!(v.detail.contains("len 64") && v.detail.contains("len 1500"));
+    }
+
+    #[test]
     fn detects_stale_iova_access() {
         let (_, san, c) = rig();
-        let m = mapping(0x4000, 1500, DmaDirection::FromDevice, 0xd000);
+        let m = mapping(0x4000, 1500, DmaDirection::FromDevice);
         map(&san, &c, &m, 1);
         san.on_unmap(&c, DEV, &m, 2);
         // The IOMMU entry lingers (deferred invalidation) so hardware
@@ -775,7 +798,7 @@ mod tests {
         let (_, san, c) = rig();
         // A 100-byte buffer in a byte-granular shadow slot: the slot's
         // page is IOMMU-mapped, but only 100 bytes belong to the buffer.
-        let m = mapping(0x8000, 100, DmaDirection::Bidirectional, 0xe000);
+        let m = mapping(0x8000, 100, DmaDirection::Bidirectional);
         map(&san, &c, &m, 1);
         san.on_device_access(DEV, 0x8000 + 90, 20, false, true); // 10 B overrun
         assert_eq!(san.count_of(ViolationKind::OobAccess), 1);
@@ -793,7 +816,7 @@ mod tests {
         map(
             &san,
             &c,
-            &mapping(0x6000, 2048, DmaDirection::FromDevice, 0xf000),
+            &mapping(0x6000, 2048, DmaDirection::FromDevice),
             1,
         );
         assert_eq!(san.live_mappings(), vec![(DEV, 0x6000, 2048)]);
@@ -807,12 +830,7 @@ mod tests {
     #[test]
     fn coherent_windows_are_legal_targets_and_leak_checked() {
         let (_, san, c) = rig();
-        let ring = CoherentBuffer {
-            iova: Iova::new(0x10_0000),
-            pa: PhysAddr(0x20_0000),
-            len: 4096,
-            pages: 1,
-        };
+        let ring = ring(0x10_0000);
         san.on_alloc_coherent(&c, DEV, &ring);
         san.on_device_access(DEV, 0x10_0000 + 16, 16, false, true);
         assert_eq!(san.violation_count(), 0, "descriptor fetch is legitimate");
@@ -829,7 +847,7 @@ mod tests {
     #[test]
     fn verdict_is_pure_classification() {
         let (_, san, c) = rig();
-        let m = mapping(0x9000, 64, DmaDirection::FromDevice, 0x1_0000);
+        let m = mapping(0x9000, 64, DmaDirection::FromDevice);
         map(&san, &c, &m, 1);
         assert_eq!(san.verdict(DEV, 0x9000, 64, true), AccessVerdict::Permitted);
         assert_eq!(
@@ -845,15 +863,6 @@ mod tests {
             AccessVerdict::BlockedByIommu
         );
         assert_eq!(san.violation_count(), 0, "verdict records nothing");
-    }
-
-    fn ring(iova: u64) -> CoherentBuffer {
-        CoherentBuffer {
-            iova: Iova::new(iova),
-            pa: PhysAddr(iova),
-            len: 4096,
-            pages: 1,
-        }
     }
 
     const PERMITTED: AccessVerdict = AccessVerdict::Permitted;
@@ -943,7 +952,7 @@ mod tests {
         for &iova in &rings {
             san.on_alloc_coherent(&c, DEV, &ring(iova));
         }
-        let m = mapping(0x8000, 1500, DmaDirection::FromDevice, 0x9000);
+        let m = mapping(0x8000, 1500, DmaDirection::FromDevice);
         map(&san, &c, &m, 1);
         // Fetch a descriptor on every ring, then write back on each.
         let accesses = || rings.iter().flat_map(|&r| [(r + 32, 16), (r + 40, 8)]);
@@ -965,7 +974,7 @@ mod tests {
     fn strict_mode_panics_on_violation() {
         let san = DmaSan::new(Obs::isolated());
         let c = ctx();
-        let m = mapping(0x1000, 64, DmaDirection::ToDevice, 0x2000);
+        let m = mapping(0x1000, 64, DmaDirection::ToDevice);
         san.on_unmap(&c, DEV, &m, 1);
     }
 
@@ -975,13 +984,7 @@ mod tests {
         let san = DmaSan::new(Obs::isolated());
         let c = ctx();
         for i in 0..32u64 {
-            let m = mapping(
-                0x1000 + i * 0x1000,
-                1500,
-                DmaDirection::FromDevice,
-                i * 0x4000,
-            );
-            let _ = DmaBuf::new(PhysAddr(i * 0x4000), 1500);
+            let m = mapping(0x1000 + i * 0x1000, 1500, DmaDirection::FromDevice);
             san.on_map(&c, DEV, &m, i * 2);
             san.on_device_access(DEV, m.iova.get(), 1500, true, true);
             san.on_unmap(&c, DEV, &m, i * 2 + 1);

@@ -248,7 +248,7 @@ impl CoreDriver {
             let first = stack.nic.tx_next(self.ring);
             for (k, m) in mappings.iter().enumerate() {
                 let slot = (first + k) % entries;
-                post_tx_at(stack, self.ring, slot, m.iova.get(), m.len as u32);
+                post_tx_at(stack, self.ring, slot, m.iova.get(), m.buf().len as u32);
             }
 
             // The NIC fetches the fragments and segments them onto the wire,
@@ -434,12 +434,12 @@ mod tests {
         // 64 B TX then a 64 B RX) on a warm stack, with every trace chain
         // sampled out: each device burst (`Nic::receive`, one TX gather)
         // holds the IOTLB and the memory once, ring verdicts take none,
-        // kmalloc takes none, and copy's unmap of a pool IOVA skips the
-        // huge-mapping table.
+        // kmalloc takes none, copy's unmap of a pool IOVA skips the
+        // huge-mapping table, and strict keeps no table of live mappings.
         let pinned = [
             (EngineKind::NoIommu, 7, 14),
             (EngineKind::Copy, 12, 24),
-            (EngineKind::LinuxStrict, 16, 32),
+            (EngineKind::LinuxStrict, 14, 28),
         ];
         for (kind, rx, rr) in pinned {
             let cfg = ExpConfig {

@@ -3,20 +3,23 @@
 //! `interproc.rs` are replayed here as the equivalent runtime event
 //! sequences against the DMA sanitizer, pinning which checker sees what:
 //!
-//! | guarantee                | primary enforcer             | cross-check           |
-//! |--------------------------|------------------------------|-----------------------|
-//! | unmap exactly once       | rustc (E0382, move-only)     | dmasan `double_unmap` |
-//! | no use after unmap       | rustc (E0382, move-only)     | dmasan `stale_access` |
-//! | no leak                  | dmasan `leak` at teardown    | lint `leak-on-exit`   |
-//! | no CPU read while mapped | lint `cpu-read-while-mapped` | *(none)*              |
-//! | device-tainted index     | lint `device-taint`          | *(none)*              |
+//! | guarantee                | primary enforcer                 | cross-check                              |
+//! |--------------------------|----------------------------------|------------------------------------------|
+//! | unmap exactly once       | rustc (E0382, move-only, sealed) | dmasan `double_unmap` / `unmap_mismatch` |
+//! | no use after unmap       | rustc (E0382, move-only)         | dmasan `stale_access`                    |
+//! | no leak                  | dmasan `leak` at teardown        | lint `leak-on-exit`                      |
+//! | no CPU read while mapped | lint `cpu-read-while-mapped`     | *(none)*                                 |
+//! | device-tainted index     | lint `device-taint`              | *(none)*                                 |
 //!
 //! The first two rows have no replay here: a safe caller cannot write the
-//! violation any more (`dma_api::DmaMapping`'s `compile_fail` doctests),
-//! and what dmasan says about a *forged* handle or a device replaying a
-//! stale IOVA is pinned by its own unit tests
-//! (`dmasan::checker::tests::{detects_double_unmap_and_distinguishes_stale,
-//! detects_stale_iova_access}`). The last two rows are the documented
+//! violation any more, nor build a handle the engine never issued
+//! (`dma_api::DmaMapping`'s `compile_fail` doctests). What dmasan says
+//! about a genuine handle whose public `iova` was re-aimed, or a device
+//! replaying a stale IOVA, is pinned by its own unit tests
+//! (`dmasan::checker::tests::{a_re_aimed_handle_is_caught_at_unmap,
+//! detects_stale_iova_access}`). The handles below come from a real
+//! `NoIommu` engine, whose IOVA is the buffer's physical address. The
+//! last two rows are the documented
 //! precision gap: the sanitizer observes device-side bus accesses, so a
 //! *CPU* read of a still-mapped buffer — or a tainted length steering
 //! CPU-side indexing — is invisible at runtime; only the static checker
@@ -25,11 +28,13 @@
 //! the new owner's obligation and is covered by dmasan's teardown check
 //! alone.
 
-use dma_shadowing::dma_api::{BusObserver, DmaDirection, DmaMapping, DmaObserver};
+use dma_shadowing::dma_api::{
+    BusObserver, DmaBuf, DmaDirection, DmaEngine, DmaMapping, DmaObserver, NoIommu,
+};
 use dma_shadowing::dmasan::{DmaSan, ViolationKind};
-use dma_shadowing::iommu::{DeviceId, Iova};
+use dma_shadowing::iommu::DeviceId;
 use dma_shadowing::lint::{lint_workspace, LintViolation};
-use dma_shadowing::memsim::PhysAddr;
+use dma_shadowing::memsim::{NumaTopology, PhysAddr, PhysMemory};
 use dma_shadowing::obs::Obs;
 use dma_shadowing::simcore::{CoreCtx, CoreId, CostModel};
 use std::path::Path;
@@ -46,14 +51,12 @@ fn san() -> (DmaSan, CoreCtx) {
     (DmaSan::lenient(Obs::isolated()), ctx())
 }
 
-fn mapping(iova: u64, len: usize, dir: DmaDirection, os_pa: u64) -> DmaMapping {
-    DmaMapping {
-        iova: Iova::new(iova),
-        len,
-        dir,
-        os_pa: PhysAddr(os_pa),
-        wrote: len,
-    }
+/// A mapping of `len` bytes at physical address `pa`, issued by `NoIommu`
+/// (so its IOVA is `pa`).
+fn mapping(pa: u64, len: usize, dir: DmaDirection) -> DmaMapping {
+    let eng = NoIommu::new(Arc::new(PhysMemory::new(NumaTopology::tiny(1))), DEV);
+    eng.map(&mut ctx(), DmaBuf::new(PhysAddr(pa), len), dir)
+        .expect("no-iommu map")
 }
 
 /// The static findings from the planted fixture, by protocol rule.
@@ -69,34 +72,24 @@ fn static_count(rule: &str) -> usize {
 fn leaks_replay_as_teardown_leaks() {
     let (san, ctx) = san();
     // leak_on_early_return: map, take the `return Err` path.
-    san.on_map(
-        &ctx,
-        DEV,
-        &mapping(0x3000, 1500, DmaDirection::ToDevice, 0xa000),
-        1,
-    );
+    san.on_map(&ctx, DEV, &mapping(0x3000, 1500, DmaDirection::ToDevice), 1);
     // leak_via_question: map, take `refill_ring(ctx)?`'s error edge.
     san.on_map(
         &ctx,
         DEV,
-        &mapping(0x4000, 1500, DmaDirection::FromDevice, 0xb000),
+        &mapping(0x4000, 1500, DmaDirection::FromDevice),
         2,
     );
     // interproc.rs::leak_across_helper: map, lend the handle to
     // `touch_stats` (`&m`: a borrow, not a transfer) and fall off the end.
     // At runtime the helper call is invisible; only the missing unmap is.
-    san.on_map(
-        &ctx,
-        DEV,
-        &mapping(0x5000, 1500, DmaDirection::ToDevice, 0xb800),
-        3,
-    );
+    san.on_map(&ctx, DEV, &mapping(0x5000, 1500, DmaDirection::ToDevice), 3);
     // interproc.rs::leak_of_returned_handle: the map happens inside
     // `make_rx`; the caller owns what it returns and never unmaps it.
     san.on_map(
         &ctx,
         DEV,
-        &mapping(0x7000, 1500, DmaDirection::FromDevice, 0xe000),
+        &mapping(0x7000, 1500, DmaDirection::FromDevice),
         4,
     );
     assert_eq!(san.check_teardown(), 4);
@@ -114,7 +107,7 @@ fn leaks_replay_as_teardown_leaks() {
 #[test]
 fn cpu_read_while_mapped_has_no_runtime_mirror() {
     let (san, ctx) = san();
-    let m = mapping(0x5000, 1500, DmaDirection::FromDevice, 0xc000);
+    let m = mapping(0x5000, 1500, DmaDirection::FromDevice);
     san.on_map(&ctx, DEV, &m, 1);
     // CPU-side `mem.read_vec(pkt, 1500)` happens here: no observer hook
     // exists for it, by construction.
@@ -135,7 +128,7 @@ fn cpu_read_while_mapped_has_no_runtime_mirror() {
 #[test]
 fn summary_proven_helper_roundtrip_is_silent_in_both_checkers() {
     let (san, ctx) = san();
-    let m = mapping(0x8000, 1500, DmaDirection::ToDevice, 0xf000);
+    let m = mapping(0x8000, 1500, DmaDirection::ToDevice);
     san.on_map(&ctx, DEV, &m, 1); // caller: engine.map(...)
     san.on_unmap(&ctx, DEV, &m, 2); // inside finish(engine, ctx, m)
     assert_eq!(san.check_teardown(), 0);
@@ -148,7 +141,7 @@ fn summary_proven_helper_roundtrip_is_silent_in_both_checkers() {
 #[test]
 fn clean_sequences_are_silent_in_both_checkers() {
     let (san, ctx) = san();
-    let m = mapping(0x6000, 1500, DmaDirection::FromDevice, 0xd000);
+    let m = mapping(0x6000, 1500, DmaDirection::FromDevice);
     san.on_map(&ctx, DEV, &m, 1);
     san.on_device_access(DEV, 0x6000, 1500, true, true); // device fills it
     san.on_unmap(&ctx, DEV, &m, 2);

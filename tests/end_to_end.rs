@@ -185,59 +185,43 @@ fn scatter_gather_stream_matches_contiguous_bytes() {
 
 #[test]
 fn unmap_sg_unmaps_every_element_after_a_failure() {
-    // A bogus middle element must not strand the mappings after it: every
-    // element is unmapped, and the first error is still reported.
+    // A middle element whose copy-back fails must not strand the mappings
+    // after it: every element is unmapped, and the first error is still
+    // reported.
     use dma_shadowing::dma_api::{
-        DmaBuf, DmaDirection, DmaEngine, DmaError, DmaMapping, DmaObserver, TracedDma,
+        DmaBuf, DmaDirection, DmaEngine, DmaError, DmaObserver, TracedDma,
     };
     use dma_shadowing::dmasan::DmaSan;
-    use dma_shadowing::iommu::{DeviceId, Iommu, Iova};
-    use dma_shadowing::memsim::{NumaDomain, NumaTopology, PhysMemory};
+    use dma_shadowing::iommu::{DeviceId, Iommu};
+    use dma_shadowing::memsim::{MemError, NumaDomain, NumaTopology, PhysMemory};
     use dma_shadowing::obs::Obs;
-    use dma_shadowing::shadow_core::{build_engine, PoolConfig};
+    use dma_shadowing::shadow_core::{PoolConfig, ShadowDma};
 
-    let dev = DeviceId(0);
     let obs = Obs::isolated();
     let mem = Arc::new(PhysMemory::new(NumaTopology::tiny(64)));
     let mmu = Arc::new(Iommu::with_obs(obs.clone()));
-    let inner = build_engine(
-        EngineKind::LinuxStrict,
-        mem.clone(),
-        mmu.clone(),
-        dev,
-        1,
-        false,
-        PoolConfig::default(),
+    let inner = ShadowDma::new(mem.clone(), mmu, DeviceId(0), PoolConfig::default());
+    let pool = inner.pool().clone();
+    let san = Arc::new(DmaSan::new(obs.clone()));
+    let engine = TracedDma::new(
+        Box::new(inner),
+        obs,
+        Some(san.clone() as Arc<dyn DmaObserver>),
     );
-    // Lenient: the bogus unmap is a (recorded) violation by design.
-    let san = Arc::new(DmaSan::lenient(obs.clone()));
-    let engine = TracedDma::new(inner, obs, Some(san.clone() as Arc<dyn DmaObserver>));
 
     let mut c = ctx();
     let bufs: Vec<DmaBuf> = (0..3)
         .map(|_| DmaBuf::new(mem.alloc_frame(NumaDomain(0)).unwrap().base(), 2048))
         .collect();
-    let good = engine
+    let list = engine
         .map_sg(&mut c, &bufs, DmaDirection::FromDevice)
         .unwrap();
-    let iovas: Vec<Iova> = good.iter().map(|m| m.iova).collect();
-    // A handle the engine never issued has to be forged field by field.
-    let bogus_iova = Iova(0x7fff_0000);
-    let bogus = DmaMapping {
-        iova: bogus_iova,
-        len: good[1].len,
-        dir: good[1].dir,
-        os_pa: good[1].os_pa,
-        wrote: good[1].wrote,
-    };
-    let mut list = good;
-    list.insert(1, bogus);
-    assert_eq!(
+    // The middle OS buffer's frame goes away: its copy-back fails.
+    mem.free_frames(bufs[1].pa.pfn(), 1).unwrap();
+    assert!(matches!(
         engine.unmap_sg(&mut c, list),
-        Err(DmaError::BadUnmap(bogus_iova))
-    );
-    for iova in iovas {
-        assert!(!mmu.is_mapped(dev, iova.page()), "{iova:?} still mapped");
-    }
+        Err(DmaError::Mem(MemError::Unallocated(_)))
+    ));
+    assert_eq!(pool.stats().in_flight, 0, "every shadow slot released");
     assert_eq!(san.check_teardown(), 0, "no mapping leaked");
 }
