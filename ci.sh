@@ -35,6 +35,9 @@ cargo run -q --bin lint -- --json target/lint_report.json --budget-ms 60000
 # counterexample. Deterministic (fixed bounds, no wall clock).
 cargo run -q --release -p modelcheck --bin mc-suite
 cargo fmt --all --check
+# The A/B host-time script (scripts/ab.sh) parses; it is run by hand to
+# measure a change against its parent, never here.
+sh -n scripts/ab.sh
 cargo clippy --workspace --all-targets -- -D warnings
 # API docs build without a rustdoc warning (broken or ambiguous intra-doc
 # links, links to private items, output-file collisions).

@@ -244,8 +244,12 @@ impl DmaEngine for ShadowDma {
     }
 
     fn alloc_coherent(&self, ctx: &mut CoreCtx, len: usize) -> Result<CoherentBuffer, DmaError> {
-        self.coherent
-            .alloc(ctx, len, |ctx, pages, _| self.zc_iova.alloc(ctx, pages))
+        self.coherent.alloc(
+            ctx,
+            len,
+            |ctx, pages, _| self.zc_iova.alloc(ctx, pages),
+            |ctx, first, pages| self.zc_iova.free(ctx, first, pages),
+        )
     }
 
     fn free_coherent(&self, ctx: &mut CoreCtx, buf: CoherentBuffer) -> Result<(), DmaError> {

@@ -789,6 +789,113 @@ mod tests {
         failed_map_rolls_back(EngineKind::LinuxStrict);
     }
 
+    /// Attempts an `N`-page coherent allocation whose page `K` collides
+    /// with a PTE someone else owns, and checks the error left nothing
+    /// behind: the frames are free again, the planted PTE is the only one,
+    /// and — once it is gone — the next allocation gets the same IOVA.
+    fn failed_coherent_alloc_rolls_back(kind: EngineKind) {
+        const N: usize = 3;
+        const K: u64 = 1;
+        let mut r = rig(kind);
+        let elsewhere = r.frames(1);
+        // Learn where the engine places this buffer: first-fit frames and
+        // a strict range allocator hand the same place out again.
+        let probe = r.eng.alloc_coherent(&mut r.ctx, N * 4096).unwrap();
+        let placed = probe.iova;
+        r.eng.free_coherent(&mut r.ctx, probe).unwrap();
+
+        let taken = placed.page().add(K);
+        r.mmu
+            .map_page(&mut r.ctx, DEV, taken, elsewhere, Perms::ReadWrite)
+            .unwrap();
+        let frames = r.mem.stats().allocated_frames;
+        let err = r.eng.alloc_coherent(&mut r.ctx, N * 4096).map(|c| c.iova);
+        assert_eq!(
+            err,
+            Err(DmaError::Iommu(IommuError::PageTable(
+                PtError::AlreadyMapped(taken)
+            ))),
+            "{kind}"
+        );
+        assert_eq!(r.mem.stats().allocated_frames, frames, "{kind}: frames");
+        assert_eq!(r.mmu.mapped_pages(DEV), 1, "{kind}: only the planted PTE");
+        assert!(r.mmu.is_mapped(DEV, taken), "{kind}");
+
+        r.mmu.unmap_page_nosync(&mut r.ctx, DEV, taken).unwrap();
+        let c = r.eng.alloc_coherent(&mut r.ctx, N * 4096).unwrap();
+        assert_eq!(c.iova, placed, "{kind}: IOVA placement as before");
+        r.eng.free_coherent(&mut r.ctx, c).unwrap();
+        assert_eq!(r.mmu.mapped_pages(DEV), 0, "{kind}");
+    }
+
+    #[test]
+    fn failed_identity_coherent_alloc_frees_its_frames() {
+        failed_coherent_alloc_rolls_back(EngineKind::IdentityPlus);
+    }
+
+    #[test]
+    fn failed_allocated_coherent_alloc_frees_its_frames_and_iova_range() {
+        failed_coherent_alloc_rolls_back(EngineKind::LinuxStrict);
+    }
+
+    #[test]
+    fn an_unmap_missing_a_middle_page_still_revokes_the_rest() {
+        // A PTE removed behind the engine's back must not stop the unmap
+        // half-way: the pages around it lose their PTE and their IOTLB
+        // entry, and the missing page is the error.
+        let mut r = rig(EngineKind::LinuxStrict);
+        let buf = DmaBuf::new(r.frames(3).base(), 3 * 4096);
+        let m = r.map(buf, DmaDirection::ToDevice);
+        let first = m.iova.page();
+        let mut sink = vec![0u8; buf.len];
+        r.bus.read(DEV, m.iova.get(), &mut sink).unwrap();
+        let middle = first.add(1);
+        r.mmu.unmap_page_nosync(&mut r.ctx, DEV, middle).unwrap();
+
+        assert_eq!(
+            r.eng.unmap(&mut r.ctx, m),
+            Err(DmaError::Iommu(IommuError::PageTable(PtError::NotMapped(
+                middle
+            ))))
+        );
+        for page in (0..3).map(|i| first.add(i)) {
+            assert!(!r.mmu.is_mapped(DEV, page), "{page} left mapped");
+            assert!(!r.mmu.iotlb_contains(DEV, page), "{page} left cached");
+        }
+    }
+
+    #[test]
+    fn identity_pages_another_mapping_claims_split_a_map_and_its_unmap() {
+        // A 3-page buffer around a small one on its middle page: the big
+        // map installs, and its unmap removes and invalidates, only the
+        // two outer pages.
+        for row in ROWS.iter().filter(|r| r.identity) {
+            let mut r = rig(row.kind);
+            let base = r.frames(3).base();
+            let small = r.map(DmaBuf::new(base.add(4096 + 64), 64), DmaDirection::ToDevice);
+            let big = r.map(DmaBuf::new(base, 3 * 4096), DmaDirection::FromDevice);
+            let first = big.iova.page();
+            assert_eq!(r.mmu.mapped_pages(DEV), 3, "{}", row.kind);
+            r.bus
+                .write(DEV, first.base().get(), &[1; 3 * 4096])
+                .unwrap();
+            r.unmap(big);
+            r.flush();
+            assert_eq!(r.mmu.mapped_pages(DEV), 1, "{}", row.kind);
+            assert!(r.mmu.is_mapped(DEV, first.add(1)), "{}", row.kind);
+            for page in [first, first.add(2)] {
+                assert!(
+                    r.bus.write(DEV, page.base().get(), b"x").is_err(),
+                    "{}",
+                    row.kind
+                );
+            }
+            r.unmap(small);
+            r.flush();
+            assert_eq!(r.mmu.mapped_pages(DEV), 0, "{}", row.kind);
+        }
+    }
+
     #[test]
     fn streaming_map_inside_an_identity_coherent_buffer_fails_cleanly() {
         // The reachable case: the coherent buffer owns its pages' identity

@@ -170,10 +170,12 @@ impl HugeMapper {
         let device_reads = entry.rights.allows(iommu::Access::Read);
         let off = entry.os_pa.page_offset();
         let (first_page, rights) = (entry.first_page, entry.rights);
-        let mut map_next = |ctx: &mut CoreCtx, pfn: Pfn| -> Result<(), DmaError> {
+        // Maps the next `n` pages onto the `n` frames from `pfn`, all or
+        // nothing.
+        let mut map_next = |ctx: &mut CoreCtx, pfn: Pfn, n: u64| -> Result<(), DmaError> {
             self.mmu
-                .map_page(ctx, self.dev, first_page.add(*mapped), pfn, rights)?;
-            *mapped += 1;
+                .map_range(ctx, self.dev, first_page.add(*mapped), pfn, n, rights)?;
+            *mapped += n;
             Ok(())
         };
 
@@ -186,15 +188,13 @@ impl HugeMapper {
                     .copy(entry.os_pa, f.base().add(off as u64), entry.head_len)?;
                 ctx.charge(Phase::Memcpy, ctx.cost.memcpy(entry.head_len, false));
             }
-            map_next(ctx, f)?;
+            map_next(ctx, f, 1)?;
         }
 
         // Zero-copy middle: the OS buffer's own (fully-owned) pages.
         let mid_pfn = entry.os_pa.add(entry.head_len as u64).pfn();
         let mid_pages = ((entry.len - entry.head_len - entry.tail_len) / PAGE_SIZE) as u64;
-        for i in 0..mid_pages {
-            map_next(ctx, mid_pfn.add(i))?;
-        }
+        map_next(ctx, mid_pfn, mid_pages)?;
 
         // Tail shadow page.
         if entry.tail_len > 0 {
@@ -205,7 +205,7 @@ impl HugeMapper {
                 self.mem.copy(tail_src, f.base(), entry.tail_len)?;
                 ctx.charge(Phase::Memcpy, ctx.cost.memcpy(entry.tail_len, false));
             }
-            map_next(ctx, f)?;
+            map_next(ctx, f, 1)?;
         }
         Ok(())
     }
@@ -255,18 +255,16 @@ impl HugeMapper {
         entry: &HugeEntry,
         mapped: u64,
     ) -> Result<(), DmaError> {
-        let pages: Vec<IovaPage> = (0..mapped).map(|i| entry.first_page.add(i)).collect();
-        for &p in &pages {
-            self.mmu.unmap_page_nosync(ctx, self.dev, p)?;
-        }
-        if !pages.is_empty() {
-            self.mmu.invalidate_pages_sync(ctx, self.dev, &pages);
-        }
+        let unmapped = self
+            .mmu
+            .unmap_range_nosync(ctx, self.dev, entry.first_page, mapped);
+        self.mmu
+            .invalidate_range_sync(ctx, self.dev, entry.first_page, mapped);
         for f in [entry.head_frame, entry.tail_frame].into_iter().flatten() {
             self.mem.free_frames(f, 1)?;
         }
         iova_alloc.free(ctx, entry.first_page, entry.n_pages);
-        Ok(())
+        Ok(unmapped?)
     }
 }
 

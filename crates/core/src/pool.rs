@@ -524,8 +524,16 @@ impl ShadowPool {
                 .shadow_pa
                 .store(pfn.base().get(), Ordering::Release);
             let iova_page = self.codec.encode(core, rights, class, index).page();
-            self.mmu
-                .map_range(ctx, self.dev, iova_page, pfn, pages, rights)?;
+            if let Err(e) = self
+                .mmu
+                .map_range(ctx, self.dev, iova_page, pfn, pages, rights)
+            {
+                // The map installed nothing: give back the frames and the
+                // slot, whose index is the IOVA.
+                array.retire(index);
+                self.mem.free_frames(pfn, pages)?;
+                return Err(e.into());
+            }
             self.add_shadow_bytes(size as u64);
             self.trace_grow(ctx, class, size as u64);
             Ok(Some(index))
@@ -550,7 +558,11 @@ impl ShadowPool {
                 0,
                 "aligned run must start an IOVA page"
             );
-            self.mmu.map_page(ctx, self.dev, iova_page, pfn, rights)?;
+            if let Err(e) = self.mmu.map_page(ctx, self.dev, iova_page, pfn, rights) {
+                // The run's slots stay reserved, on no list.
+                self.mem.free_frames(pfn, 1)?;
+                return Err(e.into());
+            }
             self.obs.guarded(ctx, POOL_CACHE_LOCK);
             self.caches[li].lock().extend((start + 1..start + k).rev());
             self.add_shadow_bytes(PAGE_SIZE as u64);
@@ -572,8 +584,16 @@ impl ShadowPool {
         let domain = self.mem.topology().domain_of_core(ctx.core);
         let pfn = self.mem.alloc_frames(domain, pages)?;
         let iova_page = self.fallback_pages.lock().alloc(pages);
-        self.mmu
-            .map_range(ctx, self.dev, iova_page, pfn, pages, rights)?;
+        if let Err(e) = self
+            .mmu
+            .map_range(ctx, self.dev, iova_page, pfn, pages, rights)
+        {
+            // The map installed nothing: give back the IOVA pages and the
+            // frames.
+            self.fallback_pages.lock().free(iova_page, pages);
+            self.mem.free_frames(pfn, pages)?;
+            return Err(e.into());
+        }
         let iova = iova_page.base();
         self.obs.guarded(ctx, POOL_FALLBACK_LOCK);
         self.fallback.lock().insert(
@@ -696,14 +716,15 @@ impl ShadowPool {
                 // Fallback buffers are transient: strictly unmap,
                 // invalidate, and free.
                 let first = iova.page();
-                let pages: Vec<IovaPage> = (0..entry.pages).map(|i| first.add(i)).collect();
-                for &p in &pages {
-                    self.mmu.unmap_page_nosync(ctx, self.dev, p)?;
-                }
-                self.mmu.invalidate_pages_sync(ctx, self.dev, &pages);
+                let unmapped = self
+                    .mmu
+                    .unmap_range_nosync(ctx, self.dev, first, entry.pages);
+                self.mmu
+                    .invalidate_range_sync(ctx, self.dev, first, entry.pages);
                 self.mem.free_frames(entry.shadow_pa.pfn(), entry.pages)?;
                 self.fallback_pages.lock().free(first, entry.pages);
                 self.sub_shadow_bytes(entry.size as u64);
+                unmapped?;
             }
         }
         self.releases.inc();
@@ -743,12 +764,10 @@ impl ShadowPool {
                     let slot = array.slot(index);
                     let base = slot.shadow_base();
                     let iova_page = self.codec.encode(core, rights, class, index).page();
-                    for i in 0..pages {
-                        self.mmu
-                            .unmap_page_nosync(ctx, self.dev, iova_page.add(i))
-                            .expect("pool buffer must be mapped");
-                        to_inval.push(iova_page.add(i));
-                    }
+                    self.mmu
+                        .unmap_range_nosync(ctx, self.dev, iova_page, pages)
+                        .expect("pool buffer must be mapped");
+                    to_inval.extend((0..pages).map(|i| iova_page.add(i)));
                     self.mem
                         .free_frames(base.pfn(), pages)
                         .expect("pool buffer frames must be allocated");
@@ -827,6 +846,7 @@ impl ShadowPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iommu::{IommuError, PtError};
     use memsim::{NumaDomain, NumaTopology};
     use simcore::CostModel;
 
@@ -1049,6 +1069,53 @@ mod tests {
         assert!(r.mem.stats().allocated_frames < frames);
         assert!(r.mmu.invalq().stats().page_commands > 0);
         assert!(r.mmu.dma_write(&r.mem, DEV, iova, b"x").is_err());
+    }
+
+    /// Acquires a shadow for `len` bytes while page `k` of the IOVA range
+    /// the pool will map (`at`) carries a PTE someone else owns, and checks
+    /// the error left nothing behind: the frames are free again, the
+    /// planted PTE is the only one, and the next acquire maps `at`.
+    fn failed_map_frees_what_it_allocated(len: usize, at: impl Fn(&Rig) -> Iova, k: u64) {
+        let r = rig_with(PoolConfig::default(), NumaTopology::new(4, 2, 8192));
+        let mut c = ctx(0);
+        let buf = os_buf(&r, len);
+        let taken = at(&r).page().add(k);
+        let elsewhere = r.mem.alloc_frame(NumaDomain(0)).unwrap();
+        r.mmu
+            .map_page(&mut c, DEV, taken, elsewhere, Perms::ReadWrite)
+            .unwrap();
+        let frames = r.mem.stats().allocated_frames;
+        let err = r.pool.acquire_shadow(&mut c, buf, Perms::Write);
+        assert_eq!(
+            err,
+            Err(DmaError::Iommu(IommuError::PageTable(
+                PtError::AlreadyMapped(taken)
+            )))
+        );
+        assert_eq!(r.mem.stats().allocated_frames, frames);
+        assert_eq!(r.mmu.mapped_pages(DEV), 1, "only the planted PTE");
+
+        r.mmu.unmap_page_nosync(&mut c, DEV, taken).unwrap();
+        let iova = r.pool.acquire_shadow(&mut c, buf, Perms::Write).unwrap();
+        assert_eq!(iova, at(&r));
+        r.pool.release_shadow(&mut c, iova).unwrap();
+    }
+
+    #[test]
+    fn a_failed_grow_frees_its_frames_and_slot() {
+        failed_map_frees_what_it_allocated(
+            16_384,
+            |r| {
+                let class = r.pool.codec().class_for(16_384).unwrap();
+                r.pool.codec().encode(CoreId(0), Perms::Write, class, 0)
+            },
+            2,
+        );
+    }
+
+    #[test]
+    fn a_failed_fallback_frees_its_frames_and_iova_pages() {
+        failed_map_frees_what_it_allocated(100_000, |_| IovaPage(FALLBACK_PAGE_BASE).base(), 5);
     }
 
     #[test]

@@ -561,7 +561,12 @@ mod tests {
             let mmu = Arc::new(Iommu::new());
             let mut ctx = CoreCtx::new(CoreId(0), Arc::new(CostModel::zero()));
             let ring = CoherentHelper::new(mem.clone(), mmu.clone(), DEV)
-                .alloc(&mut ctx, PAGE_SIZE, |_, _, _| Ok(IovaPage(0x10)))
+                .alloc(
+                    &mut ctx,
+                    PAGE_SIZE,
+                    |_, _, _| Ok(IovaPage(0x10)),
+                    |_, _, _| {},
+                )
                 .unwrap();
             let bus = Bus::Iommu {
                 mmu: mmu.clone(),

@@ -7,7 +7,7 @@
 
 use crate::{CoherentBuffer, DmaError};
 use iommu::{DeviceId, Iommu, IovaPage, Perms};
-use memsim::{PhysMemory, PAGE_SIZE};
+use memsim::{Pfn, PhysMemory, PAGE_SIZE};
 use simcore::CoreCtx;
 use std::sync::Arc;
 
@@ -29,25 +29,43 @@ impl CoherentHelper {
     /// Allocates `len` bytes of coherent memory on the calling core's NUMA
     /// domain and maps it read-write at the IOVA chosen by `place`
     /// (called with the number of pages and the first allocated frame).
+    /// On an error nothing is left behind: the frames are freed, and a
+    /// placed range the map failed on goes back through `unplace`.
     pub fn alloc(
         &self,
         ctx: &mut CoreCtx,
         len: usize,
-        place: impl FnOnce(&mut CoreCtx, u64, memsim::Pfn) -> Result<IovaPage, DmaError>,
+        place: impl FnOnce(&mut CoreCtx, u64, Pfn) -> Result<IovaPage, DmaError>,
+        unplace: impl FnOnce(&mut CoreCtx, IovaPage, u64),
     ) -> Result<CoherentBuffer, DmaError> {
         assert!(len > 0, "zero-length coherent allocation");
         let pages = (len as u64).div_ceil(PAGE_SIZE as u64);
         let domain = self.mem.topology().domain_of_core(ctx.core);
         let pfn = self.mem.alloc_frames(domain, pages)?;
-        let iova_page = place(ctx, pages, pfn)?;
-        self.mmu
-            .map_range(ctx, self.dev, iova_page, pfn, pages, Perms::ReadWrite)?;
-        Ok(CoherentBuffer::new(iova_page.base(), pfn.base(), len))
+        let mapped = place(ctx, pages, pfn).and_then(|iova_page| {
+            // All or nothing: a failed map installed no PTE.
+            self.mmu
+                .map_range(ctx, self.dev, iova_page, pfn, pages, Perms::ReadWrite)
+                .map(|()| iova_page)
+                .map_err(|e| {
+                    unplace(ctx, iova_page, pages);
+                    DmaError::from(e)
+                })
+        });
+        match mapped {
+            Ok(iova_page) => Ok(CoherentBuffer::new(iova_page.base(), pfn.base(), len)),
+            Err(e) => {
+                self.mem.free_frames(pfn, pages)?;
+                Err(e)
+            }
+        }
     }
 
     /// Unmaps (with strict, synchronous invalidation) and frees a coherent
     /// buffer; `unplace` releases the IOVA range if the engine allocated
-    /// one.
+    /// one. A page found unmapped does not stop it: every page's PTE and
+    /// IOTLB entry is gone and everything is released before the first
+    /// such page is returned as the error.
     pub fn free(
         &self,
         ctx: &mut CoreCtx,
@@ -55,13 +73,10 @@ impl CoherentHelper {
         unplace: impl FnOnce(&mut CoreCtx, IovaPage, u64),
     ) -> Result<(), DmaError> {
         let (first, n) = (buf.iova.page(), buf.pages());
-        let pages: Vec<IovaPage> = (0..n).map(|i| first.add(i)).collect();
-        for &p in &pages {
-            self.mmu.unmap_page_nosync(ctx, self.dev, p)?;
-        }
-        self.mmu.invalidate_pages_sync(ctx, self.dev, &pages);
+        let unmapped = self.mmu.unmap_range_nosync(ctx, self.dev, first, n);
+        self.mmu.invalidate_range_sync(ctx, self.dev, first, n);
         self.mem.free_frames(buf.pa.pfn(), n)?;
         unplace(ctx, first, n);
-        Ok(())
+        unmapped.map_err(DmaError::from)
     }
 }

@@ -20,19 +20,78 @@ use crate::{
     DmaMapping, IovaAllocator, ProtectionProfile,
 };
 use iommu::{DeviceId, Iommu, IommuError, IovaPage, Perms, PtError};
-use memsim::PhysMemory;
+use memsim::{Pfn, PhysMemory};
 use simcore::sync::Mutex;
 use simcore::{CoreCtx, FxHashMap};
-use std::cell::Cell;
 use std::sync::Arc;
 
-thread_local! {
-    /// The list [`MappedDma::revoke`] gathers dead pages in, taken and put
-    /// back by every unmap so unmapping allocates nothing. Thread-local
-    /// rather than a locked field: an engine is shared by host threads, and
-    /// a host lock held across the invalidation would span the queue-lock
-    /// acquisition (a model-checker preemption point).
-    static DEAD_PAGES: Cell<Vec<IovaPage>> = const { Cell::new(Vec::new()) };
+/// The pages of one mapping whose PTE a `dma_map` must install or a
+/// `dma_unmap` must remove, in ascending order. A buffer's own pages are
+/// one run, so the common case builds no list; only identity pages that
+/// another mapping still claims, in the middle of the buffer, split it.
+enum Pages {
+    /// `n` consecutive pages from the first (none if `n == 0`).
+    Run(IovaPage, u64),
+    /// Pages that are not one run.
+    Scattered(Vec<IovaPage>),
+}
+
+impl Pages {
+    /// Appends `page`, which lies above every page already held.
+    fn push(&mut self, page: IovaPage) {
+        match self {
+            Pages::Run(_, 0) => *self = Pages::Run(page, 1),
+            Pages::Run(first, n) if first.add(*n) == page => *n += 1,
+            Pages::Run(first, n) => {
+                let list = (0..*n).map(|i| first.add(i)).chain([page]).collect();
+                *self = Pages::Scattered(list);
+            }
+            Pages::Scattered(list) => list.push(page),
+        }
+    }
+
+    /// The pages, as runs of `(first, n)`.
+    fn runs(&self) -> impl Iterator<Item = (IovaPage, u64)> + '_ {
+        let (run, list) = match self {
+            Pages::Run(first, n) => (Some((*first, *n)), &[][..]),
+            Pages::Scattered(list) => (None, &list[..]),
+        };
+        run.into_iter().chain(list.iter().map(|&p| (p, 1)))
+    }
+
+    /// Installs the pages' PTEs, IOVA page `first + i` onto frame
+    /// `pfn + i`: each run is one [`Iommu::map_range`] call, and on an
+    /// error the runs before it are removed again, so nothing is left.
+    fn map(
+        &self,
+        mmu: &Iommu,
+        ctx: &mut CoreCtx,
+        dev: DeviceId,
+        (first, pfn): (IovaPage, Pfn),
+        perms: Perms,
+    ) -> Result<(), IommuError> {
+        for (done, (page, n)) in self.runs().enumerate() {
+            let frame = pfn.add(page.get() - first.get());
+            if let Err(e) = mmu.map_range(ctx, dev, page, frame, n, perms) {
+                for (page, n) in self.runs().take(done) {
+                    let _ = mmu.unmap_range_nosync(ctx, dev, page, n);
+                }
+                return Err(e);
+            }
+        }
+        Ok(())
+    }
+
+    /// Removes the pages' PTEs; every page is tried, and the first one
+    /// not mapped is the error.
+    fn unmap(&self, mmu: &Iommu, ctx: &mut CoreCtx, dev: DeviceId) -> Result<(), IommuError> {
+        let mut result = Ok(());
+        for (page, n) in self.runs() {
+            let unmapped = mmu.unmap_range_nosync(ctx, dev, page, n);
+            result = result.and(unmapped);
+        }
+        result
+    }
 }
 
 /// Where a mapping's IOVA comes from — which also decides the PTE
@@ -59,37 +118,53 @@ impl IovaPolicy {
         IovaPolicy::Allocated(Box::new(allocator))
     }
 
-    /// Claims `page` for one more mapping; `true` if the caller must
-    /// install its PTE.
-    fn retain(&self, page: IovaPage) -> bool {
+    /// Claims the `n` pages from `first` for one more mapping, under one
+    /// hold of the refcount map; returns the pages whose PTE the caller
+    /// must install.
+    fn retain(&self, first: IovaPage, n: u64) -> Pages {
         match self {
             IovaPolicy::Identity(refs) => {
                 let mut refs = refs.lock();
-                let count = refs.entry(page.0).or_insert(0);
-                *count += 1;
-                *count == 1
+                let mut fresh = Pages::Run(first, 0);
+                for i in 0..n {
+                    let count = refs.entry(first.get() + i).or_insert(0);
+                    *count += 1;
+                    if *count == 1 {
+                        fresh.push(first.add(i));
+                    }
+                }
+                fresh
             }
-            IovaPolicy::Allocated(_) => true,
+            IovaPolicy::Allocated(_) => Pages::Run(first, n),
         }
     }
 
-    /// Drops one mapping's claim on `page`; `true` if the caller must
-    /// remove its PTE. An identity page nothing claims is not mapped.
-    fn release(&self, page: IovaPage) -> Result<bool, IommuError> {
+    /// Drops one mapping's claim on each of the `n` pages from `first`,
+    /// under one hold of the refcount map; returns the pages whose PTE the
+    /// caller must remove, and as the error the first page nothing
+    /// claimed (an identity page nothing claims is not mapped).
+    fn release(&self, first: IovaPage, n: u64) -> (Pages, Result<(), IommuError>) {
         match self {
             IovaPolicy::Identity(refs) => {
                 let mut refs = refs.lock();
-                let count = refs
-                    .get_mut(&page.0)
-                    .ok_or(IommuError::PageTable(PtError::NotMapped(page)))?;
-                *count -= 1;
-                let dead = *count == 0;
-                if dead {
-                    refs.remove(&page.0);
+                let (mut dead, mut result) = (Pages::Run(first, 0), Ok(()));
+                for i in 0..n {
+                    let page = first.add(i);
+                    match refs.get_mut(&page.get()) {
+                        Some(count) if *count > 1 => *count -= 1,
+                        Some(_) => {
+                            refs.remove(&page.get());
+                            dead.push(page);
+                        }
+                        None => {
+                            result =
+                                result.and(Err(IommuError::PageTable(PtError::NotMapped(page))));
+                        }
+                    }
                 }
-                Ok(dead)
+                (dead, result)
             }
-            IovaPolicy::Allocated(_) => Ok(true),
+            IovaPolicy::Allocated(_) => (Pages::Run(first, n), Ok(())),
         }
     }
 }
@@ -142,62 +217,65 @@ impl MappedDma {
         }
     }
 
-    /// Removes the first `installed` pages of the `span`-page range at
-    /// `first` from the page table, applies the invalidation policy to the
-    /// pages whose PTE died, and releases the range (at once, or after the
-    /// deferred flush). `dma_unmap` revokes a whole mapping
-    /// (`installed == span`); a failed `dma_map` rolls back a prefix.
-    fn revoke(
-        &self,
-        ctx: &mut CoreCtx,
-        first: IovaPage,
-        installed: u64,
-        span: u64,
-    ) -> Result<(), DmaError> {
-        let mut dead = DEAD_PAGES.take();
-        dead.clear();
-        for i in 0..installed {
-            let page = first.add(i);
-            if self.iova.release(page)? {
-                self.mmu.unmap_page_nosync(ctx, self.dev, page)?;
-                dead.push(page);
-            }
-        }
+    /// Revokes the `n`-page mapping at `first`: drops its claims, removes
+    /// the PTEs of the pages whose last claim it held, applies the
+    /// invalidation policy to all of them, and releases the range (at
+    /// once, or after the deferred flush). A page that is not mapped does
+    /// not stop it; the first one is the error.
+    fn revoke(&self, ctx: &mut CoreCtx, first: IovaPage, n: u64) -> Result<(), DmaError> {
+        let (dead, released) = self.iova.release(first, n);
+        let unmapped = dead.unmap(&self.mmu, ctx, self.dev);
         let flusher = match &self.inval {
             InvalPolicy::Strict => {
-                self.mmu.invalidate_pages_sync(ctx, self.dev, &dead);
+                match &dead {
+                    Pages::Run(page, n) => self.mmu.invalidate_range_sync(ctx, self.dev, *page, *n),
+                    Pages::Scattered(list) => self.mmu.invalidate_pages_sync(ctx, self.dev, list),
+                }
                 None
             }
             InvalPolicy::Hardware => {
-                for &page in &dead {
-                    self.mmu.invalidate_page_hw(self.dev, page);
+                for (page, n) in dead.runs() {
+                    self.mmu.invalidate_pages_hw(self.dev, page, n);
                 }
                 None
             }
             InvalPolicy::Deferred(flusher) => Some(flusher),
         };
         match (&self.iova, flusher) {
-            (IovaPolicy::Allocated(allocator), None) => allocator.free(ctx, first, span),
+            (IovaPolicy::Allocated(allocator), None) => allocator.free(ctx, first, n),
             // One entry per mapping: the drain frees the range it names.
             (IovaPolicy::Allocated(_), Some(flusher)) => flusher.defer(
                 ctx,
                 PendingUnmap {
                     page: first,
-                    pages: span,
+                    pages: n,
                 },
                 |ctx, batch| self.drain(ctx, batch),
             ),
+            // One entry (and one simulated list-lock acquisition, a
+            // model-checker preemption point) per dead page, so no host
+            // lock spans the loop.
             (IovaPolicy::Identity(_), Some(flusher)) => {
-                for &page in &dead {
-                    flusher.defer(ctx, PendingUnmap { page, pages: 1 }, |ctx, batch| {
-                        self.drain(ctx, batch)
-                    });
+                for (run, n) in dead.runs() {
+                    for i in 0..n {
+                        let pending = PendingUnmap {
+                            page: run.add(i),
+                            pages: 1,
+                        };
+                        flusher.defer(ctx, pending, |ctx, batch| self.drain(ctx, batch));
+                    }
                 }
             }
             (IovaPolicy::Identity(_), None) => {}
         }
-        DEAD_PAGES.set(dead);
-        Ok(())
+        released.and(unmapped).map_err(DmaError::from)
+    }
+
+    /// Returns a coherent buffer's IOVA range, if the allocator placed it.
+    fn unplace(&self, ctx: &mut CoreCtx, first: IovaPage, pages: u64) {
+        if let IovaPolicy::Allocated(allocator) = &self.iova {
+            allocator.free(ctx, first, pages);
+        }
     }
 
     /// Retires a deferred batch: one domain-selective flush, after which
@@ -245,19 +323,15 @@ impl DmaEngine for MappedDma {
             IovaPolicy::Identity(_) => (IovaPage(pfn.get()), Perms::ReadWrite),
             IovaPolicy::Allocated(allocator) => (allocator.alloc(ctx, pages)?, dir.perms()),
         };
-        for i in 0..pages {
-            let page = first.add(i);
-            if !self.iova.retain(page) {
-                continue;
+        let fresh = self.iova.retain(first, pages);
+        if let Err(e) = fresh.map(&self.mmu, ctx, self.dev, (first, pfn), perms) {
+            // `map` left no PTE behind: drop the claims and the IOVA range,
+            // which no device could reach, so the error leaves nothing.
+            let _ = self.iova.release(first, pages);
+            if let IovaPolicy::Allocated(allocator) = &self.iova {
+                allocator.free(ctx, first, pages);
             }
-            if let Err(e) = self.mmu.map_page(ctx, self.dev, page, pfn.add(i), perms) {
-                // Page `i` took a claim but owns no PTE; the `i` pages
-                // before it are fully installed. Undo both, so the error
-                // leaves no refcount, PTE or IOVA range behind.
-                let _ = self.iova.release(page);
-                let _ = self.revoke(ctx, first, i, pages);
-                return Err(e.into());
-            }
+            return Err(e.into());
         }
         let iova = first.base().add(buf.pa.page_offset() as u64);
         Ok(DmaMapping::issue(iova, buf, dir))
@@ -266,22 +340,24 @@ impl DmaEngine for MappedDma {
     fn unmap(&self, ctx: &mut CoreCtx, mapping: DmaMapping) -> Result<(), DmaError> {
         // The IOVA keeps the buffer's page offset: the span `map` placed.
         let pages = mapping.buf().pages();
-        self.revoke(ctx, mapping.iova.page(), pages, pages)
+        self.revoke(ctx, mapping.iova.page(), pages)
     }
 
     fn alloc_coherent(&self, ctx: &mut CoreCtx, len: usize) -> Result<CoherentBuffer, DmaError> {
-        self.coherent
-            .alloc(ctx, len, |ctx, pages, pfn| match &self.iova {
+        self.coherent.alloc(
+            ctx,
+            len,
+            |ctx, pages, pfn| match &self.iova {
                 IovaPolicy::Identity(_) => Ok(IovaPage(pfn.get())),
                 IovaPolicy::Allocated(allocator) => allocator.alloc(ctx, pages),
-            })
+            },
+            |ctx, first, pages| self.unplace(ctx, first, pages),
+        )
     }
 
     fn free_coherent(&self, ctx: &mut CoreCtx, buf: CoherentBuffer) -> Result<(), DmaError> {
         self.coherent.free(ctx, buf, |ctx, first, pages| {
-            if let IovaPolicy::Allocated(allocator) = &self.iova {
-                allocator.free(ctx, first, pages);
-            }
+            self.unplace(ctx, first, pages)
         })
     }
 

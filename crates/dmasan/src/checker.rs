@@ -679,7 +679,12 @@ mod tests {
     fn ring(iova: u64) -> CoherentBuffer {
         let mem = Arc::new(PhysMemory::new(NumaTopology::tiny(1)));
         CoherentHelper::new(mem, Arc::new(Iommu::new()), DEV)
-            .alloc(&mut ctx(), 4096, |_, _, _| Ok(Iova::new(iova).page()))
+            .alloc(
+                &mut ctx(),
+                4096,
+                |_, _, _| Ok(Iova::new(iova).page()),
+                |_, _, _| {},
+            )
             .unwrap()
     }
 

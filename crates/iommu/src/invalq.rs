@@ -137,7 +137,46 @@ impl InvalQueue {
         dev: DeviceId,
         pages: &[IovaPage],
     ) {
-        if pages.is_empty() {
+        let mut rest = pages;
+        let runs = std::iter::from_fn(move || {
+            let (&first, _) = rest.split_first()?;
+            // Extend over the contiguous run starting at `first`.
+            let len = 1 + rest
+                .windows(2)
+                .take_while(|w| w[1].get() == w[0].get() + 1)
+                .count();
+            rest = &rest[len..];
+            Some((first, len as u64))
+        });
+        self.invalidate_runs_sync(ctx, iotlb, dev, pages.len() as u64, runs);
+    }
+
+    /// Synchronously invalidates the `n` consecutive pages from `page`:
+    /// [`InvalQueue::invalidate_pages_sync`] on one contiguous run, with
+    /// no list of its pages.
+    pub fn invalidate_range_sync(
+        &self,
+        ctx: &mut CoreCtx,
+        iotlb: &Mutex<Iotlb>,
+        dev: DeviceId,
+        page: IovaPage,
+        n: u64,
+    ) {
+        self.invalidate_runs_sync(ctx, iotlb, dev, n, std::iter::once((page, n)));
+    }
+
+    /// Posts one page-selective command per contiguous `(first, len)` run
+    /// of `runs` (`pages` in all) and one wait descriptor, under one
+    /// acquisition of the calling core's queue lock.
+    fn invalidate_runs_sync(
+        &self,
+        ctx: &mut CoreCtx,
+        iotlb: &Mutex<Iotlb>,
+        dev: DeviceId,
+        pages: u64,
+        runs: impl Iterator<Item = (IovaPage, u64)>,
+    ) {
+        if pages == 0 {
             return;
         }
         let lock = &self.queues[ctx.core.0 as usize % self.queues.len()];
@@ -146,26 +185,19 @@ impl InvalQueue {
             let wait_start = ctx.breakdown().get(Phase::InvalidateIotlb);
             let ((), spin) = self.obs.locked(ctx, lock, |ctx| {
                 let mut iotlb = iotlb.lock();
-                let mut i = 0;
-                while i < pages.len() {
-                    // Extend over the contiguous run starting at pages[i].
-                    let mut j = i + 1;
-                    while j < pages.len() && pages[j].get() == pages[j - 1].get() + 1 {
-                        j += 1;
-                    }
+                for (first, len) in runs {
                     ctx.charge(Phase::InvalidateIotlb, ctx.cost.inval_queue_post);
-                    for &page in &pages[i..j] {
-                        iotlb.invalidate_page(dev, page);
+                    for i in 0..len {
+                        iotlb.invalidate_page(dev, first.add(i));
                     }
                     self.page_commands.inc();
                     ctx.charge(Phase::InvalidateIotlb, ctx.cost.inval_wait(active));
-                    i = j;
                 }
                 // Exactly one wait descriptor completes per synchronous
                 // operation, regardless of how many range commands it posted.
                 self.waits.inc();
             });
-            self.trace_op(ctx, dev, lock, pages.len() as u64, wait_start, spin);
+            self.trace_op(ctx, dev, lock, pages, wait_start, spin);
         });
     }
 

@@ -10,7 +10,7 @@ use simcore::sync::{Mutex, RwLock};
 use simcore::FxHashMap;
 use simcore::{CoreCtx, Phase};
 use std::fmt;
-use std::sync::MutexGuard;
+use std::sync::{MutexGuard, RwLockReadGuard};
 
 /// Sentinel `core` used on trace events initiated by a device rather
 /// than a CPU (devices are not cores; see [`obs::Event::core`]).
@@ -45,6 +45,12 @@ impl From<PtError> for IommuError {
 /// invalidation queue, and a fault log. OS-side operations take a
 /// [`CoreCtx`] and charge calibrated costs; device-side translation is free
 /// of CPU cost (devices are not CPUs) but exercises the IOTLB for real.
+///
+/// An OS-side operation on a page range takes one host hold of the page
+/// tables however many pages it covers, and still charges, counts and
+/// changes every page in order. [`Iommu::map_range`] is all or nothing: a
+/// failed map leaves no PTE behind. [`Iommu::unmap_range_nosync`] removes
+/// every mapped page of its range and reports the first missing one.
 ///
 /// # Examples
 ///
@@ -131,7 +137,7 @@ impl Iommu {
     // OS side (charged to a core)
     // ---------------------------------------------------------------
 
-    /// Maps one IOVA page to a physical frame for `dev`.
+    /// Maps one IOVA page to a physical frame for `dev`: a range of one.
     pub fn map_page(
         &self,
         ctx: &mut CoreCtx,
@@ -140,20 +146,16 @@ impl Iommu {
         pfn: Pfn,
         perms: Perms,
     ) -> Result<(), IommuError> {
-        obs::profile::scope(ctx, "pt_map", |ctx| {
-            ctx.charge(Phase::IommuPageTableMgmt, ctx.cost.pagetable_map_page);
-            self.obs.set_now_hint(ctx.now());
-            self.tables
-                .write()
-                .entry(dev)
-                .or_default()
-                .map(page, pfn, perms)?;
-            self.map_ops.inc();
-            Ok(())
-        })
+        self.map_range(ctx, dev, page, pfn, 1, perms)
     }
 
-    /// Maps `n` consecutive IOVA pages to `n` consecutive physical frames.
+    /// Maps `n` consecutive IOVA pages to `n` consecutive physical frames,
+    /// all or nothing: if page `k` is already mapped, the `k` pages
+    /// installed before it are removed again and the call fails having
+    /// changed no PTE. One hold of the page tables however many pages;
+    /// each page is still charged `pagetable_map_page` in order (and each
+    /// rolled-back one `pagetable_unmap_page`). No device can walk the
+    /// tables during the hold, so a rolled-back page was never cached.
     pub fn map_range(
         &self,
         ctx: &mut CoreCtx,
@@ -163,10 +165,30 @@ impl Iommu {
         n: u64,
         perms: Perms,
     ) -> Result<(), IommuError> {
-        for i in 0..n {
-            self.map_page(ctx, dev, page.add(i), pfn.add(i), perms)?;
+        if n == 0 {
+            return Ok(());
         }
-        Ok(())
+        obs::profile::scope(ctx, "pt_map", |ctx| {
+            let mut tables = self.tables.write();
+            let table = tables.entry(dev).or_default();
+            let mut result = Ok(());
+            for i in 0..n {
+                ctx.charge(Phase::IommuPageTableMgmt, ctx.cost.pagetable_map_page);
+                if let Err(e) = table.map(page.add(i), pfn.add(i), perms) {
+                    for j in 0..i {
+                        ctx.charge(Phase::IommuPageTableMgmt, ctx.cost.pagetable_unmap_page);
+                        let _ = table.unmap(page.add(j));
+                    }
+                    result = Err(e.into());
+                    break;
+                }
+            }
+            self.obs.set_now_hint(ctx.now());
+            if result.is_ok() {
+                self.map_ops.add(n);
+            }
+            result
+        })
     }
 
     /// Removes one IOVA page mapping **without invalidating the IOTLB**.
@@ -180,16 +202,62 @@ impl Iommu {
         dev: DeviceId,
         page: IovaPage,
     ) -> Result<PtEntry, IommuError> {
+        let mut entry = None;
+        self.unmap_run(ctx, dev, page, 1, |e| entry = Some(e))?;
+        entry.ok_or(IommuError::PageTable(PtError::NotMapped(page)))
+    }
+
+    /// Removes the mappings of `n` consecutive IOVA pages **without
+    /// invalidating the IOTLB**, under one hold of the page tables. A page
+    /// that is not mapped does not stop it: every mapped page of the range
+    /// is removed, and the first missing page is the error. Each page is
+    /// charged `pagetable_unmap_page` in order.
+    pub fn unmap_range_nosync(
+        &self,
+        ctx: &mut CoreCtx,
+        dev: DeviceId,
+        page: IovaPage,
+        n: u64,
+    ) -> Result<(), IommuError> {
+        self.unmap_run(ctx, dev, page, n, |_| {})
+    }
+
+    /// [`Iommu::unmap_range_nosync`], handing each removed entry to
+    /// `removed`.
+    fn unmap_run(
+        &self,
+        ctx: &mut CoreCtx,
+        dev: DeviceId,
+        page: IovaPage,
+        n: u64,
+        mut removed: impl FnMut(PtEntry),
+    ) -> Result<(), IommuError> {
+        if n == 0 {
+            return Ok(());
+        }
         obs::profile::scope(ctx, "pt_unmap", |ctx| {
-            ctx.charge(Phase::IommuPageTableMgmt, ctx.cost.pagetable_unmap_page);
-            self.obs.set_now_hint(ctx.now());
             let mut tables = self.tables.write();
-            let table = tables
-                .get_mut(&dev)
-                .ok_or(IommuError::PageTable(PtError::NotMapped(page)))?;
-            let entry = table.unmap(page)?;
-            self.unmap_ops.inc();
-            Ok(entry)
+            let mut table = tables.get_mut(&dev);
+            let (mut first_err, mut count) = (None, 0);
+            for i in 0..n {
+                ctx.charge(Phase::IommuPageTableMgmt, ctx.cost.pagetable_unmap_page);
+                let p = page.add(i);
+                match table
+                    .as_mut()
+                    .map_or(Err(PtError::NotMapped(p)), |t| t.unmap(p))
+                {
+                    Ok(entry) => {
+                        removed(entry);
+                        count += 1;
+                    }
+                    Err(e) => {
+                        first_err.get_or_insert(IommuError::PageTable(e));
+                    }
+                }
+            }
+            self.obs.set_now_hint(ctx.now());
+            self.unmap_ops.add(count);
+            first_err.map_or(Ok(()), Err)
         })
     }
 
@@ -206,18 +274,33 @@ impl Iommu {
             .invalidate_pages_sync(ctx, &self.iotlb, dev, pages);
     }
 
+    /// Synchronously invalidates `n` consecutive pages from `page`: one
+    /// range command under one queue-lock hold, as
+    /// [`Iommu::invalidate_pages_sync`] on the same pages.
+    pub fn invalidate_range_sync(&self, ctx: &mut CoreCtx, dev: DeviceId, page: IovaPage, n: u64) {
+        self.invalq
+            .invalidate_range_sync(ctx, &self.iotlb, dev, page, n);
+    }
+
     /// Synchronously flushes all of `dev`'s IOTLB entries with one
     /// domain-selective command (the deferred batch drain).
     pub fn flush_device_sync(&self, ctx: &mut CoreCtx, dev: DeviceId) {
         self.invalq.flush_device_sync(ctx, &self.iotlb, dev);
     }
 
-    /// Hardware-initiated invalidation of one page: models IOTLB entries
-    /// that self-destruct (Basu et al. \[10\]) — no queue interaction, no
-    /// CPU cost. Only the `Hardware` invalidation policy of `dma_api::MappedDma`
+    /// Hardware-initiated invalidation of `n` consecutive pages from
+    /// `page`, under one IOTLB hold: models IOTLB entries that
+    /// self-destruct (Basu et al. \[10\]) — no queue interaction, no CPU
+    /// cost. Only the `Hardware` invalidation policy of `dma_api::MappedDma`
     /// (the *self-inval hw* ablation engine) uses this.
-    pub fn invalidate_page_hw(&self, dev: DeviceId, page: IovaPage) {
-        self.iotlb.lock().invalidate_page(dev, page);
+    pub fn invalidate_pages_hw(&self, dev: DeviceId, page: IovaPage, n: u64) {
+        if n == 0 {
+            return;
+        }
+        let mut iotlb = self.iotlb.lock();
+        for i in 0..n {
+            iotlb.invalidate_page(dev, page.add(i));
+        }
     }
 
     // ---------------------------------------------------------------
@@ -225,14 +308,18 @@ impl Iommu {
     // ---------------------------------------------------------------
 
     /// Holds the IOTLB until the returned handle drops, for a device
-    /// burst: every translation and DMA of the burst under one hold. The
-    /// single-access methods below are bursts of one. Lock order: the
-    /// IOTLB before the memory a burst's DMAs reach (and, on a walk, the
-    /// page tables).
+    /// burst: every translation and DMA of the burst under one hold, and
+    /// every page walk under one read hold of the page tables, taken at
+    /// the burst's first IOTLB miss. The single-access methods below are
+    /// bursts of one. Lock order: the IOTLB, then the memory a burst's
+    /// DMAs reach, then the page tables.
     pub fn burst(&self) -> IommuBurst<'_> {
         IommuBurst {
             mmu: self,
             iotlb: self.iotlb.lock(),
+            tables: None,
+            hits: 0,
+            misses: 0,
         }
     }
 
@@ -344,11 +431,28 @@ impl Iommu {
 
 /// The IOMMU under one hold of its IOTLB ([`Iommu::burst`]): the device
 /// side of a burst of DMAs. Every access is still translated page by page
-/// (hit/miss counters, evictions and the fault log see each page exactly
-/// as they would one DMA at a time); only the lock is taken once.
+/// (hit/miss counts, evictions and the fault log see each page exactly
+/// as they would one DMA at a time); only the locks are taken once, and
+/// the `iotlb.hits` / `iotlb.misses` counters are added to once, when the
+/// burst ends.
 pub struct IommuBurst<'a> {
     mmu: &'a Iommu,
     iotlb: MutexGuard<'a, Iotlb>,
+    /// The page tables, read-held from the burst's first walk to its end.
+    tables: Option<RwLockReadGuard<'a, FxHashMap<DeviceId, IoPageTable>>>,
+    hits: u64,
+    misses: u64,
+}
+
+impl Drop for IommuBurst<'_> {
+    fn drop(&mut self) {
+        if self.hits > 0 {
+            self.mmu.iotlb_hits.add(self.hits);
+        }
+        if self.misses > 0 {
+            self.mmu.iotlb_misses.add(self.misses);
+        }
+    }
 }
 
 impl IommuBurst<'_> {
@@ -367,12 +471,12 @@ impl IommuBurst<'_> {
         let page = iova.page();
         let entry = match self.iotlb.lookup(dev, page) {
             Some(e) => {
-                mmu.iotlb_hits.inc();
+                self.hits += 1;
                 e
             }
             None => {
-                mmu.iotlb_misses.inc();
-                let tables = mmu.tables.read();
+                self.misses += 1;
+                let tables = self.tables.get_or_insert_with(|| mmu.tables.read());
                 match tables.get(&dev).and_then(|t| t.translate(page)) {
                     Some(e) => {
                         self.iotlb.insert(dev, page, e);
@@ -773,6 +877,76 @@ mod tests {
                 .dma_write(&mem, DEV, IovaPage(0x60 + i).base(), b"x")
                 .is_err());
         }
+    }
+
+    #[test]
+    fn map_range_is_one_hold_and_all_or_nothing() {
+        let (mmu, mem, mut ctx) = setup();
+        let pfn = mem.alloc_frames(NumaDomain(0), 17).unwrap();
+        let page = IovaPage(0x100);
+        let before = simcore::sync::holds();
+        mmu.map_range(&mut ctx, DEV, page, pfn, 17, Perms::Read)
+            .unwrap();
+        assert_eq!(simcore::sync::holds() - before, 1);
+        let charged = ctx.breakdown().get(Phase::IommuPageTableMgmt);
+        assert_eq!(charged, ctx.cost.pagetable_map_page * 17);
+
+        // Page 3 of the next range is taken: the three before it are
+        // installed, then removed again, and nothing else changes.
+        let taken = IovaPage(0x203);
+        mmu.map_page(&mut ctx, DEV, taken, pfn, Perms::Read)
+            .unwrap();
+        let err = mmu
+            .map_range(&mut ctx, DEV, IovaPage(0x200), pfn, 5, Perms::Read)
+            .unwrap_err();
+        assert_eq!(err, IommuError::PageTable(PtError::AlreadyMapped(taken)));
+        assert_eq!(mmu.mapped_pages(DEV), 18);
+        assert!((0..3).all(|i| !mmu.is_mapped(DEV, IovaPage(0x200 + i))));
+    }
+
+    #[test]
+    fn unmap_range_removes_every_mapped_page_and_reports_the_first_gap() {
+        let (mmu, mem, mut ctx) = setup();
+        let pfn = mem.alloc_frames(NumaDomain(0), 4).unwrap();
+        let page = IovaPage(0x40);
+        mmu.map_range(&mut ctx, DEV, page, pfn, 4, Perms::Read)
+            .unwrap();
+        mmu.unmap_page_nosync(&mut ctx, DEV, page.add(1)).unwrap();
+        mmu.unmap_page_nosync(&mut ctx, DEV, page.add(2)).unwrap();
+        ctx.reset_stats();
+        let before = simcore::sync::holds();
+        let err = mmu.unmap_range_nosync(&mut ctx, DEV, page, 4).unwrap_err();
+        assert_eq!(simcore::sync::holds() - before, 1);
+        assert_eq!(err, IommuError::PageTable(PtError::NotMapped(page.add(1))));
+        assert_eq!(mmu.mapped_pages(DEV), 0);
+        // Every page of the range is charged, missing or not.
+        assert_eq!(
+            ctx.breakdown().get(Phase::IommuPageTableMgmt),
+            ctx.cost.pagetable_unmap_page * 4
+        );
+    }
+
+    #[test]
+    fn a_burst_walks_under_one_table_hold_and_counts_once() {
+        let (mmu, mem, mut ctx) = setup();
+        let pfn = mem.alloc_frames(NumaDomain(0), 4).unwrap();
+        let page = IovaPage(0x60);
+        mmu.map_range(&mut ctx, DEV, page, pfn, 4, Perms::ReadWrite)
+            .unwrap();
+        let misses = mmu.obs().counter("iotlb", "misses", None);
+        let before = simcore::sync::holds();
+        // Four misses: the IOTLB, the memory and the page tables once each.
+        mmu.dma_write(&mem, DEV, page.base(), &[1; 4 * PAGE_SIZE])
+            .unwrap();
+        assert_eq!(simcore::sync::holds() - before, 3);
+        assert_eq!(misses.get(), 4);
+        // All hits: no walk, so no page-table hold.
+        let before = simcore::sync::holds();
+        mmu.dma_write(&mem, DEV, page.base(), &[2; 4 * PAGE_SIZE])
+            .unwrap();
+        assert_eq!(simcore::sync::holds() - before, 2);
+        let hits = mmu.obs().counter("iotlb", "hits", None);
+        assert_eq!((hits.get(), misses.get()), (4, 4));
     }
 
     #[test]

@@ -117,6 +117,10 @@ const CHUNK: usize = 1 << CHUNK_BITS;
 /// Set in [`Frame::dirty`] while the frame is pending-zero.
 const PENDING_ZERO: usize = 1 << (usize::BITS - 1);
 
+/// Set in [`Frame::dirty`] while the frame is free: its box stays in its
+/// frame-table slot, to be reused in place by the next allocation there.
+const FREE: usize = 1 << (usize::BITS - 2);
+
 /// One allocated frame's backing bytes plus a dirty high-water mark: the
 /// largest `offset + len` any write has touched since the bytes were last
 /// all-zero, so only that prefix ever needs zeroing (an MTU-sized skb
@@ -128,7 +132,8 @@ const PENDING_ZERO: usize = 1 << (usize::BITS - 1);
 /// compared, copied or partly written. A write from offset 0 that covers
 /// the whole prefix clears the mark without zeroing, since it overwrites
 /// every stale byte (the 16 frames of a 64 KB TX skb are never memset).
-/// The mark is `dirty`'s top bit so a frame-table slot stays 24 bytes.
+/// The pending-zero and free marks are `dirty`'s two top bits, so a
+/// frame-table slot stays 24 bytes.
 #[derive(Debug)]
 struct Frame {
     data: Box<[u8]>,
@@ -141,11 +146,6 @@ impl Frame {
             data: vec![0u8; PAGE_SIZE].into_boxed_slice(),
             dirty: 0,
         }
-    }
-
-    /// Reallocation: the frame reads as zeros from now on.
-    fn mark_pending_zero(&mut self) {
-        self.dirty |= PENDING_ZERO;
     }
 
     /// First touch of a pending-zero frame: zeroes its stale prefix and
@@ -183,55 +183,79 @@ struct FrameTable {
 }
 
 impl FrameTable {
+    /// The allocated frame at `pfn`.
     fn get(&self, pfn: u64) -> Option<&Frame> {
         self.chunks
             .get((pfn >> CHUNK_BITS) as usize)?
             .as_ref()?
             .get(pfn as usize & (CHUNK - 1))?
             .as_ref()
+            .filter(|f| f.dirty & FREE == 0)
     }
 
+    /// The allocated frame at `pfn`.
     fn get_mut(&mut self, pfn: u64) -> Option<&mut Frame> {
+        self.existing_slot(pfn)?
+            .as_mut()
+            .filter(|f| f.dirty & FREE == 0)
+    }
+
+    /// The slot for `pfn`, if its chunk exists.
+    fn existing_slot(&mut self, pfn: u64) -> Option<&mut Option<Frame>> {
         self.chunks
             .get_mut((pfn >> CHUNK_BITS) as usize)?
             .as_mut()?
-            .get_mut(pfn as usize & (CHUNK - 1))?
-            .as_mut()
+            .get_mut(pfn as usize & (CHUNK - 1))
     }
 
     fn contains(&self, pfn: u64) -> bool {
         self.get(pfn).is_some()
     }
 
-    /// Installs `frame` at `pfn`, returning the slot's previous content.
-    fn insert(&mut self, pfn: u64, frame: Frame) -> Option<Frame> {
+    /// The slot for `pfn`, its chunk created on demand.
+    fn slot(&mut self, pfn: u64) -> &mut Option<Frame> {
         let ci = (pfn >> CHUNK_BITS) as usize;
         if ci >= self.chunks.len() {
             self.chunks.resize_with(ci + 1, || None);
         }
         let chunk = self.chunks[ci].get_or_insert_with(|| (0..CHUNK).map(|_| None).collect());
-        chunk[pfn as usize & (CHUNK - 1)].replace(frame)
+        &mut chunk[pfn as usize & (CHUNK - 1)]
     }
 
-    fn remove(&mut self, pfn: u64) -> Option<Frame> {
-        self.chunks
-            .get_mut((pfn >> CHUNK_BITS) as usize)?
-            .as_mut()?
-            .get_mut(pfn as usize & (CHUNK - 1))?
-            .take()
+    /// Allocates the frame at `pfn`: the box a freed frame left in the
+    /// slot, now pending-zero, or a fresh zeroed one. Moves no box.
+    fn alloc(&mut self, pfn: u64) {
+        match self.slot(pfn) {
+            Some(frame) => {
+                debug_assert!(frame.dirty & FREE != 0, "frame double-allocated");
+                frame.dirty = (frame.dirty & !FREE) | PENDING_ZERO;
+            }
+            empty => *empty = Some(Frame::zeroed()),
+        }
+    }
+
+    /// Frees the allocated frame at `pfn`, leaving its box in the slot.
+    fn free(&mut self, pfn: u64) {
+        if let Some(frame) = self.get_mut(pfn) {
+            frame.dirty |= FREE;
+        }
+    }
+
+    /// Lifts the allocated frame at `pfn` out of its slot (a pointer move),
+    /// to be put back with [`FrameTable::put`].
+    fn lift(&mut self, pfn: u64) -> Option<Frame> {
+        self.existing_slot(pfn)?.take_if(|f| f.dirty & FREE == 0)
+    }
+
+    fn put(&mut self, pfn: u64, frame: Frame) {
+        *self.slot(pfn) = Some(frame);
     }
 }
-
-/// Freed frame boxes kept for reuse (bounded at 1 MB of backing store);
-/// reused frames are pending-zero, preserving "frames start zeroed".
-const RECYCLE_CAP: usize = 256;
 
 /// All mutable state, behind [`PhysMemory`]'s one lock.
 #[derive(Debug)]
 struct Inner {
     frames: FrameTable,
-    /// Freed frames awaiting reuse (contents stale until first touch).
-    recycled: Vec<Frame>,
     domains: Vec<DomainAllocator>,
     stats: MemStats,
 }
@@ -318,7 +342,6 @@ impl PhysMemory {
         PhysMemory {
             inner: Mutex::new(Inner {
                 frames: FrameTable::default(),
-                recycled: Vec::new(),
                 domains,
                 stats: MemStats::default(),
             }),
@@ -357,16 +380,8 @@ impl PhysMemory {
             .unwrap_or_else(|| panic!("no such domain {domain}"))
             .alloc(n)
             .ok_or(MemError::OutOfMemory { domain, frames: n })?;
-        for i in 0..n {
-            let frame = match inner.recycled.pop() {
-                Some(mut f) => {
-                    f.mark_pending_zero();
-                    f
-                }
-                None => Frame::zeroed(),
-            };
-            let prev = inner.frames.insert(pfn.0 + i, frame);
-            debug_assert!(prev.is_none(), "frame double-allocated");
+        for p in pfn.0..pfn.0 + n {
+            inner.frames.alloc(p);
         }
         inner.stats.allocs += 1;
         inner.stats.allocated_frames += n;
@@ -392,10 +407,7 @@ impl PhysMemory {
             return Err(MemError::BadFree(Pfn(bad)));
         }
         for p in run {
-            let frame = inner.frames.remove(p);
-            if inner.recycled.len() < RECYCLE_CAP {
-                inner.recycled.extend(frame);
-            }
+            inner.frames.free(p);
         }
         inner.domains[domain.index()].free(pfn, n);
         inner.stats.frees += 1;
@@ -541,13 +553,13 @@ impl MemLocked<'_> {
                 // pointer move) so both can be borrowed, then put it back.
                 let mut df = inner
                     .frames
-                    .remove(d_pfn.0)
+                    .lift(d_pfn.0)
                     .ok_or(MemError::Unallocated(d_pfn))?;
                 df.open(di, take, &mut inner.stats.zeroed_bytes);
                 if let Some(sf) = inner.frames.get(s_pfn.0) {
                     df.data[di..di + take].copy_from_slice(&sf.data[si..si + take]);
                 }
-                inner.frames.insert(d_pfn.0, df);
+                inner.frames.put(d_pfn.0, df);
             }
             inner.stats.copied_bytes += take as u64;
             off += take;

@@ -470,6 +470,49 @@ mod tests {
     }
 
     #[test]
+    fn a_warm_tx_buffer_takes_host_lock_holds_that_do_not_grow_with_its_size() {
+        // Host lock holds per warm `tx_one` of 1 500 B, 16 KB and 64 KB,
+        // with every trace chain sampled out. Every DMA-API call is one
+        // hold of each structure it touches however many pages it maps:
+        // one page-table hold per map and per unmap, one refcount-map hold,
+        // one invalidation. The +1 from 16 KB up is kmalloc's page-run
+        // allocation and free. Identity- grows anyway: it defers page by
+        // page, each page one pending entry and one acquisition of the
+        // simulated list lock, a model-checker preemption point that no
+        // host lock may span.
+        let pinned = [
+            (EngineKind::NoIommu, [7, 8, 8]),
+            (EngineKind::Copy, [12, 13, 13]),
+            (EngineKind::IdentityMinus, [13, 17, 29]),
+            (EngineKind::IdentityPlus, [14, 15, 15]),
+            (EngineKind::EiovarDefer, [14, 15, 15]),
+            (EngineKind::EiovarStrict, [14, 15, 15]),
+            (EngineKind::LinuxDefer, [13, 14, 14]),
+            (EngineKind::LinuxStrict, [14, 15, 15]),
+        ];
+        assert_eq!(pinned.map(|(kind, _)| kind), EngineKind::ALL);
+        for (kind, holds) in pinned {
+            let cfg = ExpConfig {
+                trace_sample: u64::MAX,
+                ..ExpConfig::quick()
+            };
+            let stack = SimStack::new(kind, &cfg);
+            let drv = CoreDriver::new(CoreId(0));
+            let mut c = ctx(&stack, 0);
+            let got = [1500, 16 * 1024, 64 * 1024].map(|len| {
+                let payload = vec![5u8; len];
+                for _ in 0..8 {
+                    drv.tx_one(&stack, &mut c, &payload, true);
+                }
+                let before = simcore::sync::holds();
+                drv.tx_one(&stack, &mut c, &payload, true);
+                simcore::sync::holds() - before
+            });
+            assert_eq!(got, holds, "{kind}: holds per 1.5/16/64 KB TX buffer");
+        }
+    }
+
+    #[test]
     fn rings_are_device_visible_even_under_protection() {
         // The descriptor fetch itself is a DMA: under a protected engine it
         // goes through the IOMMU via the coherent mapping.

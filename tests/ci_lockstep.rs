@@ -1,7 +1,7 @@
 //! `ci.sh` calls itself the local mirror of `.github/workflows/ci.yml`, and
 //! every PR that touched one had to touch the other by hand. This holds
-//! them together: the `cargo …` command lines of the script, in order, are
-//! exactly those of the workflow's `run:` steps.
+//! them together: the `cargo …` and `sh -n …` command lines of the script,
+//! in order, are exactly those of the workflow's `run:` steps.
 
 const CI_SH: &str = include_str!("../ci.sh");
 const CI_YML: &str = include_str!("../.github/workflows/ci.yml");
@@ -50,10 +50,12 @@ fn workflow_commands(text: &str) -> Vec<String> {
     commands
 }
 
-/// The cargo commands, with or without leading `VAR=value` assignments.
+/// The cargo commands, with or without leading `VAR=value` assignments,
+/// and the `sh -n` syntax checks of the scripts.
 fn cargo_only(mut commands: Vec<String>) -> Vec<String> {
     commands.retain(|c| {
         c.starts_with("cargo ")
+            || c.starts_with("sh -n ")
             || c.split_once(" cargo ").is_some_and(|(env, _)| {
                 env.contains('=') && env.starts_with(|ch: char| ch.is_ascii_uppercase())
             })
