@@ -53,7 +53,7 @@ cargo run -q --release --bin report
 # (16/64/128/256 virtual cores, global vs per-core allocation state);
 # writes the curve artifacts to target/scaling_curves.{csv,jsonl} and
 # fails if percore strict / identity+ degrade from 64 to 256 cores or fall
-# more than 2x behind copy at 64 (ROADMAP item 4's target); if percore
+# more than 2x behind copy at 64 (strict protection that scales); if percore
 # defer / eiovar- degrade from 64 to 256, leave copy's curve by more than
 # 5 % at any core count, or need more than 25 % CPU or 0.5 us spin/packet
 # at 256; if percore eiovar+ differs from percore strict by more than 1 %;

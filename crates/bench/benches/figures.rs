@@ -10,7 +10,7 @@
 use bench::Work::{Kv, Rr, Rx, Tx};
 use bench::{Evidence, Verdict, Work, MSG_SIZES, TARGETS};
 use dma_api::{CoherentBuffer, DmaBuf, DmaDirection, DmaEngine, DmaError, DmaMapping};
-use dma_api::{DeferPolicy, DeferredFlusher, FlushScope, InvalPolicy, IovaPolicy, MappedDma};
+use dma_api::{DeferredFlusher, FlushScope, InvalPolicy, IovaPolicy, MappedDma};
 use iommu::{DeviceId, Iommu, Perms};
 use memsim::{NumaDomain, NumaTopology, PhysMemory, PAGE_SIZE};
 use netsim::{format_breakdown_us, format_table, EngineKind, ExpConfig, ExpResult, SimStack};
@@ -353,8 +353,8 @@ fn batching(e: &mut Evidence) {
     for (i, (name, scope)) in scopes.into_iter().enumerate() {
         let mem = Arc::new(PhysMemory::new(NumaTopology::dual_socket_haswell()));
         let mmu = Arc::new(Iommu::new());
-        let (policy, obs) = (DeferPolicy::linux_default(), mmu.obs().clone());
-        let flush = InvalPolicy::Deferred(DeferredFlusher::with_obs(policy, scope, 16, obs));
+        let obs = mmu.obs().clone();
+        let flush = InvalPolicy::Deferred(DeferredFlusher::with_obs(scope, 16, obs));
         let (dev, identity) = (DeviceId(0), IovaPolicy::identity());
         let engine = MappedDma::new("identity-", mem.clone(), mmu.clone(), dev, identity, flush);
         let sim = storm(&mem, &[&engine as &dyn DmaEngine; 16], OPS);

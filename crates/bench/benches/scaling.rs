@@ -209,9 +209,9 @@ fn main() {
 
 /// What the sweep must keep showing, as failing checks.
 ///
-/// - ROADMAP item 4's target: with the queue lock shed, the percore strict
-///   engines keep scaling from 64 to 256 cores and stay within 2x of
-///   *copy* at 64.
+/// - Strict protection that scales: with the queue lock shed, the percore
+///   strict engines keep scaling from 64 to 256 cores and stay within 2x
+///   of *copy* at 64.
 /// - ROADMAP item 2(c): with per-core pending lists and an IOVA cache that
 ///   takes a batch home, percore *defer* / *eiovar−* keep scaling too,
 ///   follow *copy* (the wire) at every core count, and do it on an idle

@@ -81,26 +81,15 @@ impl ShadowDma {
     /// registry.
     pub fn new(mem: Arc<PhysMemory>, mmu: Arc<Iommu>, dev: DeviceId, cfg: PoolConfig) -> Self {
         let obs = mmu.obs().clone();
-        Self::with_obs(mem, mmu, dev, cfg, obs)
-    }
-
-    /// Creates the engine reporting into `obs`.
-    pub fn with_obs(
-        mem: Arc<PhysMemory>,
-        mmu: Arc<Iommu>,
-        dev: DeviceId,
-        cfg: PoolConfig,
-        obs: obs::Obs,
-    ) -> Self {
         let pool = Arc::new(ShadowPool::with_obs(
             mem.clone(),
             mmu.clone(),
             dev,
             cfg,
-            obs.clone(),
+            obs,
         ));
         ShadowDma {
-            huge: HugeMapper::with_obs(mem.clone(), mmu.clone(), dev, obs),
+            huge: HugeMapper::new(mem.clone(), mmu.clone(), dev),
             coherent: CoherentHelper::new(mem.clone(), mmu, dev),
             zc_iova: GlobalTreeIovaAllocator::new(),
             pool,

@@ -9,8 +9,8 @@
 
 use crate::{MagazineConfig, PoolConfig, ShadowDma};
 use dma_api::{
-    Bus, DeferPolicy, DeferredFlusher, DmaEngine, FlushScope, GlobalTreeIovaAllocator, InvalPolicy,
-    IovaPolicy, MappedDma, NoIommu, PerCoreIovaAllocator,
+    Bus, DeferredFlusher, DmaEngine, FlushScope, GlobalTreeIovaAllocator, InvalPolicy, IovaPolicy,
+    MappedDma, NoIommu, PerCoreIovaAllocator,
 };
 use iommu::{DeviceId, Iommu};
 use memsim::PhysMemory;
@@ -143,14 +143,8 @@ pub fn build_engine(
     };
     let stock_tree = GlobalTreeIovaAllocator::with_obs;
     let cached_tree = GlobalTreeIovaAllocator::cached_with_obs;
-    let deferred = |scope| {
-        InvalPolicy::Deferred(DeferredFlusher::with_obs(
-            DeferPolicy::linux_default(),
-            scope,
-            cores,
-            obs.clone(),
-        ))
-    };
+    let deferred =
+        |scope| InvalPolicy::Deferred(DeferredFlusher::with_obs(scope, cores, obs.clone()));
     let list_scope = if percore {
         FlushScope::PerCore
     } else {
@@ -193,7 +187,7 @@ pub fn engine_bus(kind: EngineKind, mem: Arc<PhysMemory>, mmu: Arc<Iommu>) -> Bu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dma_api::{Bus, DmaBuf, DmaDirection, DmaError, DmaMapping};
+    use dma_api::{Bus, DmaBuf, DmaDirection, DmaError, DmaMapping, DEFER_BATCH};
     use iommu::{IommuError, IovaPage, Perms, PtError};
     use memsim::{NumaDomain, NumaTopology, Pfn};
     use obs::EventKind;
@@ -386,7 +380,7 @@ mod tests {
             (EngineKind::SelfInvalHw, (None, NoList), (None, NoList)),
         ];
         assert_eq!(table.map(|row| row.0), ROWS.map(|row| row.kind));
-        let batch = DeferPolicy::linux_default().batch;
+        let batch = DEFER_BATCH;
         for (kind, global, sharded) in table {
             for (percore, expected) in [(false, global), (true, sharded)] {
                 let queues = if percore { 2 } else { 1 };
@@ -421,7 +415,7 @@ mod tests {
         // the list it was deferred on. And the per-core lists must really
         // be lock-free: the global list's lock is never taken.
         const CORES: usize = 4;
-        let batch = DeferPolicy::linux_default().batch;
+        let batch = DEFER_BATCH;
         for kind in [EngineKind::LinuxDefer, EngineKind::EiovarDefer] {
             let obs = Obs::isolated();
             // A hook makes every lock site record its `LockAcquire`.

@@ -17,7 +17,7 @@
 use dma_api::{DmaBuf, DmaError, GlobalTreeIovaAllocator, IovaAllocator};
 use iommu::{DeviceId, Iommu, Iova, IovaPage, Perms};
 use memsim::{Pfn, PhysAddr, PhysMemory, PAGE_SIZE};
-use obs::{Counter, Obs};
+use obs::Counter;
 use simcore::sync::Mutex;
 use simcore::FxHashMap;
 use simcore::{CoreCtx, Phase};
@@ -66,14 +66,10 @@ pub struct HugeMapper {
 }
 
 impl HugeMapper {
-    /// Creates a mapper for `dev` sharing the IOMMU's telemetry handle.
+    /// Creates a mapper for `dev` sharing the IOMMU's telemetry handle
+    /// (metric keys `huge.*{dev}`).
     pub fn new(mem: Arc<PhysMemory>, mmu: Arc<Iommu>, dev: DeviceId) -> Self {
         let obs = mmu.obs().clone();
-        Self::with_obs(mem, mmu, dev, obs)
-    }
-
-    /// Creates a mapper reporting into `obs` (metric keys `huge.*{dev}`).
-    pub fn with_obs(mem: Arc<PhysMemory>, mmu: Arc<Iommu>, dev: DeviceId, obs: Obs) -> Self {
         let d = Some(dev.0);
         HugeMapper {
             mem,
@@ -255,16 +251,14 @@ impl HugeMapper {
         entry: &HugeEntry,
         mapped: u64,
     ) -> Result<(), DmaError> {
-        let unmapped = self
+        let revoked = self
             .mmu
-            .unmap_range_nosync(ctx, self.dev, entry.first_page, mapped);
-        self.mmu
-            .invalidate_range_sync(ctx, self.dev, entry.first_page, mapped);
+            .revoke_range_sync(ctx, self.dev, entry.first_page, mapped);
         for f in [entry.head_frame, entry.tail_frame].into_iter().flatten() {
             self.mem.free_frames(f, 1)?;
         }
         iova_alloc.free(ctx, entry.first_page, entry.n_pages);
-        Ok(unmapped?)
+        Ok(revoked?)
     }
 }
 

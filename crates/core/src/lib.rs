@@ -48,7 +48,7 @@ pub use engines::{build_engine, engine_bus, EngineKind};
 pub use freelist::FreeList;
 pub use huge::{HugeMapper, HugeStats};
 pub use pool::{
-    MagazineConfig, PoolConfig, PoolStats, ShadowPool, POOL_CACHE_LOCK, POOL_FALLBACK_LOCK,
-    POOL_MAGAZINE_LOCK,
+    MagazineConfig, PoolConfig, PoolStats, ShadowPool, MAX_BUFFERS_PER_CLASS, POOL_CACHE_LOCK,
+    POOL_FALLBACK_LOCK, POOL_MAGAZINE_LOCK,
 };
 pub(crate) use slot::MetadataArray;

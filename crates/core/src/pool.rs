@@ -3,7 +3,7 @@
 // lint: allow(panic) — slot bookkeeping invariants are bugs if violated, not runtime errors
 
 use crate::{FreeList, IovaCodec, MetadataArray};
-use dma_api::{DmaBuf, DmaError};
+use dma_api::{DmaBuf, DmaError, IOVA_ALLOC_END_PAGE};
 use iommu::{DeviceId, Iommu, Iova, IovaPage, Perms};
 use memsim::{PhysAddr, PhysMemory, PAGE_SIZE};
 use obs::{Counter, EventKind, Gauge, Obs};
@@ -13,28 +13,20 @@ use simcore::{CoreCtx, CoreId, Phase};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-/// Pool configuration.
-#[derive(Debug, Clone)]
+/// Practical bound on metadata slots per (NUMA domain, class): the
+/// paper's 16 K ("a more practical bound", §6 *Memory consumption*).
+/// Beyond it the fallback path takes over.
+pub const MAX_BUFFERS_PER_CLASS: u64 = 16 * 1024;
+
+/// Pool configuration; the default is the paper's codec without
+/// magazines.
+#[derive(Debug, Clone, Default)]
 pub struct PoolConfig {
     /// The IOVA encoding (field widths and size classes).
     pub codec: IovaCodec,
-    /// Practical bound on metadata slots per (NUMA domain, class) —
-    /// the paper uses 16 K ("a more practical bound", §6 *Memory
-    /// consumption*). Beyond it the fallback path takes over.
-    pub max_buffers_per_class: u64,
     /// Opt-in per-core slot magazines in front of the free lists
     /// (`None` keeps the original depot-only behavior, bit for bit).
     pub magazines: Option<MagazineConfig>,
-}
-
-impl Default for PoolConfig {
-    fn default() -> Self {
-        PoolConfig {
-            codec: IovaCodec::paper_default(),
-            max_buffers_per_class: 16 * 1024,
-            magazines: None,
-        }
-    }
 }
 
 /// Per-core slot-magazine configuration (slab-magazine / iova-rcache
@@ -115,9 +107,11 @@ struct FallbackEntry {
     size: usize,
 }
 
-/// First IOVA page of the fallback region: the upper quarter of the
-/// MSB-clear half, disjoint from the `dma-api` allocators' range.
-const FALLBACK_PAGE_BASE: u64 = 1 << 34;
+/// First IOVA page of the fallback region: where the `dma-api`
+/// allocators' range ends, so the two are disjoint by construction.
+const FALLBACK_PAGE_BASE: u64 = IOVA_ALLOC_END_PAGE;
+/// End of the fallback region: the MSB-clear half of the IOVA space.
+const FALLBACK_PAGE_END: u64 = 1 << 35;
 
 /// Lock-site name of the sub-page fragment caches.
 pub const POOL_CACHE_LOCK: &str = "pool-cache";
@@ -225,7 +219,10 @@ impl FallbackIovaSpace {
         }
         let start = self.next;
         self.next += n;
-        assert!(self.next < 1 << 35, "fallback IOVA region exhausted");
+        assert!(
+            self.next < FALLBACK_PAGE_END,
+            "fallback IOVA region exhausted"
+        );
         IovaPage(start)
     }
 
@@ -248,6 +245,20 @@ impl ShadowPool {
         cfg: PoolConfig,
         obs: Obs,
     ) -> Self {
+        Self::bounded(mem, mmu, dev, cfg, obs, MAX_BUFFERS_PER_CLASS)
+    }
+
+    /// [`ShadowPool::with_obs`] with `max_per_class` metadata slots per
+    /// (NUMA domain, class) in place of [`MAX_BUFFERS_PER_CLASS`]; tests
+    /// use a tiny bound to reach the fallback path.
+    fn bounded(
+        mem: Arc<PhysMemory>,
+        mmu: Arc<Iommu>,
+        dev: DeviceId,
+        cfg: PoolConfig,
+        obs: Obs,
+        max_per_class: u64,
+    ) -> Self {
         let topo = mem.topology().clone();
         let cores = topo.cores();
         assert!(
@@ -255,7 +266,7 @@ impl ShadowPool {
             "topology has more cores than the IOVA encoding can name"
         );
         let nclasses = cfg.codec.class_sizes().len();
-        let cap_per = |class: usize| cfg.max_buffers_per_class.min(cfg.codec.max_index(class));
+        let cap_per = |class: usize| max_per_class.min(cfg.codec.max_index(class));
         let arrays = (0..topo.domains() as usize * nclasses)
             .map(|i| MetadataArray::new(cap_per(i % nclasses)))
             .collect();
@@ -716,15 +727,13 @@ impl ShadowPool {
                 // Fallback buffers are transient: strictly unmap,
                 // invalidate, and free.
                 let first = iova.page();
-                let unmapped = self
+                let revoked = self
                     .mmu
-                    .unmap_range_nosync(ctx, self.dev, first, entry.pages);
-                self.mmu
-                    .invalidate_range_sync(ctx, self.dev, first, entry.pages);
+                    .revoke_range_sync(ctx, self.dev, first, entry.pages);
                 self.mem.free_frames(entry.shadow_pa.pfn(), entry.pages)?;
                 self.fallback_pages.lock().free(first, entry.pages);
                 self.sub_shadow_bytes(entry.size as u64);
-                unmapped?;
+                revoked?;
             }
         }
         self.releases.inc();
@@ -846,6 +855,7 @@ impl ShadowPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dma_api::{GlobalTreeIovaAllocator, IovaAllocator};
     use iommu::{IommuError, PtError};
     use memsim::{NumaDomain, NumaTopology};
     use simcore::CostModel;
@@ -859,9 +869,15 @@ mod tests {
     }
 
     fn rig_with(cfg: PoolConfig, topo: NumaTopology) -> Rig {
+        rig_bounded(cfg, topo, MAX_BUFFERS_PER_CLASS)
+    }
+
+    /// A rig whose pool holds at most `bound` slots per (domain, class).
+    fn rig_bounded(cfg: PoolConfig, topo: NumaTopology, bound: u64) -> Rig {
         let mem = Arc::new(PhysMemory::new(topo));
         let mmu = Arc::new(Iommu::new());
-        let pool = ShadowPool::new(mem.clone(), mmu.clone(), DEV, cfg);
+        let obs = Obs::isolated();
+        let pool = ShadowPool::bounded(mem.clone(), mmu.clone(), DEV, cfg, obs, bound);
         Rig { mem, mmu, pool }
     }
 
@@ -999,10 +1015,9 @@ mod tests {
     fn subpage_class_splits_page_and_caches_fragments() {
         let cfg = PoolConfig {
             codec: IovaCodec::new(6, 2, vec![1024, 4096, 65536]),
-            max_buffers_per_class: 1024,
             magazines: None,
         };
-        let r = rig_with(cfg, NumaTopology::new(4, 2, 4096));
+        let r = rig_bounded(cfg, NumaTopology::new(4, 2, 4096), 1024);
         let mut c = ctx(0);
         let buf = os_buf(&r, 800);
         let frames_before = r.mem.stats().allocated_frames;
@@ -1114,18 +1129,37 @@ mod tests {
     }
 
     #[test]
+    fn fallback_region_is_disjoint_from_the_iova_allocators_range() {
+        // On one copy device the engine's tree (huge middles, coherent
+        // rings) and this pool's fallback table both place mappings.
+        // Drained to its last page, the tree stops below the fallback
+        // region, where the pool's first fallback mapping lands.
+        let tree = GlobalTreeIovaAllocator::new();
+        let mut c = ctx(0);
+        let first = tree.alloc(&mut c, 1).unwrap().get();
+        let rest = FALLBACK_PAGE_BASE - first - 1;
+        assert_eq!(
+            tree.alloc(&mut c, rest).unwrap().get() + rest,
+            FALLBACK_PAGE_BASE
+        );
+        assert_eq!(tree.alloc(&mut c, 1), Err(DmaError::IovaExhausted));
+        let r = rig();
+        let iova = r
+            .pool
+            .acquire_shadow(&mut c, os_buf(&r, 100_000), Perms::Read)
+            .unwrap();
+        assert_eq!(iova.page(), IovaPage(FALLBACK_PAGE_BASE));
+        r.pool.release_shadow(&mut c, iova).unwrap();
+    }
+
+    #[test]
     fn a_failed_fallback_frees_its_frames_and_iova_pages() {
         failed_map_frees_what_it_allocated(100_000, |_| IovaPage(FALLBACK_PAGE_BASE).base(), 5);
     }
 
     #[test]
     fn metadata_exhaustion_falls_back() {
-        let cfg = PoolConfig {
-            codec: IovaCodec::paper_default(),
-            max_buffers_per_class: 2,
-            magazines: None,
-        };
-        let r = rig_with(cfg, NumaTopology::new(2, 1, 4096));
+        let r = rig_bounded(PoolConfig::default(), NumaTopology::new(2, 1, 4096), 2);
         let mut c = ctx(0);
         let buf = os_buf(&r, 1000);
         let mut iovas = Vec::new();
@@ -1322,15 +1356,7 @@ mod tests {
         // Empty depot: the batched refill finds nothing and the grow path
         // runs; once metadata is exhausted the fallback table serves the
         // request — exactly as without magazines.
-        let cfg = PoolConfig {
-            codec: IovaCodec::paper_default(),
-            max_buffers_per_class: 2,
-            magazines: Some(MagazineConfig {
-                capacity: 8,
-                refill: 4,
-            }),
-        };
-        let r = rig_with(cfg, NumaTopology::new(2, 1, 4096));
+        let r = rig_bounded(mag_cfg(8, 4), NumaTopology::new(2, 1, 4096), 2);
         let mut c = ctx(0);
         let buf = os_buf(&r, 1000);
         let mut iovas = Vec::new();

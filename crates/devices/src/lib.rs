@@ -20,5 +20,5 @@ mod nic;
 mod ssd;
 
 pub use malicious::{MaliciousDevice, ScanReport};
-pub use nic::{Nic, NicConfig, NicError, RxCompletion, TxCompletion, DESC_BYTES, MTU};
+pub use nic::{Nic, NicError, RxCompletion, TxCompletion, DESC_BYTES, MTU, RING_ENTRIES, TSO_MAX};
 pub use ssd::{Ssd, SsdError, SSD_BLOCK, SSD_READ_IOPS, SSD_WRITE_IOPS};

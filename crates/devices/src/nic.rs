@@ -19,23 +19,11 @@ pub const DESC_BYTES: usize = 16;
 const STATUS_READY: u32 = 1;
 const STATUS_DONE: u32 = 2;
 
-/// NIC configuration.
-#[derive(Debug, Clone)]
-pub struct NicConfig {
-    /// Maximum TSO buffer the driver may hand the NIC (64 KB, §6).
-    pub tso_max: usize,
-    /// Entries per descriptor ring.
-    pub ring_entries: usize,
-}
+/// Maximum TSO buffer the driver may hand the NIC (64 KB, §6).
+pub const TSO_MAX: usize = 64 * 1024;
 
-impl Default for NicConfig {
-    fn default() -> Self {
-        NicConfig {
-            tso_max: 64 * 1024,
-            ring_entries: 256,
-        }
-    }
-}
+/// Entries per descriptor ring.
+pub const RING_ENTRIES: usize = 256;
 
 /// NIC errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -100,7 +88,6 @@ pub struct TxCompletion {
 struct Ring {
     /// Device-visible address of the descriptor array.
     iova: u64,
-    entries: usize,
     /// Next slot the device will consume.
     next: usize,
 }
@@ -115,18 +102,16 @@ struct Ring {
 pub struct Nic {
     dev: DeviceId,
     bus: Bus,
-    cfg: NicConfig,
     rx: Vec<RefCell<Ring>>,
     tx: Vec<RefCell<Ring>>,
 }
 
 impl Nic {
     /// Creates a NIC on `bus` with requester id `dev`.
-    pub fn new(dev: DeviceId, bus: Bus, cfg: NicConfig) -> Self {
+    pub fn new(dev: DeviceId, bus: Bus) -> Self {
         Nic {
             dev,
             bus,
-            cfg,
             rx: Vec::new(),
             tx: Vec::new(),
         }
@@ -137,21 +122,15 @@ impl Nic {
         self.dev
     }
 
-    /// The NIC's configuration.
-    pub fn config(&self) -> &NicConfig {
-        &self.cfg
-    }
-
     /// Attaches an RX descriptor ring (a coherent buffer the driver
     /// allocated); returns the ring id.
     pub fn attach_rx_ring(&mut self, ring: &CoherentBuffer) -> usize {
         assert!(
-            ring.size() >= self.cfg.ring_entries * DESC_BYTES,
+            ring.size() >= RING_ENTRIES * DESC_BYTES,
             "ring buffer too small"
         );
         self.rx.push(RefCell::new(Ring {
             iova: ring.iova.get(),
-            entries: self.cfg.ring_entries,
             next: 0,
         }));
         self.rx.len() - 1
@@ -160,12 +139,11 @@ impl Nic {
     /// Attaches a TX descriptor ring; returns the ring id.
     pub fn attach_tx_ring(&mut self, ring: &CoherentBuffer) -> usize {
         assert!(
-            ring.size() >= self.cfg.ring_entries * DESC_BYTES,
+            ring.size() >= RING_ENTRIES * DESC_BYTES,
             "ring buffer too small"
         );
         self.tx.push(RefCell::new(Ring {
             iova: ring.iova.get(),
-            entries: self.cfg.ring_entries,
             next: 0,
         }));
         self.tx.len() - 1
@@ -250,7 +228,7 @@ impl Nic {
             self.write_back(bus, &ring, slot, n as u32)?;
             Ok(n)
         })?;
-        ring.next = (slot + 1) % ring.entries;
+        ring.next = (slot + 1) % RING_ENTRIES;
         Ok(RxCompletion { slot, len: n })
     }
 
@@ -299,7 +277,7 @@ impl Nic {
         let gathered = self.bus.burst(|bus| {
             let mut gathered = 0usize;
             for k in 0..n {
-                let slot = (first_slot + k) % ring.entries;
+                let slot = (first_slot + k) % RING_ENTRIES;
                 let (addr, len, status) = self.fetch_descriptor(bus, &ring, slot)?;
                 if status != STATUS_READY {
                     return Err(NicError::NoDescriptor {
@@ -308,7 +286,7 @@ impl Nic {
                     });
                 }
                 let end = gathered + len as usize;
-                if end > self.cfg.tso_max {
+                if end > TSO_MAX {
                     return Err(NicError::OversizedTx(end));
                 }
                 bus.read_with(self.dev, addr, len as usize, |off, bytes| {
@@ -319,7 +297,7 @@ impl Nic {
             }
             Ok(gathered)
         })?;
-        ring.next = (first_slot + n) % ring.entries;
+        ring.next = (first_slot + n) % RING_ENTRIES;
         let frames = gathered.div_ceil(MTU).max(1);
         Ok(TxCompletion {
             slot: first_slot,
@@ -369,7 +347,7 @@ mod tests {
         let eng = NoIommu::new(mem.clone(), DEV);
         let mut ctx = CoreCtx::new(CoreId(0), Arc::new(CostModel::zero()));
         let ring = eng.alloc_coherent(&mut ctx, 256 * DESC_BYTES).unwrap();
-        let nic = Nic::new(DEV, Bus::Direct(mem.clone()), NicConfig::default());
+        let nic = Nic::new(DEV, Bus::Direct(mem.clone()));
         Rig {
             mem,
             eng,
@@ -576,7 +554,7 @@ mod tests {
                 Some(observer) => bus.observed(observer),
                 None => bus,
             };
-            let mut nic = Nic::new(DEV, bus.clone(), NicConfig::default());
+            let mut nic = Nic::new(DEV, bus.clone());
             let ring_id = nic.attach_tx_ring(&ring);
             assert_eq!(nic.attach_rx_ring(&ring), ring_id);
             let buf = mem.alloc_frames(NumaDomain(0), 2).unwrap();
@@ -616,7 +594,8 @@ mod tests {
             self.mmu
                 .unmap_page_nosync(&mut self.ctx, DEV, second)
                 .unwrap();
-            self.mmu.invalidate_page_sync(&mut self.ctx, DEV, second);
+            self.mmu
+                .invalidate_range_sync(&mut self.ctx, DEV, second, 1);
         }
 
         /// A checker that knows the ring (as a coherent buffer) and

@@ -73,10 +73,9 @@ impl CoherentHelper {
         unplace: impl FnOnce(&mut CoreCtx, IovaPage, u64),
     ) -> Result<(), DmaError> {
         let (first, n) = (buf.iova.page(), buf.pages());
-        let unmapped = self.mmu.unmap_range_nosync(ctx, self.dev, first, n);
-        self.mmu.invalidate_range_sync(ctx, self.dev, first, n);
+        let revoked = self.mmu.revoke_range_sync(ctx, self.dev, first, n);
         self.mem.free_frames(buf.pa.pfn(), n)?;
         unplace(ctx, first, n);
-        unmapped.map_err(DmaError::from)
+        revoked.map_err(DmaError::from)
     }
 }

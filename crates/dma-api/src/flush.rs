@@ -31,24 +31,12 @@ pub enum FlushScope {
     PerCore,
 }
 
-/// When to drain the pending list.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DeferPolicy {
-    /// Drain after this many pending unmaps (Linux: 250).
-    pub batch: usize,
-    /// Drain when the oldest pending unmap is this old (Linux: 10 ms).
-    pub timeout: Cycles,
-}
+/// Drain a pending list once it holds this many unmaps (Linux: 250).
+pub const DEFER_BATCH: usize = 250;
 
-impl DeferPolicy {
-    /// The Linux defaults: 250 unmaps or 10 ms at 2.4 GHz.
-    pub fn linux_default() -> Self {
-        DeferPolicy {
-            batch: 250,
-            timeout: Cycles(24_000_000), // 10 ms at 2.4 GHz
-        }
-    }
-}
+/// Drain a pending list once its oldest unmap is this old (Linux: 10 ms,
+/// at 2.4 GHz).
+pub const DEFER_TIMEOUT: Cycles = Cycles(24_000_000);
 
 #[derive(Debug, Default)]
 struct PendingList {
@@ -63,7 +51,6 @@ struct PendingList {
 /// global lock, and the vulnerability-window bookkeeping.
 #[derive(Debug)]
 pub struct DeferredFlusher {
-    policy: DeferPolicy,
     scope: FlushScope,
     global_lock: SimLock,
     lists: Vec<Mutex<PendingList>>,
@@ -81,18 +68,17 @@ pub const FLUSH_LOCK: &str = "deferred-flush-list";
 impl DeferredFlusher {
     /// Creates a flusher; `cores` sizes the per-core lists (ignored for
     /// [`FlushScope::Global`], which uses a single list).
-    pub fn new(policy: DeferPolicy, scope: FlushScope, cores: usize) -> Self {
-        Self::with_obs(policy, scope, cores, Obs::isolated())
+    pub fn new(scope: FlushScope, cores: usize) -> Self {
+        Self::with_obs(scope, cores, Obs::isolated())
     }
 
     /// Creates a flusher reporting into `obs` (`flush.*` metrics).
-    pub fn with_obs(policy: DeferPolicy, scope: FlushScope, cores: usize, obs: Obs) -> Self {
+    pub fn with_obs(scope: FlushScope, cores: usize, obs: Obs) -> Self {
         let n = match scope {
             FlushScope::Global => 1,
             FlushScope::PerCore => cores.max(1),
         };
         DeferredFlusher {
-            policy,
             scope,
             global_lock: SimLock::new(FLUSH_LOCK),
             lists: (0..n).map(|_| Mutex::new(PendingList::default())).collect(),
@@ -156,11 +142,12 @@ impl DeferredFlusher {
         }
     }
 
-    /// Defers one unmapped range; drains the batch through `drain` if the
-    /// policy triggers. `drain` receives the entries being retired and runs
-    /// *outside* the list lock (matching Linux, which drops the list lock
-    /// around the flush itself... the flush serializes on the invalidation
-    /// queue lock anyway).
+    /// Defers one unmapped range; drains the batch through `drain` once
+    /// the list holds [`DEFER_BATCH`] entries or its oldest is
+    /// [`DEFER_TIMEOUT`] old. `drain` receives the entries being retired
+    /// and runs *outside* the list lock (matching Linux, which drops the
+    /// list lock around the flush itself... the flush serializes on the
+    /// invalidation queue lock anyway).
     pub fn defer(
         &self,
         ctx: &mut CoreCtx,
@@ -177,10 +164,10 @@ impl DeferredFlusher {
             if list.oldest.is_none() {
                 list.oldest = Some(ctx.now());
             }
-            let over_batch = list.entries.len() >= self.policy.batch;
+            let over_batch = list.entries.len() >= DEFER_BATCH;
             let over_time = list
                 .oldest
-                .is_some_and(|t| ctx.now().saturating_sub(t) >= self.policy.timeout);
+                .is_some_and(|t| ctx.now().saturating_sub(t) >= DEFER_TIMEOUT);
             if over_batch || over_time {
                 list.oldest = None;
                 Some(std::mem::take(&mut list.entries))
@@ -247,71 +234,55 @@ mod tests {
 
     #[test]
     fn drains_at_batch_limit() {
-        let f = DeferredFlusher::new(
-            DeferPolicy {
-                batch: 3,
-                timeout: Cycles::MAX,
-            },
-            FlushScope::Global,
-            1,
-        );
+        let f = DeferredFlusher::new(FlushScope::Global, 1);
         let mut c = ctx(0);
         let drained = RefCell::new(Vec::new());
-        for i in 0..7 {
+        for i in 0..2 * DEFER_BATCH as u64 + 1 {
             f.defer(&mut c, entry(i), |_, batch| {
                 drained.borrow_mut().push(batch.to_vec());
             });
         }
         let drained = drained.into_inner();
-        assert_eq!(drained.len(), 2, "two full batches of 3");
-        assert_eq!(drained[0].len(), 3);
-        assert_eq!(drained[1].len(), 3);
-        assert_eq!(f.pending(), 1, "seventh entry still pending");
+        assert_eq!(drained.len(), 2, "two full batches");
+        assert_eq!(drained[0].len(), DEFER_BATCH);
+        assert_eq!(drained[1].len(), DEFER_BATCH);
+        assert_eq!(f.pending(), 1, "the last entry is still pending");
         assert_eq!(f.drains(), 2);
-        assert_eq!(f.deferred_total(), 7);
+        assert_eq!(f.deferred_total(), 2 * DEFER_BATCH as u64 + 1);
     }
 
     #[test]
     fn drains_on_timeout() {
-        let f = DeferredFlusher::new(
-            DeferPolicy {
-                batch: 1000,
-                timeout: Cycles(1_000),
-            },
-            FlushScope::Global,
-            1,
-        );
+        let f = DeferredFlusher::new(FlushScope::Global, 1);
         let mut c = ctx(0);
         let mut drained = 0usize;
         f.defer(&mut c, entry(0), |_, _| drained += 1);
-        assert_eq!(drained, 0);
-        c.seek(Cycles(5_000)); // 10 ms timer fires much later
-        f.defer(&mut c, entry(1), |_, b| {
+        let first = c.now();
+        c.seek(first + Cycles(DEFER_TIMEOUT.get() / 2));
+        f.defer(&mut c, entry(1), |_, _| drained += 1);
+        assert_eq!(drained, 0, "half the timeout drains nothing");
+        c.seek(first + DEFER_TIMEOUT);
+        f.defer(&mut c, entry(2), |_, b| {
             drained += 1;
-            assert_eq!(b.len(), 2);
+            assert_eq!(b.len(), 3);
         });
         assert_eq!(drained, 1);
     }
 
     #[test]
     fn per_core_lists_are_independent() {
-        let f = DeferredFlusher::new(
-            DeferPolicy {
-                batch: 2,
-                timeout: Cycles::MAX,
-            },
-            FlushScope::PerCore,
-            2,
-        );
+        let f = DeferredFlusher::new(FlushScope::PerCore, 2);
         let mut c0 = ctx(0);
         let mut c1 = ctx(1);
         let mut drains = 0usize;
-        f.defer(&mut c0, entry(0), |_, _| drains += 1);
-        f.defer(&mut c1, entry(1), |_, _| drains += 1);
-        assert_eq!(drains, 0, "each core's list holds one entry");
-        f.defer(&mut c0, entry(2), |_, b| {
+        for i in 0..DEFER_BATCH as u64 - 1 {
+            f.defer(&mut c0, entry(i), |_, _| drains += 1);
+        }
+        f.defer(&mut c1, entry(1_000), |_, _| drains += 1);
+        assert_eq!(drains, 0, "neither core's list is full");
+        f.defer(&mut c0, entry(2_000), |_, b| {
             drains += 1;
-            assert_eq!(b.len(), 2);
+            assert_eq!(b.len(), DEFER_BATCH);
         });
         assert_eq!(drains, 1);
         assert_eq!(f.pending(), 1, "core 1's entry still pending");
@@ -324,11 +295,7 @@ mod tests {
         // core owns its own.
         for (sized_for, races) in [(1, true), (2, false)] {
             let drive = move || {
-                let f = DeferredFlusher::new(
-                    DeferPolicy::linux_default(),
-                    FlushScope::PerCore,
-                    sized_for,
-                );
+                let f = DeferredFlusher::new(FlushScope::PerCore, sized_for);
                 let (mut c0, mut c1) = (ctx(0), ctx(1));
                 for i in 0..4 {
                     f.defer(&mut c0, entry(i), |_, _| {});
@@ -349,8 +316,8 @@ mod tests {
 
     #[test]
     fn global_scope_takes_lock_per_core_does_not() {
-        let fg = DeferredFlusher::new(DeferPolicy::linux_default(), FlushScope::Global, 4);
-        let fp = DeferredFlusher::new(DeferPolicy::linux_default(), FlushScope::PerCore, 4);
+        let fg = DeferredFlusher::new(FlushScope::Global, 4);
+        let fp = DeferredFlusher::new(FlushScope::PerCore, 4);
         let mut c = ctx(0);
         fg.defer(&mut c, entry(0), |_, _| {});
         fp.defer(&mut c, entry(0), |_, _| {});
@@ -360,7 +327,7 @@ mod tests {
 
     #[test]
     fn force_flush_drains_everything() {
-        let f = DeferredFlusher::new(DeferPolicy::linux_default(), FlushScope::PerCore, 3);
+        let f = DeferredFlusher::new(FlushScope::PerCore, 3);
         let mut drained = Vec::new();
         for core in 0..3u16 {
             let mut c = ctx(core);
@@ -376,12 +343,7 @@ mod tests {
     #[test]
     fn global_list_contention_is_traced_with_the_spinners_own_spin() {
         let obs = Obs::isolated();
-        let f = DeferredFlusher::with_obs(
-            DeferPolicy::linux_default(),
-            FlushScope::Global,
-            2,
-            obs.clone(),
-        );
+        let f = DeferredFlusher::with_obs(FlushScope::Global, 2, obs.clone());
         let (mut c0, mut c1) = (ctx(0), ctx(1));
         f.defer(&mut c0, entry(0), |_, _| {});
         f.defer(&mut c1, entry(1), |_, _| {});
@@ -405,7 +367,7 @@ mod tests {
 
     #[test]
     fn force_flush_on_empty_is_quiet() {
-        let f = DeferredFlusher::new(DeferPolicy::linux_default(), FlushScope::Global, 1);
+        let f = DeferredFlusher::new(FlushScope::Global, 1);
         let mut c = ctx(0);
         let mut called = false;
         f.force_flush(&mut c, |_, _| called = true);

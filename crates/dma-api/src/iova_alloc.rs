@@ -13,13 +13,14 @@ use simcore::sync::Mutex;
 use simcore::{CoreCtx, Phase, SimLock};
 use std::collections::BTreeMap;
 
-/// The page range allocators hand out from: `[1, 2^35)` IOVA pages — the
-/// half of the 48-bit IOVA space with the MSB clear. The MSB-set half is
-/// reserved for shadow-buffer metadata encodings (§5.3, Figure 2), so
-/// zero-copy mappings and shadow mappings can coexist on one device. Page 0
-/// is never allocated so that IOVA 0 can serve as a null value.
+/// The end of the page range allocators hand out from, `[1, 2^34)` IOVA
+/// pages: the lower half of the 48-bit IOVA space's MSB-clear half. The
+/// MSB-set half is reserved for shadow-buffer metadata encodings (§5.3,
+/// Figure 2), and the shadow pool's fallback mappings start at this page,
+/// so zero-copy, shadow and fallback mappings can coexist on one device.
+/// Page 0 is never allocated so that IOVA 0 can serve as a null value.
+pub const IOVA_ALLOC_END_PAGE: u64 = 1 << 34;
 const IOVA_PAGE_LO: u64 = 1;
-const IOVA_PAGE_HI: u64 = 1 << 35;
 
 /// An IOVA range allocator.
 pub trait IovaAllocator {
@@ -51,7 +52,7 @@ struct Runs {
 impl Runs {
     fn full() -> Self {
         let mut map = BTreeMap::new();
-        map.insert(IOVA_PAGE_LO, IOVA_PAGE_HI - IOVA_PAGE_LO);
+        map.insert(IOVA_PAGE_LO, IOVA_ALLOC_END_PAGE - IOVA_PAGE_LO);
         Runs { map }
     }
 
@@ -204,7 +205,7 @@ impl IovaAllocator for GlobalTreeIovaAllocator {
 /// to the shared tree, and how many it grabs on refill.
 ///
 /// The capacity must take a whole deferred batch home: a per-core pending
-/// list retires `DeferPolicy::linux_default().batch` = 250 ranges in one
+/// list retires [`DEFER_BATCH`](crate::DEFER_BATCH) = 250 ranges in one
 /// drain, all freed to the draining core, which allocated them through
 /// ⌈250 / 32⌉ = 8 refills (256 ranges). At 256 the drain fits and the next
 /// 250 maps are served from it, so the steady state never touches the
@@ -401,7 +402,7 @@ mod tests {
         for _ in 0..100 {
             let p = a.alloc(&mut c, 3).unwrap();
             assert!(p.0 >= 1);
-            assert!(p.0 + 3 <= IOVA_PAGE_HI);
+            assert!(p.0 + 3 <= IOVA_ALLOC_END_PAGE);
         }
     }
 
@@ -474,7 +475,7 @@ mod tests {
         // of maps, then one drain freeing the whole batch to this core.
         // Once the first cycle has pulled the ranges in, neither half may
         // touch the shared lock — no spill on the drain, no refill after.
-        let batch = crate::DeferPolicy::linux_default().batch;
+        let batch = crate::DEFER_BATCH;
         let a = PerCoreIovaAllocator::new(2);
         let mut c = ctx(0);
         let mut cycle = || {

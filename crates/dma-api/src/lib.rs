@@ -46,8 +46,12 @@ mod types;
 pub use bus::{Bus, BusBurst, BusError};
 pub use coherent::CoherentHelper;
 pub use engine::DmaEngine;
-pub use flush::{DeferPolicy, DeferredFlusher, FlushScope, PendingUnmap, FLUSH_LOCK};
-pub use iova_alloc::{GlobalTreeIovaAllocator, IovaAllocator, PerCoreIovaAllocator};
+pub use flush::{
+    DeferredFlusher, FlushScope, PendingUnmap, DEFER_BATCH, DEFER_TIMEOUT, FLUSH_LOCK,
+};
+pub use iova_alloc::{
+    GlobalTreeIovaAllocator, IovaAllocator, PerCoreIovaAllocator, IOVA_ALLOC_END_PAGE,
+};
 pub use mapped::{InvalPolicy, IovaPolicy, MappedDma};
 pub use noiommu::NoIommu;
 pub use observe::{BusObserver, DmaObserver};

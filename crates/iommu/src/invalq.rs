@@ -103,20 +103,6 @@ impl InvalQueue {
         sum
     }
 
-    /// Synchronously invalidates one IOVA page: takes the queue lock, posts
-    /// a page-selective invalidation plus a wait descriptor, and busy-waits
-    /// for completion. This is what strict protection pays on **every**
-    /// `dma_unmap`.
-    pub fn invalidate_page_sync(
-        &self,
-        ctx: &mut CoreCtx,
-        iotlb: &Mutex<Iotlb>,
-        dev: DeviceId,
-        page: IovaPage,
-    ) {
-        self.invalidate_pages_sync(ctx, iotlb, dev, std::slice::from_ref(&page));
-    }
-
     /// Synchronously invalidates several IOVA pages under one acquisition
     /// of the calling core's queue lock (e.g. a multi-page buffer or a
     /// scatter/gather unmap). When this returns, no IOTLB entry for
@@ -302,7 +288,7 @@ mod tests {
         let tlb = Mutex::new(Iotlb::new(8));
         let mut c = ctx();
         tlb.lock().insert(DEV, IovaPage(3), entry());
-        q.invalidate_page_sync(&mut c, &tlb, DEV, IovaPage(3));
+        q.invalidate_range_sync(&mut c, &tlb, DEV, IovaPage(3), 1);
         assert!(!tlb.lock().contains(DEV, IovaPage(3)));
         // Cost at least the hardware wait (plus post + lock).
         assert!(c.breakdown().get(Phase::InvalidateIotlb) >= c.cost.iotlb_inval_wait);
@@ -317,7 +303,7 @@ mod tests {
             let tlb = Mutex::new(Iotlb::new(8));
             let mut c = ctx();
             c.active_cores = cores;
-            q.invalidate_page_sync(&mut c, &tlb, DEV, IovaPage(1));
+            q.invalidate_range_sync(&mut c, &tlb, DEV, IovaPage(1), 1);
             c.breakdown().get(Phase::InvalidateIotlb)
         };
         assert!(run(16) > run(1) * 2);
@@ -396,7 +382,7 @@ mod tests {
         let scattered: Vec<IovaPage> = [0u64, 2, 4, 6].into_iter().map(IovaPage).collect();
         q.invalidate_pages_sync(&mut c, &tlb, DEV, &scattered);
         assert_eq!(q.stats().waits, 1);
-        q.invalidate_page_sync(&mut c, &tlb, DEV, IovaPage(100));
+        q.invalidate_range_sync(&mut c, &tlb, DEV, IovaPage(100), 1);
         assert_eq!(q.stats().waits, 2);
         q.flush_device_sync(&mut c, &tlb, DEV);
         assert_eq!(q.stats().waits, 3);
@@ -445,9 +431,9 @@ mod tests {
         // Core 0 holds the queue from t=0; core 1 arrives at t=0 too and
         // spins for exactly core 0's hold time.
         let mut c0 = ctx();
-        q.invalidate_page_sync(&mut c0, &tlb, DEV, IovaPage(1));
+        q.invalidate_range_sync(&mut c0, &tlb, DEV, IovaPage(1), 1);
         let mut c1 = ctx_on(1);
-        q.invalidate_page_sync(&mut c1, &tlb, DEV, IovaPage(2));
+        q.invalidate_range_sync(&mut c1, &tlb, DEV, IovaPage(2), 1);
         let contention: Vec<_> = shared
             .tracer()
             .events()
@@ -472,8 +458,8 @@ mod tests {
             let q = InvalQueue::with_queues(Obs::isolated(), queues);
             let tlb = Mutex::new(Iotlb::new(8));
             let (mut c0, mut c1) = (ctx_on(0), ctx_on(1));
-            q.invalidate_page_sync(&mut c0, &tlb, DEV, IovaPage(1));
-            q.invalidate_page_sync(&mut c1, &tlb, DEV, IovaPage(2));
+            q.invalidate_range_sync(&mut c0, &tlb, DEV, IovaPage(1), 1);
+            q.invalidate_range_sync(&mut c1, &tlb, DEV, IovaPage(2), 1);
             (c0.now(), c1.now(), q.lock_stats())
         };
         let (first_done, second_done, stats) = run(2);
@@ -492,7 +478,7 @@ mod tests {
         let q = InvalQueue::with_queues(Obs::isolated(), 4);
         let tlb = Mutex::new(Iotlb::new(8));
         let mut c3 = ctx_on(3);
-        q.invalidate_page_sync(&mut c3, &tlb, DEV, IovaPage(1));
+        q.invalidate_range_sync(&mut c3, &tlb, DEV, IovaPage(1), 1);
         assert_eq!(q.lock().stats().acquisitions, 0, "page op: queue 3");
         assert_eq!(q.lock_stats().acquisitions, 1);
         q.flush_device_sync(&mut c3, &tlb, DEV);
@@ -509,7 +495,7 @@ mod tests {
         for core in 0..8u16 {
             let page = IovaPage(10 + u64::from(core));
             tlb.lock().insert(DEV, page, entry());
-            q.invalidate_page_sync(&mut ctx_on(core), &tlb, DEV, page);
+            q.invalidate_range_sync(&mut ctx_on(core), &tlb, DEV, page, 1);
             assert!(!tlb.lock().contains(DEV, page), "core {core}");
         }
         assert_eq!(q.stats().page_commands, 8);
@@ -525,7 +511,7 @@ mod tests {
             let scattered: Vec<IovaPage> = [0u64, 1, 5, 9, 10].into_iter().map(IovaPage).collect();
             q.invalidate_pages_sync(&mut c, &tlb, DEV, &scattered);
             q.flush_device_sync(&mut c, &tlb, DEV);
-            q.invalidate_page_sync(&mut c, &tlb, DEV, IovaPage(7));
+            q.invalidate_range_sync(&mut c, &tlb, DEV, IovaPage(7), 1);
             (c.now(), *c.breakdown(), q.stats(), q.lock().stats())
         };
         assert_eq!(
@@ -539,13 +525,13 @@ mod tests {
         let q = InvalQueue::new();
         let tlb = Mutex::new(Iotlb::new(8));
         let mut c = ctx();
-        q.invalidate_page_sync(&mut c, &tlb, DEV, IovaPage(1));
+        q.invalidate_range_sync(&mut c, &tlb, DEV, IovaPage(1), 1);
         q.reset_stats();
         assert_eq!(q.stats(), InvalQueueStats::default());
         assert_eq!(q.lock().stats().acquisitions, 0);
         // Every queue is cleared, not just queue 0.
         let q = InvalQueue::with_queues(Obs::isolated(), 2);
-        q.invalidate_page_sync(&mut ctx_on(1), &tlb, DEV, IovaPage(1));
+        q.invalidate_range_sync(&mut ctx_on(1), &tlb, DEV, IovaPage(1), 1);
         assert_eq!(q.lock_stats().acquisitions, 1);
         q.reset_stats();
         assert_eq!(q.lock_stats(), LockStats::default());

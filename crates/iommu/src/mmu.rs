@@ -73,7 +73,7 @@ impl From<PtError> for IommuError {
 /// // Unmapping alone leaves any cached IOTLB entry usable (the deferred
 /// // window); the synchronous invalidation closes it.
 /// mmu.unmap_page_nosync(&mut ctx, DeviceId(0), IovaPage(0x10))?;
-/// mmu.invalidate_page_sync(&mut ctx, DeviceId(0), IovaPage(0x10));
+/// mmu.invalidate_range_sync(&mut ctx, DeviceId(0), IovaPage(0x10), 1);
 /// assert!(mmu.dma_write(&mem, DeviceId(0), IovaPage(0x10).base(), b"x").is_err());
 /// # Ok(())
 /// # }
@@ -193,7 +193,7 @@ impl Iommu {
 
     /// Removes one IOVA page mapping **without invalidating the IOTLB**.
     ///
-    /// Until [`Iommu::invalidate_page_sync`] (or a flush) runs, the device
+    /// Until [`Iommu::invalidate_range_sync`] (or a flush) runs, the device
     /// may still use a cached translation — this is the deferred-protection
     /// vulnerability window.
     pub fn unmap_page_nosync(
@@ -261,13 +261,6 @@ impl Iommu {
         })
     }
 
-    /// Synchronously invalidates one IOVA page of `dev` in the IOTLB
-    /// (the calling core's queue lock + posted command + completion wait).
-    pub fn invalidate_page_sync(&self, ctx: &mut CoreCtx, dev: DeviceId, page: IovaPage) {
-        self.invalq
-            .invalidate_page_sync(ctx, &self.iotlb, dev, page);
-    }
-
     /// Synchronously invalidates several pages under one queue-lock hold.
     pub fn invalidate_pages_sync(&self, ctx: &mut CoreCtx, dev: DeviceId, pages: &[IovaPage]) {
         self.invalq
@@ -280,6 +273,23 @@ impl Iommu {
     pub fn invalidate_range_sync(&self, ctx: &mut CoreCtx, dev: DeviceId, page: IovaPage, n: u64) {
         self.invalq
             .invalidate_range_sync(ctx, &self.iotlb, dev, page, n);
+    }
+
+    /// Strictly revokes `n` consecutive pages of `dev` from `page`:
+    /// [`Iommu::unmap_range_nosync`], then [`Iommu::invalidate_range_sync`]
+    /// on the same range. A page that is not mapped does not stop it: when
+    /// this returns, no page of the range has a PTE or an IOTLB entry, and
+    /// the first missing page is the error.
+    pub fn revoke_range_sync(
+        &self,
+        ctx: &mut CoreCtx,
+        dev: DeviceId,
+        page: IovaPage,
+        n: u64,
+    ) -> Result<(), IommuError> {
+        let unmapped = self.unmap_range_nosync(ctx, dev, page, n);
+        self.invalidate_range_sync(ctx, dev, page, n);
+        unmapped
     }
 
     /// Synchronously flushes all of `dev`'s IOTLB entries with one
@@ -685,7 +695,7 @@ mod tests {
         assert_eq!(mem.read_vec(pfn.base(), 12).unwrap(), b"stale-write!");
 
         // After invalidation the access is blocked.
-        mmu.invalidate_page_sync(&mut ctx, DEV, page);
+        mmu.invalidate_range_sync(&mut ctx, DEV, page, 1);
         let err = mmu
             .dma_write(&mem, DEV, page.base(), b"blocked")
             .unwrap_err();

@@ -55,10 +55,10 @@ fn percore_strict_engines_are_provably_window_free() {
 
 #[test]
 fn declared_profile_is_the_proven_verdict_on_every_strategy() {
-    // ROADMAP item 4, first step: the engine's own declaration (what the
-    // rig expects) against the explorer's verdict, for every engine,
-    // global and percore. A declared window is proven by one schedule that
-    // exhibits it; a declared absence only by exhausting the bounded space.
+    // The engine's own declaration (what the rig expects) against the
+    // explorer's verdict, for every engine, global and percore. A declared
+    // window is proven by one schedule that exhibits it; a declared absence
+    // only by exhausting the bounded space.
     for kind in EngineKind::ALL.into_iter().chain([EngineKind::SelfInvalHw]) {
         for percore in [false, true] {
             let profile = Rig::build(kind, 2, false, percore).profile;

@@ -9,7 +9,7 @@
 // lint: allow(panic) — the driver posted the mapping itself; a fault means the protection scheme is broken
 
 use crate::setup::SimStack;
-use devices::{Nic, DESC_BYTES, MTU};
+use devices::{Nic, DESC_BYTES, MTU, RING_ENTRIES, TSO_MAX};
 use dma_api::{DmaBuf, DmaDirection};
 use simcore::{CoreCtx, CoreId, Cycles, Phase};
 use std::cell::RefCell;
@@ -202,7 +202,7 @@ impl CoreDriver {
         verify: bool,
     ) -> (usize, usize) {
         let len = payload.len();
-        assert!(len <= stack.nic.config().tso_max, "TSO limit");
+        assert!(len <= TSO_MAX, "TSO limit");
         let domain = stack.mem.topology().domain_of_core(self.core);
         let per = len.div_ceil(frags.clamp(1, len.max(1)));
 
@@ -244,10 +244,9 @@ impl CoreDriver {
                 .engine
                 .map_sg(ctx, bufs, DmaDirection::ToDevice)
                 .expect("dma_map_sg");
-            let entries = stack.nic.config().ring_entries;
             let first = stack.nic.tx_next(self.ring);
             for (k, m) in mappings.iter().enumerate() {
-                let slot = (first + k) % entries;
+                let slot = (first + k) % RING_ENTRIES;
                 post_tx_at(stack, self.ring, slot, m.iova.get(), m.buf().len as u32);
             }
 

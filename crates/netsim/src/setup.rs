@@ -2,7 +2,7 @@
 
 // lint: allow(panic) — machine construction panics on impossible configurations, documented under # Panics
 
-use devices::{Nic, NicConfig, DESC_BYTES};
+use devices::{Nic, DESC_BYTES, RING_ENTRIES};
 use dma_api::{BusObserver, CoherentBuffer, DmaEngine, DmaObserver, TracedDma};
 use dmasan::DmaSan;
 use iommu::{DeviceId, Iommu};
@@ -39,12 +39,9 @@ pub struct ExpConfig {
     /// driver hands the completion length to `dma_unmap` either way (§5.4),
     /// so *copy* copies back what arrived, not what was mapped.
     pub rx_wire_payload: Option<usize>,
-    /// Shadow-pool configuration for the copy engine (size classes, slot
-    /// bound). `None` = the paper's default (4 KB + 64 KB classes).
+    /// Shadow-pool configuration for the copy engine (size classes,
+    /// magazines). `None` = the paper's default (4 KB + 64 KB classes).
     pub pool_config: Option<shadow_core::PoolConfig>,
-    /// Fragments per TX buffer: 1 = contiguous skbs (the default);
-    /// >1 exercises the scatter/gather path (`dma_map_sg`, §5.2).
-    pub tx_sg_frags: usize,
     /// Trace sampling period: keep 1 in `trace_sample` cause chains
     /// (security events are always kept). The default keeps long figure
     /// runs off the tracer's ring lock; set `1` to record everything
@@ -78,7 +75,6 @@ impl Default for ExpConfig {
             verify_data: true,
             rx_wire_payload: None,
             pool_config: None,
-            tx_sg_frags: 1,
             trace_sample: 64,
             percore: false,
         }
@@ -230,11 +226,11 @@ impl SimStack {
             Box::new(TracedDma::new(engine, obs.clone(), Some(observer)));
         let bus = engine_bus(kind, mem.clone(), mmu.clone())
             .observed(san.clone() as Arc<dyn BusObserver>);
-        let mut nic = Nic::new(NIC_DEV, bus, NicConfig::default());
+        let mut nic = Nic::new(NIC_DEV, bus);
         // Ring setup happens on core 0 at time zero; its costs are not part
         // of any measurement.
         let mut setup_ctx = CoreCtx::new(CoreId(0), cost.clone());
-        let ring_bytes = NicConfig::default().ring_entries * DESC_BYTES;
+        let ring_bytes = RING_ENTRIES * DESC_BYTES;
         let mut rx_rings = Vec::new();
         let mut tx_rings = Vec::new();
         for _ in 0..cores {

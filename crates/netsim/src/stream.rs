@@ -68,7 +68,7 @@ pub(crate) fn tx_item<'a>(stack: &'a SimStack, cfg: &'a ExpConfig, core: usize) 
         }
 
         payload[1..9].copy_from_slice(&seq.to_le_bytes());
-        let (n, _frames) = drv.tx_one_sg(stack, ctx, &payload, cfg.tx_sg_frags, cfg.verify_data);
+        let (n, _frames) = drv.tx_one(stack, ctx, &payload, cfg.verify_data);
         drv.wire_out(stack, ctx, n);
         Some(n as u64)
     }

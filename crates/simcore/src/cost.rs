@@ -65,11 +65,6 @@ pub struct CostModel {
     pub pagetable_map_page: Cycles,
     /// IOMMU page-table unmap cost (entry clear, one page).
     pub pagetable_unmap_page: Cycles,
-    /// IOTLB lookup cost on the *device* side; charged to no CPU, only used
-    /// by device-latency accounting.
-    pub iotlb_lookup: Cycles,
-    /// Page-walk cost on IOTLB miss (device side).
-    pub iotlb_miss_walk: Cycles,
 
     // ---- memcpy ----
     /// Fixed startup overhead of a kernel memcpy.
@@ -179,8 +174,6 @@ impl CostModel {
             inval_queue_post: Cycles(120),
             pagetable_map_page: Cycles(200),
             pagetable_unmap_page: Cycles(208), // map+unmap = 0.17us = 408cyc
-            iotlb_lookup: Cycles(30),
-            iotlb_miss_walk: Cycles(250),
 
             memcpy_startup: Cycles(60),
             memcpy_cyc_per_byte_cached: 0.136,
@@ -231,8 +224,6 @@ impl CostModel {
             inval_queue_post: Cycles::ZERO,
             pagetable_map_page: Cycles::ZERO,
             pagetable_unmap_page: Cycles::ZERO,
-            iotlb_lookup: Cycles::ZERO,
-            iotlb_miss_walk: Cycles::ZERO,
             memcpy_startup: Cycles::ZERO,
             memcpy_cyc_per_byte_cached: 0.0,
             memcpy_cyc_per_byte_streaming: 0.0,

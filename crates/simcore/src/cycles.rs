@@ -132,37 +132,6 @@ impl fmt::Display for Cycles {
     }
 }
 
-/// A throughput in gigabits per second.
-///
-/// Thin newtype used by reports so that numbers are not confused with
-/// CPU-percent or transactions-per-second columns.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-pub struct Gbps(pub f64);
-
-impl Gbps {
-    /// Computes throughput from payload bytes moved over a virtual duration.
-    ///
-    /// Returns zero for an empty duration.
-    pub fn from_bytes(bytes: u64, elapsed: Cycles, clock_ghz: f64) -> Gbps {
-        let secs = elapsed.to_secs(clock_ghz);
-        if secs <= 0.0 {
-            return Gbps(0.0);
-        }
-        Gbps(bytes as f64 * 8.0 / secs / 1e9)
-    }
-
-    /// Raw value.
-    pub fn get(self) -> f64 {
-        self.0
-    }
-}
-
-impl fmt::Display for Gbps {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.2} Gb/s", self.0)
-    }
-}
-
 /// Identifier of a virtual core.
 ///
 /// Cores are numbered `0..n`; NUMA placement is derived from the core id by
@@ -227,17 +196,8 @@ mod tests {
     }
 
     #[test]
-    fn gbps_from_bytes() {
-        // 40 Gb/s: 5e9 bytes per second. 2.4e9 cycles = 1 s.
-        let g = Gbps::from_bytes(5_000_000_000, Cycles(2_400_000_000), 2.4);
-        assert!((g.0 - 40.0).abs() < 1e-9);
-        assert_eq!(Gbps::from_bytes(100, Cycles::ZERO, 2.4).0, 0.0);
-    }
-
-    #[test]
     fn display_impls() {
         assert_eq!(Cycles(5).to_string(), "5cyc");
         assert_eq!(CoreId(3).to_string(), "core3");
-        assert_eq!(Gbps(12.345).to_string(), "12.35 Gb/s");
     }
 }

@@ -41,7 +41,7 @@ mod wire;
 pub use breakdown::{Breakdown, Phase};
 pub use clock::CoreCtx;
 pub use cost::{CostModel, MemcpyFlavor};
-pub use cycles::{CoreId, Cycles, Gbps};
+pub use cycles::{CoreId, Cycles};
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use lock::{LockStats, SimLock};
 pub use rng::SimRng;

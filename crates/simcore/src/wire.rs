@@ -16,7 +16,7 @@ use std::cell::Cell;
 /// ```
 /// use simcore::{Cycles, Wire};
 ///
-/// let wire = Wire::forty_gbe();
+/// let wire = Wire::new(40.0, 2.4);
 /// // Two back-to-back MTU frames serialize: 720 cycles each at 2.4 GHz.
 /// assert_eq!(wire.transmit(Cycles(0), 1500), Cycles(720));
 /// assert_eq!(wire.transmit(Cycles(0), 1500), Cycles(1440));
@@ -24,11 +24,7 @@ use std::cell::Cell;
 #[derive(Debug)]
 pub struct Wire {
     cyc_per_byte: f64,
-    /// One-way propagation + PHY latency added to each frame's delivery.
-    latency: Cycles,
     next_free: Cell<u64>,
-    bytes_sent: Cell<u64>,
-    frames_sent: Cell<u64>,
 }
 
 impl Wire {
@@ -40,22 +36,8 @@ impl Wire {
         let cyc_per_byte = 8.0 / (rate_gbps * 1e9) * (clock_ghz * 1e9);
         Wire {
             cyc_per_byte,
-            latency: Cycles::ZERO,
             next_free: Cell::new(0),
-            bytes_sent: Cell::new(0),
-            frames_sent: Cell::new(0),
         }
-    }
-
-    /// The paper's 40 Gb/s link at the 2.4 GHz testbed clock.
-    pub fn forty_gbe() -> Self {
-        Wire::new(40.0, 2.4)
-    }
-
-    /// Sets the one-way latency added to every frame's delivery time.
-    pub fn with_latency(mut self, latency: Cycles) -> Self {
-        self.latency = latency;
-        self
     }
 
     /// Serialization time of a frame of `bytes` bytes.
@@ -71,24 +53,12 @@ impl Wire {
         let start = now.max(Cycles(self.next_free.get()));
         let end = start + self.frame_time(bytes);
         self.next_free.set(end.get());
-        self.bytes_sent.set(self.bytes_sent.get() + bytes as u64);
-        self.frames_sent.set(self.frames_sent.get() + 1);
-        end + self.latency
+        end
     }
 
     /// The instant the wire next becomes free.
     pub fn next_free(&self) -> Cycles {
         Cycles(self.next_free.get())
-    }
-
-    /// Total payload bytes transmitted.
-    pub fn bytes_sent(&self) -> u64 {
-        self.bytes_sent.get()
-    }
-
-    /// Total frames transmitted.
-    pub fn frames_sent(&self) -> u64 {
-        self.frames_sent.get()
     }
 }
 
@@ -96,16 +66,21 @@ impl Wire {
 mod tests {
     use super::*;
 
+    /// The paper's 40 Gb/s link at the 2.4 GHz testbed clock.
+    fn forty_gbe() -> Wire {
+        Wire::new(40.0, 2.4)
+    }
+
     #[test]
     fn forty_gbe_mtu_frame_time() {
         // 40 Gb/s, 2.4 GHz: 0.48 cycles per byte; 1500 B = 720 cycles = 0.3us.
-        let w = Wire::forty_gbe();
+        let w = forty_gbe();
         assert_eq!(w.frame_time(1500), Cycles(720));
     }
 
     #[test]
     fn frames_serialize_fifo() {
-        let w = Wire::forty_gbe();
+        let w = forty_gbe();
         let d1 = w.transmit(Cycles(0), 1500);
         assert_eq!(d1, Cycles(720));
         // Offered while the wire is busy: queues behind frame 1.
@@ -114,29 +89,18 @@ mod tests {
         // Offered after the wire drains: starts immediately.
         let d3 = w.transmit(Cycles(5000), 1500);
         assert_eq!(d3, Cycles(5720));
-        assert_eq!(w.frames_sent(), 3);
-        assert_eq!(w.bytes_sent(), 4500);
-    }
-
-    #[test]
-    fn latency_delays_delivery_not_wire_occupancy() {
-        let w = Wire::forty_gbe().with_latency(Cycles(1000));
-        let d1 = w.transmit(Cycles(0), 1500);
-        assert_eq!(d1, Cycles(1720));
-        // The wire itself freed at 720, so the next frame ends at 1440+1000.
-        let d2 = w.transmit(Cycles(0), 1500);
-        assert_eq!(d2, Cycles(2440));
+        assert_eq!(w.next_free(), d3);
     }
 
     #[test]
     fn throughput_is_capped_at_line_rate() {
-        let w = Wire::forty_gbe();
+        let w = forty_gbe();
         let mut t = Cycles::ZERO;
         for _ in 0..10_000 {
             t = w.transmit(Cycles::ZERO, 1500);
         }
-        let gbps = crate::Gbps::from_bytes(w.bytes_sent(), t, 2.4);
-        assert!((gbps.get() - 40.0).abs() < 0.1, "rate = {gbps}");
+        let gbps = (10_000 * 1500 * 8) as f64 / t.to_secs(2.4) / 1e9;
+        assert!((gbps - 40.0).abs() < 0.1, "rate = {gbps}");
     }
 
     #[test]

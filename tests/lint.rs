@@ -3,8 +3,8 @@
 //! every rule firing. Together they prove the scanner neither rubber-stamps
 //! nor cries wolf. Each workspace is scanned once, and the tests share the
 //! report: findings and interprocedural product alike. The loader also
-//! serves one source scan of its own: lock sites are instrumented only by
-//! the `obs` primitive.
+//! serves two source scans of its own: lock sites are instrumented only by
+//! the `obs` primitive, and every `CostModel` constant prices something.
 
 use dma_shadowing::lint::lexer::prep;
 use dma_shadowing::lint::workspace::rust_files;
@@ -222,5 +222,87 @@ fn lock_acquire_is_built_only_by_the_obs_primitive() {
         sites.is_empty(),
         "lock-site instrumentation outside crates/obs:\n{}",
         sites.join("\n")
+    );
+}
+
+/// The fields of `pub struct CostModel` in `cost` that no non-test code of
+/// `code` reads as `.field`. A write (`.field = ..`), a method call
+/// (`.field(..)`) and a read inside `#[cfg(test)]` do not count; the
+/// struct's own definition and presets name fields without a dot.
+fn unread_cost_fields(cost: &Prep, code: &[&Prep]) -> Vec<String> {
+    let start = cost
+        .blank
+        .find("pub struct CostModel")
+        .expect("CostModel defined");
+    let def = &cost.blank[start..];
+    let body = &def[def.find('{').expect("struct body") + 1..def.find('}').expect("struct end")];
+    body.split(',')
+        .filter_map(|f| f.trim().strip_prefix("pub ")?.split_once(':'))
+        .map(|(name, _)| name.trim())
+        .filter(|name| !code.iter().any(|p| reads_field(p, name)))
+        .map(String::from)
+        .collect()
+}
+
+/// Whether `p` reads `.field` outside `#[cfg(test)]`.
+fn reads_field(p: &Prep, field: &str) -> bool {
+    let needle = format!(".{field}");
+    let bb = p.blank.as_bytes();
+    p.blank.match_indices(&needle).any(|(pos, _)| {
+        let end = pos + needle.len();
+        let mut k = end;
+        while bb.get(k).is_some_and(u8::is_ascii_whitespace) {
+            k += 1;
+        }
+        let longer = bb
+            .get(end)
+            .is_some_and(|&c| c.is_ascii_alphanumeric() || c == b'_');
+        let write = bb.get(k) == Some(&b'=') && bb.get(k + 1) != Some(&b'=');
+        let call = bb.get(k) == Some(&b'(');
+        !longer && !write && !call && !p.in_test(p.line_of(pos))
+    })
+}
+
+#[test]
+fn every_cost_constant_is_read_by_non_test_code() {
+    // The scanner must have teeth: a write, a method call, a read in a
+    // test and a longer name sharing the prefix do not keep a field alive.
+    let planted = prep(
+        "cost.rs",
+        "pub struct CostModel {\n    pub a: Cycles,\n    pub b: Cycles,\n    pub c: f64,\n    pub d: f64,\n}\n",
+    );
+    let user = prep(
+        "user.rs",
+        "fn f(m: &mut CostModel) -> Cycles {\n    m.b = m.a + m.c(1) + m.d_x;\n    m.a\n}\n\
+         #[cfg(test)]\nmod t {\n    fn g(m: &CostModel) -> f64 {\n        m.d\n    }\n}\n",
+    );
+    assert_eq!(unread_cost_fields(&planted, &[&user]), ["b", "c", "d"]);
+
+    // Every constant of the cost model is charged, or feeds a charge,
+    // somewhere in the simulator's own sources: a constant nothing reads
+    // is a price no configuration pays.
+    let ws = Workspace::load(repo_root()).expect("load workspace");
+    let cost = ws
+        .files
+        .iter()
+        .find(|f| f.prep.label == "crates/simcore/src/cost.rs")
+        .map(|f| &f.prep)
+        .expect("cost model source");
+    let code: Vec<&Prep> = ws
+        .files
+        .iter()
+        .filter(|f| !f.ctx.aux)
+        .map(|f| &f.prep)
+        .collect();
+    let fields = unread_cost_fields(cost, &[]);
+    assert!(
+        fields.len() >= 30,
+        "parsed only {} CostModel fields",
+        fields.len()
+    );
+    let unread = unread_cost_fields(cost, &code);
+    assert!(
+        unread.is_empty(),
+        "CostModel fields no simulator code reads: {unread:?}"
     );
 }
