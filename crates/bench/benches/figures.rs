@@ -353,8 +353,7 @@ fn batching(e: &mut Evidence) {
     for (i, (name, scope)) in scopes.into_iter().enumerate() {
         let mem = Arc::new(PhysMemory::new(NumaTopology::dual_socket_haswell()));
         let mmu = Arc::new(Iommu::new());
-        let obs = mmu.obs().clone();
-        let flush = InvalPolicy::Deferred(DeferredFlusher::with_obs(scope, 16, obs));
+        let flush = InvalPolicy::Deferred(DeferredFlusher::new(scope, 16, mmu.obs().clone()));
         let (dev, identity) = (DeviceId(0), IovaPolicy::identity());
         let engine = MappedDma::new("identity-", mem.clone(), mmu.clone(), dev, identity, flush);
         let sim = storm(&mem, &[&engine as &dyn DmaEngine; 16], OPS);

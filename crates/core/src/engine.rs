@@ -76,23 +76,14 @@ impl std::fmt::Debug for ShadowDma {
 }
 
 impl ShadowDma {
-    /// Creates the engine (and its shadow pool) for `dev`, sharing the
-    /// IOMMU's telemetry handle so the whole stack reports into one
-    /// registry.
+    /// Creates the engine (its shadow pool, huge mapper and IOVA tree) for
+    /// `dev`, all reporting into the IOMMU's telemetry handle.
     pub fn new(mem: Arc<PhysMemory>, mmu: Arc<Iommu>, dev: DeviceId, cfg: PoolConfig) -> Self {
-        let obs = mmu.obs().clone();
-        let pool = Arc::new(ShadowPool::with_obs(
-            mem.clone(),
-            mmu.clone(),
-            dev,
-            cfg,
-            obs,
-        ));
         ShadowDma {
+            pool: Arc::new(ShadowPool::new(mem.clone(), mmu.clone(), dev, cfg)),
             huge: HugeMapper::new(mem.clone(), mmu.clone(), dev),
+            zc_iova: GlobalTreeIovaAllocator::new(mmu.obs().clone()),
             coherent: CoherentHelper::new(mem.clone(), mmu, dev),
-            zc_iova: GlobalTreeIovaAllocator::new(),
-            pool,
             mem,
             dev,
         }

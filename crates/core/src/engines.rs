@@ -136,15 +136,14 @@ pub fn build_engine(
     let obs = mmu.obs().clone();
     let tree = |global: fn(Obs) -> GlobalTreeIovaAllocator| {
         if percore {
-            IovaPolicy::allocated(PerCoreIovaAllocator::with_obs(cores, obs.clone()))
+            IovaPolicy::allocated(PerCoreIovaAllocator::new(cores, obs.clone()))
         } else {
             IovaPolicy::allocated(global(obs.clone()))
         }
     };
-    let stock_tree = GlobalTreeIovaAllocator::with_obs;
-    let cached_tree = GlobalTreeIovaAllocator::cached_with_obs;
-    let deferred =
-        |scope| InvalPolicy::Deferred(DeferredFlusher::with_obs(scope, cores, obs.clone()));
+    let stock_tree = GlobalTreeIovaAllocator::new;
+    let cached_tree = GlobalTreeIovaAllocator::cached;
+    let deferred = |scope| InvalPolicy::Deferred(DeferredFlusher::new(scope, cores, obs.clone()));
     let list_scope = if percore {
         FlushScope::PerCore
     } else {
@@ -916,12 +915,13 @@ mod tests {
         // Allocator-placed IOVAs under self-destructing hardware is no
         // engine of the paper, yet behaves as the product of its parts.
         let mut r = Rig::on(Iommu::new(), |mem, mmu| {
+            let tree = IovaPolicy::allocated(GlobalTreeIovaAllocator::new(mmu.obs().clone()));
             Box::new(MappedDma::new(
                 "tree + hw",
                 mem,
                 mmu,
                 DEV,
-                IovaPolicy::allocated(GlobalTreeIovaAllocator::new()),
+                tree,
                 InvalPolicy::Hardware,
             ))
         });

@@ -283,7 +283,7 @@ mod tests {
         let mmu = Arc::new(Iommu::new());
         Rig {
             huge: HugeMapper::new(mem.clone(), mmu.clone(), DEV),
-            alloc: GlobalTreeIovaAllocator::new(),
+            alloc: GlobalTreeIovaAllocator::new(mmu.obs().clone()),
             ctx: CoreCtx::new(CoreId(0), Arc::new(CostModel::haswell_2_4ghz())),
             mem,
             mmu,
@@ -449,7 +449,9 @@ mod tests {
         // at the first range a fresh allocator hands out.
         r.mem.free_frames(fill, filler).unwrap();
         let iova = r.huge.map(&mut r.ctx, &r.alloc, buf, Perms::Write).unwrap();
-        let fresh = GlobalTreeIovaAllocator::new().alloc(&mut r.ctx, 1).unwrap();
+        let fresh = GlobalTreeIovaAllocator::new(obs::Obs::isolated())
+            .alloc(&mut r.ctx, 1)
+            .unwrap();
         assert_eq!(iova.page(), fresh);
         r.unmap(iova, buf.len);
         assert_eq!(r.mmu.mapped_pages(DEV), 0);

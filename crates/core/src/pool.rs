@@ -187,8 +187,8 @@ pub struct ShadowPool {
     mag: Option<MagazineConfig>,
     fallback: Mutex<FxHashMap<u64, FallbackEntry>>,
     fallback_pages: Mutex<FallbackIovaSpace>,
-    // Telemetry: registry-backed handles (single source of truth).
-    obs: Obs,
+    // Telemetry: registry-backed handles (single source of truth) in the
+    // IOMMU's `Obs`.
     acquires: Counter,
     releases: Counter,
     grows: Counter,
@@ -232,23 +232,13 @@ impl FallbackIovaSpace {
 }
 
 impl ShadowPool {
-    /// Creates a pool for device `dev` with a private telemetry handle.
+    /// Creates a pool for device `dev`, reporting into the telemetry
+    /// handle of the IOMMU it maps through (metric keys `pool.*{dev}`).
     pub fn new(mem: Arc<PhysMemory>, mmu: Arc<Iommu>, dev: DeviceId, cfg: PoolConfig) -> Self {
-        Self::with_obs(mem, mmu, dev, cfg, Obs::isolated())
+        Self::bounded(mem, mmu, dev, cfg, MAX_BUFFERS_PER_CLASS)
     }
 
-    /// Creates a pool reporting into `obs` (metric keys `pool.*{dev}`).
-    pub fn with_obs(
-        mem: Arc<PhysMemory>,
-        mmu: Arc<Iommu>,
-        dev: DeviceId,
-        cfg: PoolConfig,
-        obs: Obs,
-    ) -> Self {
-        Self::bounded(mem, mmu, dev, cfg, obs, MAX_BUFFERS_PER_CLASS)
-    }
-
-    /// [`ShadowPool::with_obs`] with `max_per_class` metadata slots per
+    /// [`ShadowPool::new`] with `max_per_class` metadata slots per
     /// (NUMA domain, class) in place of [`MAX_BUFFERS_PER_CLASS`]; tests
     /// use a tiny bound to reach the fallback path.
     fn bounded(
@@ -256,9 +246,9 @@ impl ShadowPool {
         mmu: Arc<Iommu>,
         dev: DeviceId,
         cfg: PoolConfig,
-        obs: Obs,
         max_per_class: u64,
     ) -> Self {
+        let obs = mmu.obs().clone();
         let topo = mem.topology().clone();
         let cores = topo.cores();
         assert!(
@@ -311,13 +301,12 @@ impl ShadowPool {
             magazine_hits,
             magazine_refills,
             magazine_drained,
-            obs,
         }
     }
 
     /// The telemetry handle this pool reports into.
     pub fn obs(&self) -> &Obs {
-        &self.obs
+        self.mmu.obs()
     }
 
     /// The IOVA codec in use.
@@ -382,7 +371,7 @@ impl ShadowPool {
             // NOTE: bind the cache pop to a statement so its lock guard
             // drops here — `grow` re-locks the same cache when splitting a
             // page.
-            self.obs.guarded(ctx, POOL_CACHE_LOCK);
+            self.obs().guarded(ctx, POOL_CACHE_LOCK);
             let cached = self.caches[li].lock().pop();
             if let Some(i) = cached {
                 i
@@ -405,7 +394,7 @@ impl ShadowPool {
     /// magazines disabled, or on a miss).
     fn magazine_pop(&self, ctx: &mut CoreCtx, li: usize) -> Option<u64> {
         self.mag?;
-        self.obs.guarded(ctx, POOL_MAGAZINE_LOCK);
+        self.obs().guarded(ctx, POOL_MAGAZINE_LOCK);
         let i = self.magazines[li].lock().pop();
         if i.is_some() {
             self.magazine_hits.inc();
@@ -424,7 +413,7 @@ impl ShadowPool {
         let (&first, rest) = got.split_first()?;
         if !rest.is_empty() {
             self.magazine_refills.inc();
-            self.obs.guarded(ctx, POOL_MAGAZINE_LOCK);
+            self.obs().guarded(ctx, POOL_MAGAZINE_LOCK);
             self.magazines[li].lock().extend_from_slice(rest);
         }
         Some(first)
@@ -437,7 +426,7 @@ impl ShadowPool {
         let Some(mc) = self.mag else {
             return false;
         };
-        self.obs.guarded(ctx, POOL_MAGAZINE_LOCK);
+        self.obs().guarded(ctx, POOL_MAGAZINE_LOCK);
         let mut mag = self.magazines[li].lock();
         if mag.len() >= mc.capacity.max(1) {
             return false;
@@ -457,7 +446,7 @@ impl ShadowPool {
         if self.mag.is_none() || self.magazines[li].lock().is_empty() {
             return 0;
         }
-        self.obs.guarded(ctx, POOL_MAGAZINE_LOCK);
+        self.obs().guarded(ctx, POOL_MAGAZINE_LOCK);
         let slots = std::mem::take(&mut *self.magazines[li].lock());
         for &index in &slots {
             self.lists[li].push(array, index);
@@ -574,7 +563,7 @@ impl ShadowPool {
                 self.mem.free_frames(pfn, 1)?;
                 return Err(e.into());
             }
-            self.obs.guarded(ctx, POOL_CACHE_LOCK);
+            self.obs().guarded(ctx, POOL_CACHE_LOCK);
             self.caches[li].lock().extend((start + 1..start + k).rev());
             self.add_shadow_bytes(PAGE_SIZE as u64);
             self.trace_grow(ctx, class, PAGE_SIZE as u64);
@@ -606,7 +595,7 @@ impl ShadowPool {
             return Err(e.into());
         }
         let iova = iova_page.base();
-        self.obs.guarded(ctx, POOL_FALLBACK_LOCK);
+        self.obs().guarded(ctx, POOL_FALLBACK_LOCK);
         self.fallback.lock().insert(
             iova.get(),
             FallbackEntry {
@@ -620,8 +609,8 @@ impl ShadowPool {
         );
         self.fallback_acquires.inc();
         self.add_shadow_bytes(size as u64);
-        self.obs.set_now_hint(ctx.now());
-        self.obs.trace(
+        self.obs().set_now_hint(ctx.now());
+        self.obs().trace(
             ctx.now(),
             ctx.core.0,
             Some(self.dev.0),
@@ -718,7 +707,7 @@ impl ShadowPool {
                 }
             }
             None => {
-                self.obs.guarded(ctx, POOL_FALLBACK_LOCK);
+                self.obs().guarded(ctx, POOL_FALLBACK_LOCK);
                 let entry = self
                     .fallback
                     .lock()
@@ -791,8 +780,8 @@ impl ShadowPool {
         }
         self.sub_shadow_bytes(freed);
         if freed > 0 {
-            self.obs.set_now_hint(ctx.now());
-            self.obs.trace(
+            self.obs().set_now_hint(ctx.now());
+            self.obs().trace(
                 ctx.now(),
                 ctx.core.0,
                 Some(self.dev.0),
@@ -830,8 +819,8 @@ impl ShadowPool {
     }
 
     fn trace_grow(&self, ctx: &CoreCtx, class: usize, bytes: u64) {
-        self.obs.set_now_hint(ctx.now());
-        self.obs.trace(
+        self.obs().set_now_hint(ctx.now());
+        self.obs().trace(
             ctx.now(),
             ctx.core.0,
             Some(self.dev.0),
@@ -876,8 +865,7 @@ mod tests {
     fn rig_bounded(cfg: PoolConfig, topo: NumaTopology, bound: u64) -> Rig {
         let mem = Arc::new(PhysMemory::new(topo));
         let mmu = Arc::new(Iommu::new());
-        let obs = Obs::isolated();
-        let pool = ShadowPool::bounded(mem.clone(), mmu.clone(), DEV, cfg, obs, bound);
+        let pool = ShadowPool::bounded(mem.clone(), mmu.clone(), DEV, cfg, bound);
         Rig { mem, mmu, pool }
     }
 
@@ -1134,7 +1122,7 @@ mod tests {
         // rings) and this pool's fallback table both place mappings.
         // Drained to its last page, the tree stops below the fallback
         // region, where the pool's first fallback mapping lands.
-        let tree = GlobalTreeIovaAllocator::new();
+        let tree = GlobalTreeIovaAllocator::new(Obs::isolated());
         let mut c = ctx(0);
         let first = tree.alloc(&mut c, 1).unwrap().get();
         let rest = FALLBACK_PAGE_BASE - first - 1;
@@ -1438,8 +1426,8 @@ mod tests {
     fn stats_are_a_view_over_the_registry() {
         let obs = Obs::isolated();
         let mem = Arc::new(PhysMemory::new(NumaTopology::new(4, 2, 4096)));
-        let mmu = Arc::new(Iommu::with_obs(obs.clone()));
-        let pool = ShadowPool::with_obs(mem.clone(), mmu, DEV, PoolConfig::default(), obs.clone());
+        let mmu = Arc::new(Iommu::with_queues(obs.clone(), 1));
+        let pool = ShadowPool::new(mem.clone(), mmu, DEV, PoolConfig::default());
         let mut c = ctx(0);
         let pages = 1u64;
         let pfn = mem.alloc_frames(NumaDomain(0), pages).unwrap();
@@ -1467,8 +1455,8 @@ mod tests {
     fn pool_lifecycle_events_are_traced() {
         let obs = Obs::isolated();
         let mem = Arc::new(PhysMemory::new(NumaTopology::new(4, 2, 8192)));
-        let mmu = Arc::new(Iommu::with_obs(obs.clone()));
-        let pool = ShadowPool::with_obs(mem.clone(), mmu, DEV, PoolConfig::default(), obs.clone());
+        let mmu = Arc::new(Iommu::with_queues(obs.clone(), 1));
+        let pool = ShadowPool::new(mem.clone(), mmu, DEV, PoolConfig::default());
         let mut c = ctx(0);
         let mk_buf = |len: usize| {
             let pages = (len as u64).div_ceil(PAGE_SIZE as u64);

@@ -31,8 +31,8 @@ impl ScanReport {
 ///
 /// Every DMA it issues is counted (`malicious.*{dev}` metrics). Blocked
 /// accesses become [`EventKind::AttackBlocked`] trace events: accesses an
-/// IOMMU rejects are traced by the IOMMU itself (share its `Obs` via
-/// [`MaliciousDevice::with_obs`] to see them), while accesses that die on
+/// IOMMU rejects are traced by the IOMMU itself, into the `Obs` the device
+/// shares with it (see [`MaliciousDevice::new`]), while accesses that die on
 /// an unprotected bus (unbacked physical memory, reason `"unbacked"`) are
 /// traced here, since no IOMMU ever saw them.
 ///
@@ -71,8 +71,10 @@ impl MaliciousDevice {
     /// construct it with the NIC's own `DeviceId` — it then enjoys every
     /// mapping the OS established for the NIC.
     ///
-    /// If the bus is protected, the attacker shares the IOMMU's telemetry
-    /// handle so its blocked probes land in the stack's trace.
+    /// If the bus is protected, the attacker reports into the IOMMU's
+    /// telemetry handle (`malicious.*{dev}`), so its blocked probes land
+    /// in the stack's trace; on a direct bus it reports into an isolated
+    /// one.
     pub fn new(dev: DeviceId, bus: Bus) -> Self {
         fn bus_obs(bus: &Bus) -> Obs {
             match bus {
@@ -82,11 +84,6 @@ impl MaliciousDevice {
             }
         }
         let obs = bus_obs(&bus);
-        Self::with_obs(dev, bus, obs)
-    }
-
-    /// Creates the attacker reporting into `obs` (`malicious.*{dev}`).
-    pub fn with_obs(dev: DeviceId, bus: Bus, obs: Obs) -> Self {
         let d = Some(dev.0);
         MaliciousDevice {
             dev,

@@ -102,8 +102,8 @@ pub trait DmaEngine: Send + Sync {
     /// invalidating its translations.
     fn free_coherent(&self, ctx: &mut CoreCtx, buf: CoherentBuffer) -> Result<(), DmaError>;
 
-    /// Drains any deferred invalidations (the 10 ms timer / teardown
-    /// path). No-op for strict engines.
+    /// Drains any deferred invalidations (the teardown path; nothing
+    /// drains on a timer). No-op for strict engines.
     fn flush_deferred(&self, _ctx: &mut CoreCtx) {}
 
     /// The name and a snapshot of the engine's IOVA-allocator lock, if the

@@ -2,11 +2,18 @@
 //!
 //! Under deferred protection `dma_unmap` does not invalidate; it appends
 //! the unmapped range to a pending list. The list is drained — one
-//! domain-selective flush plus IOVA recycling — after 250 entries or 10 ms,
-//! whichever comes first. Stock Linux keeps **one global list under one
-//! lock**, which itself becomes a bottleneck at 16 cores; ATC'15 \[42\]
-//! batches **per core** instead, trading a longer vulnerability window for
-//! scalability. Both variants are modeled ([`FlushScope`]).
+//! domain-selective flush plus IOVA recycling — by the unmap that brings
+//! it to 250 entries, or by the first unmap to reach it once its oldest
+//! entry is 10 ms old. Linux also arms a 10 ms timer; this model has none,
+//! so the age is checked only when the next unmap reaches that list, and a
+//! list no unmap reaches stays pending until [`DeferredFlusher::force_flush`]
+//! (teardown). The modelled window is therefore never shorter than Linux's
+//! and can be longer on an idle list.
+//!
+//! Stock Linux keeps **one global list under one lock**, which itself
+//! becomes a bottleneck at 16 cores; ATC'15 \[42\] batches **per core**
+//! instead, trading a longer vulnerability window for scalability. Both
+//! variants are modeled ([`FlushScope`]).
 
 use iommu::IovaPage;
 use obs::{Counter, Gauge, Obs};
@@ -34,8 +41,9 @@ pub enum FlushScope {
 /// Drain a pending list once it holds this many unmaps (Linux: 250).
 pub const DEFER_BATCH: usize = 250;
 
-/// Drain a pending list once its oldest unmap is this old (Linux: 10 ms,
-/// at 2.4 GHz).
+/// Drain a pending list when an unmap reaches it and its oldest unmap is
+/// this old (Linux: 10 ms, at 2.4 GHz). Nothing checks the age between
+/// unmaps: there is no timer.
 pub const DEFER_TIMEOUT: Cycles = Cycles(24_000_000);
 
 #[derive(Debug, Default)]
@@ -66,14 +74,10 @@ pub struct DeferredFlusher {
 pub const FLUSH_LOCK: &str = "deferred-flush-list";
 
 impl DeferredFlusher {
-    /// Creates a flusher; `cores` sizes the per-core lists (ignored for
+    /// Creates a flusher reporting into `obs` (`flush.*` metrics);
+    /// `cores` sizes the per-core lists (ignored for
     /// [`FlushScope::Global`], which uses a single list).
-    pub fn new(scope: FlushScope, cores: usize) -> Self {
-        Self::with_obs(scope, cores, Obs::isolated())
-    }
-
-    /// Creates a flusher reporting into `obs` (`flush.*` metrics).
-    pub fn with_obs(scope: FlushScope, cores: usize, obs: Obs) -> Self {
+    pub fn new(scope: FlushScope, cores: usize, obs: Obs) -> Self {
         let n = match scope {
             FlushScope::Global => 1,
             FlushScope::PerCore => cores.max(1),
@@ -110,15 +114,6 @@ impl DeferredFlusher {
     /// ranges — the size of the open vulnerability window.
     pub fn pending(&self) -> usize {
         self.lists.iter().map(|l| l.lock().entries.len()).sum()
-    }
-
-    /// Runs `f` under the global list's lock, tracing this acquisition's
-    /// own spin as `LockContention` like every other contended lock.
-    fn locked<R>(&self, ctx: &mut CoreCtx, f: impl FnOnce(&mut CoreCtx) -> R) -> R {
-        let (r, spin) = self.obs.locked(ctx, &self.global_lock, f);
-        self.obs
-            .trace_contention(ctx, None, &self.global_lock, spin);
-        r
     }
 
     /// The calling core's list: the one global list, or the core's own.
@@ -176,7 +171,9 @@ impl DeferredFlusher {
             }
         };
         let batch = match self.scope {
-            FlushScope::Global => self.locked(ctx, |ctx| append(ctx, &self.lists[0])),
+            FlushScope::Global => self.obs.locked(ctx, None, &self.global_lock, |ctx| {
+                append(ctx, &self.lists[0])
+            }),
             // Deliberately lock-free: `list_index` gives each core its own.
             FlushScope::PerCore => append(ctx, &self.lists[idx]),
         };
@@ -187,8 +184,8 @@ impl DeferredFlusher {
         }
     }
 
-    /// Forces a drain of every pending entry (all cores' lists), e.g. at
-    /// the 10 ms timer, under memory pressure, or at experiment teardown.
+    /// Forces a drain of every pending entry (all cores' lists), e.g.
+    /// under memory pressure or at experiment teardown.
     pub fn force_flush(
         &self,
         ctx: &mut CoreCtx,
@@ -201,7 +198,7 @@ impl DeferredFlusher {
                 std::mem::take(&mut l.entries)
             };
             let batch = match self.scope {
-                FlushScope::Global => self.locked(ctx, take),
+                FlushScope::Global => self.obs.locked(ctx, None, &self.global_lock, take),
                 FlushScope::PerCore => take(ctx),
             };
             if !batch.is_empty() {
@@ -234,7 +231,7 @@ mod tests {
 
     #[test]
     fn drains_at_batch_limit() {
-        let f = DeferredFlusher::new(FlushScope::Global, 1);
+        let f = DeferredFlusher::new(FlushScope::Global, 1, Obs::isolated());
         let mut c = ctx(0);
         let drained = RefCell::new(Vec::new());
         for i in 0..2 * DEFER_BATCH as u64 + 1 {
@@ -253,7 +250,7 @@ mod tests {
 
     #[test]
     fn drains_on_timeout() {
-        let f = DeferredFlusher::new(FlushScope::Global, 1);
+        let f = DeferredFlusher::new(FlushScope::Global, 1, Obs::isolated());
         let mut c = ctx(0);
         let mut drained = 0usize;
         f.defer(&mut c, entry(0), |_, _| drained += 1);
@@ -271,7 +268,7 @@ mod tests {
 
     #[test]
     fn per_core_lists_are_independent() {
-        let f = DeferredFlusher::new(FlushScope::PerCore, 2);
+        let f = DeferredFlusher::new(FlushScope::PerCore, 2, Obs::isolated());
         let mut c0 = ctx(0);
         let mut c1 = ctx(1);
         let mut drains = 0usize;
@@ -295,7 +292,7 @@ mod tests {
         // core owns its own.
         for (sized_for, races) in [(1, true), (2, false)] {
             let drive = move || {
-                let f = DeferredFlusher::new(FlushScope::PerCore, sized_for);
+                let f = DeferredFlusher::new(FlushScope::PerCore, sized_for, Obs::isolated());
                 let (mut c0, mut c1) = (ctx(0), ctx(1));
                 for i in 0..4 {
                     f.defer(&mut c0, entry(i), |_, _| {});
@@ -316,8 +313,8 @@ mod tests {
 
     #[test]
     fn global_scope_takes_lock_per_core_does_not() {
-        let fg = DeferredFlusher::new(FlushScope::Global, 4);
-        let fp = DeferredFlusher::new(FlushScope::PerCore, 4);
+        let fg = DeferredFlusher::new(FlushScope::Global, 4, Obs::isolated());
+        let fp = DeferredFlusher::new(FlushScope::PerCore, 4, Obs::isolated());
         let mut c = ctx(0);
         fg.defer(&mut c, entry(0), |_, _| {});
         fp.defer(&mut c, entry(0), |_, _| {});
@@ -327,7 +324,7 @@ mod tests {
 
     #[test]
     fn force_flush_drains_everything() {
-        let f = DeferredFlusher::new(FlushScope::PerCore, 3);
+        let f = DeferredFlusher::new(FlushScope::PerCore, 3, Obs::isolated());
         let mut drained = Vec::new();
         for core in 0..3u16 {
             let mut c = ctx(core);
@@ -343,7 +340,7 @@ mod tests {
     #[test]
     fn global_list_contention_is_traced_with_the_spinners_own_spin() {
         let obs = Obs::isolated();
-        let f = DeferredFlusher::with_obs(FlushScope::Global, 2, obs.clone());
+        let f = DeferredFlusher::new(FlushScope::Global, 2, obs.clone());
         let (mut c0, mut c1) = (ctx(0), ctx(1));
         f.defer(&mut c0, entry(0), |_, _| {});
         f.defer(&mut c1, entry(1), |_, _| {});
@@ -367,7 +364,7 @@ mod tests {
 
     #[test]
     fn force_flush_on_empty_is_quiet() {
-        let f = DeferredFlusher::new(FlushScope::Global, 1);
+        let f = DeferredFlusher::new(FlushScope::Global, 1, Obs::isolated());
         let mut c = ctx(0);
         let mut called = false;
         f.force_flush(&mut c, |_, _| called = true);

@@ -111,21 +111,17 @@ pub struct GlobalTreeIovaAllocator {
 }
 
 impl GlobalTreeIovaAllocator {
-    /// Creates the stock allocator over the full zero-copy IOVA range.
-    pub fn new() -> Self {
-        Self::with_obs(Obs::isolated())
-    }
-
-    /// Creates the stock allocator reporting into `obs` (`iova.tree_*`
-    /// metrics, `LockContention` events on contended lock acquisitions).
-    pub fn with_obs(obs: Obs) -> Self {
+    /// Creates the stock allocator over the full zero-copy IOVA range,
+    /// reporting into `obs` (`iova.tree_*` metrics, `LockContention`
+    /// events on contended lock acquisitions).
+    pub fn new(obs: Obs) -> Self {
         let lock = SimLock::new("linux-iova-rbtree");
         Self::build(lock, None, ["tree_allocs", "tree_frees"], obs)
     }
 
     /// Creates EiovaR's allocator — the same tree behind a free-range
     /// cache — reporting into `obs` (`iova.cached_*`).
-    pub fn cached_with_obs(obs: Obs) -> Self {
+    pub fn cached(obs: Obs) -> Self {
         let lock = SimLock::new("eiovar-iova-cache");
         let cache = Some(Mutex::default());
         Self::build(lock, cache, ["cached_allocs", "cached_frees"], obs)
@@ -148,16 +144,10 @@ impl GlobalTreeIovaAllocator {
     }
 }
 
-impl Default for GlobalTreeIovaAllocator {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl IovaAllocator for GlobalTreeIovaAllocator {
     fn alloc(&self, ctx: &mut CoreCtx, n: u64) -> Result<IovaPage, DmaError> {
         assert!(n > 0);
-        let (r, spin) = self.lock.with_spin(ctx, |ctx| {
+        let r = self.obs.locked(ctx, None, &self.lock, |ctx| {
             let hit = self
                 .cache
                 .as_ref()
@@ -175,25 +165,24 @@ impl IovaAllocator for GlobalTreeIovaAllocator {
                 .ok_or(DmaError::IovaExhausted)
         });
         self.allocs.inc();
-        self.obs.trace_contention(ctx, None, &self.lock, spin);
         r
     }
 
     fn free(&self, ctx: &mut CoreCtx, page: IovaPage, n: u64) {
-        let ((), spin) = self.lock.with_spin(ctx, |ctx| match &self.cache {
-            // Frees go to the cache, matching EiovaR's observation that the
-            // ring pattern re-allocates the same sizes immediately.
-            Some(cache) => {
-                ctx.charge(Phase::IommuPageTableMgmt, ctx.cost.iova_magazine_free);
-                cache.lock().entry(n).or_default().push(page.0);
-            }
-            None => {
-                ctx.charge(Phase::IommuPageTableMgmt, ctx.cost.iova_tree_free);
-                self.runs.lock().free(page.0, n);
-            }
-        });
+        self.obs
+            .locked(ctx, None, &self.lock, |ctx| match &self.cache {
+                // Frees go to the cache, matching EiovaR's observation that the
+                // ring pattern re-allocates the same sizes immediately.
+                Some(cache) => {
+                    ctx.charge(Phase::IommuPageTableMgmt, ctx.cost.iova_magazine_free);
+                    cache.lock().entry(n).or_default().push(page.0);
+                }
+                None => {
+                    ctx.charge(Phase::IommuPageTableMgmt, ctx.cost.iova_tree_free);
+                    self.runs.lock().free(page.0, n);
+                }
+            });
         self.frees.inc();
-        self.obs.trace_contention(ctx, None, &self.lock, spin);
     }
 
     fn lock_stats(&self) -> Option<(&'static str, simcore::LockStats)> {
@@ -237,15 +226,10 @@ pub struct PerCoreIovaAllocator {
 }
 
 impl PerCoreIovaAllocator {
-    /// Creates the allocator with one magazine per core.
-    pub fn new(cores: usize) -> Self {
-        Self::with_obs(cores, Obs::isolated())
-    }
-
-    /// Creates the allocator reporting into `obs` (`iova.magazine_*`
-    /// metrics, `LockContention` events on contended shared-lock
-    /// acquisitions).
-    pub fn with_obs(cores: usize, obs: Obs) -> Self {
+    /// Creates the allocator with one magazine per core, reporting into
+    /// `obs` (`iova.magazine_*` metrics, `LockContention` events on
+    /// contended shared-lock acquisitions).
+    pub fn new(cores: usize, obs: Obs) -> Self {
         assert!(cores > 0);
         PerCoreIovaAllocator {
             shared_lock: SimLock::new("scalable-iova-shared"),
@@ -274,7 +258,7 @@ impl IovaAllocator for PerCoreIovaAllocator {
         }
         self.refills.inc();
         // Refill from the shared tree.
-        let (refill, spin) = self.obs.locked(ctx, &self.shared_lock, |ctx| {
+        let refill = self.obs.locked(ctx, None, &self.shared_lock, |ctx| {
             ctx.charge(Phase::IommuPageTableMgmt, ctx.cost.iova_tree_alloc);
             let mut shared = self.shared.lock();
             let mut got = Vec::with_capacity(MAGAZINE_REFILL);
@@ -286,8 +270,6 @@ impl IovaAllocator for PerCoreIovaAllocator {
             }
             got
         });
-        self.obs
-            .trace_contention(ctx, None, &self.shared_lock, spin);
         if refill.is_empty() {
             return Err(DmaError::IovaExhausted);
         }
@@ -312,15 +294,13 @@ impl IovaAllocator for PerCoreIovaAllocator {
         };
         if let Some(spill) = spill {
             self.spills.inc();
-            let ((), spin) = self.obs.locked(ctx, &self.shared_lock, |ctx| {
+            self.obs.locked(ctx, None, &self.shared_lock, |ctx| {
                 ctx.charge(Phase::IommuPageTableMgmt, ctx.cost.iova_tree_free);
                 let mut shared = self.shared.lock();
                 for s in spill {
                     shared.free(s, n);
                 }
             });
-            self.obs
-                .trace_contention(ctx, None, &self.shared_lock, spin);
         }
     }
 
@@ -342,7 +322,7 @@ impl IovaAllocator for PerCoreIovaAllocator {
         if drained == 0 {
             return 0;
         }
-        let ((), spin) = self.obs.locked(ctx, &self.shared_lock, |ctx| {
+        self.obs.locked(ctx, None, &self.shared_lock, |ctx| {
             ctx.charge(Phase::IommuPageTableMgmt, ctx.cost.iova_tree_free);
             let mut shared = self.shared.lock();
             for (n, starts) in cached {
@@ -351,8 +331,6 @@ impl IovaAllocator for PerCoreIovaAllocator {
                 }
             }
         });
-        self.obs
-            .trace_contention(ctx, None, &self.shared_lock, spin);
         drained
     }
 }
@@ -370,7 +348,7 @@ mod tests {
 
     #[test]
     fn tree_alloc_unique_and_reusable() {
-        let a = GlobalTreeIovaAllocator::new();
+        let a = GlobalTreeIovaAllocator::new(Obs::isolated());
         let mut c = ctx(0);
         let p1 = a.alloc(&mut c, 1).unwrap();
         let p2 = a.alloc(&mut c, 1).unwrap();
@@ -382,7 +360,7 @@ mod tests {
 
     #[test]
     fn tree_alloc_ranges_do_not_overlap() {
-        let a = GlobalTreeIovaAllocator::new();
+        let a = GlobalTreeIovaAllocator::new(Obs::isolated());
         let mut c = ctx(0);
         let mut got: Vec<(u64, u64)> = Vec::new();
         for n in [1u64, 16, 2, 7, 16, 1] {
@@ -397,7 +375,7 @@ mod tests {
 
     #[test]
     fn tree_never_hands_out_page_zero_or_msb_half() {
-        let a = GlobalTreeIovaAllocator::new();
+        let a = GlobalTreeIovaAllocator::new(Obs::isolated());
         let mut c = ctx(0);
         for _ in 0..100 {
             let p = a.alloc(&mut c, 3).unwrap();
@@ -408,7 +386,7 @@ mod tests {
 
     #[test]
     fn tree_charges_cost_under_lock() {
-        let a = GlobalTreeIovaAllocator::new();
+        let a = GlobalTreeIovaAllocator::new(Obs::isolated());
         let mut c = ctx(0);
         a.alloc(&mut c, 1).unwrap();
         assert!(c.breakdown().get(Phase::IommuPageTableMgmt) >= c.cost.iova_tree_alloc);
@@ -418,7 +396,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "double free")]
     fn tree_double_free_panics() {
-        let a = GlobalTreeIovaAllocator::new();
+        let a = GlobalTreeIovaAllocator::new(Obs::isolated());
         let mut c = ctx(0);
         let p = a.alloc(&mut c, 4).unwrap();
         a.free(&mut c, p, 4);
@@ -427,7 +405,7 @@ mod tests {
 
     #[test]
     fn magazine_hits_avoid_shared_lock() {
-        let a = PerCoreIovaAllocator::new(2);
+        let a = PerCoreIovaAllocator::new(2, Obs::isolated());
         let mut c = ctx(0);
         // First alloc refills the magazine (1 shared-lock hit)...
         let p = a.alloc(&mut c, 1).unwrap();
@@ -443,7 +421,7 @@ mod tests {
 
     #[test]
     fn magazine_ranges_unique_across_cores() {
-        let a = PerCoreIovaAllocator::new(4);
+        let a = PerCoreIovaAllocator::new(4, Obs::isolated());
         let mut seen = std::collections::HashSet::new();
         for core in 0..4u16 {
             let mut c = ctx(core);
@@ -456,7 +434,7 @@ mod tests {
 
     #[test]
     fn magazine_spills_when_overfull() {
-        let a = PerCoreIovaAllocator::new(1);
+        let a = PerCoreIovaAllocator::new(1, Obs::isolated());
         let mut c = ctx(0);
         let pages: Vec<_> = (0..(MAGAZINE_CAP + 8))
             .map(|_| a.alloc(&mut c, 1).unwrap())
@@ -476,7 +454,7 @@ mod tests {
         // Once the first cycle has pulled the ranges in, neither half may
         // touch the shared lock — no spill on the drain, no refill after.
         let batch = crate::DEFER_BATCH;
-        let a = PerCoreIovaAllocator::new(2);
+        let a = PerCoreIovaAllocator::new(2, Obs::isolated());
         let mut c = ctx(0);
         let mut cycle = || {
             let pages: Vec<_> = (0..batch).map(|_| a.alloc(&mut c, 1).unwrap()).collect();
@@ -493,8 +471,8 @@ mod tests {
 
     #[test]
     fn magazine_is_cheaper_than_tree_in_steady_state() {
-        let tree = GlobalTreeIovaAllocator::new();
-        let mag = PerCoreIovaAllocator::new(1);
+        let tree = GlobalTreeIovaAllocator::new(Obs::isolated());
+        let mag = PerCoreIovaAllocator::new(1, Obs::isolated());
         let mut ct = ctx(0);
         let mut cm = ctx(0);
         // Warm the magazine.
@@ -529,7 +507,7 @@ mod tests {
         // nonzero when core 2 reads it (the old code diffed that counter
         // and could blame core 2).
         let obs = Obs::isolated();
-        let a = GlobalTreeIovaAllocator::with_obs(obs.clone());
+        let a = GlobalTreeIovaAllocator::new(obs.clone());
 
         // Core 0 holds the allocator lock for cycles [0, 10_000).
         let mut c0 = zero_ctx(0);
@@ -562,7 +540,7 @@ mod tests {
     fn magazine_drain_returns_every_cores_cached_ranges_to_shared_pool() {
         // Teardown calls `drain` once, on core 0; ranges parked on the
         // other cores must go home with it.
-        let a = PerCoreIovaAllocator::new(4);
+        let a = PerCoreIovaAllocator::new(4, Obs::isolated());
         for core in 1..4u16 {
             // Populate the magazine: the refill pulls MAGAZINE_REFILL ranges.
             let mut c = ctx(core);
@@ -584,7 +562,7 @@ mod tests {
         // After a full drain the shared pool is whole again: a fresh
         // same-size alloc starts from the lowest page, as on a new
         // allocator.
-        let fresh = PerCoreIovaAllocator::new(4);
+        let fresh = PerCoreIovaAllocator::new(4, Obs::isolated());
         assert_eq!(
             a.alloc(&mut c0, 1).unwrap(),
             fresh.alloc(&mut ctx(0), 1).unwrap()

@@ -11,10 +11,10 @@
 //!
 //! The second cost is the OS's, not the hardware's: scalable-mode VT-d and
 //! the SMMU give each core its own command queue with an independent tail
-//! and wait descriptor. [`InvalQueue::with_queues`] models that — a strict
-//! unmap then waits only on its own queue, and still returns with the
-//! IOTLB entry gone. The first cost stays: every command pays the full
-//! hardware wait.
+//! and wait descriptor. [`InvalQueue::new`] with `n > 1` models that — a
+//! strict unmap then waits only on its own queue, and still returns with
+//! the IOTLB entry gone. The first cost stays: every command pays the
+//! full hardware wait.
 
 use crate::{DeviceId, Iotlb, IovaPage};
 use obs::{Counter, EventKind, Obs};
@@ -53,28 +53,13 @@ pub struct InvalQueue {
     waits: Counter,
 }
 
-impl Default for InvalQueue {
-    fn default() -> Self {
-        InvalQueue::new()
-    }
-}
-
 impl InvalQueue {
-    /// Creates the single queue with a private, isolated telemetry handle.
-    pub fn new() -> Self {
-        InvalQueue::with_obs(Obs::isolated())
-    }
-
-    /// Creates the single queue reporting into a shared telemetry handle.
-    pub fn with_obs(obs: Obs) -> Self {
-        InvalQueue::with_queues(obs, 1)
-    }
-
     /// Creates `n` (at least one) hardware queues, each behind its own
-    /// lock, reporting into a shared telemetry handle. Core `c` posts its
-    /// page invalidations to queue `c % n`, so with one queue per core a
-    /// strict unmap never waits on another core's invalidation.
-    pub fn with_queues(obs: Obs, n: usize) -> Self {
+    /// lock, reporting into `obs`. One queue is the paper's §2.2.1
+    /// machine. Core `c` posts its page invalidations to queue `c % n`,
+    /// so with one queue per core a strict unmap never waits on another
+    /// core's invalidation.
+    pub fn new(obs: Obs, n: usize) -> Self {
         InvalQueue {
             queues: (0..n.max(1)).map(|_| SimLock::new(INVALQ_LOCK)).collect(),
             page_commands: obs.counter("invalq", "page_commands", None),
@@ -169,7 +154,7 @@ impl InvalQueue {
         obs::profile::scope(ctx, "invalq_drain", |ctx| {
             let active = ctx.active_cores;
             let wait_start = ctx.breakdown().get(Phase::InvalidateIotlb);
-            let ((), spin) = self.obs.locked(ctx, lock, |ctx| {
+            self.obs.locked(ctx, Some(dev.0), lock, |ctx| {
                 let mut iotlb = iotlb.lock();
                 for (first, len) in runs {
                     ctx.charge(Phase::InvalidateIotlb, ctx.cost.inval_queue_post);
@@ -183,22 +168,12 @@ impl InvalQueue {
                 // operation, regardless of how many range commands it posted.
                 self.waits.inc();
             });
-            self.trace_op(ctx, dev, lock, pages, wait_start, spin);
+            self.trace_op(ctx, dev, pages, wait_start);
         });
     }
 
-    /// Emits the `IotlbInvalidate` (and, if `lock` — the queue the op
-    /// posted to — spun, the `LockContention`) trace events for one
-    /// completed sync op.
-    fn trace_op(
-        &self,
-        ctx: &mut CoreCtx,
-        dev: DeviceId,
-        lock: &SimLock,
-        pages: u64,
-        wait_start: Cycles,
-        spin: Cycles,
-    ) {
+    /// Emits the `IotlbInvalidate` trace event for one completed sync op.
+    fn trace_op(&self, ctx: &mut CoreCtx, dev: DeviceId, pages: u64, wait_start: Cycles) {
         self.obs.set_now_hint(ctx.now());
         let wait_cycles = ctx
             .breakdown()
@@ -213,7 +188,6 @@ impl InvalQueue {
                 wait_cycles: wait_cycles.0,
             },
         );
-        self.obs.trace_contention(ctx, Some(dev.0), lock, spin);
     }
 
     /// Synchronously flushes every cached translation of `dev` with a
@@ -225,7 +199,7 @@ impl InvalQueue {
         let lock = self.lock();
         obs::profile::scope(ctx, "invalq_flush", |ctx| {
             let wait_start = ctx.breakdown().get(Phase::InvalidateIotlb);
-            let ((), spin) = self.obs.locked(ctx, lock, |ctx| {
+            self.obs.locked(ctx, Some(dev.0), lock, |ctx| {
                 ctx.charge(Phase::InvalidateIotlb, ctx.cost.inval_queue_post);
                 iotlb.lock().invalidate_device(dev);
                 self.flush_commands.inc();
@@ -233,7 +207,7 @@ impl InvalQueue {
                 self.waits.inc();
             });
             // pages = 0 marks a full device flush.
-            self.trace_op(ctx, dev, lock, 0, wait_start, spin);
+            self.trace_op(ctx, dev, 0, wait_start);
         });
     }
 
@@ -284,7 +258,7 @@ mod tests {
 
     #[test]
     fn sync_invalidation_removes_entry_and_charges_wait() {
-        let q = InvalQueue::new();
+        let q = InvalQueue::new(Obs::isolated(), 1);
         let tlb = Mutex::new(Iotlb::new(8));
         let mut c = ctx();
         tlb.lock().insert(DEV, IovaPage(3), entry());
@@ -299,7 +273,7 @@ mod tests {
     #[test]
     fn wait_scales_with_active_cores() {
         let run = |cores: usize| {
-            let q = InvalQueue::new();
+            let q = InvalQueue::new(Obs::isolated(), 1);
             let tlb = Mutex::new(Iotlb::new(8));
             let mut c = ctx();
             c.active_cores = cores;
@@ -311,7 +285,7 @@ mod tests {
 
     #[test]
     fn contiguous_batch_is_one_command() {
-        let q = InvalQueue::new();
+        let q = InvalQueue::new(Obs::isolated(), 1);
         let tlb = Mutex::new(Iotlb::new(64));
         let mut c = ctx();
         // A 16-page TSO buffer: one range command, one wait.
@@ -329,7 +303,7 @@ mod tests {
 
     #[test]
     fn scattered_batch_charges_per_run() {
-        let q = InvalQueue::new();
+        let q = InvalQueue::new(Obs::isolated(), 1);
         let tlb = Mutex::new(Iotlb::new(64));
         let mut c = ctx();
         let pages: Vec<IovaPage> = [0u64, 1, 5, 9, 10].into_iter().map(IovaPage).collect();
@@ -347,7 +321,7 @@ mod tests {
 
     #[test]
     fn empty_batch_is_free() {
-        let q = InvalQueue::new();
+        let q = InvalQueue::new(Obs::isolated(), 1);
         let tlb = Mutex::new(Iotlb::new(8));
         let mut c = ctx();
         q.invalidate_pages_sync(&mut c, &tlb, DEV, &[]);
@@ -357,7 +331,7 @@ mod tests {
 
     #[test]
     fn device_flush_is_one_command() {
-        let q = InvalQueue::new();
+        let q = InvalQueue::new(Obs::isolated(), 1);
         let tlb = Mutex::new(Iotlb::new(1024));
         let mut c = ctx();
         for i in 0..250 {
@@ -376,7 +350,7 @@ mod tests {
         // Regression: a scattered batch posts several range commands but
         // completes exactly ONE wait descriptor; mixing page ops and
         // device flushes never double-counts.
-        let q = InvalQueue::new();
+        let q = InvalQueue::new(Obs::isolated(), 1);
         let tlb = Mutex::new(Iotlb::new(64));
         let mut c = ctx();
         let scattered: Vec<IovaPage> = [0u64, 2, 4, 6].into_iter().map(IovaPage).collect();
@@ -395,7 +369,7 @@ mod tests {
     #[test]
     fn sync_ops_emit_iotlb_invalidate_events() {
         let shared = obs::Obs::isolated();
-        let q = InvalQueue::with_obs(shared.clone());
+        let q = InvalQueue::new(shared.clone(), 1);
         let tlb = Mutex::new(Iotlb::new(8));
         let mut c = ctx();
         q.invalidate_pages_sync(&mut c, &tlb, DEV, &[IovaPage(1), IovaPage(2)]);
@@ -426,7 +400,7 @@ mod tests {
     #[test]
     fn contention_event_is_named_after_the_lock_and_carries_its_own_spin() {
         let shared = Obs::isolated();
-        let q = InvalQueue::with_obs(shared.clone());
+        let q = InvalQueue::new(shared.clone(), 1);
         let tlb = Mutex::new(Iotlb::new(8));
         // Core 0 holds the queue from t=0; core 1 arrives at t=0 too and
         // spins for exactly core 0's hold time.
@@ -455,7 +429,7 @@ mod tests {
         // Two cores invalidate at the same virtual instant (t = 0);
         // returns when the first finished and the summed lock statistics.
         let run = |queues: usize| {
-            let q = InvalQueue::with_queues(Obs::isolated(), queues);
+            let q = InvalQueue::new(Obs::isolated(), queues);
             let tlb = Mutex::new(Iotlb::new(8));
             let (mut c0, mut c1) = (ctx_on(0), ctx_on(1));
             q.invalidate_range_sync(&mut c0, &tlb, DEV, IovaPage(1), 1);
@@ -475,7 +449,7 @@ mod tests {
 
     #[test]
     fn domain_flush_posts_to_queue_zero_from_any_core() {
-        let q = InvalQueue::with_queues(Obs::isolated(), 4);
+        let q = InvalQueue::new(Obs::isolated(), 4);
         let tlb = Mutex::new(Iotlb::new(8));
         let mut c3 = ctx_on(3);
         q.invalidate_range_sync(&mut c3, &tlb, DEV, IovaPage(1), 1);
@@ -490,7 +464,7 @@ mod tests {
     fn per_core_invalidation_is_complete_on_return() {
         // The strictness property: no parked state, no deferred window —
         // when the call returns the IOTLB entry is gone, on every queue.
-        let q = InvalQueue::with_queues(Obs::isolated(), 4);
+        let q = InvalQueue::new(Obs::isolated(), 4);
         let tlb = Mutex::new(Iotlb::new(64));
         for core in 0..8u16 {
             let page = IovaPage(10 + u64::from(core));
@@ -503,26 +477,8 @@ mod tests {
     }
 
     #[test]
-    fn one_queue_charges_exactly_what_the_default_queue_charges() {
-        let run = |q: InvalQueue| {
-            let tlb = Mutex::new(Iotlb::new(64));
-            let mut c = ctx_on(5);
-            c.active_cores = 16;
-            let scattered: Vec<IovaPage> = [0u64, 1, 5, 9, 10].into_iter().map(IovaPage).collect();
-            q.invalidate_pages_sync(&mut c, &tlb, DEV, &scattered);
-            q.flush_device_sync(&mut c, &tlb, DEV);
-            q.invalidate_range_sync(&mut c, &tlb, DEV, IovaPage(7), 1);
-            (c.now(), *c.breakdown(), q.stats(), q.lock().stats())
-        };
-        assert_eq!(
-            run(InvalQueue::with_queues(Obs::isolated(), 1)),
-            run(InvalQueue::new())
-        );
-    }
-
-    #[test]
     fn reset_stats_clears_everything() {
-        let q = InvalQueue::new();
+        let q = InvalQueue::new(Obs::isolated(), 1);
         let tlb = Mutex::new(Iotlb::new(8));
         let mut c = ctx();
         q.invalidate_range_sync(&mut c, &tlb, DEV, IovaPage(1), 1);
@@ -530,7 +486,7 @@ mod tests {
         assert_eq!(q.stats(), InvalQueueStats::default());
         assert_eq!(q.lock().stats().acquisitions, 0);
         // Every queue is cleared, not just queue 0.
-        let q = InvalQueue::with_queues(Obs::isolated(), 2);
+        let q = InvalQueue::new(Obs::isolated(), 2);
         q.invalidate_range_sync(&mut ctx_on(1), &tlb, DEV, IovaPage(1), 1);
         assert_eq!(q.lock_stats().acquisitions, 1);
         q.reset_stats();

@@ -44,8 +44,9 @@ struct Slot {
 /// The security-critical property modeled here: a cached entry remains
 /// usable by the device **after the OS removes the page-table mapping**,
 /// until the OS explicitly invalidates it. Deferred protection (§2.2.1)
-/// leaves such entries live for up to 10 ms, which is the paper's
-/// "vulnerability window".
+/// leaves such entries live for up to 10 ms in Linux (longer in this
+/// model on a list no unmap reaches: `dma_api::flush`), which is the
+/// paper's "vulnerability window".
 ///
 /// Capacity is finite with FIFO replacement within each set,
 /// approximating the small on-chip structure; eviction order does not

@@ -92,32 +92,26 @@ pub struct Iommu {
     fault_ctr: Counter,
 }
 
-impl Default for Iommu {
-    fn default() -> Self {
-        Iommu::new()
-    }
-}
-
 impl Iommu {
-    /// Creates an IOMMU with the default hardware IOTLB capacity and a
-    /// private, isolated telemetry handle.
+    /// Creates an IOMMU with the default hardware IOTLB capacity, one
+    /// invalidation queue and a private, isolated telemetry handle.
+    // No `Default`: a derived `Default` on a struct holding an IOMMU would
+    // build it on a private `Obs` without a caller ever asking for one.
+    #[allow(clippy::new_without_default)]
     pub fn new() -> Self {
-        Iommu::with_obs(Obs::isolated())
-    }
-
-    /// Creates an IOMMU reporting into a shared telemetry handle.
-    pub fn with_obs(obs: Obs) -> Self {
-        Iommu::with_queues(obs, 1)
+        Iommu::with_queues(Obs::isolated(), 1)
     }
 
     /// Creates an IOMMU with `queues` hardware invalidation queues (see
-    /// [`InvalQueue::with_queues`]): one is the paper's machine, one per
-    /// core lets a strict unmap wait only on its own queue.
+    /// [`InvalQueue::new`]), reporting into `obs`: one queue is the
+    /// paper's machine, one per core lets a strict unmap wait only on its
+    /// own queue. Every stack component built on this IOMMU reports into
+    /// the same `obs` ([`Iommu::obs`]).
     pub fn with_queues(obs: Obs, queues: usize) -> Self {
         Iommu {
             tables: RwLock::new(FxHashMap::default()),
             iotlb: Mutex::new(Iotlb::default_hw()),
-            invalq: InvalQueue::with_queues(obs.clone(), queues),
+            invalq: InvalQueue::new(obs.clone(), queues),
             faults: Mutex::new(Vec::new()),
             iotlb_hits: obs.counter("iotlb", "hits", None),
             iotlb_misses: obs.counter("iotlb", "misses", None),

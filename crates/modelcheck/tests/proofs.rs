@@ -52,6 +52,23 @@ fn strict_engines_have_no_window_within_bounds() {
 }
 
 #[test]
+fn strict_exploration_preempts_at_the_iova_tree_lock() {
+    // The global IOVA tree's lock is one of §2.2.1's two serialisation
+    // points; a proof that never switches threads there covers less than
+    // it claims.
+    let mut cfg = Config::new(EngineKind::LinuxStrict);
+    cfg.collect_runs = true;
+    let r = explore(&cfg);
+    assert!(r.exhausted && !r.found_window);
+    let parked = r.run_summaries.iter().any(|run| {
+        run.schedule
+            .iter()
+            .any(|step| step.label == "lock:linux-iova-rbtree")
+    });
+    assert!(parked, "no schedule parks a worker at the IOVA tree lock");
+}
+
+#[test]
 fn deferred_engine_yields_window_counterexample() {
     let mut cfg = Config::new(EngineKind::LinuxDefer);
     cfg.stop_at_first_window = true;

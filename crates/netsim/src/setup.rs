@@ -330,6 +330,17 @@ mod tests {
     }
 
     #[test]
+    fn copys_iova_tree_reports_into_the_stacks_registry() {
+        // *copy* places each core's RX and TX descriptor rings with its
+        // IOVA tree, so those allocations are in the stack's registry.
+        let cfg = ExpConfig::quick();
+        let stack = SimStack::new(EngineKind::Copy, &cfg);
+        let snap = stack.mmu.obs().registry().snapshot();
+        let rings = 2 * cfg.cores.max(1) as u64;
+        assert_eq!(snap.counter("iova", "tree_allocs", None), Some(rings));
+    }
+
+    #[test]
     fn teardown_leaves_sanitizer_leak_clean() {
         for kind in EngineKind::ALL {
             let cfg = ExpConfig::quick();

@@ -30,9 +30,11 @@
 //! ## Threading model
 //!
 //! An [`Obs`] handle bundles one registry + one tracer and clones cheaply
-//! (one `Arc`). A simulation stack creates one `Obs` and hands clones to
-//! every component; components created standalone (unit tests) default to
-//! [`Obs::isolated`] so their numbers never bleed across tests.
+//! (one `Arc`). A simulation stack creates one `Obs`, the one its IOMMU is
+//! built on: every other stack component either reads it off that IOMMU
+//! or takes it as a required argument, so no component can report into a
+//! registry of its own. A test that wants private numbers builds its own
+//! IOMMU or passes [`Obs::isolated`] explicitly.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -99,9 +101,7 @@ impl Default for Obs {
 }
 
 impl Obs {
-    /// A fresh, private registry + tracer (default ring capacity).
-    ///
-    /// Components constructed without an explicit `Obs` use this so
+    /// A fresh, private registry + tracer (default ring capacity), so
     /// concurrent tests never share counters.
     pub fn isolated() -> Self {
         Obs::with_trace_capacity(DEFAULT_TRACE_CAPACITY)

@@ -1,31 +1,39 @@
-//! The lock-site primitive: the one place a lock site reaches the model
-//! checker.
+//! The lock-site primitive: the one place a lock is taken.
 //!
 //! Every contention-visible lock in the stack is taken through one of the
-//! two forms below. While a yield hook is installed (the bounded model
-//! checker's, `modelcheck`), a site records `LockAcquire` and fires the
-//! hook *before* the lock is taken, so a worker parked in the hook never
-//! holds a lock another worker needs; with no hook a site costs one
-//! relaxed load. Locks never nest: `SimLock::lock` panics when the core
-//! already holds one, and [`Obs::guarded`] when a host-mutex site is
-//! reached under a held `SimLock`.
+//! two calls below, and nowhere else: [`Obs::locked`] for a [`SimLock`],
+//! [`Obs::guarded`] for a region behind a host mutex. While a yield hook
+//! is installed (the bounded model checker's, `modelcheck`), a site
+//! records `LockAcquire` and fires the hook *before* the lock is taken, so
+//! a worker parked in the hook never holds a lock another worker needs;
+//! with no hook a site costs one relaxed load. `locked` also traces the
+//! acquisition's own spin as `LockContention`, so no caller handles a spin
+//! figure. Locks never nest: `SimLock::lock` panics when the core already
+//! holds one, and [`Obs::guarded`] when a host-mutex site is reached under
+//! a held `SimLock`.
 
 use crate::{EventKind, Obs};
 use simcore::{CoreCtx, Cycles, SimLock};
 use std::sync::atomic::Ordering;
 
 impl Obs {
-    /// Runs `f` under `lock` as an instrumented lock site; returns `f`'s
-    /// result and the cycles this acquisition spent spinning (see
-    /// [`SimLock::with_spin`]).
+    /// Runs `f` under `lock` as an instrumented lock site and returns its
+    /// result: fires the yield hook, takes the lock, runs `f`, releases
+    /// the lock, and — when this acquisition spun — emits
+    /// `LockContention` with its own spin, attributed to `device`.
     pub fn locked<R>(
         &self,
         ctx: &mut CoreCtx,
+        device: Option<u16>,
         lock: &SimLock,
         f: impl FnOnce(&mut CoreCtx) -> R,
-    ) -> (R, Cycles) {
+    ) -> R {
         self.lock_site(ctx, lock.name());
-        lock.with_spin(ctx, f)
+        let spin = lock.lock(ctx);
+        let r = f(ctx);
+        lock.unlock(ctx);
+        self.trace_contention(ctx, device, lock, spin);
+        r
     }
 
     /// The name-only form, for a region guarded by a host mutex rather than
@@ -49,16 +57,10 @@ impl Obs {
 
     /// Emits `LockContention` for an acquisition of `lock` that spun.
     ///
-    /// `spin` must be the acquisition's *own* spin, as returned by
-    /// [`Obs::locked`] / [`SimLock::with_spin`] — not a diff of the lock's
-    /// global `total_spin`, which also accumulates other cores' spins.
-    pub fn trace_contention(
-        &self,
-        ctx: &CoreCtx,
-        device: Option<u16>,
-        lock: &SimLock,
-        spin: Cycles,
-    ) {
+    /// `spin` is the acquisition's *own* spin, as `SimLock::lock` returns
+    /// it — not a diff of the lock's global `total_spin`, which also
+    /// accumulates other cores' spins.
+    fn trace_contention(&self, ctx: &CoreCtx, device: Option<u16>, lock: &SimLock, spin: Cycles) {
         if spin > Cycles::ZERO {
             self.set_now_hint(ctx.now());
             self.trace(
@@ -119,7 +121,7 @@ mod tests {
         let obs = Obs::isolated();
         let l = SimLock::new("site-lock");
         let mut c = ctx_at(0, 0);
-        let (v, _) = obs.locked(&mut c, &l, |_| 7);
+        let v = obs.locked(&mut c, None, &l, |_| 7);
         obs.guarded(&c, "host-lock");
         assert_eq!(v, 7);
         assert_eq!(l.stats().acquisitions, 1, "the lock is still taken");
@@ -138,7 +140,7 @@ mod tests {
                 .push(format!("{name} after [{recorded}] held={}", l2.is_held()));
         })));
         let mut c = ctx_at(2, 0);
-        obs.locked(&mut c, &l, |_| assert!(l.is_held()));
+        obs.locked(&mut c, None, &l, |_| assert!(l.is_held()));
         obs.guarded(&c, "host-lock");
         obs.set_yield_hook(None); // break the obs -> hook -> obs cycle
         obs.guarded(&c, "unhooked");
@@ -160,11 +162,11 @@ mod tests {
         let obs = Obs::isolated();
         let l = SimLock::new("site-lock");
         let mut c = ctx_at(1, 0);
-        obs.locked(&mut c, &l, |ctx| obs.guarded(ctx, "pool-cache"));
+        obs.locked(&mut c, None, &l, |ctx| obs.guarded(ctx, "pool-cache"));
     }
 
     #[test]
-    fn returned_spin_is_the_acquisitions_own() {
+    fn contention_is_traced_with_the_acquisitions_own_spin() {
         let obs = Obs::isolated();
         // Core 0 holds the lock over t=0..500; core 1 arrives at t=100.
         let l = SimLock::new("site-lock");
@@ -173,11 +175,21 @@ mod tests {
         c0.charge(Phase::Other, Cycles(500));
         l.unlock(&mut c0);
         let mut c1 = ctx_at(1, 100);
-        let ((), spin) = obs.locked(&mut c1, &l, |_| ());
-        assert_eq!(spin, Cycles(400));
+        obs.locked(&mut c1, Some(3), &l, |_| ());
         assert_eq!(c1.now(), Cycles(500));
+        // Core 2 arrives after the release: no spin, no event.
         let mut c2 = ctx_at(2, 600);
-        let ((), spin) = obs.locked(&mut c2, &l, |_| ());
-        assert_eq!(spin, Cycles::ZERO);
+        obs.locked(&mut c2, None, &l, |_| ());
+        let traced: Vec<_> = obs
+            .tracer()
+            .events()
+            .into_iter()
+            .map(|e| (e.at, e.core, e.device, e.kind))
+            .collect();
+        let spun = EventKind::LockContention {
+            lock: "site-lock".into(),
+            spin_cycles: 400,
+        };
+        assert_eq!(traced, [(Cycles(500), 1, Some(3), spun)]);
     }
 }

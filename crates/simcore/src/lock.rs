@@ -137,21 +137,6 @@ impl SimLock {
         r
     }
 
-    /// Like [`SimLock::with`], but also returns the cycles this
-    /// acquisition spent spinning — the per-acquisition figure contention
-    /// tracing must attribute to the calling site.
-    #[inline]
-    pub fn with_spin<R>(
-        &self,
-        ctx: &mut CoreCtx,
-        f: impl FnOnce(&mut CoreCtx) -> R,
-    ) -> (R, Cycles) {
-        let spin = self.lock(ctx);
-        let r = f(ctx);
-        self.unlock(ctx);
-        (r, spin)
-    }
-
     /// Whether the lock is currently held.
     pub fn is_held(&self) -> bool {
         self.held.load(Ordering::Relaxed)
@@ -331,7 +316,7 @@ mod tests {
     }
 
     #[test]
-    fn with_spin_reports_the_acquisitions_own_spin() {
+    fn lock_returns_the_acquisitions_own_spin() {
         let l = SimLock::new("test");
         let mut c0 = ctx_at(0, 0);
         l.lock(&mut c0);
@@ -339,12 +324,12 @@ mod tests {
         l.unlock(&mut c0);
 
         let mut c1 = ctx_at(1, 0);
-        let (v, spin) = l.with_spin(&mut c1, |_| 7);
-        assert_eq!((v, spin), (7, Cycles(300)));
+        assert_eq!(l.lock(&mut c1), Cycles(300));
+        l.unlock(&mut c1);
 
         let mut c2 = ctx_at(2, 1000);
-        let (_, spin) = l.with_spin(&mut c2, |_| ());
-        assert_eq!(spin, Cycles::ZERO);
+        assert_eq!(l.lock(&mut c2), Cycles::ZERO);
+        l.unlock(&mut c2);
     }
 
     #[test]

@@ -201,7 +201,7 @@ fn unmap_sg_unmaps_every_element_after_a_failure() {
 
     let obs = Obs::isolated();
     let mem = Arc::new(PhysMemory::new(NumaTopology::tiny(64)));
-    let mmu = Arc::new(Iommu::with_obs(obs.clone()));
+    let mmu = Arc::new(Iommu::with_queues(obs.clone(), 1));
     let inner = ShadowDma::new(mem.clone(), mmu, DeviceId(0), PoolConfig::default());
     let pool = inner.pool().clone();
     let san = Arc::new(DmaSan::new(obs.clone()));

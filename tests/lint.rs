@@ -225,6 +225,46 @@ fn lock_acquire_is_built_only_by_the_obs_primitive() {
     );
 }
 
+/// Direct acquisitions of a `SimLock` (`.lock(ctx`, `.with(ctx`,
+/// `.with_spin(`) in one prepped file, outside `#[cfg(test)]`.
+fn direct_simlock_takes(p: &Prep) -> Vec<String> {
+    let mut out = Vec::new();
+    for needle in [".lock(ctx", ".with(ctx", ".with_spin("] {
+        for (pos, _) in p.blank.match_indices(needle) {
+            let line = p.line_of(pos);
+            if !p.in_test(line) {
+                out.push(format!("{}:{line}: {needle}", p.label));
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn simlocks_are_taken_only_through_the_obs_primitive() {
+    let planted = "fn f(l: &SimLock, ctx: &mut CoreCtx) { l.with(ctx, |_| ()); }";
+    assert_eq!(direct_simlock_takes(&prep("x.rs", planted)).len(), 1);
+    let in_test = "#[cfg(test)]\nmod tests { fn t() { l.lock(ctx); } }";
+    assert!(direct_simlock_takes(&prep("x.rs", in_test)).is_empty());
+
+    // `Obs::locked` yields to the model checker, takes the lock and
+    // traces its contention; a lock taken around it is no preemption
+    // point and traces nothing. `simcore` defines the lock and `obs` is
+    // the primitive.
+    let ws = Workspace::load(repo_root()).expect("load workspace");
+    let sites: Vec<String> = ws
+        .files
+        .iter()
+        .filter(|f| !matches!(f.crate_name.as_str(), "simcore" | "obs"))
+        .flat_map(|f| direct_simlock_takes(&f.prep))
+        .collect();
+    assert!(
+        sites.is_empty(),
+        "SimLock taken outside Obs::locked:\n{}",
+        sites.join("\n")
+    );
+}
+
 /// The fields of `pub struct CostModel` in `cost` that no non-test code of
 /// `code` reads as `.field`. A write (`.field = ..`), a method call
 /// (`.field(..)`) and a read inside `#[cfg(test)]` do not count; the
