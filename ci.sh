@@ -1,5 +1,6 @@
 #!/bin/sh
-# Local mirror of .github/workflows/ci.yml — fully offline.
+# The CI pipeline, fully offline: .github/workflows/ci.yml runs this script
+# and then uploads the artifacts it writes under target/.
 set -eux
 export CARGO_NET_OFFLINE=true
 cargo build --release --workspace --all-targets

@@ -138,10 +138,16 @@ pub struct Function {
 
 /// Parses a signature group's children into parameters. Each parameter is
 /// `pat: Type` (or a bare receiver); the binding name is the first
-/// identifier after any `&`/`mut` prefix.
+/// identifier after any `&`/`mut` prefix. Angle brackets are not groups,
+/// so a comma inside `<…>` (`Result<(), E>`) is skipped by depth.
 fn parse_params(children: &[Tree]) -> Vec<Param> {
     let mut out = Vec::new();
-    for arg in split_top_level_commas(children) {
+    let mut angles = 0i32;
+    let params = children.split(|t| {
+        angles += i32::from(t.is_punct("<")) - i32::from(t.is_punct(">"));
+        angles == 0 && t.is_punct(",")
+    });
+    for arg in params {
         if arg.is_empty() {
             continue;
         }
@@ -165,13 +171,23 @@ fn parse_params(children: &[Tree]) -> Vec<Param> {
     out
 }
 
-/// Splits a tree slice at top-level commas (shared by parameter parsing
-/// and call-argument splitting).
+/// Splits call arguments at top-level commas. A closure argument's
+/// parameter list (`|ctx, batch| …`, opened by a `|` that starts the
+/// argument or follows its `move`) is one argument, and a bitwise or
+/// (`a | b`) is not a closure.
 pub fn split_top_level_commas(children: &[Tree]) -> Vec<&[Tree]> {
     let mut out = Vec::new();
     let mut start = 0;
+    let mut in_closure_params = false;
     for (k, t) in children.iter().enumerate() {
-        if t.is_punct(",") {
+        let opens = match &children[start..k] {
+            [] => true,
+            [kw] => kw.is_ident("move"),
+            _ => false,
+        };
+        if t.is_punct("|") && (in_closure_params || opens) {
+            in_closure_params = !in_closure_params;
+        } else if t.is_punct(",") && !in_closure_params {
             out.push(&children[start..k]);
             start = k + 1;
         }
@@ -660,6 +676,40 @@ mod tests {
         let free = fns.iter().find(|f| f.name == "free").expect("free fn");
         assert_eq!(free.params[0].name, "a");
         assert_eq!(free.params[1].name, "b");
+    }
+
+    /// The argument count of the call `expr`.
+    fn argc(expr: &str) -> usize {
+        let trees = build_trees(&tokenize(&prep("x.rs", expr).blank));
+        let Some(Tree::Group { children, .. }) = trees.last() else {
+            panic!("{expr} is no call");
+        };
+        split_top_level_commas(children).len()
+    }
+
+    #[test]
+    fn a_closure_argument_is_one_argument() {
+        assert_eq!(argc("run(ctx, |ctx, batch| step(ctx, batch))"), 2);
+        assert_eq!(argc("run(move |a, b| a + b, || 0)"), 2);
+        assert_eq!(argc("mix(a | b, c)"), 2);
+    }
+
+    #[test]
+    fn a_trailing_string_literal_is_an_argument() {
+        assert_eq!(argc("SimLock::new(\"probe\")"), 1);
+        assert_eq!(argc("log(n, \"a, b\")"), 2);
+        assert_eq!(argc("push(b, 'x')"), 2);
+    }
+
+    #[test]
+    fn a_comma_inside_angle_brackets_splits_no_parameter() {
+        let p = prep(
+            "x.rs",
+            "fn f(r: Result<(), E>, m: Map<K, Vec<V>>, n: usize) {}\n",
+        );
+        let fns = extract_functions(&p, &build_trees(&tokenize(&p.blank)));
+        let names: Vec<&str> = fns[0].params.iter().map(|p| p.name.as_str()).collect();
+        assert_eq!(names, ["r", "m", "n"]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The shared front-end: a byte-aligned comment/string-stripped view of a
 //! Rust source file, the `#[cfg(test)]` region mask, and a token stream.
 //!
-//! Everything downstream — the style rules, the call graph, and the
+//! Everything downstream — the style rules, the function index, and the
 //! DMA-protocol and taint checks — consumes the output of this one pass,
 //! run once per file by [`crate::workspace`], so there is exactly one
 //! tokenizer and one interpretation of what is code and what is comment.
@@ -52,10 +52,11 @@ impl Prep {
 
 /// Replaces comments and string/char literals with spaces, preserving
 /// newlines and all other structure (so brace matching and line numbers
-/// survive). Doc comments — and therefore doctests — are stripped too.
-/// Handles nested block comments, raw strings with any number of `#`s
-/// (including unterminated ones at EOF), escapes, and byte-string
-/// literals.
+/// survive). A literal keeps its opening quote, so it still lexes as one
+/// token: `new("probe")` has an argument. Doc comments — and therefore
+/// doctests — are stripped too. Handles nested block comments, raw
+/// strings with any number of `#`s (including unterminated ones at EOF),
+/// escapes, and byte-string literals.
 pub fn strip_code(src: &str) -> String {
     let b = src.as_bytes();
     let mut blank = Vec::with_capacity(b.len());
@@ -92,8 +93,9 @@ pub fn strip_code(src: &str) -> String {
                 j += 1;
             }
             let hashes = j - (i + 1);
-            // The `r##"` opener.
-            blank.extend(std::iter::repeat_n(b' ', j + 1 - i));
+            // The `r##"` opener, down to its quote.
+            blank.extend(std::iter::repeat_n(b' ', j - i));
+            blank.push(b'"');
             i = j + 1;
             while i < b.len() {
                 // The closer is `"` followed by exactly `hashes` `#`s; a
@@ -111,7 +113,7 @@ pub fn strip_code(src: &str) -> String {
                 i += 1;
             }
         } else if c == b'"' {
-            blank.push(b' ');
+            blank.push(b'"');
             i += 1;
             while i < b.len() {
                 if b[i] == b'\\' && i + 1 < b.len() {
@@ -128,7 +130,7 @@ pub fn strip_code(src: &str) -> String {
                 }
             }
         } else if c == b'\'' && char_literal_here(b, i) {
-            blank.push(b' ');
+            blank.push(b'\'');
             i += 1;
             while i < b.len() {
                 if b[i] == b'\\' && i + 1 < b.len() {
@@ -247,8 +249,8 @@ const JOINED: [&str; 6] = ["::", "->", "=>", "..=", "..", "&&"];
 /// Tokenizes the `blank` view: identifier runs (`[A-Za-z0-9_]+`) become
 /// ident tokens, a few multi-character operators stay joined, and every
 /// other non-whitespace byte is a one-character punct token. String and
-/// char literal contents were blanked by [`strip_code`], so no string
-/// byte ever reaches the token stream.
+/// char literals were blanked by [`strip_code`] down to their opening
+/// quote, so no string byte ever reaches the token stream.
 pub fn tokenize(blank: &str) -> Vec<Token> {
     let b = blank.as_bytes();
     let mut out = Vec::new();

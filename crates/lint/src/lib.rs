@@ -5,7 +5,7 @@
 //! and the token stream; [`mod@cfg`]: token trees and per-function
 //! control-flow graphs). Each file is read and prepped once, each `src/`
 //! file tokenized and parsed once, and each function's CFG built once (in
-//! the [`callgraph`]). On top of it:
+//! the function index, [`fns`]). On top of it:
 //!
 //! 1. **House style rules** ([`rules::style`]) — no `unwrap()`/`expect(`
 //!    outside `#[cfg(test)]`, no raw `PhysAddr` arithmetic outside
@@ -15,17 +15,16 @@
 //!    root carries `#![forbid(unsafe_code)]` (`forbid-unsafe`: rustc, not
 //!    this lint, then rejects any `unsafe`).
 //! 2. **DMA-API protocol** ([`rules::protocol`], [`typestate`],
-//!    [`callgraph`], [`summary`]) — what the move-only handle types
-//!    cannot say. Unmap-once and no-use-after-unmap are rustc's (E0382);
-//!    a dataflow over each function's CFG checks the two obligations
-//!    ownership does not express: leak-on-exit (a mapping still owned at
-//!    a `return`/`?`/exit edge — the static cross-check of dmasan's
-//!    teardown leak rule) and cpu-read-while-mapped (a CPU read of a
-//!    device-writable buffer before its unmap). Moves and borrows are
-//!    read off the call site; the workspace call graph feeds bottom-up
-//!    summaries (computed over SCCs with a fixpoint for recursion) of the
-//!    one thing a call site cannot show — whether a callee returns a
-//!    fresh mapping.
+//!    [`summary`]) — what the move-only handle types cannot say.
+//!    Unmap-once and no-use-after-unmap are rustc's (E0382); a dataflow
+//!    over each function's CFG checks the two obligations ownership does
+//!    not express: leak-on-exit (a mapping still owned at a
+//!    `return`/`?`/exit edge — the static cross-check of dmasan's teardown
+//!    leak rule) and cpu-read-while-mapped (a CPU read of a
+//!    device-writable buffer before its unmap). Moves and borrows are read
+//!    off the call site; the one thing a call site cannot show — whether
+//!    the uniquely resolved callee returns a fresh mapping — is its
+//!    summary, computed the first time it is read.
 //! 3. **Device taint** ([`taint`]) — values read off device-writable
 //!    mapped buffers flowing into an index, loop bound, accessor length,
 //!    or `PhysAddr` arithmetic without a bounds check.
@@ -44,8 +43,8 @@
 
 use std::path::Path;
 
-pub mod callgraph;
 pub mod cfg;
+pub mod fns;
 pub mod lexer;
 pub mod report;
 pub mod rules;
@@ -54,7 +53,7 @@ pub mod taint;
 pub mod typestate;
 pub mod workspace;
 
-pub use callgraph::{CallGraph, FnNode};
+pub use fns::{FnIndex, FnNode};
 pub use lexer::{strip_code, test_region_mask, Prep};
 pub use report::{json_report, rule_summary, LintViolation};
 pub use rules::protocol::ProtocolAnalysis;
@@ -83,7 +82,7 @@ pub const ALL_RULES: [&str; 10] = [
 pub struct WorkspaceReport {
     /// Waiver-filtered violations across every file and manifest.
     pub violations: Vec<LintViolation>,
-    /// Call graph, summaries, and taint stats.
+    /// Function index, summaries, and taint stats.
     pub protocol: ProtocolAnalysis,
 }
 
@@ -91,7 +90,7 @@ pub struct WorkspaceReport {
 /// file's raw line, protocol and taint findings through its waivers (and
 /// each crate root through the forbid-unsafe rule).
 pub fn lint(ws: &Workspace) -> WorkspaceReport {
-    let mut protocol = ProtocolAnalysis::from_graph(CallGraph::build(&ws.files));
+    let mut protocol = ProtocolAnalysis::new(FnIndex::build(&ws.files));
     let mut out = Vec::new();
     for (label, toml) in &ws.manifests {
         out.extend(lint_manifest(label, toml));

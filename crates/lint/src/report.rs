@@ -59,8 +59,8 @@ fn text(s: &str) -> Json {
 }
 
 /// Builds the machine-readable lint report (`lint --json <path>`): the
-/// findings, the per-rule summary, and the interprocedural call-graph,
-/// summary, and taint sections. Summaries
+/// findings, the per-rule summary, the function count, and the
+/// interprocedural summary and taint sections. Summaries
 /// are exported only when DMA-relevant — a fresh-mapped return or a
 /// device-data read — so the report stays proportional to the DMA
 /// surface, not the workspace size.
@@ -77,16 +77,8 @@ pub fn json_report(report: &WorkspaceReport) -> Json {
     let summary = rule_summary(&report.violations)
         .into_iter()
         .map(|(r, n)| (r.to_string(), uint(n)));
-    let g = &analysis.graph;
-    let closures = g.nodes.iter().filter(|n| n.is_closure).count();
-    let call_graph = obj(vec![
-        ("functions", uint(g.nodes.len() - closures)),
-        ("closures", uint(closures)),
-        ("edges", uint(g.callees.iter().map(Vec::len).sum())),
-        ("unknown_calls", uint(g.unknown_calls.iter().sum())),
-        ("sccs", uint(g.sccs().len())),
-    ]);
-    let summaries = g
+    let summaries = analysis
+        .fns
         .nodes
         .iter()
         .zip(&analysis.summaries)
@@ -103,7 +95,6 @@ pub fn json_report(report: &WorkspaceReport) -> Json {
             ("line", uint(n.line)),
             ("ret", Json::Str(ret)),
             ("reads_device_data", Json::Bool(s.reads_device_data)),
-            ("converged", Json::Bool(s.converged)),
         ])
     });
     let taint = &analysis.taint;
@@ -111,7 +102,7 @@ pub fn json_report(report: &WorkspaceReport) -> Json {
         ("tool", text("lint")),
         ("violations", Json::Arr(violations.collect())),
         ("summary", Json::Obj(summary.collect())),
-        ("call_graph", call_graph),
+        ("functions", uint(analysis.fns.nodes.len())),
         ("summaries", Json::Arr(summaries.collect())),
         (
             "taint_analysis",
@@ -190,8 +181,7 @@ mod tests {
             engine.map(ctx, DmaBuf::new(pkt, 64), DmaDirection::FromDevice).expect(\"m\")\n\
             }\n";
         let file = crate::workspace::SourceFile::lib("crates/x/src/lib.rs", src);
-        let graph = crate::callgraph::CallGraph::build(&[file]);
-        let mut protocol = ProtocolAnalysis::from_graph(graph);
+        let mut protocol = ProtocolAnalysis::new(crate::fns::FnIndex::build(&[file]));
         protocol.taint = crate::taint::TaintStats {
             sources: 2,
             tainted_vars: 3,
@@ -202,13 +192,7 @@ mod tests {
             ..Default::default()
         });
         let parsed = Json::parse(&j.encode()).expect("valid json");
-        assert_eq!(
-            parsed
-                .get("call_graph")
-                .and_then(|g| g.get("functions"))
-                .and_then(Json::as_u64),
-            Some(1)
-        );
+        assert_eq!(parsed.get("functions").and_then(Json::as_u64), Some(1));
         assert_eq!(
             parsed
                 .get("taint_analysis")

@@ -2,12 +2,12 @@
 //! ([`crate::typestate`]) and the device-taint pass ([`crate::taint`])
 //! over one file's functions and returns their raw findings.
 //!
-//! Both passes share one interprocedural context — the workspace call
-//! graph ([`crate::callgraph`]) and the per-function summaries
-//! ([`crate::summary`]: fresh-mapping returns, device-data reads). The
-//! assembled [`ProtocolAnalysis`] is what `lint --json` exports.
+//! Both passes share the workspace's function index ([`crate::fns`]) and
+//! the per-function summaries ([`crate::summary`]: fresh-mapping returns,
+//! device-data reads) that a uniquely resolved call reads. The assembled
+//! [`ProtocolAnalysis`] is what `lint --json` exports.
 
-use crate::callgraph::CallGraph;
+use crate::fns::FnIndex;
 use crate::report::LintViolation;
 use crate::summary::FnSummary;
 use crate::taint::TaintStats;
@@ -15,32 +15,33 @@ use crate::taint::TaintStats;
 /// The protocol rule names, in reporting order.
 pub const PROTOCOL_RULES: [&str; 2] = ["leak-on-exit", "cpu-read-while-mapped"];
 
-/// The interprocedural analysis product of one workspace scan: the call
-/// graph, every function's summary, and the device-taint statistics.
+/// The interprocedural analysis product of one workspace scan: the
+/// function index, every function's summary, and the device-taint
+/// statistics.
 #[derive(Debug, Default)]
 pub struct ProtocolAnalysis {
-    /// The workspace call graph.
-    pub graph: CallGraph,
-    /// Summaries, indexed like `graph.nodes`.
+    /// The workspace's named functions.
+    pub fns: FnIndex,
+    /// Summaries, indexed like `fns.nodes`.
     pub summaries: Vec<FnSummary>,
     /// Aggregate taint numbers across the workspace.
     pub taint: TaintStats,
 }
 
 impl ProtocolAnalysis {
-    /// Summarizes every function of `graph`; taint stats start empty.
-    pub fn from_graph(graph: CallGraph) -> Self {
+    /// Summarizes every function of `fns`; taint stats start empty.
+    pub fn new(fns: FnIndex) -> Self {
         ProtocolAnalysis {
-            summaries: crate::summary::compute(&graph),
-            graph,
+            summaries: crate::summary::compute(&fns),
+            fns,
             taint: TaintStats::default(),
         }
     }
 
-    /// The raw protocol and taint findings of the `file`-th file the graph
+    /// The raw protocol and taint findings of the `file`-th file the index
     /// was built from, and its taint numbers.
     pub fn check_file(&self, file: usize) -> (Vec<LintViolation>, TaintStats) {
-        let nodes = &self.graph.nodes[self.graph.files[file].clone()];
+        let nodes = &self.fns.nodes[self.fns.files[file].clone()];
         let mut raw = crate::typestate::check_fns(nodes, self);
         let (taint, stats) = crate::taint::check_fns(nodes, self);
         raw.extend(taint);
@@ -59,8 +60,7 @@ mod tests {
             fn f(engine: &E, ctx: &mut C) {\n\
             let m = engine.map(ctx, DmaBuf::new(skb, 64), DmaDirection::ToDevice).expect(\"m\");\n\
             }\n";
-        let analysis =
-            ProtocolAnalysis::from_graph(CallGraph::build(&[SourceFile::lib("x.rs", src)]));
+        let analysis = ProtocolAnalysis::new(FnIndex::build(&[SourceFile::lib("x.rs", src)]));
         let (raw, _) = analysis.check_file(0);
         assert_eq!(raw.len(), 1, "{raw:?}");
         assert_eq!(

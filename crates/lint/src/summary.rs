@@ -1,27 +1,26 @@
-//! Per-function summaries, computed bottom-up over the call graph's SCCs.
+//! Per-function summaries: the two facts a caller cannot read off its
+//! own source.
 //!
 //! Ownership transfer is the language's — a handle passed by value is
 //! moved, `&m` is a borrow, both visible at the call site — so a summary
-//! says nothing about parameters. It holds the two facts a caller cannot
-//! read off its own source:
+//! says nothing about parameters. It holds:
 //!
 //! - **return slot** — does the function return a freshly mapped handle
 //!   (and with which direction), so `let h = make_rx(…)` can be tracked
 //!   like a direct `map` call?
-//! - does the function read data back out of a device-writable buffer
-//!   (the taint pass's interprocedural source bit)?
+//! - does the function's own body read data back out of a buffer it maps
+//!   device-writable (the taint pass's interprocedural source bit)?
 //!
-//! The return lattice is `NotHandle < FreshMapped(dir) < Unknown`.
-//! Summaries are computed per SCC with a fixpoint (callees first, so
-//! non-recursive code converges in one sweep); an SCC that fails to
-//! converge within its round cap falls back to the explicit conservative
-//! bottom — return unknown, `converged = false` — rather than an unsound
-//! guess.
+//! The return lattice is `NotHandle < FreshMapped(dir) < Unknown`. A
+//! return expression ending in a uniquely resolved workspace call takes
+//! that callee's return, computed the first time it is needed; a callee
+//! still on the walk's stack (recursion) reads as `Unknown`, the
+//! conservative top.
 
 use std::collections::BTreeSet;
 
-use crate::callgraph::CallGraph;
 use crate::cfg::Cfg;
+use crate::fns::FnIndex;
 use crate::typestate::{detect_bind, scan, tail_call_effect, Dir, Ev};
 
 /// What the function's return slot carries, handle-wise.
@@ -37,7 +36,7 @@ pub enum RetEffect {
     Unknown,
 }
 
-/// One function's summary, indexed like `CallGraph::nodes`.
+/// One function's summary, indexed like `FnIndex::nodes`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FnSummary {
     /// Return-slot effect.
@@ -45,87 +44,64 @@ pub struct FnSummary {
     /// Reads CPU-visible data out of a `FromDevice`/`Bidirectional`
     /// mapping: a device-taint source.
     pub reads_device_data: bool,
-    /// `false` when the SCC fixpoint hit its round cap and this summary
-    /// is the conservative fallback.
-    pub converged: bool,
 }
 
-impl FnSummary {
-    const BOTTOM: FnSummary = FnSummary {
-        ret: RetEffect::NotHandle,
-        reads_device_data: false,
-        converged: true,
-    };
-
-    const CONSERVATIVE: FnSummary = FnSummary {
-        ret: RetEffect::Unknown,
-        reads_device_data: false,
-        converged: false,
-    };
+/// Summarizes every function of `fns`.
+pub fn compute(fns: &FnIndex) -> Vec<FnSummary> {
+    let mut rets = vec![None; fns.nodes.len()];
+    (0..fns.nodes.len())
+        .map(|id| FnSummary {
+            ret: ret_of(fns, id, &mut rets),
+            reads_device_data: reads_device_data(&fns.nodes[id].cfg),
+        })
+        .collect()
 }
 
-/// Computes summaries for every node, callees before callers.
-pub fn compute(graph: &CallGraph) -> Vec<FnSummary> {
-    let mut sums = vec![FnSummary::BOTTOM; graph.nodes.len()];
-    for scc in graph.sccs() {
-        let cap = 3 * scc.len() + 3;
-        let mut rounds = 0;
-        loop {
-            let mut changed = false;
-            for &id in &scc {
-                let next = summarize_one(graph, &graph.nodes[id].cfg, &sums);
-                if next != sums[id] {
-                    sums[id] = next;
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-            rounds += 1;
-            if rounds >= cap {
-                for &id in &scc {
-                    sums[id] = FnSummary::CONSERVATIVE;
-                }
-                break;
-            }
+/// `id`'s return effect, joined over its return-position statements and
+/// memoised in `rets`.
+fn ret_of(fns: &FnIndex, id: usize, rets: &mut [Option<RetEffect>]) -> RetEffect {
+    if let Some(ret) = rets[id] {
+        return ret;
+    }
+    // Until the walk below finishes, a recursive call back here reads the
+    // conservative top.
+    rets[id] = Some(RetEffect::Unknown);
+    let mut ret = RetEffect::NotHandle;
+    for stmt in fns.nodes[id]
+        .cfg
+        .stmts()
+        .filter(|s| s.is_return || s.is_tail)
+    {
+        let trees = match stmt.trees.split_first() {
+            Some((kw, rest)) if kw.is_ident("return") => rest,
+            _ => &stmt.trees[..],
+        };
+        if !trees.is_empty() {
+            // (a bare `return` / empty tail carries no value)
+            let callee_ret = |callee| ret_of(fns, callee, rets);
+            ret = join_ret(ret, tail_call_effect(trees, fns, callee_ret));
         }
     }
-    sums
+    rets[id] = Some(ret);
+    ret
 }
 
-fn summarize_one(graph: &CallGraph, cfg: &Cfg, sums: &[FnSummary]) -> FnSummary {
-    let mut s = FnSummary::BOTTOM;
-
-    // Device-writable buffers bound in this body (taint sources).
+/// Whether some statement of the body reads a device-writable buffer the
+/// body itself maps.
+fn reads_device_data(cfg: &Cfg) -> bool {
     let device_bufs: BTreeSet<String> = cfg
         .stmts()
         .filter_map(|stmt| detect_bind(&stmt.trees, None))
         .filter(|b| b.dir.device_writes())
         .filter_map(|b| b.buf)
         .collect();
-
-    for stmt in cfg.stmts() {
+    cfg.stmts().any(|stmt| {
         let mut evs = Vec::new();
         scan(&stmt.trees, &mut evs);
-        s.reads_device_data |= evs.iter().any(
+        evs.iter().any(
             |ev| matches!(ev, Ev::Read { head, .. } if head.iter().any(|h| device_bufs.contains(h))),
-        );
-
-        // Return-slot effect, joined over all return-position statements.
-        if !(stmt.is_return || stmt.is_tail) {
-            continue;
-        }
-        let mut trees = &stmt.trees[..];
-        if trees.first().is_some_and(|t| t.is_ident("return")) {
-            trees = &trees[1..];
-        }
-        if !trees.is_empty() {
-            // (a bare `return` / empty tail carries no value)
-            s.ret = join_ret(s.ret, tail_call_effect(trees, graph, sums));
-        }
-    }
-    s
+        )
+    })
 }
 
 fn join_ret(a: RetEffect, b: RetEffect) -> RetEffect {
@@ -145,56 +121,57 @@ mod tests {
     use super::*;
     use crate::workspace::SourceFile;
 
-    fn setup(src: &str) -> (CallGraph, Vec<FnSummary>) {
-        let g = CallGraph::build(&[SourceFile::lib("x.rs", src)]);
-        let s = compute(&g);
-        (g, s)
+    /// The summaries of `src`'s functions, in source order.
+    fn summarize(src: &str) -> Vec<FnSummary> {
+        compute(&FnIndex::build(&[SourceFile::lib("x.rs", src)]))
     }
 
-    fn sum_of<'s>(g: &CallGraph, s: &'s [FnSummary], name: &str) -> &'s FnSummary {
-        let id = g
-            .nodes
-            .iter()
-            .position(|n| n.name == name)
-            .unwrap_or_else(|| panic!("{name} not in graph"));
-        &s[id]
+    fn rets(src: &str) -> Vec<RetEffect> {
+        summarize(src).into_iter().map(|s| s.ret).collect()
     }
 
     #[test]
     fn tail_map_call_returns_fresh_mapping() {
-        let src = "fn make_rx(engine: &E, ctx: &mut C) -> M {\n\
-                   engine.map(ctx, DmaBuf::new(buf, 64), DmaDirection::FromDevice).expect(\"m\")\n\
-                   }\n\
-                   fn wrap(engine: &E, ctx: &mut C) -> M {\n\
-                   make_rx(engine, ctx)\n\
-                   }\n";
-        let (g, s) = setup(src);
-        assert_eq!(
-            sum_of(&g, &s, "make_rx").ret,
-            RetEffect::FreshMapped {
-                dir: Dir::FromDevice
-            }
-        );
-        // Propagates through a uniquely-resolved tail call.
-        assert_eq!(
-            sum_of(&g, &s, "wrap").ret,
-            RetEffect::FreshMapped {
-                dir: Dir::FromDevice
-            }
-        );
+        let make_rx = "fn make_rx(engine: &E, ctx: &mut C) -> M {\n\
+                       engine.map(ctx, DmaBuf::new(buf, 64), DmaDirection::FromDevice).expect(\"m\")\n\
+                       }\n";
+        let wrap = "fn wrap(engine: &E, ctx: &mut C) -> M {\nmake_rx(engine, ctx)\n}\n";
+        let fresh = RetEffect::FreshMapped {
+            dir: Dir::FromDevice,
+        };
+        // Propagates through a uniquely-resolved tail call, whichever of
+        // the two is summarized first.
+        assert_eq!(rets(&format!("{make_rx}{wrap}")), [fresh, fresh]);
+        assert_eq!(rets(&format!("{wrap}{make_rx}")), [fresh, fresh]);
     }
 
     #[test]
     fn a_passed_through_parameter_is_not_a_fresh_mapping() {
-        let (g, s) = setup("fn pass(m: M) -> M { m }\n");
-        assert_eq!(sum_of(&g, &s, "pass").ret, RetEffect::Unknown);
+        assert_eq!(rets("fn pass(m: M) -> M { m }\n"), [RetEffect::Unknown]);
     }
 
     #[test]
-    fn recursion_converges() {
-        let src = "fn walk(n: u32) { if n > 0 { walk(n - 1); } }\n";
-        let (g, s) = setup(src);
-        assert!(sum_of(&g, &s, "walk").converged);
+    fn self_recursion_reads_unknown() {
+        // The base case maps, but the recursive return is not provably
+        // fresh: the callee is still on the walk's stack.
+        let src = "fn again(engine: &E, ctx: &mut C, n: u32) -> M {\n\
+                   if n > 0 {\n\
+                   return again(engine, ctx, n - 1);\n\
+                   }\n\
+                   engine.map(ctx, DmaBuf::new(buf, 64), DmaDirection::FromDevice).expect(\"m\")\n\
+                   }\n";
+        assert_eq!(rets(src), [RetEffect::Unknown]);
+    }
+
+    #[test]
+    fn mutual_recursion_through_tail_calls_reads_unknown() {
+        let src = "fn ping(engine: &E, ctx: &mut C) -> M {\n\
+                   pong(engine, ctx)\n\
+                   }\n\
+                   fn pong(engine: &E, ctx: &mut C) -> M {\n\
+                   ping(engine, ctx)\n\
+                   }\n";
+        assert_eq!(rets(src), [RetEffect::Unknown, RetEffect::Unknown]);
     }
 
     #[test]
@@ -204,7 +181,6 @@ mod tests {
                    engine.unmap(ctx, m).expect(\"u\");\n\
                    let data = mem.read_vec(frame, 256);\n\
                    }\n";
-        let (g, s) = setup(src);
-        assert!(sum_of(&g, &s, "rx").reads_device_data);
+        assert!(summarize(src)[0].reads_device_data);
     }
 }

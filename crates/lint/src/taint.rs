@@ -22,8 +22,8 @@
 
 use std::collections::BTreeSet;
 
-use crate::callgraph::FnNode;
 use crate::cfg::{Stmt, Tree};
+use crate::fns::FnNode;
 use crate::report::LintViolation;
 use crate::rules::protocol::ProtocolAnalysis;
 use crate::typestate::{detect_bind, let_binding, scan, Ev, READ_METHODS};
@@ -133,13 +133,13 @@ fn tainted_in(trees: &[Tree], tainted: &BTreeSet<String>, out: &mut Vec<String>)
     }
 }
 
-/// Runs the taint pass over the named functions among one file's
-/// call-graph `nodes`. Uniquely-resolved calls to device-reading helpers
-/// (`reads_device_data` in `inter`'s summaries) act as sources too.
+/// Runs the taint pass over one file's functions `nodes`. Uniquely
+/// resolved calls to device-reading helpers (`reads_device_data` in
+/// `inter`'s summaries) act as sources too.
 pub fn check_fns(nodes: &[FnNode], inter: &ProtocolAnalysis) -> (Vec<LintViolation>, TaintStats) {
     let mut findings = Vec::new();
     let mut stats = TaintStats::default();
-    for f in nodes.iter().filter(|n| !n.is_closure) {
+    for f in nodes {
         let stmts: Vec<&Stmt> = f.cfg.stmts().collect();
         check_fn(f, &stmts, inter, &mut findings, &mut stats);
     }
@@ -192,10 +192,8 @@ fn check_fn(
                     qualified: false,
                     argc,
                 } => {
-                    if let [id] = inter.graph.resolve(name, *method, *argc)[..] {
-                        if inter.summaries.get(id).is_some_and(|s| s.reads_device_data) {
-                            is_source = true;
-                        }
+                    if let Some(id) = inter.fns.resolve(name, *method, *argc) {
+                        is_source |= inter.summaries[id].reads_device_data;
                     }
                 }
                 _ => {}
@@ -359,9 +357,9 @@ mod tests {
     use crate::workspace::SourceFile;
 
     fn run(src: &str) -> Vec<LintViolation> {
-        let graph = crate::callgraph::CallGraph::build(&[SourceFile::lib("x.rs", src)]);
-        let analysis = crate::rules::protocol::ProtocolAnalysis::from_graph(graph);
-        check_fns(&analysis.graph.nodes, &analysis).0
+        let fns = crate::fns::FnIndex::build(&[SourceFile::lib("x.rs", src)]);
+        let analysis = crate::rules::protocol::ProtocolAnalysis::new(fns);
+        check_fns(&analysis.fns.nodes, &analysis).0
     }
 
     #[test]

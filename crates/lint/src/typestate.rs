@@ -28,10 +28,9 @@
 //! with it, and so is the receiver of the handle's one `self` method
 //! (`engine.unmap(ctx, m.device_wrote(n))`); `&m`, `&mut m` and `m.field`
 //! are borrows and the handle stays tracked. The one interprocedural fact
-//! kept is the *return* effect
-//! ([`crate::summary::RetEffect::FreshMapped`]): `let h = make_rx(…)` is
-//! tracked like a direct `map` when the callee provably returns a fresh
-//! mapping.
+//! is the *return* effect ([`crate::summary::RetEffect::FreshMapped`]):
+//! `let h = make_rx(…)` is tracked like a direct `map` when the call
+//! resolves to one function whose summary proves a fresh mapping.
 //!
 //! ## Soundness caveats (by design, to keep the pass zero-false-positive)
 //!
@@ -49,11 +48,11 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::callgraph::{CallGraph, FnNode, INTRINSICS};
 use crate::cfg::{split_top_level_commas, Cfg, Stmt, Tree};
+use crate::fns::{FnIndex, FnNode};
 use crate::report::LintViolation;
 use crate::rules::protocol::ProtocolAnalysis;
-use crate::summary::{FnSummary, RetEffect};
+use crate::summary::RetEffect;
 
 /// Streaming direction of a tracked mapping, as far as the source shows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,6 +110,10 @@ fn join_into(dst: &mut State, src: &State) -> bool {
 }
 
 const MAP_METHODS: [&str; 3] = ["map", "map_sg", "alloc_coherent"];
+/// A DMA-API call's protocol effect is primitive: it is never a user call.
+fn intrinsic(name: &str) -> bool {
+    MAP_METHODS.contains(&name) || ["unmap", "unmap_sg", "free_coherent"].contains(&name)
+}
 /// `DmaMapping`'s by-value methods: `m.device_wrote(n)` takes `self`, so the
 /// receiver is moved, not projected.
 const SELF_METHODS: [&str; 1] = ["device_wrote"];
@@ -258,9 +261,7 @@ pub(crate) fn scan(trees: &[Tree], evs: &mut Vec<Ev>) {
                     head,
                     line: t.line(),
                 });
-            } else if !CALL_KEYWORDS.contains(&name.as_str())
-                && !INTRINSICS.contains(&name.as_str())
-            {
+            } else if !CALL_KEYWORDS.contains(&name.as_str()) && !intrinsic(name) {
                 evs.push(Ev::UserCall {
                     name: name.clone(),
                     method,
@@ -305,10 +306,13 @@ pub(crate) fn detect_bind(trees: &[Tree], inter: Option<&ProtocolAnalysis>) -> O
         TailCall::Map { dir, children, .. } => (dir, dma_buf_ident(children)),
         // The callee-side buffer identifier is meaningless in this scope;
         // the read rule stays quiet for summary-backed bindings.
-        TailCall::User { .. } => match call.ret(&inter?.graph, &inter?.summaries)? {
-            RetEffect::FreshMapped { dir } => (dir, None),
-            _ => return None,
-        },
+        TailCall::User { .. } => {
+            let inter = inter?;
+            match call.ret(&inter.fns, |id| inter.summaries[id].ret)? {
+                RetEffect::FreshMapped { dir } => (dir, None),
+                _ => return None,
+            }
+        }
     };
     Some(Bind {
         var,
@@ -353,9 +357,9 @@ impl TailCall<'_> {
     }
 
     /// What the call's result is, handle-wise: a fresh mapping for a map
-    /// call, the callee's summarized return effect for a uniquely-resolved
-    /// user call, `None` when resolution fails.
-    fn ret(&self, graph: &CallGraph, sums: &[FnSummary]) -> Option<RetEffect> {
+    /// call, `callee_ret` of the function a user call uniquely resolves
+    /// to, `None` when resolution fails.
+    fn ret(&self, fns: &FnIndex, callee_ret: impl FnOnce(usize) -> RetEffect) -> Option<RetEffect> {
         match *self {
             TailCall::Map { dir, .. } => Some(RetEffect::FreshMapped { dir }),
             TailCall::User {
@@ -368,10 +372,7 @@ impl TailCall<'_> {
                 if qualified {
                     return None;
                 }
-                match graph.resolve(name, method, argc)[..] {
-                    [id] => Some(sums.get(id)?.ret),
-                    _ => None,
-                }
+                fns.resolve(name, method, argc).map(callee_ret)
             }
         }
     }
@@ -408,7 +409,7 @@ fn last_call(rhs: &[Tree]) -> Option<TailCall<'_>> {
                 },
             ));
         } else if !CALL_KEYWORDS.contains(&name)
-            && !INTRINSICS.contains(&name)
+            && !intrinsic(name)
             && !READ_METHODS.contains(&name)
             && !(method && (name == "unwrap" || name == "expect"))
         {
@@ -447,10 +448,15 @@ fn last_call(rhs: &[Tree]) -> Option<TailCall<'_>> {
 
 /// The [`RetEffect`] of a return-position expression, for the summary
 /// pass: `FreshMapped` when it ends with a recognized map call or a
-/// uniquely-resolved callee whose summary proves one, `Unknown` otherwise.
-pub(crate) fn tail_call_effect(trees: &[Tree], graph: &CallGraph, sums: &[FnSummary]) -> RetEffect {
+/// uniquely-resolved callee whose `callee_ret` proves one, `Unknown`
+/// otherwise.
+pub(crate) fn tail_call_effect(
+    trees: &[Tree],
+    fns: &FnIndex,
+    callee_ret: impl FnOnce(usize) -> RetEffect,
+) -> RetEffect {
     last_call(trees)
-        .and_then(|call| call.ret(graph, sums))
+        .and_then(|call| call.ret(fns, callee_ret))
         .unwrap_or(RetEffect::Unknown)
 }
 
@@ -623,9 +629,9 @@ fn check_cfg(cfg: &Cfg, inter: &ProtocolAnalysis, rep: &mut Reporter) {
     }
 }
 
-/// Runs the protocol checker over the named functions among one file's
-/// call-graph `nodes`; `inter` is what lets a binding of a call that
-/// returns a fresh mapping be tracked like a direct `map`.
+/// Runs the protocol checker over one file's functions `nodes`; `inter`
+/// is what lets a binding of a call that returns a fresh mapping be
+/// tracked like a direct `map`.
 pub fn check_fns(nodes: &[FnNode], inter: &ProtocolAnalysis) -> Vec<LintViolation> {
     let Some(first) = nodes.first() else {
         return Vec::new();
@@ -636,7 +642,7 @@ pub fn check_fns(nodes: &[FnNode], inter: &ProtocolAnalysis) -> Vec<LintViolatio
         leaked: BTreeSet::new(),
         seen: BTreeSet::new(),
     };
-    for f in nodes.iter().filter(|n| !n.is_closure) {
+    for f in nodes {
         check_cfg(&f.cfg, inter, &mut rep);
     }
     rep.findings.sort_by_key(|f| (f.line, f.rule));
@@ -649,11 +655,10 @@ mod tests {
     use crate::rules::protocol::ProtocolAnalysis;
     use crate::workspace::SourceFile;
 
-    /// Runs the checker with the file's own call graph and summaries.
+    /// Runs the checker with the file's own functions and summaries.
     fn run(src: &str) -> Vec<LintViolation> {
-        let graph = CallGraph::build(&[SourceFile::lib("x.rs", src)]);
-        let analysis = ProtocolAnalysis::from_graph(graph);
-        check_fns(&analysis.graph.nodes, &analysis)
+        let analysis = ProtocolAnalysis::new(FnIndex::build(&[SourceFile::lib("x.rs", src)]));
+        check_fns(&analysis.fns.nodes, &analysis)
     }
 
     fn rules(src: &str) -> Vec<&'static str> {

@@ -4,8 +4,8 @@
 //! [`Workspace::load`] reads every member crate's manifest and its `src/`,
 //! `tests/` and `benches/` files once. Each file is prepped once
 //! ([`crate::lexer::prep`]); each `src/` file is also tokenized and turned
-//! into token trees once, here. Every pass — the line rules, the call
-//! graph (which splits the trees into functions and builds each one's
+//! into token trees once, here. Every pass — the line rules, the function
+//! index (which splits the trees into functions and builds each one's
 //! CFG once), the protocol and taint checks — reads this form and none of
 //! them touches the file system.
 

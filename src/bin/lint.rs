@@ -11,7 +11,8 @@
 //!
 //! Flags:
 //! - `--json <path>` — also write the machine-readable report (findings,
-//!   per-rule summary, call graph, function summaries, taint stats) to `path`; it comes from the same scan.
+//!   per-rule summary, function count, function summaries, taint stats)
+//!   to `path`; it comes from the same scan.
 //! - `--budget-ms <n>` — fail (exit 2) if the scan takes longer than `n`
 //!   milliseconds of wall clock; keeps the pass honest in CI.
 //! - any other argument — the workspace root (default: this crate's

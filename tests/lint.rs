@@ -8,7 +8,9 @@
 
 use dma_shadowing::lint::lexer::prep;
 use dma_shadowing::lint::workspace::rust_files;
-use dma_shadowing::lint::{lint_workspace_report, Prep, Workspace, WorkspaceReport};
+use dma_shadowing::lint::{
+    lint_workspace_report, Prep, ProtocolAnalysis, Workspace, WorkspaceReport,
+};
 use std::path::Path;
 use std::sync::OnceLock;
 
@@ -94,29 +96,33 @@ fn planted_fixture_trips_every_rule() {
     );
 }
 
+/// The index of function `name`, the first of that name.
+fn id_of(analysis: &ProtocolAnalysis, name: &str) -> usize {
+    analysis
+        .fns
+        .nodes
+        .iter()
+        .position(|n| n.name == name)
+        .unwrap_or_else(|| panic!("function `{name}` missing from the index"))
+}
+
 #[test]
 fn fixture_interprocedural_product_is_exported() {
     let analysis = &fixture().protocol;
 
-    // The call graph resolved the planted helpers: `leak_across_helper`
-    // calls `touch_stats`, `leak_of_returned_handle` calls `make_rx`,
-    // `helper_roundtrip` calls `finish` — all by name+arity, no
-    // annotations.
-    let g = &analysis.graph;
-    let id = |name: &str| {
-        g.nodes
-            .iter()
-            .position(|n| n.name == name)
-            .unwrap_or_else(|| panic!("function `{name}` missing from the graph"))
-    };
-    assert!(g.callees[id("leak_across_helper")].contains(&id("touch_stats")));
-    assert!(g.callees[id("leak_of_returned_handle")].contains(&id("make_rx")));
-    assert!(g.callees[id("helper_roundtrip")].contains(&id("finish")));
+    // The planted helpers' call sites resolve by name+arity, no
+    // annotations: `leak_across_helper` calls `touch_stats(stats, &m)`,
+    // `leak_of_returned_handle` calls `make_rx(engine, ctx)`,
+    // `helper_roundtrip` calls `finish(engine, ctx, m)`.
+    for (name, argc) in [("touch_stats", 2), ("make_rx", 2), ("finish", 3)] {
+        let resolved = analysis.fns.resolve(name, false, argc);
+        assert_eq!(resolved, Some(id_of(analysis, name)), "{name}");
+    }
 
     // `make_rx` returns a fresh mapping — the one summary fact a planted
     // violation hinges on (what `finish` does with its by-value parameter
     // is `finish`'s business: the caller's `m` was moved).
-    let make_rx = &analysis.summaries[id("make_rx")];
+    let make_rx = &analysis.summaries[id_of(analysis, "make_rx")];
     assert!(
         matches!(
             make_rx.ret,
@@ -134,19 +140,18 @@ fn fixture_interprocedural_product_is_exported() {
 #[test]
 fn real_workspace_interprocedural_product_is_pinned() {
     let analysis = &real_workspace().protocol;
-    let g = &analysis.graph;
 
-    // The graph covers the whole workspace: floors, not exact counts, so
-    // ordinary growth does not churn this test.
-    let closures = g.nodes.iter().filter(|n| n.is_closure).count();
-    assert!(
-        g.nodes.len() - closures > 850,
-        "{} functions",
-        g.nodes.len()
-    );
-    assert!(closures > 300, "{closures} closures");
-    let edges: usize = g.callees.iter().map(|c| c.len()).sum();
-    assert!(edges > 6600, "{edges} call edges");
+    // The index covers the whole workspace: a floor, not an exact count,
+    // so ordinary growth does not churn this test.
+    let functions = analysis.fns.nodes.len();
+    assert!(functions > 850, "{functions} functions");
+
+    // The RX paths that read device-written bytes back are the taint
+    // sources a call to them stands for.
+    for name in ["rx_one", "loopback_rx", "deferred_window_overwrite"] {
+        let summary = &analysis.summaries[id_of(analysis, name)];
+        assert!(summary.reads_device_data, "{name}: {summary:?}");
+    }
 
     // Device-tainted values exist (rx paths) but every one is either
     // sink-free or guarded: zero device-taint violations is the
