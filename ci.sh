@@ -48,11 +48,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # (that the cut equals the cores' breakdowns is a tier-1 test in
 # netsim::harness), asserts every phase is non-zero, the trace pairs every
 # DmaMap with its DmaUnmap and records every blocked probe, and writes the
-# flamegraph/Perfetto artifacts under target/.
+# profile tree and flamegraph under target/.
 cargo run -q --release --bin report
 # Scaling sweep: Figures 6-8 extended along the core-count axis
 # (16/64/128/256 virtual cores, global vs per-core allocation state);
-# writes the curve artifacts to target/scaling_curves.{csv,jsonl} and
+# writes the curves to target/scaling_curves.csv and
 # fails if percore strict / identity+ degrade from 64 to 256 cores or fall
 # more than 2x behind copy at 64 (strict protection that scales); if percore
 # defer / eiovar- degrade from 64 to 256, leave copy's curve by more than

@@ -9,16 +9,14 @@
 //! count (40 Gb/s per 16 cores, a multi-port NIC) so the locks — not link
 //! serialization — are the resource under test.
 //!
-//! Besides the printed tables, the sweep writes machine-readable curves
-//! to `target/scaling_curves.csv` and `target/scaling_curves.jsonl`
-//! (one JSON object per measured point), the artifact CI uploads next to
-//! the lint report.
+//! Besides the printed tables, the sweep writes its curves, one row per
+//! measured point, to `target/scaling_curves.csv`, the artifact CI
+//! uploads next to the lint report.
 
 // lint: allow(ambient-io) — the sweep writes its curve artifacts under target/
 // lint: allow(panic) — a bench harness aborts loudly on unwritable output
 
 use netsim::{tcp_stream_rx_on, EngineKind, ExpConfig, SimStack};
-use obs::Json;
 use simcore::Phase;
 use std::path::PathBuf;
 
@@ -115,42 +113,6 @@ fn csv(points: &[Point]) -> String {
     out
 }
 
-fn jsonl(points: &[Point]) -> String {
-    let mut out = String::new();
-    for p in points {
-        let obj = Json::Obj(vec![
-            ("type".into(), Json::Str("scaling-point".into())),
-            ("engine".into(), Json::Str(p.engine.into())),
-            ("cores".into(), Json::UInt(p.cores as u64)),
-            (
-                "config".into(),
-                Json::Str(if p.percore { "percore" } else { "global" }.into()),
-            ),
-            ("wire_gbps".into(), Json::Float(p.wire_gbps)),
-            ("gbps".into(), Json::Float((p.gbps * 1e3).round() / 1e3)),
-            ("cpu".into(), Json::Float((p.cpu * 1e4).round() / 1e4)),
-            (
-                "spin_us_per_item".into(),
-                Json::Float((p.spin_us_per_item * 1e4).round() / 1e4),
-            ),
-            ("peak_pending".into(), Json::UInt(p.peak_pending)),
-            ("iova_lock".into(), Json::Str(p.iova_lock.into())),
-            ("iova_spin_cycles".into(), Json::UInt(p.iova_spin_cycles)),
-            (
-                "invalq_spin_cycles".into(),
-                Json::UInt(p.invalq_spin_cycles),
-            ),
-            (
-                "invalq_acquisitions".into(),
-                Json::UInt(p.invalq_acquisitions),
-            ),
-        ]);
-        out.push_str(&obj.encode());
-        out.push('\n');
-    }
-    out
-}
-
 fn target_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target")
 }
@@ -194,13 +156,7 @@ fn main() {
     std::fs::create_dir_all(&dir).expect("create target dir");
     let csv_path = dir.join("scaling_curves.csv");
     std::fs::write(&csv_path, csv(&points)).expect("write scaling_curves.csv");
-    let jsonl_path = dir.join("scaling_curves.jsonl");
-    std::fs::write(&jsonl_path, jsonl(&points)).expect("write scaling_curves.jsonl");
-    println!(
-        "\ncurves written to {} and {}",
-        csv_path.display(),
-        jsonl_path.display()
-    );
+    println!("\ncurves written to {}", csv_path.display());
     println!("(percore shards the IOVA allocator and the deferred pending list and gives");
     println!(" every core its own invalidation queue; peak pending is what the deferred");
     println!(" engines pay for it; the global config reproduces Figures 6-8's collapse)");

@@ -2,10 +2,8 @@
 //!
 //! Every `dma_map` / `dma_unmap` is recorded as a structured trace event
 //! and counted in the registry, regardless of which protection scheme the
-//! inner engine implements. The unmap event opens a cause span, so the
-//! IOTLB-invalidation (and lock-contention) events the unmap triggers are
-//! attributed back to it — this is how a single `dma_unmap` in a report
-//! can be broken into its invalidation wait.
+//! inner engine implements. The `dma_map` / `dma_unmap` profiler scopes
+//! are what break an unmap's cycles into its invalidation wait.
 
 use crate::{
     CoherentBuffer, DmaBuf, DmaDirection, DmaEngine, DmaError, DmaMapping, DmaObserver,
@@ -116,9 +114,8 @@ impl DmaEngine for TracedDma {
     }
 
     fn unmap(&self, ctx: &mut CoreCtx, mapping: DmaMapping) -> Result<(), DmaError> {
-        // Record the unmap first and open a cause span: the invalidation
-        // (and contention) events the inner engine emits while tearing the
-        // mapping down chain back to this event.
+        // Record the unmap first: it precedes the invalidation (and
+        // contention) events the inner engine emits tearing it down.
         self.obs.set_now_hint(ctx.now());
         let seq = self.obs.trace(
             ctx.now(),
@@ -129,7 +126,6 @@ impl DmaEngine for TracedDma {
                 len: mapping.buf().len as u64,
             },
         );
-        let _span = obs::span(seq);
         // Notify the observer *before* the inner unmap so misuse (a
         // re-aimed handle's double unmap or size mismatch) is seen before
         // the inner engine, which trusts the handle, acts on it.
@@ -174,7 +170,7 @@ mod tests {
     use super::*;
     use crate::NoIommu;
     use memsim::{NumaDomain, NumaTopology, PhysMemory};
-    use simcore::{CoreId, CostModel, Cycles};
+    use simcore::{CoreId, CostModel};
     use std::sync::Arc;
 
     fn rig() -> (Arc<PhysMemory>, Obs, TracedDma, CoreCtx) {
@@ -230,18 +226,5 @@ mod tests {
             names,
             ["DmaMap", "DmaMap", "DmaMap", "DmaUnmap", "DmaUnmap", "DmaUnmap"]
         );
-    }
-
-    #[test]
-    fn events_during_unmap_chain_to_it() {
-        let (mem, obs, eng, mut ctx) = rig();
-        let buf = DmaBuf::new(mem.alloc_frame(NumaDomain(0)).unwrap().base(), 64);
-        let m = eng.map(&mut ctx, buf, DmaDirection::ToDevice).unwrap();
-        eng.unmap(&mut ctx, m).unwrap();
-        // Simulate a child event recorded while no span is open: no cause.
-        let orphan = obs.trace(Cycles(9), 0, None, EventKind::PoolShrink { bytes: 1 });
-        let evs = obs.tracer().events();
-        assert_eq!(evs[0].cause, None, "map has no enclosing span");
-        assert!(evs.iter().any(|e| e.seq == orphan && e.cause.is_none()));
     }
 }

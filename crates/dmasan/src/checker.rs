@@ -67,7 +67,7 @@ pub struct Violation {
     /// Human-readable description.
     pub detail: String,
     /// Trace `seq` of the originating `DmaMap` (or `DmaUnmap` for stale
-    /// accesses), so reports carry the `obs` cause chain.
+    /// accesses), so a report can find that event in the `obs` trace.
     pub cause: Option<u64>,
 }
 
@@ -421,9 +421,9 @@ impl DmaSan {
         }
     }
 
-    /// Records one violation: a `SanitizerViolation` trace event (chained
-    /// to `cause`), the registry counter, the in-memory report — and, in
-    /// strict mode, a panic.
+    /// Records one violation: a `SanitizerViolation` trace event, the
+    /// registry counter, the in-memory report (linked to `cause`) — and,
+    /// in strict mode, a panic.
     #[allow(clippy::too_many_arguments)]
     fn report(
         &self,
@@ -440,10 +440,7 @@ impl DmaSan {
             iova,
             detail: detail.clone().into(),
         };
-        match cause {
-            Some(c) => self.obs.trace_caused(at, core, Some(dev.0), c, event),
-            None => self.obs.trace(at, core, Some(dev.0), event),
-        };
+        self.obs.trace(at, core, Some(dev.0), event);
         self.violations_total.inc();
         self.inner.lock().violations.push(Violation {
             kind,

@@ -15,8 +15,8 @@
 //! double-unmap, unmap with the wrong size/direction, device access to an
 //! unmapped/stale IOVA, sub-page out-of-bounds access against the
 //! mapping's byte-granular window, and leak-at-teardown. Each violation
-//! is recorded as an `obs` `SanitizerViolation` event whose cause chains
-//! back to the originating `DmaMap`.
+//! is recorded as an `obs` `SanitizerViolation` event, and its
+//! [`Violation::cause`] names the originating `DmaMap`'s trace seq.
 //!
 //! [`DmaSan::new`] panics on the first violation, which makes every test
 //! and workload that builds a stack a sanitizer test; code that provokes

@@ -290,7 +290,8 @@ pub struct Stmt {
     pub has_try: bool,
     /// The statement is a `return`/`break`-style terminator.
     pub is_return: bool,
-    /// The statement is the function's tail expression (no `;`): its
+    /// The statement is a tail expression of the function (no `;`),
+    /// also when it ends an arm of a tail `if`/`else` or `match`: its
     /// value — and any handle mentioned in it — escapes to the caller.
     pub is_tail: bool,
 }
@@ -351,30 +352,32 @@ impl Cfg {
     }
 
     /// Lowers a `{}` body: returns the block control falls out of.
-    /// `is_fn_body` marks the final expression-statement as the tail.
-    fn lower_block(&mut self, trees: &[Tree], mut cur: usize, is_fn_body: bool) -> usize {
+    /// `tail` says the body's value is the function's: its final
+    /// expression-statement is then a tail.
+    fn lower_block(&mut self, trees: &[Tree], mut cur: usize, tail: bool) -> usize {
         let stmts = split_statements(trees);
         let n = stmts.len();
         for (k, raw) in stmts.into_iter().enumerate() {
             let is_last = k + 1 == n;
-            cur = self.lower_stmt(raw, cur, is_fn_body && is_last);
+            cur = self.lower_stmt(raw, cur, tail && is_last);
         }
         cur
     }
 
     /// Lowers one raw statement; returns the block control continues in.
     fn lower_stmt(&mut self, raw: RawStmt, cur: usize, tail_position: bool) -> usize {
+        let tail = tail_position && !raw.terminated;
         match classify(&raw) {
-            StmtShape::If => self.lower_if(&raw.trees, cur),
-            StmtShape::Match => self.lower_match(&raw.trees, cur),
+            StmtShape::If => self.lower_if(&raw.trees, cur, tail),
+            StmtShape::Match => self.lower_match(&raw.trees, cur, tail),
             StmtShape::Loop => self.lower_loop(&raw.trees, cur),
             StmtShape::Block(children) => {
                 // Plain `{ … }` statement (or `unsafe { … }`).
-                self.lower_block(&children, cur, false)
+                self.lower_block(&children, cur, tail)
             }
             StmtShape::Simple { is_return } => {
                 let has_try = top_level_try(&raw.trees);
-                let is_tail = tail_position && !raw.terminated && !is_return;
+                let is_tail = tail && !is_return;
                 let b = self.new_block();
                 self.blocks[b].stmt = Some(Stmt {
                     line: raw.trees.first().map(Tree::line).unwrap_or(0),
@@ -419,12 +422,13 @@ impl Cfg {
     }
 
     /// `if cond { … } else if … { … } else { … }` — evaluates the
-    /// condition, then branches.
-    fn lower_if(&mut self, trees: &[Tree], cur: usize) -> usize {
+    /// condition, then branches; in `tail` position each arm's value is
+    /// the function's.
+    fn lower_if(&mut self, trees: &[Tree], cur: usize, tail: bool) -> usize {
         let (h, then_at) = self.lower_head(trees, cur);
         let join = self.new_block();
         if let Some(Tree::Group { children, .. }) = trees.get(then_at) {
-            let end = self.lower_block(children, h, false);
+            let end = self.lower_block(children, h, tail);
             self.link(end, join);
         } else {
             self.link(h, join);
@@ -439,11 +443,11 @@ impl Cfg {
                         children,
                         ..
                     }) => {
-                        let end = self.lower_block(children, h, false);
+                        let end = self.lower_block(children, h, tail);
                         self.link(end, join);
                     }
                     Some(t2) if t2.is_ident("if") => {
-                        let end = self.lower_if(rest, h);
+                        let end = self.lower_if(rest, h, tail);
                         self.link(end, join);
                     }
                     _ => self.link(h, join),
@@ -456,14 +460,14 @@ impl Cfg {
 
     /// `match scrut { pat => body, … }` — the scrutinee is evaluated once,
     /// then each arm body is an alternative path to the join node.
-    fn lower_match(&mut self, trees: &[Tree], cur: usize) -> usize {
+    fn lower_match(&mut self, trees: &[Tree], cur: usize, tail: bool) -> usize {
         let (h, arms_at) = self.lower_head(trees, cur);
         let join = self.new_block();
         let mut any_arm = false;
         if let Some(Tree::Group { children, .. }) = trees.get(arms_at) {
             for arm in split_match_arms(children) {
                 any_arm = true;
-                let end = self.lower_block(&arm, h, false);
+                let end = self.lower_block(&arm, h, tail);
                 self.link(end, join);
             }
         }
@@ -562,7 +566,7 @@ fn split_statements(trees: &[Tree]) -> Vec<RawStmt> {
             if !(next_semi || (head_if && next_else)) {
                 out.push(RawStmt {
                     trees: std::mem::take(&mut cur),
-                    terminated: true,
+                    terminated: false,
                 });
             }
         }
@@ -747,6 +751,36 @@ mod tests {
             .filter_map(|b| b.stmt.as_ref())
             .find(|s| s.is_tail);
         assert!(tail.is_some(), "{cfg:?}");
+    }
+
+    /// The callee names of the statements marked `is_tail`, sorted.
+    fn tails(src: &str) -> Vec<String> {
+        let cfg = Cfg::build(&body_of(src));
+        let mut names: Vec<String> = cfg
+            .stmts()
+            .filter(|s| s.is_tail)
+            .filter_map(|s| s.trees.first()?.ident().map(str::to_string))
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn arms_of_a_tail_if_or_match_are_tails() {
+        assert_eq!(
+            tails("fn f(c: bool) -> M { if c { a() } else if d() { b() } else { g() } }\n"),
+            ["a", "b", "g"]
+        );
+        assert_eq!(
+            tails("fn f(x: E) -> M { match x { E::A => a(), E::B => { b() } } }\n"),
+            ["a", "b"]
+        );
+        // Not in tail position: only the body's last statement is.
+        assert_eq!(
+            tails("fn f(c: bool) -> M { if c { a() } else { b() } done() }\n"),
+            ["done"]
+        );
+        assert!(tails("fn f(c: bool) { if c { a() } else { b() }; }\n").is_empty());
     }
 
     #[test]

@@ -146,6 +146,33 @@ mod tests {
     }
 
     #[test]
+    fn a_tail_if_else_of_maps_returns_fresh_mapping() {
+        let src = "fn make(engine: &E, ctx: &mut C, big: bool) -> M {\n\
+                   if big {\n\
+                   engine.map(ctx, DmaBuf::new(huge, 65536), DmaDirection::FromDevice).expect(\"m\")\n\
+                   } else {\n\
+                   engine.map(ctx, DmaBuf::new(buf, 64), DmaDirection::FromDevice).expect(\"m\")\n\
+                   }\n\
+                   }\n";
+        let fresh = RetEffect::FreshMapped {
+            dir: Dir::FromDevice,
+        };
+        assert_eq!(rets(src), [fresh]);
+    }
+
+    #[test]
+    fn a_tail_match_joins_its_arms() {
+        // One arm passes a parameter through: not provably fresh.
+        let src = "fn pick(engine: &E, ctx: &mut C, old: Option<M>) -> M {\n\
+                   match old {\n\
+                   None => engine.map(ctx, DmaBuf::new(buf, 64), DmaDirection::ToDevice).expect(\"m\"),\n\
+                   Some(m) => m,\n\
+                   }\n\
+                   }\n";
+        assert_eq!(rets(src), [RetEffect::Unknown]);
+    }
+
+    #[test]
     fn a_passed_through_parameter_is_not_a_fresh_mapping() {
         assert_eq!(rets("fn pass(m: M) -> M { m }\n"), [RetEffect::Unknown]);
     }

@@ -1,6 +1,6 @@
 //! Machine-readable counterexamples: a schedule that reproduces an
-//! invariant violation, plus the formatted cause-chain trace of the run
-//! that found it.
+//! invariant violation, plus the formatted trace of the run that found
+//! it.
 //!
 //! Counterexamples serialize to JSON (via the in-tree [`obs::Json`]) so
 //! the deferred-invalidation witness can be committed as a fixture and
@@ -31,8 +31,7 @@ pub struct Counterexample {
     pub schedule: Vec<Step>,
     /// The oracle's description of the violation.
     pub detail: String,
-    /// Formatted telemetry trace of the violating run (cause chains
-    /// included via event seq back-references).
+    /// Formatted telemetry trace of the violating run, in record order.
     pub trace: Vec<String>,
 }
 
@@ -153,9 +152,9 @@ impl Counterexample {
     }
 }
 
-/// Formats telemetry events as `#seq [cycles] coreN kind (cause #seq)`
-/// lines — the cause back-references let a reader walk the chain from the
-/// stale device access back to the `DmaUnmap` that should have fenced it.
+/// Formats telemetry events as `#seq [cycles] coreN kind` lines, in
+/// record order: a reader walks back from the stale device access to the
+/// `DmaUnmap` that should have fenced it.
 pub fn format_trace(events: &[Event]) -> Vec<String> {
     events
         .iter()

@@ -42,10 +42,10 @@ pub struct ExpConfig {
     /// Shadow-pool configuration for the copy engine (size classes,
     /// magazines). `None` = the paper's default (4 KB + 64 KB classes).
     pub pool_config: Option<shadow_core::PoolConfig>,
-    /// Trace sampling period: keep 1 in `trace_sample` cause chains
-    /// (security events are always kept). The default keeps long figure
-    /// runs off the tracer's ring lock; set `1` to record everything
-    /// (what [`ExpConfig::quick`] and trace-consuming tools do).
+    /// Trace sampling period: keep 1 in `trace_sample` events (security
+    /// events are always kept). The default keeps long figure runs off
+    /// the tracer's ring lock; `1` records everything, as
+    /// [`ExpConfig::quick`] and trace-consuming tools do.
     pub trace_sample: u64,
     /// Shard hot allocation state per core: per-core shadow-pool magazines
     /// for the copy engine, the magazine-backed per-core IOVA allocator for

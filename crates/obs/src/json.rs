@@ -264,7 +264,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 // run is valid UTF-8 by construction, so validation cost
                 // stays linear in the document size (validating the full
                 // remaining slice per character is quadratic, minutes on
-                // a multi-megabyte chrome trace).
+                // a multi-megabyte document).
                 let start = *pos;
                 while matches!(b.get(*pos), Some(&c) if c < 0x80 && c != b'"' && c != b'\\') {
                     *pos += 1;

@@ -10,8 +10,8 @@
 //!   `subsystem.name{device}` naming convention.
 //! - [`Tracer`] — a bounded ring buffer of structured [`Event`]s
 //!   (`DmaMap`/`DmaUnmap`, `IotlbInvalidate`, `PoolGrow`/`PoolShrink`,
-//!   `FallbackAcquire`, `AttackBlocked`, lock-contention spins) with
-//!   cause-chain spans.
+//!   `FallbackAcquire`, `AttackBlocked`, lock-contention spins): the one
+//!   timestamped record of a run.
 //! - [`Obs::locked`] / [`Obs::guarded`] — the one lock-site primitive:
 //!   every instrumented lock reaches the model checker's yield hook
 //!   through these, and `guarded` asserts that no `SimLock` is held.
@@ -19,9 +19,10 @@
 //!   that loads saved profiles.
 //! - [`profile`] — a hierarchical virtual-time profiler: nested scopes
 //!   split each core's [`simcore::Breakdown`] into call trees keyed
-//!   `engine × core × device`, with flamegraph and Chrome trace-event
-//!   (Perfetto) exporters. Per-phase cycles themselves are recorded in one
-//!   place only, `simcore::CoreCtx`; nothing here mirrors them.
+//!   `engine × core × device`, with a flamegraph exporter. Its scope stack
+//!   is the one way work is attributed to an operation. Per-phase cycles
+//!   themselves are recorded in one place only, `simcore::CoreCtx`;
+//!   nothing here mirrors them.
 //!
 //! All timestamps are **simulated cycles** ([`simcore::Cycles`]); `obs`
 //! deliberately never reads host wall-clock time, keeping experiments
@@ -47,8 +48,8 @@ pub mod trace;
 
 pub use json::Json;
 pub use metrics::{Counter, Gauge, MetricKey, Registry, RegistrySnapshot};
-pub use profile::{ProfileNode, ProfileSnapshot, Profiler, SpanEvent};
-pub use trace::{span, Event, EventKind, SpanGuard, TraceStats, Tracer, DEFAULT_TRACE_CAPACITY};
+pub use profile::{ProfileNode, ProfileSnapshot, Profiler};
+pub use trace::{Event, EventKind, TraceStats, Tracer, DEFAULT_TRACE_CAPACITY};
 
 use simcore::sync::RwLock;
 use simcore::Cycles;
@@ -131,7 +132,7 @@ impl Obs {
         *cell = hook;
     }
 
-    /// Keeps 1 in `period` trace cause chains (see [`trace`] module docs);
+    /// Keeps 1 in `period` trace events (see [`trace`] module docs);
     /// `0`/`1` mean "record everything". Metrics and security events are
     /// never sampled.
     pub fn set_trace_sampling(&self, period: u64) {
@@ -192,18 +193,6 @@ impl Obs {
     #[inline]
     pub fn trace(&self, at: Cycles, core: u16, device: Option<u16>, kind: EventKind) -> u64 {
         self.0.tracer.record(at, core, device, kind)
-    }
-
-    /// Shorthand: record a trace event caused by event `cause`.
-    pub fn trace_caused(
-        &self,
-        at: Cycles,
-        core: u16,
-        device: Option<u16>,
-        cause: u64,
-        kind: EventKind,
-    ) -> u64 {
-        self.0.tracer.record_caused(at, core, device, cause, kind)
     }
 }
 

@@ -28,8 +28,7 @@
 //!
 //! Exports: [`ProfileSnapshot::render`] (text table),
 //! [`ProfileSnapshot::to_json_lines`] (replayable JSONL),
-//! [`flamegraph`] (collapsed-stack format) and [`chrome_trace`]
-//! (Chrome trace-event JSON, loadable in Perfetto via the span log).
+//! and [`flamegraph`] (collapsed-stack format).
 //!
 //! All timestamps are simulated cycles; the profiler never reads host
 //! wall-clock time, and a disabled profiler costs one relaxed load per
@@ -44,10 +43,6 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-/// Default bound on retained span-log entries (begin/end pairs for the
-/// Chrome trace exporter).
-pub const DEFAULT_SPAN_CAPACITY: usize = 1 << 20;
 
 /// Identity of one profile tree: which engine ran on which core against
 /// which device.
@@ -66,9 +61,6 @@ struct Frame {
     /// Cycles attributed to already-closed child scopes; subtracted from
     /// this scope's delta to obtain its self time.
     consumed: Breakdown,
-    /// Whether a span-log `begin` entry was emitted (and so an `end`
-    /// entry must be, to keep B/E pairs matched).
-    span_logged: bool,
 }
 
 /// Thread-local binding of a running task to its profiler.
@@ -146,52 +138,22 @@ impl Node {
     }
 }
 
-/// One span-log entry: a scope begin or end, in record order.
-///
-/// The log is only populated while [`Profiler::set_span_log`] is on; it
-/// feeds [`chrome_trace`]. Entries from one core are strictly nested
-/// (the simulator interleaves virtual cores between task steps only).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpanEvent {
-    /// Engine the enclosing task runs (paper name, e.g. `"copy"`).
-    pub engine: &'static str,
-    /// Virtual core executing the scope.
-    pub core: u16,
-    /// Device the task drives, if any.
-    pub device: Option<u16>,
-    /// Scope label (e.g. `"dma_map"`).
-    pub label: &'static str,
-    /// Virtual time of the begin/end.
-    pub at: Cycles,
-    /// True for a scope entry, false for its exit.
-    pub begin: bool,
-}
-
-struct ProfInner {
-    /// Per-key synthetic containers whose children are task-root nodes.
-    trees: Vec<(Key, Node)>,
-    spans: Vec<SpanEvent>,
-    span_dropped: u64,
-}
-
-/// The stack-wide profiler: call trees plus an optional span log.
+/// The stack-wide profiler: one call tree per `engine × core × device`.
 ///
 /// One lives inside every [`Obs`] handle (see [`Obs::profiler`]); it is
 /// disabled by default so ordinary runs and benchmarks pay one relaxed
 /// load per task step.
 pub struct Profiler {
     enabled: AtomicBool,
-    spans_enabled: AtomicBool,
-    inner: Mutex<ProfInner>,
+    /// Per-key synthetic containers whose children are task-root nodes.
+    trees: Mutex<Vec<(Key, Node)>>,
 }
 
 impl std::fmt::Debug for Profiler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.lock();
         f.debug_struct("Profiler")
             .field("enabled", &self.enabled.load(Ordering::Relaxed))
-            .field("trees", &inner.trees.len())
-            .field("spans", &inner.spans.len())
+            .field("trees", &self.trees.lock().len())
             .finish()
     }
 }
@@ -207,12 +169,7 @@ impl Profiler {
     pub fn new() -> Self {
         Profiler {
             enabled: AtomicBool::new(false),
-            spans_enabled: AtomicBool::new(false),
-            inner: Mutex::new(ProfInner {
-                trees: Vec::new(),
-                spans: Vec::new(),
-                span_dropped: 0,
-            }),
+            trees: Mutex::new(Vec::new()),
         }
     }
 
@@ -227,29 +184,11 @@ impl Profiler {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Enables or disables the span log feeding [`chrome_trace`]. Toggle
-    /// only between runs: turning it off mid-span loses end entries.
-    pub fn set_span_log(&self, on: bool) {
-        self.spans_enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Span-log begins dropped because [`DEFAULT_SPAN_CAPACITY`] entries
-    /// were already retained; ends of logged spans are always kept, so
-    /// B/E pairs stay matched.
-    pub fn span_dropped(&self) -> u64 {
-        self.inner.lock().span_dropped
-    }
-
-    /// Snapshot of the retained span log, in record order.
-    pub fn spans(&self) -> Vec<SpanEvent> {
-        self.inner.lock().spans.clone()
-    }
-
     /// Point-in-time copy of every collected call tree.
     pub fn snapshot(&self) -> ProfileSnapshot {
-        let inner = self.inner.lock();
+        let trees = self.trees.lock();
         let mut roots = Vec::new();
-        for (key, container) in &inner.trees {
+        for (key, container) in trees.iter() {
             for (label, node) in &container.children {
                 roots.push(ProfileRoot {
                     engine: key.engine.to_string(),
@@ -260,39 +199,6 @@ impl Profiler {
             }
         }
         ProfileSnapshot { roots }
-    }
-
-    fn log_begin(&self, key: Key, label: &'static str, at: Cycles) -> bool {
-        if !self.spans_enabled.load(Ordering::Relaxed) {
-            return false;
-        }
-        let mut inner = self.inner.lock();
-        if inner.spans.len() >= DEFAULT_SPAN_CAPACITY {
-            inner.span_dropped += 1;
-            return false;
-        }
-        inner.spans.push(SpanEvent {
-            engine: key.engine,
-            core: key.core,
-            device: key.device,
-            label,
-            at,
-            begin: true,
-        });
-        true
-    }
-
-    fn log_end(&self, key: Key, label: &'static str, at: Cycles) {
-        // Ends of logged begins bypass the capacity check so B/E pairs
-        // stay matched; the overshoot is bounded by the nesting depth.
-        self.inner.lock().spans.push(SpanEvent {
-            engine: key.engine,
-            core: key.core,
-            device: key.device,
-            label,
-            at,
-            begin: false,
-        });
     }
 
     /// Records the exit of `leaf`, nested under `parents` (outermost
@@ -306,13 +212,13 @@ impl Profiler {
         exit: &Breakdown,
     ) -> Breakdown {
         let delta = exit.saturating_sub(&leaf.enter);
-        let mut inner = self.inner.lock();
-        let mut node = if let Some(i) = inner.trees.iter().position(|(k, _)| *k == key) {
-            &mut inner.trees[i].1
+        let mut trees = self.trees.lock();
+        let mut node = if let Some(i) = trees.iter().position(|(k, _)| *k == key) {
+            &mut trees[i].1
         } else {
-            inner.trees.push((key, Node::default()));
-            let last = inner.trees.len() - 1;
-            &mut inner.trees[last].1
+            trees.push((key, Node::default()));
+            let last = trees.len() - 1;
+            &mut trees[last].1
         };
         for frame in parents.iter().chain([leaf]) {
             node = node.child_mut(frame.label);
@@ -323,7 +229,7 @@ impl Profiler {
     }
 
     fn reset_tree(&self, key: Key) {
-        self.inner.lock().trees.retain(|(k, _)| *k != key);
+        self.trees.lock().retain(|(k, _)| *k != key);
     }
 }
 
@@ -354,7 +260,6 @@ pub fn task_scope<R>(
         core: ctx.core.0,
         device,
     };
-    let span_logged = prof.log_begin(key, label, ctx.now());
     TASK.with(|t| {
         *t.borrow_mut() = Some(TaskCtx {
             profiler: Arc::clone(prof),
@@ -363,7 +268,6 @@ pub fn task_scope<R>(
                 label,
                 enter: *ctx.breakdown(),
                 consumed: Breakdown::new(),
-                span_logged,
             }],
         })
     });
@@ -372,14 +276,10 @@ pub fn task_scope<R>(
     let r = f(ctx);
     std::mem::forget(guard);
     set_root_open(false);
-    let end = ctx.now();
     if let Some(task) = TASK.with(|t| t.borrow_mut().take()) {
         if let Some(frame) = task.frames.last() {
             task.profiler
                 .record_exit(task.key, &[], frame, ctx.breakdown());
-            if frame.span_logged {
-                task.profiler.log_end(task.key, frame.label, end);
-            }
         }
     }
     r
@@ -395,30 +295,23 @@ pub fn scope<R>(ctx: &mut CoreCtx, label: &'static str, f: impl FnOnce(&mut Core
     if !ROOT_OPEN.with(|c| c.get()) {
         return f(ctx);
     }
-    let bound = TASK.with(|t| {
-        t.borrow()
-            .as_ref()
-            .map(|task| (Arc::clone(&task.profiler), task.key))
-    });
-    let (prof, key) = match bound {
-        Some(b) => b,
-        None => return f(ctx),
-    };
-    let span_logged = prof.log_begin(key, label, ctx.now());
-    TASK.with(|t| {
-        if let Some(task) = t.borrow_mut().as_mut() {
+    let pushed = TASK.with(|t| match t.borrow_mut().as_mut() {
+        Some(task) => {
             task.frames.push(Frame {
                 label,
                 enter: *ctx.breakdown(),
                 consumed: Breakdown::new(),
-                span_logged,
             });
+            true
         }
+        None => false,
     });
+    if !pushed {
+        return f(ctx);
+    }
     let guard = FrameGuard;
     let r = f(ctx);
     std::mem::forget(guard);
-    let end = ctx.now();
     TASK.with(|t| {
         let mut b = t.borrow_mut();
         if let Some(task) = b.as_mut() {
@@ -429,9 +322,6 @@ pub fn scope<R>(ctx: &mut CoreCtx, label: &'static str, f: impl FnOnce(&mut Core
                 let delta = prof.record_exit(task.key, parents, &frame, ctx.breakdown());
                 if let Some(parent) = task.frames.last_mut() {
                     parent.consumed += delta;
-                }
-                if frame.span_logged {
-                    task.profiler.log_end(task.key, frame.label, end);
                 }
             }
         }
@@ -833,96 +723,6 @@ fn flame_walk(agg: &mut BTreeMap<String, u64>, prefix: &str, n: &ProfileNode) {
     }
 }
 
-/// Converts a span log into a Chrome trace-event JSON document
-/// (Perfetto-loadable): engines become processes, cores become threads,
-/// scopes become `B`/`E` duration events with `ts` in virtual
-/// microseconds at `clock_ghz`.
-pub fn chrome_trace(spans: &[SpanEvent], clock_ghz: f64) -> Json {
-    let mut engines: Vec<&str> = Vec::new();
-    let mut events: Vec<Json> = Vec::new();
-    for s in spans {
-        let pid = match engines.iter().position(|e| *e == s.engine) {
-            Some(i) => i as u64 + 1,
-            None => {
-                engines.push(s.engine);
-                let pid = engines.len() as u64;
-                events.push(Json::Obj(vec![
-                    ("name".into(), Json::Str("process_name".into())),
-                    ("ph".into(), Json::Str("M".into())),
-                    ("pid".into(), Json::UInt(pid)),
-                    (
-                        "args".into(),
-                        Json::Obj(vec![("name".into(), Json::Str(s.engine.into()))]),
-                    ),
-                ]));
-                pid
-            }
-        };
-        events.push(Json::Obj(vec![
-            ("name".into(), Json::Str(s.label.into())),
-            ("cat".into(), Json::Str("sim".into())),
-            (
-                "ph".into(),
-                Json::Str(if s.begin { "B".into() } else { "E".into() }),
-            ),
-            ("ts".into(), Json::Float(s.at.to_micros(clock_ghz))),
-            ("pid".into(), Json::UInt(pid)),
-            ("tid".into(), Json::UInt(s.core as u64)),
-        ]));
-    }
-    Json::Obj(vec![
-        ("traceEvents".into(), Json::Arr(events)),
-        ("displayTimeUnit".into(), Json::Str("ms".into())),
-    ])
-}
-
-/// Validates a Chrome trace-event document: every `B` has a matching
-/// `E` with the same name, properly nested per `(pid, tid)` track.
-/// Returns the number of matched pairs.
-pub fn validate_chrome_trace(doc: &Json) -> Result<u64, String> {
-    let events = match doc.get("traceEvents") {
-        Some(Json::Arr(a)) => a,
-        _ => return Err("missing 'traceEvents' array".into()),
-    };
-    let mut stacks: BTreeMap<(u64, u64), Vec<String>> = BTreeMap::new();
-    let mut pairs = 0u64;
-    for e in events {
-        let ph = e
-            .get("ph")
-            .and_then(Json::as_str)
-            .ok_or("event missing 'ph'")?;
-        if ph == "M" {
-            continue;
-        }
-        let name = e
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or("event missing 'name'")?;
-        let pid = e.get("pid").and_then(Json::as_u64).ok_or("missing 'pid'")?;
-        let tid = e.get("tid").and_then(Json::as_u64).ok_or("missing 'tid'")?;
-        let stack = stacks.entry((pid, tid)).or_default();
-        match ph {
-            "B" => stack.push(name.to_string()),
-            "E" => match stack.pop() {
-                Some(open) if open == name => pairs += 1,
-                Some(open) => {
-                    return Err(format!(
-                        "mismatched E '{name}' closes '{open}' on ({pid},{tid})"
-                    ))
-                }
-                None => return Err(format!("E '{name}' with no open B on ({pid},{tid})")),
-            },
-            other => return Err(format!("unsupported phase '{other}'")),
-        }
-    }
-    for ((pid, tid), stack) in stacks {
-        if !stack.is_empty() {
-            return Err(format!("unclosed spans {stack:?} on ({pid},{tid})"));
-        }
-    }
-    Ok(pairs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1093,30 +893,6 @@ mod tests {
         let fg = flamegraph(&obs.profiler().snapshot());
         assert!(fg.contains("copy;rx;dma_map;memcpy 64"), "got: {fg}");
         assert!(fg.contains("copy;rx;rx_parsing 8"), "got: {fg}");
-    }
-
-    #[test]
-    fn chrome_trace_has_matched_pairs() {
-        let obs = charged_obs();
-        obs.profiler().set_span_log(true);
-        let mut c = ctx(0);
-        for _ in 0..3 {
-            task_scope(&obs, &mut c, "copy", Some(0), "rx", |ctx| {
-                scope(ctx, "dma_map", |ctx| {
-                    ctx.charge(Phase::Memcpy, Cycles(10));
-                });
-                scope(ctx, "deliver", |ctx| {
-                    ctx.charge(Phase::CopyUser, Cycles(10));
-                });
-            });
-        }
-        let spans = obs.profiler().spans();
-        assert_eq!(spans.len(), 3 * 3 * 2, "3 steps x 3 scopes x B/E");
-        let doc = chrome_trace(&spans, 2.4);
-        // Survives an encode/parse cycle and validates.
-        let parsed = Json::parse(&doc.encode()).ok().unwrap_or(Json::Null);
-        let pairs = validate_chrome_trace(&parsed);
-        assert_eq!(pairs, Ok(9));
     }
 
     #[test]

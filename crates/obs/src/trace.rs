@@ -2,10 +2,10 @@
 //!
 //! Every structurally interesting action in the stack — a DMA map, an
 //! IOTLB invalidation, a pool grow, a blocked malicious access — is
-//! recorded as a timestamped [`Event`]. Events form **cause chains**: an
-//! event may name the `seq` of the event that caused it, so a single
-//! `DmaUnmap` can be attributed to the `IotlbInvalidate` (and its wait)
-//! it triggered.
+//! recorded as a timestamped [`Event`]. Which operation an event happened
+//! under is the profiler's business (its scope tree says an unmap's
+//! cycles went to its invalidation wait); the ring is the record of what
+//! happened, in order.
 //!
 //! The buffer is bounded: when full, the oldest events are dropped and
 //! counted in [`TraceStats::dropped`], so tracing never grows without bound
@@ -14,20 +14,16 @@
 //! # Sampling
 //!
 //! At one trace event per packet-side action, the ring's `Mutex` sits on
-//! the per-packet hot path. [`Tracer::set_sample_period`] keeps 1-in-N
-//! **cause chains**: the keep/drop decision is made once at each chain
-//! head and inherited by every event recorded under its span (or naming
-//! it as an explicit cause), so retained chains are always complete —
-//! a kept `DmaUnmap` never loses its `IotlbInvalidate` children.
-//! Sampled-out events still consume a sequence number (counted in
-//! [`Tracer::sampled_out`], separate from ring-overflow drops) but skip
-//! the lock entirely. Security events ([`EventKind::AttackBlocked`],
+//! the per-packet hot path. [`Tracer::set_sample_period`] keeps 1 event
+//! in N: the one whose `seq` is a multiple of N. Sampled-out events still
+//! consume a sequence number (counted in [`Tracer::sampled_out`],
+//! separate from ring-overflow drops) but skip the lock entirely.
+//! Security events ([`EventKind::AttackBlocked`],
 //! [`EventKind::SanitizerViolation`]) always bypass sampling.
 
 use simcore::sync::Mutex;
 use simcore::Cycles;
 use std::borrow::Cow;
-use std::cell::Cell;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -149,8 +145,6 @@ pub struct Event {
     pub core: u16,
     /// Device the action concerns, if any.
     pub device: Option<u16>,
-    /// `seq` of the event that caused this one, forming a cause chain.
-    pub cause: Option<u64>,
     /// Structured payload.
     pub kind: EventKind,
 }
@@ -159,107 +153,12 @@ impl fmt::Display for Event {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "[{:>12}] core{} {}{}",
+            "[{:>12}] core{} {}",
             self.at.0,
             self.core,
-            self.kind.name(),
-            match self.cause {
-                Some(c) => format!(" (cause #{c})"),
-                None => String::new(),
-            }
+            self.kind.name()
         )
     }
-}
-
-/// Recent per-thread sampling decisions, so a chain head's keep/drop
-/// verdict is visible to children naming it as an explicit cause (the
-/// cause seq is always minted on the same host thread, moments earlier).
-const DECISION_RING: usize = 32;
-
-/// Maximum span nesting depth. Spans are opened by structural layering
-/// (a `DmaUnmap` wrapping its invalidation), never recursion, so the
-/// real depth is 1–2; 32 leaves a wide margin.
-const MAX_SPAN_DEPTH: usize = 32;
-
-/// Per-thread span/decision state. All fields are `Cell`s of `Copy`
-/// data so the `thread_local!` is const-initialized with no destructor:
-/// accesses compile to plain thread-local loads/stores, with no
-/// lazy-init or borrow-flag bookkeeping on the per-event hot path
-/// (this sits under every trace record, including sampled-out ones).
-struct SpanTls {
-    /// Number of open spans; `stack[..depth]` are live, innermost last.
-    depth: Cell<usize>,
-    /// Open spans as `(seq, kept)`.
-    stack: [Cell<(u64, bool)>; MAX_SPAN_DEPTH],
-    /// Ring of the last [`DECISION_RING`] `(seq, kept)` verdicts.
-    decisions: [Cell<(u64, bool)>; DECISION_RING],
-}
-
-impl SpanTls {
-    fn note_decision(&self, seq: u64, kept: bool) {
-        self.decisions[(seq % DECISION_RING as u64) as usize].set((seq, kept));
-    }
-
-    /// Whether `seq` was kept when recorded on this thread; unknown (old
-    /// or cross-thread) seqs default to kept so chains are never
-    /// over-pruned.
-    fn decision_for(&self, seq: u64) -> bool {
-        let (s, kept) = self.decisions[(seq % DECISION_RING as u64) as usize].get();
-        s != seq || kept
-    }
-
-    fn current_cause_entry(&self) -> Option<(u64, bool)> {
-        let d = self.depth.get();
-        (d > 0).then(|| self.stack[d - 1].get())
-    }
-}
-
-thread_local! {
-    static SPAN_TLS: SpanTls = const {
-        SpanTls {
-            depth: Cell::new(0),
-            stack: [const { Cell::new((u64::MAX, true)) }; MAX_SPAN_DEPTH],
-            decisions: [const { Cell::new((u64::MAX, true)) }; DECISION_RING],
-        }
-    };
-}
-
-/// RAII guard marking the enclosing event as the *cause* of every event
-/// recorded (on this host thread) until the guard drops.
-///
-/// This is how cause chains cross layer boundaries without threading a
-/// span id through every signature: the DMA layer records a `DmaUnmap`,
-/// opens a span on its seq, and the invalidation-queue events recorded
-/// underneath automatically point back at it. The simulator interleaves
-/// virtual cores on one host thread only *between* steps, so span
-/// nesting is always well-bracketed.
-#[derive(Debug)]
-pub struct SpanGuard {
-    _priv: (),
-}
-
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        SPAN_TLS.with(|t| t.depth.set(t.depth.get() - 1));
-    }
-}
-
-/// Opens a cause span: events recorded while the guard lives default
-/// their `cause` to `seq` — and inherit `seq`'s sampling verdict, so a
-/// sampled-out head's children are sampled out with it.
-#[inline]
-pub fn span(seq: u64) -> SpanGuard {
-    SPAN_TLS.with(|t| {
-        let kept = t.decision_for(seq);
-        let d = t.depth.get();
-        assert!(
-            d < MAX_SPAN_DEPTH,
-            "trace span nesting exceeded {MAX_SPAN_DEPTH}"
-        );
-        t.stack[d].set((seq, kept));
-        t.depth.set(d + 1);
-    });
-    SpanGuard { _priv: () }
 }
 
 #[derive(Debug, Default)]
@@ -279,9 +178,7 @@ pub struct Tracer {
     /// Sequence allocator — outside the ring lock, so sampled-out events
     /// never touch the `Mutex`.
     next_seq: AtomicU64,
-    /// Chain heads seen so far; drives the 1-in-N keep decision.
-    heads: AtomicU64,
-    /// Keep 1 chain in `period`; 1 records everything.
+    /// Keep 1 event in `period`; 1 records everything.
     sample_period: AtomicU64,
 }
 
@@ -289,13 +186,12 @@ pub struct Tracer {
 pub const DEFAULT_TRACE_CAPACITY: usize = 65_536;
 
 /// Point-in-time retention statistics of a [`Tracer`], so every report
-/// can state how complete its event record is (events skipped by chain
-/// sampling vs. dropped by ring overflow were previously invisible).
+/// can state how complete its event record is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TraceStats {
     /// Events currently held in the ring.
     pub retained: u64,
-    /// Events skipped by chain sampling (never security events).
+    /// Events skipped by sampling (never security events).
     pub sampled_out: u64,
     /// Events dropped because the ring was full.
     pub dropped: u64,
@@ -316,12 +212,11 @@ impl Tracer {
             ring: Mutex::new(Ring::default()),
             capacity: capacity.max(1),
             next_seq: AtomicU64::new(0),
-            heads: AtomicU64::new(0),
             sample_period: AtomicU64::new(1),
         }
     }
 
-    /// Keeps 1 in `period` cause chains (see the module docs); `0` and
+    /// Keeps 1 in `period` events (see the module docs); `0` and
     /// `1` both mean "record everything".
     pub fn set_sample_period(&self, period: u64) {
         self.sample_period.store(period.max(1), Ordering::Relaxed);
@@ -332,7 +227,7 @@ impl Tracer {
         self.sample_period.load(Ordering::Relaxed)
     }
 
-    /// Events skipped by chain sampling (never counts security events;
+    /// Events skipped by sampling (never counts security events;
     /// distinct from ring-overflow [`TraceStats::dropped`]): the seqs
     /// issued minus the events pushed, so a record still in flight on
     /// another thread counts here until it lands.
@@ -340,82 +235,23 @@ impl Tracer {
         self.stats().sampled_out
     }
 
-    /// Records an event, returning its sequence number (usable as the
-    /// `cause` of follow-on events). If a [`span`] is open on this host
-    /// thread, the event's cause defaults to it.
+    /// Records an event, returning its sequence number.
     #[inline]
     pub fn record(&self, at: Cycles, core: u16, device: Option<u16>, kind: EventKind) -> u64 {
-        SPAN_TLS.with(|t| match t.current_cause_entry() {
-            Some((cause, kept)) => self.push(t, at, core, device, Some(cause), Some(kept), kind),
-            None => self.push(t, at, core, device, None, None, kind),
-        })
-    }
-
-    /// Records an event caused by event `cause`.
-    #[inline]
-    pub fn record_caused(
-        &self,
-        at: Cycles,
-        core: u16,
-        device: Option<u16>,
-        cause: u64,
-        kind: EventKind,
-    ) -> u64 {
-        SPAN_TLS.with(|t| {
-            let kept = t.decision_for(cause);
-            self.push(t, at, core, device, Some(cause), Some(kept), kind)
-        })
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    fn push(
-        &self,
-        tls: &SpanTls,
-        at: Cycles,
-        core: u16,
-        device: Option<u16>,
-        cause: Option<u64>,
-        cause_kept: Option<bool>,
-        kind: EventKind,
-    ) -> u64 {
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
         let period = self.sample_period.load(Ordering::Relaxed);
-        // Security events always bypass sampling; otherwise chain members
-        // follow their head's verdict and heads keep 1 in `period`.
-        let security = kind.is_security();
-        let kept = security
-            || period <= 1
-            || match cause_kept {
-                Some(kept) => kept,
-                None => self
-                    .heads
-                    .fetch_add(1, Ordering::Relaxed)
-                    .is_multiple_of(period),
-            };
-        tls.note_decision(seq, kept);
-        if !kept {
+        if !kind.is_security() && !seq.is_multiple_of(period) {
             // The sampled-out return is the steady-state path under figure
-            // sampling (1 kept chain in 64) — it never touches the ring
-            // lock nor any shared counter (it is counted as a seq issued
-            // but never pushed), and `kind` is dropped here (borrowed
-            // `Cow`s, no frees).
+            // sampling — it never touches the ring lock nor any shared
+            // counter (it is counted as a seq issued but never pushed), and
+            // `kind` is dropped here (borrowed `Cow`s, no frees).
             return seq;
         }
-        // A security event recorded under a sampled-out chain is still
-        // retained, but its cause pointer would dangle — strip the link
-        // rather than export a seq that is not in the ring.
-        let cause = if security && cause_kept == Some(false) {
-            None
-        } else {
-            cause
-        };
         self.push_retained(Event {
             seq,
             at,
             core,
             device,
-            cause,
             kind,
         });
         seq
@@ -483,33 +319,6 @@ mod tests {
     }
 
     #[test]
-    fn cause_chain_recorded() {
-        let t = Tracer::default();
-        let m = t.record(Cycles(1), 0, Some(0), ev(0));
-        let inv = t.record_caused(
-            Cycles(2),
-            0,
-            Some(0),
-            m,
-            EventKind::IotlbInvalidate {
-                pages: 1,
-                wait_cycles: 300,
-            },
-        );
-        let u = t.record_caused(
-            Cycles(3),
-            0,
-            Some(0),
-            inv,
-            EventKind::DmaUnmap { iova: 0, len: 64 },
-        );
-        let evs = t.events();
-        assert_eq!(evs[1].cause, Some(m));
-        assert_eq!(evs[2].seq, u);
-        assert_eq!(evs[2].cause, Some(inv));
-    }
-
-    #[test]
     fn concurrent_records_unique_seqs() {
         let t = std::sync::Arc::new(Tracer::default());
         std::thread::scope(|s| {
@@ -530,15 +339,15 @@ mod tests {
     }
 
     #[test]
-    fn sampling_keeps_whole_chains() {
+    fn sampling_keeps_one_event_in_period() {
         let t = Tracer::default();
         t.set_sample_period(4);
         assert_eq!(t.sample_period(), 4);
-        // 100 chains of head + 2 children (one via span, one explicit).
+        // 100 rounds of three event kinds: the kinds rotate through the
+        // kept seqs, so sampling is blind to what an event is.
         for i in 0..100u64 {
-            let head = t.record(Cycles(i), 0, None, ev(i));
-            let _g = span(head);
-            let mid = t.record(
+            t.record(Cycles(i), 0, None, ev(i));
+            t.record(
                 Cycles(i),
                 0,
                 None,
@@ -547,27 +356,14 @@ mod tests {
                     wait_cycles: 10,
                 },
             );
-            t.record_caused(
-                Cycles(i),
-                0,
-                None,
-                mid,
-                EventKind::DmaUnmap { iova: i, len: 64 },
-            );
+            t.record(Cycles(i), 0, None, EventKind::DmaUnmap { iova: i, len: 64 });
         }
         let evs = t.events();
-        // 1-in-4 heads kept, each with its full chain.
-        assert_eq!(evs.len(), 75, "25 of 100 chains retained, 3 events each");
+        assert_eq!(evs.len(), 75, "exactly 1 in 4 of 300 events kept");
         assert_eq!(t.sampled_out(), 225);
-        let retained: std::collections::HashSet<u64> = evs.iter().map(|e| e.seq).collect();
-        for e in &evs {
-            if let Some(c) = e.cause {
-                assert!(
-                    retained.contains(&c),
-                    "event #{} retained but its cause #{c} was sampled out",
-                    e.seq
-                );
-            }
+        assert!(evs.iter().all(|e| e.seq % 4 == 0), "kept seqs: 0, 4, 8, …");
+        for name in ["DmaMap", "IotlbInvalidate", "DmaUnmap"] {
+            assert!(evs.iter().any(|e| e.kind.name() == name), "no {name} kept");
         }
     }
 
@@ -575,9 +371,9 @@ mod tests {
     fn security_events_bypass_sampling() {
         let t = Tracer::default();
         t.set_sample_period(1_000_000);
-        t.record(Cycles(0), 0, None, ev(0)); // head: kept (first of period)
+        t.record(Cycles(0), 0, None, ev(0)); // seq 0: kept
         for i in 1..50u64 {
-            t.record(Cycles(i), 0, None, ev(i)); // heads: sampled out
+            t.record(Cycles(i), 0, None, ev(i)); // sampled out
         }
         t.record(
             Cycles(50),
@@ -610,7 +406,7 @@ mod tests {
         for i in 0..20u64 {
             t.record(Cycles(i), 0, None, ev(i));
         }
-        assert_eq!(t.sampled_out(), 10, "every other chain head skipped");
+        assert_eq!(t.sampled_out(), 10, "every odd seq skipped");
         assert_eq!(
             t.stats(),
             TraceStats {

@@ -1,8 +1,8 @@
 //! The observability report: `cargo run --release --bin report`.
 //!
 //! Runs the Figure 1 `TCP_STREAM` receive workload once per engine, every
-//! stack reporting into one [`Obs`] with the profiler and its span log on
-//! and trace sampling off. A malicious device then probes the *copy*
+//! stack reporting into one [`Obs`] with the profiler on and trace
+//! sampling off. A malicious device then probes the *copy*
 //! stack, and every stack is torn down like a driver `remove()`. The report
 //! prints the Figure 5 phase breakdown (the profile tree's depth-1 cut,
 //! which netsim's harness tests assert equals the cores' own breakdowns),
@@ -14,9 +14,7 @@
 //! 3. the trace did not wrap, every `DmaMap` has its `DmaUnmap` per
 //!    (device, IOVA), and every blocked probe is one `AttackBlocked`;
 //! 4. of the artifacts it writes, `target/profile_fig1.jsonl` (the profile
-//!    tree, replayable through `--diff`) round-trips and
-//!    `target/profile_fig1.trace.json` (Chrome trace-event JSON, loadable
-//!    in Perfetto) closes every `B` with its `E`. The third,
+//!    tree, replayable through `--diff`) round-trips. The other,
 //!    `target/profile_fig1.collapsed`, is flamegraph collapsed-stack text.
 //!
 //! `report --diff <before.jsonl> <after.jsonl>` loads two saved profiles
@@ -26,10 +24,7 @@ use dma_shadowing::devices::MaliciousDevice;
 use dma_shadowing::dma_api::Bus;
 use dma_shadowing::iommu::DeviceId;
 use dma_shadowing::netsim::{tcp_stream_rx_on, EngineKind, ExpConfig, SimStack, NIC_DEV};
-use dma_shadowing::obs::json::Json;
-use dma_shadowing::obs::profile::{
-    chrome_trace, flamegraph, validate_chrome_trace, ProfileSnapshot,
-};
+use dma_shadowing::obs::profile::{flamegraph, ProfileSnapshot};
 use dma_shadowing::obs::sink::{parse_jsonl, render_table};
 use dma_shadowing::obs::{EventKind, Obs};
 use dma_shadowing::simcore::{CoreCtx, CoreId};
@@ -74,7 +69,6 @@ fn report() -> Result<(), String> {
     // A ring large enough that the whole run fits without wrapping.
     let obs = Obs::with_trace_capacity(1 << 20);
     obs.profiler().set_enabled(true);
-    obs.profiler().set_span_log(true);
     let cfg = ExpConfig {
         cores: 2,
         msg_size: 64 * 1024,
@@ -176,10 +170,8 @@ fn report() -> Result<(), String> {
         .map(|l| l.encode() + "\n")
         .collect();
     let collapsed = flamegraph(&prof);
-    let trace = chrome_trace(&obs.profiler().spans(), clock).encode();
     let back = ProfileSnapshot::from_json_lines(&parse_jsonl(&tree)?)?;
     assert_eq!(back, prof, "the profile JSONL does not round-trip");
-    let pairs = validate_chrome_trace(&Json::parse(&trace)?)?;
     let target = Path::new("target");
     std::fs::create_dir_all(target).map_err(|e| format!("mkdir target: {e}"))?;
     println!("\nartifacts:");
@@ -189,14 +181,6 @@ fn report() -> Result<(), String> {
             "profile_fig1.collapsed",
             &collapsed,
             format!("flamegraph, {} stacks", collapsed.lines().count()),
-        ),
-        (
-            "profile_fig1.trace.json",
-            &trace,
-            format!(
-                "chrome trace, {pairs} B/E pairs, {} spans dropped",
-                obs.profiler().span_dropped()
-            ),
         ),
     ] {
         let path = target.join(name);

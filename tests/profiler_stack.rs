@@ -1,8 +1,8 @@
-//! Cross-crate acceptance tests for the virtual-time profiler's exporters
+//! Cross-crate acceptance tests for the virtual-time profiler's exporter
 //! and the event trace: the whole netsim stack runs with the profiler
-//! enabled and must yield the expected flamegraph stacks and a well-formed
-//! Chrome trace; the trace of a run plus a malicious-device scan must pair
-//! every map with its unmap and record every blocked probe. (That the
+//! enabled and must yield the expected flamegraph stacks; the trace of a
+//! run plus a malicious-device scan must pair every map with its unmap and
+//! record every blocked probe. (That the
 //! tree's depth-1 cut equals the cores' breakdowns is netsim's harness
 //! invariants test.)
 
@@ -10,8 +10,7 @@ use dma_shadowing::devices::MaliciousDevice;
 use dma_shadowing::dma_api::Bus;
 use dma_shadowing::iommu::DeviceId;
 use dma_shadowing::netsim::{tcp_stream_rx_on, EngineKind, ExpConfig, SimStack};
-use dma_shadowing::obs::json::Json;
-use dma_shadowing::obs::profile::{chrome_trace, flamegraph, validate_chrome_trace};
+use dma_shadowing::obs::profile::flamegraph;
 use dma_shadowing::obs::{EventKind, Obs};
 use dma_shadowing::simcore::{CoreCtx, CoreId};
 use std::collections::HashMap;
@@ -30,7 +29,6 @@ fn quick_cfg() -> ExpConfig {
 fn exporters_render_the_real_stack() {
     let obs = Obs::with_trace_capacity(1 << 14);
     obs.profiler().set_enabled(true);
-    obs.profiler().set_span_log(true);
     let cfg = quick_cfg();
     let stack = SimStack::with_obs(EngineKind::IdentityPlus, &cfg, obs.clone());
     tcp_stream_rx_on(&stack, &cfg);
@@ -44,12 +42,6 @@ fn exporters_render_the_real_stack() {
             .any(|l| l.starts_with("identity+;rx;dma_unmap;invalq_drain;invalidate_iotlb ")),
         "expected the invalidation stack in:\n{collapsed}"
     );
-
-    // Chrome trace: valid JSON, every B matched by an E.
-    let trace = chrome_trace(&obs.profiler().spans(), cfg.cost.clock_ghz);
-    let reparsed = Json::parse(&trace.encode()).expect("trace encodes to valid JSON");
-    let pairs = validate_chrome_trace(&reparsed).expect("B/E events match");
-    assert!(pairs > 0, "the span log captured real scopes");
 }
 
 #[test]
