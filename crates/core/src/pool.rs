@@ -15,7 +15,8 @@ use std::sync::Arc;
 
 /// Practical bound on metadata slots per (NUMA domain, class): the
 /// paper's 16 K ("a more practical bound", §6 *Memory consumption*).
-/// Beyond it the fallback path takes over.
+/// Beyond it the fallback path takes over. Slots are allocated in chunks
+/// as they are first used, so the bound costs no memory until reached.
 pub const MAX_BUFFERS_PER_CLASS: u64 = 16 * 1024;
 
 /// Pool configuration; the default is the paper's codec without
@@ -633,7 +634,7 @@ impl ShadowPool {
         match self.codec.decode(iova) {
             Some(d) => {
                 let ai = self.array_idx(d.core, d.class);
-                let slot = self.arrays[ai].slot(d.index);
+                let slot = self.arrays[ai].get(d.index)?;
                 let (os_pa, os_len) = slot.association()?;
                 Some(ShadowRef {
                     os_pa,
@@ -691,11 +692,10 @@ impl ShadowPool {
             Some(d) => {
                 let ai = self.array_idx(d.core, d.class);
                 let array = &self.arrays[ai];
-                let slot = array.slot(d.index);
-                assert!(
-                    slot.association().is_some(),
-                    "release_shadow of unacquired slot {iova}"
-                );
+                let slot = array
+                    .get(d.index)
+                    .filter(|slot| slot.association().is_some())
+                    .unwrap_or_else(|| panic!("release_shadow of unacquired slot {iova}"));
                 slot.disassociate();
                 let li = self.list_idx(d.core, d.class, d.rights);
                 // Owner-core releases land in the magazine (until full);
@@ -1172,6 +1172,54 @@ mod tests {
         let mut c = ctx(0);
         let bogus = r.pool.codec().encode(CoreId(0), Perms::Read, 0, 7);
         let _ = r.pool.release_shadow(&mut c, bogus);
+    }
+
+    #[test]
+    #[should_panic(expected = "release_shadow of unacquired slot")]
+    fn release_past_the_metadata_array_fails() {
+        let r = rig();
+        let mut c = ctx(0);
+        let past = MAX_BUFFERS_PER_CLASS + 5;
+        let bogus = r.pool.codec().encode(CoreId(0), Perms::Write, 0, past);
+        let _ = r.pool.release_shadow(&mut c, bogus);
+    }
+
+    #[test]
+    fn find_shadow_of_an_index_never_handed_out_is_none() {
+        let r = rig();
+        let mut c = ctx(0);
+        let codec = r.pool.codec();
+        // Past the array, though the codec can name it.
+        let past = MAX_BUFFERS_PER_CLASS + 5;
+        assert!(past < codec.max_index(0));
+        assert!(r
+            .pool
+            .find_shadow(codec.encode(CoreId(0), Perms::Write, 0, past))
+            .is_none());
+        // Inside the array, in a chunk that does not exist yet.
+        let buf = os_buf(&r, 1500);
+        let iova = r.pool.acquire_shadow(&mut c, buf, Perms::Write).unwrap();
+        let unmade = codec.encode(CoreId(0), Perms::Write, 0, 1000);
+        assert!(r.pool.find_shadow(unmade).is_none());
+        assert!(r.pool.find_shadow(iova).is_some());
+    }
+
+    #[test]
+    fn metadata_chunks_are_created_by_the_first_acquire() {
+        let r = rig();
+        let chunks = |r: &Rig| {
+            r.pool
+                .arrays
+                .iter()
+                .map(MetadataArray::chunks)
+                .sum::<usize>()
+        };
+        assert_eq!(chunks(&r), 0, "ShadowPool::new created metadata");
+        let mut c = ctx(0);
+        let buf = os_buf(&r, 1500);
+        let iova = r.pool.acquire_shadow(&mut c, buf, Perms::Write).unwrap();
+        assert_eq!(chunks(&r), 1);
+        r.pool.release_shadow(&mut c, iova).unwrap();
     }
 
     #[test]

@@ -4,11 +4,18 @@
 //! addressed by the index encoded in the shadow buffer's IOVA, giving
 //! O(1) `find_shadow`. Free slots double as free-list nodes: their `next`
 //! field links them (Figure 2). Metadata is not IOMMU-mapped — the device
-//! can never touch it.
+//! can never touch it. An array is allocated in 256-slot chunks, each
+//! created the first time one of its indices is handed out, up to
+//! `MAX_BUFFERS_PER_CLASS` slots: a run that uses a few dozen buffers pays
+//! for one chunk, not for the §6 bound.
+
+// lint: allow(panic) — a slot is read only at an index `reserve` handed out, whose chunk exists; any other read is a pool bug
 
 use memsim::PhysAddr;
 use simcore::sync::Mutex;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// Sentinel for "no slot" in `next` links and for unset fields.
 pub(crate) const NIL: u64 = u64::MAX;
@@ -75,16 +82,26 @@ impl Slot {
     }
 }
 
-/// A fixed-capacity metadata array for one (NUMA domain, size class) pair.
+/// The metadata array for one (NUMA domain, size class) pair, allocated
+/// in chunks of [`CHUNK`] slots as it is used, up to its capacity.
 ///
 /// Slots are handed out by a lock-protected next-unused index (allocation
 /// is infrequent — paper footnote 5); retired slots (from memory-pressure
-/// reclaim) are recycled before fresh ones.
+/// reclaim) are recycled before fresh ones. Every path that hands out an
+/// index creates that index's chunk under the same lock, and an index
+/// reaches a reader only after it was handed out — through that lock or
+/// through the free lists' Release/Acquire `next` links — so a reader
+/// finds its chunk with one acquire load and never creates one.
 #[derive(Debug)]
 pub(crate) struct MetadataArray {
-    slots: Box<[Slot]>,
+    /// One entry per [`CHUNK`] indices; the last chunk may be shorter.
+    chunks: Box<[OnceLock<Box<[Slot]>>]>,
+    capacity: u64,
     alloc: Mutex<AllocState>,
 }
+
+/// Slots per metadata chunk: 256 × 32 B = 8 KiB.
+const CHUNK: u64 = 256;
 
 #[derive(Debug)]
 struct AllocState {
@@ -93,11 +110,13 @@ struct AllocState {
 }
 
 impl MetadataArray {
-    /// Creates an array of `capacity` slots.
+    /// Creates an array of `capacity` slots; no chunk exists yet.
     pub fn new(capacity: u64) -> Self {
-        let slots: Vec<Slot> = (0..capacity).map(|_| Slot::new()).collect();
         MetadataArray {
-            slots: slots.into_boxed_slice(),
+            chunks: (0..capacity.div_ceil(CHUNK))
+                .map(|_| OnceLock::new())
+                .collect(),
+            capacity,
             alloc: Mutex::new(AllocState {
                 next_unused: 0,
                 retired: Vec::new(),
@@ -105,25 +124,46 @@ impl MetadataArray {
         }
     }
 
-    /// Total slot capacity.
-    pub fn capacity(&self) -> u64 {
-        self.slots.len() as u64
-    }
-
     /// Number of slots handed out and not retired.
-    #[allow(dead_code)] // used by tests and kept for introspection
+    #[cfg(test)]
     pub fn used(&self) -> u64 {
         let a = self.alloc.lock();
         a.next_unused - a.retired.len() as u64
     }
 
-    /// The slot at `index`.
+    /// Number of chunks created so far.
+    #[cfg(test)]
+    pub fn chunks(&self) -> usize {
+        self.chunks.iter().filter(|c| c.get().is_some()).count()
+    }
+
+    /// Creates the chunks holding `indices` that do not exist yet. Called
+    /// under `alloc` before any of `indices` is handed out.
+    fn create_chunks(&self, indices: Range<u64>) {
+        for c in indices.start / CHUNK..indices.end.div_ceil(CHUNK) {
+            self.chunks[c as usize].get_or_init(|| {
+                let len = CHUNK.min(self.capacity - c * CHUNK);
+                (0..len).map(|_| Slot::new()).collect()
+            });
+        }
+    }
+
+    /// The slot at `index`, or `None` past the capacity or in a chunk
+    /// that does not exist yet (an index never handed out).
+    pub fn get(&self, index: u64) -> Option<&Slot> {
+        let chunk = self.chunks.get((index / CHUNK) as usize)?.get()?;
+        chunk.get((index % CHUNK) as usize)
+    }
+
+    /// The slot at `index`, which `reserve` or `reserve_aligned_run`
+    /// handed out.
     ///
     /// # Panics
     ///
-    /// Panics if `index` is out of range.
+    /// Panics if `index` was never handed out and its chunk does not exist.
     pub fn slot(&self, index: u64) -> &Slot {
-        &self.slots[index as usize]
+        self.get(index)
+            .expect("slot index was handed out, so its chunk exists")
     }
 
     /// Reserves one unused slot, preferring retired ones. Returns `None`
@@ -131,16 +171,18 @@ impl MetadataArray {
     /// hash-table path, §5.3).
     pub fn reserve(&self) -> Option<u64> {
         let mut a = self.alloc.lock();
-        if let Some(idx) = a.retired.pop() {
-            return Some(idx);
-        }
-        if a.next_unused < self.capacity() {
-            let idx = a.next_unused;
-            a.next_unused += 1;
-            Some(idx)
-        } else {
-            None
-        }
+        let idx = match a.retired.pop() {
+            Some(idx) => idx,
+            None if a.next_unused < self.capacity => {
+                a.next_unused += 1;
+                a.next_unused - 1
+            }
+            None => return None,
+        };
+        // A retired index skipped by an aligned run may lie in a chunk
+        // that was never created.
+        self.create_chunks(idx..idx + 1);
+        Some(idx)
     }
 
     /// Reserves `n` consecutive slots with the first index aligned to `n`
@@ -152,14 +194,16 @@ impl MetadataArray {
         assert!(n.is_power_of_two());
         let mut a = self.alloc.lock();
         let start = a.next_unused.next_multiple_of(n);
-        if start + n > self.capacity() {
+        if start + n > self.capacity {
             return None;
         }
-        // Indices skipped by alignment become retirable singles.
+        // Indices skipped by alignment become retirable singles; `reserve`
+        // creates their chunk when it hands one out.
         for i in a.next_unused..start {
             a.retired.push(i);
         }
         a.next_unused = start + n;
+        self.create_chunks(start..start + n);
         Some(start)
     }
 
@@ -201,7 +245,7 @@ mod tests {
     #[test]
     fn association_roundtrip() {
         let a = MetadataArray::new(1);
-        let s = a.slot(0);
+        let s = a.slot(a.reserve().unwrap());
         assert_eq!(s.association(), None);
         s.associate(PhysAddr(0x42000), 1500);
         assert_eq!(s.association(), Some((PhysAddr(0x42000), 1500)));
@@ -234,6 +278,56 @@ mod tests {
     #[should_panic(expected = "no shadow buffer")]
     fn shadow_base_requires_assignment() {
         let a = MetadataArray::new(1);
-        a.slot(0).shadow_base();
+        a.slot(a.reserve().unwrap()).shadow_base();
+    }
+
+    #[test]
+    fn a_new_array_holds_no_chunk() {
+        let a = MetadataArray::new(16 * 1024);
+        assert_eq!(a.chunks(), 0);
+        assert!(a.get(0).is_none(), "no slot before its index is handed out");
+    }
+
+    #[test]
+    fn reserving_across_a_chunk_boundary_creates_one_chunk() {
+        let a = MetadataArray::new(3 * CHUNK);
+        for i in 0..CHUNK {
+            assert_eq!(a.reserve(), Some(i));
+        }
+        assert_eq!(a.chunks(), 1);
+        assert!(a.get(CHUNK).is_none());
+        assert_eq!(a.reserve(), Some(CHUNK));
+        assert_eq!(a.chunks(), 2, "the 257th slot creates exactly one more");
+        assert!(a.get(CHUNK).is_some());
+        assert!(a.get(2 * CHUNK).is_none());
+    }
+
+    #[test]
+    fn get_is_none_past_the_capacity() {
+        let a = MetadataArray::new(CHUNK + 3);
+        while a.reserve().is_some() {}
+        assert_eq!(a.chunks(), 2);
+        assert!(a.get(CHUNK + 2).is_some());
+        assert!(a.get(CHUNK + 3).is_none(), "the last chunk is short");
+        assert!(a.get(u64::MAX).is_none());
+    }
+
+    #[test]
+    fn indices_skipped_into_a_new_chunk_are_usable_when_recycled() {
+        let a = MetadataArray::new(4 * CHUNK);
+        assert_eq!(a.reserve(), Some(0));
+        // Aligned to 2 * CHUNK: indices 1..512 are skipped, and 256..512
+        // lie in a chunk no index of which was handed out.
+        assert_eq!(a.reserve_aligned_run(2 * CHUNK), Some(2 * CHUNK));
+        assert_eq!(a.chunks(), 3, "chunks 0, 2 and 3");
+        let mut recycled = 0;
+        while let Some(i) = a.reserve() {
+            let s = a.slot(i);
+            s.associate(PhysAddr(0x1000 * i), 64);
+            assert_eq!(s.association(), Some((PhysAddr(0x1000 * i), 64)));
+            recycled += 1;
+        }
+        assert_eq!(recycled, 2 * CHUNK - 1);
+        assert_eq!(a.chunks(), 4);
     }
 }

@@ -21,6 +21,7 @@ use simcore::FxHashMap;
 use simcore::{CoreCtx, Cycles};
 use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::hash::BuildHasherDefault;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The six dma-debug rule classes the checker enforces.
@@ -231,22 +232,47 @@ struct RingView {
     san: u64,
     /// Its `coherent_gen` when copied.
     gen: u64,
-    /// Every coherent window as `(dev, start, end)`, sorted.
-    windows: Vec<(u16, u64, u64)>,
+    /// Every page of every coherent window, `(dev, page) -> (start, end)`.
+    /// A coherent buffer starts on a page and owns its pages whole, so a
+    /// page belongs to at most one window.
+    pages: FxHashMap<(u16, u64), (u64, u64)>,
 }
 
 impl RingView {
+    /// Copies every coherent window of `inner`.
+    fn fill(&mut self, inner: &Inner) {
+        self.pages.clear();
+        for (&dev, st) in &inner.devs {
+            for &(start, len) in st.coherent.iter() {
+                assert_eq!(
+                    start % PAGE,
+                    0,
+                    "coherent window {start:#x} is not page-aligned"
+                );
+                for page in start / PAGE..(start + len).div_ceil(PAGE) {
+                    let shared = self.pages.insert((dev, page), (start, start + len));
+                    assert!(shared.is_none(), "coherent windows share page {page:#x}");
+                }
+            }
+        }
+    }
+
     /// The window of `dev` containing `addr`, as `(start, end)`.
     fn covering(&self, dev: u16, addr: u64) -> Option<(u64, u64)> {
-        let i = self.windows.partition_point(|&w| (w.0, w.1) <= (dev, addr));
-        let &(d, start, end) = self.windows.get(i.checked_sub(1)?)?;
-        (d == dev && addr < end).then_some((start, end))
+        let &(start, end) = self.pages.get(&(dev, addr / PAGE))?;
+        (addr < end).then_some((start, end))
     }
 }
 
+const PAGE: u64 = memsim::PAGE_SIZE as u64;
+
 thread_local! {
     static RING_VIEW: RefCell<RingView> = const {
-        RefCell::new(RingView { san: 0, gen: 0, windows: Vec::new() })
+        RefCell::new(RingView {
+            san: 0,
+            gen: 0,
+            pages: FxHashMap::with_hasher(BuildHasherDefault::new()),
+        })
     };
 }
 
@@ -401,13 +427,7 @@ impl DmaSan {
                 // Bumps happen under the lock, so this is the generation
                 // of the windows copied below.
                 view.gen = self.coherent_gen.load(Ordering::Acquire);
-                view.windows.clear();
-                for (&d, st) in &inner.devs {
-                    let windows = st.coherent.iter();
-                    view.windows
-                        .extend(windows.map(|&(start, len)| (d, start, start + len)));
-                }
-                view.windows.sort_unstable();
+                view.fill(inner);
             }
             view.covering(dev.0, addr)
         });

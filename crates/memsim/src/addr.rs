@@ -95,7 +95,6 @@ impl fmt::Display for Pfn {
 }
 
 /// Number of pages needed to hold `bytes` bytes.
-#[allow(dead_code)]
 pub(crate) fn pages_for(bytes: usize) -> u64 {
     (bytes as u64).div_ceil(PAGE_SIZE as u64)
 }

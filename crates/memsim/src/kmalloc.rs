@@ -9,6 +9,7 @@
 
 // lint: allow(panic) — slab metadata invariants are allocator bugs, not runtime errors
 
+use crate::addr::pages_for;
 use crate::{MemError, NumaDomain, Pfn, PhysAddr, PhysMemory, PAGE_SIZE};
 use simcore::FxHashMap;
 use std::cell::RefCell;
@@ -138,7 +139,7 @@ impl Kmalloc {
         let pa = if let Some(class) = CLASSES.iter().position(|&c| c >= size) {
             self.alloc_slab_object(&mut inner, class, size, domain)?
         } else {
-            let n = (size as u64).div_ceil(PAGE_SIZE as u64);
+            let n = pages_for(size);
             let pfn = self.mem.alloc_frames(domain, n)?;
             inner.stats.pages += n;
             let pa = pfn.base();

@@ -84,6 +84,66 @@ fn pool_owner_acquire_remote_release_storm() {
 }
 
 #[test]
+fn metadata_chunks_grow_while_other_threads_read_slots() {
+    // 4 threads on the cores of one NUMA domain share its 4 KB metadata
+    // array and each holds 300 buffers at once, so the array grows to 5
+    // chunks under real contention. Each IOVA goes to the next thread as
+    // soon as it is acquired, which resolves it while the others are
+    // still creating chunks, and releases it once every thread holds its
+    // full share.
+    const THREADS: u16 = 4;
+    const HELD: usize = 300;
+    let mem = Arc::new(PhysMemory::new(NumaTopology::new(THREADS, 1, 1 << 14)));
+    let pool = ShadowPool::new(
+        mem.clone(),
+        Arc::new(Iommu::new()),
+        DEV,
+        PoolConfig::default(),
+    );
+    let all_held = std::sync::Barrier::new(THREADS as usize);
+    let (txs, rxs): (Vec<_>, Vec<_>) = (0..THREADS).map(|_| std::sync::mpsc::channel()).unzip();
+    std::thread::scope(|s| {
+        for (core, rx) in (0..THREADS).zip(rxs) {
+            let next = txs[usize::from((core + 1) % THREADS)].clone();
+            let (pool, mem, all_held) = (&pool, &mem, &all_held);
+            s.spawn(move || {
+                let mut ctx = zero_ctx(core);
+                let os = mem.alloc_frame(NumaDomain(0)).expect("os buffer").base();
+                let mut received = Vec::new();
+                for i in 0..HELD {
+                    let len = 1000 + i;
+                    let iova = pool
+                        .acquire_shadow(&mut ctx, DmaBuf::new(os, len), Perms::Write)
+                        .expect("acquire");
+                    next.send((iova, len)).expect("neighbour is alive");
+                    while let Ok((other, len)) = rx.try_recv() {
+                        let sref = pool.find_shadow(other).expect("a held IOVA resolves");
+                        assert_eq!(sref.os_len, len);
+                        received.push(other);
+                    }
+                }
+                drop(next);
+                received.extend(rx.iter().map(|(other, len)| {
+                    assert_eq!(pool.find_shadow(other).expect("held").os_len, len);
+                    other
+                }));
+                assert_eq!(received.len(), HELD);
+                all_held.wait();
+                for iova in received {
+                    pool.release_shadow(&mut ctx, iova).expect("remote release");
+                }
+            });
+        }
+        drop(txs);
+    });
+    let s = pool.stats();
+    assert_eq!(s.acquires, u64::from(THREADS) * HELD as u64);
+    assert_eq!(s.releases, s.acquires, "every buffer recovered");
+    assert_eq!(s.in_flight, 0);
+    assert_eq!(s.fallback_acquires, 0, "every buffer had a metadata slot");
+}
+
+#[test]
 fn pool_reclaim_under_pressure_keeps_working() {
     let mem = Arc::new(PhysMemory::new(NumaTopology::new(2, 1, 1 << 14)));
     let mmu = Arc::new(Iommu::new());

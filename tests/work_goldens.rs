@@ -1,8 +1,8 @@
 //! Host-work goldens: what the program *does* to produce the figures —
-//! heap allocations, simulated-lock acquisitions, host lock holds
-//! (`simcore::sync::holds`), IOTLB lookups, invalidation commands, frame
-//! and slab calls, bytes memcpy'd and zeroed, trace events and every `obs`
-//! counter — pinned exactly for every engine on
+//! heap allocations and peak live heap bytes, simulated-lock
+//! acquisitions, host lock holds (`simcore::sync::holds`), IOTLB lookups,
+//! invalidation commands, frame and slab calls, bytes memcpy'd and zeroed,
+//! trace events and every `obs` counter — pinned exactly for every engine on
 //! quick-scale RX (16 cores, MTU) and TX (1 core, 64 KB), with
 //! `ExpConfig::percore` off and on, and for *copy* on RR (1 core, 64 B),
 //! where the copy-back is bounded by what arrived, and on memcached
@@ -27,9 +27,66 @@ use dma_shadowing::netsim::{
     memcached_on, tcp_rr_on, tcp_stream_rx_on, tcp_stream_tx_on, EngineKind, ExpConfig, ExpResult,
     SimStack, NIC_DEV,
 };
+use std::alloc::{GlobalAlloc, Layout};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 #[global_allocator]
-static ALLOC: alloc_count::CountingAlloc = alloc_count::CountingAlloc;
+static ALLOC: PeakAlloc = PeakAlloc;
+
+// Statistics only, on the process's one thread: `Relaxed` is enough.
+static LIVE: AtomicU64 = AtomicU64::new(0);
+static PEAK: AtomicU64 = AtomicU64::new(0);
+
+/// The benchmark's counting allocator, also tracking the live heap bytes
+/// and their peak, so a footprint regression fails like an extra
+/// allocation does.
+struct PeakAlloc;
+
+fn grown(bytes: u64) {
+    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+// SAFETY: every method forwards its arguments unchanged to
+// `CountingAlloc`, which upholds the `GlobalAlloc` contract; the counters
+// never touch the memory being managed.
+unsafe impl GlobalAlloc for PeakAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller's obligations for `alloc` are passed on as is.
+        let p = unsafe { alloc_count::CountingAlloc.alloc(layout) };
+        if !p.is_null() {
+            grown(layout.size() as u64);
+        }
+        p
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: as for `alloc`.
+        let p = unsafe { alloc_count::CountingAlloc.alloc_zeroed(layout) };
+        if !p.is_null() {
+            grown(layout.size() as u64);
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator with this `layout`, as
+        // the caller guarantees.
+        unsafe { alloc_count::CountingAlloc.dealloc(ptr, layout) };
+        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: `ptr` came from this allocator with `layout`; `new_size`
+        // obeys the caller's `realloc` obligations.
+        let p = unsafe { alloc_count::CountingAlloc.realloc(ptr, layout, new_size) };
+        if !p.is_null() {
+            LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
+            grown(new_size as u64);
+        }
+        p
+    }
+}
 
 const GOLDEN: golden::Golden = golden::Golden {
     name: "work_goldens",
@@ -58,13 +115,27 @@ const WORKLOADS: [Workload; 2] = [
     },
 ];
 
-/// Runs `f` and returns its result with the heap allocations and bytes it
-/// made.
-fn counted<R>(f: impl FnOnce() -> R) -> (R, u64, u64) {
+/// The heap work of one call: allocations, bytes requested, and the peak
+/// of the live bytes it added.
+struct Heap {
+    allocs: u64,
+    bytes: u64,
+    peak: u64,
+}
+
+/// Runs `f` and returns its result with the heap work it did.
+fn counted<R>(f: impl FnOnce() -> R) -> (R, Heap) {
     let (allocs, bytes) = alloc_count::totals();
+    let live = LIVE.load(Ordering::Relaxed);
+    PEAK.store(live, Ordering::Relaxed);
     let out = f();
     let (allocs_after, bytes_after) = alloc_count::totals();
-    (out, allocs_after - allocs, bytes_after - bytes)
+    let heap = Heap {
+        allocs: allocs_after - allocs,
+        bytes: bytes_after - bytes,
+        peak: PEAK.load(Ordering::Relaxed) - live,
+    };
+    (out, heap)
 }
 
 /// The fixture lines of one (workload, percore, engine): the stack's whole
@@ -77,7 +148,7 @@ fn rows(w: &Workload, percore: bool, kind: EngineKind) -> Vec<String> {
         ..ExpConfig::quick()
     };
     let holds = dma_shadowing::simcore::sync::holds();
-    let ((stack, result), allocs, alloc_bytes) = counted(|| {
+    let ((stack, result), heap) = counted(|| {
         let stack = SimStack::new(kind, &cfg);
         let result = (w.run)(&stack, &cfg);
         (stack, result)
@@ -97,7 +168,7 @@ fn rows(w: &Workload, percore: bool, kind: EngineKind) -> Vec<String> {
 
     // A read-out that is not wired reads zeros, and a fixture of zeros
     // would pass forever.
-    assert!(allocs > 0, "{kind}: no heap allocation counted");
+    assert!(heap.allocs > 0, "{kind}: no heap allocation counted");
     if kind != EngineKind::NoIommu {
         let maps = snap.counter("dma", "maps", Some(NIC_DEV.0));
         assert!(maps.unwrap_or(0) > 0, "{kind}: dma.maps reads {maps:?}");
@@ -107,7 +178,10 @@ fn rows(w: &Workload, percore: bool, kind: EngineKind) -> Vec<String> {
     let prefix = format!("{} percore={} {:?}", w.name, u8::from(percore), kind.name());
     let mut lines = vec![
         format!("run items={} bytes={}", result.items, result.bytes),
-        format!("heap allocs={allocs} bytes={alloc_bytes}"),
+        format!(
+            "heap allocs={} bytes={} peak={}",
+            heap.allocs, heap.bytes, heap.peak
+        ),
         format!("simlock invalq={invalq_lock} iova={iova_lock}"),
         format!("host_locks holds={host_locks}"),
         format!(
@@ -146,11 +220,15 @@ fn rows(w: &Workload, percore: bool, kind: EngineKind) -> Vec<String> {
 }
 
 fn main() {
-    let ((), allocs, bytes) = counted(|| drop(std::hint::black_box(Box::new(0u64))));
+    let (boxed, heap) = counted(|| std::hint::black_box(Box::new(0u64)));
     assert!(
-        allocs >= 1 && bytes >= 8,
-        "the counting allocator is not installed: a Box moved allocs by {allocs}, bytes by {bytes}"
+        heap.allocs >= 1 && heap.bytes >= 8 && heap.peak >= 8,
+        "the counting allocator is not installed: a Box moved allocs by {}, bytes by {}, peak by {}",
+        heap.allocs,
+        heap.bytes,
+        heap.peak
     );
+    drop(boxed);
 
     let engines = EngineKind::ALL.into_iter().chain([EngineKind::SelfInvalHw]);
     let mut actual = Vec::new();
